@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "SNRPoint",
     "SNRCurve",
     "EnhancementReport",
     "signal_estimate",
@@ -32,14 +31,6 @@ __all__ = [
 #: Twin-beam SNR below which the shared-signal assumption of the
 #: coherent-state estimate is flagged as unreliable.
 HIGH_SNR_GATE = 5.0
-
-
-@dataclass(frozen=True)
-class SNRPoint:
-    drive_voltage: float
-    s_on: float
-    s_off: float
-    snr: float
 
 
 @dataclass(frozen=True)

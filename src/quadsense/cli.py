@@ -14,25 +14,16 @@ import argparse
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import montecarlo
 from .analysis import threshold_voltage
-from .errors import (
-    ConsistencyError,
-    FitInfeasibleError,
-    OperatingPointError,
-    SearchError,
-    TailMassError,
-    ValidationError,
-)
+from .errors import QuadsenseError, ValidationError
 from .optics import GaussianBeam, optimize_waist, quadrant_transmission
 from .plasmonic import transmission_at
-from .scenario import QUADRANTS, Scenario, build_chain, dump_scenario
+from .scenario import QUADRANTS, Scenario, build_chain, dump_scenario, load_scenario
 
 __all__ = ["main"]
 
@@ -40,24 +31,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_NUMERIC_ERRORS = (
-    ConsistencyError,
-    FitInfeasibleError,
-    OperatingPointError,
-    SearchError,
-    TailMassError,
-)
-
-
-def _load_scenario(path: str | None) -> Scenario:
-    if path is None:
-        ref = resources.files("quadsense").joinpath("data/default_scenario.yaml")
-        cfg = yaml.safe_load(ref.read_text(encoding="utf-8"))
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
-    return Scenario.from_dict(cfg)
 
 
 def _fmt(value: float, db: bool = False) -> str:
@@ -306,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        scenario = _load_scenario(args.scenario)
+        scenario = load_scenario(args.scenario)
         if args.seed is None:
             args.seed = scenario.seed
         if args.samples <= 0:
@@ -320,7 +293,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _NUMERIC_ERRORS as exc:
+    except QuadsenseError as exc:
         print(f"consistency error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

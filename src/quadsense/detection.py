@@ -13,7 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, UndefinedSNLError, ValidationError
+from .errors import (
+    ConsistencyError,
+    UndefinedMomentsError,
+    UndefinedSNLError,
+    ValidationError,
+)
 from .optics import LossChannel
 from .source import TwinBeamMoments
 
@@ -98,7 +103,7 @@ def optimal_gain(m: TwinBeamMoments, ch: LossChannel) -> float:
     """Attenuation factor minimizing the difference noise."""
     denom = _conjugate_term(m, ch)
     if denom <= 0.0:
-        raise ZeroDivisionError(
+        raise UndefinedMomentsError(
             "conjugate arm carries no noise; optimal attenuation is undefined"
         )
     return max(ch.eta_p * ch.eta_c * m.cov / denom, 0.0)
@@ -108,7 +113,7 @@ def min_difference_noise(m: TwinBeamMoments, ch: LossChannel) -> float:
     """Difference noise at the optimal attenuation (closed form)."""
     denom = _conjugate_term(m, ch)
     if denom <= 0.0:
-        raise ZeroDivisionError(
+        raise UndefinedMomentsError(
             "conjugate arm carries no noise; optimal attenuation is undefined"
         )
     cross = ch.eta_p * ch.eta_c * m.cov

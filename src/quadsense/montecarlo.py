@@ -235,14 +235,14 @@ def _pair_ladder(n_max: int):
 
 
 def _coherent_vector(alpha: float, n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1)
-    log_c = -0.5 * alpha * alpha + n * math.log(alpha) - 0.5 * np.cumsum(
-        np.concatenate([[0.0], np.log(np.arange(1, n_max + 1))])
-    ) if alpha > 0 else None
     if alpha == 0.0:
         v = np.zeros(n_max + 1)
         v[0] = 1.0
         return v
+    n = np.arange(n_max + 1)
+    log_c = -0.5 * alpha * alpha + n * math.log(alpha) - 0.5 * np.cumsum(
+        np.concatenate([[0.0], np.log(np.arange(1, n_max + 1))])
+    )
     return np.exp(log_c)
 
 
@@ -270,8 +270,6 @@ def fock_two_mode_squeezer_moments(
     last_tail = None
     for n_max in sizes:
         dim = n_max + 1
-        psi0 = np.zeros(dim * dim)
-        psi0[: dim] = 0.0
         coh = _coherent_vector(seed_amplitude, n_max)
         # |alpha>_p x |0>_c : conjugate index 0 for every probe level.
         psi0 = np.zeros(dim * dim)

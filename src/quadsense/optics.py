@@ -9,18 +9,12 @@ Quadrant labels follow the sign convention
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from .errors import (
-    ConsistencyError,
-    SearchError,
-    UndefinedMomentsError,
-    ValidationError,
-)
-from .source import CoherenceGrid, TwinBeamMoments
+from .errors import SearchError, UndefinedMomentsError, ValidationError
+from .source import CoherenceGrid, TwinBeamMoments, _interval_weights
 
 __all__ = [
     "QUADRANT_SIGNS",
@@ -36,9 +30,6 @@ __all__ = [
 ]
 
 QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
-
-#: Default 1-D resolution of the fixed-grid quadrature (2048 x 2048 in 2-D).
-DEFAULT_GRID = 2048
 
 
 @dataclass(frozen=True)
@@ -125,78 +116,40 @@ class QuadrantTransmission:
     total: float
     gap_fraction: float
     tail_fraction: float
-    grid_points: int
-
-
-def _axis_integral(lo: float, hi: float, mu: float, sigma: float, n: int) -> float:
-    """Midpoint-rule integral of the 1-D Gaussian over [lo, hi].
-
-    The interval is clipped to mu +/- 6 sigma, where essentially all the
-    power lives; integrating each window over its own bounds keeps the
-    integrand smooth, so the midpoint rule converges at second order.
-    """
-    lo = max(lo, mu - 6.0 * sigma)
-    hi = min(hi, mu + 6.0 * sigma)
-    if hi <= lo:
-        return 0.0
-    dx = (hi - lo) / n
-    x = lo + (np.arange(n) + 0.5) * dx
-    w = np.exp(-0.5 * ((x - mu) / sigma) ** 2) * dx / (sigma * math.sqrt(2.0 * math.pi))
-    return float(w.sum())
 
 
 def quadrant_transmission(
-    beam: GaussianBeam,
-    layout: QuadrantLayout,
-    n_grid: int = DEFAULT_GRID,
-    richardson_check: bool = False,
+    beam: GaussianBeam, layout: QuadrantLayout
 ) -> QuadrantTransmission:
     """Per-window power fractions and total transmission.
 
-    Uses a fixed midpoint grid (n_grid points per axis and window); the
-    integrand factorizes, so each window fraction is a product of two 1-D
-    integrals, identical to the full 2-D quadrature but O(n). Summation
-    order is fixed, so results are independent of parallelism. With
-    ``richardson_check`` the half-resolution total must agree to 1e-4.
+    The Gaussian factorizes, so each window fraction is the product of the
+    exact power of its x and y intervals; an off-center beam shifts the
+    bounds into its own frame.
     """
-    result = _quadrant_transmission_impl(beam, layout, n_grid)
-    if richardson_check:
-        coarse = _quadrant_transmission_impl(beam, layout, n_grid // 2)
-        if abs(coarse.total - result.total) > 1e-4:
-            raise ConsistencyError(
-                "quadrature did not converge: "
-                f"{result.total} vs {coarse.total} at half resolution"
-            )
-    return result
-
-
-def _quadrant_transmission_impl(beam, layout, n_grid):
     x0, y0 = beam.center
+
+    def power(xlo, xhi, ylo, yhi):
+        fx = _interval_weights(xlo - x0, xhi - x0, beam.sigma_x)
+        fy = _interval_weights(ylo - y0, yhi - y0, beam.sigma_y)
+        return float(fx * fy)
 
     fractions = {}
     total = 0.0
     windows_sum = 0.0
     for q in (1, 2, 3, 4):
-        xlo, xhi, ylo, yhi = layout.window_bounds(q)
-        fx = _axis_integral(xlo, xhi, x0, beam.sigma_x, n_grid)
-        fy = _axis_integral(ylo, yhi, y0, beam.sigma_y, n_grid)
-        frac = fx * fy
+        frac = power(*layout.window_bounds(q))
         fractions[q] = frac
         windows_sum += frac
         total += frac * layout.window_transmissions[q - 1]
 
     hx, hy = layout.half_extent
-    in_square = _axis_integral(-hx, hx, x0, beam.sigma_x, n_grid) * _axis_integral(
-        -hy, hy, y0, beam.sigma_y, n_grid
-    )
-    gap_fraction = max(in_square - windows_sum, 0.0)
-    tail_fraction = 1.0 - in_square
+    in_square = power(-hx, hx, -hy, hy)
     return QuadrantTransmission(
         window_fractions=fractions,
         total=total,
-        gap_fraction=gap_fraction,
-        tail_fraction=tail_fraction,
-        grid_points=n_grid,
+        gap_fraction=max(in_square - windows_sum, 0.0),
+        tail_fraction=1.0 - in_square,
     )
 
 
@@ -204,7 +157,6 @@ def optimize_waist(
     layout: QuadrantLayout,
     d_range: tuple[float, float],
     n_coarse: int = 181,
-    n_grid: int = DEFAULT_GRID,
     tol: float = 0.2,
 ):
     """Beam waist diameter maximizing the total quadrant transmission.
@@ -218,9 +170,7 @@ def optimize_waist(
         raise ValidationError("search range must satisfy 0 < lo < hi")
 
     def total(d):
-        return quadrant_transmission(
-            GaussianBeam.from_waist(d), layout, n_grid=n_grid
-        ).total
+        return quadrant_transmission(GaussianBeam.from_waist(d), layout).total
 
     ds = np.linspace(d_lo, d_hi, n_coarse)
     vals = np.array([total(d) for d in ds])
@@ -297,8 +247,8 @@ def _axis_side_sums(grid: CoherenceGrid, s: int):
     lo = np.maximum(coords[on_axis] - h, 0.0) if s > 0 else coords[on_axis] - h
     hi = coords[on_axis] + h if s > 0 else np.minimum(coords[on_axis] + h, 0.0)
     hi = np.maximum(hi, lo)
-    clip_p = (ndtr(hi / grid.sigma_p) - ndtr(lo / grid.sigma_p)) / tot_p
-    clip_c = (ndtr(hi / grid.sigma_c) - ndtr(lo / grid.sigma_c)) / tot_c
+    clip_p = _interval_weights(lo, hi, grid.sigma_p) / tot_p
+    clip_c = _interval_weights(lo, hi, grid.sigma_c) / tot_c
 
     wp = grid.axis_weight_p[interior] / tot_p
     wc = grid.axis_weight_c[interior] / tot_c

@@ -22,6 +22,7 @@ import copy
 import io
 import math
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 import yaml
@@ -187,9 +188,14 @@ class Scenario:
         )
 
 
-def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
+def load_scenario(path=None) -> Scenario:
+    """Parse a scenario YAML file, or the packaged default when ``path`` is None."""
+    if path is None:
+        ref = resources.files("quadsense").joinpath("data/default_scenario.yaml")
+        cfg = yaml.safe_load(ref.read_text(encoding="utf-8"))
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = yaml.safe_load(fh)
     return Scenario.from_dict(cfg)
 
 
@@ -436,22 +442,17 @@ def build_chain(scenario: Scenario) -> SensingChain:
     )
 
     # Per-quadrant post-cut moments from the actual grid.
-    cut_moments = {q: quadrant_cut(m1, grid, q).moments for q in QUADRANTS}
+    cuts = {q: quadrant_cut(m1, grid, q) for q in QUADRANTS}
+    cut_moments = {q: cuts[q].moments for q in QUADRANTS}
 
-    # Geometric clipping of a quadrant beam by its layout window.
-    beam_p = GaussianBeam(scenario.waist_p_um / 4.0, scenario.waist_p_um / 4.0)
-    beam_c = GaussianBeam(scenario.waist_c_um / 4.0, scenario.waist_c_um / 4.0)
-    clip_p = {}
-    clip_c = {}
-    for beam, out in ((beam_p, clip_p), (beam_c, clip_c)):
-        qt = quadrant_transmission(beam, scenario.layout)
-        cut0 = quadrant_cut(TwinBeamMoments(1, 1, 1, 1, 1), grid, 1)
-        quadrant_power = cut0.eta_p if beam is beam_p else cut0.eta_c
-        for q in QUADRANTS:
-            out[q] = min(qt.window_fractions[q] / quadrant_power, 1.0)
+    # Geometric clipping of a conjugate quadrant beam by its layout window.
+    qt_c = quadrant_transmission(
+        GaussianBeam.from_waist(scenario.waist_c_um), scenario.layout
+    )
+    clip_c = [min(qt_c.window_fractions[q] / cuts[1].eta_c, 1.0) for q in QUADRANTS]
 
     qe = scenario.quantum_efficiency
-    eta_c = float(np.mean([clip_c[q] for q in QUADRANTS])) * scenario.mask_transmission * qe
+    eta_c = float(np.mean(clip_c)) * scenario.mask_transmission * qe
 
     # Per-quadrant probe transmission fitted to the measured residual
     # squeezing; the EOT transmission and window clipping set its scale and

@@ -11,7 +11,7 @@ common to both beams (correlated) or independent per beam (uncorrelated).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -34,17 +34,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FwmSourceParams:
-    """Parameters of the seeded amplifier producing the twin beams.
-
-    ``detuning_metadata`` is carried for bookkeeping only and never enters
-    any computation.
-    """
+    """Parameters of the seeded amplifier producing the twin beams."""
 
     gain: float
     seed_flux: float
     excess_correlated: float = 0.0
     excess_uncorrelated: float = 0.0
-    detuning_metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.gain >= 1.0:
@@ -259,7 +254,11 @@ def calibrate_source(
 
 
 def _interval_weights(edges_lo, edges_hi, sigma):
-    """Gaussian power in [lo, hi] per axis for a centered beam."""
+    """Gaussian power in [lo, hi] per axis for a centered beam.
+
+    This is the one evaluator of Gaussian interval power; an off-center
+    beam passes bounds shifted into its own frame.
+    """
     return ndtr(edges_hi / sigma) - ndtr(edges_lo / sigma)
 
 

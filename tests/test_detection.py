@@ -16,7 +16,7 @@ from quadsense.detection import (
     snl_noise,
     squeezing_report,
 )
-from quadsense.errors import UndefinedSNLError, ValidationError
+from quadsense.errors import UndefinedMomentsError, UndefinedSNLError, ValidationError
 from quadsense.optics import LossChannel
 from quadsense.source import TwinBeamMoments
 
@@ -76,9 +76,9 @@ def test_optimal_gain_gain_two_is_four_thirds():
 
 def test_optimal_gain_noiseless_conjugate_raises():
     m = TwinBeamMoments(2.0, 0.0, 6.0, 0.0, 0.0)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(UndefinedMomentsError):
         optimal_gain(m, UNIT)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(UndefinedMomentsError):
         min_difference_noise(m, UNIT)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from quadsense import detection
 from quadsense.errors import SearchError, UndefinedMomentsError, ValidationError
@@ -76,11 +77,24 @@ def test_energy_bookkeeping_sums_to_one():
     assert windows + qt.gap_fraction + qt.tail_fraction == pytest.approx(1.0, abs=1e-4)
 
 
-def test_richardson_accuracy_check_runs():
-    qt = quadrant_transmission(
-        GaussianBeam.from_waist(330.0), REFERENCE_LAYOUT, richardson_check=True
-    )
-    assert 0.0 < qt.total < 1.0
+@pytest.mark.parametrize("center", [(0.0, 0.0), (40.0, -25.0)])
+@pytest.mark.parametrize("diameter", [100.0, 330.0, 1000.0])
+def test_window_fractions_match_adaptive_quadrature(diameter, center):
+    beam = GaussianBeam.from_waist(diameter, center)
+    qt = quadrant_transmission(beam, REFERENCE_LAYOUT)
+
+    def axis_power(lo, hi, mu, sigma):
+        pdf = lambda x: math.exp(-0.5 * ((x - mu) / sigma) ** 2) / (
+            sigma * math.sqrt(2.0 * math.pi)
+        )
+        return integrate.quad(pdf, lo, hi, epsabs=1e-16, epsrel=1e-13)[0]
+
+    for q in (1, 2, 3, 4):
+        xlo, xhi, ylo, yhi = REFERENCE_LAYOUT.window_bounds(q)
+        expected = axis_power(xlo, xhi, center[0], beam.sigma_x) * axis_power(
+            ylo, yhi, center[1], beam.sigma_y
+        )
+        assert qt.window_fractions[q] == pytest.approx(expected, abs=1e-14)
 
 
 # -- waist optimization ------------------------------------------------------

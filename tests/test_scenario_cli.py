@@ -111,6 +111,17 @@ def test_cli_empty_sweep_is_validation_error(tmp_path):
     assert run_cli("snr-sweep", "--scenario", str(path)) == 2
 
 
+@pytest.mark.parametrize(
+    "section, key", [("detector", "quantum_efficiency"), ("layout", "mask_transmission")]
+)
+def test_cli_dark_conjugate_arm_is_numeric_error(tmp_path, section, key):
+    cfg = default_scenario_dict()
+    cfg[section][key] = 0
+    path = tmp_path / "dark.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run_cli("squeezing-budget", "--scenario", str(path)) == 3
+
+
 def test_cli_dump_config_round_trips(tmp_path, capsys):
     assert run_cli("snr-sweep", "--dump-config") == 0
     dumped = capsys.readouterr().out

@@ -272,4 +272,4 @@ def test_quadrant_weights_match_gapless_transmission():
     cut = quadrant_cut(TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0), grid, 1)
     layout = QuadrantLayout(window_size=1440.0, gap=0.0, tilt_deg=0.0)
     qt = quadrant_transmission(GaussianBeam.from_waist(360.0), layout)
-    assert cut.eta_p == pytest.approx(qt.window_fractions[1], abs=1e-3)
+    assert cut.eta_p == pytest.approx(qt.window_fractions[1], abs=1e-12)
