@@ -104,24 +104,44 @@ def _quadrant_mask(grid: CoherenceGrid, q: int) -> np.ndarray:
     return mx & my
 
 
-def _sample_cells_chunk(seed, chunk_idx, n, cell_idx, mp, mc, vp, vc, cov):
-    """Bivariate Gaussian samples for a set of cells, one chunk."""
-    probe = np.zeros(n)
-    conj = np.zeros(n)
-    for i in cell_idx:
-        rng = _generator(seed, int(i), int(chunk_idx))
-        z = rng.standard_normal((2, n))
-        # Cholesky of [[vp, cov], [cov, vc]].
-        a = math.sqrt(vp[i])
-        if a > 0:
-            b = cov[i] / a
-        else:
-            b = 0.0
-        c2 = vc[i] - b * b
-        c = math.sqrt(max(c2, 0.0))
-        probe += mp[i] + a * z[0]
-        conj += mc[i] + b * z[0] + c * z[1]
-    return probe, conj
+def _cholesky(vp, vc, cov):
+    """``(a, b, c)`` with [[a, 0], [b, c]] the Cholesky factor of
+    [[vp, cov], [cov, vc]]."""
+    a = math.sqrt(vp)
+    b = cov / a if a > 0 else 0.0
+    c = math.sqrt(max(vc - b * b, 0.0))
+    return a, b, c
+
+
+def _chunks(n: int):
+    """``(index, start, size)`` of each 2^20-sample chunk of ``n`` samples."""
+    return [
+        (k, k * CHUNK, min(CHUNK, n - k * CHUNK))
+        for k in range((n + CHUNK - 1) // CHUNK)
+    ]
+
+
+def _sample_cells_chunk(seed, chunk_idx, cells, probe, conj, z):
+    """Add one chunk of bivariate Gaussian samples of ``cells`` into the
+    zeroed ``probe`` and ``conj`` slices.
+
+    Each cell is ``(index, mean_p, mean_c, a, b, c)`` with its Cholesky
+    factors; ``z`` is a ``(2, len(probe))`` scratch buffer that every cell
+    redraws from its own (seed, cell, chunk) substream.
+    """
+    t = np.empty_like(probe)
+    u = np.empty_like(probe)
+    for i, mp, mc, a, b, c in cells:
+        _generator(seed, i, chunk_idx).standard_normal(out=z)
+        # Rounds exactly as probe += mp + a*z0 and conj += mc + b*z0 + c*z1.
+        np.multiply(z[0], a, out=t)
+        t += mp
+        probe += t
+        np.multiply(z[0], b, out=t)
+        t += mc
+        np.multiply(z[1], c, out=u)
+        t += u
+        conj += t
 
 
 def sample_photocurrents(
@@ -135,55 +155,51 @@ def sample_photocurrents(
 
     Cells are mutually independent bivariate Gaussians with the shares from
     :func:`cell_moments`; each quadrant's samples are the sum over the
-    cells whose centers fall in it. Chunks of 2^20 samples are generated
-    from independent substreams and reassembled in index order, so the
-    result does not depend on ``n_workers``.
+    cells whose centers fall in it. Each chunk of 2^20 samples is drawn
+    from its own substreams and filled in place into its slice of the
+    per-quadrant arrays, so the result does not depend on ``n_workers``.
     """
     mp, mc, vp, vc, cov = cell_moments(grid, m)
     for i in range(grid.n_cells):
         if cov[i] ** 2 > vp[i] * vc[i] * (1.0 + 1e-12) + 1e-300:
             raise ValidationError(f"cell {i} covariance matrix is not PSD")
 
-    chunks = [(k, min(CHUNK, n - k * CHUNK)) for k in range((n + CHUNK - 1) // CHUNK)]
-    probe = {q: np.empty(n) for q in QUADRANT_SIGNS}
-    conj = {q: np.empty(n) for q in QUADRANT_SIGNS}
-    cells_by_q = {q: np.nonzero(_quadrant_mask(grid, q))[0] for q in QUADRANT_SIGNS}
+    probe = {q: np.zeros(n) for q in QUADRANT_SIGNS}
+    conj = {q: np.zeros(n) for q in QUADRANT_SIGNS}
+    cells_by_q = {
+        q: [
+            (int(i), mp[i], mc[i], *_cholesky(vp[i], vc[i], cov[i]))
+            for i in np.nonzero(_quadrant_mask(grid, q))[0]
+        ]
+        for q in QUADRANT_SIGNS
+    }
 
     def work(task):
-        k, size = task
-        out = {}
-        for q, idx in cells_by_q.items():
-            out[q] = _sample_cells_chunk(seed, k, size, idx, mp, mc, vp, vc, cov)
-        return k, size, out
+        k, lo, size = task
+        part = slice(lo, lo + size)
+        z = np.empty((2, size))
+        for q, cells in cells_by_q.items():
+            _sample_cells_chunk(seed, k, cells, probe[q][part], conj[q][part], z)
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(work, chunks))
+            # Read every result so a worker's exception is raised here.
+            list(pool.map(work, _chunks(n)))
     else:
-        results = [work(t) for t in chunks]
-
-    for k, size, out in results:
-        lo = k * CHUNK
-        for q in QUADRANT_SIGNS:
-            probe[q][lo : lo + size] = out[q][0]
-            conj[q][lo : lo + size] = out[q][1]
+        for task in _chunks(n):
+            work(task)
     return SampleBatch(n_samples=n, seed=seed, probe=probe, conjugate=conj)
 
 
 def sample_pair(m: TwinBeamMoments, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Whole-beam probe/conjugate samples (single-cell shortcut)."""
-    probe = np.empty(n)
-    conj = np.empty(n)
-    a = math.sqrt(m.var_p)
-    b = m.cov / a if a > 0 else 0.0
-    c = math.sqrt(max(m.var_c - b * b, 0.0))
-    for k in range((n + CHUNK - 1) // CHUNK):
-        size = min(CHUNK, n - k * CHUNK)
-        rng = _generator(seed, 0, k)
-        z = rng.standard_normal((2, size))
-        lo = k * CHUNK
-        probe[lo : lo + size] = m.mean_p + a * z[0]
-        conj[lo : lo + size] = m.mean_c + b * z[0] + c * z[1]
+    probe = np.zeros(n)
+    conj = np.zeros(n)
+    cells = [(0, m.mean_p, m.mean_c, *_cholesky(m.var_p, m.var_c, m.cov))]
+    for k, lo, size in _chunks(n):
+        part = slice(lo, lo + size)
+        z = np.empty((2, size))
+        _sample_cells_chunk(seed, k, cells, probe[part], conj[part], z)
     return probe, conj
 
 
@@ -204,9 +220,7 @@ def thinning_loss(samples: np.ndarray, eta: float, seed: int) -> np.ndarray:
     out = np.empty_like(samples)
     n = samples.size
     flat = samples.ravel()
-    for k in range((n + CHUNK - 1) // CHUNK):
-        lo = k * CHUNK
-        size = min(CHUNK, n - lo)
+    for k, lo, size in _chunks(n):
         rng = _generator(seed, 1, k)
         z = rng.standard_normal(size)
         x = flat[lo : lo + size]
@@ -505,9 +519,15 @@ def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
         )
     )
 
-    # Determinism across worker counts.
-    batch3 = sample_photocurrents(grid, m, min(n, 1 << 21), seed, n_workers=3)
-    batch1 = sample_photocurrents(grid, m, min(n, 1 << 21), seed, n_workers=1)
+    # Determinism across worker counts. Invariance rests on the chunk
+    # layout, not on the cell count or the sample size, so the check uses a
+    # 3x3 grid (every quadrant non-empty, 1/9 of the cells above) at one
+    # chunk plus a remainder: the workers then split two chunks and meet at
+    # a boundary whatever n_samples is.
+    coarse = build_coherence_grid(16.0, 16.0, 32.0, 64.0)
+    n_inv = CHUNK + 12345
+    batch3 = sample_photocurrents(coarse, m, n_inv, seed, n_workers=3)
+    batch1 = sample_photocurrents(coarse, m, n_inv, seed, n_workers=1)
     identical = all(
         np.array_equal(batch1.probe[q], batch3.probe[q])
         and np.array_equal(batch1.conjugate[q], batch3.conjugate[q])

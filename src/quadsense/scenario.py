@@ -64,6 +64,17 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
+def _number(value, path, above):
+    """``value`` as a finite float strictly greater than ``above``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"scenario key {path} must be a number") from None
+    if not (math.isfinite(x) and x > above):
+        raise ValidationError(f"scenario key {path} must be finite and > {above:g}")
+    return x
+
+
 @dataclass
 class Scenario:
     """Validated scenario configuration."""
@@ -181,10 +192,12 @@ class Scenario:
             },
             residual_db=residual,
             threshold_targets_mv=thresholds,
-            gain_bound=float(cal.get("gain_bound", 100.0)),
+            gain_bound=_number(
+                cal.get("gain_bound", 100.0), "calibration.gain_bound", 1.0
+            ),
             sweep_voltages_mv=voltages,
             snr_gate=float(cfg.get("analysis", {}).get("snr_gate", 5.0)),
-            rbw_scale=float(cfg.get("rbw_scale", 1.0)),
+            rbw_scale=_number(cfg.get("rbw_scale", 1.0), "rbw_scale", 0.0),
         )
 
 
@@ -192,10 +205,17 @@ def load_scenario(path=None) -> Scenario:
     """Parse a scenario YAML file, or the packaged default when ``path`` is None."""
     if path is None:
         ref = resources.files("quadsense").joinpath("data/default_scenario.yaml")
-        cfg = yaml.safe_load(ref.read_text(encoding="utf-8"))
+        text = ref.read_text(encoding="utf-8")
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            text = fh.read()
+    try:
+        cfg = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ValidationError(f"malformed scenario YAML{where}: {problem}") from None
     return Scenario.from_dict(cfg)
 
 
@@ -328,12 +348,12 @@ class SensingChain:
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=(9, 9)))
         )
-        phase = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+        tone = np.sin(rng.uniform(0.0, 2.0 * math.pi, n_samples))
         snrs = []
         clamped = False
         for vk in v:
             amp = math.sqrt(2.0 * self.signal(i, float(vk)))
-            s_on = float(np.var(diff + amp * np.sin(phase)))
+            s_on = float(np.var(diff + amp * tone))
             sig = analysis.signal_estimate(s_on, s_off)
             if sig < 0:
                 clamped = True

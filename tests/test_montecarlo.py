@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -145,3 +146,51 @@ def test_verification_suite_passes_quickly():
     } <= names
     failed = [c.name for c in checks if not c.passed]
     assert not failed, f"verification checks failed: {failed}"
+
+
+def test_worker_invariance_check_crosses_a_chunk_boundary(monkeypatch):
+    calls = []
+    sampler = montecarlo.sample_photocurrents
+
+    def recording(grid, m, n, seed, n_workers=1):
+        calls.append((n, n_workers))
+        return sampler(grid, m, n, seed, n_workers=n_workers)
+
+    monkeypatch.setattr(montecarlo, "sample_photocurrents", recording)
+    checks = run_verification(n_samples=200_000, seed=77)
+    assert any(n > montecarlo.CHUNK and workers > 1 for n, workers in calls), calls
+    assert {c.name: c.passed for c in checks}["worker_invariance"]
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# Stream layout pins: the sha256 of each sampler's float64 output bytes for a
+# fixed seed. A refactor that moves a substream, a chunk boundary or the
+# order of the per-sample arithmetic changes these.
+PHOTOCURRENTS_SHA = "8f350c947fc2c802b9cb4acae3fac5f0456b1637ba376a60ef4def8dfd3c454c"
+PAIR_SHA = "40b81ed18cdd1c08edeb0feccae0174b50ad57ccb489d23494f6b9b0964d4136"
+SAMPLED_SWEEP_SHA = "387fd5b5efe8b793ef3c5a4062c0016c84e89258e08ce5e9cbf32fda81c6c701"
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_photocurrent_stream_is_pinned(n_workers):
+    grid = build_coherence_grid(16.0, 16.0, 32.0, 64.0)
+    batch = sample_photocurrents(
+        grid, G2_IDEAL, montecarlo.CHUNK + 3, seed=9, n_workers=n_workers
+    )
+    arrays = [x for q in (1, 2, 3, 4) for x in (batch.probe[q], batch.conjugate[q])]
+    assert _digest(*arrays) == PHOTOCURRENTS_SHA
+
+
+def test_pair_stream_is_pinned():
+    assert _digest(*sample_pair(G2_IDEAL, 1000, seed=5)) == PAIR_SHA
+
+
+def test_sampled_snr_sweep_is_pinned(chain):
+    curve = chain.sampled_snr_sweep((1, 1), 20_000, 42)
+    assert _digest(curve.voltages, curve.snr) == SAMPLED_SWEEP_SHA

@@ -122,6 +122,34 @@ def test_cli_dark_conjugate_arm_is_numeric_error(tmp_path, section, key):
     assert run_cli("squeezing-budget", "--scenario", str(path)) == 3
 
 
+def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("seed: [1, 2\n")
+    assert run_cli("squeezing-budget", "--scenario", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: malformed scenario YAML")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "rbw_scale", -1.0),
+        (None, "rbw_scale", float("nan")),
+        (None, "rbw_scale", "abc"),
+        ("calibration", "gain_bound", 0.5),
+        ("calibration", "gain_bound", float("inf")),
+    ],
+)
+def test_cli_out_of_range_scalar_is_validation_error(tmp_path, section, key, value):
+    cfg = default_scenario_dict()
+    (cfg if section is None else cfg[section])[key] = value
+    path = tmp_path / "scalar.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run_cli("fig3", "--scenario", str(path), "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "fig3.csv").exists()
+
+
 def test_cli_dump_config_round_trips(tmp_path, capsys):
     assert run_cli("snr-sweep", "--dump-config") == 0
     dumped = capsys.readouterr().out
