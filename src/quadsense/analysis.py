@@ -9,9 +9,7 @@ are fitted by a least-squares line through the origin instead.
 
 from __future__ import annotations
 
-import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +19,9 @@ __all__ = [
     "SNRCurve",
     "EnhancementReport",
     "signal_estimate",
-    "snr",
-    "snr_coherent",
-    "optimal_classical_snr",
     "threshold_voltage",
     "enhancement",
 ]
-
-#: Twin-beam SNR below which the shared-signal assumption of the
-#: coherent-state estimate is flagged as unreliable.
-HIGH_SNR_GATE = 5.0
 
 
 @dataclass(frozen=True)
@@ -67,42 +58,6 @@ def signal_estimate(s_on: float, s_off: float) -> float:
     if s_on < 0 or s_off < 0:
         raise ValidationError("noise powers must be >= 0")
     return s_on - s_off
-
-
-def snr(signal: float, s_off: float, clamp_negative: bool = True) -> float:
-    """sqrt(signal / floor); negative sampled signals clamp to zero."""
-    if s_off <= 0:
-        raise ZeroDivisionError("modulation-off noise power must be > 0")
-    if signal < 0:
-        if not clamp_negative:
-            raise ValidationError(f"negative signal {signal}")
-        warnings.warn("negative sampled signal clamped to 0", stacklevel=2)
-        return 0.0
-    return math.sqrt(signal / s_off)
-
-
-def snr_coherent(
-    signal: float, s_off_cs: float, snr_tb: float | None = None,
-    gate: float = HIGH_SNR_GATE,
-) -> float:
-    """Coherent-state SNR estimated from the twin-beam signal.
-
-    Valid when the modulation dominates the noise; if the twin-beam SNR at
-    the estimation point is supplied and falls below ``gate``, a warning is
-    emitted (the estimate is still returned).
-    """
-    if snr_tb is not None and snr_tb < gate:
-        warnings.warn(
-            f"twin-beam SNR {snr_tb:.2f} below the high-SNR gate {gate}; "
-            "shared-signal assumption may not hold",
-            stacklevel=2,
-        )
-    return snr(signal, s_off_cs)
-
-
-def optimal_classical_snr(signal: float, probe_only_noise: float) -> float:
-    """SNR of a single-beam coherent probe with no reference arm."""
-    return snr(signal, probe_only_noise)
 
 
 def threshold_voltage(curve: SNRCurve, fit: bool = False) -> tuple[float, bool]:

@@ -1,18 +1,19 @@
 """Independent stochastic and small-Hilbert-space oracles.
 
 Everything here validates the analytic moment maps by a different route:
-Gaussian photocurrent sampling over the coherence grid (exact for first and
-second moments, which is all the formulas use), binomial-equivalent
-thinning for the loss map, and a truncated-Fock construction of the seeded
-two-mode squeezer.
+Gaussian photocurrent sampling of the quadrant pieces that the optics cut
+assigns to each quadrant (exact for first and second moments, which is all
+the formulas use), binomial-equivalent thinning for the loss map, and a
+truncated-Fock construction of the seeded two-mode squeezer.
 
-Randomness is counter-based: every (seed, cell, chunk) triple owns an
+Randomness is counter-based: every (seed, piece, chunk) triple owns an
 independent Philox substream, so batches are bitwise identical for any
 worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,13 +23,11 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import TailMassError, ValidationError
-from .optics import QUADRANT_SIGNS
+from .optics import QUADRANT_SIGNS, _axis_pieces
 from .source import CoherenceGrid, TwinBeamMoments
 
 __all__ = [
     "SampleBatch",
-    "cell_moments",
-    "quadrant_cell_sums",
     "sample_photocurrents",
     "sample_pair",
     "thinning_loss",
@@ -57,51 +56,28 @@ def _generator(seed: int, *key) -> np.random.Generator:
     )
 
 
-def cell_moments(grid: CoherenceGrid, m: TwinBeamMoments):
-    """Per-cell moment shares for a beam partitioned over independent cells.
+def _quadrant_pieces(grid: CoherenceGrid, m: TwinBeamMoments, q: int):
+    """``(mean_p, mean_c, var_p, var_c, cov)`` of each piece of quadrant ``q``.
 
-    Each cell carries the fraction of every full-beam moment given by its
-    normalized power weight; cells straddling a central cut line carry no
-    probe-conjugate covariance.
+    A piece is the product of an x piece and a y piece of
+    :func:`optics._axis_pieces`, so the pieces sum to
+    ``quadrant_cut(m, grid, q).moments``. Its weight is the product of its
+    two factors, and it keeps its share of the covariance only when both
+    factors are whole cells.
     """
-    if grid.n_cells > 1 << 18:
-        raise ValidationError(
-            f"grid with {grid.n_cells} cells is too fine for per-cell "
-            "sampling; use a coarser verification grid"
+    axes = []
+    for s in QUADRANT_SIGNS[q]:
+        wp, wc, clip_p, clip_c = _axis_pieces(grid, s)
+        axes.append(
+            [(p, c, True) for p, c in zip(wp, wc)]
+            + [(p, c, False) for p, c in zip(clip_p, clip_c)]
         )
-    wp = grid.weight_p / grid.weight_p.sum()
-    wc = grid.weight_c / grid.weight_c.sum()
-    cov = np.sqrt(wp * wc) * m.cov
-    cov[grid.straddle_mask()] = 0.0
-    return wp * m.mean_p, wc * m.mean_c, wp * m.var_p, wc * m.var_c, cov
-
-
-def quadrant_cell_sums(grid: CoherenceGrid, m: TwinBeamMoments):
-    """Analytic per-quadrant moments with cells assigned by their centers.
-
-    This is the exact expectation of :func:`sample_photocurrents`, which
-    attributes whole cells to quadrants.
-    """
-    mp, mc, vp, vc, cov = cell_moments(grid, m)
-    out = {}
-    for q, (sx, sy) in QUADRANT_SIGNS.items():
-        mask = _quadrant_mask(grid, q)
-        out[q] = TwinBeamMoments(
-            float(mp[mask].sum()),
-            float(mc[mask].sum()),
-            float(vp[mask].sum()),
-            float(vc[mask].sum()),
-            float(cov[mask].sum()),
-        )
-    return out
-
-
-def _quadrant_mask(grid: CoherenceGrid, q: int) -> np.ndarray:
-    sx, sy = QUADRANT_SIGNS[q]
-    x, y = grid.centers[:, 0], grid.centers[:, 1]
-    mx = x >= 0 if sx > 0 else x < 0
-    my = y >= 0 if sy > 0 else y < 0
-    return mx & my
+    pieces = []
+    for (xp, xc, x_whole), (yp, yc, y_whole) in itertools.product(*axes):
+        wp, wc = xp * yp, xc * yc
+        cov = math.sqrt(wp * wc) * m.cov if x_whole and y_whole else 0.0
+        pieces.append((wp * m.mean_p, wc * m.mean_c, wp * m.var_p, wc * m.var_c, cov))
+    return pieces
 
 
 def _cholesky(vp, vc, cov):
@@ -121,17 +97,17 @@ def _chunks(n: int):
     ]
 
 
-def _sample_cells_chunk(seed, chunk_idx, cells, probe, conj, z):
-    """Add one chunk of bivariate Gaussian samples of ``cells`` into the
+def _sample_pieces_chunk(seed, chunk_idx, pieces, probe, conj, z):
+    """Add one chunk of bivariate Gaussian samples of ``pieces`` into the
     zeroed ``probe`` and ``conj`` slices.
 
-    Each cell is ``(index, mean_p, mean_c, a, b, c)`` with its Cholesky
-    factors; ``z`` is a ``(2, len(probe))`` scratch buffer that every cell
-    redraws from its own (seed, cell, chunk) substream.
+    Each piece is ``(index, mean_p, mean_c, a, b, c)`` with its Cholesky
+    factors; ``z`` is a ``(2, len(probe))`` scratch buffer that every piece
+    redraws from its own (seed, piece, chunk) substream.
     """
     t = np.empty_like(probe)
     u = np.empty_like(probe)
-    for i, mp, mc, a, b, c in cells:
+    for i, mp, mc, a, b, c in pieces:
         _generator(seed, i, chunk_idx).standard_normal(out=z)
         # Rounds exactly as probe += mp + a*z0 and conj += mc + b*z0 + c*z1.
         np.multiply(z[0], a, out=t)
@@ -153,33 +129,38 @@ def sample_photocurrents(
 ) -> SampleBatch:
     """Sample per-quadrant intensities of the partitioned twin beam.
 
-    Cells are mutually independent bivariate Gaussians with the shares from
-    :func:`cell_moments`; each quadrant's samples are the sum over the
-    cells whose centers fall in it. Each chunk of 2^20 samples is drawn
-    from its own substreams and filled in place into its slice of the
-    per-quadrant arrays, so the result does not depend on ``n_workers``.
+    Each quadrant's samples are the sum over the pieces that
+    :func:`optics.quadrant_cut` assigns to it (whole cells, and the clipped
+    parts of cells on a cut line), drawn as mutually independent bivariate
+    Gaussians, so the expected moments are ``quadrant_cut(m, grid,
+    q).moments``. Each piece draws from its own (seed, piece, chunk)
+    substream, and each chunk of 2^20 samples is filled in place into its
+    slice of the per-quadrant arrays, so the result does not depend on
+    ``n_workers``.
     """
-    mp, mc, vp, vc, cov = cell_moments(grid, m)
-    for i in range(grid.n_cells):
-        if cov[i] ** 2 > vp[i] * vc[i] * (1.0 + 1e-12) + 1e-300:
-            raise ValidationError(f"cell {i} covariance matrix is not PSD")
+    if grid.n_cells > 1 << 18:
+        raise ValidationError(
+            f"grid with {grid.n_cells} cells is too fine for per-cell "
+            "sampling; use a coarser verification grid"
+        )
+    pieces_by_q = {q: [] for q in QUADRANT_SIGNS}
+    i = 0
+    for q, pieces in pieces_by_q.items():
+        for mp, mc, vp, vc, cov in _quadrant_pieces(grid, m, q):
+            if cov**2 > vp * vc * (1.0 + 1e-12) + 1e-300:
+                raise ValidationError(f"piece {i} covariance matrix is not PSD")
+            pieces.append((i, mp, mc, *_cholesky(vp, vc, cov)))
+            i += 1
 
     probe = {q: np.zeros(n) for q in QUADRANT_SIGNS}
     conj = {q: np.zeros(n) for q in QUADRANT_SIGNS}
-    cells_by_q = {
-        q: [
-            (int(i), mp[i], mc[i], *_cholesky(vp[i], vc[i], cov[i]))
-            for i in np.nonzero(_quadrant_mask(grid, q))[0]
-        ]
-        for q in QUADRANT_SIGNS
-    }
 
     def work(task):
         k, lo, size = task
         part = slice(lo, lo + size)
         z = np.empty((2, size))
-        for q, cells in cells_by_q.items():
-            _sample_cells_chunk(seed, k, cells, probe[q][part], conj[q][part], z)
+        for q, pieces in pieces_by_q.items():
+            _sample_pieces_chunk(seed, k, pieces, probe[q][part], conj[q][part], z)
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -195,11 +176,11 @@ def sample_pair(m: TwinBeamMoments, n: int, seed: int) -> tuple[np.ndarray, np.n
     """Whole-beam probe/conjugate samples (single-cell shortcut)."""
     probe = np.zeros(n)
     conj = np.zeros(n)
-    cells = [(0, m.mean_p, m.mean_c, *_cholesky(m.var_p, m.var_c, m.cov))]
+    pieces = [(0, m.mean_p, m.mean_c, *_cholesky(m.var_p, m.var_c, m.cov))]
     for k, lo, size in _chunks(n):
         part = slice(lo, lo + size)
         z = np.empty((2, size))
-        _sample_cells_chunk(seed, k, cells, probe[part], conj[part], z)
+        _sample_pieces_chunk(seed, k, pieces, probe[part], conj[part], z)
     return probe, conj
 
 
@@ -471,14 +452,14 @@ def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
         )
     )
 
-    # Coarse verification grid: quadrant sums and cross-cell independence.
+    # Coarse verification grid: sampled quadrant pieces against the
+    # analytic quadrant cut, and cross-quadrant independence.
     grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
     n_grid = min(n, 1_000_000)
     batch = sample_photocurrents(grid, m, n_grid, seed)
-    sums = quadrant_cell_sums(grid, m)
     worst = 0.0
     for q in QUADRANT_SIGNS:
-        exp = sums[q]
+        exp = quadrant_cut(m, grid, q).moments
         worst = max(
             worst,
             z_mean(batch.probe[q], exp.mean_p, exp.var_p) * math.sqrt(n_grid / n),
@@ -493,8 +474,8 @@ def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
             "quadrant_cell_sums",
             worst,
             5.0,
-            f"worst z-score of sampled per-quadrant moments vs analytic "
-            f"cell sums at n={n_grid}",
+            f"worst z-score of sampled per-quadrant moments vs the analytic "
+            f"quadrant cut at n={n_grid}",
         )
     )
 
@@ -520,11 +501,11 @@ def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
     )
 
     # Determinism across worker counts. Invariance rests on the chunk
-    # layout, not on the cell count or the sample size, so the check uses a
-    # 3x3 grid (every quadrant non-empty, 1/9 of the cells above) at one
-    # chunk plus a remainder: the workers then split two chunks and meet at
-    # a boundary whatever n_samples is.
-    coarse = build_coherence_grid(16.0, 16.0, 32.0, 64.0)
+    # layout, not on the piece count or the sample size, so the check uses a
+    # one-cell grid (its four clipped quarters give one piece per quadrant)
+    # at one chunk plus a remainder: the workers then split two chunks and
+    # meet at a boundary whatever n_samples is.
+    coarse = build_coherence_grid(16.0, 16.0, 64.0, 64.0)
     n_inv = CHUNK + 12345
     batch3 = sample_photocurrents(coarse, m, n_inv, seed, n_workers=3)
     batch1 = sample_photocurrents(coarse, m, n_inv, seed, n_workers=1)

@@ -224,16 +224,16 @@ class QuadrantCutResult:
     eta_p: float
     eta_c: float
     f_straddle: float
-    cov_factor: float
 
 
-def _axis_side_sums(grid: CoherenceGrid, s: int):
-    """Per-axis quadrant sums for one beam pair, exploiting separability.
+def _axis_pieces(grid: CoherenceGrid, s: int):
+    """Normalized axis weights of the pieces of side ``s`` (+1 or -1).
 
-    Returns, for side ``s`` (+1 or -1), the normalized axis power of the
-    side for each beam (interior cells plus the clipped half of the
-    on-axis cell) and the normalized geometric-mean axis weights of the
-    full quadrant and of its interior (non-straddling) cells.
+    This is the one place that decides which part of a cell belongs to a
+    quadrant. Returns ``(wp, wc, clip_p, clip_c)``: the probe and conjugate
+    axis weights of the whole interior cells of the side, then of the
+    clipped halves of the cells on the cut line. A quadrant's pieces are
+    the products of an x piece and a y piece.
     """
     h = 0.5 * grid.cell_size
     coords = grid.coords
@@ -252,48 +252,44 @@ def _axis_side_sums(grid: CoherenceGrid, s: int):
 
     wp = grid.axis_weight_p[interior] / tot_p
     wc = grid.axis_weight_c[interior] / tot_c
-    side_p = float(wp.sum() + clip_p.sum())
-    side_c = float(wc.sum() + clip_c.sum())
-    geo_keep = float(np.sqrt(wp * wc).sum())
-    geo_total = geo_keep + float(np.sqrt(clip_p * clip_c).sum())
-    return side_p, side_c, geo_keep, geo_total
+    return wp, wc, clip_p, clip_c
 
 
-def quadrant_cut(
-    m: TwinBeamMoments,
-    grid: CoherenceGrid,
-    q: int,
-    layout: QuadrantLayout | None = None,
-) -> QuadrantCutResult:
+def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid, q: int) -> QuadrantCutResult:
     """Select one spatial quadrant of a multi-mode twin beam.
 
     The beam is a sum of independent coherence cells carrying proportional
-    shares of the full-beam moments, so the selected quadrant keeps the
-    full-beam degree of correlation except for cells that straddle a cut
-    line: a straddling cell contributes its clipped power but none of its
-    covariance (all-or-nothing). As the cell size shrinks the straddle
-    weight vanishes and the cut becomes a pure spatial partition.
-
-    ``layout`` is accepted for labeling symmetry with the transmission
-    calculation; the cut lines are the central axes of the grid frame.
+    shares of the full-beam moments. The cut lines are the central axes of
+    the grid frame and split the beam into the pieces of
+    :func:`_axis_pieces`: whole cells, and the clipped parts of cells that
+    straddle a cut line. A piece carries its power share of every mean and
+    variance; a clipped piece carries none of the covariance
+    (all-or-nothing). As the cell size shrinks the straddle weight vanishes
+    and the cut becomes a pure spatial partition. The Monte Carlo sampler
+    draws the same pieces.
     """
     if q not in QUADRANT_SIGNS:
         raise ValidationError(f"quadrant label must be 1..4, got {q}")
     if grid.axis_weight_p.sum() <= 0 or grid.axis_weight_c.sum() <= 0:
         raise UndefinedMomentsError("grid carries no power")
 
-    sx, sy = QUADRANT_SIGNS[q]
-    xp, xc, xgk, xgt = _axis_side_sums(grid, sx)
-    yp, yc, ygk, ygt = _axis_side_sums(grid, sy)
-    eta_p = xp * yp
-    eta_c = xc * yc
+    # Per axis: the side power of each beam, and the geometric-mean weight
+    # of the whole cells (kept covariance) and of all pieces.
+    side_p, side_c, keep, total = [], [], [], []
+    for s in QUADRANT_SIGNS[q]:
+        wp, wc, clip_p, clip_c = _axis_pieces(grid, s)
+        side_p.append(float(wp.sum() + clip_p.sum()))
+        side_c.append(float(wc.sum() + clip_c.sum()))
+        keep.append(float(np.sqrt(wp * wc).sum()))
+        total.append(keep[-1] + float(np.sqrt(clip_p * clip_c).sum()))
+    eta_p = side_p[0] * side_p[1]
+    eta_c = side_c[0] * side_c[1]
     if eta_p <= 0 or eta_c <= 0:
         raise UndefinedMomentsError(f"quadrant {q} carries no power")
 
-    geo_total = xgt * ygt
-    geo_keep = xgk * ygk
+    geo_total = total[0] * total[1]
+    geo_keep = keep[0] * keep[1]
     f_straddle = 1.0 - geo_keep / geo_total if geo_total > 0 else 0.0
-    cov_factor = geo_keep / math.sqrt(eta_p * eta_c) if geo_total > 0 else 0.0
 
     cut = TwinBeamMoments(
         mean_p=eta_p * m.mean_p,
@@ -302,10 +298,4 @@ def quadrant_cut(
         var_c=eta_c * m.var_c,
         cov=geo_keep * m.cov,
     )
-    return QuadrantCutResult(
-        moments=cut,
-        eta_p=eta_p,
-        eta_c=eta_c,
-        f_straddle=f_straddle,
-        cov_factor=cov_factor,
-    )
+    return QuadrantCutResult(moments=cut, eta_p=eta_p, eta_c=eta_c, f_straddle=f_straddle)

@@ -64,15 +64,24 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
-def _number(value, path, above):
-    """``value`` as a finite float strictly greater than ``above``."""
+def _number(value, path, above=None):
+    """``value`` as a finite float, strictly greater than ``above`` if given."""
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"scenario key {path} must be a number") from None
-    if not (math.isfinite(x) and x > above):
-        raise ValidationError(f"scenario key {path} must be finite and > {above:g}")
+    if not math.isfinite(x):
+        raise ValidationError(f"scenario key {path} must be finite")
+    if above is not None and not x > above:
+        raise ValidationError(f"scenario key {path} must be > {above:g}")
     return x
+
+
+def _field(mapping, key, path, default=None, above=None):
+    """``mapping[key]`` read through :func:`_number`; required when
+    ``default`` is None."""
+    value = _require(mapping, key, path) if default is None else mapping.get(key, default)
+    return _number(value, f"{path}.{key}" if path else key, above)
 
 
 @dataclass
@@ -100,7 +109,6 @@ class Scenario:
     threshold_targets_mv: tuple
     gain_bound: float
     sweep_voltages_mv: tuple
-    snr_gate: float
     rbw_scale: float
 
     @classmethod
@@ -122,38 +130,46 @@ class Scenario:
         resonances = []
         for i, r in enumerate(res_list):
             path = f"resonances[{i}]"
+            if not isinstance(r, dict):
+                raise ValidationError(f"scenario key {path} must be a mapping")
             resonances.append(
                 EOTResonance(
-                    lambda0=float(_require(r, "lambda0_nm", path)),
-                    linewidth=float(_require(r, "fwhm_nm", path)),
-                    t_max=float(_require(r, "t_max", path)),
-                    dlambda_dn=float(r.get("dlambda_dn", 300.0)),
+                    lambda0=_field(r, "lambda0_nm", path),
+                    linewidth=_field(r, "fwhm_nm", path),
+                    t_max=_field(r, "t_max", path),
+                    dlambda_dn=_field(r, "dlambda_dn", path, 300.0),
                 )
             )
 
         layout = QuadrantLayout(
-            window_size=float(_require(lay, "window_um", "layout")),
-            gap=float(_require(lay, "gap_um", "layout")),
-            tilt_deg=float(_require(lay, "tilt_deg", "layout")),
+            window_size=_field(lay, "window_um", "layout"),
+            gap=_field(lay, "gap_um", "layout"),
+            tilt_deg=_field(lay, "tilt_deg", "layout"),
         )
 
-        voltages = tuple(float(v) for v in _require(sweep, "voltages_mv", "sweep", list))
+        voltages = tuple(
+            _number(v, f"sweep.voltages_mv[{k}]")
+            for k, v in enumerate(_require(sweep, "voltages_mv", "sweep", list))
+        )
         if len(voltages) == 0:
             raise ValidationError("sweep.voltages_mv must not be empty")
         if any(b <= a for a, b in zip(voltages, voltages[1:])):
             raise ValidationError("sweep.voltages_mv must be strictly increasing")
 
         stage_targets = {
-            str(k): float(v)
+            str(k): _number(v, f"calibration.stage_targets_db.{k}")
             for k, v in _require(cal, "stage_targets_db", "calibration", dict).items()
         }
         final = _require(cal, "final", "calibration", dict)
         residual = tuple(
-            float(v) for v in _require(cal, "residual_db", "calibration", list)
+            _number(v, f"calibration.residual_db[{k}]")
+            for k, v in enumerate(_require(cal, "residual_db", "calibration", list))
         )
         thresholds = tuple(
-            float(v)
-            for v in _require(cal, "threshold_targets_mv", "calibration", list)
+            _number(v, f"calibration.threshold_targets_mv[{k}]")
+            for k, v in enumerate(
+                _require(cal, "threshold_targets_mv", "calibration", list)
+            )
         )
         if len(residual) != 4 or len(thresholds) != 4:
             raise ValidationError(
@@ -162,42 +178,41 @@ class Scenario:
 
         kappa = mod.get("kappa")
         if kappa is not None:
-            kappa = tuple(float(k) for k in kappa)
+            kappa = tuple(
+                _number(k, f"modulation.kappa[{i}]")
+                for i, k in enumerate(_require(mod, "kappa", "modulation", list))
+            )
             if len(kappa) != 4:
                 raise ValidationError("modulation.kappa needs 4 entries")
 
+        cell_um = coh.get("cell_um")
         return cls(
             raw=copy.deepcopy(cfg),
-            seed=int(cfg.get("seed", 0)),
-            seed_flux=float(src.get("seed_flux", 1.0)),
-            wavelength_nm=float(cfg.get("wavelength_nm", 795.0)),
-            waist_p_um=float(_require(beam, "waist_p_um", "beam")),
-            waist_c_um=float(_require(beam, "waist_c_um", "beam")),
+            seed=int(_field(cfg, "seed", "", 0, above=-1.0)),
+            seed_flux=_field(src, "seed_flux", "source", 1.0),
+            wavelength_nm=_field(cfg, "wavelength_nm", "", 795.0),
+            waist_p_um=_field(beam, "waist_p_um", "beam"),
+            waist_c_um=_field(beam, "waist_c_um", "beam"),
             layout=layout,
-            mask_transmission=float(lay.get("mask_transmission", 0.90)),
-            extent_um=float(_require(coh, "extent_um", "coherence")),
-            cell_um=(None if coh.get("cell_um") is None else float(coh["cell_um"])),
-            quantum_efficiency=float(det.get("quantum_efficiency", 0.95)),
+            mask_transmission=_field(lay, "mask_transmission", "layout", 0.90),
+            extent_um=_field(coh, "extent_um", "coherence"),
+            cell_um=None if cell_um is None else _number(cell_um, "coherence.cell_um"),
+            quantum_efficiency=_field(det, "quantum_efficiency", "detector", 0.95),
             resonances=tuple(resonances),
-            modulation_frequency_hz=float(_require(mod, "frequency_hz", "modulation")),
+            modulation_frequency_hz=_field(mod, "frequency_hz", "modulation"),
             kappa=kappa,
             stage_targets_db=stage_targets,
             final_target={
-                "squeezing_db": float(_require(final, "squeezing_db", "calibration.final")),
-                "attenuation_db": float(
-                    _require(final, "attenuation_db", "calibration.final")
-                ),
-                "eta_p": float(final.get("eta_p", 0.5)),
-                "eta_c": float(final.get("eta_c", 0.9)),
+                "squeezing_db": _field(final, "squeezing_db", "calibration.final"),
+                "attenuation_db": _field(final, "attenuation_db", "calibration.final"),
+                "eta_p": _field(final, "eta_p", "calibration.final", 0.5),
+                "eta_c": _field(final, "eta_c", "calibration.final", 0.9),
             },
             residual_db=residual,
             threshold_targets_mv=thresholds,
-            gain_bound=_number(
-                cal.get("gain_bound", 100.0), "calibration.gain_bound", 1.0
-            ),
+            gain_bound=_field(cal, "gain_bound", "calibration", 100.0, above=1.0),
             sweep_voltages_mv=voltages,
-            snr_gate=float(cfg.get("analysis", {}).get("snr_gate", 5.0)),
-            rbw_scale=_number(cfg.get("rbw_scale", 1.0), "rbw_scale", 0.0),
+            rbw_scale=_field(cfg, "rbw_scale", "", 1.0, above=0.0),
         )
 
 

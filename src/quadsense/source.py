@@ -14,20 +14,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtr
 
-from .errors import FitInfeasibleError, UndefinedSNLError, ValidationError
+from .errors import UndefinedSNLError, ValidationError
 
 __all__ = [
     "FwmSourceParams",
     "TwinBeamMoments",
     "CoherenceGrid",
-    "CalibrationResult",
     "fwm_moments",
     "source_squeezing",
-    "squeezing_db",
-    "calibrate_source",
     "build_coherence_grid",
 ]
 
@@ -109,27 +105,6 @@ class CoherenceGrid:
     def n_cells(self) -> int:
         return self.n_axis**2
 
-    @property
-    def centers(self) -> np.ndarray:
-        """Materialized (n_cells, 2) cell centers; small grids only."""
-        cx, cy = np.meshgrid(self.coords, self.coords, indexing="ij")
-        return np.column_stack([cx.ravel(), cy.ravel()])
-
-    @property
-    def weight_p(self) -> np.ndarray:
-        return np.outer(self.axis_weight_p, self.axis_weight_p).ravel()
-
-    @property
-    def weight_c(self) -> np.ndarray:
-        return np.outer(self.axis_weight_c, self.axis_weight_c).ravel()
-
-    def straddle_mask(self) -> np.ndarray:
-        """Cells whose square strictly crosses either central cut line."""
-        h = 0.5 * self.cell_size
-        on_axis = np.abs(self.coords) < h - 1e-12
-        cx, cy = np.meshgrid(on_axis, on_axis, indexing="ij")
-        return (cx | cy).ravel()
-
 
 def fwm_moments(params: FwmSourceParams) -> TwinBeamMoments:
     """Moments of the bright seeded twin beams.
@@ -160,97 +135,6 @@ def source_squeezing(m: TwinBeamMoments) -> tuple[float, float]:
         raise UndefinedSNLError("zero total mean intensity has no shot-noise level")
     ratio = (m.var_p + m.var_c - 2.0 * m.cov) / total
     return ratio, 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
-
-
-def squeezing_db(m: TwinBeamMoments) -> float:
-    return source_squeezing(m)[1]
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    params: FwmSourceParams
-    residuals_db: dict
-    targets_db: dict
-
-
-def calibrate_source(
-    targets,
-    observables,
-    seed_flux: float = 1.0,
-    initial_gain: float | None = None,
-    max_residual_db: float = 1.0,
-) -> CalibrationResult:
-    """Fit (gain, excess_correlated, excess_uncorrelated) to observed stage
-    squeezing levels.
-
-    Parameters
-    ----------
-    targets : sequence of (label, observed_db) pairs
-        Observed squeezing at each measurement stage, in dB.
-    observables : mapping label -> callable(FwmSourceParams) -> float
-        Forward model per stage, returning the predicted squeezing in dB.
-        Stages are compositions of loss/cut maps from the optics module.
-    seed_flux : float
-        Seed brightness held fixed during the fit.
-    max_residual_db : float
-        Largest acceptable per-stage residual; a worse fit raises
-        :class:`FitInfeasibleError` with diagnostics.
-
-    Residuals are minimized in dB, all stages weighted equally.
-    """
-    targets = list(targets)
-    if not targets:
-        raise ValidationError("at least one calibration target is required")
-    for label, _ in targets:
-        if label not in observables:
-            raise ValidationError(f"no stage observable registered for {label!r}")
-
-    labels = [t[0] for t in targets]
-    observed = np.array([t[1] for t in targets], float)
-
-    if initial_gain is None:
-        # Seed the gain from the most-squeezed target as if it were the
-        # lossless source value: R = 1/(2G-1).
-        r0 = 10.0 ** (observed.min() / 10.0)
-        initial_gain = max(1.0, 0.5 * (1.0 / r0 + 1.0))
-
-    def residuals(x):
-        gain, zc, zu = x
-        p = FwmSourceParams(
-            gain=max(gain, 1.0),
-            seed_flux=seed_flux,
-            excess_correlated=max(zc, 0.0),
-            excess_uncorrelated=max(zu, 0.0),
-        )
-        return np.array(
-            [observables[lab](p) - obs for lab, obs in zip(labels, observed)]
-        )
-
-    sol = optimize.least_squares(
-        residuals,
-        x0=[initial_gain, 1e-6, 1e-6],
-        bounds=([1.0, 0.0, 0.0], [np.inf, np.inf, np.inf]),
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-    )
-    res = residuals(sol.x)
-    res_map = dict(zip(labels, res))
-    if np.max(np.abs(res)) > max_residual_db:
-        raise FitInfeasibleError(
-            "calibration targets cannot be reproduced by the source model; "
-            f"worst residual {np.max(np.abs(res)):.3f} dB",
-            residuals_db=res_map,
-        )
-    params = FwmSourceParams(
-        gain=float(sol.x[0]),
-        seed_flux=seed_flux,
-        excess_correlated=float(sol.x[1]),
-        excess_uncorrelated=float(sol.x[2]),
-    )
-    return CalibrationResult(
-        params=params, residuals_db=res_map, targets_db=dict(zip(labels, observed))
-    )
 
 
 def _interval_weights(edges_lo, edges_hi, sigma):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,10 +6,7 @@ from quadsense.analysis import (
     EnhancementReport,
     SNRCurve,
     enhancement,
-    optimal_classical_snr,
     signal_estimate,
-    snr,
-    snr_coherent,
     threshold_voltage,
 )
 from quadsense.errors import ValidationError
@@ -22,37 +17,6 @@ def test_signal_estimate():
     assert signal_estimate(2.0, 1.0) == 1.0
     with pytest.raises(ValidationError):
         signal_estimate(-1.0, 1.0)
-
-
-def test_snr_basics():
-    assert snr(0.0, 1.0) == 0.0
-    assert snr(2.5, 2.5) == 1.0
-    with pytest.raises(ZeroDivisionError):
-        snr(1.0, 0.0)
-
-
-def test_snr_clamps_negative_sampled_signal_with_warning():
-    with pytest.warns(UserWarning):
-        assert snr(-0.5, 1.0) == 0.0
-    with pytest.raises(ValidationError):
-        snr(-0.5, 1.0, clamp_negative=False)
-
-
-def test_snr_coherent_floor_scaling():
-    assert snr_coherent(4.0, 1.0) == snr(4.0, 1.0)
-    assert snr_coherent(4.0, 2.0) == pytest.approx(snr(4.0, 1.0) / math.sqrt(2.0))
-
-
-def test_snr_coherent_warns_below_gate():
-    with pytest.warns(UserWarning):
-        snr_coherent(4.0, 1.0, snr_tb=1.0)
-
-
-def test_optimal_classical_dominates_matched_classical():
-    # Removing the reference arm shrinks the floor, so the optimal
-    # classical SNR is at least the matched one for equal signal.
-    s, probe_noise, total_noise = 3.0, 1.2, 2.0
-    assert optimal_classical_snr(s, probe_noise) >= snr_coherent(s, total_noise)
 
 
 def test_threshold_voltage_exact_line():

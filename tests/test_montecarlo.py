@@ -6,9 +6,9 @@ import pytest
 
 from quadsense import montecarlo
 from quadsense.errors import TailMassError, ValidationError
+from quadsense.optics import quadrant_cut
 from quadsense.montecarlo import (
     fock_two_mode_squeezer_moments,
-    quadrant_cell_sums,
     run_verification,
     sample_pair,
     sample_photocurrents,
@@ -25,10 +25,24 @@ def test_zero_variance_cells_give_constant_samples():
     grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
     m = TwinBeamMoments(5.0, 3.0, 0.0, 0.0, 0.0)
     batch = sample_photocurrents(grid, m, 100, seed=1)
-    sums = quadrant_cell_sums(grid, m)
     for q in (1, 2, 3, 4):
-        assert np.allclose(batch.probe[q], sums[q].mean_p)
-        assert np.allclose(batch.conjugate[q], sums[q].mean_c)
+        cut = quadrant_cut(m, grid, q).moments
+        assert np.allclose(batch.probe[q], cut.mean_p)
+        assert np.allclose(batch.conjugate[q], cut.mean_c)
+
+
+def test_sampled_quadrants_carry_the_cut_power():
+    # The on-axis cells are clipped into halves, so a centered beam puts a
+    # quarter of its power in every quadrant; sampling whole cells by
+    # their centers would give Q1 most of it.
+    grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
+    n = 50_000
+    batch = sample_photocurrents(grid, G2_IDEAL, n, seed=3)
+    for q in (1, 2, 3, 4):
+        cut = quadrant_cut(G2_IDEAL, grid, q)
+        assert cut.eta_p == pytest.approx(0.25, rel=1e-12)
+        se = math.sqrt(cut.moments.var_p / n)
+        assert abs(np.mean(batch.probe[q]) - cut.eta_p * G2_IDEAL.mean_p) < 5 * se
 
 
 def test_single_cell_moments_converge():
@@ -172,7 +186,7 @@ def _digest(*arrays):
 # Stream layout pins: the sha256 of each sampler's float64 output bytes for a
 # fixed seed. A refactor that moves a substream, a chunk boundary or the
 # order of the per-sample arithmetic changes these.
-PHOTOCURRENTS_SHA = "8f350c947fc2c802b9cb4acae3fac5f0456b1637ba376a60ef4def8dfd3c454c"
+PHOTOCURRENTS_SHA = "4bd30a36e0783df874659df0d2a12cd98386a41392dfcab489509435fccf193b"
 PAIR_SHA = "40b81ed18cdd1c08edeb0feccae0174b50ad57ccb489d23494f6b9b0964d4136"
 SAMPLED_SWEEP_SHA = "387fd5b5efe8b793ef3c5a4062c0016c84e89258e08ce5e9cbf32fda81c6c701"
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 
 from quadsense import detection
 from quadsense.errors import SearchError, UndefinedMomentsError, ValidationError
@@ -257,6 +258,65 @@ def test_quadrant_cut_symmetric_beam_splits_evenly():
     etas = [quadrant_cut(G2_IDEAL, grid, q).eta_p for q in (1, 2, 3, 4)]
     assert max(etas) - min(etas) < 1e-12
     assert sum(etas) <= 1.0 + 1e-12
+
+
+def _brute_force_cut(m, grid, q):
+    """Sum the moments of every cell-quadrant rectangle, one cell at a time.
+
+    Each rectangle's power is a product of ndtr differences over its own
+    bounds; it keeps its covariance share only when it is the whole cell.
+    """
+    sx, sy = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}[q]
+    h = 0.5 * grid.cell_size
+
+    def power(xlo, xhi, ylo, yhi, sigma):
+        fx = ndtr(xhi / sigma) - ndtr(xlo / sigma)
+        fy = ndtr(yhi / sigma) - ndtr(ylo / sigma)
+        return fx * fy
+
+    def side(lo, hi, s):
+        return (max(lo, 0.0), hi) if s > 0 else (lo, min(hi, 0.0))
+
+    tot_p = tot_c = 0.0
+    pieces = []
+    for cx in grid.coords:
+        for cy in grid.coords:
+            cell = (cx - h, cx + h, cy - h, cy + h)
+            tot_p += power(*cell, grid.sigma_p)
+            tot_c += power(*cell, grid.sigma_c)
+            xlo, xhi = side(cx - h, cx + h, sx)
+            ylo, yhi = side(cy - h, cy + h, sy)
+            if xhi <= xlo or yhi <= ylo:
+                continue
+            rect = (xlo, xhi, ylo, yhi)
+            pieces.append(
+                (power(*rect, grid.sigma_p), power(*rect, grid.sigma_c), rect == cell)
+            )
+    mp = mc = cov = 0.0
+    for wp, wc, whole in pieces:
+        wp, wc = wp / tot_p, wc / tot_c
+        mp += wp
+        mc += wc
+        if whole:
+            cov += math.sqrt(wp * wc)
+    return TwinBeamMoments(
+        mp * m.mean_p, mc * m.mean_c, mp * m.var_p, mc * m.var_c, cov * m.cov
+    )
+
+
+@pytest.mark.parametrize(
+    "waist_p, waist_c, d_c, extent",
+    [(16.0, 16.0, 8.0, 64.0), (16.0, 15.0, 8.0, 64.0), (16.0, 16.0, 64.0, 64.0)],
+)
+def test_quadrant_cut_matches_brute_force_cell_enumeration(waist_p, waist_c, d_c, extent):
+    grid = build_coherence_grid(waist_p, waist_c, d_c, extent)
+    for q in (1, 2, 3, 4):
+        exact = _brute_force_cut(G2_IDEAL, grid, q)
+        cut = quadrant_cut(G2_IDEAL, grid, q).moments
+        for name in ("mean_p", "mean_c", "var_p", "var_c", "cov"):
+            assert getattr(cut, name) == pytest.approx(
+                getattr(exact, name), rel=1e-12, abs=0.0
+            ), (q, name)
 
 
 def test_layout_validation():

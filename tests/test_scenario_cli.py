@@ -150,6 +150,32 @@ def test_cli_out_of_range_scalar_is_validation_error(tmp_path, section, key, val
     assert not (tmp_path / "fig3.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("resonances", 0, "fwhm_nm"), "abc"),
+        (("beam", "waist_p_um"), "x"),
+        (("seed",), "abc"),
+        (("calibration", "stage_targets_db", "source"), float("nan")),
+        (("coherence", "extent_um"), float("nan")),
+        (("resonances",), [1, 2, 3, 4]),
+    ],
+    ids=["fwhm_nm", "waist_p_um", "seed", "stage_target", "extent_um", "resonance_entry"],
+)
+def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value):
+    cfg = default_scenario_dict()
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "malformed.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    for cmd in ("snr-sweep", "fig3"):
+        assert run_cli(cmd, "--scenario", str(path), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1, err
+
+
 def test_cli_dump_config_round_trips(tmp_path, capsys):
     assert run_cli("snr-sweep", "--dump-config") == 0
     dumped = capsys.readouterr().out

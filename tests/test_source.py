@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadsense.errors import FitInfeasibleError, UndefinedSNLError, ValidationError
-from quadsense.optics import GaussianBeam, LossChannel, QuadrantLayout, apply_loss
+from quadsense.errors import UndefinedSNLError, ValidationError
+from quadsense.optics import GaussianBeam, QuadrantLayout
 from quadsense.optics import quadrant_cut, quadrant_transmission
 from quadsense.source import (
     FwmSourceParams,
     TwinBeamMoments,
     build_coherence_grid,
-    calibrate_source,
     fwm_moments,
     source_squeezing,
-    squeezing_db,
 )
 
 
@@ -121,129 +119,13 @@ def test_seed_flux_homogeneity(gain, seed_flux, k, zc):
     assert with_excess.var_p == pytest.approx(expected, rel=1e-12)
 
 
-# -- calibration ----------------------------------------------------------
-
-
-def _source_observable(params):
-    return squeezing_db(fwm_moments(params))
-
-
-def test_calibrate_source_self_consistency():
-    # One squeezing target does not pin all three parameters, but the fit
-    # must reproduce it essentially exactly with near-zero excess noise.
-    truth = FwmSourceParams(gain=2.3, seed_flux=1.0)
-    target_db = _source_observable(truth)
-    result = calibrate_source(
-        [("source", target_db)], {"source": _source_observable}
-    )
-    assert result.params.gain == pytest.approx(2.3, rel=1e-3)
-    assert result.params.excess_correlated < 1e-4
-    assert result.params.excess_uncorrelated < 1e-4
-    assert abs(result.residuals_db["source"]) < 1e-9
-
-
-def test_calibrate_source_round_trip_recovers_parameters():
-    # Balanced squeezing alone is degenerate in (gain, excess split); the
-    # optimal-gain ratio and attenuation under asymmetric loss break the
-    # degeneracy and make the round trip exact.
-    from quadsense import detection
-
-    truth = FwmSourceParams(
-        gain=2.5, seed_flux=1.0, excess_correlated=0.3, excess_uncorrelated=0.05
-    )
-    asym = LossChannel(0.5, 0.95)
-
-    def balanced(params):
-        return squeezing_db(fwm_moments(params))
-
-    def lossy(params):
-        return squeezing_db(apply_loss(fwm_moments(params), LossChannel(0.8, 0.8)))
-
-    def optimal_ratio(params):
-        return detection.squeezing_report(fwm_moments(params), asym, "optimal").ratio_db
-
-    def optimal_attenuation(params):
-        return detection.squeezing_report(fwm_moments(params), asym, "optimal").gain_db
-
-    observables = {
-        "a": balanced,
-        "b": lossy,
-        "c": optimal_ratio,
-        "d": optimal_attenuation,
-    }
-    targets = [(k, fn(truth)) for k, fn in observables.items()]
-    result = calibrate_source(targets, observables)
-    assert result.params.gain == pytest.approx(truth.gain, rel=0.01)
-    assert result.params.excess_correlated == pytest.approx(0.3, rel=0.01)
-    assert result.params.excess_uncorrelated == pytest.approx(0.05, rel=0.01)
-
-
-def test_calibrate_source_staged_chain(chain):
-    # The three staged squeezing targets must be reproducible with
-    # residuals below 0.1 dB once the path transmission and straddle
-    # fraction are fixed at their fitted values.
-    scenario = chain.scenario
-    eta = chain.eta_optics
-    fs = chain.f_straddle
-
-    def source(params):
-        return squeezing_db(fwm_moments(params))
-
-    def post_optics(params):
-        return squeezing_db(apply_loss(fwm_moments(params), LossChannel(eta, eta)))
-
-    def post_cut(params):
-        m = apply_loss(fwm_moments(params), LossChannel(eta, eta))
-        return squeezing_db(
-            TwinBeamMoments(
-                0.25 * m.mean_p,
-                0.25 * m.mean_c,
-                0.25 * m.var_p,
-                0.25 * m.var_c,
-                0.25 * m.cov * (1.0 - fs),
-            )
-        )
-
-    observables = {"source": source, "post_optics": post_optics, "post_cut": post_cut}
-    targets = [(k, scenario.stage_targets_db[k]) for k in observables]
-    result = calibrate_source(
-        targets, observables, initial_gain=chain.source_params.gain
-    )
-    assert max(abs(r) for r in result.residuals_db.values()) < 0.1
-
-
-def test_calibrate_source_infeasible_targets_raise():
-    # More squeezing after loss than before cannot be produced by any
-    # parameter set.
-    def source(params):
-        return squeezing_db(fwm_moments(params))
-
-    def lossy(params):
-        return squeezing_db(apply_loss(fwm_moments(params), LossChannel(0.5, 0.5)))
-
-    with pytest.raises(FitInfeasibleError) as err:
-        calibrate_source(
-            [("source", -3.0), ("lossy", -8.0)],
-            {"source": source, "lossy": lossy},
-            max_residual_db=0.1,
-        )
-    assert err.value.residuals_db is not None
-
-
-def test_calibrate_source_requires_targets_and_observables():
-    with pytest.raises(ValidationError):
-        calibrate_source([], {})
-    with pytest.raises(ValidationError):
-        calibrate_source([("missing", -3.0)], {"source": _source_observable})
-
-
 # -- coherence grid -------------------------------------------------------
 
 
 def test_single_cell_grid_holds_all_power():
     grid = build_coherence_grid(100.0, 100.0, 400.0, 400.0)
     assert grid.n_cells == 1
-    assert grid.weight_p.sum() == pytest.approx(1.0, abs=1e-9)
+    assert grid.axis_weight_p.sum() ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_grid_weights_have_reflection_symmetry():
@@ -254,8 +136,8 @@ def test_grid_weights_have_reflection_symmetry():
 
 def test_grid_covers_truncated_gaussian_power():
     grid = build_coherence_grid(300.0, 300.0, 25.0, 1800.0)
-    assert grid.weight_p.sum() >= 0.999
-    assert grid.weight_c.sum() >= 0.999
+    assert grid.axis_weight_p.sum() ** 2 >= 0.999
+    assert grid.axis_weight_c.sum() ** 2 >= 0.999
 
 
 def test_grid_rejects_cell_larger_than_extent():
