@@ -282,6 +282,8 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         if args.seed is None:
             args.seed = scenario.seed
+        if args.seed < 0:
+            raise ValidationError("--seed must be >= 0")
         if args.samples <= 0:
             raise ValidationError("--samples must be positive")
         if args.dump_config:

@@ -6,9 +6,20 @@ assigns to each quadrant (exact for first and second moments, which is all
 the formulas use), binomial-equivalent thinning for the loss map, and a
 truncated-Fock construction of the seeded two-mode squeezer.
 
-Randomness is counter-based: every (seed, piece, chunk) triple owns an
-independent Philox substream, so batches are bitwise identical for any
-worker count.
+Randomness is counter-based: every draw owns an independent Philox
+substream, keyed by a seed and a spawn key whose first word names the
+sampler:
+
+- ``(seed, 0, chunk)``: :func:`sample_pair`;
+- ``(seed, 1, chunk)``: :func:`thinning_loss`;
+- ``(seed, 2, quadrant, chunk)``: :func:`sample_photocurrents`;
+- ``(seed, 13, k)``: the ``k``-th swept power of the ``snl_linearity`` check.
+
+Each chunk of 2^20 samples has its own substream, so batches are bitwise
+identical for any worker count. Where :func:`run_verification` calls one
+sampler more than once, it XORs the seed with a constant, so no two checks
+share a stream; only the two batches that the ``worker_invariance`` check
+compares draw the same streams, by design.
 """
 
 from __future__ import annotations
@@ -23,8 +34,14 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import TailMassError, ValidationError
-from .optics import QUADRANT_SIGNS, _axis_pieces
-from .source import CoherenceGrid, TwinBeamMoments
+from .optics import QUADRANT_SIGNS, LossChannel, _axis_pieces, apply_loss, quadrant_cut
+from .source import (
+    CoherenceGrid,
+    FwmSourceParams,
+    TwinBeamMoments,
+    build_coherence_grid,
+    fwm_moments,
+)
 
 __all__ = [
     "SampleBatch",
@@ -80,6 +97,22 @@ def _quadrant_pieces(grid: CoherenceGrid, m: TwinBeamMoments, q: int):
     return pieces
 
 
+def _quadrant_moments(grid: CoherenceGrid, m: TwinBeamMoments, q: int) -> TwinBeamMoments:
+    """Summed moments of the pieces of quadrant ``q``.
+
+    The pieces are independent bivariate Gaussians, so their sum is the
+    bivariate Gaussian whose mean and covariance are the sums. They are
+    summed from :func:`_quadrant_pieces`, not read from ``quadrant_cut``, so
+    the sampled batch still tests the piece enumeration against the
+    factorized cut. Every piece's covariance matrix must be PSD.
+    """
+    pieces = _quadrant_pieces(grid, m, q)
+    for i, (_, _, vp, vc, cov) in enumerate(pieces):
+        if cov**2 > vp * vc * (1.0 + 1e-12) + 1e-300:
+            raise ValidationError(f"quadrant {q} piece {i} covariance matrix is not PSD")
+    return TwinBeamMoments(*(math.fsum(col) for col in zip(*pieces)))
+
+
 def _cholesky(vp, vc, cov):
     """``(a, b, c)`` with [[a, 0], [b, c]] the Cholesky factor of
     [[vp, cov], [cov, vc]]."""
@@ -87,6 +120,11 @@ def _cholesky(vp, vc, cov):
     b = cov / a if a > 0 else 0.0
     c = math.sqrt(max(vc - b * b, 0.0))
     return a, b, c
+
+
+def _factors(m: TwinBeamMoments):
+    """``(mean_p, mean_c, a, b, c)``: the means and Cholesky factors of ``m``."""
+    return (m.mean_p, m.mean_c, *_cholesky(m.var_p, m.var_c, m.cov))
 
 
 def _chunks(n: int):
@@ -97,27 +135,22 @@ def _chunks(n: int):
     ]
 
 
-def _sample_pieces_chunk(seed, chunk_idx, pieces, probe, conj, z):
-    """Add one chunk of bivariate Gaussian samples of ``pieces`` into the
-    zeroed ``probe`` and ``conj`` slices.
+def _fill_chunk(rng, mp, mc, a, b, c, probe, conj):
+    """Fill ``probe`` and ``conj`` in place with one chunk of bivariate
+    Gaussian samples.
 
-    Each piece is ``(index, mean_p, mean_c, a, b, c)`` with its Cholesky
-    factors; ``z`` is a ``(2, len(probe))`` scratch buffer that every piece
-    redraws from its own (seed, piece, chunk) substream.
+    ``probe`` takes the first ``len(probe)`` standard normals ``z0`` of
+    ``rng`` and ``conj`` the next ``z1``; then probe = mp + a*z0 and
+    conj = mc + b*z0 + c*z1, rounded in that order.
     """
-    t = np.empty_like(probe)
-    u = np.empty_like(probe)
-    for i, mp, mc, a, b, c in pieces:
-        _generator(seed, i, chunk_idx).standard_normal(out=z)
-        # Rounds exactly as probe += mp + a*z0 and conj += mc + b*z0 + c*z1.
-        np.multiply(z[0], a, out=t)
-        t += mp
-        probe += t
-        np.multiply(z[0], b, out=t)
-        t += mc
-        np.multiply(z[1], c, out=u)
-        t += u
-        conj += t
+    rng.standard_normal(out=probe)
+    rng.standard_normal(out=conj)
+    t = probe * b
+    t += mc
+    conj *= c
+    conj += t
+    probe *= a
+    probe += mp
 
 
 def sample_photocurrents(
@@ -129,13 +162,14 @@ def sample_photocurrents(
 ) -> SampleBatch:
     """Sample per-quadrant intensities of the partitioned twin beam.
 
-    Each quadrant's samples are the sum over the pieces that
+    Each quadrant's intensity is the sum over the pieces that
     :func:`optics.quadrant_cut` assigns to it (whole cells, and the clipped
-    parts of cells on a cut line), drawn as mutually independent bivariate
-    Gaussians, so the expected moments are ``quadrant_cut(m, grid,
-    q).moments``. Each piece draws from its own (seed, piece, chunk)
-    substream, and each chunk of 2^20 samples is filled in place into its
-    slice of the per-quadrant arrays, so the result does not depend on
+    parts of cells on a cut line), which are mutually independent bivariate
+    Gaussians; so it is drawn as one bivariate Gaussian with the summed
+    moments of :func:`_quadrant_moments`, whose expectation is
+    ``quadrant_cut(m, grid, q).moments``. Each (quadrant, chunk) of 2^20
+    samples draws from its own (seed, 2, quadrant, chunk) substream into
+    its slice of the per-quadrant arrays, so the result does not depend on
     ``n_workers``.
     """
     if grid.n_cells > 1 << 18:
@@ -143,44 +177,35 @@ def sample_photocurrents(
             f"grid with {grid.n_cells} cells is too fine for per-cell "
             "sampling; use a coarser verification grid"
         )
-    pieces_by_q = {q: [] for q in QUADRANT_SIGNS}
-    i = 0
-    for q, pieces in pieces_by_q.items():
-        for mp, mc, vp, vc, cov in _quadrant_pieces(grid, m, q):
-            if cov**2 > vp * vc * (1.0 + 1e-12) + 1e-300:
-                raise ValidationError(f"piece {i} covariance matrix is not PSD")
-            pieces.append((i, mp, mc, *_cholesky(vp, vc, cov)))
-            i += 1
-
-    probe = {q: np.zeros(n) for q in QUADRANT_SIGNS}
-    conj = {q: np.zeros(n) for q in QUADRANT_SIGNS}
+    factors = {q: _factors(_quadrant_moments(grid, m, q)) for q in QUADRANT_SIGNS}
+    probe = {q: np.empty(n) for q in QUADRANT_SIGNS}
+    conj = {q: np.empty(n) for q in QUADRANT_SIGNS}
 
     def work(task):
-        k, lo, size = task
+        q, k, lo, size = task
         part = slice(lo, lo + size)
-        z = np.empty((2, size))
-        for q, pieces in pieces_by_q.items():
-            _sample_pieces_chunk(seed, k, pieces, probe[q][part], conj[q][part], z)
+        rng = _generator(seed, 2, q, k)
+        _fill_chunk(rng, *factors[q], probe[q][part], conj[q][part])
 
+    tasks = [(q, *chunk) for q in QUADRANT_SIGNS for chunk in _chunks(n)]
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             # Read every result so a worker's exception is raised here.
-            list(pool.map(work, _chunks(n)))
+            list(pool.map(work, tasks))
     else:
-        for task in _chunks(n):
+        for task in tasks:
             work(task)
     return SampleBatch(n_samples=n, seed=seed, probe=probe, conjugate=conj)
 
 
 def sample_pair(m: TwinBeamMoments, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Whole-beam probe/conjugate samples (single-cell shortcut)."""
-    probe = np.zeros(n)
-    conj = np.zeros(n)
-    pieces = [(0, m.mean_p, m.mean_c, *_cholesky(m.var_p, m.var_c, m.cov))]
+    probe = np.empty(n)
+    conj = np.empty(n)
+    factors = _factors(m)
     for k, lo, size in _chunks(n):
         part = slice(lo, lo + size)
-        z = np.empty((2, size))
-        _sample_pieces_chunk(seed, k, pieces, probe[part], conj[part], z)
+        _fill_chunk(_generator(seed, 0, k), *factors, probe[part], conj[part])
     return probe, conj
 
 
@@ -346,137 +371,116 @@ def _rel_err(a: TwinBeamMoments, b: TwinBeamMoments) -> float:
     return max(abs(x - y) / max(abs(y), 1e-12) for x, y in pairs)
 
 
-def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
-    """Run every oracle check and return the list of results.
+def _z_mean(x, mu, var):
+    return abs(float(np.mean(x)) - mu) / math.sqrt(var / x.size)
 
-    The sampled checks operate in the bright regime, where the
-    Gaussian-equivalent thinning model is exact; tolerances are 5 standard
-    errors, so a passing suite is overwhelmingly likely to pass again
-    under a different seed.
-    """
-    from . import detection
-    from .optics import LossChannel, apply_loss, quadrant_cut
-    from .source import FwmSourceParams, build_coherence_grid, fwm_moments
 
-    checks = []
-    n = int(n_samples)
+def _z_var(x, var):
+    return abs(float(np.var(x)) - var) / (var * math.sqrt(2.0 / x.size))
 
-    # Truncated-Fock squeezer vs the closed-form source moments.
+
+def _z_cov(x, y, var_x, var_y, cov):
+    se = math.sqrt((var_x * var_y + cov**2) / x.size)
+    return abs(float(np.cov(x, y)[0, 1]) - cov) / se
+
+
+def _fock_check():
+    """Truncated-Fock squeezer vs the closed-form source moments."""
     worst = 0.0
     for gain in (1.05, 1.2, 1.3):
         analytic = fwm_moments(FwmSourceParams(gain=gain, seed_flux=1.0))
         fock = stimulated_fock_moments(gain, 1.0)
         worst = max(worst, _rel_err(fock, analytic))
-    checks.append(
-        _check(
-            "fock_vs_closed_form",
-            worst,
-            1e-6,
-            "stimulated truncated-Fock moments vs analytic source moments, "
-            "gain in {1.05, 1.2, 1.3}",
-        )
+    return _check(
+        "fock_vs_closed_form",
+        worst,
+        1e-6,
+        "stimulated truncated-Fock moments vs analytic source moments, "
+        "gain in {1.05, 1.2, 1.3}",
     )
 
-    # Bright reference state: the gain-2 ideal moments scaled up so the
-    # Gaussian intensity model holds (negative-intensity clipping in the
-    # thinning map is negligible when mean >> sqrt(var)).
-    bright = 1e4
-    m = TwinBeamMoments(2 * bright, bright, 6 * bright, 3 * bright, 4 * bright)
+
+def _bright_pair_checks(m, n, seed):
+    """Thinning vs the loss map, then the difference noise of the same
+    thinned pair vs the analytic noise."""
+    from . import detection  # local: importing montecarlo loads no detection code
+
     ch = LossChannel(0.5, 0.9)
     p, c = sample_pair(m, n, seed)
     pt = thinning_loss(p, ch.eta_p, seed ^ 0x7A11)
     ct = thinning_loss(c, ch.eta_c, seed ^ 0x7A22)
     expected = apply_loss(m, ch)
-
-    def z_mean(x, mu, var):
-        return abs(float(np.mean(x)) - mu) / math.sqrt(var / n)
-
-    def z_var(x, var):
-        return abs(float(np.var(x)) - var) / (var * math.sqrt(2.0 / n))
-
     worst = max(
-        z_mean(pt, expected.mean_p, expected.var_p),
-        z_mean(ct, expected.mean_c, expected.var_c),
-        z_var(pt, expected.var_p),
-        z_var(ct, expected.var_c),
+        _z_mean(pt, expected.mean_p, expected.var_p),
+        _z_mean(ct, expected.mean_c, expected.var_c),
+        _z_var(pt, expected.var_p),
+        _z_var(ct, expected.var_c),
+        _z_cov(pt, ct, expected.var_p, expected.var_c, expected.cov),
     )
-    cov_emp = float(np.cov(pt, ct)[0, 1])
-    se_cov = math.sqrt((expected.var_p * expected.var_c + expected.cov**2) / n)
-    worst = max(worst, abs(cov_emp - expected.cov) / se_cov)
-    checks.append(
-        _check(
-            "thinning_vs_loss_map",
-            worst,
-            5.0,
-            f"worst z-score of sampled moments after thinning vs the "
-            f"analytic loss map at n={n}",
-        )
+    thinning = _check(
+        "thinning_vs_loss_map",
+        worst,
+        5.0,
+        f"worst z-score of sampled moments after thinning vs the "
+        f"analytic loss map at n={n}",
     )
 
-    # Sampled difference-photocurrent variance vs the analytic noise.
     g = detection.optimal_gain(m, ch)
-    diff = pt - g * ct
     s_analytic = detection.difference_noise(m, ch, g)
-    z = abs(float(np.var(diff)) - s_analytic) / (s_analytic * math.sqrt(2.0 / n))
-    checks.append(
-        _check(
-            "sampled_difference_noise",
-            z,
-            5.0,
-            f"z-score of sampled minimum difference noise at n={n}, "
-            f"g={g:.4f}",
-        )
+    z = _z_var(pt - g * ct, s_analytic)
+    difference = _check(
+        "sampled_difference_noise",
+        z,
+        5.0,
+        f"z-score of sampled minimum difference noise at n={n}, g={g:.4f}",
     )
+    return thinning, difference
 
-    # Coherent-state (shot-noise) linearity: sampled noise vs power must
-    # sit on a line through the origin and match var = power pointwise.
+
+def _snl_check(bright, n, seed):
+    """Coherent-state (shot-noise) linearity: sampled noise vs power must
+    sit on a line through the origin and match var = power pointwise."""
     powers = bright * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-    n_lin = min(n, 1_000_000)
     worst_db = 0.0
     svv = spp = 0.0
     for k, power in enumerate(powers):
         rng = _generator(seed, 13, k)
-        x = power + math.sqrt(power) * rng.standard_normal(n_lin)
+        x = power + math.sqrt(power) * rng.standard_normal(n)
         v = float(np.var(x))
         worst_db = max(worst_db, abs(10.0 * math.log10(v / power)))
         svv += power * v
         spp += power * power
     slope_db = abs(10.0 * math.log10(svv / spp))
-    checks.append(
-        _check(
-            "snl_linearity",
-            max(worst_db, slope_db),
-            0.2,
-            "dB deviation of sampled shot noise from linear-in-power at "
-            "every swept power and in the fitted through-origin slope",
-        )
+    return _check(
+        "snl_linearity",
+        max(worst_db, slope_db),
+        0.2,
+        "dB deviation of sampled shot noise from linear-in-power at "
+        "every swept power and in the fitted through-origin slope",
     )
 
-    # Coarse verification grid: sampled quadrant pieces against the
-    # analytic quadrant cut, and cross-quadrant independence.
-    grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
-    n_grid = min(n, 1_000_000)
-    batch = sample_photocurrents(grid, m, n_grid, seed)
+
+def _partition_checks(grid, m, n, seed):
+    """Sampled quadrants against the analytic quadrant cut, and
+    cross-quadrant independence, on one batch."""
+    batch = sample_photocurrents(grid, m, n, seed)
     worst = 0.0
     for q in QUADRANT_SIGNS:
         exp = quadrant_cut(m, grid, q).moments
+        p, c = batch.probe[q], batch.conjugate[q]
         worst = max(
             worst,
-            z_mean(batch.probe[q], exp.mean_p, exp.var_p) * math.sqrt(n_grid / n),
+            _z_mean(p, exp.mean_p, exp.var_p),
+            _z_var(p, exp.var_p),
+            _z_var(c, exp.var_c),
+            _z_cov(p, c, exp.var_p, exp.var_c, exp.cov),
         )
-        worst = max(worst, z_var(batch.probe[q], exp.var_p) * math.sqrt(n_grid / n))
-        worst = max(worst, z_var(batch.conjugate[q], exp.var_c) * math.sqrt(n_grid / n))
-        cov_emp = float(np.cov(batch.probe[q], batch.conjugate[q])[0, 1])
-        se = math.sqrt((exp.var_p * exp.var_c + exp.cov**2) / n_grid)
-        worst = max(worst, abs(cov_emp - exp.cov) / se)
-    checks.append(
-        _check(
-            "quadrant_cell_sums",
-            worst,
-            5.0,
-            f"worst z-score of sampled per-quadrant moments vs the analytic "
-            f"quadrant cut at n={n_grid}",
-        )
+    sums = _check(
+        "quadrant_cell_sums",
+        worst,
+        5.0,
+        f"worst z-score of sampled per-quadrant moments vs the analytic "
+        f"quadrant cut at n={n}",
     )
 
     worst = 0.0
@@ -487,56 +491,81 @@ def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
                 continue
             for xa in (batch.probe[a], batch.conjugate[a]):
                 for xb in (batch.probe[b], batch.conjugate[b]):
-                    cov_ab = float(np.cov(xa, xb)[0, 1])
-                    se = math.sqrt(float(np.var(xa)) * float(np.var(xb)) / n_grid)
-                    worst = max(worst, abs(cov_ab) / se)
-    checks.append(
-        _check(
-            "cross_quadrant_independence",
-            worst,
-            5.0,
-            "worst z-score of the 24 cross-quadrant covariances that the "
-            "independent-cell model predicts to vanish",
-        )
+                    worst = max(worst, _z_cov(xa, xb, np.var(xa), np.var(xb), 0.0))
+    independence = _check(
+        "cross_quadrant_independence",
+        worst,
+        5.0,
+        "worst z-score of the 24 cross-quadrant covariances that the "
+        "independent-cell model predicts to vanish",
     )
+    return sums, independence
 
-    # Determinism across worker counts. Invariance rests on the chunk
-    # layout, not on the piece count or the sample size, so the check uses a
-    # one-cell grid (its four clipped quarters give one piece per quadrant)
-    # at one chunk plus a remainder: the workers then split two chunks and
-    # meet at a boundary whatever n_samples is.
+
+def _worker_invariance_check(m, seed):
+    """Determinism across worker counts.
+
+    Invariance rests on the (quadrant, chunk) task layout, not on the grid
+    or the sample size, so the check uses a one-cell grid at one chunk
+    plus a remainder: the workers then split eight tasks and meet at a
+    chunk boundary whatever n_samples is. Its seed is XORed with a
+    constant so that it does not redraw the streams of the partition batch.
+    """
     coarse = build_coherence_grid(16.0, 16.0, 64.0, 64.0)
     n_inv = CHUNK + 12345
-    batch3 = sample_photocurrents(coarse, m, n_inv, seed, n_workers=3)
-    batch1 = sample_photocurrents(coarse, m, n_inv, seed, n_workers=1)
+    batch3 = sample_photocurrents(coarse, m, n_inv, seed ^ 0x1A7E, n_workers=3)
+    batch1 = sample_photocurrents(coarse, m, n_inv, seed ^ 0x1A7E, n_workers=1)
     identical = all(
         np.array_equal(batch1.probe[q], batch3.probe[q])
         and np.array_equal(batch1.conjugate[q], batch3.conjugate[q])
         for q in QUADRANT_SIGNS
     )
-    checks.append(
-        _check(
-            "worker_invariance",
-            0.0 if identical else 1.0,
-            0.5,
-            "per-quadrant sample batches are bitwise identical for 1 and 3 "
-            "workers",
-        )
+    return _check(
+        "worker_invariance",
+        0.0 if identical else 1.0,
+        0.5,
+        "per-quadrant sample batches are bitwise identical for 1 and 3 "
+        "workers",
     )
 
-    # Quadrant partition balance: an on-axis beam splits its power evenly
-    # and the four analytic cut transmissions sum to at most 1.
+
+def _partition_balance_check(grid):
+    """An on-axis beam splits its power evenly and the four analytic cut
+    transmissions sum to at most 1."""
     src = TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0)
     etas = [quadrant_cut(src, grid, q).eta_p for q in QUADRANT_SIGNS]
     spread = max(etas) - min(etas)
-    checks.append(
-        _check(
-            "quadrant_partition_balance",
-            max(spread, 0.0 if sum(etas) <= 1.0 + 1e-12 else 1.0),
-            1e-12,
-            "centered beam splits evenly across quadrants and keeps total "
-            "transmission <= 1",
-        )
+    return _check(
+        "quadrant_partition_balance",
+        max(spread, 0.0 if sum(etas) <= 1.0 + 1e-12 else 1.0),
+        1e-12,
+        "centered beam splits evenly across quadrants and keeps total "
+        "transmission <= 1",
     )
 
-    return checks
+
+def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
+    """Run every oracle check and return the list of results.
+
+    The sampled checks operate in the bright regime, where the
+    Gaussian-equivalent thinning model is exact; tolerances are 5 standard
+    errors, so a passing suite is overwhelmingly likely to pass again
+    under a different seed. Each check runs in its own helper, so its
+    samples are freed once its statistic is computed.
+    """
+    n = int(n_samples)
+    # Bright reference state: the gain-2 ideal moments scaled up so the
+    # Gaussian intensity model holds (negative-intensity clipping in the
+    # thinning map is negligible when mean >> sqrt(var)).
+    bright = 1e4
+    m = TwinBeamMoments(2 * bright, bright, 6 * bright, 3 * bright, 4 * bright)
+    # Coarse verification grid for the sampled and analytic partition checks.
+    grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
+    return [
+        _fock_check(),
+        *_bright_pair_checks(m, n, seed),
+        _snl_check(bright, min(n, 1_000_000), seed),
+        *_partition_checks(grid, m, min(n, 1_000_000), seed),
+        _worker_invariance_check(m, seed),
+        _partition_balance_check(grid),
+    ]

@@ -266,7 +266,7 @@ def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid, q: int) -> QuadrantCut
     variance; a clipped piece carries none of the covariance
     (all-or-nothing). As the cell size shrinks the straddle weight vanishes
     and the cut becomes a pure spatial partition. The Monte Carlo sampler
-    draws the same pieces.
+    sums the moments of the same pieces.
     """
     if q not in QUADRANT_SIGNS:
         raise ValidationError(f"quadrant label must be 1..4, got {q}")

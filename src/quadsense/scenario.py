@@ -155,6 +155,8 @@ class Scenario:
             raise ValidationError("sweep.voltages_mv must not be empty")
         if any(b <= a for a, b in zip(voltages, voltages[1:])):
             raise ValidationError("sweep.voltages_mv must be strictly increasing")
+        if voltages[0] < 0:
+            raise ValidationError("sweep.voltages_mv must be >= 0")
 
         stage_targets = {
             str(k): _number(v, f"calibration.stage_targets_db.{k}")
@@ -179,7 +181,7 @@ class Scenario:
         kappa = mod.get("kappa")
         if kappa is not None:
             kappa = tuple(
-                _number(k, f"modulation.kappa[{i}]")
+                _number(k, f"modulation.kappa[{i}]", above=0.0)
                 for i, k in enumerate(_require(mod, "kappa", "modulation", list))
             )
             if len(kappa) != 4:

@@ -31,6 +31,23 @@ def test_zero_variance_cells_give_constant_samples():
         assert np.allclose(batch.conjugate[q], cut.mean_c)
 
 
+@pytest.mark.parametrize(
+    "waist_p, waist_c, d_c, extent",
+    [(16.0, 16.0, 8.0, 64.0), (16.0, 15.0, 8.0, 64.0), (16.0, 16.0, 64.0, 64.0)],
+)
+def test_summed_pieces_match_the_quadrant_cut(waist_p, waist_c, d_c, extent):
+    # The sampler draws each quadrant from the summed moments of its
+    # enumerated pieces; they must be the factorized cut's moments.
+    grid = build_coherence_grid(waist_p, waist_c, d_c, extent)
+    for q in (1, 2, 3, 4):
+        summed = montecarlo._quadrant_moments(grid, G2_IDEAL, q)
+        cut = quadrant_cut(G2_IDEAL, grid, q).moments
+        for name in ("mean_p", "mean_c", "var_p", "var_c", "cov"):
+            assert getattr(summed, name) == pytest.approx(
+                getattr(cut, name), rel=1e-12, abs=0.0
+            ), (q, name)
+
+
 def test_sampled_quadrants_carry_the_cut_power():
     # The on-axis cells are clipped into halves, so a centered beam puts a
     # quarter of its power in every quadrant; sampling whole cells by
@@ -176,6 +193,31 @@ def test_worker_invariance_check_crosses_a_chunk_boundary(monkeypatch):
     assert {c.name: c.passed for c in checks}["worker_invariance"]
 
 
+def test_verification_checks_draw_disjoint_streams(monkeypatch):
+    # Every check draws its samples before it is scored by _check, so the
+    # substreams opened since the previous score belong to the check scored
+    # next. A stream shared by two checks would correlate their statistics.
+    opened, owners = [], {}
+    generator, check = montecarlo._generator, montecarlo._check
+
+    def recording_generator(seed, *key):
+        opened.append((seed, *key))
+        return generator(seed, *key)
+
+    def recording_check(name, *args):
+        for stream in opened:
+            owners.setdefault(stream, set()).add(name)
+        opened.clear()
+        return check(name, *args)
+
+    monkeypatch.setattr(montecarlo, "_generator", recording_generator)
+    monkeypatch.setattr(montecarlo, "_check", recording_check)
+    run_verification(n_samples=200_000, seed=77)
+    assert owners
+    shared = {stream: names for stream, names in owners.items() if len(names) > 1}
+    assert not shared, shared
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -186,7 +228,7 @@ def _digest(*arrays):
 # Stream layout pins: the sha256 of each sampler's float64 output bytes for a
 # fixed seed. A refactor that moves a substream, a chunk boundary or the
 # order of the per-sample arithmetic changes these.
-PHOTOCURRENTS_SHA = "4bd30a36e0783df874659df0d2a12cd98386a41392dfcab489509435fccf193b"
+PHOTOCURRENTS_SHA = "b487dc89d10913875ae5cd3b9eb3212a99bf52e3a0b74e60fa191828545e229c"
 PAIR_SHA = "40b81ed18cdd1c08edeb0feccae0174b50ad57ccb489d23494f6b9b0964d4136"
 SAMPLED_SWEEP_SHA = "387fd5b5efe8b793ef3c5a4062c0016c84e89258e08ce5e9cbf32fda81c6c701"
 

@@ -159,8 +159,19 @@ def test_cli_out_of_range_scalar_is_validation_error(tmp_path, section, key, val
         (("calibration", "stage_targets_db", "source"), float("nan")),
         (("coherence", "extent_um"), float("nan")),
         (("resonances",), [1, 2, 3, 4]),
+        (("sweep", "voltages_mv"), [-50] + list(range(25, 501, 25))),
+        (("modulation", "kappa"), [0, 0, 0, 0]),
     ],
-    ids=["fwhm_nm", "waist_p_um", "seed", "stage_target", "extent_um", "resonance_entry"],
+    ids=[
+        "fwhm_nm",
+        "waist_p_um",
+        "seed",
+        "stage_target",
+        "extent_um",
+        "resonance_entry",
+        "negative_voltage",
+        "zero_kappa",
+    ],
 )
 def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value):
     cfg = default_scenario_dict()
@@ -174,6 +185,14 @@ def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value)
         assert run_cli(cmd, "--scenario", str(path), "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("cmd", ["fig4", "verify"])
+def test_cli_negative_seed_is_validation_error(tmp_path, capsys, cmd):
+    assert run_cli(cmd, "--seed", "-1", "--samples", "10", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1, err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_dump_config_round_trips(tmp_path, capsys):
