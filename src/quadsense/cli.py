@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import montecarlo
 from .analysis import threshold_voltage
 from .errors import QuadsenseError, ValidationError
 from .optics import GaussianBeam, optimize_waist, quadrant_transmission
@@ -213,6 +212,8 @@ def _cmd_fig4(scenario: Scenario, args, out: Path) -> int:
 
 
 def _cmd_verify(scenario: Scenario, args, out: Path) -> int:
+    from . import montecarlo
+
     checks = montecarlo.run_verification(n_samples=args.samples, seed=args.seed)
     payload = {
         "n_samples": args.samples,
@@ -296,7 +297,12 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except QuadsenseError as exc:
-        print(f"consistency error: {exc}", file=sys.stderr)
+        message = str(exc)
+        residuals = getattr(exc, "residuals_db", None)
+        if residuals:
+            terms = ", ".join(f"{k}={_fmt(v, db=True)}" for k, v in residuals.items())
+            message += f" (residuals_db: {terms})"
+        print(f"consistency error: {message}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -82,9 +82,12 @@ def _quadrant_pieces(grid: CoherenceGrid, m: TwinBeamMoments, q: int):
     two factors, and it keeps its share of the covariance only when both
     factors are whole cells.
     """
+    tot_p = grid.axis_weight_p.sum()
+    tot_c = grid.axis_weight_c.sum()
     axes = []
     for s in QUADRANT_SIGNS[q]:
         wp, wc, clip_p, clip_c = _axis_pieces(grid, s)
+        wp, wc, clip_p, clip_c = wp / tot_p, wc / tot_c, clip_p / tot_p, clip_c / tot_c
         axes.append(
             [(p, c, True) for p, c in zip(wp, wc)]
             + [(p, c, False) for p, c in zip(clip_p, clip_c)]

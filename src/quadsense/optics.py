@@ -227,32 +227,28 @@ class QuadrantCutResult:
 
 
 def _axis_pieces(grid: CoherenceGrid, s: int):
-    """Normalized axis weights of the pieces of side ``s`` (+1 or -1).
+    """Axis weights of the pieces of side ``s`` (+1 or -1).
 
     This is the one place that decides which part of a cell belongs to a
     quadrant. Returns ``(wp, wc, clip_p, clip_c)``: the probe and conjugate
     axis weights of the whole interior cells of the side, then of the
-    clipped halves of the cells on the cut line. A quadrant's pieces are
-    the products of an x piece and a y piece.
+    clipped halves of the cells on the cut line, in the units of the
+    grid's strip weights (callers divide by the axis totals). A quadrant's
+    pieces are the products of an x piece and a y piece.
     """
     h = 0.5 * grid.cell_size
     coords = grid.coords
     interior = (s * coords) > h - 1e-12
 
-    tot_p = grid.axis_weight_p.sum()
-    tot_c = grid.axis_weight_c.sum()
     # Clipped halves of cells sitting on the cut line (center cell only,
     # given the grid construction, but handle any on-axis cell).
     on_axis = np.abs(coords) < h - 1e-12
     lo = np.maximum(coords[on_axis] - h, 0.0) if s > 0 else coords[on_axis] - h
     hi = coords[on_axis] + h if s > 0 else np.minimum(coords[on_axis] + h, 0.0)
     hi = np.maximum(hi, lo)
-    clip_p = _interval_weights(lo, hi, grid.sigma_p) / tot_p
-    clip_c = _interval_weights(lo, hi, grid.sigma_c) / tot_c
-
-    wp = grid.axis_weight_p[interior] / tot_p
-    wc = grid.axis_weight_c[interior] / tot_c
-    return wp, wc, clip_p, clip_c
+    clip_p = _interval_weights(lo, hi, grid.sigma_p)
+    clip_c = _interval_weights(lo, hi, grid.sigma_c)
+    return grid.axis_weight_p[interior], grid.axis_weight_c[interior], clip_p, clip_c
 
 
 def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid, q: int) -> QuadrantCutResult:
@@ -270,26 +266,34 @@ def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid, q: int) -> QuadrantCut
     """
     if q not in QUADRANT_SIGNS:
         raise ValidationError(f"quadrant label must be 1..4, got {q}")
-    if grid.axis_weight_p.sum() <= 0 or grid.axis_weight_c.sum() <= 0:
+    tot_p = grid.axis_weight_p.sum()
+    tot_c = grid.axis_weight_c.sum()
+    if tot_p <= 0 or tot_c <= 0:
         raise UndefinedMomentsError("grid carries no power")
 
-    # Per axis: the side power of each beam, and the geometric-mean weight
-    # of the whole cells (kept covariance) and of all pieces.
-    side_p, side_c, keep, total = [], [], [], []
+    # Per axis: the whole cells' share of the geometric-mean weight of all
+    # pieces, then, as fractions of each beam's grid power, the side power
+    # of each beam and the geometric-mean weight of the whole cells (kept
+    # covariance). The share is scale-free and taken before the division by
+    # the axis totals, so the calibration's half-axis solve, which has no
+    # totals, repeats its arithmetic to the bit.
+    side_p, side_c, keep, kept_share = [], [], [], []
     for s in QUADRANT_SIGNS[q]:
         wp, wc, clip_p, clip_c = _axis_pieces(grid, s)
+        whole = float(np.sqrt(wp * wc).sum())
+        total = whole + float(np.sqrt(clip_p * clip_c).sum())
+        kept_share.append(whole / total if total > 0 else None)
+        wp, wc, clip_p, clip_c = wp / tot_p, wc / tot_c, clip_p / tot_p, clip_c / tot_c
         side_p.append(float(wp.sum() + clip_p.sum()))
         side_c.append(float(wc.sum() + clip_c.sum()))
         keep.append(float(np.sqrt(wp * wc).sum()))
-        total.append(keep[-1] + float(np.sqrt(clip_p * clip_c).sum()))
     eta_p = side_p[0] * side_p[1]
     eta_c = side_c[0] * side_c[1]
     if eta_p <= 0 or eta_c <= 0:
         raise UndefinedMomentsError(f"quadrant {q} carries no power")
 
-    geo_total = total[0] * total[1]
     geo_keep = keep[0] * keep[1]
-    f_straddle = 1.0 - geo_keep / geo_total if geo_total > 0 else 0.0
+    f_straddle = 0.0 if None in kept_share else 1.0 - kept_share[0] * kept_share[1]
 
     cut = TwinBeamMoments(
         mean_p=eta_p * m.mean_p,

@@ -7,13 +7,17 @@ geometry, per-sensor resonances, detector properties, and sweep settings.
 1. joint least-squares fit of the source parameters, the imaging-path
    transmission, and the coherence straddle fraction against the staged
    squeezing targets plus the expected post-sensor squeezing/attenuation;
-2. coherence-cell size recovered from the fitted straddle fraction;
+2. coherence-cell size solved from the fitted straddle fraction, which
+   the cell boundaries on one half-axis give in closed form without
+   building a grid;
 3. per-quadrant probe transmission fitted to the measured residual
    squeezing levels;
 4. per-sensor drive coefficients solved so the twin-beam SNR = 1
    thresholds match their calibration targets.
 
 All fits are deterministic (fixed starting points and iteration order).
+``scipy.optimize`` and the Monte Carlo layer are imported by the functions
+that use them, so loading a scenario imports neither.
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ from importlib import resources
 
 import numpy as np
 import yaml
-from scipy import optimize
 
-from . import analysis, detection, montecarlo, plasmonic
+from . import analysis, detection, plasmonic
 from .errors import FitInfeasibleError, ValidationError
 from .optics import (
     GaussianBeam,
@@ -43,6 +46,8 @@ from .source import (
     CoherenceGrid,
     FwmSourceParams,
     TwinBeamMoments,
+    _half_cells,
+    _interval_weights,
     build_coherence_grid,
     fwm_moments,
     source_squeezing,
@@ -355,6 +360,8 @@ class SensingChain:
         sampling; stochastic thinning is validated separately, in the
         bright regime where its Gaussian-equivalent form is unbiased.
         """
+        from . import montecarlo
+
         i, j = pair
         v = np.asarray(self.scenario.sweep_voltages_mv, float)
         m = apply_loss(self.pair_moments(i, j), self.pair_channel(i, j))
@@ -394,15 +401,39 @@ class SensingChain:
         )
 
 
+def _straddle_fraction(waist_p: float, waist_c: float, d: float, extent: float) -> float:
+    """Straddle fraction of the quadrant cut on a grid of cell size ``d``.
+
+    Equal to ``quadrant_cut(m, build_coherence_grid(waist_p, waist_c, d,
+    extent), 1).f_straddle`` without building the grid. Both axes of
+    quadrant 1 are the positive half-axis: the whole cells
+    ``[(k - 1/2) d, (k + 1/2) d]`` up to the grid edge, and the clipped
+    half ``[0, d/2]`` of the on-axis cell. With ``keep`` and ``clip`` their
+    geometric-mean powers, the fraction is ``1 - (keep / (keep + clip))**2``,
+    in the same arithmetic as the cut.
+    """
+    half = _half_cells(waist_p, waist_c, d, extent)
+    sigma_p, sigma_c = waist_p / 4.0, waist_c / 4.0
+    centers = np.arange(1, half + 1) * d
+    lo, hi = centers - 0.5 * d, centers + 0.5 * d
+    keep = float(
+        np.sqrt(_interval_weights(lo, hi, sigma_p) * _interval_weights(lo, hi, sigma_c)).sum()
+    )
+    clip = math.sqrt(
+        _interval_weights(0.0, 0.5 * d, sigma_p) * _interval_weights(0.0, 0.5 * d, sigma_c)
+    )
+    share = keep / (keep + clip)
+    return 1.0 - share * share
+
+
 def _fit_straddle_cell_size(scenario: Scenario, fs_target: float) -> float:
     """Cell size whose grid reproduces the fitted straddle fraction."""
+    from scipy import optimize
 
     def fs_of(d):
-        grid = build_coherence_grid(
+        return _straddle_fraction(
             scenario.waist_p_um, scenario.waist_c_um, d, scenario.extent_um
         )
-        src = TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0)
-        return quadrant_cut(src, grid, 1).f_straddle
 
     lo, hi = 0.005, scenario.waist_p_um
     flo, fhi = fs_of(lo), fs_of(hi)
@@ -416,6 +447,8 @@ def _fit_straddle_cell_size(scenario: Scenario, fs_target: float) -> float:
 
 def build_chain(scenario: Scenario) -> SensingChain:
     """Calibrate every free parameter of the scenario and assemble the chain."""
+    from scipy import optimize
+
     targets = scenario.stage_targets_db
     for label in ("source", "post_optics", "post_cut"):
         if label not in targets:

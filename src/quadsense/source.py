@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import UndefinedSNLError, ValidationError
 
@@ -141,9 +140,29 @@ def _interval_weights(edges_lo, edges_hi, sigma):
     """Gaussian power in [lo, hi] per axis for a centered beam.
 
     This is the one evaluator of Gaussian interval power; an off-center
-    beam passes bounds shifted into its own frame.
+    beam passes bounds shifted into its own frame. ``scipy.special`` is
+    imported on the first call, so subcommands that evaluate no beam power
+    start without scipy.
     """
+    from scipy.special import ndtr
+
     return ndtr(edges_hi / sigma) - ndtr(edges_lo / sigma)
+
+
+def _half_cells(waist_p: float, waist_c: float, d_c: float, extent: float) -> int:
+    """Number of whole cells on each side of the on-axis cell of a grid.
+
+    Validates the grid geometry for :func:`build_coherence_grid`.
+    """
+    if d_c <= 0:
+        raise ValidationError("coherence cell size must be > 0")
+    if d_c > extent:
+        raise ValidationError(
+            f"cell size {d_c} exceeds grid extent {extent}"
+        )
+    if extent < 4.0 * max(waist_p, waist_c) - 1e-9 and d_c < extent:
+        raise ValidationError("extent must cover at least 4 waists")
+    return math.ceil((0.5 * extent - 0.5 * d_c) / d_c)
 
 
 def build_coherence_grid(
@@ -157,16 +176,7 @@ def build_coherence_grid(
     One cell is centered on the beam axis (coherence cells have no reason
     to align with razor blades). Waists are 1/e^2 diameters: sigma = D / 4.
     """
-    if d_c <= 0:
-        raise ValidationError("coherence cell size must be > 0")
-    if d_c > extent:
-        raise ValidationError(
-            f"cell size {d_c} exceeds grid extent {extent}"
-        )
-    if extent < 4.0 * max(waist_p, waist_c) - 1e-9 and d_c < extent:
-        raise ValidationError("extent must cover at least 4 waists")
-
-    half = math.ceil((0.5 * extent - 0.5 * d_c) / d_c)
+    half = _half_cells(waist_p, waist_c, d_c, extent)
     idx = np.arange(-half, half + 1)
     coords = idx * d_c
 

@@ -1,0 +1,65 @@
+"""Each subcommand imports only the scipy subpackages it runs.
+
+Every case runs in a fresh interpreter, since ``sys.modules`` of the test
+process already holds whatever earlier tests imported.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quadsense
+
+SRC = str(Path(quadsense.__file__).resolve().parents[1])
+
+PROBE = """
+import json, sys
+import quadsense.cli as cli
+argv = json.loads(sys.argv[1])
+rc = cli.main(argv) if argv else None
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+
+def loaded_after(argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, rcs, forbidden",
+    [
+        ([], (None,), ("scipy",)),
+        (["resonance-scan"], (0,), ("scipy",)),
+        (["optimize-beam"], (0,), ("scipy.optimize", "scipy.sparse")),
+        # 1000 samples are too few for the 0.2 dB snl_linearity bound, so
+        # the run may exit 3; it still imports everything verify uses.
+        (["verify", "--samples", "1000"], (0, 3), ("scipy.optimize",)),
+    ],
+    ids=["import", "resonance-scan", "optimize-beam", "verify"],
+)
+def test_subcommand_imports_only_the_scipy_it_runs(tmp_path, argv, rcs, forbidden):
+    if argv:
+        argv = argv + ["--out", str(tmp_path)]
+    result = loaded_after(argv, tmp_path)
+    assert result["rc"] in rcs
+    loaded = [
+        m
+        for m in result["modules"]
+        if any(m == p or m.startswith(p + ".") for p in forbidden)
+    ]
+    assert loaded == []

@@ -7,7 +7,9 @@ import yaml
 from conftest import default_scenario_dict
 from quadsense import cli
 from quadsense.errors import FitInfeasibleError, ValidationError
-from quadsense.scenario import Scenario, build_chain, dump_scenario
+from quadsense.optics import quadrant_cut
+from quadsense.scenario import Scenario, _straddle_fraction, build_chain, dump_scenario
+from quadsense.source import TwinBeamMoments, build_coherence_grid
 
 
 def test_scenario_reports_missing_key_with_path():
@@ -73,6 +75,25 @@ def test_fixed_cell_size_skips_straddle_fit(scenario):
     assert chain.cell_um == 0.1
 
 
+@pytest.mark.parametrize(
+    "waist_p, waist_c", [(360.0, 360.0), (360.0, 300.0), (300.0, 400.0), (100.0, 330.0)]
+)
+def test_straddle_fraction_matches_the_quadrant_cut(waist_p, waist_c):
+    extent = 4.0 * max(waist_p, waist_c)
+    unit = TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0)
+    for d in (0.005, 0.05, 0.3, 1.7, 12.0, 100.0):
+        grid = build_coherence_grid(waist_p, waist_c, d, extent)
+        expected = quadrant_cut(unit, grid, 1).f_straddle
+        assert _straddle_fraction(waist_p, waist_c, d, extent) == pytest.approx(
+            expected, rel=1e-12, abs=0.0
+        ), d
+
+
+def test_default_chain_cell_size(chain):
+    # The cell size that solving on whole grids returned, to the last bit.
+    assert chain.cell_um == pytest.approx(0.05169314805940239, rel=1e-12, abs=0.0)
+
+
 def test_coarse_cell_size_is_infeasible(scenario):
     cfg = copy.deepcopy(scenario.raw)
     cfg["coherence"]["cell_um"] = 40.0
@@ -120,6 +141,19 @@ def test_cli_dark_conjugate_arm_is_numeric_error(tmp_path, section, key):
     path = tmp_path / "dark.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert run_cli("squeezing-budget", "--scenario", str(path)) == 3
+
+
+def test_cli_infeasible_stage_targets_print_residuals(tmp_path, capsys):
+    cfg = default_scenario_dict()
+    cfg["calibration"]["stage_targets_db"].update({"source": -12.0, "post_optics": -1.0})
+    path = tmp_path / "infeasible.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run_cli("squeezing-budget", "--scenario", str(path), "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("consistency error: ") and err.count("\n") == 1, err
+    assert "residuals_db: " in err
+    for stage in ("source", "post_optics", "post_cut", "final", "attenuation"):
+        assert f"{stage}=" in err, stage
 
 
 def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
