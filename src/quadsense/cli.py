@@ -20,7 +20,12 @@ import numpy as np
 
 from .analysis import threshold_voltage
 from .errors import QuadsenseError, ValidationError
-from .optics import GaussianBeam, optimize_waist, quadrant_transmission
+from .optics import (
+    WAIST_GRID_POINTS,
+    GaussianBeam,
+    optimize_waist,
+    quadrant_transmission,
+)
 from .plasmonic import transmission_at
 from .scenario import QUADRANTS, Scenario, build_chain, dump_scenario, load_scenario
 
@@ -85,7 +90,7 @@ def _cmd_optimize_beam(scenario: Scenario, args, out: Path) -> int:
     best_d, best_t = optimize_waist(scenario.layout, d_range)
     header = ["diameter_um", "total_transmission"]
     rows = []
-    for d in np.linspace(*d_range, 181):
+    for d in np.linspace(*d_range, WAIST_GRID_POINTS):
         qt = quadrant_transmission(GaussianBeam.from_waist(float(d)), scenario.layout)
         rows.append([_fmt(float(d)), _fmt(qt.total)])
     _write_csv(out / "beam_curve.csv", header, rows)

@@ -23,7 +23,6 @@ from .optics import LossChannel
 from .source import TwinBeamMoments
 
 __all__ = [
-    "DetectorConfig",
     "NoiseReport",
     "attenuation_db",
     "difference_noise",
@@ -35,44 +34,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Detector quantum efficiency plus the electronic attenuation factor.
-
-    ``gain`` multiplies the conjugate photocurrent amplitude; the reported
-    attenuation is 20 log10(1/g) (amplitude convention).
-    """
-
-    quantum_efficiency: float = 0.95
-    gain: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.quantum_efficiency <= 1.0:
-            raise ValidationError("quantum efficiency must be in [0, 1]")
-        if self.gain < 0.0:
-            raise ValidationError("electronic gain must be >= 0")
-
-    @property
-    def gain_db(self) -> float:
-        return attenuation_db(self.gain)
-
-    def loss_channel(self) -> LossChannel:
-        """Quantum efficiency expressed as an equal-arm loss channel."""
-        return LossChannel(self.quantum_efficiency, self.quantum_efficiency)
-
-
-def attenuation_db(g: float, convention: str = "amplitude") -> float:
-    """Electronic attenuation in dB for a photocurrent factor g < 1.
-
-    ``amplitude``: 20 log10(1/g); ``power``: 10 log10(1/g).
-    """
+def attenuation_db(g: float) -> float:
+    """Electronic attenuation 20 log10(1/g) in dB for a photocurrent
+    amplitude factor g < 1."""
     if g <= 0:
         return math.inf
-    if convention == "amplitude":
-        return 20.0 * math.log10(1.0 / g)
-    if convention == "power":
-        return 10.0 * math.log10(1.0 / g)
-    raise ValidationError(f"unknown attenuation convention {convention!r}")
+    return 20.0 * math.log10(1.0 / g)
 
 
 def _probe_term(m: TwinBeamMoments, ch: LossChannel) -> float:

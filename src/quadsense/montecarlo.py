@@ -13,20 +13,19 @@ sampler:
 - ``(seed, 0, chunk)``: :func:`sample_pair`;
 - ``(seed, 1, chunk)``: :func:`thinning_loss`;
 - ``(seed, 2, quadrant, chunk)``: :func:`sample_photocurrents`;
+- ``(seed, 9, 9)``: the drive-tone phases of
+  :meth:`scenario.SensingChain.sampled_snr_sweep`;
 - ``(seed, 13, k)``: the ``k``-th swept power of the ``snl_linearity`` check.
 
-Each chunk of 2^20 samples has its own substream, so batches are bitwise
-identical for any worker count. Where :func:`run_verification` calls one
-sampler more than once, it XORs the seed with a constant, so no two checks
-share a stream; only the two batches that the ``worker_invariance`` check
-compares draw the same streams, by design.
+Each chunk of 2^20 samples has its own substream. Where
+:func:`run_verification` calls one sampler more than once, it XORs the seed
+with a constant, so no two checks share a stream.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +54,10 @@ __all__ = [
 ]
 
 CHUNK = 1 << 20
+# Number-basis cutoffs tried in turn by the Fock oracle, and the largest
+# probability mass it accepts on the cutoff boundary.
+FOCK_TRUNCATIONS = (24, 36, 48, 64, 80)
+FOCK_TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -156,12 +159,19 @@ def _fill_chunk(rng, mp, mc, a, b, c, probe, conj):
     probe += mp
 
 
+def _sample_chunked(factors, n: int, seed: int, *key) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` bivariate Gaussian samples with the means and Cholesky factors
+    ``factors``; chunk ``k`` draws from the ``(seed, *key, k)`` substream."""
+    probe = np.empty(n)
+    conj = np.empty(n)
+    for k, lo, size in _chunks(n):
+        part = slice(lo, lo + size)
+        _fill_chunk(_generator(seed, *key, k), *factors, probe[part], conj[part])
+    return probe, conj
+
+
 def sample_photocurrents(
-    grid: CoherenceGrid,
-    m: TwinBeamMoments,
-    n: int,
-    seed: int,
-    n_workers: int = 1,
+    grid: CoherenceGrid, m: TwinBeamMoments, n: int, seed: int
 ) -> SampleBatch:
     """Sample per-quadrant intensities of the partitioned twin beam.
 
@@ -170,46 +180,24 @@ def sample_photocurrents(
     parts of cells on a cut line), which are mutually independent bivariate
     Gaussians; so it is drawn as one bivariate Gaussian with the summed
     moments of :func:`_quadrant_moments`, whose expectation is
-    ``quadrant_cut(m, grid, q).moments``. Each (quadrant, chunk) of 2^20
-    samples draws from its own (seed, 2, quadrant, chunk) substream into
-    its slice of the per-quadrant arrays, so the result does not depend on
-    ``n_workers``.
+    ``quadrant_cut(m, grid, q).moments``. Quadrant ``q`` draws from the
+    ``(seed, 2, q, chunk)`` substreams.
     """
     if grid.n_cells > 1 << 18:
         raise ValidationError(
-            f"grid with {grid.n_cells} cells is too fine for per-cell "
-            "sampling; use a coarser verification grid"
+            f"grid with {grid.n_cells} cells is too fine to enumerate its "
+            "quadrant pieces; use a coarser verification grid"
         )
-    factors = {q: _factors(_quadrant_moments(grid, m, q)) for q in QUADRANT_SIGNS}
-    probe = {q: np.empty(n) for q in QUADRANT_SIGNS}
-    conj = {q: np.empty(n) for q in QUADRANT_SIGNS}
-
-    def work(task):
-        q, k, lo, size = task
-        part = slice(lo, lo + size)
-        rng = _generator(seed, 2, q, k)
-        _fill_chunk(rng, *factors[q], probe[q][part], conj[q][part])
-
-    tasks = [(q, *chunk) for q in QUADRANT_SIGNS for chunk in _chunks(n)]
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            # Read every result so a worker's exception is raised here.
-            list(pool.map(work, tasks))
-    else:
-        for task in tasks:
-            work(task)
+    probe, conj = {}, {}
+    for q in QUADRANT_SIGNS:
+        factors = _factors(_quadrant_moments(grid, m, q))
+        probe[q], conj[q] = _sample_chunked(factors, n, seed, 2, q)
     return SampleBatch(n_samples=n, seed=seed, probe=probe, conjugate=conj)
 
 
 def sample_pair(m: TwinBeamMoments, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Whole-beam probe/conjugate samples (single-cell shortcut)."""
-    probe = np.empty(n)
-    conj = np.empty(n)
-    factors = _factors(m)
-    for k, lo, size in _chunks(n):
-        part = slice(lo, lo + size)
-        _fill_chunk(_generator(seed, 0, k), *factors, probe[part], conj[part])
-    return probe, conj
+    return _sample_chunked(_factors(m), n, seed, 0)
 
 
 def thinning_loss(samples: np.ndarray, eta: float, seed: int) -> np.ndarray:
@@ -269,19 +257,14 @@ def _coherent_vector(alpha: float, n_max: int) -> np.ndarray:
     return np.exp(log_c)
 
 
-def fock_two_mode_squeezer_moments(
-    gain: float,
-    seed_amplitude: float,
-    truncation: int | None = None,
-    tail_tol: float = 1e-10,
-) -> TwinBeamMoments:
+def fock_two_mode_squeezer_moments(gain: float, seed_amplitude: float) -> TwinBeamMoments:
     """Photon-number moments of a two-mode squeezer on a coherent seed.
 
     Builds the state exp(r(a'b' - ab)) |alpha, 0> in a truncated number
     basis with cosh^2(r) = gain and computes means, variances, and the
-    covariance by direct summation. The probability mass on the truncation
-    boundary must stay below ``tail_tol``; with ``truncation=None`` the
-    basis grows until it does.
+    covariance by direct summation. The basis grows through
+    :data:`FOCK_TRUNCATIONS` until the probability mass on its boundary is
+    below :data:`FOCK_TAIL_TOL`.
     """
     if gain < 1.0:
         raise ValidationError("gain must be >= 1")
@@ -289,9 +272,8 @@ def fock_two_mode_squeezer_moments(
         raise ValidationError("seed amplitude must be >= 0")
     r = math.acosh(math.sqrt(gain))
 
-    sizes = [truncation] if truncation is not None else [24, 36, 48, 64, 80]
     last_tail = None
-    for n_max in sizes:
+    for n_max in FOCK_TRUNCATIONS:
         dim = n_max + 1
         coh = _coherent_vector(seed_amplitude, n_max)
         # |alpha>_p x |0>_c : conjugate index 0 for every probe level.
@@ -302,7 +284,7 @@ def fock_two_mode_squeezer_moments(
         prob = (psi * psi).reshape(dim, dim)
         tail = float(prob[-1, :].sum() + prob[:, -1].sum())
         last_tail = tail
-        if tail < tail_tol:
+        if tail < FOCK_TAIL_TOL:
             n = np.arange(dim, dtype=float)
             pn_p = prob.sum(axis=1)
             pn_c = prob.sum(axis=0)
@@ -315,21 +297,20 @@ def fock_two_mode_squeezer_moments(
                 mean_p, mean_c, var_p, var_c, cross - mean_p * mean_c
             )
     raise TailMassError(
-        f"truncation {sizes[-1]} leaves tail mass {last_tail:.3e} > {tail_tol:.0e}"
+        f"truncation {FOCK_TRUNCATIONS[-1]} leaves tail mass {last_tail:.3e} "
+        f"> {FOCK_TAIL_TOL:.0e}"
     )
 
 
-def stimulated_fock_moments(
-    gain: float, seed_flux: float, truncation: int | None = None
-) -> TwinBeamMoments:
+def stimulated_fock_moments(gain: float, seed_flux: float) -> TwinBeamMoments:
     """Seed-stimulated component of the squeezer output.
 
     The spontaneous (seed-independent) part of every moment is removed by
     subtracting a vacuum-seeded run, which isolates the bright-beam moments
     the analytic source model describes.
     """
-    seeded = fock_two_mode_squeezer_moments(gain, math.sqrt(seed_flux), truncation)
-    vac = fock_two_mode_squeezer_moments(gain, 0.0, truncation)
+    seeded = fock_two_mode_squeezer_moments(gain, math.sqrt(seed_flux))
+    vac = fock_two_mode_squeezer_moments(gain, 0.0)
     return TwinBeamMoments(
         seeded.mean_p - vac.mean_p,
         seeded.mean_c - vac.mean_c,
@@ -505,33 +486,6 @@ def _partition_checks(grid, m, n, seed):
     return sums, independence
 
 
-def _worker_invariance_check(m, seed):
-    """Determinism across worker counts.
-
-    Invariance rests on the (quadrant, chunk) task layout, not on the grid
-    or the sample size, so the check uses a one-cell grid at one chunk
-    plus a remainder: the workers then split eight tasks and meet at a
-    chunk boundary whatever n_samples is. Its seed is XORed with a
-    constant so that it does not redraw the streams of the partition batch.
-    """
-    coarse = build_coherence_grid(16.0, 16.0, 64.0, 64.0)
-    n_inv = CHUNK + 12345
-    batch3 = sample_photocurrents(coarse, m, n_inv, seed ^ 0x1A7E, n_workers=3)
-    batch1 = sample_photocurrents(coarse, m, n_inv, seed ^ 0x1A7E, n_workers=1)
-    identical = all(
-        np.array_equal(batch1.probe[q], batch3.probe[q])
-        and np.array_equal(batch1.conjugate[q], batch3.conjugate[q])
-        for q in QUADRANT_SIGNS
-    )
-    return _check(
-        "worker_invariance",
-        0.0 if identical else 1.0,
-        0.5,
-        "per-quadrant sample batches are bitwise identical for 1 and 3 "
-        "workers",
-    )
-
-
 def _partition_balance_check(grid):
     """An on-axis beam splits its power evenly and the four analytic cut
     transmissions sum to at most 1."""
@@ -569,6 +523,5 @@ def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
         *_bright_pair_checks(m, n, seed),
         _snl_check(bright, min(n, 1_000_000), seed),
         *_partition_checks(grid, m, min(n, 1_000_000), seed),
-        _worker_invariance_check(m, seed),
         _partition_balance_check(grid),
     ]

@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
+# Coarse diameters that :func:`optimize_waist` scans, and the bracket width
+# in um at which its golden-section refinement stops.
+WAIST_GRID_POINTS = 181
+WAIST_TOL_UM = 0.2
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,6 @@ class QuadrantLayout:
     window_size: float = 200.0
     gap: float = 20.0
     tilt_deg: float = 26.0
-    window_transmissions: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.window_size <= 0:
@@ -69,9 +72,6 @@ class QuadrantLayout:
             raise ValidationError("gap must be >= 0")
         if not 0.0 <= self.tilt_deg < 90.0:
             raise ValidationError("tilt must be in [0, 90) degrees")
-        for t in self.window_transmissions:
-            if not 0.0 <= t <= 1.0:
-                raise ValidationError("window transmissions must be in [0, 1]")
 
     @property
     def cos_tilt(self) -> float:
@@ -104,9 +104,6 @@ class LossChannel:
         if not (0.0 <= self.eta_p <= 1.0 and 0.0 <= self.eta_c <= 1.0):
             raise ValidationError("transmissions must lie in [0, 1]")
 
-    def compose(self, other: "LossChannel") -> "LossChannel":
-        return LossChannel(self.eta_p * other.eta_p, self.eta_c * other.eta_c)
-
 
 @dataclass(frozen=True)
 class QuadrantTransmission:
@@ -136,34 +133,28 @@ def quadrant_transmission(
 
     fractions = {}
     total = 0.0
-    windows_sum = 0.0
     for q in (1, 2, 3, 4):
         frac = power(*layout.window_bounds(q))
         fractions[q] = frac
-        windows_sum += frac
-        total += frac * layout.window_transmissions[q - 1]
+        total += frac
 
     hx, hy = layout.half_extent
     in_square = power(-hx, hx, -hy, hy)
     return QuadrantTransmission(
         window_fractions=fractions,
         total=total,
-        gap_fraction=max(in_square - windows_sum, 0.0),
+        gap_fraction=max(in_square - total, 0.0),
         tail_fraction=1.0 - in_square,
     )
 
 
-def optimize_waist(
-    layout: QuadrantLayout,
-    d_range: tuple[float, float],
-    n_coarse: int = 181,
-    tol: float = 0.2,
-):
+def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float]):
     """Beam waist diameter maximizing the total quadrant transmission.
 
-    Coarse grid over ``d_range`` followed by golden-section refinement.
-    Ties on a flat objective break toward the smallest diameter. Returns
-    ``(best_diameter, best_total)``.
+    Coarse grid of :data:`WAIST_GRID_POINTS` diameters over ``d_range``,
+    then golden-section refinement to a bracket narrower than
+    :data:`WAIST_TOL_UM`. Ties on a flat objective break toward the
+    smallest diameter. Returns ``(best_diameter, best_total)``.
     """
     d_lo, d_hi = d_range
     if not 0 < d_lo < d_hi:
@@ -172,13 +163,13 @@ def optimize_waist(
     def total(d):
         return quadrant_transmission(GaussianBeam.from_waist(d), layout).total
 
-    ds = np.linspace(d_lo, d_hi, n_coarse)
+    ds = np.linspace(d_lo, d_hi, WAIST_GRID_POINTS)
     vals = np.array([total(d) for d in ds])
     if vals.max() - vals.min() < 1e-12:
         # Flat objective: every diameter is optimal; return the smallest.
         return float(ds[0]), float(vals[0])
     k = int(np.argmax(vals))
-    if k == 0 or k == n_coarse - 1:
+    if k == 0 or k == WAIST_GRID_POINTS - 1:
         raise SearchError(
             f"range {d_range} does not bracket an interior transmission maximum"
         )
@@ -189,7 +180,7 @@ def optimize_waist(
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = total(c), total(d)
-    while b - a > tol:
+    while b - a > WAIST_TOL_UM:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

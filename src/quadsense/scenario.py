@@ -193,17 +193,19 @@ class Scenario:
                 raise ValidationError("modulation.kappa needs 4 entries")
 
         cell_um = coh.get("cell_um")
+        if cell_um is not None:
+            cell_um = _number(cell_um, "coherence.cell_um", above=0.0)
         return cls(
             raw=copy.deepcopy(cfg),
             seed=int(_field(cfg, "seed", "", 0, above=-1.0)),
             seed_flux=_field(src, "seed_flux", "source", 1.0),
             wavelength_nm=_field(cfg, "wavelength_nm", "", 795.0),
-            waist_p_um=_field(beam, "waist_p_um", "beam"),
-            waist_c_um=_field(beam, "waist_c_um", "beam"),
+            waist_p_um=_field(beam, "waist_p_um", "beam", above=0.0),
+            waist_c_um=_field(beam, "waist_c_um", "beam", above=0.0),
             layout=layout,
             mask_transmission=_field(lay, "mask_transmission", "layout", 0.90),
             extent_um=_field(coh, "extent_um", "coherence"),
-            cell_um=None if cell_um is None else _number(cell_um, "coherence.cell_um"),
+            cell_um=cell_um,
             quantum_efficiency=_field(det, "quantum_efficiency", "detector", 0.95),
             resonances=tuple(resonances),
             modulation_frequency_hz=_field(mod, "frequency_hz", "modulation"),
@@ -369,9 +371,7 @@ class SensingChain:
         p, c = montecarlo.sample_pair(m, n_samples, seed)
         diff = p - g * c
         s_off = float(np.var(diff))
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(9, 9)))
-        )
+        rng = montecarlo._generator(seed, 9, 9)
         tone = np.sin(rng.uniform(0.0, 2.0 * math.pi, n_samples))
         snrs = []
         clamped = False
@@ -506,7 +506,9 @@ def build_chain(scenario: Scenario) -> SensingChain:
             residuals_db=residuals_db,
         )
 
-    cell_um = scenario.cell_um or _fit_straddle_cell_size(scenario, float(fs))
+    cell_um = scenario.cell_um
+    if cell_um is None:
+        cell_um = _fit_straddle_cell_size(scenario, float(fs))
     grid = build_coherence_grid(
         scenario.waist_p_um, scenario.waist_c_um, cell_um, scenario.extent_um
     )
@@ -541,7 +543,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
             return rep.ratio_db - target_db
 
         lo, hi = 1e-4, 1.0
-        if resid(hi) > 0:
+        if resid(hi) > 0 or resid(lo) < 0:
             raise FitInfeasibleError(
                 f"residual squeezing {target_db} dB unreachable for quadrant {q}"
             )

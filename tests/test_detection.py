@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from quadsense import detection
 from quadsense.detection import (
-    DetectorConfig,
     attenuation_db,
     covariance_from_noise,
     difference_noise,
@@ -118,20 +117,9 @@ def test_squeezing_report_gain_two_optimal():
 
 
 def test_attenuation_conventions():
-    assert attenuation_db(0.5, "amplitude") == pytest.approx(20.0 * math.log10(2.0))
-    assert attenuation_db(0.5, "power") == pytest.approx(10.0 * math.log10(2.0))
+    # Amplitude convention: g multiplies the photocurrent amplitude.
+    assert attenuation_db(0.5) == pytest.approx(20.0 * math.log10(2.0))
     assert attenuation_db(0.0) == math.inf
-    with pytest.raises(ValidationError):
-        attenuation_db(0.5, "nepers")
-
-
-def test_detector_config():
-    cfg = DetectorConfig(quantum_efficiency=0.95, gain=0.55)
-    assert cfg.gain_db == pytest.approx(attenuation_db(0.55))
-    ch = cfg.loss_channel()
-    assert ch.eta_p == ch.eta_c == 0.95
-    with pytest.raises(ValidationError):
-        DetectorConfig(quantum_efficiency=1.2, gain=1.0)
 
 
 # -- properties -------------------------------------------------------------

@@ -55,16 +55,6 @@ def test_reference_layout_at_330um_transmits_eighty_percent():
     assert qt.total == pytest.approx(0.80, abs=0.02)
 
 
-def test_window_transmissions_scale_total():
-    layout = QuadrantLayout(
-        window_size=200.0, gap=20.0, tilt_deg=26.0,
-        window_transmissions=(0.5, 0.5, 0.5, 0.5),
-    )
-    full = quadrant_transmission(GaussianBeam.from_waist(330.0), REFERENCE_LAYOUT)
-    half = quadrant_transmission(GaussianBeam.from_waist(330.0), layout)
-    assert half.total == pytest.approx(0.5 * full.total, rel=1e-9)
-
-
 def test_transmission_symmetric_for_centered_beam_without_tilt():
     layout = QuadrantLayout(window_size=200.0, gap=20.0, tilt_deg=0.0)
     qt = quadrant_transmission(GaussianBeam.from_waist(330.0), layout)
@@ -109,7 +99,7 @@ def test_optimize_waist_reproduces_optimum():
 
 def test_optimize_waist_flat_objective_returns_smallest_diameter():
     layout = QuadrantLayout(window_size=1e7, gap=0.0, tilt_deg=0.0)
-    best_d, best_t = optimize_waist(layout, (100.0, 1000.0), n_coarse=21)
+    best_d, best_t = optimize_waist(layout, (100.0, 1000.0))
     assert best_d == pytest.approx(100.0)
     assert best_t == pytest.approx(1.0, abs=1e-6)
 
@@ -167,7 +157,7 @@ def test_apply_loss_gain_two_example():
 def test_apply_loss_composition(m, e1p, e1c, e2p, e2c):
     ch1, ch2 = LossChannel(e1p, e1c), LossChannel(e2p, e2c)
     seq = apply_loss(apply_loss(m, ch1), ch2)
-    combined = apply_loss(m, ch1.compose(ch2))
+    combined = apply_loss(m, LossChannel(e1p * e2p, e1c * e2c))
     assert seq.mean_p == pytest.approx(combined.mean_p, rel=1e-12, abs=1e-300)
     assert seq.var_p == pytest.approx(combined.var_p, rel=1e-9, abs=1e-12)
     assert seq.var_c == pytest.approx(combined.var_c, rel=1e-9, abs=1e-12)
@@ -326,8 +316,6 @@ def test_layout_validation():
         QuadrantLayout(gap=-1.0)
     with pytest.raises(ValidationError):
         QuadrantLayout(tilt_deg=90.0)
-    with pytest.raises(ValidationError):
-        QuadrantLayout(window_transmissions=(1.0, 1.0, 1.0, 1.5))
     with pytest.raises(ValidationError):
         LossChannel(1.2, 0.5)
     with pytest.raises(ValidationError):

@@ -143,6 +143,19 @@ def test_cli_dark_conjugate_arm_is_numeric_error(tmp_path, section, key):
     assert run_cli("squeezing-budget", "--scenario", str(path)) == 3
 
 
+@pytest.mark.parametrize("value", [0.0, 0.5])
+def test_cli_non_squeezed_residual_is_numeric_error(tmp_path, capsys, value):
+    # Every probe transmission leaves the difference noise below the SNL, so
+    # a residual target at or above 0 dB has no solution.
+    cfg = default_scenario_dict()
+    cfg["calibration"]["residual_db"][1] = value
+    path = tmp_path / "residual.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run_cli("squeezing-budget", "--scenario", str(path), "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "unreachable for quadrant 2" in err and err.count("\n") == 1, err
+
+
 def test_cli_infeasible_stage_targets_print_residuals(tmp_path, capsys):
     cfg = default_scenario_dict()
     cfg["calibration"]["stage_targets_db"].update({"source": -12.0, "post_optics": -1.0})
@@ -173,6 +186,10 @@ def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
         (None, "rbw_scale", "abc"),
         ("calibration", "gain_bound", 0.5),
         ("calibration", "gain_bound", float("inf")),
+        ("beam", "waist_p_um", 0.0),
+        ("beam", "waist_c_um", 0.0),
+        ("beam", "waist_c_um", -10.0),
+        ("coherence", "cell_um", 0.0),
     ],
 )
 def test_cli_out_of_range_scalar_is_validation_error(tmp_path, section, key, value):
