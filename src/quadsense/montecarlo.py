@@ -469,13 +469,16 @@ def _partition_checks(grid, m, n, seed):
 
     worst = 0.0
     quads = sorted(QUADRANT_SIGNS)
+    beams = {
+        q: [(x, np.var(x)) for x in (batch.probe[q], batch.conjugate[q])] for q in quads
+    }
     for a in quads:
         for b in quads:
             if a >= b:
                 continue
-            for xa in (batch.probe[a], batch.conjugate[a]):
-                for xb in (batch.probe[b], batch.conjugate[b]):
-                    worst = max(worst, _z_cov(xa, xb, np.var(xa), np.var(xb), 0.0))
+            for xa, var_a in beams[a]:
+                for xb, var_b in beams[b]:
+                    worst = max(worst, _z_cov(xa, xb, var_a, var_b, 0.0))
     independence = _check(
         "cross_quadrant_independence",
         worst,

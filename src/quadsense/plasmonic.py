@@ -61,10 +61,20 @@ class IndexModulation:
             raise ValidationError("drive coefficients must be >= 0")
 
 
+def _detuning_overflow(r: EOTResonance, wavelength: float) -> ValidationError:
+    return ValidationError(
+        f"wavelength {wavelength:g} nm is too far from the resonance at "
+        f"{r.lambda0:g} nm to evaluate"
+    )
+
+
 def transmission_at(r: EOTResonance, wavelength: float) -> float:
     """Lorentzian transmission at the given wavelength (nm)."""
     half = 0.5 * r.linewidth
-    return r.t_max * half * half / ((wavelength - r.lambda0) ** 2 + half * half)
+    try:
+        return r.t_max * half * half / ((wavelength - r.lambda0) ** 2 + half * half)
+    except OverflowError:
+        raise _detuning_overflow(r, wavelength) from None
 
 
 def transduction_slope(r: EOTResonance, wavelength: float) -> float:
@@ -76,7 +86,10 @@ def transduction_slope(r: EOTResonance, wavelength: float) -> float:
     """
     half = 0.5 * r.linewidth
     delta = wavelength - r.lambda0
-    dt_dlambda = -2.0 * r.t_max * half * half * delta / (delta**2 + half * half) ** 2
+    try:
+        dt_dlambda = -2.0 * r.t_max * half * half * delta / (delta**2 + half * half) ** 2
+    except OverflowError:
+        raise _detuning_overflow(r, wavelength) from None
     return -dt_dlambda * r.dlambda_dn
 
 

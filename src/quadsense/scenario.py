@@ -6,7 +6,10 @@ geometry, per-sensor resonances, detector properties, and sweep settings.
 
 1. joint least-squares fit of the source parameters, the imaging-path
    transmission, and the coherence straddle fraction against the staged
-   squeezing targets plus the expected post-sensor squeezing/attenuation;
+   squeezing targets plus the expected post-sensor squeezing/attenuation.
+   It reads only the source inputs (gain bound, seed flux, staged and
+   final targets), so it is computed once per distinct source input per
+   process and shared by every scenario that differs only downstream;
 2. coherence-cell size solved from the fitted straddle fraction, which
    the cell boundaries on one half-axis give in closed form without
    building a grid;
@@ -23,6 +26,7 @@ that use them, so loading a scenario imports neither.
 from __future__ import annotations
 
 import copy
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -445,6 +449,81 @@ def _fit_straddle_cell_size(scenario: Scenario, fs_target: float) -> float:
     return float(optimize.brentq(lambda d: fs_of(d) - fs_target, lo, hi, xtol=1e-3))
 
 
+def _stage_values(x, seed_flux: float, eta_p: float, eta_c: float):
+    """Source, post-optics and abstract post-cut moments, and the final
+    squeezing report, at the fit parameters ``x = (gain, zc, zu, eta_opt, fs)``."""
+    gain, zc, zu, eta_opt, fs = x
+    p = FwmSourceParams(
+        gain=max(gain, 1.0),
+        seed_flux=seed_flux,
+        excess_correlated=max(zc, 0.0),
+        excess_uncorrelated=max(zu, 0.0),
+    )
+    m0 = fwm_moments(p)
+    m1 = apply_loss(m0, LossChannel(eta_opt, eta_opt))
+    m2 = _partition_cut(m1, 0.25, fs)
+    rep = detection.squeezing_report(m2, LossChannel(eta_p, eta_c), "optimal")
+    return p, m0, m1, m2, rep
+
+
+# Distinct source inputs kept per process; a calibration sweep over a
+# handful of gain bounds needs one entry per bound.
+SOURCE_FIT_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=SOURCE_FIT_CACHE_SIZE)
+def _fit_source(
+    gain_bound: float,
+    seed_flux: float,
+    source_db: float,
+    post_optics_db: float,
+    post_cut_db: float,
+    squeezing_db: float,
+    attenuation_db: float,
+    eta_p: float,
+    eta_c: float,
+) -> tuple:
+    """Joint least-squares fit of ``(gain, zc, zu, eta_opt, fs)`` to the
+    staged squeezing targets and the expected post-sensor squeezing and
+    attenuation.
+
+    A pure function of its arguments, which are the whole cache key, so
+    every scenario with the same source inputs reuses one fit. Returns the
+    solution as a tuple of Python floats.
+    """
+    from scipy import optimize
+
+    def residuals(x):
+        _, m0, m1, m2, rep = _stage_values(x, seed_flux, eta_p, eta_c)
+        return np.array(
+            [
+                3.0 * (source_squeezing(m0)[1] - source_db),
+                3.0 * (source_squeezing(m1)[1] - post_optics_db),
+                3.0 * (source_squeezing(m2)[1] - post_cut_db),
+                rep.ratio_db - squeezing_db,
+                0.7 * (rep.gain_db - attenuation_db),
+            ]
+        )
+
+    x0 = [min(5.0, gain_bound), 1e-3, 1e-2, 0.95, 0.01]
+    # The trust region rejects a trial step whose moments overflow, so
+    # numpy's overflow warnings carry nothing; only a non-finite start fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(residuals(np.asarray(x0, float)))):
+            raise ValidationError(
+                f"source.seed_flux {seed_flux:g} overflows the source moments "
+                f"at the fit's starting point"
+            )
+        sol = optimize.least_squares(
+            residuals,
+            x0=x0,
+            bounds=([1.0, 0.0, 0.0, 0.01, 0.0], [gain_bound, 10.0, 10.0, 1.0, 1.0]),
+            xtol=1e-15,
+            ftol=1e-15,
+        )
+    return tuple(float(v) for v in sol.x)
+
+
 def build_chain(scenario: Scenario) -> SensingChain:
     """Calibrate every free parameter of the scenario and assemble the chain."""
     from scipy import optimize
@@ -455,43 +534,24 @@ def build_chain(scenario: Scenario) -> SensingChain:
             raise ValidationError(f"calibration.stage_targets_db missing {label!r}")
     final = scenario.final_target
 
-    def stage_values(x):
-        gain, zc, zu, eta_opt, fs = x
-        p = FwmSourceParams(
-            gain=max(gain, 1.0),
-            seed_flux=scenario.seed_flux,
-            excess_correlated=max(zc, 0.0),
-            excess_uncorrelated=max(zu, 0.0),
-        )
-        m0 = fwm_moments(p)
-        m1 = apply_loss(m0, LossChannel(eta_opt, eta_opt))
-        m2 = _partition_cut(m1, 0.25, fs)
-        rep = detection.squeezing_report(
-            m2, LossChannel(final["eta_p"], final["eta_c"]), "optimal"
-        )
-        return p, m0, m1, m2, rep
-
-    def residuals(x):
-        _, m0, m1, m2, rep = stage_values(x)
-        return np.array(
-            [
-                3.0 * (source_squeezing(m0)[1] - targets["source"]),
-                3.0 * (source_squeezing(m1)[1] - targets["post_optics"]),
-                3.0 * (source_squeezing(m2)[1] - targets["post_cut"]),
-                rep.ratio_db - final["squeezing_db"],
-                0.7 * (rep.gain_db - final["attenuation_db"]),
-            ]
-        )
-
-    sol = optimize.least_squares(
-        residuals,
-        x0=[min(5.0, scenario.gain_bound), 1e-3, 1e-2, 0.95, 0.01],
-        bounds=([1.0, 0.0, 0.0, 0.01, 0.0], [scenario.gain_bound, 10.0, 10.0, 1.0, 1.0]),
-        xtol=1e-15,
-        ftol=1e-15,
+    x = _fit_source(
+        scenario.gain_bound,
+        scenario.seed_flux,
+        targets["source"],
+        targets["post_optics"],
+        targets["post_cut"],
+        final["squeezing_db"],
+        final["attenuation_db"],
+        final["eta_p"],
+        final["eta_c"],
     )
-    params, m0, m1, m2_abstract, final_rep = stage_values(sol.x)
-    gain, zc, zu, eta_optics, fs = sol.x
+    # As numpy scalars, as the fit evaluated them, so the stages repeat the
+    # fit's arithmetic to the bit.
+    x = np.asarray(x, float)
+    params, m0, m1, m2_abstract, final_rep = _stage_values(
+        x, scenario.seed_flux, final["eta_p"], final["eta_c"]
+    )
+    gain, zc, zu, eta_optics, fs = x
     residuals_db = {
         "source": source_squeezing(m0)[1] - targets["source"],
         "post_optics": source_squeezing(m1)[1] - targets["post_optics"],

@@ -149,6 +149,12 @@ def _interval_weights(edges_lo, edges_hi, sigma):
     return ndtr(edges_hi / sigma) - ndtr(edges_lo / sigma)
 
 
+# Cells per half axis a grid may have, checked before anything is
+# allocated: a full axis of 2**23 + 1 cells takes 64 MiB per float array.
+# The straddle solve's finest cell, 0.005 um, reaches 1e6 at a 10 mm extent.
+MAX_HALF_CELLS = 2**22
+
+
 def _half_cells(waist_p: float, waist_c: float, d_c: float, extent: float) -> int:
     """Number of whole cells on each side of the on-axis cell of a grid.
 
@@ -162,7 +168,13 @@ def _half_cells(waist_p: float, waist_c: float, d_c: float, extent: float) -> in
         )
     if extent < 4.0 * max(waist_p, waist_c) - 1e-9 and d_c < extent:
         raise ValidationError("extent must cover at least 4 waists")
-    return math.ceil((0.5 * extent - 0.5 * d_c) / d_c)
+    half = (0.5 * extent - 0.5 * d_c) / d_c
+    if half > MAX_HALF_CELLS:
+        raise ValidationError(
+            f"coherence grid too fine: cell size {d_c:g} um over extent "
+            f"{extent:g} um needs more than {MAX_HALF_CELLS} cells per half axis"
+        )
+    return math.ceil(half)
 
 
 def build_coherence_grid(

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -8,7 +10,13 @@ from conftest import default_scenario_dict
 from quadsense import cli
 from quadsense.errors import FitInfeasibleError, ValidationError
 from quadsense.optics import quadrant_cut
-from quadsense.scenario import Scenario, _straddle_fraction, build_chain, dump_scenario
+from quadsense.scenario import (
+    Scenario,
+    _fit_source,
+    _straddle_fraction,
+    build_chain,
+    dump_scenario,
+)
 from quadsense.source import TwinBeamMoments, build_coherence_grid
 
 
@@ -92,6 +100,113 @@ def test_straddle_fraction_matches_the_quadrant_cut(waist_p, waist_c):
 def test_default_chain_cell_size(chain):
     # The cell size that solving on whole grids returned, to the last bit.
     assert chain.cell_um == pytest.approx(0.05169314805940239, rel=1e-12, abs=0.0)
+
+
+def _chain_bits(obj, out=None):
+    """Every value of a chain in field order: floats as hex with their type,
+    arrays as dtype, shape and bytes."""
+    out = [] if out is None else out
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            if f.name != "scenario":
+                out.append(f.name)
+                _chain_bits(getattr(obj, f.name), out)
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            out.append(k)
+            _chain_bits(v, out)
+    elif isinstance(obj, (list, tuple)):
+        out.append(len(obj))
+        for v in obj:
+            _chain_bits(v, out)
+    elif isinstance(obj, np.ndarray):
+        out.append((obj.dtype.str, obj.shape, obj.tobytes()))
+    elif isinstance(obj, float):
+        out.append((type(obj).__name__, float(obj).hex()))
+    else:
+        out.append(obj)
+    return out
+
+
+def _with(cfg, keys, value):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return Scenario.from_dict(cfg)
+
+
+def _build_counting(scenario):
+    """``(hits, misses)`` that one ``build_chain`` adds to the source-fit cache."""
+    before = _fit_source.cache_info()
+    try:
+        build_chain(scenario)
+    except FitInfeasibleError:
+        pass
+    after = _fit_source.cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+def test_warm_source_fit_gives_the_same_chain(scenario):
+    build_chain(scenario)
+    hits = _fit_source.cache_info().hits
+    warm = build_chain(scenario)
+    assert _fit_source.cache_info().hits == hits + 1
+    _fit_source.cache_clear()
+    cold = build_chain(scenario)
+    assert _fit_source.cache_info().misses == 1
+    assert _chain_bits(warm) == _chain_bits(cold)
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("calibration", "gain_bound"), 99.0),
+        (("source", "seed_flux"), 1.01),
+        (("calibration", "stage_targets_db", "source"), -5.17),
+        (("calibration", "stage_targets_db", "post_optics"), -4.76),
+        (("calibration", "stage_targets_db", "post_cut"), -3.76),
+        (("calibration", "final", "squeezing_db"), -1.93),
+        (("calibration", "final", "attenuation_db"), 5.21),
+        (("calibration", "final", "eta_p"), 0.51),
+        (("calibration", "final", "eta_c"), 0.91),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else None,
+)
+def test_each_source_fit_input_misses_the_cache(scenario, keys, value):
+    build_chain(scenario)
+    assert _build_counting(_with(scenario.raw, keys, value)) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("calibration", "residual_db"), [-1.7, -1.8, -1.7, -1.8]),
+        (("calibration", "threshold_targets_mv"), [250.0, 265.0, 319.0, 316.0]),
+        (("beam", "waist_c_um"), 361.0),
+        (("layout", "window_um"), 210.0),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else None,
+)
+def test_inputs_downstream_of_the_source_hit_the_cache(scenario, keys, value):
+    build_chain(scenario)
+    assert _build_counting(_with(scenario.raw, keys, value)) == (1, 0)
+
+
+def test_infeasible_stage_targets_raise_on_every_call(scenario):
+    targets = {**scenario.stage_targets_db, "source": -12.0, "post_optics": -1.0}
+    infeasible = _with(scenario.raw, ("calibration", "stage_targets_db"), targets)
+    _fit_source.cache_clear()
+    raised = []
+    for _ in range(2):
+        with pytest.raises(FitInfeasibleError) as exc:
+            build_chain(infeasible)
+        raised.append(exc.value.residuals_db)
+    info = _fit_source.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert raised[0] == raised[1]
+    assert max(abs(raised[0][k]) for k in ("source", "post_optics", "post_cut")) > 0.1
 
 
 def test_coarse_cell_size_is_infeasible(scenario):
@@ -190,14 +305,25 @@ def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
         ("beam", "waist_c_um", 0.0),
         ("beam", "waist_c_um", -10.0),
         ("coherence", "cell_um", 0.0),
+        ("coherence", "cell_um", 1e-300),
+        ("coherence", "extent_um", 1e300),
+        ("beam", "waist_p_um", 1e-300),
+        ("source", "seed_flux", 1e300),
+        (None, "wavelength_nm", 1e300),
     ],
 )
-def test_cli_out_of_range_scalar_is_validation_error(tmp_path, section, key, value):
+def test_cli_out_of_range_scalar_is_validation_error(
+    tmp_path, capsys, section, key, value
+):
     cfg = default_scenario_dict()
     (cfg if section is None else cfg[section])[key] = value
     path = tmp_path / "scalar.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    assert run_cli("fig3", "--scenario", str(path), "--out", str(tmp_path)) == 2
+    # Twice: the source fit's cache must not turn a failure into a success.
+    for _ in range(2):
+        assert run_cli("fig3", "--scenario", str(path), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "fig3.csv").exists()
 
 

@@ -11,6 +11,7 @@ from quadsense.optics import quadrant_cut, quadrant_transmission
 from quadsense.source import (
     FwmSourceParams,
     TwinBeamMoments,
+    _half_cells,
     build_coherence_grid,
     fwm_moments,
     source_squeezing,
@@ -145,6 +146,14 @@ def test_grid_rejects_cell_larger_than_extent():
         build_coherence_grid(100.0, 100.0, 500.0, 400.0)
     with pytest.raises(ValidationError):
         build_coherence_grid(100.0, 100.0, 0.0, 400.0)
+
+
+def test_grid_size_guard_raises_before_allocating():
+    # 1.08e9 cells per half axis: enumerating them would take 16 GiB.
+    with pytest.raises(ValidationError, match="too fine"):
+        _half_cells(360.0, 360.0, 1e-6, 2160.0)
+    # The straddle solve's finest cell at a 2520 um extent stays allowed.
+    assert _half_cells(420.0, 441.0, 0.005, 2520.0) == 252_000
 
 
 def test_quadrant_weights_match_gapless_transmission():
