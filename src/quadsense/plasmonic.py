@@ -12,11 +12,24 @@ from .errors import OperatingPointError, ValidationError
 
 __all__ = [
     "EOTResonance",
+    "linewidth_evaluable",
     "IndexModulation",
     "transmission_at",
     "transduction_slope",
     "modulation_signal",
 ]
+
+
+def linewidth_evaluable(linewidth: float) -> bool:
+    """Whether a Lorentzian of this FWHM (nm) can be evaluated on resonance.
+
+    There :func:`transduction_slope` divides by ``(linewidth / 2)**4``, which
+    must be a finite, non-zero float. Wider, ``half * half`` overflows and
+    the transmission is ``inf / inf``; narrower, the slope divides by zero.
+    """
+    half = 0.5 * linewidth
+    q = half * half
+    return 0.0 < q * q < math.inf
 
 
 @dataclass(frozen=True)
@@ -36,6 +49,11 @@ class EOTResonance:
     def __post_init__(self):
         if self.linewidth <= 0:
             raise ValidationError("linewidth must be > 0")
+        if not linewidth_evaluable(self.linewidth):
+            raise ValidationError(
+                f"linewidth {self.linewidth:g} nm is outside the range where "
+                f"its Lorentzian can be evaluated"
+            )
         if not 0.0 <= self.t_max <= 1.0:
             raise ValidationError("peak transmission must be in [0, 1]")
         if not math.isfinite(self.dlambda_dn):

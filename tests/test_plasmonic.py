@@ -99,6 +99,14 @@ def test_distinct_drive_coefficients_give_distinct_signals():
     assert len(signals) == 4
 
 
+@pytest.mark.parametrize("linewidth", [1e-80, 28.0, 2e77])
+def test_evaluable_linewidth_gives_finite_optics(linewidth):
+    r = EOTResonance(lambda0=790.5, linewidth=linewidth, t_max=0.57)
+    for lam in (r.lambda0, 795.0):
+        assert math.isfinite(transmission_at(r, lam))
+        assert math.isfinite(transduction_slope(r, lam))
+
+
 def test_dead_sensor_raises_operating_point_error():
     dead = EOTResonance(lambda0=790.5, linewidth=28.0, t_max=0.0)
     with pytest.raises(OperatingPointError):
@@ -108,6 +116,9 @@ def test_dead_sensor_raises_operating_point_error():
 def test_input_validation():
     with pytest.raises(ValidationError):
         EOTResonance(lambda0=790.0, linewidth=0.0, t_max=0.5)
+    for linewidth in (1e-300, 1e-82, 3e77, 1e100, 1e200):
+        with pytest.raises(ValidationError, match="Lorentzian"):
+            EOTResonance(lambda0=790.0, linewidth=linewidth, t_max=0.5)
     with pytest.raises(ValidationError):
         EOTResonance(lambda0=790.0, linewidth=10.0, t_max=1.5)
     with pytest.raises(ValidationError):

@@ -1,13 +1,16 @@
+import collections
 import copy
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 import yaml
 
 from conftest import default_scenario_dict
-from quadsense import cli
+import quadsense.scenario as scenario_module
+from quadsense import cli, detection
 from quadsense.errors import FitInfeasibleError, ValidationError
 from quadsense.optics import quadrant_cut
 from quadsense.scenario import (
@@ -99,7 +102,37 @@ def test_straddle_fraction_matches_the_quadrant_cut(waist_p, waist_c):
 
 def test_default_chain_cell_size(chain):
     # The cell size that solving on whole grids returned, to the last bit.
-    assert chain.cell_um == pytest.approx(0.05169314805940239, rel=1e-12, abs=0.0)
+    assert chain.cell_um == 0.05169314805940239
+
+
+def test_straddle_solve_evaluates_each_cell_size_once(scenario, monkeypatch):
+    calls = []
+
+    def counting(waist_p, waist_c, d, extent):
+        calls.append(d)
+        return _straddle_fraction(waist_p, waist_c, d, extent)
+
+    monkeypatch.setattr(scenario_module, "_straddle_fraction", counting)
+    chain = build_chain(scenario)
+    assert 0.005 in calls and scenario.waist_p_um in calls
+    assert len(calls) == len(set(calls)), collections.Counter(calls).most_common(3)
+    assert chain.cell_um == 0.05169314805940239
+
+
+def test_eta_p_solve_evaluates_each_bracket_end_once(scenario, monkeypatch):
+    calls = []  # (moments, eta_p); holding the moments keeps their ids unique
+    report = detection.squeezing_report
+
+    def counting(m, ch, *args, **kwargs):
+        calls.append((m, ch.eta_p))
+        return report(m, ch, *args, **kwargs)
+
+    monkeypatch.setattr(detection, "squeezing_report", counting)
+    chain = build_chain(scenario)
+    for q in (1, 2, 3, 4):
+        m_cut = chain.cut_moments[q]
+        ends = [eta_p for m, eta_p in calls if m is m_cut and eta_p in (1e-4, 1.0)]
+        assert sorted(ends) == [1e-4, 1.0], (q, ends)
 
 
 def _chain_bits(obj, out=None):
@@ -284,6 +317,22 @@ def test_cli_infeasible_stage_targets_print_residuals(tmp_path, capsys):
         assert f"{stage}=" in err, stage
 
 
+def test_cli_overflowing_source_fit_prints_only_its_message(tmp_path, capsys):
+    # The fit converges to moments that overflow; the staged-balance refusal
+    # is the whole report, with no numpy warning before it.
+    cfg = default_scenario_dict()
+    cfg["source"]["seed_flux"] = 1e150
+    path = tmp_path / "bright.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("snr-sweep", "--scenario", str(path), "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("consistency error: staged squeezing targets"), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "enhancement.json").exists()
+
+
 def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("seed: [1, 2\n")
@@ -338,6 +387,8 @@ def test_cli_out_of_range_scalar_is_validation_error(
         (("resonances",), [1, 2, 3, 4]),
         (("sweep", "voltages_mv"), [-50] + list(range(25, 501, 25))),
         (("modulation", "kappa"), [0, 0, 0, 0]),
+        (("resonances", 0, "fwhm_nm"), 1e200),
+        (("resonances", 0, "fwhm_nm"), 1e100),
     ],
     ids=[
         "fwhm_nm",
@@ -348,6 +399,8 @@ def test_cli_out_of_range_scalar_is_validation_error(
         "resonance_entry",
         "negative_voltage",
         "zero_kappa",
+        "fwhm_nm_overflows_transmission",
+        "fwhm_nm_overflows_slope",
     ],
 )
 def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value):
@@ -362,6 +415,7 @@ def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value)
         assert run_cli(cmd, "--scenario", str(path), "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1, err
+        assert keys[-1] in err, err
 
 
 @pytest.mark.parametrize("cmd", ["fig4", "verify"])
