@@ -27,6 +27,7 @@ __all__ = [
     "attenuation_db",
     "difference_noise",
     "optimal_gain",
+    "probe_transmission_for_ratio",
     "min_difference_noise",
     "covariance_from_noise",
     "snl_noise",
@@ -48,6 +49,31 @@ def _probe_term(m: TwinBeamMoments, ch: LossChannel) -> float:
 
 def _conjugate_term(m: TwinBeamMoments, ch: LossChannel) -> float:
     return ch.eta_c**2 * (m.var_c - m.mean_c) + ch.eta_c * m.mean_c
+
+
+def probe_transmission_for_ratio(
+    m: TwinBeamMoments, eta_c: float, ratio: float
+) -> float:
+    """Probe transmission at which the optimal-gain noise/SNL ratio is ``ratio``.
+
+    At the optimal g the ratio is ``(a eta + mean_p) / (b eta + mean_p)``
+    with ``a = var_p - mean_p - eta_c^2 cov^2 / C``,
+    ``b = eta_c^3 cov^2 mean_c / C^2`` and ``C`` the conjugate term. It is
+    linear-fractional in the probe transmission eta, so it inverts exactly.
+    A negative covariance pins the optimal g at 0, as no covariance does.
+    Returns inf where no eta gives ``ratio``; a root outside [0, 1] is no
+    transmission either, which the caller checks.
+    """
+    conj = _conjugate_term(m, LossChannel(0.0, eta_c))
+    if conj <= 0.0:
+        raise UndefinedMomentsError(
+            "conjugate arm carries no noise; optimal attenuation is undefined"
+        )
+    cov2 = max(m.cov, 0.0) ** 2
+    a = m.var_p - m.mean_p - eta_c**2 * cov2 / conj
+    b = eta_c**3 * cov2 * m.mean_c / conj**2
+    den = a - ratio * b
+    return float(m.mean_p * (ratio - 1.0) / den) if den else math.inf
 
 
 def difference_noise(m: TwinBeamMoments, ch: LossChannel, g: float) -> float:

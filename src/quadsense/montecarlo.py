@@ -1,10 +1,11 @@
 """Independent stochastic and small-Hilbert-space oracles.
 
 Everything here validates the analytic moment maps by a different route:
-Gaussian photocurrent sampling of the quadrant pieces that the optics cut
-assigns to each quadrant (exact for first and second moments, which is all
-the formulas use), binomial-equivalent thinning for the loss map, and a
-truncated-Fock construction of the seeded two-mode squeezer.
+Gaussian photocurrent sampling of the pieces that the optics cut assigns to
+a quadrant, enumerated once for the four mirror-image quadrants (exact for
+first and second moments, which is all the formulas use),
+binomial-equivalent thinning for the loss map, and a truncated-Fock
+construction of the seeded two-mode squeezer.
 
 Randomness is counter-based: every draw owns an independent Philox
 substream, keyed by a seed and a spawn key whose first word names the
@@ -33,7 +34,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import TailMassError, ValidationError
-from .optics import QUADRANT_SIGNS, LossChannel, _axis_pieces, apply_loss, quadrant_cut
+from .optics import QUADRANT_SIGNS, LossChannel, apply_loss, quadrant_cut
 from .source import (
     CoherenceGrid,
     FwmSourceParams,
@@ -76,35 +77,30 @@ def _generator(seed: int, *key) -> np.random.Generator:
     )
 
 
-def _quadrant_pieces(grid: CoherenceGrid, m: TwinBeamMoments, q: int):
-    """``(mean_p, mean_c, var_p, var_c, cov)`` of each piece of quadrant ``q``.
+def _quadrant_pieces(grid: CoherenceGrid, m: TwinBeamMoments):
+    """``(mean_p, mean_c, var_p, var_c, cov)`` of each piece of a quadrant.
 
-    A piece is the product of an x piece and a y piece of
-    :func:`optics._axis_pieces`, so the pieces sum to
-    ``quadrant_cut(m, grid, q).moments``. Its weight is the product of its
-    two factors, and it keeps its share of the covariance only when both
-    factors are whole cells.
+    The four quadrants are mirror images, so their pieces are enumerated
+    once: products of an x piece and a y piece of the grid's half axis
+    (the whole cells, then the on-axis half cell), each weight a fraction
+    of the grid's per-axis power. The pieces sum to
+    ``quadrant_cut(m, grid).moments``. A piece's weight is the product of
+    its two factors, and it keeps its share of the covariance only when
+    both factors are whole cells.
     """
-    tot_p = grid.axis_weight_p.sum()
-    tot_c = grid.axis_weight_c.sum()
-    axes = []
-    for s in QUADRANT_SIGNS[q]:
-        wp, wc, clip_p, clip_c = _axis_pieces(grid, s)
-        wp, wc, clip_p, clip_c = wp / tot_p, wc / tot_c, clip_p / tot_p, clip_c / tot_c
-        axes.append(
-            [(p, c, True) for p, c in zip(wp, wc)]
-            + [(p, c, False) for p, c in zip(clip_p, clip_c)]
-        )
+    tot_p, tot_c = grid.axis_total_p, grid.axis_total_c
+    axis = [(p / tot_p, c / tot_c, True) for p, c in zip(grid.whole_p, grid.whole_c)]
+    axis.append((grid.half_p / tot_p, grid.half_c / tot_c, False))
     pieces = []
-    for (xp, xc, x_whole), (yp, yc, y_whole) in itertools.product(*axes):
+    for (xp, xc, x_whole), (yp, yc, y_whole) in itertools.product(axis, repeat=2):
         wp, wc = xp * yp, xc * yc
         cov = math.sqrt(wp * wc) * m.cov if x_whole and y_whole else 0.0
         pieces.append((wp * m.mean_p, wc * m.mean_c, wp * m.var_p, wc * m.var_c, cov))
     return pieces
 
 
-def _quadrant_moments(grid: CoherenceGrid, m: TwinBeamMoments, q: int) -> TwinBeamMoments:
-    """Summed moments of the pieces of quadrant ``q``.
+def _quadrant_moments(grid: CoherenceGrid, m: TwinBeamMoments) -> TwinBeamMoments:
+    """Summed moments of the pieces of a quadrant.
 
     The pieces are independent bivariate Gaussians, so their sum is the
     bivariate Gaussian whose mean and covariance are the sums. They are
@@ -112,10 +108,10 @@ def _quadrant_moments(grid: CoherenceGrid, m: TwinBeamMoments, q: int) -> TwinBe
     the sampled batch still tests the piece enumeration against the
     factorized cut. Every piece's covariance matrix must be PSD.
     """
-    pieces = _quadrant_pieces(grid, m, q)
+    pieces = _quadrant_pieces(grid, m)
     for i, (_, _, vp, vc, cov) in enumerate(pieces):
         if cov**2 > vp * vc * (1.0 + 1e-12) + 1e-300:
-            raise ValidationError(f"quadrant {q} piece {i} covariance matrix is not PSD")
+            raise ValidationError(f"quadrant piece {i} covariance matrix is not PSD")
     return TwinBeamMoments(*(math.fsum(col) for col in zip(*pieces)))
 
 
@@ -180,7 +176,8 @@ def sample_photocurrents(
     parts of cells on a cut line), which are mutually independent bivariate
     Gaussians; so it is drawn as one bivariate Gaussian with the summed
     moments of :func:`_quadrant_moments`, whose expectation is
-    ``quadrant_cut(m, grid, q).moments``. Quadrant ``q`` draws from the
+    ``quadrant_cut(m, grid).moments``. The quadrants share those moments
+    but not their draws: quadrant ``q`` draws from the
     ``(seed, 2, q, chunk)`` substreams.
     """
     if grid.n_cells > 1 << 18:
@@ -188,9 +185,9 @@ def sample_photocurrents(
             f"grid with {grid.n_cells} cells is too fine to enumerate its "
             "quadrant pieces; use a coarser verification grid"
         )
+    factors = _factors(_quadrant_moments(grid, m))
     probe, conj = {}, {}
     for q in QUADRANT_SIGNS:
-        factors = _factors(_quadrant_moments(grid, m, q))
         probe[q], conj[q] = _sample_chunked(factors, n, seed, 2, q)
     return SampleBatch(n_samples=n, seed=seed, probe=probe, conjugate=conj)
 
@@ -214,7 +211,9 @@ def thinning_loss(samples: np.ndarray, eta: float, seed: int) -> np.ndarray:
         return samples.copy()
     if eta == 0.0:
         return np.zeros_like(samples)
-    out = np.empty_like(samples)
+    # C order for both, so that ``out.ravel()`` is a view, not a copy that
+    # would drop the writes, and a sample's draw does not depend on layout.
+    out = np.empty(samples.shape)
     n = samples.size
     flat = samples.ravel()
     for k, lo, size in _chunks(n):
@@ -448,9 +447,9 @@ def _partition_checks(grid, m, n, seed):
     """Sampled quadrants against the analytic quadrant cut, and
     cross-quadrant independence, on one batch."""
     batch = sample_photocurrents(grid, m, n, seed)
+    exp = quadrant_cut(m, grid).moments
     worst = 0.0
     for q in QUADRANT_SIGNS:
-        exp = quadrant_cut(m, grid, q).moments
         p, c = batch.probe[q], batch.conjugate[q]
         worst = max(
             worst,
@@ -490,14 +489,14 @@ def _partition_checks(grid, m, n, seed):
 
 
 def _partition_balance_check(grid):
-    """An on-axis beam splits its power evenly and the four analytic cut
-    transmissions sum to at most 1."""
+    """The enumerated pieces of the four quadrants of an on-axis beam carry
+    at most its power. The quadrants split it evenly by construction: they
+    are one cut."""
     src = TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0)
-    etas = [quadrant_cut(src, grid, q).eta_p for q in QUADRANT_SIGNS]
-    spread = max(etas) - min(etas)
+    total = 4.0 * _quadrant_moments(grid, src).mean_p
     return _check(
         "quadrant_partition_balance",
-        max(spread, 0.0 if sum(etas) <= 1.0 + 1e-12 else 1.0),
+        0.0 if total <= 1.0 + 1e-12 else 1.0,
         1e-12,
         "centered beam splits evenly across quadrants and keeps total "
         "transmission <= 1",

@@ -1,6 +1,8 @@
 """Beam geometry and loss: transmission of a Gaussian beam through the
 tilted quadrant window array, beam-splitter loss propagation of intensity
 moments, and the correlation penalty of cutting a finite coherence area.
+The coherence grid is centered on both beams, so that penalty is one
+quadrant cut, the same for all four quadrants.
 
 Quadrant labels follow the sign convention
 ``1: (+x, +y), 2: (-x, +y), 3: (-x, -y), 4: (+x, -y)``.
@@ -30,6 +32,8 @@ __all__ = [
 ]
 
 QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
+# Power share of each quadrant of a coherence grid centered on the beams.
+QUADRANT_SHARE = 0.25
 # Coarse diameters that :func:`optimize_waist` scans, and the bracket width
 # in um at which its golden-section refinement stops.
 WAIST_GRID_POINTS = 181
@@ -217,80 +221,37 @@ class QuadrantCutResult:
     f_straddle: float
 
 
-def _axis_pieces(grid: CoherenceGrid, s: int):
-    """Axis weights of the pieces of side ``s`` (+1 or -1).
-
-    This is the one place that decides which part of a cell belongs to a
-    quadrant. Returns ``(wp, wc, clip_p, clip_c)``: the probe and conjugate
-    axis weights of the whole interior cells of the side, then of the
-    clipped halves of the cells on the cut line, in the units of the
-    grid's strip weights (callers divide by the axis totals). A quadrant's
-    pieces are the products of an x piece and a y piece.
-    """
-    h = 0.5 * grid.cell_size
-    coords = grid.coords
-    interior = (s * coords) > h - 1e-12
-
-    # Clipped halves of cells sitting on the cut line (center cell only,
-    # given the grid construction, but handle any on-axis cell).
-    on_axis = np.abs(coords) < h - 1e-12
-    lo = np.maximum(coords[on_axis] - h, 0.0) if s > 0 else coords[on_axis] - h
-    hi = coords[on_axis] + h if s > 0 else np.minimum(coords[on_axis] + h, 0.0)
-    hi = np.maximum(hi, lo)
-    clip_p = _interval_weights(lo, hi, grid.sigma_p)
-    clip_c = _interval_weights(lo, hi, grid.sigma_c)
-    return grid.axis_weight_p[interior], grid.axis_weight_c[interior], clip_p, clip_c
-
-
-def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid, q: int) -> QuadrantCutResult:
+def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid) -> QuadrantCutResult:
     """Select one spatial quadrant of a multi-mode twin beam.
 
     The beam is a sum of independent coherence cells carrying proportional
-    shares of the full-beam moments. The cut lines are the central axes of
-    the grid frame and split the beam into the pieces of
-    :func:`_axis_pieces`: whole cells, and the clipped parts of cells that
-    straddle a cut line. A piece carries its power share of every mean and
-    variance; a clipped piece carries none of the covariance
-    (all-or-nothing). As the cell size shrinks the straddle weight vanishes
-    and the cut becomes a pure spatial partition. The Monte Carlo sampler
-    sums the moments of the same pieces.
+    shares of the full-beam moments. The grid is centered on both beams, so
+    the central cut lines split it into four mirror-image quadrants and one
+    cut serves all four. A quadrant's pieces are the products of an x piece
+    and a y piece of the grid's half axis: the whole cells, and the on-axis
+    half cell that straddles a cut line. A piece carries its power share of
+    every mean and variance, a quarter of the grid's power in all; only a
+    piece whole on both axes carries its geometric-mean share of the
+    covariance (all-or-nothing). As the cell size shrinks the straddle
+    weight vanishes and the cut becomes a pure spatial partition. The Monte
+    Carlo sampler sums the moments of the same pieces.
     """
-    if q not in QUADRANT_SIGNS:
-        raise ValidationError(f"quadrant label must be 1..4, got {q}")
-    tot_p = grid.axis_weight_p.sum()
-    tot_c = grid.axis_weight_c.sum()
+    tot_p, tot_c = grid.axis_total_p, grid.axis_total_c
     if tot_p <= 0 or tot_c <= 0:
         raise UndefinedMomentsError("grid carries no power")
-
-    # Per axis: the whole cells' share of the geometric-mean weight of all
-    # pieces, then, as fractions of each beam's grid power, the side power
-    # of each beam and the geometric-mean weight of the whole cells (kept
-    # covariance). The share is scale-free and taken before the division by
-    # the axis totals, so the calibration's half-axis solve, which has no
-    # totals, repeats its arithmetic to the bit.
-    side_p, side_c, keep, kept_share = [], [], [], []
-    for s in QUADRANT_SIGNS[q]:
-        wp, wc, clip_p, clip_c = _axis_pieces(grid, s)
-        whole = float(np.sqrt(wp * wc).sum())
-        total = whole + float(np.sqrt(clip_p * clip_c).sum())
-        kept_share.append(whole / total if total > 0 else None)
-        wp, wc, clip_p, clip_c = wp / tot_p, wc / tot_c, clip_p / tot_p, clip_c / tot_c
-        side_p.append(float(wp.sum() + clip_p.sum()))
-        side_c.append(float(wc.sum() + clip_c.sum()))
-        keep.append(float(np.sqrt(wp * wc).sum()))
-    eta_p = side_p[0] * side_p[1]
-    eta_c = side_c[0] * side_c[1]
-    if eta_p <= 0 or eta_c <= 0:
-        raise UndefinedMomentsError(f"quadrant {q} carries no power")
-
-    geo_keep = keep[0] * keep[1]
-    f_straddle = 0.0 if None in kept_share else 1.0 - kept_share[0] * kept_share[1]
-
+    # Geometric-mean weight of the whole cells of one axis, as a fraction of
+    # the grid's per-axis powers; a whole-cell piece takes a product of two.
+    keep = float(np.sqrt(grid.whole_p * grid.whole_c).sum()) / math.sqrt(tot_p * tot_c)
     cut = TwinBeamMoments(
-        mean_p=eta_p * m.mean_p,
-        mean_c=eta_c * m.mean_c,
-        var_p=eta_p * m.var_p,
-        var_c=eta_c * m.var_c,
-        cov=geo_keep * m.cov,
+        mean_p=QUADRANT_SHARE * m.mean_p,
+        mean_c=QUADRANT_SHARE * m.mean_c,
+        var_p=QUADRANT_SHARE * m.var_p,
+        var_c=QUADRANT_SHARE * m.var_c,
+        cov=keep * keep * m.cov,
     )
-    return QuadrantCutResult(moments=cut, eta_p=eta_p, eta_c=eta_c, f_straddle=f_straddle)
+    return QuadrantCutResult(
+        moments=cut,
+        eta_p=QUADRANT_SHARE,
+        eta_c=QUADRANT_SHARE,
+        f_straddle=grid.f_straddle,
+    )

@@ -135,6 +135,15 @@ def modulation_signal(
         raise OperatingPointError(
             f"sensor {sensor} transmits no light at {wavelength} nm"
         )
-    dn = mod.volts_to_index[sensor - 1] * mod.drive_voltage
-    amplitude = probe_mean * abs(transduction_slope(r, wavelength)) * dn / t
-    return 0.5 * amplitude * amplitude
+    kappa = mod.volts_to_index[sensor - 1]
+    dn = kappa * mod.drive_voltage
+    # In Python floats, which overflow to inf without a numpy warning.
+    amplitude = float(probe_mean) * abs(transduction_slope(r, wavelength)) * dn / t
+    power = 0.5 * amplitude * amplitude
+    if not math.isfinite(power):
+        raise ValidationError(
+            f"modulation signal of sensor {sensor} at {mod.drive_voltage:g} mV is "
+            f"not finite: its drive coefficient {kappa:g} (modulation.kappa, or "
+            f"fitted to calibration.threshold_targets_mv) is too large"
+        )
+    return power

@@ -10,12 +10,13 @@ geometry, per-sensor resonances, detector properties, and sweep settings.
    It reads only the source inputs (gain bound, seed flux, staged and
    final targets), so it is computed once per distinct source input per
    process and shared by every scenario that differs only downstream;
-2. coherence-cell size solved from the fitted straddle fraction, which
-   the cell boundaries on one half-axis give in closed form without
-   building a grid. The solve evaluates each point once: brentq reads
-   both bracket ends from the feasibility check, as does step 3's;
-3. per-quadrant probe transmission fitted to the measured residual
-   squeezing levels;
+2. coherence-cell size solved from the fitted straddle fraction, which a
+   grid stored as one half axis gives in closed form. The solve evaluates
+   each cell size once: brentq reads both bracket ends from the
+   feasibility check. The grid is centered on both beams, so one quadrant
+   cut of it gives every quadrant's post-cut moments;
+3. per-quadrant probe transmission solved in closed form from the
+   measured residual squeezing levels;
 4. per-sensor drive coefficients solved so the twin-beam SNR = 1
    thresholds match their calibration targets.
 
@@ -51,8 +52,6 @@ from .source import (
     CoherenceGrid,
     FwmSourceParams,
     TwinBeamMoments,
-    _half_cells,
-    _interval_weights,
     build_coherence_grid,
     fwm_moments,
     source_squeezing,
@@ -184,7 +183,7 @@ class Scenario:
             for k, v in enumerate(_require(cal, "residual_db", "calibration", list))
         )
         thresholds = tuple(
-            _number(v, f"calibration.threshold_targets_mv[{k}]")
+            _number(v, f"calibration.threshold_targets_mv[{k}]", above=0.0)
             for k, v in enumerate(
                 _require(cal, "threshold_targets_mv", "calibration", list)
             )
@@ -412,31 +411,6 @@ class SensingChain:
         )
 
 
-def _straddle_fraction(waist_p: float, waist_c: float, d: float, extent: float) -> float:
-    """Straddle fraction of the quadrant cut on a grid of cell size ``d``.
-
-    Equal to ``quadrant_cut(m, build_coherence_grid(waist_p, waist_c, d,
-    extent), 1).f_straddle`` without building the grid. Both axes of
-    quadrant 1 are the positive half-axis: the whole cells
-    ``[(k - 1/2) d, (k + 1/2) d]`` up to the grid edge, and the clipped
-    half ``[0, d/2]`` of the on-axis cell. With ``keep`` and ``clip`` their
-    geometric-mean powers, the fraction is ``1 - (keep / (keep + clip))**2``,
-    in the same arithmetic as the cut.
-    """
-    half = _half_cells(waist_p, waist_c, d, extent)
-    sigma_p, sigma_c = waist_p / 4.0, waist_c / 4.0
-    centers = np.arange(1, half + 1) * d
-    lo, hi = centers - 0.5 * d, centers + 0.5 * d
-    keep = float(
-        np.sqrt(_interval_weights(lo, hi, sigma_p) * _interval_weights(lo, hi, sigma_c)).sum()
-    )
-    clip = math.sqrt(
-        _interval_weights(0.0, 0.5 * d, sigma_p) * _interval_weights(0.0, 0.5 * d, sigma_c)
-    )
-    share = keep / (keep + clip)
-    return 1.0 - share * share
-
-
 def _fit_straddle_cell_size(scenario: Scenario, fs_target: float) -> float:
     """Cell size whose grid reproduces the fitted straddle fraction.
 
@@ -449,9 +423,9 @@ def _fit_straddle_cell_size(scenario: Scenario, fs_target: float) -> float:
 
     @functools.lru_cache(maxsize=None)
     def fs_of(d):
-        return _straddle_fraction(
+        return build_coherence_grid(
             scenario.waist_p_um, scenario.waist_c_um, d, scenario.extent_um
-        )
+        ).f_straddle
 
     lo, hi = 0.005, scenario.waist_p_um
     flo, fhi = fs_of(lo), fs_of(hi)
@@ -522,7 +496,9 @@ def _fit_source(
     x0 = [min(5.0, gain_bound), 1e-3, 1e-2, 0.95, 0.01]
     # The trust region rejects a trial step whose moments overflow, so
     # numpy's overflow warnings carry nothing; only a non-finite start fails.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Nor does a division by zero in its trust-region step solver, which a
+    # gain bound of 1e300 meets.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if not np.all(np.isfinite(residuals(np.asarray(x0, float)))):
             raise ValidationError(
                 f"source.seed_flux {seed_flux:g} overflows the source moments "
@@ -540,8 +516,6 @@ def _fit_source(
 
 def build_chain(scenario: Scenario) -> SensingChain:
     """Calibrate every free parameter of the scenario and assemble the chain."""
-    from scipy import optimize
-
     targets = scenario.stage_targets_db
     for label in ("source", "post_optics", "post_cut"):
         if label not in targets:
@@ -589,15 +563,16 @@ def build_chain(scenario: Scenario) -> SensingChain:
         scenario.waist_p_um, scenario.waist_c_um, cell_um, scenario.extent_um
     )
 
-    # Per-quadrant post-cut moments from the actual grid.
-    cuts = {q: quadrant_cut(m1, grid, q) for q in QUADRANTS}
-    cut_moments = {q: cuts[q].moments for q in QUADRANTS}
+    # The grid is centered on both beams, so one cut gives every quadrant's
+    # post-cut moments.
+    cut = quadrant_cut(m1, grid)
+    cut_moments = {q: cut.moments for q in QUADRANTS}
 
     # Geometric clipping of a conjugate quadrant beam by its layout window.
     qt_c = quadrant_transmission(
         GaussianBeam.from_waist(scenario.waist_c_um), scenario.layout
     )
-    clip_c = [min(qt_c.window_fractions[q] / cuts[1].eta_c, 1.0) for q in QUADRANTS]
+    clip_c = [min(qt_c.window_fractions[q] / cut.eta_c, 1.0) for q in QUADRANTS]
 
     qe = scenario.quantum_efficiency
     eta_c = float(np.mean(clip_c)) * scenario.mask_transmission * qe
@@ -610,23 +585,17 @@ def build_chain(scenario: Scenario) -> SensingChain:
     reports = {}
     for q in QUADRANTS:
         target_db = scenario.residual_db[q - 1]
-        m_cut = cut_moments[q]
-
-        @functools.lru_cache(maxsize=None)
-        def resid(eta_p):
-            rep = detection.squeezing_report(
-                m_cut, LossChannel(eta_p, eta_c), "optimal"
-            )
-            return rep.ratio_db - target_db
-
-        lo, hi = 1e-4, 1.0
-        if resid(hi) > 0 or resid(lo) < 0:
+        eta_p = detection.probe_transmission_for_ratio(
+            cut.moments, eta_c, 10.0 ** (target_db / 10.0)
+        )
+        if not 1e-4 <= eta_p <= 1.0:
             raise FitInfeasibleError(
                 f"residual squeezing {target_db} dB unreachable for quadrant {q}"
             )
-        eta_p = float(optimize.brentq(resid, lo, hi, xtol=1e-12))
         channels_p[q] = eta_p
-        rep = detection.squeezing_report(m_cut, LossChannel(eta_p, eta_c), "optimal")
+        rep = detection.squeezing_report(
+            cut.moments, LossChannel(eta_p, eta_c), "optimal"
+        )
         g_opt[q] = float(rep.gain)
         reports[q] = rep
         residuals_db[f"residual_q{q}"] = rep.ratio_db - target_db

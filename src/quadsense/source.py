@@ -1,5 +1,6 @@
-"""Seeded twin-beam source model: photon-statistics moments and their
-partition over a grid of independently correlated coherence cells.
+"""Seeded twin-beam source model: photon-statistics moments and the grid of
+independently correlated coherence cells they are partitioned over, stored
+as one half axis because the grid is centered on both beams.
 
 Intensities are expressed as mean photon number per analysis interval, so a
 coherent beam has variance equal to its mean. The `gain` parameter is the
@@ -72,33 +73,54 @@ class TwinBeamMoments:
 class CoherenceGrid:
     """Square tiling of the transverse plane into independent cells.
 
+    One cell is centered on the axis of both beams, so the central cut
+    lines halve it and the four quadrants are mirror images of one another.
     The Gaussian envelopes factorize over x and y, so the grid stores one
-    array of cell-center coordinates and per-beam per-axis strip weights;
-    a cell's power weight is the product of its x and y strip weights.
-    Corresponding probe/conjugate cells share the same centers. The grid is
-    laid out with one cell centered on the beam axis, so central cut lines
-    pass through cell interiors.
+    half axis per beam: the power of the whole cells
+    ``[(k - 1/2) d, (k + 1/2) d]`` for ``k = 1..half``, and of the on-axis
+    half cell ``[0, d/2]``. A cell's power weight is the product of its x
+    and y weights; a full axis carries twice the half axis.
     """
 
     cell_size: float
-    coords: np.ndarray
-    axis_weight_p: np.ndarray
-    axis_weight_c: np.ndarray
-    sigma_p: float
-    sigma_c: float
+    whole_p: np.ndarray
+    whole_c: np.ndarray
+    half_p: float
+    half_c: float
 
     def __post_init__(self):
-        if np.any(self.axis_weight_p < 0) or np.any(self.axis_weight_c < 0):
+        weights = (self.whole_p, self.whole_c, self.half_p, self.half_c)
+        if any(np.any(w < 0) for w in weights):
             raise ValidationError("cell weights must be >= 0")
-        if (
-            self.axis_weight_p.sum() ** 2 > 1.0 + 1e-9
-            or self.axis_weight_c.sum() ** 2 > 1.0 + 1e-9
-        ):
+        if self.axis_total_p**2 > 1.0 + 1e-9 or self.axis_total_c**2 > 1.0 + 1e-9:
             raise ValidationError("total cell weight exceeds beam power")
 
     @property
+    def axis_total_p(self) -> float:
+        return 2.0 * (float(self.whole_p.sum()) + self.half_p)
+
+    @property
+    def axis_total_c(self) -> float:
+        return 2.0 * (float(self.whole_c.sum()) + self.half_c)
+
+    @property
+    def f_straddle(self) -> float:
+        """Share of a quadrant's covariance lost to the cells on its cut lines.
+
+        Per axis, ``keep`` and ``clip`` are the geometric-mean powers of the
+        whole cells and of the on-axis half cell. A quadrant keeps the
+        covariance only of its pieces whole on both axes, so it loses the
+        fraction ``1 - (keep / (keep + clip))**2`` of the geometric-mean
+        power of its pieces.
+        """
+        keep = float(np.sqrt(self.whole_p * self.whole_c).sum())
+        clip = math.sqrt(self.half_p * self.half_c)
+        share = keep / (keep + clip)
+        return 1.0 - share * share
+
+    @property
     def n_axis(self) -> int:
-        return len(self.coords)
+        return 2 * len(self.whole_p) + 1
 
     @property
     def n_cells(self) -> int:
@@ -150,7 +172,7 @@ def _interval_weights(edges_lo, edges_hi, sigma):
 
 
 # Cells per half axis a grid may have, checked before anything is
-# allocated: a full axis of 2**23 + 1 cells takes 64 MiB per float array.
+# allocated: a half axis of 2**22 cells takes 32 MiB per float array.
 # The straddle solve's finest cell, 0.005 um, reaches 1e6 at a 10 mm extent.
 MAX_HALF_CELLS = 2**22
 
@@ -189,18 +211,16 @@ def build_coherence_grid(
     to align with razor blades). Waists are 1/e^2 diameters: sigma = D / 4.
     """
     half = _half_cells(waist_p, waist_c, d_c, extent)
-    idx = np.arange(-half, half + 1)
-    coords = idx * d_c
-
-    sigma_p = waist_p / 4.0
-    sigma_c = waist_c / 4.0
-    lo = coords - 0.5 * d_c
-    hi = coords + 0.5 * d_c
+    centers = np.arange(1, half + 1) * d_c
+    # Whole cells are weighed at their mirror images below the axis, where
+    # ndtr is small: above it a far cell's power would be the difference
+    # of two values near 1 and lose its leading digits.
+    lo, hi = -0.5 * d_c - centers, 0.5 * d_c - centers
+    sigma_p, sigma_c = waist_p / 4.0, waist_c / 4.0
     return CoherenceGrid(
         cell_size=float(d_c),
-        coords=coords,
-        axis_weight_p=_interval_weights(lo, hi, sigma_p),
-        axis_weight_c=_interval_weights(lo, hi, sigma_c),
-        sigma_p=float(sigma_p),
-        sigma_c=float(sigma_c),
+        whole_p=_interval_weights(lo, hi, sigma_p),
+        whole_c=_interval_weights(lo, hi, sigma_c),
+        half_p=float(_interval_weights(0.0, 0.5 * d_c, sigma_p)),
+        half_c=float(_interval_weights(0.0, 0.5 * d_c, sigma_c)),
     )

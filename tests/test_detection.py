@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from quadsense import detection
 from quadsense.detection import (
@@ -12,12 +13,13 @@ from quadsense.detection import (
     difference_noise,
     min_difference_noise,
     optimal_gain,
+    probe_transmission_for_ratio,
     snl_noise,
     squeezing_report,
 )
 from quadsense.errors import UndefinedMomentsError, UndefinedSNLError, ValidationError
 from quadsense.optics import LossChannel
-from quadsense.source import TwinBeamMoments
+from quadsense.source import FwmSourceParams, TwinBeamMoments, fwm_moments
 
 G2_IDEAL = TwinBeamMoments(2.0, 1.0, 6.0, 3.0, 4.0)
 UNIT = LossChannel(1.0, 1.0)
@@ -167,11 +169,40 @@ def test_uncorrelated_noise_is_quadrature_sum(mc, g):
 )
 @settings(max_examples=200)
 def test_squeezing_ratio_monotone_in_loss(gain, eta1, eta2):
-    from quadsense.source import FwmSourceParams, fwm_moments
-
     if eta2 > eta1:
         eta1, eta2 = eta2, eta1
     m = fwm_moments(FwmSourceParams(gain=gain, seed_flux=1.0))
     better = squeezing_report(m, LossChannel(eta1, eta1), "optimal")
     worse = squeezing_report(m, LossChannel(eta2, eta2), "optimal")
     assert worse.ratio_linear >= better.ratio_linear - 1e-12
+
+
+@given(
+    gain=st.floats(1.05, 100.0),
+    zc=st.floats(0.0, 1e-2),
+    zu=st.floats(0.0, 1e-2),
+    eta_p=st.floats(1e-3, 1.0),
+    eta_c=st.floats(0.3, 1.0),
+)
+@settings(max_examples=200)
+def test_probe_transmission_inverts_the_squeezing_report(gain, zc, zu, eta_p, eta_c):
+    # The closed form returns the probe transmission whose optimal-gain
+    # report gave the ratio, as a bracketed root search of the report does.
+    m = fwm_moments(FwmSourceParams(gain, 1.0, zc, zu))
+    target_db = squeezing_report(m, LossChannel(eta_p, eta_c), "optimal").ratio_db
+    closed = probe_transmission_for_ratio(m, eta_c, 10.0 ** (target_db / 10.0))
+    reference = optimize.brentq(
+        lambda e: squeezing_report(m, LossChannel(e, eta_c), "optimal").ratio_db
+        - target_db,
+        1e-4,
+        1.0,
+        xtol=1e-12,
+    )
+    assert closed == pytest.approx(reference, rel=0.0, abs=1e-10)
+    assert closed == pytest.approx(eta_p, rel=0.0, abs=1e-10)
+
+
+def test_probe_transmission_needs_a_noisy_conjugate():
+    dark = TwinBeamMoments(2.0, 0.0, 6.0, 0.0, 0.0)
+    with pytest.raises(UndefinedMomentsError):
+        probe_transmission_for_ratio(dark, 0.9, 0.5)

@@ -26,7 +26,7 @@ def test_zero_variance_cells_give_constant_samples():
     m = TwinBeamMoments(5.0, 3.0, 0.0, 0.0, 0.0)
     batch = sample_photocurrents(grid, m, 100, seed=1)
     for q in (1, 2, 3, 4):
-        cut = quadrant_cut(m, grid, q).moments
+        cut = quadrant_cut(m, grid).moments
         assert np.allclose(batch.probe[q], cut.mean_p)
         assert np.allclose(batch.conjugate[q], cut.mean_c)
 
@@ -40,8 +40,8 @@ def test_summed_pieces_match_the_quadrant_cut(waist_p, waist_c, d_c, extent):
     # enumerated pieces; they must be the factorized cut's moments.
     grid = build_coherence_grid(waist_p, waist_c, d_c, extent)
     for q in (1, 2, 3, 4):
-        summed = montecarlo._quadrant_moments(grid, G2_IDEAL, q)
-        cut = quadrant_cut(G2_IDEAL, grid, q).moments
+        summed = montecarlo._quadrant_moments(grid, G2_IDEAL)
+        cut = quadrant_cut(G2_IDEAL, grid).moments
         for name in ("mean_p", "mean_c", "var_p", "var_c", "cov"):
             assert getattr(summed, name) == pytest.approx(
                 getattr(cut, name), rel=1e-12, abs=0.0
@@ -56,7 +56,7 @@ def test_sampled_quadrants_carry_the_cut_power():
     n = 50_000
     batch = sample_photocurrents(grid, G2_IDEAL, n, seed=3)
     for q in (1, 2, 3, 4):
-        cut = quadrant_cut(G2_IDEAL, grid, q)
+        cut = quadrant_cut(G2_IDEAL, grid)
         assert cut.eta_p == pytest.approx(0.25, rel=1e-12)
         se = math.sqrt(cut.moments.var_p / n)
         assert abs(np.mean(batch.probe[q]) - cut.eta_p * G2_IDEAL.mean_p) < 5 * se
@@ -93,6 +93,16 @@ def test_thinning_edge_cases():
     assert np.array_equal(thinning_loss(x, 0.0, seed=1), np.zeros(3))
     with pytest.raises(ValidationError):
         thinning_loss(x, 1.5, seed=1)
+
+
+def test_thinning_ignores_memory_layout():
+    # A transposed or Fortran-ordered input gets the draws of its C-ordered
+    # copy, element by element.
+    base = 100.0 + np.arange(12.0).reshape(3, 4)
+    expected = thinning_loss(np.ascontiguousarray(base.T), 0.5, seed=4)
+    for x in (base.T, np.asfortranarray(base.T)):
+        assert np.array_equal(thinning_loss(x, 0.5, seed=4), expected)
+    assert abs(expected.mean() - 0.5 * base.mean()) < 5.0
 
 
 def test_thinning_matches_loss_map_in_bright_regime():
@@ -206,7 +216,7 @@ def _digest(*arrays):
 # order of the per-sample arithmetic changes these.
 PHOTOCURRENTS_SHA = "b487dc89d10913875ae5cd3b9eb3212a99bf52e3a0b74e60fa191828545e229c"
 PAIR_SHA = "40b81ed18cdd1c08edeb0feccae0174b50ad57ccb489d23494f6b9b0964d4136"
-SAMPLED_SWEEP_SHA = "387fd5b5efe8b793ef3c5a4062c0016c84e89258e08ce5e9cbf32fda81c6c701"
+SAMPLED_SWEEP_SHA = "d7cd90e1793a8b3eed7537cb208b8e8766c5984731f3e3cbe803c53eba2e7be2"
 
 
 def test_photocurrent_stream_is_pinned():

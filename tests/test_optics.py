@@ -186,7 +186,7 @@ def test_quadrant_cut_small_cells_preserve_squeezing():
     from quadsense.source import source_squeezing
 
     grid = build_coherence_grid(360.0, 360.0, 0.25, 1600.0)
-    cut = quadrant_cut(G2_IDEAL, grid, 1)
+    cut = quadrant_cut(G2_IDEAL, grid)
     # Tiny cells: the cut is a pure partition, so the balanced squeezing
     # ratio of the kept quadrant matches the full beam.
     assert cut.f_straddle < 0.003
@@ -201,112 +201,119 @@ def test_quadrant_cut_monotone_degradation_with_cell_size():
     ratios = []
     for d_c in (5.0, 20.0, 80.0, 160.0):
         grid = build_coherence_grid(360.0, 360.0, d_c, 1600.0)
-        cut = quadrant_cut(G2_IDEAL, grid, 1)
+        cut = quadrant_cut(G2_IDEAL, grid)
         ratios.append(source_squeezing(cut.moments)[0])
     assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
 def test_quadrant_cut_single_interior_cell_is_pure_loss():
-    # All the power sits in one off-axis cell, fully inside quadrant 1.
-    w = np.array([0.0, 1.0])
+    # All the power sits in whole cells off the axis, one per quadrant: no
+    # cell straddles a cut line, so the cut keeps the covariance share of
+    # its power.
     grid = CoherenceGrid(
         cell_size=10.0,
-        coords=np.array([-15.0, 15.0]),
-        axis_weight_p=w,
-        axis_weight_c=w,
-        sigma_p=5.0,
-        sigma_c=5.0,
+        whole_p=np.array([0.5]),
+        whole_c=np.array([0.5]),
+        half_p=0.0,
+        half_c=0.0,
     )
-    cut = quadrant_cut(G2_IDEAL, grid, 1)
-    assert cut.f_straddle == pytest.approx(0.0, abs=1e-12)
-    assert cut.eta_p == pytest.approx(1.0)
-    assert cut.moments.cov == pytest.approx(G2_IDEAL.cov, rel=1e-12)
+    cut = quadrant_cut(G2_IDEAL, grid)
+    assert cut.f_straddle == 0.0
+    assert cut.eta_p == 0.25
+    assert cut.moments.cov == pytest.approx(0.25 * G2_IDEAL.cov, rel=1e-12)
 
 
 def test_quadrant_cut_zero_power_quadrant_raises():
-    w = np.array([0.0, 1.0])
-    grid = CoherenceGrid(
-        cell_size=10.0,
-        coords=np.array([-15.0, 15.0]),
-        axis_weight_p=w,
-        axis_weight_c=w,
-        sigma_p=5.0,
-        sigma_c=5.0,
-    )
+    # One cell, far narrower than the beams: its ndtr power rounds to 0.
+    grid = build_coherence_grid(1e300, 1e300, 1.0, 1.0)
     with pytest.raises(UndefinedMomentsError):
-        quadrant_cut(G2_IDEAL, grid, 3)
-
-
-def test_quadrant_cut_rejects_bad_quadrant_label():
-    grid = build_coherence_grid(100.0, 100.0, 50.0, 400.0)
-    with pytest.raises(ValidationError):
-        quadrant_cut(G2_IDEAL, grid, 5)
+        quadrant_cut(G2_IDEAL, grid)
 
 
 def test_quadrant_cut_symmetric_beam_splits_evenly():
-    grid = build_coherence_grid(360.0, 360.0, 40.0, 1600.0)
-    etas = [quadrant_cut(G2_IDEAL, grid, q).eta_p for q in (1, 2, 3, 4)]
-    assert max(etas) - min(etas) < 1e-12
-    assert sum(etas) <= 1.0 + 1e-12
+    grid = build_coherence_grid(360.0, 300.0, 40.0, 1600.0)
+    cut = quadrant_cut(G2_IDEAL, grid)
+    assert cut.eta_p == cut.eta_c == 0.25
+    assert cut.moments.mean_p == 0.25 * G2_IDEAL.mean_p
+    assert cut.moments.var_c == 0.25 * G2_IDEAL.var_c
 
 
-def _brute_force_cut(m, grid, q):
+def _brute_force_cut(m, waist_p, waist_c, d_c, extent, q):
     """Sum the moments of every cell-quadrant rectangle, one cell at a time.
 
+    Builds its own full-axis cell centers from the cell size and extent.
     Each rectangle's power is a product of ndtr differences over its own
-    bounds; it keeps its covariance share only when it is the whole cell.
+    bounds, an interval above the axis taken at its mirror image so that no
+    difference of two values near 1 loses a far cell's power; it keeps its
+    covariance share only when it is the whole cell. Returns the quadrant's
+    moments and its straddle fraction: the share of the geometric-mean
+    power of its rectangles that is not whole cells.
     """
     sx, sy = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}[q]
-    h = 0.5 * grid.cell_size
+    sigma_p, sigma_c = waist_p / 4.0, waist_c / 4.0
+    half = math.ceil((0.5 * extent - 0.5 * d_c) / d_c)
+    coords = [k * d_c for k in range(-half, half + 1)]
+    h = 0.5 * d_c
+
+    def interval(lo, hi, sigma):
+        if lo >= 0.0:
+            return ndtr(-lo / sigma) - ndtr(-hi / sigma)
+        return ndtr(hi / sigma) - ndtr(lo / sigma)
 
     def power(xlo, xhi, ylo, yhi, sigma):
-        fx = ndtr(xhi / sigma) - ndtr(xlo / sigma)
-        fy = ndtr(yhi / sigma) - ndtr(ylo / sigma)
-        return fx * fy
+        return interval(xlo, xhi, sigma) * interval(ylo, yhi, sigma)
 
     def side(lo, hi, s):
         return (max(lo, 0.0), hi) if s > 0 else (lo, min(hi, 0.0))
 
     tot_p = tot_c = 0.0
     pieces = []
-    for cx in grid.coords:
-        for cy in grid.coords:
+    for cx in coords:
+        for cy in coords:
             cell = (cx - h, cx + h, cy - h, cy + h)
-            tot_p += power(*cell, grid.sigma_p)
-            tot_c += power(*cell, grid.sigma_c)
+            tot_p += power(*cell, sigma_p)
+            tot_c += power(*cell, sigma_c)
             xlo, xhi = side(cx - h, cx + h, sx)
             ylo, yhi = side(cy - h, cy + h, sy)
             if xhi <= xlo or yhi <= ylo:
                 continue
             rect = (xlo, xhi, ylo, yhi)
-            pieces.append(
-                (power(*rect, grid.sigma_p), power(*rect, grid.sigma_c), rect == cell)
-            )
-    mp = mc = cov = 0.0
+            pieces.append((power(*rect, sigma_p), power(*rect, sigma_c), rect == cell))
+    mp = mc = cov = geo_all = geo_whole = 0.0
     for wp, wc, whole in pieces:
+        geo_all += math.sqrt(wp * wc)
+        if whole:
+            geo_whole += math.sqrt(wp * wc)
         wp, wc = wp / tot_p, wc / tot_c
         mp += wp
         mc += wc
         if whole:
             cov += math.sqrt(wp * wc)
-    return TwinBeamMoments(
+    moments = TwinBeamMoments(
         mp * m.mean_p, mc * m.mean_c, mp * m.var_p, mc * m.var_c, cov * m.cov
     )
+    return moments, 1.0 - geo_whole / geo_all
 
 
 @pytest.mark.parametrize(
     "waist_p, waist_c, d_c, extent",
-    [(16.0, 16.0, 8.0, 64.0), (16.0, 15.0, 8.0, 64.0), (16.0, 16.0, 64.0, 64.0)],
+    [
+        (16.0, 16.0, 8.0, 64.0),
+        (16.0, 15.0, 8.0, 64.0),
+        (16.0, 16.0, 64.0, 64.0),
+        (100.0, 330.0, 60.0, 1320.0),
+    ],
 )
 def test_quadrant_cut_matches_brute_force_cell_enumeration(waist_p, waist_c, d_c, extent):
-    grid = build_coherence_grid(waist_p, waist_c, d_c, extent)
+    # Every quadrant of the enumerated cells matches the one half-axis cut.
+    cut = quadrant_cut(G2_IDEAL, build_coherence_grid(waist_p, waist_c, d_c, extent))
     for q in (1, 2, 3, 4):
-        exact = _brute_force_cut(G2_IDEAL, grid, q)
-        cut = quadrant_cut(G2_IDEAL, grid, q).moments
+        exact, f_straddle = _brute_force_cut(G2_IDEAL, waist_p, waist_c, d_c, extent, q)
         for name in ("mean_p", "mean_c", "var_p", "var_c", "cov"):
-            assert getattr(cut, name) == pytest.approx(
+            assert getattr(cut.moments, name) == pytest.approx(
                 getattr(exact, name), rel=1e-12, abs=0.0
             ), (q, name)
+        assert cut.f_straddle == pytest.approx(f_straddle, rel=1e-12, abs=0.0), q
 
 
 def test_layout_validation():

@@ -1,7 +1,9 @@
 import collections
 import copy
 import dataclasses
+import hashlib
 import json
+import types
 import warnings
 
 import numpy as np
@@ -10,13 +12,13 @@ import yaml
 
 from conftest import default_scenario_dict
 import quadsense.scenario as scenario_module
-from quadsense import cli, detection
+from quadsense import cli
 from quadsense.errors import FitInfeasibleError, ValidationError
 from quadsense.optics import quadrant_cut
 from quadsense.scenario import (
     Scenario,
     _fit_source,
-    _straddle_fraction,
+    _fit_straddle_cell_size,
     build_chain,
     dump_scenario,
 )
@@ -90,14 +92,17 @@ def test_fixed_cell_size_skips_straddle_fit(scenario):
     "waist_p, waist_c", [(360.0, 360.0), (360.0, 300.0), (300.0, 400.0), (100.0, 330.0)]
 )
 def test_straddle_fraction_matches_the_quadrant_cut(waist_p, waist_c):
-    extent = 4.0 * max(waist_p, waist_c)
+    # The solve finds the cell size whose quadrant cut loses the target
+    # straddle fraction; the fraction is strictly monotone in the cell size,
+    # so that is the size the target was read from, to brentq's xtol.
+    geometry = types.SimpleNamespace(
+        waist_p_um=waist_p, waist_c_um=waist_c, extent_um=4.0 * max(waist_p, waist_c)
+    )
     unit = TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0)
-    for d in (0.005, 0.05, 0.3, 1.7, 12.0, 100.0):
-        grid = build_coherence_grid(waist_p, waist_c, d, extent)
-        expected = quadrant_cut(unit, grid, 1).f_straddle
-        assert _straddle_fraction(waist_p, waist_c, d, extent) == pytest.approx(
-            expected, rel=1e-12, abs=0.0
-        ), d
+    for d in (0.05, 0.3, 1.7, 12.0):
+        grid = build_coherence_grid(waist_p, waist_c, d, geometry.extent_um)
+        target = quadrant_cut(unit, grid).f_straddle
+        assert abs(_fit_straddle_cell_size(geometry, target) - d) <= 1e-3, d
 
 
 def test_default_chain_cell_size(chain):
@@ -107,32 +112,19 @@ def test_default_chain_cell_size(chain):
 
 def test_straddle_solve_evaluates_each_cell_size_once(scenario, monkeypatch):
     calls = []
+    build = scenario_module.build_coherence_grid
 
     def counting(waist_p, waist_c, d, extent):
         calls.append(d)
-        return _straddle_fraction(waist_p, waist_c, d, extent)
+        return build(waist_p, waist_c, d, extent)
 
-    monkeypatch.setattr(scenario_module, "_straddle_fraction", counting)
+    monkeypatch.setattr(scenario_module, "build_coherence_grid", counting)
     chain = build_chain(scenario)
-    assert 0.005 in calls and scenario.waist_p_um in calls
-    assert len(calls) == len(set(calls)), collections.Counter(calls).most_common(3)
-    assert chain.cell_um == 0.05169314805940239
-
-
-def test_eta_p_solve_evaluates_each_bracket_end_once(scenario, monkeypatch):
-    calls = []  # (moments, eta_p); holding the moments keeps their ids unique
-    report = detection.squeezing_report
-
-    def counting(m, ch, *args, **kwargs):
-        calls.append((m, ch.eta_p))
-        return report(m, ch, *args, **kwargs)
-
-    monkeypatch.setattr(detection, "squeezing_report", counting)
-    chain = build_chain(scenario)
-    for q in (1, 2, 3, 4):
-        m_cut = chain.cut_moments[q]
-        ends = [eta_p for m, eta_p in calls if m is m_cut and eta_p in (1e-4, 1.0)]
-        assert sorted(ends) == [1e-4, 1.0], (q, ends)
+    # The solve's grids, then the chain's own grid at the solved size.
+    *solve, last = calls
+    assert last == chain.cell_um == 0.05169314805940239
+    assert 0.005 in solve and scenario.waist_p_um in solve
+    assert len(solve) == len(set(solve)), collections.Counter(solve).most_common(3)
 
 
 def _chain_bits(obj, out=None):
@@ -318,19 +310,25 @@ def test_cli_infeasible_stage_targets_print_residuals(tmp_path, capsys):
 
 
 def test_cli_overflowing_source_fit_prints_only_its_message(tmp_path, capsys):
-    # The fit converges to moments that overflow; the staged-balance refusal
-    # is the whole report, with no numpy warning before it.
-    cfg = default_scenario_dict()
-    cfg["source"]["seed_flux"] = 1e150
-    path = tmp_path / "bright.yaml"
-    path.write_text(yaml.safe_dump(cfg))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_cli("snr-sweep", "--scenario", str(path), "--out", str(tmp_path)) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("consistency error: staged squeezing targets"), err
-    assert err.count("\n") == 1, err
-    assert not (tmp_path / "enhancement.json").exists()
+    # The fit converges to moments that overflow, or its step solver divides
+    # by zero at an unreachable gain bound; the staged-balance refusal is the
+    # whole report, with no numpy warning before it.
+    for section, key, value in (
+        ("source", "seed_flux", 1e150),
+        ("calibration", "gain_bound", 1e300),
+    ):
+        cfg = default_scenario_dict()
+        cfg[section][key] = value
+        path = tmp_path / "bright.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("snr-sweep", "--scenario", str(path), "--out", str(tmp_path))
+        assert rc == 3, key
+        err = capsys.readouterr().err
+        assert err.startswith("consistency error: staged squeezing targets"), err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "enhancement.json").exists()
 
 
 def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
@@ -389,6 +387,8 @@ def test_cli_out_of_range_scalar_is_validation_error(
         (("modulation", "kappa"), [0, 0, 0, 0]),
         (("resonances", 0, "fwhm_nm"), 1e200),
         (("resonances", 0, "fwhm_nm"), 1e100),
+        (("calibration", "threshold_targets_mv"), [0, 0, 0, 0]),
+        (("modulation", "kappa"), [1e300, 1, 1, 1]),
     ],
     ids=[
         "fwhm_nm",
@@ -401,6 +401,8 @@ def test_cli_out_of_range_scalar_is_validation_error(
         "zero_kappa",
         "fwhm_nm_overflows_transmission",
         "fwhm_nm_overflows_slope",
+        "zero_threshold",
+        "kappa_overflows_signal",
     ],
 )
 def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value):
@@ -509,3 +511,27 @@ def test_cli_outputs_are_byte_stable(tmp_path):
     assert (a / "fig4_enhancement.json").read_bytes() == (
         b / "fig4_enhancement.json"
     ).read_bytes()
+
+
+# sha256 of every production artifact of the packaged scenario. A change
+# that moves a byte of one of them names the moved numbers and re-pins.
+ARTIFACT_SHA = {
+    "beam_curve.csv": "c34bddd58bc88048542c0fd2b3325ef1d5eda2671d25306c2bac8c7bbf6cd83c",
+    "enhancement.json": "af3cf46993e388249c8ee3624238d57d359bdff343ce2c51e0467c5973cc611c",
+    "fig3.csv": "ceaa5e348b1c04baebed2ea5ccc9e1d94fdb5b5b9483a42a841abc7d23c03f20",
+    "fig4_enhancement.json": "4352afbb97862a6a881781cbdc63781f72f28ab2da105f6705f75512f563c311",
+    "fig4_sweep.csv": "ce530c17907d2335a1de7d8796988f34798e0fe34e002b92bdf9ff1d2eb53daa",
+    "resonance_scan.csv": "98b9f4082f5f68fcfaecc911591bfbdfd403736f477319dd6fbeb6dc571846ac",
+    "snr_sweep.csv": "9f335650b4249fa56acee60cb04740c8dbad2f51588d8f7476ebab6db25c7f36",
+    "squeezing_budget.csv": "a147b2e391346ad744654e9fc71c3d995ece3fc5f2d8e66d208c64e5f8f512a3",
+}
+
+
+def test_default_scenario_artifacts_are_pinned(tmp_path):
+    for cmd in ("squeezing-budget", "optimize-beam", "resonance-scan", "snr-sweep", "fig3"):
+        assert run_cli(cmd, "--out", str(tmp_path)) == 0
+    assert run_cli("fig4", "--seed", "42", "--samples", "20000", "--out", str(tmp_path)) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+    }
+    assert digests == ARTIFACT_SHA

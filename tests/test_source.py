@@ -126,19 +126,13 @@ def test_seed_flux_homogeneity(gain, seed_flux, k, zc):
 def test_single_cell_grid_holds_all_power():
     grid = build_coherence_grid(100.0, 100.0, 400.0, 400.0)
     assert grid.n_cells == 1
-    assert grid.axis_weight_p.sum() ** 2 == pytest.approx(1.0, abs=1e-9)
-
-
-def test_grid_weights_have_reflection_symmetry():
-    grid = build_coherence_grid(360.0, 360.0, 40.0, 2000.0)
-    w = grid.axis_weight_p
-    assert np.allclose(w, w[::-1], rtol=0, atol=1e-15)
+    assert grid.axis_total_p**2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_grid_covers_truncated_gaussian_power():
     grid = build_coherence_grid(300.0, 300.0, 25.0, 1800.0)
-    assert grid.axis_weight_p.sum() ** 2 >= 0.999
-    assert grid.axis_weight_c.sum() ** 2 >= 0.999
+    assert grid.axis_total_p**2 >= 0.999
+    assert grid.axis_total_c**2 >= 0.999
 
 
 def test_grid_rejects_cell_larger_than_extent():
@@ -160,7 +154,7 @@ def test_quadrant_weights_match_gapless_transmission():
     # The quadrant share of the grid must agree with direct integration of
     # the same Gaussian over a gapless, untilted quadrant window.
     grid = build_coherence_grid(360.0, 360.0, 20.0, 2880.0)
-    cut = quadrant_cut(TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0), grid, 1)
+    cut = quadrant_cut(TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0), grid)
     layout = QuadrantLayout(window_size=1440.0, gap=0.0, tilt_deg=0.0)
     qt = quadrant_transmission(GaussianBeam.from_waist(360.0), layout)
     assert cut.eta_p == pytest.approx(qt.window_fractions[1], abs=1e-12)
