@@ -201,9 +201,11 @@ def _cmd_fig4(scenario: Scenario, args, out: Path) -> int:
     header = ["voltage_mv", "pair", "snr_tb", "snr_cs", "snr_opt"]
     _write_csv(out / "fig4_sweep.csv", header, _sweep_rows(chain, pairs))
 
+    curves = chain.sampled_snr_sweep(
+        [(q, q) for q in QUADRANTS], args.samples, args.seed
+    )
     sampled = {}
-    for q in QUADRANTS:
-        curve = chain.sampled_snr_sweep((q, q), args.samples, args.seed)
+    for q, curve in zip(QUADRANTS, curves):
         sampled[q], _ = threshold_voltage(curve, fit=True)
     _write_json(out / "fig4_enhancement.json", _enhancement_payload(chain, sampled))
     for q in QUADRANTS:

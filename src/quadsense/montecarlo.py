@@ -11,11 +11,14 @@ Randomness is counter-based: every draw owns an independent Philox
 substream, keyed by a seed and a spawn key whose first word names the
 sampler:
 
-- ``(seed, 0, chunk)``: :func:`sample_pair`;
+- ``(seed, 0, chunk)``: :func:`sample_pairs` and :func:`sample_pair`. The
+  four quadrant pairs of :meth:`scenario.SensingChain.sampled_snr_sweep`
+  are transformed from one draw of these streams;
 - ``(seed, 1, chunk)``: :func:`thinning_loss`;
 - ``(seed, 2, quadrant, chunk)``: :func:`sample_photocurrents`;
 - ``(seed, 9, 9)``: the drive-tone phases of
-  :meth:`scenario.SensingChain.sampled_snr_sweep`;
+  :meth:`scenario.SensingChain.sampled_snr_sweep`, drawn once and shared by
+  its four quadrant sweeps;
 - ``(seed, 13, k)``: the ``k``-th swept power of the ``snl_linearity`` check.
 
 Each chunk of 2^20 samples has its own substream. Where
@@ -30,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import TailMassError, ValidationError
 from .optics import QUADRANT_SIGNS, LossChannel, apply_loss, quadrant_cut
@@ -46,6 +47,7 @@ from .source import (
 __all__ = [
     "SampleBatch",
     "sample_photocurrents",
+    "sample_pairs",
     "sample_pair",
     "thinning_loss",
     "fock_two_mode_squeezer_moments",
@@ -137,32 +139,40 @@ def _chunks(n: int):
     ]
 
 
-def _fill_chunk(rng, mp, mc, a, b, c, probe, conj):
-    """Fill ``probe`` and ``conj`` in place with one chunk of bivariate
-    Gaussian samples.
+def _normals(n: int, seed: int, *key) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays of ``n`` standard normals, ``z0`` and ``z1``.
 
-    ``probe`` takes the first ``len(probe)`` standard normals ``z0`` of
-    ``rng`` and ``conj`` the next ``z1``; then probe = mp + a*z0 and
-    conj = mc + b*z0 + c*z1, rounded in that order.
+    Chunk ``k`` draws from the ``(seed, *key, k)`` substream: first its
+    slice of ``z0``, then its slice of ``z1``.
     """
-    rng.standard_normal(out=probe)
-    rng.standard_normal(out=conj)
-    t = probe * b
-    t += mc
-    conj *= c
-    conj += t
-    probe *= a
-    probe += mp
-
-
-def _sample_chunked(factors, n: int, seed: int, *key) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` bivariate Gaussian samples with the means and Cholesky factors
-    ``factors``; chunk ``k`` draws from the ``(seed, *key, k)`` substream."""
-    probe = np.empty(n)
-    conj = np.empty(n)
+    z0 = np.empty(n)
+    z1 = np.empty(n)
     for k, lo, size in _chunks(n):
+        rng = _generator(seed, *key, k)
+        rng.standard_normal(out=z0[lo : lo + size])
+        rng.standard_normal(out=z1[lo : lo + size])
+    return z0, z1
+
+
+def _correlate(factors, z0, z1, probe, conj):
+    """Bivariate Gaussian samples from the standard normals ``z0``, ``z1``.
+
+    With ``factors`` = ``(mp, mc, a, b, c)`` (see :func:`_factors`), writes
+    probe = mp + a*z0 and conj = mc + b*z0 + c*z1, rounded in that order,
+    into ``probe`` and ``conj`` and returns them. They may be ``z0`` and
+    ``z1`` themselves. The work goes chunk by chunk, so its one temporary
+    holds at most a chunk.
+    """
+    mp, mc, a, b, c = factors
+    for _, lo, size in _chunks(z0.size):
         part = slice(lo, lo + size)
-        _fill_chunk(_generator(seed, *key, k), *factors, probe[part], conj[part])
+        z0k, pk, ck = z0[part], probe[part], conj[part]
+        t = z0k * b
+        t += mc
+        np.multiply(z1[part], c, out=ck)
+        ck += t
+        np.multiply(z0k, a, out=pk)
+        pk += mp
     return probe, conj
 
 
@@ -188,13 +198,33 @@ def sample_photocurrents(
     factors = _factors(_quadrant_moments(grid, m))
     probe, conj = {}, {}
     for q in QUADRANT_SIGNS:
-        probe[q], conj[q] = _sample_chunked(factors, n, seed, 2, q)
+        z0, z1 = _normals(n, seed, 2, q)
+        probe[q], conj[q] = _correlate(factors, z0, z1, z0, z1)
     return SampleBatch(n_samples=n, seed=seed, probe=probe, conjugate=conj)
+
+
+def sample_pairs(moments, n: int, seed: int):
+    """Whole-beam probe/conjugate samples of each moment set in ``moments``.
+
+    One draw of the ``(seed, 0, chunk)`` substreams serves every set: each
+    yielded ``(probe, conj)`` pair is that draw transformed by the set's
+    means and Cholesky factors, so the pairs are correlated with each
+    other, and a set gets the same samples whichever list it is in. The
+    last set is transformed in place, into the draw's own arrays.
+    """
+    z0, z1 = _normals(n, seed, 0)
+    last = len(moments) - 1
+    for k, m in enumerate(moments):
+        if k == last:
+            yield _correlate(_factors(m), z0, z1, z0, z1)
+        else:
+            yield _correlate(_factors(m), z0, z1, np.empty(n), np.empty(n))
 
 
 def sample_pair(m: TwinBeamMoments, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Whole-beam probe/conjugate samples (single-cell shortcut)."""
-    return _sample_chunked(_factors(m), n, seed, 0)
+    (pair,) = sample_pairs([m], n, seed)
+    return pair
 
 
 def thinning_loss(samples: np.ndarray, eta: float, seed: int) -> np.ndarray:
@@ -228,6 +258,8 @@ def thinning_loss(samples: np.ndarray, eta: float, seed: int) -> np.ndarray:
 
 def _pair_ladder(n_max: int):
     """Sparse a'b' - ab on the truncated two-mode number basis."""
+    from scipy.sparse import coo_matrix  # local: importing montecarlo loads no scipy
+
     dim = n_max + 1
     rows, cols, vals = [], [], []
     for np_ in range(n_max):
@@ -269,6 +301,8 @@ def fock_two_mode_squeezer_moments(gain: float, seed_amplitude: float) -> TwinBe
         raise ValidationError("gain must be >= 1")
     if seed_amplitude < 0.0:
         raise ValidationError("seed amplitude must be >= 0")
+    from scipy.sparse.linalg import expm_multiply
+
     r = math.acosh(math.sqrt(gain))
 
     last_tail = None
@@ -354,17 +388,30 @@ def _rel_err(a: TwinBeamMoments, b: TwinBeamMoments) -> float:
     return max(abs(x - y) / max(abs(y), 1e-12) for x, y in pairs)
 
 
-def _z_mean(x, mu, var):
-    return abs(float(np.mean(x)) - mu) / math.sqrt(var / x.size)
+def _centre(x):
+    """Subtract the mean of ``x`` from it in place; return that mean and the
+    sample variance (ddof 0, as ``np.var``) of ``x``."""
+    mean = float(np.mean(x))
+    x -= mean
+    return mean, float(x @ x) / x.size
 
 
-def _z_var(x, var):
-    return abs(float(np.var(x)) - var) / (var * math.sqrt(2.0 / x.size))
+def _z_mean(mean, n, mu, var):
+    """z-score of a sample mean of ``n`` draws against ``mu``."""
+    return abs(mean - mu) / math.sqrt(var / n)
 
 
-def _z_cov(x, y, var_x, var_y, cov):
-    se = math.sqrt((var_x * var_y + cov**2) / x.size)
-    return abs(float(np.cov(x, y)[0, 1]) - cov) / se
+def _z_var(sample_var, n, var):
+    """z-score of a sample variance of ``n`` draws against ``var``."""
+    return abs(sample_var - var) / (var * math.sqrt(2.0 / n))
+
+
+def _z_cov(xc, yc, var_x, var_y, cov):
+    """z-score of the unbiased (ddof 1) sample covariance of the centred
+    arrays ``xc`` and ``yc`` against ``cov``."""
+    n = xc.size
+    se = math.sqrt((var_x * var_y + cov**2) / n)
+    return abs(float(xc @ yc) / (n - 1) - cov) / se
 
 
 def _fock_check():
@@ -393,11 +440,16 @@ def _bright_pair_checks(m, n, seed):
     pt = thinning_loss(p, ch.eta_p, seed ^ 0x7A11)
     ct = thinning_loss(c, ch.eta_c, seed ^ 0x7A22)
     expected = apply_loss(m, ch)
+    g = detection.optimal_gain(m, ch)
+    s_analytic = detection.difference_noise(m, ch, g)
+    z_diff = _z_var(float(np.var(pt - g * ct)), n, s_analytic)
+    mean_p, var_p = _centre(pt)
+    mean_c, var_c = _centre(ct)
     worst = max(
-        _z_mean(pt, expected.mean_p, expected.var_p),
-        _z_mean(ct, expected.mean_c, expected.var_c),
-        _z_var(pt, expected.var_p),
-        _z_var(ct, expected.var_c),
+        _z_mean(mean_p, n, expected.mean_p, expected.var_p),
+        _z_mean(mean_c, n, expected.mean_c, expected.var_c),
+        _z_var(var_p, n, expected.var_p),
+        _z_var(var_c, n, expected.var_c),
         _z_cov(pt, ct, expected.var_p, expected.var_c, expected.cov),
     )
     thinning = _check(
@@ -408,12 +460,9 @@ def _bright_pair_checks(m, n, seed):
         f"analytic loss map at n={n}",
     )
 
-    g = detection.optimal_gain(m, ch)
-    s_analytic = detection.difference_noise(m, ch, g)
-    z = _z_var(pt - g * ct, s_analytic)
     difference = _check(
         "sampled_difference_noise",
-        z,
+        z_diff,
         5.0,
         f"z-score of sampled minimum difference noise at n={n}, g={g:.4f}",
     )
@@ -448,14 +497,20 @@ def _partition_checks(grid, m, n, seed):
     cross-quadrant independence, on one batch."""
     batch = sample_photocurrents(grid, m, n, seed)
     exp = quadrant_cut(m, grid).moments
+    quads = sorted(QUADRANT_SIGNS)
+    # Each quadrant's (centred probe, its variance), (centred conjugate, ...).
+    beams = {}
     worst = 0.0
-    for q in QUADRANT_SIGNS:
+    for q in quads:
         p, c = batch.probe[q], batch.conjugate[q]
+        mean_p, var_p = _centre(p)
+        _, var_c = _centre(c)
+        beams[q] = [(p, var_p), (c, var_c)]
         worst = max(
             worst,
-            _z_mean(p, exp.mean_p, exp.var_p),
-            _z_var(p, exp.var_p),
-            _z_var(c, exp.var_c),
+            _z_mean(mean_p, n, exp.mean_p, exp.var_p),
+            _z_var(var_p, n, exp.var_p),
+            _z_var(var_c, n, exp.var_c),
             _z_cov(p, c, exp.var_p, exp.var_c, exp.cov),
         )
     sums = _check(
@@ -467,10 +522,6 @@ def _partition_checks(grid, m, n, seed):
     )
 
     worst = 0.0
-    quads = sorted(QUADRANT_SIGNS)
-    beams = {
-        q: [(x, np.var(x)) for x in (batch.probe[q], batch.conjugate[q])] for q in quads
-    }
     for a in quads:
         for b in quads:
             if a >= b:

@@ -362,39 +362,60 @@ class SensingChain:
             "optimal": analysis.SNRCurve(pair, "optimal", v, np.sqrt(s / p_only)),
         }
 
-    def sampled_snr_sweep(self, pair, n_samples: int, seed: int) -> analysis.SNRCurve:
-        """Twin-beam SNR curve estimated from simulated photocurrents.
+    def sampled_snr_sweep(self, pairs, n_samples: int, seed: int) -> list:
+        """Twin-beam SNR curves of ``pairs`` estimated from simulated
+        photocurrents, one :class:`analysis.SNRCurve` per pair, in order.
 
-        The modulation-off floor is the sample variance of the simulated
-        difference photocurrent; each swept point adds a sampled sinusoid
-        of the modeled amplitude before re-estimating the noise power.
-        The detected-state moments are formed analytically before
-        sampling; stochastic thinning is validated separately, in the
-        bright regime where its Gaussian-equivalent form is unbiased.
+        Each pair's detected-state moments are formed analytically and
+        sampled; stochastic thinning is validated separately, in the
+        bright regime where its Gaussian-equivalent form is unbiased. The
+        modulation-off floor is the sample variance of the difference
+        photocurrent. Each swept point adds a sampled sinusoid of the
+        modeled amplitude ``amp``; its noise power is the sample variance
+        of that sum, taken from the exact identity
+        ``var(d + amp*t) = var(d) + 2*amp*cov(d, t) + amp**2 * var(t)``
+        (all with ddof 0), so each pair reduces its samples once, not once
+        per point. All pairs share one draw of the ``(seed, 0, chunk)``
+        substreams (:func:`montecarlo.sample_pairs`) and one ``(seed, 9, 9)``
+        tone, so a pair's curve does not depend on the other pairs swept.
         """
         from . import montecarlo
 
-        i, j = pair
         v = np.asarray(self.scenario.sweep_voltages_mv, float)
-        m = apply_loss(self.pair_moments(i, j), self.pair_channel(i, j))
-        g = self.g_opt[i]
-        p, c = montecarlo.sample_pair(m, n_samples, seed)
-        diff = p - g * c
-        s_off = float(np.var(diff))
+        moments = [
+            apply_loss(self.pair_moments(i, j), self.pair_channel(i, j))
+            for i, j in pairs
+        ]
         rng = montecarlo._generator(seed, 9, 9)
         tone = np.sin(rng.uniform(0.0, 2.0 * math.pi, n_samples))
-        snrs = []
-        clamped = False
-        for vk in v:
-            amp = math.sqrt(2.0 * self.signal(i, float(vk)))
-            s_on = float(np.var(diff + amp * tone))
-            sig = analysis.signal_estimate(s_on, s_off)
-            if sig < 0:
-                clamped = True
-                snrs.append(0.0)
-            else:
-                snrs.append(math.sqrt(sig / s_off))
-        return analysis.SNRCurve(pair, "twin", v, np.array(snrs), clamped=clamped)
+        tone -= tone.mean()
+        tone_var = float(tone @ tone) / n_samples
+        curves = []
+        draws = montecarlo.sample_pairs(moments, n_samples, seed)
+        for i, j in pairs:
+            p, c = next(draws)
+            # The difference photocurrent p - g*c, formed in p's own buffer.
+            c *= self.g_opt[i]
+            p -= c
+            s_off = float(np.var(p))
+            p -= p.mean()
+            tone_cov = float(p @ tone) / n_samples
+            del p, c  # free this pair's samples before the next is transformed
+            snrs = []
+            clamped = False
+            for vk in v:
+                amp = math.sqrt(2.0 * self.signal(i, float(vk)))
+                s_on = s_off + 2.0 * amp * tone_cov + amp * amp * tone_var
+                sig = analysis.signal_estimate(s_on, s_off)
+                if sig < 0:
+                    clamped = True
+                    snrs.append(0.0)
+                else:
+                    snrs.append(math.sqrt(sig / s_off))
+            curves.append(
+                analysis.SNRCurve((i, j), "twin", v, np.array(snrs), clamped=clamped)
+            )
+        return curves
 
     def enhancement_report(self, i: int) -> analysis.EnhancementReport:
         curves = self.snr_sweep((i, i))
@@ -614,10 +635,13 @@ def build_chain(scenario: Scenario) -> SensingChain:
                 raise FitInfeasibleError(
                     f"sensor {q} has no transduction at the operating wavelength"
                 )
-            i_q = channels_p[q] * cut_moments[q].mean_p
+            # In Python floats, which overflow to inf without a numpy
+            # warning. A tiny target can underflow the divisor to 0; its
+            # kappa is then inf too, which the signal check rejects.
+            i_q = float(channels_p[q] * cut_moments[q].mean_p)
             s_off = reports[q].diff_variance
-            v_th = scenario.threshold_targets_mv[q - 1]
-            kappa.append(float(t * math.sqrt(2.0 * s_off) / (i_q * slope * v_th)))
+            divisor = i_q * slope * scenario.threshold_targets_mv[q - 1]
+            kappa.append(t * math.sqrt(2.0 * s_off) / divisor if divisor else math.inf)
         kappa = tuple(kappa)
 
     budget = [

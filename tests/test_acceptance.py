@@ -165,10 +165,12 @@ def test_criterion_7_shot_noise_scales_linearly_with_power(verification):
 def test_criterion_8_threshold_voltages(chain):
     ok = True
     worst_rel = 0.0
-    for q, target in zip((1, 2, 3, 4), MEASURED_V_TB_MV):
+    curves = chain.sampled_snr_sweep(
+        [(q, q) for q in (1, 2, 3, 4)], n_samples=500_000, seed=chain.scenario.seed
+    )
+    for q, target, curve in zip((1, 2, 3, 4), MEASURED_V_TB_MV, curves):
         rep = chain.enhancement_report(q)
         ok &= abs(rep.v_tb - target) <= 1.0
-        curve = chain.sampled_snr_sweep((q, q), n_samples=500_000, seed=chain.scenario.seed)
         v_sampled, extrapolated = analysis.threshold_voltage(curve, fit=True)
         ok &= not extrapolated
         rel = abs(v_sampled - rep.v_tb) / rep.v_tb

@@ -17,19 +17,19 @@ import quadsense
 SRC = str(Path(quadsense.__file__).resolve().parents[1])
 
 PROBE = """
-import json, sys
-import quadsense.cli as cli
+import importlib, json, sys
+module = importlib.import_module(sys.argv[2])
 argv = json.loads(sys.argv[1])
-rc = cli.main(argv) if argv else None
+rc = module.main(argv) if argv else None
 print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
 
-def loaded_after(argv, cwd):
+def loaded_after(argv, cwd, module="quadsense.cli"):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-c", PROBE, json.dumps(argv), module],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -41,21 +41,25 @@ def loaded_after(argv, cwd):
 
 
 @pytest.mark.parametrize(
-    "argv, rcs, forbidden",
+    "module, argv, rcs, forbidden",
     [
-        ([], (None,), ("scipy",)),
-        (["resonance-scan"], (0,), ("scipy",)),
-        (["optimize-beam"], (0,), ("scipy.optimize", "scipy.sparse")),
+        ("quadsense.cli", [], (None,), ("scipy",)),
+        # The Fock oracle imports scipy.sparse when it runs.
+        ("quadsense.montecarlo", [], (None,), ("scipy",)),
+        ("quadsense.cli", ["resonance-scan"], (0,), ("scipy",)),
+        ("quadsense.cli", ["optimize-beam"], (0,), ("scipy.optimize", "scipy.sparse")),
         # 1000 samples are too few for the 0.2 dB snl_linearity bound, so
         # the run may exit 3; it still imports everything verify uses.
-        (["verify", "--samples", "1000"], (0, 3), ("scipy.optimize",)),
+        ("quadsense.cli", ["verify", "--samples", "1000"], (0, 3), ("scipy.optimize",)),
     ],
-    ids=["import", "resonance-scan", "optimize-beam", "verify"],
+    ids=["import", "import-montecarlo", "resonance-scan", "optimize-beam", "verify"],
 )
-def test_subcommand_imports_only_the_scipy_it_runs(tmp_path, argv, rcs, forbidden):
+def test_subcommand_imports_only_the_scipy_it_runs(
+    tmp_path, module, argv, rcs, forbidden
+):
     if argv:
         argv = argv + ["--out", str(tmp_path)]
-    result = loaded_after(argv, tmp_path)
+    result = loaded_after(argv, tmp_path, module)
     assert result["rc"] in rcs
     loaded = [
         m

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from quadsense import montecarlo
+from quadsense import analysis, cli, montecarlo
 from quadsense.errors import TailMassError, ValidationError
-from quadsense.optics import quadrant_cut
+from quadsense.optics import apply_loss, quadrant_cut
 from quadsense.montecarlo import (
     fock_two_mode_squeezer_moments,
     run_verification,
@@ -216,7 +216,7 @@ def _digest(*arrays):
 # order of the per-sample arithmetic changes these.
 PHOTOCURRENTS_SHA = "b487dc89d10913875ae5cd3b9eb3212a99bf52e3a0b74e60fa191828545e229c"
 PAIR_SHA = "40b81ed18cdd1c08edeb0feccae0174b50ad57ccb489d23494f6b9b0964d4136"
-SAMPLED_SWEEP_SHA = "d7cd90e1793a8b3eed7537cb208b8e8766c5984731f3e3cbe803c53eba2e7be2"
+SAMPLED_SWEEP_SHA = "017ef419bffac499df22b3eaaf843e64d02896d32f4880d05b32702e2091cc81"
 
 
 def test_photocurrent_stream_is_pinned():
@@ -231,5 +231,81 @@ def test_pair_stream_is_pinned():
 
 
 def test_sampled_snr_sweep_is_pinned(chain):
-    curve = chain.sampled_snr_sweep((1, 1), 20_000, 42)
+    (curve,) = chain.sampled_snr_sweep([(1, 1)], 20_000, 42)
     assert _digest(curve.voltages, curve.snr) == SAMPLED_SWEEP_SHA
+
+
+QUADRANT_PAIRS = [(1, 1), (2, 2), (3, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_sampled_sweep_noise_is_the_sample_variance(chain, monkeypatch, seed):
+    # Every swept point's noise power must be the sample variance of the
+    # difference photocurrent plus the sampled tone, as np.var computes it
+    # from the same draws.
+    n = 20_000
+    recorded = []
+    estimate = analysis.signal_estimate
+
+    def recording_estimate(s_on, s_off):
+        recorded.append((s_on, s_off))
+        return estimate(s_on, s_off)
+
+    monkeypatch.setattr(analysis, "signal_estimate", recording_estimate)
+    chain.sampled_snr_sweep(QUADRANT_PAIRS, n, seed)
+    voltages = chain.scenario.sweep_voltages_mv
+    assert len(recorded) == len(QUADRANT_PAIRS) * len(voltages)
+
+    tone = np.sin(montecarlo._generator(seed, 9, 9).uniform(0.0, 2.0 * math.pi, n))
+    points = iter(recorded)
+    for q, _ in QUADRANT_PAIRS:
+        m = apply_loss(chain.pair_moments(q, q), chain.pair_channel(q, q))
+        p, c = sample_pair(m, n, seed)
+        diff = p - chain.g_opt[q] * c
+        for v in voltages:
+            amp = math.sqrt(2.0 * chain.signal(q, float(v)))
+            s_on, s_off = next(points)
+            assert s_off == np.var(diff)
+            reference = np.var(diff + amp * tone)
+            assert abs(s_on - reference) <= 1e-12 * reference, (q, v)
+
+
+def test_sampled_sweep_pairs_share_no_state(chain):
+    # A pair swept alone gets, bit for bit, the curve it gets among four.
+    together = chain.sampled_snr_sweep(QUADRANT_PAIRS, 20_000, 42)
+    for pair, curve in zip(QUADRANT_PAIRS, together):
+        (alone,) = chain.sampled_snr_sweep([pair], 20_000, 42)
+        assert curve.pair == alone.pair == pair
+        assert np.array_equal(curve.snr, alone.snr)
+        assert curve.clamped == alone.clamped
+
+
+def test_fig4_draws_each_sweep_stream_once(tmp_path, monkeypatch):
+    opened = []
+    generator = montecarlo._generator
+
+    def recording_generator(seed, *key):
+        opened.append((seed, *key))
+        return generator(seed, *key)
+
+    monkeypatch.setattr(montecarlo, "_generator", recording_generator)
+    argv = ["fig4", "--seed", "42", "--samples", "2000", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert sorted(opened) == [(42, 0, 0), (42, 9, 9)]
+
+
+def test_covariance_z_score_matches_np_cov():
+    grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
+    n = 20_000
+    batch = sample_photocurrents(grid, G2_IDEAL, n, seed=11)
+    exp = quadrant_cut(G2_IDEAL, grid).moments
+    for x, y, cov in [
+        (batch.probe[1], batch.conjugate[1], exp.cov),
+        (batch.probe[1], batch.conjugate[3], 0.0),
+    ]:
+        var_x, var_y = np.var(x), np.var(y)
+        se = math.sqrt((var_x * var_y + cov**2) / n)
+        reference = abs(np.cov(x, y)[0, 1] - cov) / se
+        xc, yc = x - np.mean(x), y - np.mean(y)
+        z = montecarlo._z_cov(xc, yc, var_x, var_y, cov)
+        assert abs(z - reference) <= 1e-12 * reference

@@ -389,6 +389,7 @@ def test_cli_out_of_range_scalar_is_validation_error(
         (("resonances", 0, "fwhm_nm"), 1e100),
         (("calibration", "threshold_targets_mv"), [0, 0, 0, 0]),
         (("modulation", "kappa"), [1e300, 1, 1, 1]),
+        (("calibration", "threshold_targets_mv"), [1e-320, 265, 319, 316]),
     ],
     ids=[
         "fwhm_nm",
@@ -403,6 +404,7 @@ def test_cli_out_of_range_scalar_is_validation_error(
         "fwhm_nm_overflows_slope",
         "zero_threshold",
         "kappa_overflows_signal",
+        "tiny_threshold_overflows_kappa",
     ],
 )
 def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value):
