@@ -86,7 +86,7 @@ def _quadrant_pieces(grid: CoherenceGrid, m: TwinBeamMoments):
     once: products of an x piece and a y piece of the grid's half axis
     (the whole cells, then the on-axis half cell), each weight a fraction
     of the grid's per-axis power. The pieces sum to
-    ``quadrant_cut(m, grid).moments``. A piece's weight is the product of
+    ``quadrant_cut(m, grid)``. A piece's weight is the product of
     its two factors, and it keeps its share of the covariance only when
     both factors are whole cells.
     """
@@ -186,7 +186,7 @@ def sample_photocurrents(
     parts of cells on a cut line), which are mutually independent bivariate
     Gaussians; so it is drawn as one bivariate Gaussian with the summed
     moments of :func:`_quadrant_moments`, whose expectation is
-    ``quadrant_cut(m, grid).moments``. The quadrants share those moments
+    ``quadrant_cut(m, grid)``. The quadrants share those moments
     but not their draws: quadrant ``q`` draws from the
     ``(seed, 2, q, chunk)`` substreams.
     """
@@ -496,7 +496,7 @@ def _partition_checks(grid, m, n, seed):
     """Sampled quadrants against the analytic quadrant cut, and
     cross-quadrant independence, on one batch."""
     batch = sample_photocurrents(grid, m, n, seed)
-    exp = quadrant_cut(m, grid).moments
+    exp = quadrant_cut(m, grid)
     quads = sorted(QUADRANT_SIGNS)
     # Each quadrant's (centred probe, its variance), (centred conjugate, ...).
     beams = {}

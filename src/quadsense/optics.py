@@ -24,7 +24,6 @@ __all__ = [
     "QuadrantLayout",
     "LossChannel",
     "QuadrantTransmission",
-    "QuadrantCutResult",
     "quadrant_transmission",
     "optimize_waist",
     "apply_loss",
@@ -213,15 +212,7 @@ def apply_loss(m: TwinBeamMoments, ch: LossChannel) -> TwinBeamMoments:
     )
 
 
-@dataclass(frozen=True)
-class QuadrantCutResult:
-    moments: TwinBeamMoments
-    eta_p: float
-    eta_c: float
-    f_straddle: float
-
-
-def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid) -> QuadrantCutResult:
+def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid) -> TwinBeamMoments:
     """Select one spatial quadrant of a multi-mode twin beam.
 
     The beam is a sum of independent coherence cells carrying proportional
@@ -242,16 +233,10 @@ def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid) -> QuadrantCutResult:
     # Geometric-mean weight of the whole cells of one axis, as a fraction of
     # the grid's per-axis powers; a whole-cell piece takes a product of two.
     keep = float(np.sqrt(grid.whole_p * grid.whole_c).sum()) / math.sqrt(tot_p * tot_c)
-    cut = TwinBeamMoments(
+    return TwinBeamMoments(
         mean_p=QUADRANT_SHARE * m.mean_p,
         mean_c=QUADRANT_SHARE * m.mean_c,
         var_p=QUADRANT_SHARE * m.var_p,
         var_c=QUADRANT_SHARE * m.var_c,
         cov=keep * keep * m.cov,
-    )
-    return QuadrantCutResult(
-        moments=cut,
-        eta_p=QUADRANT_SHARE,
-        eta_c=QUADRANT_SHARE,
-        f_straddle=grid.f_straddle,
     )

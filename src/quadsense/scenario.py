@@ -1,34 +1,29 @@
 """Scenario configuration and the calibrated sensing chain.
 
 A scenario file (YAML) holds the experiment description: source targets,
-geometry, per-sensor resonances, detector properties, and sweep settings.
-:func:`build_chain` turns it into a fully calibrated chain:
+geometry, a declared coherence-cell size, per-sensor resonances, detector
+properties, and sweep settings. :func:`build_chain` turns it into a fully
+calibrated chain, every step in closed form:
 
-1. joint least-squares fit of the source parameters, the imaging-path
-   transmission, and the coherence straddle fraction against the staged
-   squeezing targets plus the expected post-sensor squeezing/attenuation.
-   It reads only the source inputs (gain bound, seed flux, staged and
-   final targets), so it is computed once per distinct source input per
-   process and shared by every scenario that differs only downstream;
-2. coherence-cell size solved from the fitted straddle fraction, which a
-   grid stored as one half axis gives in closed form. The solve evaluates
-   each cell size once: brentq reads both bracket ends from the
-   feasibility check. The grid is centered on both beams, so one quadrant
-   cut of it gives every quadrant's post-cut moments;
-3. per-quadrant probe transmission solved in closed form from the
-   measured residual squeezing levels;
-4. per-sensor drive coefficients solved so the twin-beam SNR = 1
+1. the source gain, its uncorrelated excess noise and the imaging-path
+   transmission, solved stage by stage from the three staged squeezing
+   targets. The post-cut stage reads the covariance share a quadrant keeps
+   from the quadrant cut of the declared grid; the grid is centered on
+   both beams, so one cut gives every quadrant's moments. The expected
+   post-sensor squeezing and attenuation are predictions, reported as
+   residuals, not fitted;
+2. per-quadrant probe transmission solved from the measured residual
+   squeezing levels;
+3. per-sensor drive coefficients solved so the twin-beam SNR = 1
    thresholds match their calibration targets.
 
-All fits are deterministic (fixed starting points and iteration order).
-``scipy.optimize`` and the Monte Carlo layer are imported by the functions
-that use them, so loading a scenario imports neither.
+The Monte Carlo layer is imported by the methods that use it, so loading
+a scenario does not import it.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -40,6 +35,7 @@ import yaml
 from . import analysis, detection, plasmonic
 from .errors import FitInfeasibleError, ValidationError
 from .optics import (
+    QUADRANT_SHARE,
     GaussianBeam,
     LossChannel,
     QuadrantLayout,
@@ -60,6 +56,9 @@ from .source import (
 __all__ = ["Scenario", "SensingChain", "build_chain", "load_scenario", "dump_scenario"]
 
 QUADRANTS = (1, 2, 3, 4)
+STAGES = ("source", "post_optics", "post_cut")
+# Least transmission a calibrated path may have.
+MIN_TRANSMISSION = 1e-4
 
 
 def _require(mapping, key, path, kind=None):
@@ -107,7 +106,7 @@ class Scenario:
     layout: QuadrantLayout
     mask_transmission: float
     extent_um: float
-    cell_um: float | None
+    cell_um: float
     quantum_efficiency: float
     resonances: tuple[EOTResonance, ...]
     modulation_frequency_hz: float
@@ -116,7 +115,6 @@ class Scenario:
     final_target: dict
     residual_db: tuple
     threshold_targets_mv: tuple
-    gain_bound: float
     sweep_voltages_mv: tuple
     rbw_scale: float
 
@@ -202,16 +200,23 @@ class Scenario:
             if len(kappa) != 4:
                 raise ValidationError("modulation.kappa needs 4 entries")
 
-        cell_um = coh.get("cell_um")
-        if cell_um is not None:
-            cell_um = _number(cell_um, "coherence.cell_um", above=0.0)
+        waist_p = _field(beam, "waist_p_um", "beam", above=0.0)
+        waist_c = _field(beam, "waist_c_um", "beam", above=0.0)
+        cell_um = _field(coh, "cell_um", "coherence", above=0.0)
+        # Quadrants are independent only if a coherence cell is much
+        # smaller than the beam; one as large as a waist is the whole beam.
+        if not cell_um < min(waist_p, waist_c):
+            raise ValidationError(
+                f"scenario key coherence.cell_um {cell_um:g} must be smaller "
+                f"than the beam waists ({waist_p:g}, {waist_c:g} um)"
+            )
         return cls(
             raw=copy.deepcopy(cfg),
             seed=int(_field(cfg, "seed", "", 0, above=-1.0)),
             seed_flux=_field(src, "seed_flux", "source", 1.0),
             wavelength_nm=_field(cfg, "wavelength_nm", "", 795.0),
-            waist_p_um=_field(beam, "waist_p_um", "beam", above=0.0),
-            waist_c_um=_field(beam, "waist_c_um", "beam", above=0.0),
+            waist_p_um=waist_p,
+            waist_c_um=waist_c,
             layout=layout,
             mask_transmission=_field(lay, "mask_transmission", "layout", 0.90),
             extent_um=_field(coh, "extent_um", "coherence"),
@@ -229,7 +234,6 @@ class Scenario:
             },
             residual_db=residual,
             threshold_targets_mv=thresholds,
-            gain_bound=_field(cal, "gain_bound", "calibration", 100.0, above=1.0),
             sweep_voltages_mv=voltages,
             rbw_scale=_field(cfg, "rbw_scale", "", 1.0, above=0.0),
         )
@@ -259,13 +263,6 @@ def dump_scenario(scenario: Scenario) -> str:
     return buf.getvalue()
 
 
-def _partition_cut(m: TwinBeamMoments, f: float, fs: float) -> TwinBeamMoments:
-    """Quadrant partition with an abstract straddle fraction (calibration)."""
-    return TwinBeamMoments(
-        f * m.mean_p, f * m.mean_c, f * m.var_p, f * m.var_c, f * m.cov * (1.0 - fs)
-    )
-
-
 @dataclass
 class StageBudget:
     label: str
@@ -281,12 +278,11 @@ class SensingChain:
     scenario: Scenario
     source_params: FwmSourceParams
     eta_optics: float
-    f_straddle: float
     cell_um: float
     grid: CoherenceGrid
     source_moments: TwinBeamMoments
     optics_moments: TwinBeamMoments
-    cut_moments: dict
+    cut: TwinBeamMoments
     channels_p: dict
     eta_c: float
     g_opt: dict
@@ -302,11 +298,10 @@ class SensingChain:
 
     def pair_moments(self, i: int, j: int) -> TwinBeamMoments:
         """Quadrant pair (p_i, c_j); uncorrelated quadrants share no covariance."""
-        mi = self.cut_moments[i]
+        m = self.cut
         if i == j:
-            return mi
-        mj = self.cut_moments[j]
-        return TwinBeamMoments(mi.mean_p, mj.mean_c, mi.var_p, mj.var_c, 0.0)
+            return m
+        return TwinBeamMoments(m.mean_p, m.mean_c, m.var_p, m.var_c, 0.0)
 
     def noise_off(self, i: int, j: int) -> float:
         """Modulation-off difference noise, using the correlated pair's g."""
@@ -320,11 +315,10 @@ class SensingChain:
         )
 
     def probe_only_noise(self, i: int) -> float:
-        m = self.cut_moments[i]
-        return detection.snl_noise(m.mean_p, 0.0, self.pair_channel(i, i), 0.0)
+        return detection.snl_noise(self.cut.mean_p, 0.0, self.pair_channel(i, i), 0.0)
 
     def detected_probe_mean(self, i: int) -> float:
-        return self.channels_p[i] * self.cut_moments[i].mean_p
+        return self.channels_p[i] * self.cut.mean_p
 
     def modulation(self, voltage_mv: float) -> IndexModulation:
         return IndexModulation(
@@ -432,168 +426,113 @@ class SensingChain:
         )
 
 
-def _fit_straddle_cell_size(scenario: Scenario, fs_target: float) -> float:
-    """Cell size whose grid reproduces the fitted straddle fraction.
-
-    The straddle fraction is memoized for this solve, so each bracket end
-    is evaluated once: the feasibility check computes it and brentq, which
-    always evaluates both ends itself, reads it back. The finest end,
-    ``d = 0.005`` µm, is most of the solve's cost.
-    """
-    from scipy import optimize
-
-    @functools.lru_cache(maxsize=None)
-    def fs_of(d):
-        return build_coherence_grid(
-            scenario.waist_p_um, scenario.waist_c_um, d, scenario.extent_um
-        ).f_straddle
-
-    lo, hi = 0.005, scenario.waist_p_um
-    flo, fhi = fs_of(lo), fs_of(hi)
-    if not flo <= fs_target <= fhi:
-        raise FitInfeasibleError(
-            f"straddle fraction {fs_target:.4f} outside reachable range "
-            f"[{flo:.4f}, {fhi:.4f}]"
+def _db_ratio(db: float, key: str) -> float:
+    """The linear noise ratio ``10**(db/10)`` of the target ``key``."""
+    try:
+        ratio = 10.0 ** (db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValidationError(
+            f"scenario key {key} = {db:g} dB has no finite noise ratio"
         )
-    return float(optimize.brentq(lambda d: fs_of(d) - fs_target, lo, hi, xtol=1e-3))
+    return ratio
 
 
-def _stage_values(x, seed_flux: float, eta_p: float, eta_c: float):
-    """Source, post-optics and abstract post-cut moments, and the final
-    squeezing report, at the fit parameters ``x = (gain, zc, zu, eta_opt, fs)``."""
-    gain, zc, zu, eta_opt, fs = x
-    p = FwmSourceParams(
-        gain=max(gain, 1.0),
-        seed_flux=seed_flux,
-        excess_correlated=max(zc, 0.0),
-        excess_uncorrelated=max(zu, 0.0),
+def _solve_stages(r_source: float, r_optics: float, r_cut: float, k: float):
+    """``(gain, eta_optics, feasible)`` meeting the staged linear noise ratios.
+
+    Loss maps a noise ratio ``r`` to ``eta (r - 1) + 1``, so the post-optics
+    target fixes ``eta_optics``. The quadrant cut keeps a quarter of every
+    mean and variance and the share ``k`` of the covariance, which raises
+    the ratio by ``8 (1/4 - k) eta_optics 2G(G - 1)/(2G - 1)``: zero at
+    G = 1 and increasing with G, so the post-cut target has one root
+    G >= 1. The source target then needs a non-negative uncorrelated excess
+    noise, that is ``r_source >= 1/(2G - 1)``. Where the targets admit no
+    such point, ``feasible`` is False and the returned point is the nearest
+    physical one: the transmission clamped into ``[MIN_TRANSMISSION, 1]``
+    and the gain raised to the least that meets both bounds.
+    """
+    eta = (r_optics - 1.0) / (r_source - 1.0) if r_source != 1.0 else math.inf
+    feasible = 0.0 < eta <= 1.0
+    eta = min(max(eta, MIN_TRANSMISSION), 1.0)
+    c = (r_cut - r_optics) / (8.0 * (QUADRANT_SHARE - k) * eta)
+    gain = 0.5 * (1.0 + c + math.hypot(1.0, c))
+    least = max(0.5 + 0.5 / r_source, 1.0)
+    if not least <= gain < math.inf:
+        feasible, gain = False, least
+    return gain, eta, feasible
+
+
+def _stages(scenario: Scenario, grid: CoherenceGrid, gain, eta_optics, r_source):
+    """Source parameters, the source, post-optics and cut moments, and the
+    residual of each staged target and of the predicted final point.
+
+    The source's uncorrelated excess noise is the one that meets the source
+    target at ``gain``, or 0 where that would be negative; it has no
+    correlated excess noise.
+    """
+    ns = scenario.seed_flux
+    mean_p, mean_c = gain * ns, (gain - 1.0) * ns
+    try:
+        zu = (r_source - 1.0 / (2.0 * gain - 1.0)) * (mean_p + mean_c)
+        zu /= mean_p**2 + mean_c**2
+        params = FwmSourceParams(gain, ns, excess_uncorrelated=max(zu, 0.0))
+        m0 = fwm_moments(params)
+    except OverflowError:
+        raise ValidationError(
+            f"source moments overflow at source.seed_flux {ns:g} and gain {gain:.6g}"
+        ) from None
+    m1 = apply_loss(m0, LossChannel(eta_optics, eta_optics))
+    cut = quadrant_cut(m1, grid)
+    targets = scenario.stage_targets_db
+    residuals = {
+        label: source_squeezing(m)[1] - targets[label]
+        for label, m in zip(STAGES, (m0, m1, cut))
+    }
+    final = scenario.final_target
+    rep = detection.squeezing_report(
+        cut, LossChannel(final["eta_p"], final["eta_c"]), "optimal"
     )
-    m0 = fwm_moments(p)
-    m1 = apply_loss(m0, LossChannel(eta_opt, eta_opt))
-    m2 = _partition_cut(m1, 0.25, fs)
-    rep = detection.squeezing_report(m2, LossChannel(eta_p, eta_c), "optimal")
-    return p, m0, m1, m2, rep
-
-
-# Distinct source inputs kept per process; a calibration sweep over a
-# handful of gain bounds needs one entry per bound.
-SOURCE_FIT_CACHE_SIZE = 16
-
-
-@functools.lru_cache(maxsize=SOURCE_FIT_CACHE_SIZE)
-def _fit_source(
-    gain_bound: float,
-    seed_flux: float,
-    source_db: float,
-    post_optics_db: float,
-    post_cut_db: float,
-    squeezing_db: float,
-    attenuation_db: float,
-    eta_p: float,
-    eta_c: float,
-) -> tuple:
-    """Joint least-squares fit of ``(gain, zc, zu, eta_opt, fs)`` to the
-    staged squeezing targets and the expected post-sensor squeezing and
-    attenuation.
-
-    A pure function of its arguments, which are the whole cache key, so
-    every scenario with the same source inputs reuses one fit. Returns the
-    solution as a tuple of Python floats.
-    """
-    from scipy import optimize
-
-    def residuals(x):
-        _, m0, m1, m2, rep = _stage_values(x, seed_flux, eta_p, eta_c)
-        return np.array(
-            [
-                3.0 * (source_squeezing(m0)[1] - source_db),
-                3.0 * (source_squeezing(m1)[1] - post_optics_db),
-                3.0 * (source_squeezing(m2)[1] - post_cut_db),
-                rep.ratio_db - squeezing_db,
-                0.7 * (rep.gain_db - attenuation_db),
-            ]
-        )
-
-    x0 = [min(5.0, gain_bound), 1e-3, 1e-2, 0.95, 0.01]
-    # The trust region rejects a trial step whose moments overflow, so
-    # numpy's overflow warnings carry nothing; only a non-finite start fails.
-    # Nor does a division by zero in its trust-region step solver, which a
-    # gain bound of 1e300 meets.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if not np.all(np.isfinite(residuals(np.asarray(x0, float)))):
-            raise ValidationError(
-                f"source.seed_flux {seed_flux:g} overflows the source moments "
-                f"at the fit's starting point"
-            )
-        sol = optimize.least_squares(
-            residuals,
-            x0=x0,
-            bounds=([1.0, 0.0, 0.0, 0.01, 0.0], [gain_bound, 10.0, 10.0, 1.0, 1.0]),
-            xtol=1e-15,
-            ftol=1e-15,
-        )
-    return tuple(float(v) for v in sol.x)
+    residuals["final"] = rep.ratio_db - final["squeezing_db"]
+    residuals["attenuation"] = rep.gain_db - final["attenuation_db"]
+    return params, m0, m1, cut, residuals
 
 
 def build_chain(scenario: Scenario) -> SensingChain:
     """Calibrate every free parameter of the scenario and assemble the chain."""
     targets = scenario.stage_targets_db
-    for label in ("source", "post_optics", "post_cut"):
+    for label in STAGES:
         if label not in targets:
             raise ValidationError(f"calibration.stage_targets_db missing {label!r}")
-    final = scenario.final_target
+    ratios = [
+        _db_ratio(targets[label], f"calibration.stage_targets_db.{label}")
+        for label in STAGES
+    ]
 
-    x = _fit_source(
-        scenario.gain_bound,
-        scenario.seed_flux,
-        targets["source"],
-        targets["post_optics"],
-        targets["post_cut"],
-        final["squeezing_db"],
-        final["attenuation_db"],
-        final["eta_p"],
-        final["eta_c"],
+    grid = build_coherence_grid(
+        scenario.waist_p_um, scenario.waist_c_um, scenario.cell_um, scenario.extent_um
     )
-    # As numpy scalars, as the fit evaluated them, so the stages repeat the
-    # fit's arithmetic to the bit. A fit whose moments overflow misses the
-    # staged targets below, so its overflow warnings carry nothing either.
-    x = np.asarray(x, float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        params, m0, m1, m2_abstract, final_rep = _stage_values(
-            x, scenario.seed_flux, final["eta_p"], final["eta_c"]
-        )
-        residuals_db = {
-            "source": source_squeezing(m0)[1] - targets["source"],
-            "post_optics": source_squeezing(m1)[1] - targets["post_optics"],
-            "post_cut": source_squeezing(m2_abstract)[1] - targets["post_cut"],
-            "final": final_rep.ratio_db - final["squeezing_db"],
-            "attenuation": final_rep.gain_db - final["attenuation_db"],
-        }
-    gain, zc, zu, eta_optics, fs = x
-    balanced = [abs(residuals_db[k]) for k in ("source", "post_optics", "post_cut")]
-    if not all(b <= 0.1 for b in balanced):
+    # The covariance share a quadrant keeps: the cut of unit moments.
+    k = quadrant_cut(TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0), grid).cov
+    gain, eta_optics, feasible = _solve_stages(*ratios, k)
+    params, m0, m1, cut, residuals_db = _stages(
+        scenario, grid, gain, eta_optics, ratios[0]
+    )
+    if not feasible:
         raise FitInfeasibleError(
-            "staged squeezing targets cannot be met within 0.1 dB",
+            "staged squeezing targets need a gain below 1, negative excess "
+            "noise or an optics transmission outside (0, 1]",
             residuals_db=residuals_db,
         )
-
-    cell_um = scenario.cell_um
-    if cell_um is None:
-        cell_um = _fit_straddle_cell_size(scenario, float(fs))
-    grid = build_coherence_grid(
-        scenario.waist_p_um, scenario.waist_c_um, cell_um, scenario.extent_um
-    )
-
-    # The grid is centered on both beams, so one cut gives every quadrant's
-    # post-cut moments.
-    cut = quadrant_cut(m1, grid)
-    cut_moments = {q: cut.moments for q in QUADRANTS}
 
     # Geometric clipping of a conjugate quadrant beam by its layout window.
     qt_c = quadrant_transmission(
         GaussianBeam.from_waist(scenario.waist_c_um), scenario.layout
     )
-    clip_c = [min(qt_c.window_fractions[q] / cut.eta_c, 1.0) for q in QUADRANTS]
+    clip_c = [
+        min(qt_c.window_fractions[q] / QUADRANT_SHARE, 1.0) for q in QUADRANTS
+    ]
 
     qe = scenario.quantum_efficiency
     eta_c = float(np.mean(clip_c)) * scenario.mask_transmission * qe
@@ -606,17 +545,14 @@ def build_chain(scenario: Scenario) -> SensingChain:
     reports = {}
     for q in QUADRANTS:
         target_db = scenario.residual_db[q - 1]
-        eta_p = detection.probe_transmission_for_ratio(
-            cut.moments, eta_c, 10.0 ** (target_db / 10.0)
-        )
-        if not 1e-4 <= eta_p <= 1.0:
+        ratio = _db_ratio(target_db, f"calibration.residual_db[{q - 1}]")
+        eta_p = detection.probe_transmission_for_ratio(cut, eta_c, ratio)
+        if not MIN_TRANSMISSION <= eta_p <= 1.0:
             raise FitInfeasibleError(
                 f"residual squeezing {target_db} dB unreachable for quadrant {q}"
             )
         channels_p[q] = eta_p
-        rep = detection.squeezing_report(
-            cut.moments, LossChannel(eta_p, eta_c), "optimal"
-        )
+        rep = detection.squeezing_report(cut, LossChannel(eta_p, eta_c), "optimal")
         g_opt[q] = float(rep.gain)
         reports[q] = rep
         residuals_db[f"residual_q{q}"] = rep.ratio_db - target_db
@@ -638,7 +574,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
             # In Python floats, which overflow to inf without a numpy
             # warning. A tiny target can underflow the divisor to 0; its
             # kappa is then inf too, which the signal check rejects.
-            i_q = float(channels_p[q] * cut_moments[q].mean_p)
+            i_q = float(channels_p[q] * cut.mean_p)
             s_off = reports[q].diff_variance
             divisor = i_q * slope * scenario.threshold_targets_mv[q - 1]
             kappa.append(t * math.sqrt(2.0 * s_off) / divisor if divisor else math.inf)
@@ -647,7 +583,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
     budget = [
         StageBudget("source", source_squeezing(m0)[1], 1.0, 0.0),
         StageBudget("post_optics", source_squeezing(m1)[1], 1.0, 0.0),
-        StageBudget("post_cut", source_squeezing(cut_moments[1])[1], 1.0, 0.0),
+        StageBudget("post_cut", source_squeezing(cut)[1], 1.0, 0.0),
     ]
     for q in QUADRANTS:
         budget.append(
@@ -659,13 +595,12 @@ def build_chain(scenario: Scenario) -> SensingChain:
     return SensingChain(
         scenario=scenario,
         source_params=params,
-        eta_optics=float(eta_optics),
-        f_straddle=float(fs),
-        cell_um=float(cell_um),
+        eta_optics=eta_optics,
+        cell_um=scenario.cell_um,
         grid=grid,
         source_moments=m0,
         optics_moments=m1,
-        cut_moments=cut_moments,
+        cut=cut,
         channels_p=channels_p,
         eta_c=eta_c,
         g_opt=g_opt,

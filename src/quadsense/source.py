@@ -104,21 +104,6 @@ class CoherenceGrid:
         return 2.0 * (float(self.whole_c.sum()) + self.half_c)
 
     @property
-    def f_straddle(self) -> float:
-        """Share of a quadrant's covariance lost to the cells on its cut lines.
-
-        Per axis, ``keep`` and ``clip`` are the geometric-mean powers of the
-        whole cells and of the on-axis half cell. A quadrant keeps the
-        covariance only of its pieces whole on both axes, so it loses the
-        fraction ``1 - (keep / (keep + clip))**2`` of the geometric-mean
-        power of its pieces.
-        """
-        keep = float(np.sqrt(self.whole_p * self.whole_c).sum())
-        clip = math.sqrt(self.half_p * self.half_c)
-        share = keep / (keep + clip)
-        return 1.0 - share * share
-
-    @property
     def n_axis(self) -> int:
         return 2 * len(self.whole_p) + 1
 
@@ -173,7 +158,6 @@ def _interval_weights(edges_lo, edges_hi, sigma):
 
 # Cells per half axis a grid may have, checked before anything is
 # allocated: a half axis of 2**22 cells takes 32 MiB per float array.
-# The straddle solve's finest cell, 0.005 um, reaches 1e6 at a 10 mm extent.
 MAX_HALF_CELLS = 2**22
 
 

@@ -48,11 +48,24 @@ def loaded_after(argv, cwd, module="quadsense.cli"):
         ("quadsense.montecarlo", [], (None,), ("scipy",)),
         ("quadsense.cli", ["resonance-scan"], (0,), ("scipy",)),
         ("quadsense.cli", ["optimize-beam"], (0,), ("scipy.optimize", "scipy.sparse")),
+        # The chain calibration is closed-form: no scipy.optimize.
+        ("quadsense.cli", ["squeezing-budget"], (0,), ("scipy.optimize", "scipy.sparse")),
+        ("quadsense.cli", ["snr-sweep"], (0,), ("scipy.optimize", "scipy.sparse")),
+        ("quadsense.cli", ["fig3"], (0,), ("scipy.optimize", "scipy.sparse")),
         # 1000 samples are too few for the 0.2 dB snl_linearity bound, so
         # the run may exit 3; it still imports everything verify uses.
         ("quadsense.cli", ["verify", "--samples", "1000"], (0, 3), ("scipy.optimize",)),
     ],
-    ids=["import", "import-montecarlo", "resonance-scan", "optimize-beam", "verify"],
+    ids=[
+        "import",
+        "import-montecarlo",
+        "resonance-scan",
+        "optimize-beam",
+        "squeezing-budget",
+        "snr-sweep",
+        "fig3",
+        "verify",
+    ],
 )
 def test_subcommand_imports_only_the_scipy_it_runs(
     tmp_path, module, argv, rcs, forbidden

@@ -26,7 +26,7 @@ def test_zero_variance_cells_give_constant_samples():
     m = TwinBeamMoments(5.0, 3.0, 0.0, 0.0, 0.0)
     batch = sample_photocurrents(grid, m, 100, seed=1)
     for q in (1, 2, 3, 4):
-        cut = quadrant_cut(m, grid).moments
+        cut = quadrant_cut(m, grid)
         assert np.allclose(batch.probe[q], cut.mean_p)
         assert np.allclose(batch.conjugate[q], cut.mean_c)
 
@@ -41,7 +41,7 @@ def test_summed_pieces_match_the_quadrant_cut(waist_p, waist_c, d_c, extent):
     grid = build_coherence_grid(waist_p, waist_c, d_c, extent)
     for q in (1, 2, 3, 4):
         summed = montecarlo._quadrant_moments(grid, G2_IDEAL)
-        cut = quadrant_cut(G2_IDEAL, grid).moments
+        cut = quadrant_cut(G2_IDEAL, grid)
         for name in ("mean_p", "mean_c", "var_p", "var_c", "cov"):
             assert getattr(summed, name) == pytest.approx(
                 getattr(cut, name), rel=1e-12, abs=0.0
@@ -57,9 +57,9 @@ def test_sampled_quadrants_carry_the_cut_power():
     batch = sample_photocurrents(grid, G2_IDEAL, n, seed=3)
     for q in (1, 2, 3, 4):
         cut = quadrant_cut(G2_IDEAL, grid)
-        assert cut.eta_p == pytest.approx(0.25, rel=1e-12)
-        se = math.sqrt(cut.moments.var_p / n)
-        assert abs(np.mean(batch.probe[q]) - cut.eta_p * G2_IDEAL.mean_p) < 5 * se
+        assert cut.mean_p == pytest.approx(0.25 * G2_IDEAL.mean_p, rel=1e-12)
+        se = math.sqrt(cut.var_p / n)
+        assert abs(np.mean(batch.probe[q]) - cut.mean_p) < 5 * se
 
 
 def test_single_cell_moments_converge():
@@ -213,10 +213,12 @@ def _digest(*arrays):
 
 # Stream layout pins: the sha256 of each sampler's float64 output bytes for a
 # fixed seed. A refactor that moves a substream, a chunk boundary or the
-# order of the per-sample arithmetic changes these.
+# order of the per-sample arithmetic changes these. The sampled sweep draws
+# from the default chain's pair (1, 1), so a calibration that moves its
+# cut moments or channel changes that pin too.
 PHOTOCURRENTS_SHA = "b487dc89d10913875ae5cd3b9eb3212a99bf52e3a0b74e60fa191828545e229c"
 PAIR_SHA = "40b81ed18cdd1c08edeb0feccae0174b50ad57ccb489d23494f6b9b0964d4136"
-SAMPLED_SWEEP_SHA = "017ef419bffac499df22b3eaaf843e64d02896d32f4880d05b32702e2091cc81"
+SAMPLED_SWEEP_SHA = "1d0e50da75565911ebc9649b98ae01a4fc5d6e8cce1f5eafe19baacd6343c535"
 
 
 def test_photocurrent_stream_is_pinned():
@@ -298,7 +300,7 @@ def test_covariance_z_score_matches_np_cov():
     grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
     n = 20_000
     batch = sample_photocurrents(grid, G2_IDEAL, n, seed=11)
-    exp = quadrant_cut(G2_IDEAL, grid).moments
+    exp = quadrant_cut(G2_IDEAL, grid)
     for x, y, cov in [
         (batch.probe[1], batch.conjugate[1], exp.cov),
         (batch.probe[1], batch.conjugate[3], 0.0),

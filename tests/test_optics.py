@@ -187,11 +187,12 @@ def test_quadrant_cut_small_cells_preserve_squeezing():
 
     grid = build_coherence_grid(360.0, 360.0, 0.25, 1600.0)
     cut = quadrant_cut(G2_IDEAL, grid)
-    # Tiny cells: the cut is a pure partition, so the balanced squeezing
-    # ratio of the kept quadrant matches the full beam.
-    assert cut.f_straddle < 0.003
+    # Tiny cells: the cut is a pure partition, so the quadrant keeps nearly
+    # a quarter of the covariance and the balanced squeezing ratio of the
+    # full beam.
+    assert 1.0 - cut.cov / (0.25 * G2_IDEAL.cov) < 0.003
     before = source_squeezing(G2_IDEAL)[0]
-    after = source_squeezing(cut.moments)[0]
+    after = source_squeezing(cut)[0]
     assert after == pytest.approx(before, rel=0.02)
 
 
@@ -202,7 +203,7 @@ def test_quadrant_cut_monotone_degradation_with_cell_size():
     for d_c in (5.0, 20.0, 80.0, 160.0):
         grid = build_coherence_grid(360.0, 360.0, d_c, 1600.0)
         cut = quadrant_cut(G2_IDEAL, grid)
-        ratios.append(source_squeezing(cut.moments)[0])
+        ratios.append(source_squeezing(cut)[0])
     assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
@@ -218,9 +219,8 @@ def test_quadrant_cut_single_interior_cell_is_pure_loss():
         half_c=0.0,
     )
     cut = quadrant_cut(G2_IDEAL, grid)
-    assert cut.f_straddle == 0.0
-    assert cut.eta_p == 0.25
-    assert cut.moments.cov == pytest.approx(0.25 * G2_IDEAL.cov, rel=1e-12)
+    assert cut.mean_p == 0.25 * G2_IDEAL.mean_p
+    assert cut.cov == pytest.approx(0.25 * G2_IDEAL.cov, rel=1e-12)
 
 
 def test_quadrant_cut_zero_power_quadrant_raises():
@@ -233,9 +233,9 @@ def test_quadrant_cut_zero_power_quadrant_raises():
 def test_quadrant_cut_symmetric_beam_splits_evenly():
     grid = build_coherence_grid(360.0, 300.0, 40.0, 1600.0)
     cut = quadrant_cut(G2_IDEAL, grid)
-    assert cut.eta_p == cut.eta_c == 0.25
-    assert cut.moments.mean_p == 0.25 * G2_IDEAL.mean_p
-    assert cut.moments.var_c == 0.25 * G2_IDEAL.var_c
+    assert cut.mean_p == 0.25 * G2_IDEAL.mean_p
+    assert cut.mean_c == 0.25 * G2_IDEAL.mean_c
+    assert cut.var_c == 0.25 * G2_IDEAL.var_c
 
 
 def _brute_force_cut(m, waist_p, waist_c, d_c, extent, q):
@@ -246,8 +246,7 @@ def _brute_force_cut(m, waist_p, waist_c, d_c, extent, q):
     bounds, an interval above the axis taken at its mirror image so that no
     difference of two values near 1 loses a far cell's power; it keeps its
     covariance share only when it is the whole cell. Returns the quadrant's
-    moments and its straddle fraction: the share of the geometric-mean
-    power of its rectangles that is not whole cells.
+    moments.
     """
     sx, sy = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}[q]
     sigma_p, sigma_c = waist_p / 4.0, waist_c / 4.0
@@ -279,20 +278,16 @@ def _brute_force_cut(m, waist_p, waist_c, d_c, extent, q):
                 continue
             rect = (xlo, xhi, ylo, yhi)
             pieces.append((power(*rect, sigma_p), power(*rect, sigma_c), rect == cell))
-    mp = mc = cov = geo_all = geo_whole = 0.0
+    mp = mc = cov = 0.0
     for wp, wc, whole in pieces:
-        geo_all += math.sqrt(wp * wc)
-        if whole:
-            geo_whole += math.sqrt(wp * wc)
         wp, wc = wp / tot_p, wc / tot_c
         mp += wp
         mc += wc
         if whole:
             cov += math.sqrt(wp * wc)
-    moments = TwinBeamMoments(
+    return TwinBeamMoments(
         mp * m.mean_p, mc * m.mean_c, mp * m.var_p, mc * m.var_c, cov * m.cov
     )
-    return moments, 1.0 - geo_whole / geo_all
 
 
 @pytest.mark.parametrize(
@@ -308,12 +303,11 @@ def test_quadrant_cut_matches_brute_force_cell_enumeration(waist_p, waist_c, d_c
     # Every quadrant of the enumerated cells matches the one half-axis cut.
     cut = quadrant_cut(G2_IDEAL, build_coherence_grid(waist_p, waist_c, d_c, extent))
     for q in (1, 2, 3, 4):
-        exact, f_straddle = _brute_force_cut(G2_IDEAL, waist_p, waist_c, d_c, extent, q)
+        exact = _brute_force_cut(G2_IDEAL, waist_p, waist_c, d_c, extent, q)
         for name in ("mean_p", "mean_c", "var_p", "var_c", "cov"):
-            assert getattr(cut.moments, name) == pytest.approx(
+            assert getattr(cut, name) == pytest.approx(
                 getattr(exact, name), rel=1e-12, abs=0.0
             ), (q, name)
-        assert cut.f_straddle == pytest.approx(f_straddle, rel=1e-12, abs=0.0), q
 
 
 def test_layout_validation():

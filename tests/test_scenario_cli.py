@@ -1,28 +1,15 @@
-import collections
 import copy
-import dataclasses
 import hashlib
 import json
-import types
 import warnings
 
-import numpy as np
 import pytest
 import yaml
 
 from conftest import default_scenario_dict
-import quadsense.scenario as scenario_module
 from quadsense import cli
 from quadsense.errors import FitInfeasibleError, ValidationError
-from quadsense.optics import quadrant_cut
-from quadsense.scenario import (
-    Scenario,
-    _fit_source,
-    _fit_straddle_cell_size,
-    build_chain,
-    dump_scenario,
-)
-from quadsense.source import TwinBeamMoments, build_coherence_grid
+from quadsense.scenario import Scenario, build_chain, dump_scenario
 
 
 def test_scenario_reports_missing_key_with_path():
@@ -75,82 +62,30 @@ def test_chain_reproduces_threshold_targets(chain):
         assert rep.v_tb == pytest.approx(target, abs=1e-6)
 
 
-def test_chain_respects_gain_bound(chain):
-    assert chain.source_params.gain <= chain.scenario.gain_bound + 1e-9
-
-
-def test_fixed_cell_size_skips_straddle_fit(scenario):
+def test_declared_cell_size_sets_the_grid(scenario):
     cfg = copy.deepcopy(scenario.raw)
     # Must stay small: large coherence cells lose too much covariance at
-    # the cut for the residual squeezing targets to remain reachable.
+    # the cut for the staged squeezing targets to remain reachable.
     cfg["coherence"]["cell_um"] = 0.1
     chain = build_chain(Scenario.from_dict(cfg))
-    assert chain.cell_um == 0.1
-
-
-@pytest.mark.parametrize(
-    "waist_p, waist_c", [(360.0, 360.0), (360.0, 300.0), (300.0, 400.0), (100.0, 330.0)]
-)
-def test_straddle_fraction_matches_the_quadrant_cut(waist_p, waist_c):
-    # The solve finds the cell size whose quadrant cut loses the target
-    # straddle fraction; the fraction is strictly monotone in the cell size,
-    # so that is the size the target was read from, to brentq's xtol.
-    geometry = types.SimpleNamespace(
-        waist_p_um=waist_p, waist_c_um=waist_c, extent_um=4.0 * max(waist_p, waist_c)
-    )
-    unit = TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0)
-    for d in (0.05, 0.3, 1.7, 12.0):
-        grid = build_coherence_grid(waist_p, waist_c, d, geometry.extent_um)
-        target = quadrant_cut(unit, grid).f_straddle
-        assert abs(_fit_straddle_cell_size(geometry, target) - d) <= 1e-3, d
+    assert chain.cell_um == chain.grid.cell_size == 0.1
 
 
 def test_default_chain_cell_size(chain):
-    # The cell size that solving on whole grids returned, to the last bit.
-    assert chain.cell_um == 0.05169314805940239
+    assert chain.cell_um == 1.0
 
 
-def test_straddle_solve_evaluates_each_cell_size_once(scenario, monkeypatch):
-    calls = []
-    build = scenario_module.build_coherence_grid
-
-    def counting(waist_p, waist_c, d, extent):
-        calls.append(d)
-        return build(waist_p, waist_c, d, extent)
-
-    monkeypatch.setattr(scenario_module, "build_coherence_grid", counting)
-    chain = build_chain(scenario)
-    # The solve's grids, then the chain's own grid at the solved size.
-    *solve, last = calls
-    assert last == chain.cell_um == 0.05169314805940239
-    assert 0.005 in solve and scenario.waist_p_um in solve
-    assert len(solve) == len(set(solve)), collections.Counter(solve).most_common(3)
-
-
-def _chain_bits(obj, out=None):
-    """Every value of a chain in field order: floats as hex with their type,
-    arrays as dtype, shape and bytes."""
-    out = [] if out is None else out
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            if f.name != "scenario":
-                out.append(f.name)
-                _chain_bits(getattr(obj, f.name), out)
-    elif isinstance(obj, dict):
-        for k, v in obj.items():
-            out.append(k)
-            _chain_bits(v, out)
-    elif isinstance(obj, (list, tuple)):
-        out.append(len(obj))
-        for v in obj:
-            _chain_bits(v, out)
-    elif isinstance(obj, np.ndarray):
-        out.append((obj.dtype.str, obj.shape, obj.tobytes()))
-    elif isinstance(obj, float):
-        out.append((type(obj).__name__, float(obj).hex()))
-    else:
-        out.append(obj)
-    return out
+def test_default_calibration_is_identified(chain):
+    # Every solved source parameter is interior: none rests on a bound.
+    params = chain.source_params
+    assert params.gain > 1.0
+    assert params.excess_uncorrelated > 0.0
+    assert 0.0 < chain.eta_optics < 1.0
+    # The declared cell is no smaller than the wavelength.
+    assert chain.cell_um >= chain.scenario.wavelength_nm / 1000.0
+    # The staged targets are solved, not fitted.
+    for stage in ("source", "post_optics", "post_cut"):
+        assert abs(chain.residuals_db[stage]) <= 1e-9, stage
 
 
 def _with(cfg, keys, value):
@@ -162,75 +97,18 @@ def _with(cfg, keys, value):
     return Scenario.from_dict(cfg)
 
 
-def _build_counting(scenario):
-    """``(hits, misses)`` that one ``build_chain`` adds to the source-fit cache."""
-    before = _fit_source.cache_info()
-    try:
-        build_chain(scenario)
-    except FitInfeasibleError:
-        pass
-    after = _fit_source.cache_info()
-    return after.hits - before.hits, after.misses - before.misses
-
-
-def test_warm_source_fit_gives_the_same_chain(scenario):
-    build_chain(scenario)
-    hits = _fit_source.cache_info().hits
-    warm = build_chain(scenario)
-    assert _fit_source.cache_info().hits == hits + 1
-    _fit_source.cache_clear()
-    cold = build_chain(scenario)
-    assert _fit_source.cache_info().misses == 1
-    assert _chain_bits(warm) == _chain_bits(cold)
-
-
-@pytest.mark.parametrize(
-    "keys, value",
-    [
-        (("calibration", "gain_bound"), 99.0),
-        (("source", "seed_flux"), 1.01),
-        (("calibration", "stage_targets_db", "source"), -5.17),
-        (("calibration", "stage_targets_db", "post_optics"), -4.76),
-        (("calibration", "stage_targets_db", "post_cut"), -3.76),
-        (("calibration", "final", "squeezing_db"), -1.93),
-        (("calibration", "final", "attenuation_db"), 5.21),
-        (("calibration", "final", "eta_p"), 0.51),
-        (("calibration", "final", "eta_c"), 0.91),
-    ],
-    ids=lambda v: ".".join(v) if isinstance(v, tuple) else None,
-)
-def test_each_source_fit_input_misses_the_cache(scenario, keys, value):
-    build_chain(scenario)
-    assert _build_counting(_with(scenario.raw, keys, value)) == (0, 1)
-
-
-@pytest.mark.parametrize(
-    "keys, value",
-    [
-        (("calibration", "residual_db"), [-1.7, -1.8, -1.7, -1.8]),
-        (("calibration", "threshold_targets_mv"), [250.0, 265.0, 319.0, 316.0]),
-        (("beam", "waist_c_um"), 361.0),
-        (("layout", "window_um"), 210.0),
-    ],
-    ids=lambda v: ".".join(v) if isinstance(v, tuple) else None,
-)
-def test_inputs_downstream_of_the_source_hit_the_cache(scenario, keys, value):
-    build_chain(scenario)
-    assert _build_counting(_with(scenario.raw, keys, value)) == (1, 0)
-
-
 def test_infeasible_stage_targets_raise_on_every_call(scenario):
     targets = {**scenario.stage_targets_db, "source": -12.0, "post_optics": -1.0}
     infeasible = _with(scenario.raw, ("calibration", "stage_targets_db"), targets)
-    _fit_source.cache_clear()
     raised = []
     for _ in range(2):
         with pytest.raises(FitInfeasibleError) as exc:
             build_chain(infeasible)
         raised.append(exc.value.residuals_db)
-    info = _fit_source.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
     assert raised[0] == raised[1]
+    # The residuals are those of the nearest physical point, which meets the
+    # source and post-optics targets and misses the post-cut one.
+    assert abs(raised[0]["source"]) < 1e-9 and abs(raised[0]["post_optics"]) < 1e-9
     assert max(abs(raised[0][k]) for k in ("source", "post_optics", "post_cut")) > 0.1
 
 
@@ -309,26 +187,22 @@ def test_cli_infeasible_stage_targets_print_residuals(tmp_path, capsys):
         assert f"{stage}=" in err, stage
 
 
-def test_cli_overflowing_source_fit_prints_only_its_message(tmp_path, capsys):
-    # The fit converges to moments that overflow, or its step solver divides
-    # by zero at an unreachable gain bound; the staged-balance refusal is the
-    # whole report, with no numpy warning before it.
-    for section, key, value in (
-        ("source", "seed_flux", 1e150),
-        ("calibration", "gain_bound", 1e300),
-    ):
-        cfg = default_scenario_dict()
-        cfg[section][key] = value
-        path = tmp_path / "bright.yaml"
-        path.write_text(yaml.safe_dump(cfg))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = run_cli("snr-sweep", "--scenario", str(path), "--out", str(tmp_path))
-        assert rc == 3, key
-        err = capsys.readouterr().err
-        assert err.startswith("consistency error: staged squeezing targets"), err
-        assert err.count("\n") == 1, err
-        assert not (tmp_path / "enhancement.json").exists()
+def test_cli_overflowing_seed_flux_prints_only_its_message(tmp_path, capsys):
+    # The source moments stay finite at this seed flux, but the detection
+    # arithmetic after them overflows; the refusal is the whole report, with
+    # no numpy warning before it.
+    cfg = default_scenario_dict()
+    cfg["source"]["seed_flux"] = 1e150
+    path = tmp_path / "bright.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli("snr-sweep", "--scenario", str(path), "--out", str(tmp_path))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("consistency error: "), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "enhancement.json").exists()
 
 
 def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
@@ -346,13 +220,13 @@ def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
         (None, "rbw_scale", -1.0),
         (None, "rbw_scale", float("nan")),
         (None, "rbw_scale", "abc"),
-        ("calibration", "gain_bound", 0.5),
-        ("calibration", "gain_bound", float("inf")),
         ("beam", "waist_p_um", 0.0),
         ("beam", "waist_c_um", 0.0),
         ("beam", "waist_c_um", -10.0),
         ("coherence", "cell_um", 0.0),
         ("coherence", "cell_um", 1e-300),
+        ("coherence", "cell_um", None),
+        ("coherence", "cell_um", 360.0),
         ("coherence", "extent_um", 1e300),
         ("beam", "waist_p_um", 1e-300),
         ("source", "seed_flux", 1e300),
@@ -366,7 +240,7 @@ def test_cli_out_of_range_scalar_is_validation_error(
     (cfg if section is None else cfg[section])[key] = value
     path = tmp_path / "scalar.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    # Twice: the source fit's cache must not turn a failure into a success.
+    # Twice: a failed run must leave nothing that turns the next into a success.
     for _ in range(2):
         assert run_cli("fig3", "--scenario", str(path), "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
@@ -390,6 +264,8 @@ def test_cli_out_of_range_scalar_is_validation_error(
         (("calibration", "threshold_targets_mv"), [0, 0, 0, 0]),
         (("modulation", "kappa"), [1e300, 1, 1, 1]),
         (("calibration", "threshold_targets_mv"), [1e-320, 265, 319, 316]),
+        (("calibration", "residual_db"), [1e300, -1.81, -1.70, -1.84]),
+        (("calibration", "stage_targets_db", "post_cut"), 1e300),
     ],
     ids=[
         "fwhm_nm",
@@ -405,6 +281,8 @@ def test_cli_out_of_range_scalar_is_validation_error(
         "zero_threshold",
         "kappa_overflows_signal",
         "tiny_threshold_overflows_kappa",
+        "residual_overflows_ratio",
+        "stage_target_overflows_ratio",
     ],
 )
 def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value):
@@ -519,13 +397,13 @@ def test_cli_outputs_are_byte_stable(tmp_path):
 # that moves a byte of one of them names the moved numbers and re-pins.
 ARTIFACT_SHA = {
     "beam_curve.csv": "c34bddd58bc88048542c0fd2b3325ef1d5eda2671d25306c2bac8c7bbf6cd83c",
-    "enhancement.json": "af3cf46993e388249c8ee3624238d57d359bdff343ce2c51e0467c5973cc611c",
+    "enhancement.json": "13eafc8d4ba06335c8d0001402c6d03daebc7e1ad533027df14c0b5054a2d208",
     "fig3.csv": "ceaa5e348b1c04baebed2ea5ccc9e1d94fdb5b5b9483a42a841abc7d23c03f20",
-    "fig4_enhancement.json": "4352afbb97862a6a881781cbdc63781f72f28ab2da105f6705f75512f563c311",
-    "fig4_sweep.csv": "ce530c17907d2335a1de7d8796988f34798e0fe34e002b92bdf9ff1d2eb53daa",
+    "fig4_enhancement.json": "40e0e89f7726d7ef966ad31996c4683b4416b14282b43f0b3a8c77afe976b707",
+    "fig4_sweep.csv": "e22383b9fe106087efb689aebfb715e9deb964f52645c1406a23ff4abde4a503",
     "resonance_scan.csv": "98b9f4082f5f68fcfaecc911591bfbdfd403736f477319dd6fbeb6dc571846ac",
-    "snr_sweep.csv": "9f335650b4249fa56acee60cb04740c8dbad2f51588d8f7476ebab6db25c7f36",
-    "squeezing_budget.csv": "a147b2e391346ad744654e9fc71c3d995ece3fc5f2d8e66d208c64e5f8f512a3",
+    "snr_sweep.csv": "6d5a73871f70d5fb794a42c2e32698d4f9dba67dd602d3a770f580c661f33353",
+    "squeezing_budget.csv": "3aa8d19f350e958ab000d7963707d023a4faab6e228e552cf54da43665831d74",
 }
 
 

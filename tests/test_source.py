@@ -146,7 +146,7 @@ def test_grid_size_guard_raises_before_allocating():
     # 1.08e9 cells per half axis: enumerating them would take 16 GiB.
     with pytest.raises(ValidationError, match="too fine"):
         _half_cells(360.0, 360.0, 1e-6, 2160.0)
-    # The straddle solve's finest cell at a 2520 um extent stays allowed.
+    # A 0.005 um cell at a 2520 um extent stays allowed.
     assert _half_cells(420.0, 441.0, 0.005, 2520.0) == 252_000
 
 
@@ -157,4 +157,4 @@ def test_quadrant_weights_match_gapless_transmission():
     cut = quadrant_cut(TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0), grid)
     layout = QuadrantLayout(window_size=1440.0, gap=0.0, tilt_deg=0.0)
     qt = quadrant_transmission(GaussianBeam.from_waist(360.0), layout)
-    assert cut.eta_p == pytest.approx(qt.window_fractions[1], abs=1e-12)
+    assert cut.mean_p == pytest.approx(qt.window_fractions[1], abs=1e-12)
