@@ -25,6 +25,7 @@ from .optics import (
     GaussianBeam,
     optimize_waist,
     quadrant_transmission,
+    transmission_curve,
 )
 from .plasmonic import transmission_at
 from .scenario import QUADRANTS, Scenario, build_chain, dump_scenario, load_scenario
@@ -89,10 +90,9 @@ def _cmd_optimize_beam(scenario: Scenario, args, out: Path) -> int:
     d_range = (100.0, 1000.0)
     best_d, best_t = optimize_waist(scenario.layout, d_range)
     header = ["diameter_um", "total_transmission"]
-    rows = []
-    for d in np.linspace(*d_range, WAIST_GRID_POINTS):
-        qt = quadrant_transmission(GaussianBeam.from_waist(float(d)), scenario.layout)
-        rows.append([_fmt(float(d)), _fmt(qt.total)])
+    ds = np.linspace(*d_range, WAIST_GRID_POINTS)
+    totals = transmission_curve(scenario.layout, ds)
+    rows = [[_fmt(float(d)), _fmt(float(t))] for d, t in zip(ds, totals)]
     _write_csv(out / "beam_curve.csv", header, rows)
     qt = quadrant_transmission(GaussianBeam.from_waist(best_d), scenario.layout)
     print(f"best diameter {best_d:.1f} um, total transmission {best_t:.4f}")
@@ -184,11 +184,12 @@ def _cmd_fig3(scenario: Scenario, args, out: Path) -> int:
         snl = chain.snl(q, q)
         s_off = chain.noise_off(q, q)
         floor_db = 10.0 * math.log10(s_off / snl)
+        signals = chain.signal(q, drives)
         for k in bins:
             freq = scenario.modulation_frequency_hz + k * rbw_hz
             row = [str(q), _fmt(freq), _fmt(0.0, db=True), _fmt(floor_db, db=True)]
-            for v in drives:
-                level = s_off + (chain.signal(q, v) if k == 0 else 0.0)
+            for sig in signals:
+                level = s_off + (float(sig) if k == 0 else 0.0)
                 row.append(_fmt(10.0 * math.log10(level / snl), db=True))
             rows.append(row)
     _write_csv(out / "fig3.csv", header, rows)

@@ -71,7 +71,10 @@ def probe_transmission_for_ratio(
         )
     cov2 = max(m.cov, 0.0) ** 2
     a = m.var_p - m.mean_p - eta_c**2 * cov2 / conj
-    b = eta_c**3 * cov2 * m.mean_c / conj**2
+    # mean_c / C first: cov^2 mean_c grows as the seed flux cubed and
+    # overflows for a bright seed, while no product here outgrows the
+    # cov^2 that ``a`` forms too.
+    b = eta_c**3 * cov2 * (m.mean_c / conj) / conj
     den = a - ratio * b
     return float(m.mean_p * (ratio - 1.0) / den) if den else math.inf
 

@@ -25,6 +25,7 @@ __all__ = [
     "LossChannel",
     "QuadrantTransmission",
     "quadrant_transmission",
+    "transmission_curve",
     "optimize_waist",
     "apply_loss",
     "quadrant_cut",
@@ -118,46 +119,64 @@ class QuadrantTransmission:
     tail_fraction: float
 
 
+def _window_powers(layout: QuadrantLayout, sigma_x, sigma_y, center=(0.0, 0.0)):
+    """Power fractions of windows 1-4 and of the whole layout square.
+
+    The Gaussian factorizes, so each is the product of the exact power of
+    its x and y intervals, one :func:`_interval_weights` call per axis for
+    all five; an off-center beam shifts the bounds into its own frame.
+    Array sigmas of shape ``(n, 1)`` give shape ``(n, 5)``.
+    """
+    hx, hy = layout.half_extent
+    bounds = [layout.window_bounds(q) for q in (1, 2, 3, 4)] + [(-hx, hx, -hy, hy)]
+    xlo, xhi, ylo, yhi = np.array(bounds).T
+    x0, y0 = center
+    fx = _interval_weights(xlo - x0, xhi - x0, sigma_x)
+    fy = _interval_weights(ylo - y0, yhi - y0, sigma_y)
+    return fx * fy
+
+
+def _window_total(powers):
+    """Summed power of windows 1-4, added in window order."""
+    total = 0.0
+    for k in range(4):
+        total = total + powers[..., k]
+    return total
+
+
 def quadrant_transmission(
     beam: GaussianBeam, layout: QuadrantLayout
 ) -> QuadrantTransmission:
-    """Per-window power fractions and total transmission.
-
-    The Gaussian factorizes, so each window fraction is the product of the
-    exact power of its x and y intervals; an off-center beam shifts the
-    bounds into its own frame.
-    """
-    x0, y0 = beam.center
-
-    def power(xlo, xhi, ylo, yhi):
-        fx = _interval_weights(xlo - x0, xhi - x0, beam.sigma_x)
-        fy = _interval_weights(ylo - y0, yhi - y0, beam.sigma_y)
-        return float(fx * fy)
-
-    fractions = {}
-    total = 0.0
-    for q in (1, 2, 3, 4):
-        frac = power(*layout.window_bounds(q))
-        fractions[q] = frac
-        total += frac
-
-    hx, hy = layout.half_extent
-    in_square = power(-hx, hx, -hy, hy)
+    """Per-window power fractions and total transmission."""
+    powers = _window_powers(layout, beam.sigma_x, beam.sigma_y, beam.center)
+    total = float(_window_total(powers))
+    in_square = float(powers[4])
     return QuadrantTransmission(
-        window_fractions=fractions,
+        window_fractions={q: float(powers[q - 1]) for q in (1, 2, 3, 4)},
         total=total,
         gap_fraction=max(in_square - total, 0.0),
         tail_fraction=1.0 - in_square,
     )
 
 
+def transmission_curve(layout: QuadrantLayout, diameters) -> np.ndarray:
+    """Total transmission of centered beams of the given 1/e^2 diameters.
+
+    One evaluation for all diameters; each entry equals the
+    :func:`quadrant_transmission` total of that beam to the bit.
+    """
+    sigma = np.asarray(diameters, float)[:, None] / 4.0
+    return _window_total(_window_powers(layout, sigma, sigma))
+
+
 def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float]):
     """Beam waist diameter maximizing the total quadrant transmission.
 
     Coarse grid of :data:`WAIST_GRID_POINTS` diameters over ``d_range``,
-    then golden-section refinement to a bracket narrower than
-    :data:`WAIST_TOL_UM`. Ties on a flat objective break toward the
-    smallest diameter. Returns ``(best_diameter, best_total)``.
+    scanned in one :func:`transmission_curve`, then golden-section
+    refinement to a bracket narrower than :data:`WAIST_TOL_UM`. Ties on a
+    flat objective break toward the smallest diameter. Returns
+    ``(best_diameter, best_total)``.
     """
     d_lo, d_hi = d_range
     if not 0 < d_lo < d_hi:
@@ -167,7 +186,7 @@ def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float]):
         return quadrant_transmission(GaussianBeam.from_waist(d), layout).total
 
     ds = np.linspace(d_lo, d_hi, WAIST_GRID_POINTS)
-    vals = np.array([total(d) for d in ds])
+    vals = transmission_curve(layout, ds)
     if vals.max() - vals.min() < 1e-12:
         # Flat objective: every diameter is optimal; return the smallest.
         return float(ds[0]), float(vals[0])

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import OperatingPointError, ValidationError
 
 __all__ = [
@@ -66,10 +68,11 @@ class IndexModulation:
 
     ``volts_to_index`` holds one coefficient per sensor (RIU per mV),
     encoding the acoustic standing-wave pattern in the chamber.
+    ``drive_voltage`` is one voltage (mV) or an array of them, a sweep.
     """
 
     frequency: float
-    drive_voltage: float
+    drive_voltage: float | np.ndarray
     volts_to_index: tuple[float, float, float, float]
 
     def __post_init__(self):
@@ -124,7 +127,8 @@ def modulation_signal(
     transmission swing |dT/dn| * dn / T; applied to the detected probe mean
     the intensity swing amplitude is A = I_q |dT/dn| dn / T and the signal
     power is the sinusoid mean square A^2 / 2, in the same units as the
-    difference-noise variances.
+    difference-noise variances. An array of drive voltages gives the array
+    of their powers, each with the bits of its own scalar evaluation.
     """
     if probe_mean < 0:
         raise ValidationError("probe mean intensity must be >= 0")
@@ -136,13 +140,17 @@ def modulation_signal(
             f"sensor {sensor} transmits no light at {wavelength} nm"
         )
     kappa = mod.volts_to_index[sensor - 1]
-    dn = kappa * mod.drive_voltage
-    # In Python floats, which overflow to inf without a numpy warning.
-    amplitude = float(probe_mean) * abs(transduction_slope(r, wavelength)) * dn / t
-    power = 0.5 * amplitude * amplitude
-    if not math.isfinite(power):
+    volts = np.asarray(mod.drive_voltage, float)
+    # In Python floats, which overflow to inf without a numpy warning; the
+    # array arithmetic after it overflows quietly too.
+    scale = float(probe_mean) * abs(transduction_slope(r, wavelength))
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitude = scale * (kappa * volts) / t
+        power = 0.5 * amplitude * amplitude
+    bad = np.flatnonzero(~np.isfinite(power))
+    if bad.size:
         raise ValidationError(
-            f"modulation signal of sensor {sensor} at {mod.drive_voltage:g} mV is "
+            f"modulation signal of sensor {sensor} at {volts.flat[bad[0]]:g} mV is "
             f"not finite: its drive coefficient {kappa:g} (modulation.kappa, or "
             f"fitted to calibration.threshold_targets_mv) is too large"
         )

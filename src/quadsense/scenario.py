@@ -320,17 +320,16 @@ class SensingChain:
     def detected_probe_mean(self, i: int) -> float:
         return self.channels_p[i] * self.cut.mean_p
 
-    def modulation(self, voltage_mv: float) -> IndexModulation:
-        return IndexModulation(
+    def signal(self, i: int, voltage_mv):
+        """Signal power of sensor i at one drive voltage or an array of them."""
+        mod = IndexModulation(
             frequency=self.scenario.modulation_frequency_hz,
             drive_voltage=voltage_mv,
             volts_to_index=self.kappa,
         )
-
-    def signal(self, i: int, voltage_mv: float) -> float:
         return plasmonic.modulation_signal(
             self.scenario.resonances[i - 1],
-            self.modulation(voltage_mv),
+            mod,
             i,
             self.detected_probe_mean(i),
             self.scenario.wavelength_nm,
@@ -346,7 +345,7 @@ class SensingChain:
         )
         if v.size == 0:
             raise ValidationError("sweep requires a non-empty voltage list")
-        s = np.array([self.signal(i, float(vk)) for vk in v])
+        s = self.signal(i, v)
         s_off = self.noise_off(i, j)
         snl = self.snl(i, j)
         p_only = self.probe_only_noise(i)
@@ -397,8 +396,7 @@ class SensingChain:
             del p, c  # free this pair's samples before the next is transformed
             snrs = []
             clamped = False
-            for vk in v:
-                amp = math.sqrt(2.0 * self.signal(i, float(vk)))
+            for amp in np.sqrt(2.0 * self.signal(i, v)):
                 s_on = s_off + 2.0 * amp * tone_cov + amp * amp * tone_var
                 sig = analysis.signal_estimate(s_on, s_off)
                 if sig < 0:

@@ -12,6 +12,7 @@ common to both beams (correlated) or independent per beam (uncorrelated).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,17 +144,129 @@ def source_squeezing(m: TwinBeamMoments) -> tuple[float, float]:
     return ratio, 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
 
 
+# Coefficients of the Cephes rational approximations (ndtr.c, as shipped in
+# scipy.special): erfc(x) = exp(-x^2) P(x)/Q(x) on [1, 8) and
+# exp(-x^2) R(x)/S(x) from 8 on; erf(x) = x T(x^2)/U(x^2) on |x| < 1. Q, S
+# and U have a leading coefficient of 1, which is not listed.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_SQRT1_2 = math.sqrt(0.5)
+# exp(-x^2) of a larger x^2 counts as underflow, as in Cephes.
+_MAXLOG = math.log(sys.float_info.max)
+
+
+def _polevl(x, coef):
+    """Horner's rule, ``coef[0]`` the leading coefficient; a new array."""
+    y = x * coef[0]
+    y += coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _p1evl(x, coef):
+    """:func:`_polevl` with an unlisted leading coefficient of 1."""
+    y = x + coef[0]
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erf(x):
+    """erf on |x| < 1."""
+    z = x * x
+    y = _polevl(z, _ERF_T)
+    y *= x
+    y /= _p1evl(z, _ERF_U)
+    return y
+
+
+def _erfc(x):
+    """erfc on x >= 1/sqrt(2), each element by its own Cephes branch."""
+    y = np.empty_like(x)
+    near = x < 1.0
+    y[near] = 1.0 - _erf(x[near])
+    mid = ~near & (x < 8.0)
+    xm = x[mid]
+    e = np.exp(-xm * xm)
+    e *= _polevl(xm, _ERFC_P)
+    e /= _p1evl(xm, _ERFC_Q)
+    y[mid] = e
+    far = x >= 8.0
+    # Clipped so that x^2 cannot overflow; from 40 on the result is 0 anyway.
+    xf = np.minimum(x[far], 40.0)
+    z = -xf * xf
+    e = np.exp(z)
+    e *= _polevl(xf, _ERFC_R)
+    e /= _p1evl(xf, _ERFC_S)
+    e[z < -_MAXLOG] = 0.0
+    y[far] = e
+    return y
+
+
+def _ndtr(a):
+    """Standard normal CDF of every element of ``a``, as a new float array.
+
+    A vectorized port of the Cephes ``ndtr``, the one scipy.special ships,
+    with the same branches and coefficients: ``(1 + erf(a/sqrt 2))/2`` for
+    |a| < 1, else ``erfc(|a|/sqrt 2)/2``, reflected for a > 0. Its cost is
+    a fixed ~0.1 ms per call plus ~20 ns per element, so callers pass
+    every argument they need in one array.
+    """
+    x = np.multiply(a, _SQRT1_2, dtype=float)
+    z = np.abs(x)
+    y = np.empty_like(x)
+    inner = z < _SQRT1_2
+    y[inner] = 0.5 + 0.5 * _erf(x[inner])
+    outer = ~inner
+    tail = _erfc(z[outer])
+    tail *= 0.5
+    upper = x[outer] > 0.0
+    tail[upper] = 1.0 - tail[upper]
+    y[outer] = tail
+    return y
+
+
 def _interval_weights(edges_lo, edges_hi, sigma):
     """Gaussian power in [lo, hi] per axis for a centered beam.
 
     This is the one evaluator of Gaussian interval power; an off-center
-    beam passes bounds shifted into its own frame. ``scipy.special`` is
-    imported on the first call, so subcommands that evaluate no beam power
-    start without scipy.
+    beam passes bounds shifted into its own frame. The bounds broadcast
+    against ``sigma``, and both ends go through :func:`_ndtr`, the numpy
+    port of the Cephes normal CDF, in one call. On [-40, 40] it agrees
+    with ``scipy.special.ndtr`` to 6e-16 relative wherever scipy's value
+    is at least 1e-300, and to the bit except where numpy's ``exp`` and
+    the C library's round an ``exp(-x^2)`` differently.
     """
-    from scipy.special import ndtr
-
-    return ndtr(edges_hi / sigma) - ndtr(edges_lo / sigma)
+    hi, lo = np.broadcast_arrays(edges_hi / sigma, edges_lo / sigma)
+    cdf = _ndtr(np.stack((hi, lo)))
+    return cdf[0] - cdf[1]
 
 
 # Cells per half axis a grid may have, checked before anything is
@@ -195,16 +308,27 @@ def build_coherence_grid(
     to align with razor blades). Waists are 1/e^2 diameters: sigma = D / 4.
     """
     half = _half_cells(waist_p, waist_c, d_c, extent)
-    centers = np.arange(1, half + 1) * d_c
-    # Whole cells are weighed at their mirror images below the axis, where
-    # ndtr is small: above it a far cell's power would be the difference
-    # of two values near 1 and lose its leading digits.
-    lo, hi = -0.5 * d_c - centers, 0.5 * d_c - centers
-    sigma_p, sigma_c = waist_p / 4.0, waist_c / 4.0
+    # The half-axis cell edges 0, -d/2, -3d/2, ...: whole cells are weighed
+    # at their mirror images below the axis, where the CDF is small; above
+    # it a far cell's power would be the difference of two values near 1
+    # and lose its leading digits. Each edge is evaluated once per beam,
+    # once in all when the waists are equal.
+    edges = 0.5 * d_c - np.arange(half + 2) * d_c
+    edges[0] = 0.0
+
+    def weights(sigma):
+        cdf = _ndtr(edges / sigma)
+        return cdf[1:-1] - cdf[2:], float(cdf[0] - cdf[1])
+
+    whole_p, half_p = weights(waist_p / 4.0)
+    if waist_c == waist_p:
+        whole_c, half_c = whole_p, half_p
+    else:
+        whole_c, half_c = weights(waist_c / 4.0)
     return CoherenceGrid(
         cell_size=float(d_c),
-        whole_p=_interval_weights(lo, hi, sigma_p),
-        whole_c=_interval_weights(lo, hi, sigma_c),
-        half_p=float(_interval_weights(0.0, 0.5 * d_c, sigma_p)),
-        half_c=float(_interval_weights(0.0, 0.5 * d_c, sigma_c)),
+        whole_p=whole_p,
+        whole_c=whole_c,
+        half_p=half_p,
+        half_c=half_c,
     )

@@ -10,6 +10,12 @@ from quadsense.analysis import (
     threshold_voltage,
 )
 from quadsense.errors import ValidationError
+from quadsense.plasmonic import (
+    IndexModulation,
+    modulation_signal,
+    transduction_slope,
+    transmission_at,
+)
 
 
 def test_signal_estimate():
@@ -112,3 +118,21 @@ def test_enhancement_report_fields(chain):
     assert rep.enhancement_pct == pytest.approx(
         (rep.v_cs / rep.v_tb - 1.0) * 100.0, rel=1e-12
     )
+
+
+def test_signal_sweep_is_the_per_voltage_signal_to_the_bit(chain):
+    # One array expression per sweep; every point keeps the bits of the
+    # per-voltage modulation_signal, and of its documented order of
+    # operations ((I |dT/dn|) (kappa V)) / T, then 0.5 a a, in Python floats.
+    sc = chain.scenario
+    v = np.asarray(sc.sweep_voltages_mv + (0.0, 1e-3, 7.77, 1e4), float)
+    for q in (1, 2, 3, 4):
+        r, i_q = sc.resonances[q - 1], chain.detected_probe_mean(q)
+        swept = chain.signal(q, v)
+        t = transmission_at(r, sc.wavelength_nm)
+        scale = float(i_q) * abs(transduction_slope(r, sc.wavelength_nm))
+        for vk, s in zip(v, swept):
+            mod = IndexModulation(sc.modulation_frequency_hz, float(vk), chain.kappa)
+            assert s == modulation_signal(r, mod, q, i_q, sc.wavelength_nm), (q, vk)
+            a = scale * (chain.kappa[q - 1] * float(vk)) / t
+            assert s == 0.5 * a * a, (q, vk)

@@ -47,14 +47,21 @@ def loaded_after(argv, cwd, module="quadsense.cli"):
         # The Fock oracle imports scipy.sparse when it runs.
         ("quadsense.montecarlo", [], (None,), ("scipy",)),
         ("quadsense.cli", ["resonance-scan"], (0,), ("scipy",)),
-        ("quadsense.cli", ["optimize-beam"], (0,), ("scipy.optimize", "scipy.sparse")),
-        # The chain calibration is closed-form: no scipy.optimize.
-        ("quadsense.cli", ["squeezing-budget"], (0,), ("scipy.optimize", "scipy.sparse")),
-        ("quadsense.cli", ["snr-sweep"], (0,), ("scipy.optimize", "scipy.sparse")),
-        ("quadsense.cli", ["fig3"], (0,), ("scipy.optimize", "scipy.sparse")),
+        # Gaussian interval powers and the calibration are numpy only.
+        ("quadsense.cli", ["optimize-beam"], (0,), ("scipy",)),
+        ("quadsense.cli", ["squeezing-budget"], (0,), ("scipy",)),
+        ("quadsense.cli", ["snr-sweep"], (0,), ("scipy",)),
+        ("quadsense.cli", ["fig3"], (0,), ("scipy",)),
+        ("quadsense.cli", ["fig4", "--samples", "1000"], (0,), ("scipy",)),
         # 1000 samples are too few for the 0.2 dB snl_linearity bound, so
-        # the run may exit 3; it still imports everything verify uses.
-        ("quadsense.cli", ["verify", "--samples", "1000"], (0, 3), ("scipy.optimize",)),
+        # the run may exit 3; it still imports everything verify uses, and
+        # of scipy only the scipy.sparse its Fock oracle runs.
+        (
+            "quadsense.cli",
+            ["verify", "--samples", "1000"],
+            (0, 3),
+            ("scipy.optimize", "scipy.special"),
+        ),
     ],
     ids=[
         "import",
@@ -64,6 +71,7 @@ def loaded_after(argv, cwd, module="quadsense.cli"):
         "squeezing-budget",
         "snr-sweep",
         "fig3",
+        "fig4",
         "verify",
     ],
 )

@@ -10,6 +10,7 @@ from scipy.special import ndtr
 from quadsense import detection
 from quadsense.errors import SearchError, UndefinedMomentsError, ValidationError
 from quadsense.optics import (
+    WAIST_GRID_POINTS,
     GaussianBeam,
     LossChannel,
     QuadrantLayout,
@@ -17,6 +18,7 @@ from quadsense.optics import (
     optimize_waist,
     quadrant_cut,
     quadrant_transmission,
+    transmission_curve,
 )
 from quadsense.source import CoherenceGrid, TwinBeamMoments, build_coherence_grid
 
@@ -110,6 +112,18 @@ def test_optimize_waist_scale_invariance():
         t1 = quadrant_transmission(GaussianBeam.from_waist(d), REFERENCE_LAYOUT).total
         t2 = quadrant_transmission(GaussianBeam.from_waist(2 * d), doubled).total
         assert t2 == pytest.approx(t1, abs=1e-9)
+
+
+def test_transmission_curve_is_the_per_beam_total_to_the_bit():
+    # optimize_waist's coarse scan and beam_curve.csv are each one batched
+    # evaluation; every entry must be the single-beam total, bit for bit.
+    for layout in (REFERENCE_LAYOUT, QuadrantLayout(200.0, 0.0, 0.0)):
+        ds = np.linspace(100.0, 1000.0, WAIST_GRID_POINTS)
+        curve = transmission_curve(layout, ds)
+        assert curve.shape == ds.shape
+        for d, total in zip(ds, curve):
+            beam = GaussianBeam.from_waist(float(d))
+            assert total == quadrant_transmission(beam, layout).total, d
 
 
 def test_optimize_waist_rejects_non_bracketing_range():

@@ -188,21 +188,37 @@ def test_cli_infeasible_stage_targets_print_residuals(tmp_path, capsys):
 
 
 def test_cli_overflowing_seed_flux_prints_only_its_message(tmp_path, capsys):
-    # The source moments stay finite at this seed flux, but the detection
-    # arithmetic after them overflows; the refusal is the whole report, with
-    # no numpy warning before it.
+    # The source moments overflow at this seed flux; the refusal is the
+    # whole report, with no numpy warning before it.
     cfg = default_scenario_dict()
-    cfg["source"]["seed_flux"] = 1e150
+    cfg["source"]["seed_flux"] = 1e200
     path = tmp_path / "bright.yaml"
     path.write_text(yaml.safe_dump(cfg))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = run_cli("snr-sweep", "--scenario", str(path), "--out", str(tmp_path))
-    assert rc == 3
+    assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("consistency error: "), err
+    assert err.startswith("validation error: source moments overflow"), err
     assert err.count("\n") == 1, err
     assert not (tmp_path / "enhancement.json").exists()
+
+
+@pytest.mark.parametrize("seed_flux", [1e120, 1e150])
+def test_cli_bright_seed_flux_calibrates_like_the_default(tmp_path, seed_flux):
+    # The calibration is scale-free: wherever the source moments are
+    # finite, a brighter seed gives the default's noise ratios and figures,
+    # so no product of the per-quadrant solve may overflow on the way.
+    cfg = default_scenario_dict()
+    cfg["source"]["seed_flux"] = seed_flux
+    path = tmp_path / "bright.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    default, bright = tmp_path / "default", tmp_path / "bright"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("fig3", "--out", str(default)) == 0
+        assert run_cli("fig3", "--scenario", str(path), "--out", str(bright)) == 0
+    assert (bright / "fig3.csv").read_bytes() == (default / "fig3.csv").read_bytes()
 
 
 def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):

@@ -12,6 +12,7 @@ from quadsense.source import (
     FwmSourceParams,
     TwinBeamMoments,
     _half_cells,
+    _ndtr,
     build_coherence_grid,
     fwm_moments,
     source_squeezing,
@@ -158,3 +159,34 @@ def test_quadrant_weights_match_gapless_transmission():
     layout = QuadrantLayout(window_size=1440.0, gap=0.0, tilt_deg=0.0)
     qt = quadrant_transmission(GaussianBeam.from_waist(360.0), layout)
     assert cut.mean_p == pytest.approx(qt.window_fractions[1], abs=1e-12)
+
+
+# Cephes branch edges of the normal CDF in its argument a: erf below 1,
+# 1 - erf below sqrt(2), the P/Q erfc below 8 sqrt(2), the R/S erfc above,
+# and exp(-a^2/2) underflow near 37.7.
+NDTR_EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.78))
+
+
+def test_ndtr_matches_scipy_in_every_branch_on_both_signs():
+    from scipy.special import ndtr
+
+    a = np.linspace(0.0, 40.0, 400_001)
+    near_edges = [np.nextafter(e, d) for e in NDTR_EDGES for d in (0.0, 50.0)]
+    a = np.concatenate((a, NDTR_EDGES, near_edges))
+    for lo, hi in zip((0.0,) + NDTR_EDGES, NDTR_EDGES + (40.0,)):
+        assert np.count_nonzero((a >= lo) & (a < hi)) > 1000, (lo, hi)
+    for x in (a, -a):
+        ours, ref = _ndtr(x), ndtr(x)
+        assert ours.shape == x.shape
+        kept = ref >= 1e-300
+        assert np.all(np.abs(ours[kept] - ref[kept]) <= 1e-13 * ref[kept])
+        assert np.all(ours[~kept] <= 1e-300)
+
+
+def test_ndtr_is_elementwise():
+    # A CDF value does not depend on the array it is evaluated in.
+    a = np.linspace(-40.0, 40.0, 801)
+    whole = _ndtr(a)
+    assert np.array_equal(_ndtr(a.reshape(3, 267)).ravel(), whole)
+    assert np.array_equal(_ndtr(a[::-1]), whole[::-1])
+    assert all(_ndtr(np.array([x]))[0] == y for x, y in zip(a, whole))
