@@ -5,7 +5,8 @@ Gaussian photocurrent sampling of the pieces that the optics cut assigns to
 a quadrant, enumerated once for the four mirror-image quadrants (exact for
 first and second moments, which is all the formulas use),
 binomial-equivalent thinning for the loss map, and a truncated-Fock
-construction of the seeded two-mode squeezer.
+construction of the seeded two-mode squeezer, exponentiated one
+photon-difference block at a time.
 
 Randomness is counter-based: every draw owns an independent Philox
 substream, keyed by a seed and a spawn key whose first word names the
@@ -256,43 +257,41 @@ def thinning_loss(samples: np.ndarray, eta: float, seed: int) -> np.ndarray:
     return out
 
 
-def _pair_ladder(n_max: int):
-    """Sparse a'b' - ab on the truncated two-mode number basis."""
-    from scipy.sparse import coo_matrix  # local: importing montecarlo loads no scipy
-
-    dim = n_max + 1
-    rows, cols, vals = [], [], []
-    for np_ in range(n_max):
-        for nc_ in range(n_max):
-            i = np_ * dim + nc_
-            j = (np_ + 1) * dim + (nc_ + 1)
-            amp = math.sqrt((np_ + 1) * (nc_ + 1))
-            rows.append(j)
-            cols.append(i)
-            vals.append(amp)
-            rows.append(i)
-            cols.append(j)
-            vals.append(-amp)
-    return coo_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim)).tocsr()
-
-
 def _coherent_vector(alpha: float, n_max: int) -> np.ndarray:
-    if alpha == 0.0:
-        v = np.zeros(n_max + 1)
-        v[0] = 1.0
-        return v
-    n = np.arange(n_max + 1)
-    log_c = -0.5 * alpha * alpha + n * math.log(alpha) - 0.5 * np.cumsum(
-        np.concatenate([[0.0], np.log(np.arange(1, n_max + 1))])
-    )
-    return np.exp(log_c)
+    """Number amplitudes ``c_0 .. c_n_max`` of the coherent state |alpha>:
+    c_0 = exp(-alpha^2/2), c_n = c_(n-1) alpha / sqrt(n)."""
+    steps = alpha / np.sqrt(np.arange(1.0, n_max + 1))
+    return np.cumprod(np.concatenate([[math.exp(-0.5 * alpha * alpha)], steps]))
+
+
+def _fock_probabilities(r: float, alpha: float, n_max: int) -> np.ndarray:
+    """``prob[n_p, n_c]`` of exp(r(a'b' - ab)) |alpha, 0>, with at most
+    ``n_max`` photons in each mode.
+
+    The generator conserves n_p - n_c, so each difference d evolves alone
+    on its ladder |d + k, k>, k = 0 .. n_max - d, from amplitude c_d at
+    k = 0. There the generator is real antisymmetric and tridiagonal, with
+    sqrt((d + k) k) joining k - 1 to k; the phases diag(i^k) turn it into
+    -iT, T the real symmetric tridiagonal matrix with those off-diagonals.
+    So the ladder's amplitudes are exp(-irT) e_0 from T's eigenvectors,
+    times phases that leave the probabilities alone.
+    """
+    prob = np.zeros((n_max + 1, n_max + 1))
+    for d, c in enumerate(_coherent_vector(alpha, n_max)):
+        k = np.arange(n_max - d + 1)
+        off = np.sqrt((d + k[1:]) * k[1:])
+        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        amp = (v * np.exp(-1j * r * w)) @ v[0]
+        prob[d + k, k] = c * c * np.abs(amp) ** 2
+    return prob
 
 
 def fock_two_mode_squeezer_moments(gain: float, seed_amplitude: float) -> TwinBeamMoments:
     """Photon-number moments of a two-mode squeezer on a coherent seed.
 
-    Builds the state exp(r(a'b' - ab)) |alpha, 0> in a truncated number
-    basis with cosh^2(r) = gain and computes means, variances, and the
+    Exponentiates r(a'b' - ab), with cosh^2(r) = gain, on |alpha, 0> in a
+    truncated number basis, one photon-difference block at a time (see
+    :func:`_fock_probabilities`), and computes means, variances, and the
     covariance by direct summation. The basis grows through
     :data:`FOCK_TRUNCATIONS` until the probability mass on its boundary is
     below :data:`FOCK_TAIL_TOL`.
@@ -301,24 +300,16 @@ def fock_two_mode_squeezer_moments(gain: float, seed_amplitude: float) -> TwinBe
         raise ValidationError("gain must be >= 1")
     if seed_amplitude < 0.0:
         raise ValidationError("seed amplitude must be >= 0")
-    from scipy.sparse.linalg import expm_multiply
 
     r = math.acosh(math.sqrt(gain))
 
     last_tail = None
     for n_max in FOCK_TRUNCATIONS:
-        dim = n_max + 1
-        coh = _coherent_vector(seed_amplitude, n_max)
-        # |alpha>_p x |0>_c : conjugate index 0 for every probe level.
-        psi0 = np.zeros(dim * dim)
-        psi0[np.arange(dim) * dim] = coh
-        k = _pair_ladder(n_max)
-        psi = expm_multiply(r * k, psi0)
-        prob = (psi * psi).reshape(dim, dim)
+        prob = _fock_probabilities(r, seed_amplitude, n_max)
         tail = float(prob[-1, :].sum() + prob[:, -1].sum())
         last_tail = tail
         if tail < FOCK_TAIL_TOL:
-            n = np.arange(dim, dtype=float)
+            n = np.arange(n_max + 1, dtype=float)
             pn_p = prob.sum(axis=1)
             pn_c = prob.sum(axis=0)
             mean_p = float(pn_p @ n)

@@ -223,7 +223,7 @@ class Scenario:
             cell_um=cell_um,
             quantum_efficiency=_field(det, "quantum_efficiency", "detector", 0.95),
             resonances=tuple(resonances),
-            modulation_frequency_hz=_field(mod, "frequency_hz", "modulation"),
+            modulation_frequency_hz=_field(mod, "frequency_hz", "modulation", above=0.0),
             kappa=kappa,
             stage_targets_db=stage_targets,
             final_target={
@@ -278,10 +278,7 @@ class SensingChain:
     scenario: Scenario
     source_params: FwmSourceParams
     eta_optics: float
-    cell_um: float
     grid: CoherenceGrid
-    source_moments: TwinBeamMoments
-    optics_moments: TwinBeamMoments
     cut: TwinBeamMoments
     channels_p: dict
     eta_c: float
@@ -594,10 +591,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
         scenario=scenario,
         source_params=params,
         eta_optics=eta_optics,
-        cell_um=scenario.cell_um,
         grid=grid,
-        source_moments=m0,
-        optics_moments=m1,
         cut=cut,
         channels_p=channels_p,
         eta_c=eta_c,

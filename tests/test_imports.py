@@ -1,4 +1,4 @@
-"""Each subcommand imports only the scipy subpackages it runs.
+"""No subcommand imports scipy: the runtime needs only numpy and PyYAML.
 
 Every case runs in a fresh interpreter, since ``sys.modules`` of the test
 process already holds whatever earlier tests imported.
@@ -41,27 +41,20 @@ def loaded_after(argv, cwd, module="quadsense.cli"):
 
 
 @pytest.mark.parametrize(
-    "module, argv, rcs, forbidden",
+    "module, argv, rcs",
     [
-        ("quadsense.cli", [], (None,), ("scipy",)),
-        # The Fock oracle imports scipy.sparse when it runs.
-        ("quadsense.montecarlo", [], (None,), ("scipy",)),
-        ("quadsense.cli", ["resonance-scan"], (0,), ("scipy",)),
-        # Gaussian interval powers and the calibration are numpy only.
-        ("quadsense.cli", ["optimize-beam"], (0,), ("scipy",)),
-        ("quadsense.cli", ["squeezing-budget"], (0,), ("scipy",)),
-        ("quadsense.cli", ["snr-sweep"], (0,), ("scipy",)),
-        ("quadsense.cli", ["fig3"], (0,), ("scipy",)),
-        ("quadsense.cli", ["fig4", "--samples", "1000"], (0,), ("scipy",)),
+        ("quadsense.cli", [], (None,)),
+        ("quadsense.montecarlo", [], (None,)),
+        ("quadsense.cli", ["resonance-scan"], (0,)),
+        ("quadsense.cli", ["optimize-beam"], (0,)),
+        ("quadsense.cli", ["squeezing-budget"], (0,)),
+        ("quadsense.cli", ["snr-sweep"], (0,)),
+        ("quadsense.cli", ["fig3"], (0,)),
+        ("quadsense.cli", ["fig4", "--samples", "1000"], (0,)),
         # 1000 samples are too few for the 0.2 dB snl_linearity bound, so
-        # the run may exit 3; it still imports everything verify uses, and
-        # of scipy only the scipy.sparse its Fock oracle runs.
-        (
-            "quadsense.cli",
-            ["verify", "--samples", "1000"],
-            (0, 3),
-            ("scipy.optimize", "scipy.special"),
-        ),
+        # the run may exit 3; it still runs every check, the Fock oracle
+        # included.
+        ("quadsense.cli", ["verify", "--samples", "1000"], (0, 3)),
     ],
     ids=[
         "import",
@@ -75,16 +68,10 @@ def loaded_after(argv, cwd, module="quadsense.cli"):
         "verify",
     ],
 )
-def test_subcommand_imports_only_the_scipy_it_runs(
-    tmp_path, module, argv, rcs, forbidden
-):
+def test_subcommand_imports_only_the_scipy_it_runs(tmp_path, module, argv, rcs):
     if argv:
         argv = argv + ["--out", str(tmp_path)]
     result = loaded_after(argv, tmp_path, module)
     assert result["rc"] in rcs
-    loaded = [
-        m
-        for m in result["modules"]
-        if any(m == p or m.startswith(p + ".") for p in forbidden)
-    ]
+    loaded = [m for m in result["modules"] if m == "scipy" or m.startswith("scipy.")]
     assert loaded == []

@@ -150,6 +150,35 @@ def test_stimulated_fock_matches_closed_forms():
             assert fock.cov == pytest.approx(analytic.cov, rel=1e-6, abs=1e-9)
 
 
+def dense_fock_probabilities(r, alpha, n_max):
+    """``prob[n_p, n_c]`` from the dense exponential of the whole truncated
+    a'b' - ab applied to |alpha, 0>."""
+    from scipy.linalg import expm
+
+    dim = n_max + 1
+    k = np.zeros((dim * dim, dim * dim))
+    for n_p in range(n_max):
+        for n_c in range(n_max):
+            amp = math.sqrt((n_p + 1) * (n_c + 1))
+            k[(n_p + 1) * dim + n_c + 1, n_p * dim + n_c] = amp
+            k[n_p * dim + n_c, (n_p + 1) * dim + n_c + 1] = -amp
+    psi0 = np.zeros(dim * dim)
+    for n in range(dim):
+        psi0[n * dim] = math.exp(-0.5 * alpha**2) * alpha**n / math.sqrt(math.factorial(n))
+    psi = expm(r * k) @ psi0
+    return (psi * psi).reshape(dim, dim)
+
+
+@pytest.mark.parametrize("n_max", [1, 5, 12])
+@pytest.mark.parametrize("gain", [1.05, 1.3, 2.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.7])
+def test_fock_blocks_match_the_dense_exponential(n_max, gain, alpha):
+    r = math.acosh(math.sqrt(gain))
+    blocks = montecarlo._fock_probabilities(r, alpha, n_max)
+    dense = dense_fock_probabilities(r, alpha, n_max)
+    np.testing.assert_allclose(blocks, dense, rtol=0.0, atol=1e-12)
+
+
 def test_fock_insufficient_truncation_raises(monkeypatch):
     monkeypatch.setattr(montecarlo, "FOCK_TRUNCATIONS", (5,))
     with pytest.raises(TailMassError):

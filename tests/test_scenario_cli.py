@@ -68,11 +68,11 @@ def test_declared_cell_size_sets_the_grid(scenario):
     # the cut for the staged squeezing targets to remain reachable.
     cfg["coherence"]["cell_um"] = 0.1
     chain = build_chain(Scenario.from_dict(cfg))
-    assert chain.cell_um == chain.grid.cell_size == 0.1
+    assert chain.grid.cell_size == 0.1
 
 
 def test_default_chain_cell_size(chain):
-    assert chain.cell_um == 1.0
+    assert chain.grid.cell_size == 1.0
 
 
 def test_default_calibration_is_identified(chain):
@@ -82,7 +82,7 @@ def test_default_calibration_is_identified(chain):
     assert params.excess_uncorrelated > 0.0
     assert 0.0 < chain.eta_optics < 1.0
     # The declared cell is no smaller than the wavelength.
-    assert chain.cell_um >= chain.scenario.wavelength_nm / 1000.0
+    assert chain.grid.cell_size >= chain.scenario.wavelength_nm / 1000.0
     # The staged targets are solved, not fitted.
     for stage in ("source", "post_optics", "post_cut"):
         assert abs(chain.residuals_db[stage]) <= 1e-9, stage
@@ -282,6 +282,7 @@ def test_cli_out_of_range_scalar_is_validation_error(
         (("calibration", "threshold_targets_mv"), [1e-320, 265, 319, 316]),
         (("calibration", "residual_db"), [1e300, -1.81, -1.70, -1.84]),
         (("calibration", "stage_targets_db", "post_cut"), 1e300),
+        (("modulation", "frequency_hz"), 0),
     ],
     ids=[
         "fwhm_nm",
@@ -299,6 +300,7 @@ def test_cli_out_of_range_scalar_is_validation_error(
         "tiny_threshold_overflows_kappa",
         "residual_overflows_ratio",
         "stage_target_overflows_ratio",
+        "frequency_hz",
     ],
 )
 def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value):
