@@ -22,7 +22,6 @@ from .analysis import threshold_voltage
 from .errors import QuadsenseError, ValidationError
 from .optics import (
     WAIST_GRID_POINTS,
-    GaussianBeam,
     optimize_waist,
     quadrant_transmission,
     transmission_curve,
@@ -94,7 +93,7 @@ def _cmd_optimize_beam(scenario: Scenario, args, out: Path) -> int:
     totals = transmission_curve(scenario.layout, ds)
     rows = [[_fmt(float(d)), _fmt(float(t))] for d, t in zip(ds, totals)]
     _write_csv(out / "beam_curve.csv", header, rows)
-    qt = quadrant_transmission(GaussianBeam.from_waist(best_d), scenario.layout)
+    qt = quadrant_transmission(best_d, scenario.layout)
     print(f"best diameter {best_d:.1f} um, total transmission {best_t:.4f}")
     for q in QUADRANTS:
         print(f"  window {q}: {qt.window_fractions[q]:.4f}")
@@ -131,10 +130,9 @@ def _sweep_rows(chain, pairs) -> list:
     return rows
 
 
-def _enhancement_payload(chain, sampled: dict | None = None) -> dict:
+def _enhancement_payload(reports: dict, sampled: dict | None = None) -> dict:
     payload = {}
-    for q in QUADRANTS:
-        rep = chain.enhancement_report(q)
+    for q, rep in reports.items():
         entry = {
             "pair": list(rep.pair),
             "v_tb_mv": round(rep.v_tb, 6),
@@ -154,7 +152,8 @@ def _cmd_snr_sweep(scenario: Scenario, args, out: Path) -> int:
     pairs = [(q, q) for q in QUADRANTS]
     header = ["voltage_mv", "pair", "snr_tb", "snr_cs", "snr_opt"]
     _write_csv(out / "snr_sweep.csv", header, _sweep_rows(chain, pairs))
-    _write_json(out / "enhancement.json", _enhancement_payload(chain))
+    reports = {q: chain.enhancement_report(q) for q in QUADRANTS}
+    _write_json(out / "enhancement.json", _enhancement_payload(reports))
     return EXIT_OK
 
 
@@ -181,7 +180,7 @@ def _cmd_fig3(scenario: Scenario, args, out: Path) -> int:
     ]
     rows = []
     for q in QUADRANTS:
-        snl = chain.snl(q, q)
+        snl = chain.snl(q)
         s_off = chain.noise_off(q, q)
         floor_db = 10.0 * math.log10(s_off / snl)
         signals = chain.signal(q, drives)
@@ -208,9 +207,9 @@ def _cmd_fig4(scenario: Scenario, args, out: Path) -> int:
     sampled = {}
     for q, curve in zip(QUADRANTS, curves):
         sampled[q], _ = threshold_voltage(curve, fit=True)
-    _write_json(out / "fig4_enhancement.json", _enhancement_payload(chain, sampled))
-    for q in QUADRANTS:
-        rep = chain.enhancement_report(q)
+    reports = {q: chain.enhancement_report(q) for q in QUADRANTS}
+    _write_json(out / "fig4_enhancement.json", _enhancement_payload(reports, sampled))
+    for q, rep in reports.items():
         print(
             f"pair ({q},{q}): v_tb {rep.v_tb:.2f} mV "
             f"(sampled {sampled[q]:.2f}), v_cs {rep.v_cs:.2f} mV, "

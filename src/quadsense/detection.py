@@ -149,26 +149,20 @@ class NoiseReport:
     gain_db: float
 
 
-def squeezing_report(
-    m: TwinBeamMoments, ch: LossChannel, g: float | str = "optimal"
-) -> NoiseReport:
-    """Noise budget of the intensity-difference measurement.
-
-    ``g`` may be a number or ``"optimal"``. The shot-noise reference uses
-    coherent beams with the twin beams' mean powers and the same g.
+def squeezing_report(m: TwinBeamMoments, ch: LossChannel) -> NoiseReport:
+    """Noise budget of the intensity-difference measurement at the optimal
+    attenuation g. The shot-noise reference uses coherent beams with the
+    twin beams' mean powers and the same g.
     """
-    if g == "optimal":
-        g_used = optimal_gain(m, ch)
-    else:
-        g_used = float(g)
-    diff = difference_noise(m, ch, g_used)
-    snl = snl_noise(m.mean_p, m.mean_c, ch, g_used)
+    g = optimal_gain(m, ch)
+    diff = difference_noise(m, ch, g)
+    snl = snl_noise(m.mean_p, m.mean_c, ch, g)
     ratio = diff / snl
     return NoiseReport(
         diff_variance=diff,
         snl=snl,
         ratio_linear=ratio,
         ratio_db=10.0 * math.log10(ratio) if ratio > 0 else -math.inf,
-        gain=g_used,
-        gain_db=attenuation_db(g_used),
+        gain=g,
+        gain_db=attenuation_db(g),
     )

@@ -46,7 +46,6 @@ from .source import (
 )
 
 __all__ = [
-    "SampleBatch",
     "sample_photocurrents",
     "sample_pairs",
     "sample_pair",
@@ -62,16 +61,6 @@ CHUNK = 1 << 20
 # probability mass it accepts on the cutoff boundary.
 FOCK_TRUNCATIONS = (24, 36, 48, 64, 80)
 FOCK_TAIL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Per-quadrant probe/conjugate intensity samples."""
-
-    n_samples: int
-    seed: int
-    probe: dict
-    conjugate: dict
 
 
 def _generator(seed: int, *key) -> np.random.Generator:
@@ -179,7 +168,7 @@ def _correlate(factors, z0, z1, probe, conj):
 
 def sample_photocurrents(
     grid: CoherenceGrid, m: TwinBeamMoments, n: int, seed: int
-) -> SampleBatch:
+) -> tuple[dict, dict]:
     """Sample per-quadrant intensities of the partitioned twin beam.
 
     Each quadrant's intensity is the sum over the pieces that
@@ -189,7 +178,8 @@ def sample_photocurrents(
     moments of :func:`_quadrant_moments`, whose expectation is
     ``quadrant_cut(m, grid)``. The quadrants share those moments
     but not their draws: quadrant ``q`` draws from the
-    ``(seed, 2, q, chunk)`` substreams.
+    ``(seed, 2, q, chunk)`` substreams. Returns ``(probe, conjugate)``,
+    two dicts of ``n`` samples per quadrant.
     """
     if grid.n_cells > 1 << 18:
         raise ValidationError(
@@ -201,7 +191,7 @@ def sample_photocurrents(
     for q in QUADRANT_SIGNS:
         z0, z1 = _normals(n, seed, 2, q)
         probe[q], conj[q] = _correlate(factors, z0, z1, z0, z1)
-    return SampleBatch(n_samples=n, seed=seed, probe=probe, conjugate=conj)
+    return probe, conj
 
 
 def sample_pairs(moments, n: int, seed: int):
@@ -486,14 +476,14 @@ def _snl_check(bright, n, seed):
 def _partition_checks(grid, m, n, seed):
     """Sampled quadrants against the analytic quadrant cut, and
     cross-quadrant independence, on one batch."""
-    batch = sample_photocurrents(grid, m, n, seed)
+    probe, conj = sample_photocurrents(grid, m, n, seed)
     exp = quadrant_cut(m, grid)
     quads = sorted(QUADRANT_SIGNS)
     # Each quadrant's (centred probe, its variance), (centred conjugate, ...).
     beams = {}
     worst = 0.0
     for q in quads:
-        p, c = batch.probe[q], batch.conjugate[q]
+        p, c = probe[q], conj[q]
         mean_p, var_p = _centre(p)
         _, var_c = _centre(c)
         beams[q] = [(p, var_p), (c, var_c)]

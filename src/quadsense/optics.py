@@ -1,5 +1,5 @@
-"""Beam geometry and loss: transmission of a Gaussian beam through the
-tilted quadrant window array, beam-splitter loss propagation of intensity
+"""Beam geometry and loss: transmission of a centered Gaussian beam through
+the tilted quadrant windows, beam-splitter loss propagation of intensity
 moments, and the correlation penalty of cutting a finite coherence area.
 The coherence grid is centered on both beams, so that penalty is one
 quadrant cut, the same for all four quadrants.
@@ -20,7 +20,6 @@ from .source import CoherenceGrid, TwinBeamMoments, _interval_weights
 
 __all__ = [
     "QUADRANT_SIGNS",
-    "GaussianBeam",
     "QuadrantLayout",
     "LossChannel",
     "QuadrantTransmission",
@@ -38,23 +37,6 @@ QUADRANT_SHARE = 0.25
 # in um at which its golden-section refinement stops.
 WAIST_GRID_POINTS = 181
 WAIST_TOL_UM = 0.2
-
-
-@dataclass(frozen=True)
-class GaussianBeam:
-    """Gaussian intensity profile; 1/e^2 diameter D relates to sigma by D = 4 sigma."""
-
-    sigma_x: float
-    sigma_y: float
-    center: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if self.sigma_x <= 0 or self.sigma_y <= 0:
-            raise ValidationError("beam sigmas must be > 0")
-
-    @classmethod
-    def from_waist(cls, waist_diameter: float, center=(0.0, 0.0)) -> "GaussianBeam":
-        return cls(waist_diameter / 4.0, waist_diameter / 4.0, center)
 
 
 @dataclass(frozen=True)
@@ -119,21 +101,18 @@ class QuadrantTransmission:
     tail_fraction: float
 
 
-def _window_powers(layout: QuadrantLayout, sigma_x, sigma_y, center=(0.0, 0.0)):
-    """Power fractions of windows 1-4 and of the whole layout square.
+def _window_powers(layout: QuadrantLayout, sigma):
+    """Power fractions of windows 1-4 and of the whole layout square for a
+    round beam of standard deviation ``sigma`` centered on the layout.
 
     The Gaussian factorizes, so each is the product of the exact power of
     its x and y intervals, one :func:`_interval_weights` call per axis for
-    all five; an off-center beam shifts the bounds into its own frame.
-    Array sigmas of shape ``(n, 1)`` give shape ``(n, 5)``.
+    all five. An array sigma of shape ``(n, 1)`` gives shape ``(n, 5)``.
     """
     hx, hy = layout.half_extent
     bounds = [layout.window_bounds(q) for q in (1, 2, 3, 4)] + [(-hx, hx, -hy, hy)]
     xlo, xhi, ylo, yhi = np.array(bounds).T
-    x0, y0 = center
-    fx = _interval_weights(xlo - x0, xhi - x0, sigma_x)
-    fy = _interval_weights(ylo - y0, yhi - y0, sigma_y)
-    return fx * fy
+    return _interval_weights(xlo, xhi, sigma) * _interval_weights(ylo, yhi, sigma)
 
 
 def _window_total(powers):
@@ -145,10 +124,13 @@ def _window_total(powers):
 
 
 def quadrant_transmission(
-    beam: GaussianBeam, layout: QuadrantLayout
+    diameter: float, layout: QuadrantLayout
 ) -> QuadrantTransmission:
-    """Per-window power fractions and total transmission."""
-    powers = _window_powers(layout, beam.sigma_x, beam.sigma_y, beam.center)
+    """Per-window power fractions and total transmission of a round beam of
+    1/e^2 diameter ``diameter`` (sigma = D / 4) centered on the layout."""
+    if not diameter > 0:
+        raise ValidationError(f"beam diameter must be > 0, got {diameter}")
+    powers = _window_powers(layout, diameter / 4.0)
     total = float(_window_total(powers))
     in_square = float(powers[4])
     return QuadrantTransmission(
@@ -166,7 +148,7 @@ def transmission_curve(layout: QuadrantLayout, diameters) -> np.ndarray:
     :func:`quadrant_transmission` total of that beam to the bit.
     """
     sigma = np.asarray(diameters, float)[:, None] / 4.0
-    return _window_total(_window_powers(layout, sigma, sigma))
+    return _window_total(_window_powers(layout, sigma))
 
 
 def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float]):
@@ -183,7 +165,7 @@ def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float]):
         raise ValidationError("search range must satisfy 0 < lo < hi")
 
     def total(d):
-        return quadrant_transmission(GaussianBeam.from_waist(d), layout).total
+        return quadrant_transmission(d, layout).total
 
     ds = np.linspace(d_lo, d_hi, WAIST_GRID_POINTS)
     vals = transmission_curve(layout, ds)

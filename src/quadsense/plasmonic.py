@@ -1,5 +1,6 @@
 """Plasmonic sensor response: a parametric transmission resonance per
-sensor and the transduction of a local refractive-index modulation into an
+sensor and the transduction of a sinusoidal local refractive-index
+modulation, the sensor's drive coefficient times the drive voltage, into an
 intensity modulation on the probing beam.
 """
 
@@ -15,7 +16,6 @@ from .errors import OperatingPointError, ValidationError
 __all__ = [
     "EOTResonance",
     "linewidth_evaluable",
-    "IndexModulation",
     "transmission_at",
     "transduction_slope",
     "modulation_signal",
@@ -62,26 +62,6 @@ class EOTResonance:
             raise ValidationError("index sensitivity must be finite")
 
 
-@dataclass(frozen=True)
-class IndexModulation:
-    """Sinusoidal refractive-index drive shared by the four sensors.
-
-    ``volts_to_index`` holds one coefficient per sensor (RIU per mV),
-    encoding the acoustic standing-wave pattern in the chamber.
-    ``drive_voltage`` is one voltage (mV) or an array of them, a sweep.
-    """
-
-    frequency: float
-    drive_voltage: float | np.ndarray
-    volts_to_index: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        if self.frequency <= 0:
-            raise ValidationError("modulation frequency must be > 0")
-        if any(k < 0 for k in self.volts_to_index):
-            raise ValidationError("drive coefficients must be >= 0")
-
-
 def _detuning_overflow(r: EOTResonance, wavelength: float) -> ValidationError:
     return ValidationError(
         f"wavelength {wavelength:g} nm is too far from the resonance at "
@@ -116,31 +96,31 @@ def transduction_slope(r: EOTResonance, wavelength: float) -> float:
 
 def modulation_signal(
     r: EOTResonance,
-    mod: IndexModulation,
-    sensor: int,
+    kappa: float,
+    drive_voltage,
     probe_mean: float,
     wavelength: float,
 ) -> float:
     """Mean-square signal power from the index modulation at one sensor.
 
-    A sinusoidal index swing of amplitude kappa_q * V produces a relative
+    A sinusoidal index swing of amplitude kappa * V, the sensor's drive
+    coefficient (RIU per mV) times the drive voltage, produces a relative
     transmission swing |dT/dn| * dn / T; applied to the detected probe mean
     the intensity swing amplitude is A = I_q |dT/dn| dn / T and the signal
     power is the sinusoid mean square A^2 / 2, in the same units as the
     difference-noise variances. An array of drive voltages gives the array
     of their powers, each with the bits of its own scalar evaluation.
     """
+    if kappa < 0:
+        raise ValidationError("drive coefficient must be >= 0")
     if probe_mean < 0:
         raise ValidationError("probe mean intensity must be >= 0")
-    if not 1 <= sensor <= 4:
-        raise ValidationError("sensor index must be 1..4")
     t = transmission_at(r, wavelength)
     if t <= 0.0:
         raise OperatingPointError(
-            f"sensor {sensor} transmits no light at {wavelength} nm"
+            f"sensor at {r.lambda0:g} nm transmits no light at {wavelength} nm"
         )
-    kappa = mod.volts_to_index[sensor - 1]
-    volts = np.asarray(mod.drive_voltage, float)
+    volts = np.asarray(drive_voltage, float)
     # In Python floats, which overflow to inf without a numpy warning; the
     # array arithmetic after it overflows quietly too.
     scale = float(probe_mean) * abs(transduction_slope(r, wavelength))
@@ -150,8 +130,8 @@ def modulation_signal(
     bad = np.flatnonzero(~np.isfinite(power))
     if bad.size:
         raise ValidationError(
-            f"modulation signal of sensor {sensor} at {volts.flat[bad[0]]:g} mV is "
-            f"not finite: its drive coefficient {kappa:g} (modulation.kappa, or "
-            f"fitted to calibration.threshold_targets_mv) is too large"
+            f"modulation signal at {volts.flat[bad[0]]:g} mV is not finite: its "
+            f"drive coefficient {kappa:g} (modulation.kappa, or fitted to "
+            f"calibration.threshold_targets_mv) is too large"
         )
     return power

@@ -36,14 +36,13 @@ from . import analysis, detection, plasmonic
 from .errors import FitInfeasibleError, ValidationError
 from .optics import (
     QUADRANT_SHARE,
-    GaussianBeam,
     LossChannel,
     QuadrantLayout,
     apply_loss,
     quadrant_cut,
     quadrant_transmission,
 )
-from .plasmonic import EOTResonance, IndexModulation
+from .plasmonic import EOTResonance
 from .source import (
     CoherenceGrid,
     FwmSourceParams,
@@ -83,6 +82,14 @@ def _number(value, path, above=None):
     if above is not None and not x > above:
         raise ValidationError(f"scenario key {path} must be > {above:g}")
     return x
+
+
+def _seed(value) -> int:
+    """The scenario seed: a non-negative integer, never truncated."""
+    x = _number(value, "seed")
+    if not (x.is_integer() and x >= 0):
+        raise ValidationError(f"scenario key seed must be an integer >= 0, got {x:g}")
+    return int(value) if isinstance(value, int) else int(x)
 
 
 def _field(mapping, key, path, default=None, above=None):
@@ -171,9 +178,15 @@ class Scenario:
         if voltages[0] < 0:
             raise ValidationError("sweep.voltages_mv must be >= 0")
 
+        raw_targets = _require(cal, "stage_targets_db", "calibration", dict)
+        if set(raw_targets) != set(STAGES):
+            raise ValidationError(
+                f"calibration.stage_targets_db must hold exactly the labels "
+                f"{', '.join(STAGES)}; got {', '.join(map(str, raw_targets))}"
+            )
         stage_targets = {
-            str(k): _number(v, f"calibration.stage_targets_db.{k}")
-            for k, v in _require(cal, "stage_targets_db", "calibration", dict).items()
+            k: _number(raw_targets[k], f"calibration.stage_targets_db.{k}")
+            for k in STAGES
         }
         final = _require(cal, "final", "calibration", dict)
         residual = tuple(
@@ -212,7 +225,7 @@ class Scenario:
             )
         return cls(
             raw=copy.deepcopy(cfg),
-            seed=int(_field(cfg, "seed", "", 0, above=-1.0)),
+            seed=_seed(cfg.get("seed", 0)),
             seed_flux=_field(src, "seed_flux", "source", 1.0),
             wavelength_nm=_field(cfg, "wavelength_nm", "", 795.0),
             waist_p_um=waist_p,
@@ -290,7 +303,8 @@ class SensingChain:
 
     # -- per-pair measurement quantities -------------------------------
 
-    def pair_channel(self, i: int, j: int) -> LossChannel:
+    def pair_channel(self, i: int) -> LossChannel:
+        """Channel of any pair probed at quadrant i."""
         return LossChannel(self.channels_p[i], self.eta_c)
 
     def pair_moments(self, i: int, j: int) -> TwinBeamMoments:
@@ -303,48 +317,39 @@ class SensingChain:
     def noise_off(self, i: int, j: int) -> float:
         """Modulation-off difference noise, using the correlated pair's g."""
         m = self.pair_moments(i, j)
-        return detection.difference_noise(m, self.pair_channel(i, j), self.g_opt[i])
+        return detection.difference_noise(m, self.pair_channel(i), self.g_opt[i])
 
-    def snl(self, i: int, j: int) -> float:
-        m = self.pair_moments(i, j)
-        return detection.snl_noise(
-            m.mean_p, m.mean_c, self.pair_channel(i, j), self.g_opt[i]
-        )
+    def snl(self, i: int) -> float:
+        """Shot-noise level of any pair probed at quadrant i."""
+        m, g = self.cut, self.g_opt[i]
+        return detection.snl_noise(m.mean_p, m.mean_c, self.pair_channel(i), g)
 
     def probe_only_noise(self, i: int) -> float:
-        return detection.snl_noise(self.cut.mean_p, 0.0, self.pair_channel(i, i), 0.0)
+        return detection.snl_noise(self.cut.mean_p, 0.0, self.pair_channel(i), 0.0)
 
     def detected_probe_mean(self, i: int) -> float:
         return self.channels_p[i] * self.cut.mean_p
 
     def signal(self, i: int, voltage_mv):
         """Signal power of sensor i at one drive voltage or an array of them."""
-        mod = IndexModulation(
-            frequency=self.scenario.modulation_frequency_hz,
-            drive_voltage=voltage_mv,
-            volts_to_index=self.kappa,
-        )
         return plasmonic.modulation_signal(
             self.scenario.resonances[i - 1],
-            mod,
-            i,
+            self.kappa[i - 1],
+            voltage_mv,
             self.detected_probe_mean(i),
             self.scenario.wavelength_nm,
         )
 
     # -- sweeps ---------------------------------------------------------
 
-    def snr_sweep(self, pair, voltages=None) -> dict:
-        """Analytic SNR curves (twin, coherent, optimal) for one pair."""
+    def snr_sweep(self, pair) -> dict:
+        """Analytic SNR curves (twin, coherent, optimal) for one pair over
+        the scenario's sweep voltages."""
         i, j = pair
-        v = np.asarray(
-            self.scenario.sweep_voltages_mv if voltages is None else voltages, float
-        )
-        if v.size == 0:
-            raise ValidationError("sweep requires a non-empty voltage list")
+        v = np.asarray(self.scenario.sweep_voltages_mv, float)
         s = self.signal(i, v)
         s_off = self.noise_off(i, j)
-        snl = self.snl(i, j)
+        snl = self.snl(i)
         p_only = self.probe_only_noise(i)
         return {
             "twin": analysis.SNRCurve(pair, "twin", v, np.sqrt(s / s_off)),
@@ -373,7 +378,7 @@ class SensingChain:
 
         v = np.asarray(self.scenario.sweep_voltages_mv, float)
         moments = [
-            apply_loss(self.pair_moments(i, j), self.pair_channel(i, j))
+            apply_loss(self.pair_moments(i, j), self.pair_channel(i))
             for i, j in pairs
         ]
         rng = montecarlo._generator(seed, 9, 9)
@@ -463,9 +468,8 @@ def _stages(scenario: Scenario, grid: CoherenceGrid, gain, eta_optics, r_source)
     """Source parameters, the source, post-optics and cut moments, and the
     residual of each staged target and of the predicted final point.
 
-    The source's uncorrelated excess noise is the one that meets the source
-    target at ``gain``, or 0 where that would be negative; it has no
-    correlated excess noise.
+    The source's excess noise is the one that meets the source target at
+    ``gain``, or 0 where that would be negative.
     """
     ns = scenario.seed_flux
     mean_p, mean_c = gain * ns, (gain - 1.0) * ns
@@ -486,9 +490,7 @@ def _stages(scenario: Scenario, grid: CoherenceGrid, gain, eta_optics, r_source)
         for label, m in zip(STAGES, (m0, m1, cut))
     }
     final = scenario.final_target
-    rep = detection.squeezing_report(
-        cut, LossChannel(final["eta_p"], final["eta_c"]), "optimal"
-    )
+    rep = detection.squeezing_report(cut, LossChannel(final["eta_p"], final["eta_c"]))
     residuals["final"] = rep.ratio_db - final["squeezing_db"]
     residuals["attenuation"] = rep.gain_db - final["attenuation_db"]
     return params, m0, m1, cut, residuals
@@ -497,9 +499,6 @@ def _stages(scenario: Scenario, grid: CoherenceGrid, gain, eta_optics, r_source)
 def build_chain(scenario: Scenario) -> SensingChain:
     """Calibrate every free parameter of the scenario and assemble the chain."""
     targets = scenario.stage_targets_db
-    for label in STAGES:
-        if label not in targets:
-            raise ValidationError(f"calibration.stage_targets_db missing {label!r}")
     ratios = [
         _db_ratio(targets[label], f"calibration.stage_targets_db.{label}")
         for label in STAGES
@@ -522,9 +521,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
         )
 
     # Geometric clipping of a conjugate quadrant beam by its layout window.
-    qt_c = quadrant_transmission(
-        GaussianBeam.from_waist(scenario.waist_c_um), scenario.layout
-    )
+    qt_c = quadrant_transmission(scenario.waist_c_um, scenario.layout)
     clip_c = [
         min(qt_c.window_fractions[q] / QUADRANT_SHARE, 1.0) for q in QUADRANTS
     ]
@@ -547,7 +544,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
                 f"residual squeezing {target_db} dB unreachable for quadrant {q}"
             )
         channels_p[q] = eta_p
-        rep = detection.squeezing_report(cut, LossChannel(eta_p, eta_c), "optimal")
+        rep = detection.squeezing_report(cut, LossChannel(eta_p, eta_c))
         g_opt[q] = float(rep.gain)
         reports[q] = rep
         residuals_db[f"residual_q{q}"] = rep.ratio_db - target_db

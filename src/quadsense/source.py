@@ -4,9 +4,9 @@ as one half axis because the grid is centered on both beams.
 
 Intensities are expressed as mean photon number per analysis interval, so a
 coherent beam has variance equal to its mean. The `gain` parameter is the
-intensity amplification of the seeded amplifier; the two excess-noise knobs
-add technical noise proportional to the mean intensity squared, either
-common to both beams (correlated) or independent per beam (uncorrelated).
+intensity amplification of the seeded amplifier; the one excess-noise knob
+adds technical noise proportional to the mean intensity squared,
+independently to each beam (uncorrelated), so it adds no covariance.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class FwmSourceParams:
 
     gain: float
     seed_flux: float
-    excess_correlated: float = 0.0
     excess_uncorrelated: float = 0.0
 
     def __post_init__(self):
@@ -43,8 +42,8 @@ class FwmSourceParams:
             raise ValidationError(f"gain must be >= 1, got {self.gain}")
         if not self.seed_flux > 0.0:
             raise ValidationError(f"seed_flux must be > 0, got {self.seed_flux}")
-        if self.excess_correlated < 0.0 or self.excess_uncorrelated < 0.0:
-            raise ValidationError("excess-noise coefficients must be >= 0")
+        if self.excess_uncorrelated < 0.0:
+            raise ValidationError("excess-noise coefficient must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -118,17 +117,17 @@ def fwm_moments(params: FwmSourceParams) -> TwinBeamMoments:
 
     The ideal (zero-excess) part is the seed-stimulated component of a
     two-mode squeezer with intensity gain G acting on a coherent seed of
-    mean photon number N_s; excess noise adds ``zeta * mean**2`` per beam,
-    fully correlated for the common-mode coefficient.
+    mean photon number N_s; excess noise adds ``zeta * mean**2`` to each
+    beam's variance and nothing to the covariance.
     """
     g = params.gain
     ns = params.seed_flux
-    ztot = params.excess_correlated + params.excess_uncorrelated
+    zu = params.excess_uncorrelated
     mean_p = g * ns
     mean_c = (g - 1.0) * ns
-    var_p = g * (2.0 * g - 1.0) * ns + ztot * mean_p**2
-    var_c = (g - 1.0) * (2.0 * g - 1.0) * ns + ztot * mean_c**2
-    cov = 2.0 * g * (g - 1.0) * ns + params.excess_correlated * mean_p * mean_c
+    var_p = g * (2.0 * g - 1.0) * ns + zu * mean_p**2
+    var_c = (g - 1.0) * (2.0 * g - 1.0) * ns + zu * mean_c**2
+    cov = 2.0 * g * (g - 1.0) * ns
     return TwinBeamMoments(mean_p, mean_c, var_p, var_c, cov)
 
 
@@ -256,10 +255,9 @@ def _ndtr(a):
 def _interval_weights(edges_lo, edges_hi, sigma):
     """Gaussian power in [lo, hi] per axis for a centered beam.
 
-    This is the one evaluator of Gaussian interval power; an off-center
-    beam passes bounds shifted into its own frame. The bounds broadcast
-    against ``sigma``, and both ends go through :func:`_ndtr`, the numpy
-    port of the Cephes normal CDF, in one call. On [-40, 40] it agrees
+    This is the one evaluator of Gaussian interval power. The bounds
+    broadcast against ``sigma``, and both ends go through :func:`_ndtr`, the
+    numpy port of the Cephes normal CDF, in one call. On [-40, 40] it agrees
     with ``scipy.special.ndtr`` to 6e-16 relative wherever scipy's value
     is at least 1e-300, and to the bit except where numpy's ``exp`` and
     the C library's round an ``exp(-x^2)`` differently.

@@ -16,7 +16,7 @@ from quadsense.detection import (
     min_difference_noise,
     optimal_gain,
 )
-from quadsense.optics import GaussianBeam, QuadrantLayout, apply_loss
+from quadsense.optics import QuadrantLayout, apply_loss
 
 # Classical thresholds recorded alongside the twin-beam thresholds in the
 # reference experiment, paired quadrant by quadrant.
@@ -116,10 +116,7 @@ def test_criterion_5_beam_size_optimum():
 
     diameters = np.linspace(100.0, 1000.0, 181)
     totals = np.array(
-        [
-            optics.quadrant_transmission(GaussianBeam.from_waist(d), layout).total
-            for d in diameters
-        ]
+        [optics.quadrant_transmission(d, layout).total for d in diameters]
     )
     rising = np.diff(totals) > 1e-12
     # Unimodal: once the curve starts falling it never rises again.
@@ -140,7 +137,7 @@ def test_criterion_6_uncorrelated_pairs_add_in_quadrature(chain):
             if i == j:
                 continue
             m = chain.pair_moments(i, j)
-            ch = chain.pair_channel(i, j)
+            ch = chain.pair_channel(i)
             g = chain.g_opt[i]
             ok &= m.cov == 0.0
             var_p = ch.eta_p**2 * (m.var_p - m.mean_p) + ch.eta_p * m.mean_p
@@ -148,7 +145,7 @@ def test_criterion_6_uncorrelated_pairs_add_in_quadrature(chain):
             total = var_p + g**2 * var_c
             ok &= abs(chain.noise_off(i, j) - total) <= 1e-12 * total
             # Excess thermal noise keeps every cross pair above the SNL.
-            ok &= chain.noise_off(i, j) > chain.snl(i, j)
+            ok &= chain.noise_off(i, j) > chain.snl(i)
     _report(6, "12 cross pairs add in quadrature and sit above the SNL", ok)
 
 

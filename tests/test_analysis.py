@@ -11,7 +11,6 @@ from quadsense.analysis import (
 )
 from quadsense.errors import ValidationError
 from quadsense.plasmonic import (
-    IndexModulation,
     modulation_signal,
     transduction_slope,
     transmission_at,
@@ -128,11 +127,11 @@ def test_signal_sweep_is_the_per_voltage_signal_to_the_bit(chain):
     v = np.asarray(sc.sweep_voltages_mv + (0.0, 1e-3, 7.77, 1e4), float)
     for q in (1, 2, 3, 4):
         r, i_q = sc.resonances[q - 1], chain.detected_probe_mean(q)
+        kappa, lam = chain.kappa[q - 1], sc.wavelength_nm
         swept = chain.signal(q, v)
-        t = transmission_at(r, sc.wavelength_nm)
-        scale = float(i_q) * abs(transduction_slope(r, sc.wavelength_nm))
+        t = transmission_at(r, lam)
+        scale = float(i_q) * abs(transduction_slope(r, lam))
         for vk, s in zip(v, swept):
-            mod = IndexModulation(sc.modulation_frequency_hz, float(vk), chain.kappa)
-            assert s == modulation_signal(r, mod, q, i_q, sc.wavelength_nm), (q, vk)
-            a = scale * (chain.kappa[q - 1] * float(vk)) / t
+            assert s == modulation_signal(r, kappa, float(vk), i_q, lam), (q, vk)
+            a = scale * (kappa * float(vk)) / t
             assert s == 0.5 * a * a, (q, vk)

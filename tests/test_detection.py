@@ -104,13 +104,16 @@ def test_snl_noise_basics():
 
 def test_squeezing_report_coherent_is_unity():
     coherent = TwinBeamMoments(2.0, 1.0, 2.0, 1.0, 1e-12)
-    rep = squeezing_report(coherent, UNIT, 1.0)
+    # Balanced (g = 1) and at the optimal g alike, coherent beams sit at the SNL.
+    balanced = difference_noise(coherent, UNIT, 1.0) / snl_noise(2.0, 1.0, UNIT, 1.0)
+    assert balanced == pytest.approx(1.0, rel=1e-9)
+    rep = squeezing_report(coherent, UNIT)
     assert rep.ratio_linear == pytest.approx(1.0, rel=1e-9)
     assert rep.ratio_db == pytest.approx(0.0, abs=1e-8)
 
 
 def test_squeezing_report_gain_two_optimal():
-    rep = squeezing_report(G2_IDEAL, UNIT, "optimal")
+    rep = squeezing_report(G2_IDEAL, UNIT)
     assert rep.gain == pytest.approx(4.0 / 3.0)
     assert rep.diff_variance == pytest.approx(2.0 / 3.0)
     # SNL at g = 4/3: 2 + (16/9) * 1.
@@ -172,27 +175,26 @@ def test_squeezing_ratio_monotone_in_loss(gain, eta1, eta2):
     if eta2 > eta1:
         eta1, eta2 = eta2, eta1
     m = fwm_moments(FwmSourceParams(gain=gain, seed_flux=1.0))
-    better = squeezing_report(m, LossChannel(eta1, eta1), "optimal")
-    worse = squeezing_report(m, LossChannel(eta2, eta2), "optimal")
+    better = squeezing_report(m, LossChannel(eta1, eta1))
+    worse = squeezing_report(m, LossChannel(eta2, eta2))
     assert worse.ratio_linear >= better.ratio_linear - 1e-12
 
 
 @given(
     gain=st.floats(1.05, 100.0),
-    zc=st.floats(0.0, 1e-2),
     zu=st.floats(0.0, 1e-2),
     eta_p=st.floats(1e-3, 1.0),
     eta_c=st.floats(0.3, 1.0),
 )
 @settings(max_examples=200)
-def test_probe_transmission_inverts_the_squeezing_report(gain, zc, zu, eta_p, eta_c):
+def test_probe_transmission_inverts_the_squeezing_report(gain, zu, eta_p, eta_c):
     # The closed form returns the probe transmission whose optimal-gain
     # report gave the ratio, as a bracketed root search of the report does.
-    m = fwm_moments(FwmSourceParams(gain, 1.0, zc, zu))
-    target_db = squeezing_report(m, LossChannel(eta_p, eta_c), "optimal").ratio_db
+    m = fwm_moments(FwmSourceParams(gain, 1.0, zu))
+    target_db = squeezing_report(m, LossChannel(eta_p, eta_c)).ratio_db
     closed = probe_transmission_for_ratio(m, eta_c, 10.0 ** (target_db / 10.0))
     reference = optimize.brentq(
-        lambda e: squeezing_report(m, LossChannel(e, eta_c), "optimal").ratio_db
+        lambda e: squeezing_report(m, LossChannel(e, eta_c)).ratio_db
         - target_db,
         1e-4,
         1.0,

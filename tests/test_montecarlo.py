@@ -24,11 +24,11 @@ G2_IDEAL = TwinBeamMoments(2.0, 1.0, 6.0, 3.0, 4.0)
 def test_zero_variance_cells_give_constant_samples():
     grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
     m = TwinBeamMoments(5.0, 3.0, 0.0, 0.0, 0.0)
-    batch = sample_photocurrents(grid, m, 100, seed=1)
+    probe, conj = sample_photocurrents(grid, m, 100, seed=1)
     for q in (1, 2, 3, 4):
         cut = quadrant_cut(m, grid)
-        assert np.allclose(batch.probe[q], cut.mean_p)
-        assert np.allclose(batch.conjugate[q], cut.mean_c)
+        assert np.allclose(probe[q], cut.mean_p)
+        assert np.allclose(conj[q], cut.mean_c)
 
 
 @pytest.mark.parametrize(
@@ -54,12 +54,12 @@ def test_sampled_quadrants_carry_the_cut_power():
     # their centers would give Q1 most of it.
     grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
     n = 50_000
-    batch = sample_photocurrents(grid, G2_IDEAL, n, seed=3)
+    probe, _ = sample_photocurrents(grid, G2_IDEAL, n, seed=3)
     for q in (1, 2, 3, 4):
         cut = quadrant_cut(G2_IDEAL, grid)
         assert cut.mean_p == pytest.approx(0.25 * G2_IDEAL.mean_p, rel=1e-12)
         se = math.sqrt(cut.var_p / n)
-        assert abs(np.mean(batch.probe[q]) - cut.mean_p) < 5 * se
+        assert abs(np.mean(probe[q]) - cut.mean_p) < 5 * se
 
 
 def test_single_cell_moments_converge():
@@ -252,8 +252,8 @@ SAMPLED_SWEEP_SHA = "1d0e50da75565911ebc9649b98ae01a4fc5d6e8cce1f5eafe19baacd634
 
 def test_photocurrent_stream_is_pinned():
     grid = build_coherence_grid(16.0, 16.0, 32.0, 64.0)
-    batch = sample_photocurrents(grid, G2_IDEAL, montecarlo.CHUNK + 3, seed=9)
-    arrays = [x for q in (1, 2, 3, 4) for x in (batch.probe[q], batch.conjugate[q])]
+    probe, conj = sample_photocurrents(grid, G2_IDEAL, montecarlo.CHUNK + 3, seed=9)
+    arrays = [x for q in (1, 2, 3, 4) for x in (probe[q], conj[q])]
     assert _digest(*arrays) == PHOTOCURRENTS_SHA
 
 
@@ -290,7 +290,7 @@ def test_sampled_sweep_noise_is_the_sample_variance(chain, monkeypatch, seed):
     tone = np.sin(montecarlo._generator(seed, 9, 9).uniform(0.0, 2.0 * math.pi, n))
     points = iter(recorded)
     for q, _ in QUADRANT_PAIRS:
-        m = apply_loss(chain.pair_moments(q, q), chain.pair_channel(q, q))
+        m = apply_loss(chain.pair_moments(q, q), chain.pair_channel(q))
         p, c = sample_pair(m, n, seed)
         diff = p - chain.g_opt[q] * c
         for v in voltages:
@@ -328,11 +328,11 @@ def test_fig4_draws_each_sweep_stream_once(tmp_path, monkeypatch):
 def test_covariance_z_score_matches_np_cov():
     grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
     n = 20_000
-    batch = sample_photocurrents(grid, G2_IDEAL, n, seed=11)
+    probe, conj = sample_photocurrents(grid, G2_IDEAL, n, seed=11)
     exp = quadrant_cut(G2_IDEAL, grid)
     for x, y, cov in [
-        (batch.probe[1], batch.conjugate[1], exp.cov),
-        (batch.probe[1], batch.conjugate[3], 0.0),
+        (probe[1], conj[1], exp.cov),
+        (probe[1], conj[3], 0.0),
     ]:
         var_x, var_y = np.var(x), np.var(y)
         se = math.sqrt((var_x * var_y + cov**2) / n)

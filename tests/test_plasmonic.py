@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from quadsense.errors import OperatingPointError, ValidationError
 from quadsense.plasmonic import (
     EOTResonance,
-    IndexModulation,
     modulation_signal,
     transduction_slope,
     transmission_at,
 )
 
 RES = EOTResonance(lambda0=790.5, linewidth=28.0, t_max=0.57)
-MOD = IndexModulation(
-    frequency=400e3, drive_voltage=100.0, volts_to_index=(1e-4, 2e-4, 3e-4, 4e-4)
-)
+# Drive coefficients (RIU per mV) of four sensors.
+KAPPAS = (1e-4, 2e-4, 3e-4, 4e-4)
 
 
 def test_transmission_peak_and_half_width():
@@ -73,29 +71,26 @@ def test_slope_magnitude_peaks_at_inflection():
 
 
 def test_modulation_signal_zero_cases():
-    off = IndexModulation(400e3, 0.0, (1e-4,) * 4)
-    assert modulation_signal(RES, off, 1, 5.0, 795.0) == 0.0
+    assert modulation_signal(RES, KAPPAS[0], 0.0, 5.0, 795.0) == 0.0
+    assert modulation_signal(RES, 0.0, 100.0, 5.0, 795.0) == 0.0
     # At the resonance peak the slope vanishes.
-    assert modulation_signal(RES, MOD, 1, 5.0, RES.lambda0) == 0.0
+    assert modulation_signal(RES, KAPPAS[0], 100.0, 5.0, RES.lambda0) == 0.0
 
 
 def test_modulation_signal_quadratic_in_voltage():
-    s1 = modulation_signal(RES, MOD, 2, 5.0, 795.0)
-    doubled = IndexModulation(400e3, 200.0, MOD.volts_to_index)
-    s2 = modulation_signal(RES, doubled, 2, 5.0, 795.0)
+    s1 = modulation_signal(RES, KAPPAS[1], 100.0, 5.0, 795.0)
+    s2 = modulation_signal(RES, KAPPAS[1], 200.0, 5.0, 795.0)
     assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
 
 
 def test_two_drive_levels_differ_by_six_db():
-    v120 = IndexModulation(400e3, 120.0, MOD.volts_to_index)
-    v60 = IndexModulation(400e3, 60.0, MOD.volts_to_index)
-    s120 = modulation_signal(RES, v120, 1, 5.0, 795.0)
-    s60 = modulation_signal(RES, v60, 1, 5.0, 795.0)
+    s120 = modulation_signal(RES, KAPPAS[0], 120.0, 5.0, 795.0)
+    s60 = modulation_signal(RES, KAPPAS[0], 60.0, 5.0, 795.0)
     assert 10.0 * math.log10(s120 / s60) == pytest.approx(6.02, abs=5e-3)
 
 
 def test_distinct_drive_coefficients_give_distinct_signals():
-    signals = {modulation_signal(RES, MOD, q, 5.0, 795.0) for q in (1, 2, 3, 4)}
+    signals = {modulation_signal(RES, k, 100.0, 5.0, 795.0) for k in KAPPAS}
     assert len(signals) == 4
 
 
@@ -110,7 +105,7 @@ def test_evaluable_linewidth_gives_finite_optics(linewidth):
 def test_dead_sensor_raises_operating_point_error():
     dead = EOTResonance(lambda0=790.5, linewidth=28.0, t_max=0.0)
     with pytest.raises(OperatingPointError):
-        modulation_signal(dead, MOD, 1, 5.0, 795.0)
+        modulation_signal(dead, KAPPAS[0], 100.0, 5.0, 795.0)
 
 
 def test_input_validation():
@@ -121,21 +116,17 @@ def test_input_validation():
             EOTResonance(lambda0=790.0, linewidth=linewidth, t_max=0.5)
     with pytest.raises(ValidationError):
         EOTResonance(lambda0=790.0, linewidth=10.0, t_max=1.5)
-    with pytest.raises(ValidationError):
-        IndexModulation(0.0, 100.0, (1e-4,) * 4)
-    with pytest.raises(ValidationError):
-        IndexModulation(400e3, 100.0, (1e-4, -1e-4, 1e-4, 1e-4))
-    with pytest.raises(ValidationError):
-        modulation_signal(RES, MOD, 5, 5.0, 795.0)
-    with pytest.raises(ValidationError):
-        modulation_signal(RES, MOD, 1, -1.0, 795.0)
+    with pytest.raises(ValidationError, match="drive coefficient"):
+        modulation_signal(RES, -1e-4, 100.0, 5.0, 795.0)
+    with pytest.raises(ValidationError, match="probe mean"):
+        modulation_signal(RES, KAPPAS[0], 100.0, -1.0, 795.0)
+    with pytest.raises(ValidationError, match="modulation.kappa"):
+        modulation_signal(RES, 1e300, 1e300, 5.0, 795.0)
 
 
 @given(v=st.floats(0.0, 1000.0), q=st.integers(1, 4), lam=st.floats(770.0, 812.0))
 @settings(max_examples=200)
 def test_signal_quadratic_through_origin(v, q, lam):
-    mod = IndexModulation(400e3, v, MOD.volts_to_index)
-    ref = IndexModulation(400e3, 1.0, MOD.volts_to_index)
-    s = modulation_signal(RES, mod, q, 5.0, lam)
-    s_ref = modulation_signal(RES, ref, q, 5.0, lam)
+    s = modulation_signal(RES, KAPPAS[q - 1], v, 5.0, lam)
+    s_ref = modulation_signal(RES, KAPPAS[q - 1], 1.0, 5.0, lam)
     assert s == pytest.approx(v * v * s_ref, rel=1e-9, abs=1e-300)

@@ -9,7 +9,7 @@ import yaml
 from conftest import default_scenario_dict
 from quadsense import cli
 from quadsense.errors import FitInfeasibleError, ValidationError
-from quadsense.scenario import Scenario, build_chain, dump_scenario
+from quadsense.scenario import Scenario, SensingChain, build_chain, dump_scenario
 
 
 def test_scenario_reports_missing_key_with_path():
@@ -27,6 +27,14 @@ def test_scenario_rejects_bad_sweep():
     cfg["sweep"]["voltages_mv"] = [100.0, 50.0]
     with pytest.raises(ValidationError):
         Scenario.from_dict(cfg)
+
+
+def test_scenario_seed_is_kept_exactly():
+    cfg = default_scenario_dict()
+    cfg["seed"] = 2**60 + 1
+    assert Scenario.from_dict(cfg).seed == 2**60 + 1
+    cfg["seed"] = 7.0
+    assert Scenario.from_dict(cfg).seed == 7
 
 
 def test_scenario_requires_four_sensors():
@@ -270,6 +278,8 @@ def test_cli_out_of_range_scalar_is_validation_error(
         (("resonances", 0, "fwhm_nm"), "abc"),
         (("beam", "waist_p_um"), "x"),
         (("seed",), "abc"),
+        (("seed",), 1.5),
+        (("seed",), -0.5),
         (("calibration", "stage_targets_db", "source"), float("nan")),
         (("coherence", "extent_um"), float("nan")),
         (("resonances",), [1, 2, 3, 4]),
@@ -288,6 +298,8 @@ def test_cli_out_of_range_scalar_is_validation_error(
         "fwhm_nm",
         "waist_p_um",
         "seed",
+        "seed_fraction",
+        "seed_negative_fraction",
         "stage_target",
         "extent_um",
         "resonance_entry",
@@ -316,6 +328,28 @@ def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value)
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1, err
         assert keys[-1] in err, err
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [
+        {"source": -5.16, "post_optics": -3.8, "postcut": -2.0},
+        {"source": -5.16, "post_optics": -3.8},
+        {"source": -5.16, "post_optics": -3.8, "post_cut": -2.0, "final": -1.0},
+    ],
+    ids=["typo", "missing", "extra"],
+)
+def test_cli_stage_target_labels_are_checked_at_load(tmp_path, capsys, targets):
+    # Even a subcommand that never calibrates rejects a mislabelled target.
+    cfg = default_scenario_dict()
+    cfg["calibration"]["stage_targets_db"] = targets
+    path = tmp_path / "labels.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run_cli("resonance-scan", "--scenario", str(path), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1, err
+    assert "calibration.stage_targets_db" in err, err
+    assert not (tmp_path / "resonance_scan.csv").exists()
 
 
 @pytest.mark.parametrize("cmd", ["fig4", "verify"])
@@ -397,6 +431,19 @@ def test_cli_fig4_and_verify(tmp_path):
     payload = json.loads((vout / "verify.json").read_text())
     assert payload["passed"] is True
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_cli_fig4_reports_each_quadrant_once(tmp_path, monkeypatch):
+    calls = []
+    report = SensingChain.enhancement_report
+
+    def counting_report(chain, q):
+        calls.append(q)
+        return report(chain, q)
+
+    monkeypatch.setattr(SensingChain, "enhancement_report", counting_report)
+    assert run_cli("fig4", "--out", str(tmp_path), "--samples", "2000") == 0
+    assert sorted(calls) == [1, 2, 3, 4]
 
 
 def test_cli_outputs_are_byte_stable(tmp_path):

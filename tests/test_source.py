@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadsense.errors import UndefinedSNLError, ValidationError
-from quadsense.optics import GaussianBeam, QuadrantLayout
+from quadsense.optics import QuadrantLayout
 from quadsense.optics import quadrant_cut, quadrant_transmission
 from quadsense.source import (
     FwmSourceParams,
@@ -43,7 +43,7 @@ def test_fwm_moments_rejects_invalid_params():
     with pytest.raises(ValidationError):
         FwmSourceParams(gain=2.0, seed_flux=0.0)
     with pytest.raises(ValidationError):
-        FwmSourceParams(gain=2.0, seed_flux=1.0, excess_correlated=-0.1)
+        FwmSourceParams(gain=2.0, seed_flux=1.0, excess_uncorrelated=-0.1)
 
 
 def test_source_squeezing_coherent_pair_is_shot_noise():
@@ -73,15 +73,12 @@ def test_moments_reject_cauchy_schwarz_violation():
 @given(
     gain=st.floats(1.0, 50.0),
     seed_flux=st.floats(1e-3, 1e3),
-    zc=st.floats(0.0, 5.0),
     zu=st.floats(0.0, 5.0),
 )
 @settings(max_examples=200)
-def test_moment_invariants_hold_across_domain(gain, seed_flux, zc, zu):
+def test_moment_invariants_hold_across_domain(gain, seed_flux, zu):
     m = fwm_moments(
-        FwmSourceParams(
-            gain=gain, seed_flux=seed_flux, excess_correlated=zc, excess_uncorrelated=zu
-        )
+        FwmSourceParams(gain=gain, seed_flux=seed_flux, excess_uncorrelated=zu)
     )
     assert m.mean_p >= 0 and m.mean_c >= 0
     assert m.var_p >= 0 and m.var_c >= 0
@@ -100,24 +97,24 @@ def test_ideal_squeezing_is_exactly_inverse_odd_gain(gain, seed_flux):
     gain=st.floats(1.0, 20.0),
     seed_flux=st.floats(1e-2, 10.0),
     k=st.floats(0.1, 100.0),
-    zc=st.floats(0.0, 2.0),
+    zu=st.floats(0.0, 2.0),
 )
 @settings(max_examples=100)
-def test_seed_flux_homogeneity(gain, seed_flux, k, zc):
+def test_seed_flux_homogeneity(gain, seed_flux, k, zu):
     base = fwm_moments(FwmSourceParams(gain=gain, seed_flux=seed_flux))
     scaled = fwm_moments(FwmSourceParams(gain=gain, seed_flux=k * seed_flux))
     assert scaled.mean_p == pytest.approx(k * base.mean_p, rel=1e-12)
     assert scaled.mean_c == pytest.approx(k * base.mean_c, rel=1e-12)
     # Ideal second moments scale linearly; the excess terms scale with the
-    # squared means, so with zc > 0 only the ratio at zc = 0 is invariant.
+    # squared means, so with zu > 0 only the ratio at zu = 0 is invariant.
     assert scaled.var_p == pytest.approx(k * base.var_p, rel=1e-12)
     assert source_squeezing(scaled)[0] == pytest.approx(
         source_squeezing(base)[0], rel=1e-12
     )
     with_excess = fwm_moments(
-        FwmSourceParams(gain=gain, seed_flux=seed_flux, excess_correlated=zc)
+        FwmSourceParams(gain=gain, seed_flux=seed_flux, excess_uncorrelated=zu)
     )
-    expected = base.var_p + zc * base.mean_p**2
+    expected = base.var_p + zu * base.mean_p**2
     assert with_excess.var_p == pytest.approx(expected, rel=1e-12)
 
 
@@ -157,7 +154,7 @@ def test_quadrant_weights_match_gapless_transmission():
     grid = build_coherence_grid(360.0, 360.0, 20.0, 2880.0)
     cut = quadrant_cut(TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0), grid)
     layout = QuadrantLayout(window_size=1440.0, gap=0.0, tilt_deg=0.0)
-    qt = quadrant_transmission(GaussianBeam.from_waist(360.0), layout)
+    qt = quadrant_transmission(360.0, layout)
     assert cut.mean_p == pytest.approx(qt.window_fractions[1], abs=1e-12)
 
 
