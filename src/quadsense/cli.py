@@ -167,7 +167,7 @@ def _cmd_fig3(scenario: Scenario, args, out: Path) -> int:
     bandwidth.
     """
     chain = build_chain(scenario)
-    rbw_hz = 250.0 * scenario.rbw_scale
+    bin_hz = 250.0
     bins = np.arange(-10, 11)
     drives = (120.0, 60.0)
     header = [
@@ -185,7 +185,7 @@ def _cmd_fig3(scenario: Scenario, args, out: Path) -> int:
         floor_db = 10.0 * math.log10(s_off / snl)
         signals = chain.signal(q, drives)
         for k in bins:
-            freq = scenario.modulation_frequency_hz + k * rbw_hz
+            freq = scenario.modulation_frequency_hz + k * bin_hz
             row = [str(q), _fmt(freq), _fmt(0.0, db=True), _fmt(floor_db, db=True)]
             for sig in signals:
                 level = s_off + (float(sig) if k == 0 else 0.0)

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import OperatingPointError, ValidationError
 
 __all__ = [
+    "DLAMBDA_DN",
     "EOTResonance",
     "linewidth_evaluable",
     "transmission_at",
@@ -34,19 +35,19 @@ def linewidth_evaluable(linewidth: float) -> bool:
     return 0.0 < q * q < math.inf
 
 
+# Resonance shift (nm) per refractive-index unit, representative of
+# nanohole arrays. It only rescales the drive coefficients, which are
+# solved from the threshold targets, so no artifact depends on it.
+DLAMBDA_DN = 300.0
+
+
 @dataclass(frozen=True)
 class EOTResonance:
-    """Lorentzian transmission resonance of one nanohole-array sensor.
-
-    ``dlambda_dn`` is the resonance shift per refractive-index unit; the
-    default magnitude is representative of nanohole arrays and only rescales
-    the drive-coefficient calibration.
-    """
+    """Lorentzian transmission resonance of one nanohole-array sensor."""
 
     lambda0: float
     linewidth: float
     t_max: float
-    dlambda_dn: float = 300.0
 
     def __post_init__(self):
         if self.linewidth <= 0:
@@ -58,8 +59,6 @@ class EOTResonance:
             )
         if not 0.0 <= self.t_max <= 1.0:
             raise ValidationError("peak transmission must be in [0, 1]")
-        if not math.isfinite(self.dlambda_dn):
-            raise ValidationError("index sensitivity must be finite")
 
 
 def _detuning_overflow(r: EOTResonance, wavelength: float) -> ValidationError:
@@ -91,7 +90,7 @@ def transduction_slope(r: EOTResonance, wavelength: float) -> float:
         dt_dlambda = -2.0 * r.t_max * half * half * delta / (delta**2 + half * half) ** 2
     except OverflowError:
         raise _detuning_overflow(r, wavelength) from None
-    return -dt_dlambda * r.dlambda_dn
+    return -dt_dlambda * DLAMBDA_DN
 
 
 def modulation_signal(
@@ -131,7 +130,7 @@ def modulation_signal(
     if bad.size:
         raise ValidationError(
             f"modulation signal at {volts.flat[bad[0]]:g} mV is not finite: its "
-            f"drive coefficient {kappa:g} (modulation.kappa, or fitted to "
-            f"calibration.threshold_targets_mv) is too large"
+            f"drive coefficient {kappa:g}, solved from "
+            f"calibration.threshold_targets_mv, is too large"
         )
     return power

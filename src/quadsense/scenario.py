@@ -2,8 +2,9 @@
 
 A scenario file (YAML) holds the experiment description: source targets,
 geometry, a declared coherence-cell size, per-sensor resonances, detector
-properties, and sweep settings. :func:`build_chain` turns it into a fully
-calibrated chain, every step in closed form:
+properties, and sweep settings. :data:`SCHEMA` lists every key with its
+default and bounds. :func:`build_chain` turns it into a fully calibrated
+chain, every step in closed form:
 
 1. the source gain, its uncorrelated excess noise and the imaging-path
    transmission, solved stage by stage from the three staged squeezing
@@ -23,7 +24,6 @@ a scenario does not import it.
 
 from __future__ import annotations
 
-import copy
 import io
 import math
 from dataclasses import dataclass
@@ -60,43 +60,124 @@ STAGES = ("source", "post_optics", "post_cut")
 MIN_TRANSMISSION = 1e-4
 
 
-def _require(mapping, key, path, kind=None):
-    if key not in mapping:
-        raise ValidationError(f"missing scenario key: {path}.{key}")
-    value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ValidationError(
-            f"scenario key {path}.{key} has invalid type {type(value).__name__}"
-        )
+class _Number:
+    """A finite number in ``bounds``, an interval such as ``"[0, 1]"`` or
+    ``"(0, inf)"``; required when ``default`` is None. An ``integer`` is
+    kept exactly, never rounded through a float."""
+
+    def __init__(self, bounds="(-inf, inf)", default=None, integer=False):
+        self.bounds, self.default, self.integer = bounds, default, integer
+        lo, hi = bounds[1:-1].split(",")
+        self.lo, self.hi = float(lo), float(hi)
+        self.lo_closed, self.hi_closed = bounds[0] == "[", bounds[-1] == "]"
+
+    def read(self, value, path):
+        if type(value) is float:
+            x = value
+        # A YAML boolean is an int to Python, and no number here.
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(
+                f"scenario key {path} must be a number, got {type(value).__name__}"
+            )
+        else:
+            try:
+                x = float(value)
+            except OverflowError:  # an int beyond the float range
+                x = math.inf if value > 0 else -math.inf
+        if not (
+            (self.lo <= x if self.lo_closed else self.lo < x)
+            and (x <= self.hi if self.hi_closed else x < self.hi)
+        ):
+            raise ValidationError(f"scenario key {path} {x:g} is outside {self.bounds}")
+        if not self.integer:
+            return x
+        if not x.is_integer():
+            raise ValidationError(f"scenario key {path} must be an integer, got {x:g}")
+        return value if isinstance(value, int) else int(x)
+
+
+FINITE = _Number()
+POSITIVE = _Number("(0, inf)")
+RESONANCE = {"lambda0_nm": FINITE, "fwhm_nm": POSITIVE, "t_max": _Number("[0, 1]")}
+
+# Every scenario key. A mapping is a section, whose missing keys take
+# their defaults; a pair ``(entry, n)`` is a list of n entries, or of at
+# least one when n is None; None marks a key that is accepted and ignored.
+# A key the table does not list is an error.
+SCHEMA = {
+    "seed": _Number("[0, inf)", 0, integer=True),
+    "wavelength_nm": _Number("(0, inf)", 795.0),
+    "beam": {"waist_p_um": POSITIVE, "waist_c_um": POSITIVE},
+    "layout": {
+        "window_um": POSITIVE,
+        "gap_um": _Number("[0, inf)"),
+        "tilt_deg": _Number("[0, 90)"),
+        "mask_transmission": _Number("[0, 1]", 0.90),
+    },
+    "coherence": {"extent_um": POSITIVE, "cell_um": POSITIVE},
+    "detector": {"quantum_efficiency": _Number("[0, 1]", 0.95)},
+    "resonances": (RESONANCE, 4),
+    "modulation": {"frequency_hz": POSITIVE},
+    "calibration": {
+        "stage_targets_db": {label: FINITE for label in STAGES},
+        "final": {
+            "squeezing_db": FINITE,
+            "attenuation_db": FINITE,
+            "eta_p": _Number("[0, 1]", 0.5),
+            "eta_c": _Number("[0, 1]", 0.9),
+        },
+        "residual_db": (FINITE, 4),
+        "threshold_targets_mv": (POSITIVE, 4),
+        # Still written by perfbench's scenario generator; it goes with the
+        # harness refresh of ROADMAP item 4.
+        "gain_bound": None,
+    },
+    "sweep": {"voltages_mv": (_Number("[0, inf)"), None)},
+}
+
+
+def _read(spec, value, path):
+    """``value`` checked against ``spec``: numbers as floats (or an exact
+    int), sections as dicts with defaults filled in, lists as tuples."""
+    if type(spec) is _Number:
+        return spec.read(value, path)
+    if type(spec) is tuple:
+        entry, n = spec
+        if not isinstance(value, list):
+            raise ValidationError(f"scenario key {path} must be a list")
+        if (len(value) != n) if n else not value:
+            count = f"exactly {n}" if n else "at least 1"
+            raise ValidationError(f"scenario key {path} must list {count} entries")
+        return tuple(_read(entry, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not isinstance(value, dict):
+        raise ValidationError(f"scenario key {path or 'root'} must be a mapping")
+    prefix = f"{path}." if path else ""
+    for key in value:
+        if key not in spec:
+            raise ValidationError(f"unknown scenario key: {prefix}{key}")
+    out = {}
+    for key, sub in spec.items():
+        if key in value:
+            if type(sub) is _Number:
+                out[key] = sub.read(value[key], prefix + key)
+            elif sub is not None:
+                out[key] = _read(sub, value[key], prefix + key)
+        elif type(sub) is dict:
+            out[key] = _read(sub, {}, prefix + key)
+        elif type(sub) is _Number and sub.default is not None:
+            out[key] = sub.default
+        elif sub is not None:
+            raise ValidationError(f"missing scenario key: {prefix}{key}")
+    return out
+
+
+def _copy(value):
+    """A copy of parsed YAML: new mappings and lists, shared scalars."""
+    if isinstance(value, dict):
+        return {k: _copy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_copy(v) for v in value]
     return value
-
-
-def _number(value, path, above=None):
-    """``value`` as a finite float, strictly greater than ``above`` if given."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"scenario key {path} must be a number") from None
-    if not math.isfinite(x):
-        raise ValidationError(f"scenario key {path} must be finite")
-    if above is not None and not x > above:
-        raise ValidationError(f"scenario key {path} must be > {above:g}")
-    return x
-
-
-def _seed(value) -> int:
-    """The scenario seed: a non-negative integer, never truncated."""
-    x = _number(value, "seed")
-    if not (x.is_integer() and x >= 0):
-        raise ValidationError(f"scenario key seed must be an integer >= 0, got {x:g}")
-    return int(value) if isinstance(value, int) else int(x)
-
-
-def _field(mapping, key, path, default=None, above=None):
-    """``mapping[key]`` read through :func:`_number`; required when
-    ``default`` is None."""
-    value = _require(mapping, key, path) if default is None else mapping.get(key, default)
-    return _number(value, f"{path}.{key}" if path else key, above)
 
 
 @dataclass
@@ -106,7 +187,6 @@ class Scenario:
     raw: dict
 
     seed: int
-    seed_flux: float
     wavelength_nm: float
     waist_p_um: float
     waist_c_um: float
@@ -117,138 +197,59 @@ class Scenario:
     quantum_efficiency: float
     resonances: tuple[EOTResonance, ...]
     modulation_frequency_hz: float
-    kappa: tuple | None
     stage_targets_db: dict
     final_target: dict
     residual_db: tuple
     threshold_targets_mv: tuple
     sweep_voltages_mv: tuple
-    rbw_scale: float
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Scenario":
-        if not isinstance(cfg, dict):
-            raise ValidationError("scenario root must be a mapping")
-        src = _require(cfg, "source", "", dict)
-        beam = _require(cfg, "beam", "", dict)
-        lay = _require(cfg, "layout", "", dict)
-        coh = _require(cfg, "coherence", "", dict)
-        det = _require(cfg, "detector", "", dict)
-        mod = _require(cfg, "modulation", "", dict)
-        cal = _require(cfg, "calibration", "", dict)
-        sweep = _require(cfg, "sweep", "", dict)
-        res_list = _require(cfg, "resonances", "", list)
-        if len(res_list) != 4:
-            raise ValidationError("resonances must list exactly 4 sensors")
-
-        resonances = []
-        for i, r in enumerate(res_list):
-            path = f"resonances[{i}]"
-            if not isinstance(r, dict):
-                raise ValidationError(f"scenario key {path} must be a mapping")
-            fwhm = _field(r, "fwhm_nm", path, above=0.0)
-            if not plasmonic.linewidth_evaluable(fwhm):
-                raise ValidationError(
-                    f"scenario key {path}.fwhm_nm {fwhm:g} is outside the range "
-                    f"where its Lorentzian can be evaluated"
-                )
-            resonances.append(
-                EOTResonance(
-                    lambda0=_field(r, "lambda0_nm", path),
-                    linewidth=fwhm,
-                    t_max=_field(r, "t_max", path),
-                    dlambda_dn=_field(r, "dlambda_dn", path, 300.0),
-                )
-            )
-
-        layout = QuadrantLayout(
-            window_size=_field(lay, "window_um", "layout"),
-            gap=_field(lay, "gap_um", "layout"),
-            tilt_deg=_field(lay, "tilt_deg", "layout"),
-        )
-
-        voltages = tuple(
-            _number(v, f"sweep.voltages_mv[{k}]")
-            for k, v in enumerate(_require(sweep, "voltages_mv", "sweep", list))
-        )
-        if len(voltages) == 0:
-            raise ValidationError("sweep.voltages_mv must not be empty")
-        if any(b <= a for a, b in zip(voltages, voltages[1:])):
-            raise ValidationError("sweep.voltages_mv must be strictly increasing")
-        if voltages[0] < 0:
-            raise ValidationError("sweep.voltages_mv must be >= 0")
-
-        raw_targets = _require(cal, "stage_targets_db", "calibration", dict)
-        if set(raw_targets) != set(STAGES):
-            raise ValidationError(
-                f"calibration.stage_targets_db must hold exactly the labels "
-                f"{', '.join(STAGES)}; got {', '.join(map(str, raw_targets))}"
-            )
-        stage_targets = {
-            k: _number(raw_targets[k], f"calibration.stage_targets_db.{k}")
-            for k in STAGES
-        }
-        final = _require(cal, "final", "calibration", dict)
-        residual = tuple(
-            _number(v, f"calibration.residual_db[{k}]")
-            for k, v in enumerate(_require(cal, "residual_db", "calibration", list))
-        )
-        thresholds = tuple(
-            _number(v, f"calibration.threshold_targets_mv[{k}]", above=0.0)
-            for k, v in enumerate(
-                _require(cal, "threshold_targets_mv", "calibration", list)
-            )
-        )
-        if len(residual) != 4 or len(thresholds) != 4:
-            raise ValidationError(
-                "calibration.residual_db and threshold_targets_mv need 4 entries"
-            )
-
-        kappa = mod.get("kappa")
-        if kappa is not None:
-            kappa = tuple(
-                _number(k, f"modulation.kappa[{i}]", above=0.0)
-                for i, k in enumerate(_require(mod, "kappa", "modulation", list))
-            )
-            if len(kappa) != 4:
-                raise ValidationError("modulation.kappa needs 4 entries")
-
-        waist_p = _field(beam, "waist_p_um", "beam", above=0.0)
-        waist_c = _field(beam, "waist_c_um", "beam", above=0.0)
-        cell_um = _field(coh, "cell_um", "coherence", above=0.0)
+        v = _read(SCHEMA, cfg, "")
+        beam, lay, coh, cal = v["beam"], v["layout"], v["coherence"], v["calibration"]
+        waist_p, waist_c = beam["waist_p_um"], beam["waist_c_um"]
         # Quadrants are independent only if a coherence cell is much
         # smaller than the beam; one as large as a waist is the whole beam.
-        if not cell_um < min(waist_p, waist_c):
+        if not coh["cell_um"] < min(waist_p, waist_c):
             raise ValidationError(
-                f"scenario key coherence.cell_um {cell_um:g} must be smaller "
+                f"scenario key coherence.cell_um {coh['cell_um']:g} must be smaller "
                 f"than the beam waists ({waist_p:g}, {waist_c:g} um)"
             )
+        if coh["extent_um"] < 4.0 * max(waist_p, waist_c) - 1e-9:
+            raise ValidationError(
+                f"scenario key coherence.extent_um {coh['extent_um']:g} must cover "
+                f"at least 4 waists ({waist_p:g}, {waist_c:g} um)"
+            )
+        for i, r in enumerate(v["resonances"]):
+            if not plasmonic.linewidth_evaluable(r["fwhm_nm"]):
+                raise ValidationError(
+                    f"scenario key resonances[{i}].fwhm_nm {r['fwhm_nm']:g} is outside "
+                    f"the range where its Lorentzian can be evaluated"
+                )
+        voltages = v["sweep"]["voltages_mv"]
+        if any(b <= a for a, b in zip(voltages, voltages[1:])):
+            raise ValidationError("sweep.voltages_mv must be strictly increasing")
         return cls(
-            raw=copy.deepcopy(cfg),
-            seed=_seed(cfg.get("seed", 0)),
-            seed_flux=_field(src, "seed_flux", "source", 1.0),
-            wavelength_nm=_field(cfg, "wavelength_nm", "", 795.0),
+            raw=_copy(cfg),
+            seed=v["seed"],
+            wavelength_nm=v["wavelength_nm"],
             waist_p_um=waist_p,
             waist_c_um=waist_c,
-            layout=layout,
-            mask_transmission=_field(lay, "mask_transmission", "layout", 0.90),
-            extent_um=_field(coh, "extent_um", "coherence"),
-            cell_um=cell_um,
-            quantum_efficiency=_field(det, "quantum_efficiency", "detector", 0.95),
-            resonances=tuple(resonances),
-            modulation_frequency_hz=_field(mod, "frequency_hz", "modulation", above=0.0),
-            kappa=kappa,
-            stage_targets_db=stage_targets,
-            final_target={
-                "squeezing_db": _field(final, "squeezing_db", "calibration.final"),
-                "attenuation_db": _field(final, "attenuation_db", "calibration.final"),
-                "eta_p": _field(final, "eta_p", "calibration.final", 0.5),
-                "eta_c": _field(final, "eta_c", "calibration.final", 0.9),
-            },
-            residual_db=residual,
-            threshold_targets_mv=thresholds,
+            layout=QuadrantLayout(lay["window_um"], lay["gap_um"], lay["tilt_deg"]),
+            mask_transmission=lay["mask_transmission"],
+            extent_um=coh["extent_um"],
+            cell_um=coh["cell_um"],
+            quantum_efficiency=v["detector"]["quantum_efficiency"],
+            resonances=tuple(
+                EOTResonance(r["lambda0_nm"], r["fwhm_nm"], r["t_max"])
+                for r in v["resonances"]
+            ),
+            modulation_frequency_hz=v["modulation"]["frequency_hz"],
+            stage_targets_db=cal["stage_targets_db"],
+            final_target=cal["final"],
+            residual_db=cal["residual_db"],
+            threshold_targets_mv=cal["threshold_targets_mv"],
             sweep_voltages_mv=voltages,
-            rbw_scale=_field(cfg, "rbw_scale", "", 1.0, above=0.0),
         )
 
 
@@ -469,18 +470,19 @@ def _stages(scenario: Scenario, grid: CoherenceGrid, gain, eta_optics, r_source)
     residual of each staged target and of the predicted final point.
 
     The source's excess noise is the one that meets the source target at
-    ``gain``, or 0 where that would be negative.
+    ``gain``, or 0 where that would be negative. The seed flux is 1; no
+    noise ratio, and so no artifact, depends on it.
     """
-    ns = scenario.seed_flux
-    mean_p, mean_c = gain * ns, (gain - 1.0) * ns
+    mean_p, mean_c = gain, gain - 1.0
     try:
         zu = (r_source - 1.0 / (2.0 * gain - 1.0)) * (mean_p + mean_c)
         zu /= mean_p**2 + mean_c**2
-        params = FwmSourceParams(gain, ns, excess_uncorrelated=max(zu, 0.0))
+        params = FwmSourceParams(gain, 1.0, excess_uncorrelated=max(zu, 0.0))
         m0 = fwm_moments(params)
     except OverflowError:
         raise ValidationError(
-            f"source moments overflow at source.seed_flux {ns:g} and gain {gain:.6g}"
+            f"source moments overflow at the gain {gain:.6g} that "
+            f"calibration.stage_targets_db.post_cut needs"
         ) from None
     m1 = apply_loss(m0, LossChannel(eta_optics, eta_optics))
     cut = quadrant_cut(m1, grid)
@@ -551,26 +553,22 @@ def build_chain(scenario: Scenario) -> SensingChain:
 
     # Drive coefficients: the analytic twin-beam SNR is linear in voltage,
     # so each kappa follows in closed form from its threshold target.
-    if scenario.kappa is not None:
-        kappa = scenario.kappa
-    else:
-        kappa = []
-        for q in QUADRANTS:
-            r = scenario.resonances[q - 1]
-            t = plasmonic.transmission_at(r, scenario.wavelength_nm)
-            slope = abs(plasmonic.transduction_slope(r, scenario.wavelength_nm))
-            if t <= 0 or slope <= 0:
-                raise FitInfeasibleError(
-                    f"sensor {q} has no transduction at the operating wavelength"
-                )
-            # In Python floats, which overflow to inf without a numpy
-            # warning. A tiny target can underflow the divisor to 0; its
-            # kappa is then inf too, which the signal check rejects.
-            i_q = float(channels_p[q] * cut.mean_p)
-            s_off = reports[q].diff_variance
-            divisor = i_q * slope * scenario.threshold_targets_mv[q - 1]
-            kappa.append(t * math.sqrt(2.0 * s_off) / divisor if divisor else math.inf)
-        kappa = tuple(kappa)
+    kappa = []
+    for q in QUADRANTS:
+        r = scenario.resonances[q - 1]
+        t = plasmonic.transmission_at(r, scenario.wavelength_nm)
+        slope = abs(plasmonic.transduction_slope(r, scenario.wavelength_nm))
+        if t <= 0 or slope <= 0:
+            raise FitInfeasibleError(
+                f"sensor {q} has no transduction at the operating wavelength"
+            )
+        # In Python floats, which overflow to inf without a numpy
+        # warning. A tiny target can underflow the divisor to 0; its
+        # kappa is then inf too, which the signal check rejects.
+        i_q = float(channels_p[q] * cut.mean_p)
+        s_off = reports[q].diff_variance
+        divisor = i_q * slope * scenario.threshold_targets_mv[q - 1]
+        kappa.append(t * math.sqrt(2.0 * s_off) / divisor if divisor else math.inf)
 
     budget = [
         StageBudget("source", source_squeezing(m0)[1], 1.0, 0.0),
@@ -594,7 +592,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
         eta_c=eta_c,
         g_opt=g_opt,
         reports=reports,
-        kappa=kappa,
+        kappa=tuple(kappa),
         residuals_db=residuals_db,
         stage_budget=budget,
     )

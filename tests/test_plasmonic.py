@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quadsense.errors import OperatingPointError, ValidationError
 from quadsense.plasmonic import (
+    DLAMBDA_DN,
     EOTResonance,
     modulation_signal,
     transduction_slope,
@@ -49,12 +50,8 @@ def test_slope_zero_at_peak_and_antisymmetric():
 def test_slope_matches_finite_difference():
     h = 1e-8  # RIU
     for wavelength in (780.0, 788.0, 795.0, 805.0):
-        shifted_up = EOTResonance(
-            RES.lambda0 + RES.dlambda_dn * h, RES.linewidth, RES.t_max, RES.dlambda_dn
-        )
-        shifted_dn = EOTResonance(
-            RES.lambda0 - RES.dlambda_dn * h, RES.linewidth, RES.t_max, RES.dlambda_dn
-        )
+        shifted_up = EOTResonance(RES.lambda0 + DLAMBDA_DN * h, RES.linewidth, RES.t_max)
+        shifted_dn = EOTResonance(RES.lambda0 - DLAMBDA_DN * h, RES.linewidth, RES.t_max)
         fd = (
             transmission_at(shifted_up, wavelength)
             - transmission_at(shifted_dn, wavelength)
@@ -120,7 +117,7 @@ def test_input_validation():
         modulation_signal(RES, -1e-4, 100.0, 5.0, 795.0)
     with pytest.raises(ValidationError, match="probe mean"):
         modulation_signal(RES, KAPPAS[0], 100.0, -1.0, 795.0)
-    with pytest.raises(ValidationError, match="modulation.kappa"):
+    with pytest.raises(ValidationError, match="calibration.threshold_targets_mv"):
         modulation_signal(RES, 1e300, 1e300, 5.0, 795.0)
 
 

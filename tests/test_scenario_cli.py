@@ -1,15 +1,28 @@
+import contextlib
 import copy
+import csv
 import hashlib
+import io
 import json
-import warnings
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import default_scenario_dict
 from quadsense import cli
 from quadsense.errors import FitInfeasibleError, ValidationError
-from quadsense.scenario import Scenario, SensingChain, build_chain, dump_scenario
+from quadsense.scenario import (
+    SCHEMA,
+    Scenario,
+    SensingChain,
+    build_chain,
+    dump_scenario,
+)
 
 
 def test_scenario_reports_missing_key_with_path():
@@ -195,40 +208,6 @@ def test_cli_infeasible_stage_targets_print_residuals(tmp_path, capsys):
         assert f"{stage}=" in err, stage
 
 
-def test_cli_overflowing_seed_flux_prints_only_its_message(tmp_path, capsys):
-    # The source moments overflow at this seed flux; the refusal is the
-    # whole report, with no numpy warning before it.
-    cfg = default_scenario_dict()
-    cfg["source"]["seed_flux"] = 1e200
-    path = tmp_path / "bright.yaml"
-    path.write_text(yaml.safe_dump(cfg))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = run_cli("snr-sweep", "--scenario", str(path), "--out", str(tmp_path))
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("validation error: source moments overflow"), err
-    assert err.count("\n") == 1, err
-    assert not (tmp_path / "enhancement.json").exists()
-
-
-@pytest.mark.parametrize("seed_flux", [1e120, 1e150])
-def test_cli_bright_seed_flux_calibrates_like_the_default(tmp_path, seed_flux):
-    # The calibration is scale-free: wherever the source moments are
-    # finite, a brighter seed gives the default's noise ratios and figures,
-    # so no product of the per-quadrant solve may overflow on the way.
-    cfg = default_scenario_dict()
-    cfg["source"]["seed_flux"] = seed_flux
-    path = tmp_path / "bright.yaml"
-    path.write_text(yaml.safe_dump(cfg))
-    default, bright = tmp_path / "default", tmp_path / "bright"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_cli("fig3", "--out", str(default)) == 0
-        assert run_cli("fig3", "--scenario", str(path), "--out", str(bright)) == 0
-    assert (bright / "fig3.csv").read_bytes() == (default / "fig3.csv").read_bytes()
-
-
 def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("seed: [1, 2\n")
@@ -241,9 +220,6 @@ def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, key, value",
     [
-        (None, "rbw_scale", -1.0),
-        (None, "rbw_scale", float("nan")),
-        (None, "rbw_scale", "abc"),
         ("beam", "waist_p_um", 0.0),
         ("beam", "waist_c_um", 0.0),
         ("beam", "waist_c_um", -10.0),
@@ -253,7 +229,6 @@ def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
         ("coherence", "cell_um", 360.0),
         ("coherence", "extent_um", 1e300),
         ("beam", "waist_p_um", 1e-300),
-        ("source", "seed_flux", 1e300),
         (None, "wavelength_nm", 1e300),
     ],
 )
@@ -272,50 +247,99 @@ def test_cli_out_of_range_scalar_is_validation_error(
     assert not (tmp_path / "fig3.csv").exists()
 
 
+def _key_path(keys) -> str:
+    """The dotted key path of ``keys``, list indices in brackets."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
 @pytest.mark.parametrize(
-    "keys, value",
+    "keys, value, at_load",
     [
-        (("resonances", 0, "fwhm_nm"), "abc"),
-        (("beam", "waist_p_um"), "x"),
-        (("seed",), "abc"),
-        (("seed",), 1.5),
-        (("seed",), -0.5),
-        (("calibration", "stage_targets_db", "source"), float("nan")),
-        (("coherence", "extent_um"), float("nan")),
-        (("resonances",), [1, 2, 3, 4]),
-        (("sweep", "voltages_mv"), [-50] + list(range(25, 501, 25))),
-        (("modulation", "kappa"), [0, 0, 0, 0]),
-        (("resonances", 0, "fwhm_nm"), 1e200),
-        (("resonances", 0, "fwhm_nm"), 1e100),
-        (("calibration", "threshold_targets_mv"), [0, 0, 0, 0]),
-        (("modulation", "kappa"), [1e300, 1, 1, 1]),
-        (("calibration", "threshold_targets_mv"), [1e-320, 265, 319, 316]),
-        (("calibration", "residual_db"), [1e300, -1.81, -1.70, -1.84]),
-        (("calibration", "stage_targets_db", "post_cut"), 1e300),
-        (("modulation", "frequency_hz"), 0),
-    ],
-    ids=[
-        "fwhm_nm",
-        "waist_p_um",
-        "seed",
-        "seed_fraction",
-        "seed_negative_fraction",
-        "stage_target",
-        "extent_um",
-        "resonance_entry",
-        "negative_voltage",
-        "zero_kappa",
-        "fwhm_nm_overflows_transmission",
-        "fwhm_nm_overflows_slope",
-        "zero_threshold",
-        "kappa_overflows_signal",
-        "tiny_threshold_overflows_kappa",
-        "residual_overflows_ratio",
-        "stage_target_overflows_ratio",
-        "frequency_hz",
+        pytest.param(("resonances", 0, "fwhm_nm"), "abc", True, id="fwhm_nm"),
+        pytest.param(("beam", "waist_p_um"), "x", True, id="waist_p_um"),
+        pytest.param(("seed",), "abc", True, id="seed"),
+        pytest.param(("seed",), 1.5, True, id="seed_fraction"),
+        pytest.param(("seed",), -0.5, True, id="seed_negative_fraction"),
+        pytest.param(
+            ("calibration", "stage_targets_db", "source"), float("nan"), True,
+            id="stage_target",
+        ),
+        pytest.param(("coherence", "extent_um"), float("nan"), True, id="extent_um"),
+        pytest.param(("resonances",), [1, 2, 3, 4], True, id="resonance_entry"),
+        pytest.param(
+            ("sweep", "voltages_mv"), [-50] + list(range(25, 501, 25)), True,
+            id="negative_voltage",
+        ),
+        pytest.param(
+            ("resonances", 0, "fwhm_nm"), 1e200, True,
+            id="fwhm_nm_overflows_transmission",
+        ),
+        pytest.param(
+            ("resonances", 0, "fwhm_nm"), 1e100, True, id="fwhm_nm_overflows_slope"
+        ),
+        pytest.param(
+            ("calibration", "threshold_targets_mv"), [0, 0, 0, 0], True,
+            id="zero_threshold",
+        ),
+        pytest.param(
+            ("calibration", "threshold_targets_mv"), [1e-320, 265, 319, 316], False,
+            id="tiny_threshold_overflows_kappa",
+        ),
+        pytest.param(
+            ("calibration", "residual_db"), [1e300, -1.81, -1.70, -1.84], False,
+            id="residual_overflows_ratio",
+        ),
+        pytest.param(
+            ("calibration", "stage_targets_db", "post_cut"), 1e300, False,
+            id="stage_target_overflows_ratio",
+        ),
+        pytest.param(
+            ("calibration", "stage_targets_db", "post_cut"), 1000.0, False,
+            id="stage_target_overflows_source_moments",
+        ),
+        pytest.param(("modulation", "frequency_hz"), 0, True, id="frequency_hz"),
+        # Bounds each key states in the scenario table.
+        pytest.param(("wavelength_nm",), -795.0, True, id="negative_wavelength"),
+        pytest.param(
+            ("detector", "quantum_efficiency"), 1.2, True, id="quantum_efficiency_above_1"
+        ),
+        pytest.param(
+            ("layout", "mask_transmission"), 1.1, True, id="mask_transmission_above_1"
+        ),
+        pytest.param(("calibration", "final", "eta_p"), 1.5, True, id="eta_p_above_1"),
+        pytest.param(("layout", "gap_um"), -5.0, True, id="negative_gap"),
+        pytest.param(("layout", "tilt_deg"), 90.0, True, id="tilt_at_90_degrees"),
+        pytest.param(("resonances", 0, "t_max"), 1.5, True, id="t_max_above_1"),
+        pytest.param(("coherence", "extent_um"), 100.0, True, id="extent_below_4_waists"),
+        # Booleans and strings are no numbers, and a key the table does not
+        # list is an error: a typo, or an input that no longer exists.
+        pytest.param(("seed",), True, True, id="seed_bool"),
+        pytest.param(("layout", "window_um"), True, True, id="window_um_bool"),
+        pytest.param(("resonances", 0, "t_max"), True, True, id="t_max_bool"),
+        pytest.param(("beam", "waist_p_um"), "360", True, id="waist_p_um_string"),
+        pytest.param(
+            ("detector", "quantum_efficency"), 0.1, True, id="quantum_efficiency_typo"
+        ),
+        pytest.param(("coherence", "cell_mu"), 1.0, True, id="cell_um_typo"),
+        pytest.param(("modulation", "kappa"), None, True, id="declared_kappa_null"),
+        pytest.param(("modulation", "kappa"), [0, 0, 0, 0], True, id="zero_kappa"),
+        pytest.param(
+            ("modulation", "kappa"), [1e300, 1, 1, 1], True, id="kappa_overflows_signal"
+        ),
+        pytest.param(("source",), {"seed_flux": 4.0}, True, id="seed_flux"),
+        pytest.param(
+            ("source",),
+            {"detuning": {"one_photon_ghz": 1.4, "two_photon_mhz": 4.0}},
+            True,
+            id="detuning",
+        ),
+        pytest.param(("resonances", 0, "dlambda_dn"), 150.0, True, id="dlambda_dn"),
+        pytest.param(("rbw_scale",), 1.0, True, id="rbw_scale"),
     ],
 )
-def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value):
+def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value, at_load):
+    # A flaw the loader can see fails every subcommand; one that only
+    # calibration meets fails the subcommands that calibrate.
     cfg = default_scenario_dict()
     node = cfg
     for key in keys[:-1]:
@@ -323,11 +347,102 @@ def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value)
     node[keys[-1]] = value
     path = tmp_path / "malformed.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    for cmd in ("snr-sweep", "fig3"):
-        assert run_cli(cmd, "--scenario", str(path), "--out", str(tmp_path)) == 2
+    cmds = sorted(cli._COMMANDS) if at_load else ("snr-sweep", "fig3")
+    for cmd in cmds:
+        argv = [cmd, "--scenario", str(path), "--samples", "1000", "--out", str(tmp_path)]
+        assert run_cli(*argv) == 2, cmd
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1, err
-        assert keys[-1] in err, err
+        assert _key_path(keys) in err, err
+    if not at_load:
+        assert run_cli("resonance-scan", "--out", str(tmp_path)) == 0
+
+
+def _schema_paths(spec, keys=()):
+    """``(keys, spec)`` of every key of the scenario table; a list stands
+    for its entries by its first."""
+    if isinstance(spec, dict):
+        for key, sub in spec.items():
+            yield keys + (key,), sub
+            yield from _schema_paths(sub, keys + (key,))
+    elif isinstance(spec, tuple):
+        yield keys + (0,), spec[0]
+        yield from _schema_paths(spec[0], keys + (0,))
+
+
+def test_only_gain_bound_is_accepted_and_ignored():
+    ignored = [_key_path(keys) for keys, spec in _schema_paths(SCHEMA) if spec is None]
+    assert ignored == ["calibration.gain_bound"]
+    cfg = default_scenario_dict()
+    cfg["calibration"]["gain_bound"] = [True, "anything"]
+    assert Scenario.from_dict(cfg).raw["calibration"]["gain_bound"] == [True, "anything"]
+
+
+DEFAULT_CFG = default_scenario_dict()
+# One-key mutations of a scenario value; "missing" and "extra" act on the
+# key's parent instead.
+MUTATIONS = {
+    "wrong_type": lambda v: "x",
+    "bool": lambda v: True,
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "-inf": lambda v: -math.inf,
+    "sign": lambda v: -v if isinstance(v, (int, float)) else v,
+    "1e300": lambda v: 1e300,
+    "1e-300": lambda v: 1e-300,
+    "empty_list": lambda v: [],
+    "wrong_length": lambda v: v[:-1] if isinstance(v, list) else [v, v],
+    "missing": None,
+    "extra": None,
+}
+
+
+def _non_finite(path) -> list:
+    """The non-finite numbers of a CSV or JSON artifact."""
+    if path.suffix == ".json":
+        found = []
+        json.loads(path.read_text(), parse_constant=found.append)
+        return found
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    cells = [c for row in rows[1:] for k, c in enumerate(row) if rows[0][k] != "pair"]
+    return [c for c in cells if not math.isfinite(float(c))]
+
+
+@given(
+    keys=st.sampled_from([keys for keys, _ in _schema_paths(SCHEMA)]),
+    mutation=st.sampled_from(sorted(MUTATIONS)),
+)
+@settings(max_examples=150, deadline=None)
+def test_mutated_scenario_keeps_the_exit_code_contract(keys, mutation):
+    # Exit 0, 2 or 3 with one line on stderr for a failure, and only
+    # finite numbers in what was written, whatever one key holds.
+    cfg = copy.deepcopy(DEFAULT_CFG)
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    last = keys[-1]
+    if mutation == "missing":
+        if isinstance(node, list) or last in node:
+            del node[last]
+    elif mutation == "extra":
+        if isinstance(node, list):
+            node.append(node[last])
+        else:
+            node["extra"] = 1.0
+    else:
+        value = node.get(last) if isinstance(node, dict) else node[last]
+        node[last] = MUTATIONS[mutation](value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "mutated.yaml", Path(tmp) / "out"
+        path.write_text(yaml.safe_dump(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = run_cli("snr-sweep", "--scenario", str(path), "--out", str(out))
+        assert rc in (0, 2, 3), rc
+        if rc:
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+        for artifact in out.iterdir() if out.exists() else ():
+            assert not _non_finite(artifact), artifact.name
 
 
 @pytest.mark.parametrize(
