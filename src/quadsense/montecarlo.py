@@ -1,10 +1,9 @@
 """Independent stochastic and small-Hilbert-space oracles.
 
 Everything here validates the analytic moment maps by a different route:
-Gaussian photocurrent sampling of the pieces that the optics cut assigns to
-a quadrant, enumerated once for the four mirror-image quadrants (exact for
-first and second moments, which is all the formulas use),
-binomial-equivalent thinning for the loss map, and a truncated-Fock
+Gaussian photocurrent sampling of each quadrant from the moments of the
+optics cut (exact for first and second moments, which is all the formulas
+use), binomial-equivalent thinning for the loss map, and a truncated-Fock
 construction of the seeded two-mode squeezer, exponentiated one
 photon-difference block at a time.
 
@@ -29,7 +28,6 @@ with a constant, so no two checks share a stream.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,44 +65,6 @@ def _generator(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=tuple(key)))
     )
-
-
-def _quadrant_pieces(grid: CoherenceGrid, m: TwinBeamMoments):
-    """``(mean_p, mean_c, var_p, var_c, cov)`` of each piece of a quadrant.
-
-    The four quadrants are mirror images, so their pieces are enumerated
-    once: products of an x piece and a y piece of the grid's half axis
-    (the whole cells, then the on-axis half cell), each weight a fraction
-    of the grid's per-axis power. The pieces sum to
-    ``quadrant_cut(m, grid)``. A piece's weight is the product of
-    its two factors, and it keeps its share of the covariance only when
-    both factors are whole cells.
-    """
-    tot_p, tot_c = grid.axis_total_p, grid.axis_total_c
-    axis = [(p / tot_p, c / tot_c, True) for p, c in zip(grid.whole_p, grid.whole_c)]
-    axis.append((grid.half_p / tot_p, grid.half_c / tot_c, False))
-    pieces = []
-    for (xp, xc, x_whole), (yp, yc, y_whole) in itertools.product(axis, repeat=2):
-        wp, wc = xp * yp, xc * yc
-        cov = math.sqrt(wp * wc) * m.cov if x_whole and y_whole else 0.0
-        pieces.append((wp * m.mean_p, wc * m.mean_c, wp * m.var_p, wc * m.var_c, cov))
-    return pieces
-
-
-def _quadrant_moments(grid: CoherenceGrid, m: TwinBeamMoments) -> TwinBeamMoments:
-    """Summed moments of the pieces of a quadrant.
-
-    The pieces are independent bivariate Gaussians, so their sum is the
-    bivariate Gaussian whose mean and covariance are the sums. They are
-    summed from :func:`_quadrant_pieces`, not read from ``quadrant_cut``, so
-    the sampled batch still tests the piece enumeration against the
-    factorized cut. Every piece's covariance matrix must be PSD.
-    """
-    pieces = _quadrant_pieces(grid, m)
-    for i, (_, _, vp, vc, cov) in enumerate(pieces):
-        if cov**2 > vp * vc * (1.0 + 1e-12) + 1e-300:
-            raise ValidationError(f"quadrant piece {i} covariance matrix is not PSD")
-    return TwinBeamMoments(*(math.fsum(col) for col in zip(*pieces)))
 
 
 def _cholesky(vp, vc, cov):
@@ -171,22 +131,13 @@ def sample_photocurrents(
 ) -> tuple[dict, dict]:
     """Sample per-quadrant intensities of the partitioned twin beam.
 
-    Each quadrant's intensity is the sum over the pieces that
-    :func:`optics.quadrant_cut` assigns to it (whole cells, and the clipped
-    parts of cells on a cut line), which are mutually independent bivariate
-    Gaussians; so it is drawn as one bivariate Gaussian with the summed
-    moments of :func:`_quadrant_moments`, whose expectation is
-    ``quadrant_cut(m, grid)``. The quadrants share those moments
-    but not their draws: quadrant ``q`` draws from the
-    ``(seed, 2, q, chunk)`` substreams. Returns ``(probe, conjugate)``,
-    two dicts of ``n`` samples per quadrant.
+    Each quadrant's intensity is drawn as one bivariate Gaussian with the
+    moments of ``quadrant_cut(m, grid)``, the cut that the analytic chain
+    uses. The quadrants share those moments but not their draws: quadrant
+    ``q`` draws from the ``(seed, 2, q, chunk)`` substreams. Returns
+    ``(probe, conjugate)``, two dicts of ``n`` samples per quadrant.
     """
-    if grid.n_cells > 1 << 18:
-        raise ValidationError(
-            f"grid with {grid.n_cells} cells is too fine to enumerate its "
-            "quadrant pieces; use a coarser verification grid"
-        )
-    factors = _factors(_quadrant_moments(grid, m))
+    factors = _factors(quadrant_cut(m, grid))
     probe, conj = {}, {}
     for q in QUADRANT_SIGNS:
         z0, z1 = _normals(n, seed, 2, q)
@@ -521,11 +472,10 @@ def _partition_checks(grid, m, n, seed):
 
 
 def _partition_balance_check(grid):
-    """The enumerated pieces of the four quadrants of an on-axis beam carry
-    at most its power. The quadrants split it evenly by construction: they
-    are one cut."""
+    """The four quadrants of an on-axis beam carry at most its power. The
+    quadrants split it evenly by construction: they are one cut."""
     src = TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0)
-    total = 4.0 * _quadrant_moments(grid, src).mean_p
+    total = 4.0 * quadrant_cut(src, grid).mean_p
     return _check(
         "quadrant_partition_balance",
         0.0 if total <= 1.0 + 1e-12 else 1.0,

@@ -225,8 +225,7 @@ def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid) -> TwinBeamMoments:
     every mean and variance, a quarter of the grid's power in all; only a
     piece whole on both axes carries its geometric-mean share of the
     covariance (all-or-nothing). As the cell size shrinks the straddle
-    weight vanishes and the cut becomes a pure spatial partition. The Monte
-    Carlo sampler sums the moments of the same pieces.
+    weight vanishes and the cut becomes a pure spatial partition.
     """
     tot_p, tot_c = grid.axis_total_p, grid.axis_total_c
     if tot_p <= 0 or tot_c <= 0:

@@ -17,6 +17,7 @@ __all__ = [
     "DLAMBDA_DN",
     "EOTResonance",
     "linewidth_evaluable",
+    "detuning_evaluable",
     "transmission_at",
     "transduction_slope",
     "modulation_signal",
@@ -91,6 +92,16 @@ def transduction_slope(r: EOTResonance, wavelength: float) -> float:
     except OverflowError:
         raise _detuning_overflow(r, wavelength) from None
     return -dt_dlambda * DLAMBDA_DN
+
+
+def detuning_evaluable(r: EOTResonance, wavelength: float) -> bool:
+    """Whether :func:`transmission_at` and :func:`transduction_slope` of
+    ``r`` are finite floats at ``wavelength`` (nm)."""
+    try:
+        values = (transmission_at(r, wavelength), transduction_slope(r, wavelength))
+    except ValidationError:
+        return False
+    return all(math.isfinite(v) for v in values)
 
 
 def modulation_signal(

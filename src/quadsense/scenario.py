@@ -47,6 +47,7 @@ from .source import (
     CoherenceGrid,
     FwmSourceParams,
     TwinBeamMoments,
+    _half_cells,
     build_coherence_grid,
     fwm_moments,
     source_squeezing,
@@ -220,11 +221,28 @@ class Scenario:
                 f"scenario key coherence.extent_um {coh['extent_um']:g} must cover "
                 f"at least 4 waists ({waist_p:g}, {waist_c:g} um)"
             )
+        try:
+            _half_cells(waist_p, waist_c, coh["cell_um"], coh["extent_um"])
+        except ValidationError as exc:
+            raise ValidationError(
+                f"scenario keys coherence.cell_um and coherence.extent_um: {exc}"
+            ) from None
         for i, r in enumerate(v["resonances"]):
             if not plasmonic.linewidth_evaluable(r["fwhm_nm"]):
                 raise ValidationError(
                     f"scenario key resonances[{i}].fwhm_nm {r['fwhm_nm']:g} is outside "
                     f"the range where its Lorentzian can be evaluated"
+                )
+        resonances = tuple(
+            EOTResonance(r["lambda0_nm"], r["fwhm_nm"], r["t_max"])
+            for r in v["resonances"]
+        )
+        wavelength = v["wavelength_nm"]
+        for i, r in enumerate(resonances):
+            if not plasmonic.detuning_evaluable(r, wavelength):
+                raise ValidationError(
+                    f"scenario key wavelength_nm {wavelength:g} is too far from "
+                    f"resonances[{i}] at {r.lambda0:g} nm to evaluate its Lorentzian"
                 )
         voltages = v["sweep"]["voltages_mv"]
         if any(b <= a for a, b in zip(voltages, voltages[1:])):
@@ -232,7 +250,7 @@ class Scenario:
         return cls(
             raw=_copy(cfg),
             seed=v["seed"],
-            wavelength_nm=v["wavelength_nm"],
+            wavelength_nm=wavelength,
             waist_p_um=waist_p,
             waist_c_um=waist_c,
             layout=QuadrantLayout(lay["window_um"], lay["gap_um"], lay["tilt_deg"]),
@@ -240,10 +258,7 @@ class Scenario:
             extent_um=coh["extent_um"],
             cell_um=coh["cell_um"],
             quantum_efficiency=v["detector"]["quantum_efficiency"],
-            resonances=tuple(
-                EOTResonance(r["lambda0_nm"], r["fwhm_nm"], r["t_max"])
-                for r in v["resonances"]
-            ),
+            resonances=resonances,
             modulation_frequency_hz=v["modulation"]["frequency_hz"],
             stage_targets_db=cal["stage_targets_db"],
             final_target=cal["final"],
@@ -296,7 +311,6 @@ class SensingChain:
     cut: TwinBeamMoments
     channels_p: dict
     eta_c: float
-    g_opt: dict
     reports: dict
     kappa: tuple
     residuals_db: dict
@@ -318,11 +332,11 @@ class SensingChain:
     def noise_off(self, i: int, j: int) -> float:
         """Modulation-off difference noise, using the correlated pair's g."""
         m = self.pair_moments(i, j)
-        return detection.difference_noise(m, self.pair_channel(i), self.g_opt[i])
+        return detection.difference_noise(m, self.pair_channel(i), self.reports[i].gain)
 
     def snl(self, i: int) -> float:
         """Shot-noise level of any pair probed at quadrant i."""
-        m, g = self.cut, self.g_opt[i]
+        m, g = self.cut, self.reports[i].gain
         return detection.snl_noise(m.mean_p, m.mean_c, self.pair_channel(i), g)
 
     def probe_only_noise(self, i: int) -> float:
@@ -391,7 +405,7 @@ class SensingChain:
         for i, j in pairs:
             p, c = next(draws)
             # The difference photocurrent p - g*c, formed in p's own buffer.
-            c *= self.g_opt[i]
+            c *= self.reports[i].gain
             p -= c
             s_off = float(np.var(p))
             p -= p.mean()
@@ -535,7 +549,6 @@ def build_chain(scenario: Scenario) -> SensingChain:
     # squeezing; the EOT transmission and window clipping set its scale and
     # the fit absorbs unmodeled path losses.
     channels_p = {}
-    g_opt = {}
     reports = {}
     for q in QUADRANTS:
         target_db = scenario.residual_db[q - 1]
@@ -547,7 +560,6 @@ def build_chain(scenario: Scenario) -> SensingChain:
             )
         channels_p[q] = eta_p
         rep = detection.squeezing_report(cut, LossChannel(eta_p, eta_c))
-        g_opt[q] = float(rep.gain)
         reports[q] = rep
         residuals_db[f"residual_q{q}"] = rep.ratio_db - target_db
 
@@ -575,12 +587,8 @@ def build_chain(scenario: Scenario) -> SensingChain:
         StageBudget("post_optics", source_squeezing(m1)[1], 1.0, 0.0),
         StageBudget("post_cut", source_squeezing(cut)[1], 1.0, 0.0),
     ]
-    for q in QUADRANTS:
-        budget.append(
-            StageBudget(
-                f"sensor_q{q}", reports[q].ratio_db, g_opt[q], reports[q].gain_db
-            )
-        )
+    for q, rep in reports.items():
+        budget.append(StageBudget(f"sensor_q{q}", rep.ratio_db, rep.gain, rep.gain_db))
 
     return SensingChain(
         scenario=scenario,
@@ -590,7 +598,6 @@ def build_chain(scenario: Scenario) -> SensingChain:
         cut=cut,
         channels_p=channels_p,
         eta_c=eta_c,
-        g_opt=g_opt,
         reports=reports,
         kappa=tuple(kappa),
         residuals_db=residuals_db,

@@ -138,7 +138,7 @@ def test_criterion_6_uncorrelated_pairs_add_in_quadrature(chain):
                 continue
             m = chain.pair_moments(i, j)
             ch = chain.pair_channel(i)
-            g = chain.g_opt[i]
+            g = chain.reports[i].gain
             ok &= m.cov == 0.0
             var_p = ch.eta_p**2 * (m.var_p - m.mean_p) + ch.eta_p * m.mean_p
             var_c = ch.eta_c**2 * (m.var_c - m.mean_c) + ch.eta_c * m.mean_c

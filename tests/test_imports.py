@@ -1,4 +1,5 @@
 """No subcommand imports scipy: the runtime needs only numpy and PyYAML.
+And the benchmark's tracer still finds every quadsense function it hooks.
 
 Every case runs in a fresh interpreter, since ``sys.modules`` of the test
 process already holds whatever earlier tests imported.
@@ -75,3 +76,40 @@ def test_subcommand_imports_only_the_scipy_it_runs(tmp_path, module, argv, rcs):
     assert result["rc"] in rcs
     loaded = [m for m in result["modules"] if m == "scipy" or m.startswith("scipy.")]
     assert loaded == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+from quadsense import montecarlo, scenario, source
+tracer = tracing.Tracer()
+tracing.install(tracer)
+chain = scenario.build_chain(scenario.load_scenario())
+grid = source.build_coherence_grid(16.0, 16.0, 8.0, 64.0)
+montecarlo.sample_photocurrents(grid, chain.cut, 10, 1)
+print(json.dumps(tracing.aggregate([{"spans": tracer.spans, "extra": tracer.extra}])))
+"""
+
+
+def test_perfbench_hooks_find_what_they_trace(tmp_path):
+    # The benchmark's tracer wraps quadsense functions by name and reads
+    # attributes of their arguments and results; a renamed one would fail
+    # only the benchmark's own self-test.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(PERFBENCH)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert metrics["source.build_coherence_grid.calls_per_build_chain"] == 1
+    assert metrics["scenario.grid_cells_axis.max"] > 0
+    assert metrics["montecarlo.normals_computed"] > 0

@@ -311,6 +311,15 @@ def _key_path(keys) -> str:
         pytest.param(("layout", "tilt_deg"), 90.0, True, id="tilt_at_90_degrees"),
         pytest.param(("resonances", 0, "t_max"), 1.5, True, id="t_max_above_1"),
         pytest.param(("coherence", "extent_um"), 100.0, True, id="extent_below_4_waists"),
+        # A grid too fine to build, and a wavelength at which a resonance's
+        # Lorentzian overflows, are seen at load too.
+        pytest.param(("coherence", "cell_um"), 1e-300, True, id="cell_um_grid_too_fine"),
+        pytest.param(
+            ("coherence", "extent_um"), 1e300, True, id="extent_um_grid_too_fine"
+        ),
+        pytest.param(
+            ("wavelength_nm",), 1e300, True, id="wavelength_overflows_lorentzian"
+        ),
         # Booleans and strings are no numbers, and a key the table does not
         # list is an error: a typo, or an input that no longer exists.
         pytest.param(("seed",), True, True, id="seed_bool"),
