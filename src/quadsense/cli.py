@@ -4,8 +4,8 @@ Subcommands load a scenario file (or the packaged default), run the
 requested analysis, and write plot-ready CSV/JSON artifacts into the
 output directory. Outputs are byte-stable for fixed (scenario, seed).
 
-Exit codes: 0 success, 2 validation, 3 numeric/consistency failure,
-4 I/O.
+Exit codes: 0 success, 2 validation (a ``--samples`` count that does not
+fit in memory included), 3 numeric/consistency failure, 4 I/O.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+# Most samples a stochastic subcommand accepts: at tens of bytes a sample,
+# more needs tens of terabytes. A smaller count that does not fit in memory
+# exits through the MemoryError branch of main.
+MAX_SAMPLES = 10**12
 
 
 def _fmt(value: float, db: bool = False) -> str:
@@ -294,6 +299,10 @@ def main(argv=None) -> int:
             raise ValidationError("--seed must be >= 0")
         if args.samples <= 0:
             raise ValidationError("--samples must be positive")
+        if args.samples > MAX_SAMPLES:
+            raise ValidationError(
+                f"--samples {args.samples} is above the cap of {MAX_SAMPLES:.0e}"
+            )
         if args.dump_config:
             sys.stdout.write(dump_scenario(scenario))
             return EXIT_OK
@@ -314,6 +323,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print(
+            f"validation error: --samples {args.samples} needs more memory than "
+            f"is available",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

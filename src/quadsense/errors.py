@@ -39,6 +39,3 @@ class SearchError(QuadsenseError):
 class TailMassError(QuadsenseError):
     """A truncated Fock computation left too much probability in the tail."""
 
-
-class OperatingPointError(QuadsenseError):
-    """The sensor operating point transmits no light (division by zero)."""

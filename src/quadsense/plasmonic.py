@@ -1,7 +1,10 @@
 """Plasmonic sensor response: a parametric transmission resonance per
-sensor and the transduction of a sinusoidal local refractive-index
-modulation, the sensor's drive coefficient times the drive voltage, into an
-intensity modulation on the probing beam.
+sensor, and the signal power that a sinusoidal local refractive-index
+modulation puts on the probing beam.
+
+The signal law :func:`modulation_signal` scales each sensor to its
+threshold target, so no resonance value reaches it; the resonance
+functions serve ``resonance-scan`` and the chain's transduction gate.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OperatingPointError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "DLAMBDA_DN",
@@ -37,14 +40,15 @@ def linewidth_evaluable(linewidth: float) -> bool:
 
 
 # Resonance shift (nm) per refractive-index unit, representative of
-# nanohole arrays. It only rescales the drive coefficients, which are
-# solved from the threshold targets, so no artifact depends on it.
+# nanohole arrays. It only scales the transduction slope, of which the
+# transduction gate reads whether it is zero, so no artifact depends on it.
 DLAMBDA_DN = 300.0
 
 
 @dataclass(frozen=True)
 class EOTResonance:
-    """Lorentzian transmission resonance of one nanohole-array sensor."""
+    """Lorentzian transmission resonance of one nanohole-array sensor; of
+    the calibrated chain, only the transduction gate reads it."""
 
     lambda0: float
     linewidth: float
@@ -70,7 +74,8 @@ def _detuning_overflow(r: EOTResonance, wavelength: float) -> ValidationError:
 
 
 def transmission_at(r: EOTResonance, wavelength: float) -> float:
-    """Lorentzian transmission at the given wavelength (nm)."""
+    """Lorentzian transmission at the given wavelength (nm); the chain's
+    transduction gate needs it > 0."""
     half = 0.5 * r.linewidth
     try:
         return r.t_max * half * half / ((wavelength - r.lambda0) ** 2 + half * half)
@@ -83,7 +88,8 @@ def transduction_slope(r: EOTResonance, wavelength: float) -> float:
 
     A resonance shift by +dlambda0 moves the whole curve, so
     dT/dn = -dT/dlambda * dlambda0/dn with the sign set by the side of the
-    resonance the operating point sits on.
+    resonance the operating point sits on. The chain's transduction gate
+    needs it non-zero.
     """
     half = 0.5 * r.linewidth
     delta = wavelength - r.lambda0
@@ -104,44 +110,27 @@ def detuning_evaluable(r: EOTResonance, wavelength: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-def modulation_signal(
-    r: EOTResonance,
-    kappa: float,
-    drive_voltage,
-    probe_mean: float,
-    wavelength: float,
-) -> float:
-    """Mean-square signal power from the index modulation at one sensor.
+def modulation_signal(floor: float, drive_voltage, threshold: float):
+    """Mean-square signal power of one sensor at a drive voltage (mV).
 
-    A sinusoidal index swing of amplitude kappa * V, the sensor's drive
-    coefficient (RIU per mV) times the drive voltage, produces a relative
-    transmission swing |dT/dn| * dn / T; applied to the detected probe mean
-    the intensity swing amplitude is A = I_q |dT/dn| dn / T and the signal
-    power is the sinusoid mean square A^2 / 2, in the same units as the
-    difference-noise variances. An array of drive voltages gives the array
-    of their powers, each with the bits of its own scalar evaluation.
+    The index swing, and with it the intensity swing, is proportional to
+    the drive voltage, so the power is quadratic in it. The drive
+    coefficient puts the twin-beam SNR, sqrt(power / floor), at 1 on the
+    threshold voltage, so the power is ``floor * (V / threshold)**2`` in
+    the units of the modulation-off difference-noise variance ``floor``;
+    the probe mean, the transmission and its slope cancel. An array of
+    drive voltages gives the array of their powers, each with the bits of
+    its own scalar evaluation.
     """
-    if kappa < 0:
-        raise ValidationError("drive coefficient must be >= 0")
-    if probe_mean < 0:
-        raise ValidationError("probe mean intensity must be >= 0")
-    t = transmission_at(r, wavelength)
-    if t <= 0.0:
-        raise OperatingPointError(
-            f"sensor at {r.lambda0:g} nm transmits no light at {wavelength} nm"
-        )
     volts = np.asarray(drive_voltage, float)
-    # In Python floats, which overflow to inf without a numpy warning; the
-    # array arithmetic after it overflows quietly too.
-    scale = float(probe_mean) * abs(transduction_slope(r, wavelength))
-    with np.errstate(over="ignore", invalid="ignore"):
-        amplitude = scale * (kappa * volts) / t
-        power = 0.5 * amplitude * amplitude
+    with np.errstate(all="ignore"):
+        ratio = volts / threshold
+        power = floor * (ratio * ratio)
     bad = np.flatnonzero(~np.isfinite(power))
     if bad.size:
         raise ValidationError(
             f"modulation signal at {volts.flat[bad[0]]:g} mV is not finite: its "
-            f"drive coefficient {kappa:g}, solved from "
-            f"calibration.threshold_targets_mv, is too large"
+            f"threshold {threshold:g} mV in calibration.threshold_targets_mv "
+            f"is too small"
         )
     return power

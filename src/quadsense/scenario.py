@@ -15,8 +15,13 @@ chain, every step in closed form:
    residuals, not fitted;
 2. per-quadrant probe transmission solved from the measured residual
    squeezing levels;
-3. per-sensor drive coefficients solved so the twin-beam SNR = 1
-   thresholds match their calibration targets.
+3. a transduction gate: every sensor must transmit light and have a
+   non-zero resonance slope at the operating wavelength.
+
+Each sensor's signal then follows from its threshold target alone: its
+drive coefficient is the one that puts the twin-beam SNR = 1 threshold on
+the target, so the signal is the modulation-off floor times
+(V / threshold)^2 (:func:`plasmonic.modulation_signal`).
 
 The Monte Carlo layer is imported by the methods that use it, so loading
 a scenario does not import it.
@@ -312,7 +317,6 @@ class SensingChain:
     channels_p: dict
     eta_c: float
     reports: dict
-    kappa: tuple
     residuals_db: dict
     stage_budget: list
 
@@ -342,17 +346,13 @@ class SensingChain:
     def probe_only_noise(self, i: int) -> float:
         return detection.snl_noise(self.cut.mean_p, 0.0, self.pair_channel(i), 0.0)
 
-    def detected_probe_mean(self, i: int) -> float:
-        return self.channels_p[i] * self.cut.mean_p
-
     def signal(self, i: int, voltage_mv):
-        """Signal power of sensor i at one drive voltage or an array of them."""
+        """Signal power of sensor i at one drive voltage or an array of
+        them: its modulation-off floor times (V / threshold target)^2."""
         return plasmonic.modulation_signal(
-            self.scenario.resonances[i - 1],
-            self.kappa[i - 1],
+            self.reports[i].diff_variance,
             voltage_mv,
-            self.detected_probe_mean(i),
-            self.scenario.wavelength_nm,
+            self.scenario.threshold_targets_mv[i - 1],
         )
 
     # -- sweeps ---------------------------------------------------------
@@ -563,24 +563,16 @@ def build_chain(scenario: Scenario) -> SensingChain:
         reports[q] = rep
         residuals_db[f"residual_q{q}"] = rep.ratio_db - target_db
 
-    # Drive coefficients: the analytic twin-beam SNR is linear in voltage,
-    # so each kappa follows in closed form from its threshold target.
-    kappa = []
+    # Transduction gate: a sensor that transmits no light, or whose
+    # resonance has no slope at the operating wavelength, has no signal
+    # for its threshold target to scale.
     for q in QUADRANTS:
         r = scenario.resonances[q - 1]
         t = plasmonic.transmission_at(r, scenario.wavelength_nm)
-        slope = abs(plasmonic.transduction_slope(r, scenario.wavelength_nm))
-        if t <= 0 or slope <= 0:
+        if t <= 0 or plasmonic.transduction_slope(r, scenario.wavelength_nm) == 0:
             raise FitInfeasibleError(
                 f"sensor {q} has no transduction at the operating wavelength"
             )
-        # In Python floats, which overflow to inf without a numpy
-        # warning. A tiny target can underflow the divisor to 0; its
-        # kappa is then inf too, which the signal check rejects.
-        i_q = float(channels_p[q] * cut.mean_p)
-        s_off = reports[q].diff_variance
-        divisor = i_q * slope * scenario.threshold_targets_mv[q - 1]
-        kappa.append(t * math.sqrt(2.0 * s_off) / divisor if divisor else math.inf)
 
     budget = [
         StageBudget("source", source_squeezing(m0)[1], 1.0, 0.0),
@@ -599,7 +591,6 @@ def build_chain(scenario: Scenario) -> SensingChain:
         channels_p=channels_p,
         eta_c=eta_c,
         reports=reports,
-        kappa=tuple(kappa),
         residuals_db=residuals_db,
         stage_budget=budget,
     )

@@ -10,11 +10,7 @@ from quadsense.analysis import (
     threshold_voltage,
 )
 from quadsense.errors import ValidationError
-from quadsense.plasmonic import (
-    modulation_signal,
-    transduction_slope,
-    transmission_at,
-)
+from quadsense.plasmonic import modulation_signal
 
 
 def test_signal_estimate():
@@ -121,17 +117,15 @@ def test_enhancement_report_fields(chain):
 
 def test_signal_sweep_is_the_per_voltage_signal_to_the_bit(chain):
     # One array expression per sweep; every point keeps the bits of the
-    # per-voltage modulation_signal, and of its documented order of
-    # operations ((I |dT/dn|) (kappa V)) / T, then 0.5 a a, in Python floats.
+    # per-voltage modulation_signal, and of its documented law
+    # floor * (V / threshold)**2, evaluated as r = V / threshold, then
+    # floor * (r * r), in Python floats.
     sc = chain.scenario
     v = np.asarray(sc.sweep_voltages_mv + (0.0, 1e-3, 7.77, 1e4), float)
     for q in (1, 2, 3, 4):
-        r, i_q = sc.resonances[q - 1], chain.detected_probe_mean(q)
-        kappa, lam = chain.kappa[q - 1], sc.wavelength_nm
+        floor, v_th = chain.reports[q].diff_variance, sc.threshold_targets_mv[q - 1]
         swept = chain.signal(q, v)
-        t = transmission_at(r, lam)
-        scale = float(i_q) * abs(transduction_slope(r, lam))
         for vk, s in zip(v, swept):
-            assert s == modulation_signal(r, kappa, float(vk), i_q, lam), (q, vk)
-            a = scale * (kappa * float(vk)) / t
-            assert s == 0.5 * a * a, (q, vk)
+            assert s == modulation_signal(floor, float(vk), v_th), (q, vk)
+            r = float(vk) / v_th
+            assert s == floor * (r * r), (q, vk)

@@ -238,7 +238,7 @@ def _digest(*arrays):
 # cut moments or channel changes that pin too.
 PHOTOCURRENTS_SHA = "b487dc89d10913875ae5cd3b9eb3212a99bf52e3a0b74e60fa191828545e229c"
 PAIR_SHA = "40b81ed18cdd1c08edeb0feccae0174b50ad57ccb489d23494f6b9b0964d4136"
-SAMPLED_SWEEP_SHA = "1d0e50da75565911ebc9649b98ae01a4fc5d6e8cce1f5eafe19baacd6343c535"
+SAMPLED_SWEEP_SHA = "ffccac2dc9ec8ebdab913539d1a37049dd3b179efd49d5f971927023b65e7388"
 
 
 def test_photocurrent_stream_is_pinned():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadsense.errors import OperatingPointError, ValidationError
+from quadsense.errors import ValidationError
 from quadsense.plasmonic import (
     DLAMBDA_DN,
     EOTResonance,
@@ -15,8 +15,9 @@ from quadsense.plasmonic import (
 )
 
 RES = EOTResonance(lambda0=790.5, linewidth=28.0, t_max=0.57)
-# Drive coefficients (RIU per mV) of four sensors.
-KAPPAS = (1e-4, 2e-4, 3e-4, 4e-4)
+# Modulation-off noise floor, and the threshold voltages (mV) of four sensors.
+FLOOR = 5.0
+THRESHOLDS = (252.0, 265.0, 319.0, 316.0)
 
 
 def test_transmission_peak_and_half_width():
@@ -68,26 +69,24 @@ def test_slope_magnitude_peaks_at_inflection():
 
 
 def test_modulation_signal_zero_cases():
-    assert modulation_signal(RES, KAPPAS[0], 0.0, 5.0, 795.0) == 0.0
-    assert modulation_signal(RES, 0.0, 100.0, 5.0, 795.0) == 0.0
-    # At the resonance peak the slope vanishes.
-    assert modulation_signal(RES, KAPPAS[0], 100.0, 5.0, RES.lambda0) == 0.0
+    assert modulation_signal(FLOOR, 0.0, THRESHOLDS[0]) == 0.0
+    assert modulation_signal(0.0, 100.0, THRESHOLDS[0]) == 0.0
 
 
 def test_modulation_signal_quadratic_in_voltage():
-    s1 = modulation_signal(RES, KAPPAS[1], 100.0, 5.0, 795.0)
-    s2 = modulation_signal(RES, KAPPAS[1], 200.0, 5.0, 795.0)
+    s1 = modulation_signal(FLOOR, 100.0, THRESHOLDS[1])
+    s2 = modulation_signal(FLOOR, 200.0, THRESHOLDS[1])
     assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
 
 
 def test_two_drive_levels_differ_by_six_db():
-    s120 = modulation_signal(RES, KAPPAS[0], 120.0, 5.0, 795.0)
-    s60 = modulation_signal(RES, KAPPAS[0], 60.0, 5.0, 795.0)
+    s120 = modulation_signal(FLOOR, 120.0, THRESHOLDS[0])
+    s60 = modulation_signal(FLOOR, 60.0, THRESHOLDS[0])
     assert 10.0 * math.log10(s120 / s60) == pytest.approx(6.02, abs=5e-3)
 
 
-def test_distinct_drive_coefficients_give_distinct_signals():
-    signals = {modulation_signal(RES, k, 100.0, 5.0, 795.0) for k in KAPPAS}
+def test_distinct_thresholds_give_distinct_signals():
+    signals = {modulation_signal(FLOOR, 100.0, v_th) for v_th in THRESHOLDS}
     assert len(signals) == 4
 
 
@@ -99,12 +98,6 @@ def test_evaluable_linewidth_gives_finite_optics(linewidth):
         assert math.isfinite(transduction_slope(r, lam))
 
 
-def test_dead_sensor_raises_operating_point_error():
-    dead = EOTResonance(lambda0=790.5, linewidth=28.0, t_max=0.0)
-    with pytest.raises(OperatingPointError):
-        modulation_signal(dead, KAPPAS[0], 100.0, 5.0, 795.0)
-
-
 def test_input_validation():
     with pytest.raises(ValidationError):
         EOTResonance(lambda0=790.0, linewidth=0.0, t_max=0.5)
@@ -113,17 +106,14 @@ def test_input_validation():
             EOTResonance(lambda0=790.0, linewidth=linewidth, t_max=0.5)
     with pytest.raises(ValidationError):
         EOTResonance(lambda0=790.0, linewidth=10.0, t_max=1.5)
-    with pytest.raises(ValidationError, match="drive coefficient"):
-        modulation_signal(RES, -1e-4, 100.0, 5.0, 795.0)
-    with pytest.raises(ValidationError, match="probe mean"):
-        modulation_signal(RES, KAPPAS[0], 100.0, -1.0, 795.0)
-    with pytest.raises(ValidationError, match="calibration.threshold_targets_mv"):
-        modulation_signal(RES, 1e300, 1e300, 5.0, 795.0)
+    for v_th in (1e-300, 0.0, math.nan):
+        with pytest.raises(ValidationError, match="calibration.threshold_targets_mv"):
+            modulation_signal(FLOOR, 1e300, v_th)
 
 
-@given(v=st.floats(0.0, 1000.0), q=st.integers(1, 4), lam=st.floats(770.0, 812.0))
+@given(v=st.floats(0.0, 1000.0), q=st.integers(1, 4), floor=st.floats(1e-3, 1e3))
 @settings(max_examples=200)
-def test_signal_quadratic_through_origin(v, q, lam):
-    s = modulation_signal(RES, KAPPAS[q - 1], v, 5.0, lam)
-    s_ref = modulation_signal(RES, KAPPAS[q - 1], 1.0, 5.0, lam)
+def test_signal_quadratic_through_origin(v, q, floor):
+    s = modulation_signal(floor, v, THRESHOLDS[q - 1])
+    s_ref = modulation_signal(floor, 1.0, THRESHOLDS[q - 1])
     assert s == pytest.approx(v * v * s_ref, rel=1e-9, abs=1e-300)

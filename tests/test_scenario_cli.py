@@ -477,6 +477,52 @@ def test_cli_stage_target_labels_are_checked_at_load(tmp_path, capsys, targets):
 
 
 @pytest.mark.parametrize("cmd", ["fig4", "verify"])
+@pytest.mark.parametrize("samples", [10**13, 2**62, 2**63])
+def test_cli_too_many_samples_is_validation_error(tmp_path, capsys, cmd, samples):
+    # Rejected against the cap before anything is allocated or written.
+    out = tmp_path / "out"
+    assert run_cli(cmd, "--samples", str(samples), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1, err
+    assert f"--samples {samples} " in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["fig4", "verify"])
+def test_cli_samples_out_of_memory_is_validation_error(tmp_path, capsys, monkeypatch, cmd):
+    from quadsense import montecarlo
+
+    def out_of_memory(n, seed, *key):
+        raise MemoryError
+
+    monkeypatch.setattr(montecarlo, "_normals", out_of_memory)
+    assert run_cli(cmd, "--samples", "1000", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1, err
+    assert "--samples 1000 " in err, err
+
+
+@pytest.mark.parametrize("case", ["dark_sensor", "wavelength_on_resonance_peak"])
+def test_cli_sensor_without_transduction_is_numeric_error(tmp_path, capsys, case):
+    # A sensor that transmits no light, or has no slope at the operating
+    # wavelength, fails calibration; the resonance scan still draws it.
+    cfg = default_scenario_dict()
+    if case == "dark_sensor":
+        cfg["resonances"][0]["t_max"] = 0
+    else:
+        cfg["wavelength_nm"] = cfg["resonances"][0]["lambda0_nm"]
+    path = tmp_path / "gate.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    for cmd in ("snr-sweep", "fig3"):
+        assert run_cli(cmd, "--scenario", str(path), "--out", str(tmp_path)) == 3, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("consistency error: sensor 1 ") and err.count("\n") == 1, err
+    assert not (tmp_path / "snr_sweep.csv").exists()
+    assert not (tmp_path / "fig3.csv").exists()
+    assert run_cli("resonance-scan", "--scenario", str(path), "--out", str(tmp_path)) == 0
+
+
+@pytest.mark.parametrize("cmd", ["fig4", "verify"])
 def test_cli_negative_seed_is_validation_error(tmp_path, capsys, cmd):
     assert run_cli(cmd, "--seed", "-1", "--samples", "10", "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -604,3 +650,34 @@ def test_default_scenario_artifacts_are_pinned(tmp_path):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
     }
     assert digests == ARTIFACT_SHA
+
+
+def test_artifacts_do_not_depend_on_the_operating_point(tmp_path):
+    # Each signal is the floor times (V / threshold target)^2, so neither
+    # the operating wavelength nor the resonance shapes reach a calibrated
+    # artifact; they only gate transduction.
+    cfg = default_scenario_dict()
+    cfg["wavelength_nm"] = 800.0
+    for r in cfg["resonances"]:
+        r["lambda0_nm"] += 2.0
+        r["fwhm_nm"] *= 1.1
+    path = tmp_path / "shifted.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    runs = {"default": (), "shifted": ("--scenario", str(path))}
+    for name, scenario in runs.items():
+        out = str(tmp_path / name)
+        for cmd in ("squeezing-budget", "snr-sweep", "fig3"):
+            assert run_cli(cmd, *scenario, "--out", out) == 0, (name, cmd)
+        argv = ("fig4", *scenario, "--seed", "42", "--samples", "20000", "--out", out)
+        assert run_cli(*argv) == 0, name
+    names = (
+        "squeezing_budget.csv",
+        "snr_sweep.csv",
+        "enhancement.json",
+        "fig3.csv",
+        "fig4_sweep.csv",
+        "fig4_enhancement.json",
+    )
+    for name in names:
+        default = (tmp_path / "default" / name).read_bytes()
+        assert (tmp_path / "shifted" / name).read_bytes() == default, name
