@@ -388,6 +388,10 @@ class SensingChain:
         per point. All pairs share one draw of the ``(seed, 0, chunk)``
         substreams (:func:`montecarlo.sample_pairs`) and one ``(seed, 9, 9)``
         tone, so a pair's curve does not depend on the other pairs swept.
+        The draw goes one chunk at a time into reused buffers, and each
+        pair folds its chunk of ``(d, t)`` into running moments
+        (:class:`montecarlo.Comoments`), so the sweep holds one chunk of
+        samples whatever ``n_samples``.
         """
         from . import montecarlo
 
@@ -396,21 +400,27 @@ class SensingChain:
             apply_loss(self.pair_moments(i, j), self.pair_channel(i))
             for i, j in pairs
         ]
+        gains = [self.reports[i].gain for i, _ in pairs]
+        stats = [montecarlo.Comoments(2) for _ in pairs]
         rng = montecarlo._generator(seed, 9, 9)
-        tone = np.sin(rng.uniform(0.0, 2.0 * math.pi, n_samples))
-        tone -= tone.mean()
-        tone_var = float(tone @ tone) / n_samples
+        width = min(n_samples, montecarlo.CHUNK)
+        tone, draw = np.empty(width), np.empty((4, width))
+        for _, lo, size in montecarlo._chunks(n_samples):
+            # The phases of uniform(0, 2*pi), drawn in place.
+            t = rng.random(out=tone[:size])
+            t *= 2.0 * math.pi
+            np.sin(t, out=t)
+            chunk = montecarlo.sample_pairs(
+                moments, size, seed, start=lo, out=draw[:, :size]
+            )
+            for acc, gain, (p, c) in zip(stats, gains, chunk):
+                # The difference photocurrent p - g*c, formed in p's own buffer.
+                c *= gain
+                p -= c
+                acc.add(p, t)
         curves = []
-        draws = montecarlo.sample_pairs(moments, n_samples, seed)
-        for i, j in pairs:
-            p, c = next(draws)
-            # The difference photocurrent p - g*c, formed in p's own buffer.
-            c *= self.reports[i].gain
-            p -= c
-            s_off = float(np.var(p))
-            p -= p.mean()
-            tone_cov = float(p @ tone) / n_samples
-            del p, c  # free this pair's samples before the next is transformed
+        for (i, j), acc in zip(pairs, stats):
+            (s_off, tone_cov), (_, tone_var) = acc.cov()
             snrs = []
             clamped = False
             for amp in np.sqrt(2.0 * self.signal(i, v)):

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -180,30 +181,49 @@ def test_squeezing_ratio_monotone_in_loss(gain, eta1, eta2):
     assert worse.ratio_linear >= better.ratio_linear - 1e-12
 
 
+def exact_ratio(m, eta_p, eta_c):
+    """The optimal-gain noise/SNL ratio that ``squeezing_report`` computes,
+    in exact rational arithmetic on the same float inputs."""
+    mp, mc, vp, vc, cov = map(Fraction, (m.mean_p, m.mean_c, m.var_p, m.var_c, m.cov))
+    ep, ec = Fraction(eta_p), Fraction(eta_c)
+    probe = ep * ep * (vp - mp) + ep * mp
+    conj = ec * ec * (vc - mc) + ec * mc
+    g = max(ep * ec * cov / conj, Fraction(0))
+    diff = probe + g * g * conj - 2 * g * ep * ec * cov
+    return diff / (ep * mp + g * g * ec * mc)
+
+
 @given(
     gain=st.floats(1.05, 100.0),
     zu=st.floats(0.0, 1e-2),
     eta_p=st.floats(1e-3, 1.0),
     eta_c=st.floats(0.3, 1.0),
 )
+# The float report's round-off, amplified by a ratio nearly flat in eta_p.
+@example(gain=99.2421875, zu=0.01, eta_p=0.5, eta_c=0.5)
+# A ratio above 1 that rises with eta_p.
+@example(gain=99.0, zu=0.01, eta_p=0.5, eta_c=0.375)
 @settings(max_examples=200)
 def test_probe_transmission_inverts_the_squeezing_report(gain, zu, eta_p, eta_c):
     # The closed form returns the probe transmission whose optimal-gain
     # report gave the ratio, as a bracketed root search of the report does.
+    # Both take the exactly computed ratio, so the float report's round-off
+    # cannot move the root.
     m = fwm_moments(FwmSourceParams(gain, 1.0, zu))
-    target_db = squeezing_report(m, LossChannel(eta_p, eta_c)).ratio_db
-    closed = probe_transmission_for_ratio(m, eta_c, 10.0 ** (target_db / 10.0))
+    target = exact_ratio(m, eta_p, eta_c)
+    # The exact ratio is the report's, without its round-off.
+    report = squeezing_report(m, LossChannel(eta_p, eta_c)).ratio_linear
+    assert float(target) == pytest.approx(report, rel=1e-10, abs=0.0)
+    closed = probe_transmission_for_ratio(m, eta_c, float(target))
 
-    def excess_db(e):
-        return squeezing_report(m, LossChannel(e, eta_c)).ratio_db - target_db
+    def excess(e):
+        return float(exact_ratio(m, e, eta_c) - target)
 
-    # The ratio falls as the probe transmission grows. For eta_p within
-    # round-off of 1 the report at 1 can land a few ulp above the target,
-    # and then no sign change brackets the root: it sits on the edge at 1.
-    if excess_db(1.0) >= 0.0:
-        reference = 1.0
-    else:
-        reference = optimize.brentq(excess_db, 1e-4, 1.0, xtol=1e-12)
+    # The ratio is monotone in eta_p, falling or rising, so the root is
+    # bracketed by the signs at the ends; brentq returns an end where the
+    # excess is exactly zero.
+    assert excess(1e-4) * excess(1.0) <= 0.0
+    reference = optimize.brentq(excess, 1e-4, 1.0, xtol=1e-12)
     assert closed == pytest.approx(reference, rel=0.0, abs=1e-10)
     assert closed == pytest.approx(eta_p, rel=0.0, abs=1e-10)
 

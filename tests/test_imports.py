@@ -113,3 +113,43 @@ def test_perfbench_hooks_find_what_they_trace(tmp_path):
     assert metrics["source.build_coherence_grid.calls_per_build_chain"] == 1
     assert metrics["scenario.grid_cells_axis.max"] > 0
     assert metrics["montecarlo.normals_computed"] > 0
+
+
+TRACED_VERIFY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+from quadsense import montecarlo
+tracer = tracing.Tracer()
+tracing.install(tracer)
+montecarlo.run_verification(int(sys.argv[2]), 5)
+print(json.dumps(tracing.aggregate([{"spans": tracer.spans, "extra": tracer.extra}])))
+"""
+
+
+def test_perfbench_hooks_stay_on_the_verification_path(tmp_path):
+    # The verification suite draws through the hooked samplers once per
+    # chunk, so the traced normal count is that of whole-run draws: two per
+    # sample for the bright pair, one per thinned value, and two per cell
+    # and sample for the partition batch.
+    from quadsense import montecarlo, source
+
+    n = 2 * montecarlo.CHUNK + 1
+    cells = source.build_coherence_grid(16.0, 16.0, 8.0, 64.0).n_cells
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_VERIFY, str(PERFBENCH), str(n)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert metrics["montecarlo.normals_computed"] == 4 * n + 2 * cells * n
+    assert metrics["montecarlo.run_verification.calls"] == 1
+    assert metrics["montecarlo.sample_pair.calls"] == 3
+    assert metrics["montecarlo.thinning_loss.calls"] == 6
+    assert metrics["montecarlo.sample_photocurrents.calls"] == 3

@@ -236,7 +236,7 @@ def _digest(*arrays):
 # order of the per-sample arithmetic changes these. The sampled sweep draws
 # from the default chain's pair (1, 1), so a calibration that moves its
 # cut moments or channel changes that pin too.
-PHOTOCURRENTS_SHA = "b487dc89d10913875ae5cd3b9eb3212a99bf52e3a0b74e60fa191828545e229c"
+PHOTOCURRENTS_SHA = "1edc3a4b251967907b37003764aa1b0ed1bb50d2de6cc3f49ae21b5accc32631"
 PAIR_SHA = "40b81ed18cdd1c08edeb0feccae0174b50ad57ccb489d23494f6b9b0964d4136"
 SAMPLED_SWEEP_SHA = "ffccac2dc9ec8ebdab913539d1a37049dd3b179efd49d5f971927023b65e7388"
 
@@ -328,6 +328,78 @@ def test_covariance_z_score_matches_np_cov():
         var_x, var_y = np.var(x), np.var(y)
         se = math.sqrt((var_x * var_y + cov**2) / n)
         reference = abs(np.cov(x, y)[0, 1] - cov) / se
-        xc, yc = x - np.mean(x), y - np.mean(y)
-        z = montecarlo._z_cov(xc, yc, var_x, var_y, cov)
+        acc = montecarlo.Comoments(2)
+        for _, lo, size in montecarlo._chunks(n):
+            acc.add(x[lo : lo + size], y[lo : lo + size])
+        z = montecarlo._z_cov(acc.cov(ddof=1)[0, 1], n, var_x, var_y, cov)
         assert abs(z - reference) <= 1e-12 * reference
+
+
+BRIGHT = TwinBeamMoments(2e4, 1e4, 6e4, 3e4, 4e4)
+
+
+def test_comoments_match_two_pass_numpy():
+    # Three full chunks and a short one, offset like the verification
+    # suite's bright state (mean / std about 80): the merged moments must
+    # agree with numpy's two passes over the concatenated samples.
+    n = 3 * montecarlo.CHUNK + 5
+    p, c = sample_pair(BRIGHT, n, seed=21)
+    x = np.stack([p, c, p - 0.6 * c])
+    acc = montecarlo.Comoments(3)
+    for _, lo, size in montecarlo._chunks(n):
+        acc.add(*x[:, lo : lo + size])
+    assert acc.n == n
+    np.testing.assert_allclose(acc.mean, np.mean(x, axis=1), rtol=1e-12, atol=0.0)
+    var = np.var(x, axis=1)
+    np.testing.assert_allclose(acc.var(), var, rtol=1e-12, atol=0.0)
+    # Each covariance against the scale sqrt(var_i var_j) of its pair.
+    scale = np.sqrt(np.outer(var, var))
+    for ddof, bias in ((0, True), (1, False)):
+        reference = np.cov(x, bias=bias)
+        assert np.all(np.abs(acc.cov(ddof) - reference) <= 1e-12 * scale), ddof
+
+
+def test_sampler_windows_compose():
+    # Drawing a run one chunk at a time, each call given its window's first
+    # sample, gives the samples of one call over the whole run.
+    n = 2 * montecarlo.CHUNK + 7
+    grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
+    pair = sample_pair(BRIGHT, n, seed=3)
+    thinned = thinning_loss(pair[0], 0.5, seed=4)
+    probe, conj = sample_photocurrents(grid, BRIGHT, n, seed=5)
+    for _, lo, size in montecarlo._chunks(n):
+        part = slice(lo, lo + size)
+        p, c = sample_pair(BRIGHT, size, seed=3, start=lo)
+        assert np.array_equal(p, pair[0][part]) and np.array_equal(c, pair[1][part])
+        t = thinning_loss(pair[0][part], 0.5, seed=4, start=lo)
+        assert np.array_equal(t, thinned[part])
+        pq, cq = sample_photocurrents(grid, BRIGHT, size, seed=5, start=lo)
+        for q in (1, 2, 3, 4):
+            assert np.array_equal(pq[q], probe[q][part])
+            assert np.array_equal(cq[q], conj[q][part])
+    with pytest.raises(ValidationError):
+        sample_pair(BRIGHT, 10, seed=3, start=montecarlo.CHUNK // 2)
+
+
+def _peak_traced_bytes(run):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_paths_hold_one_chunk_whatever_n(chain):
+    # Sixteen chunks of samples need no more memory than two: within one
+    # chunk of the widest block, the partition check's eight series.
+    small, large = 2 * montecarlo.CHUNK + 1, 16 * montecarlo.CHUNK + 1
+    one_chunk = 8 * montecarlo.CHUNK * 8
+    for run in (
+        lambda n: run_verification(n, seed=77),
+        lambda n: chain.sampled_snr_sweep(QUADRANT_PAIRS, n, 42),
+    ):
+        peaks = [_peak_traced_bytes(lambda: run(n)) for n in (small, large)]
+        assert peaks[1] - peaks[0] <= one_chunk, peaks

@@ -492,7 +492,8 @@ def test_cli_too_many_samples_is_validation_error(tmp_path, capsys, cmd, samples
 def test_cli_samples_out_of_memory_is_validation_error(tmp_path, capsys, monkeypatch, cmd):
     from quadsense import montecarlo
 
-    def out_of_memory(n, seed, *key):
+    # Both subcommands draw every chunk of normals through _normals.
+    def out_of_memory(n, seed, *key, start=0, out=None):
         raise MemoryError
 
     monkeypatch.setattr(montecarlo, "_normals", out_of_memory)
