@@ -18,24 +18,34 @@ sampler:
 - ``(seed, 2, quadrant, chunk)``: :func:`sample_photocurrents`;
 - ``(seed, 9, 9)``: the drive-tone phases of
   :meth:`scenario.SensingChain.sampled_snr_sweep`, drawn once and shared by
-  its four quadrant sweeps;
+  its four quadrant sweeps. It is one stream, not one per chunk: a chunk
+  jumps to its slice (:func:`_uniforms`);
 - ``(seed, 13, k)``: the ``k``-th swept power of the ``snl_linearity`` check.
 
 Each chunk of :data:`CHUNK` = 2^16 samples has its own substream. A
 sampler's ``start`` is the first sample of the window it draws, a multiple
 of :data:`CHUNK`, so a run drawn one chunk at a time gets the samples of
-one call over the whole run. The oracles draw that way: each chunk goes
-into buffers reused from chunk to chunk, is folded into running means and
-co-moments (:class:`Comoments`) and is then dropped, so they hold one chunk
-of samples whatever their sample count. Where :func:`run_verification`
-calls one sampler more than once, it XORs the seed with a constant, so no
-two checks share a stream.
+one call over the whole run. The oracles draw that way, one task per chunk
+(per swept power for the ``snl_linearity`` check, whose powers are single
+streams): a task draws its chunk into one worker's buffers and reduces it
+to means and co-moments (:class:`Comoments`). The tasks run on a thread
+pool with one worker per CPU this process may use (:func:`_map_in_order`),
+and their results are merged in task order, so every statistic is the same
+to the bit for any worker count, and no reduction goes through a BLAS call
+whose result could depend on its library's thread count. The oracles hold
+one chunk of samples per worker, about 4.5 MB for the widest block,
+whatever their sample count. Where :func:`run_verification` calls one
+sampler more than once, it XORs the seed with a constant, so no two checks
+share a stream.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -88,16 +98,75 @@ def _factors(m: TwinBeamMoments):
     return (m.mean_p, m.mean_c, *_cholesky(m.var_p, m.var_c, m.cov))
 
 
+def _n_chunks(n: int) -> int:
+    """Number of chunks in ``n`` samples."""
+    return -(-n // CHUNK)
+
+
 def _chunks(n: int, start: int = 0):
     """``(substream, lo, size)`` of each chunk of samples ``start`` to
-    ``start + n`` of a stream, ``lo`` counted from ``start``."""
+    ``start + n`` of a stream, ``lo`` counted from ``start``, generated one
+    at a time."""
     if start < 0 or start % CHUNK:
         raise ValidationError(f"start must be a non-negative multiple of {CHUNK}")
     first = start // CHUNK
-    return [
+    return (
         (first + k, k * CHUNK, min(CHUNK, n - k * CHUNK))
-        for k in range((n + CHUNK - 1) // CHUNK)
-    ]
+        for k in range(_n_chunks(n))
+    )
+
+
+def _workers(tasks: int) -> int:
+    """Threads for ``tasks`` tasks: one per CPU this process may run on, at
+    most one per task."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, tasks))
+
+
+def _map_in_order(task, items, count: int, scratch):
+    """``task(item, buffers)`` of each of the ``count`` ``items``, yielded
+    in item order.
+
+    The tasks run on :func:`_workers` threads. Each thread's ``buffers``
+    are one ``scratch()``, all of them allocated before the first task
+    starts, and a task may overwrite them. At most two tasks per thread are
+    submitted ahead of the result yielded next, so the results pending stay
+    few however many items there are. NumPy's random fills and ufuncs
+    release the interpreter lock, so the threads draw in parallel.
+    """
+    import queue
+    from concurrent.futures import ThreadPoolExecutor  # local: cli starts no pool
+
+    workers = _workers(count)
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(scratch())
+
+    def run(item):
+        # At most ``workers`` tasks run at once, so a set is always free.
+        buffers = free.get()
+        try:
+            return task(item, buffers)
+        finally:
+            free.put(buffers)
+
+    pending = deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for item in items:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(run, item))
+        while pending:
+            yield pending.popleft().result()
+
+
+def _map_chunks(task, n: int, scratch):
+    """:func:`_map_in_order` over the chunks of ``n`` samples, each item a
+    ``(substream, lo, size)`` of :func:`_chunks`."""
+    return _map_in_order(task, _chunks(n), _n_chunks(n), scratch)
 
 
 def _normals(n: int, seed: int, *key, start: int = 0, out=None):
@@ -114,6 +183,17 @@ def _normals(n: int, seed: int, *key, start: int = 0, out=None):
         rng.standard_normal(out=z0[lo : lo + size])
         rng.standard_normal(out=z1[lo : lo + size])
     return z0, z1
+
+
+def _uniforms(seed: int, *key, start: int, out: np.ndarray) -> np.ndarray:
+    """Draws ``start`` to ``start + out.size`` of the uniform [0, 1) doubles
+    of the ``(seed, *key)`` stream, written into ``out``; ``start`` is a
+    multiple of 4, as every chunk boundary is."""
+    rng = _generator(seed, *key)
+    # A Philox counter step gives 4 words, and ``random`` takes one word
+    # per double.
+    rng.bit_generator.advance(start // 4)
+    return rng.random(out=out)
 
 
 def _correlate(factors, z0, z1, probe, conj):
@@ -238,49 +318,50 @@ def thinning_loss(
 
 
 class Comoments:
-    """Running count, means and co-moment matrix of ``k`` series, fed one
-    chunk of samples at a time.
+    """Count ``n``, means and co-moment matrix ``m2`` of ``k`` series.
 
     ``m2[i, j]`` is the sum over the samples of the product of series
-    ``i``'s and series ``j``'s deviations from their means. A chunk's own
-    means and co-moments are computed in two passes (its diagonal as
-    ``np.var`` sums it, to the bit), then merged into the running ones by
-    the pairwise update of Chan, Golub & LeVeque, *Am. Stat.* 37, 242
-    (1983): for counts ``n_a``, ``n_b`` and means differing by ``d``,
-    ``m2 = m2_a + m2_b + d d' n_a n_b / (n_a + n_b)``.
+    ``i``'s and series ``j``'s deviations from their means. :meth:`of`
+    computes them for one chunk of samples in two passes (its diagonal as
+    ``np.var`` sums it, to the bit); :meth:`merge` joins two parts by the
+    pairwise update of Chan, Golub & LeVeque, *Am. Stat.* 37, 242 (1983):
+    for counts ``n_a``, ``n_b`` and means differing by ``d``,
+    ``m2 = m2_a + m2_b + d d' n_a n_b / (n_a + n_b)``. Parts merged in one
+    order give the same bits whichever thread computed each.
     """
 
-    def __init__(self, k: int):
-        self.n = 0
-        self.mean = np.zeros(k)
-        self.m2 = np.zeros((k, k))
-        self._dev = np.empty((k, 0))
+    def __init__(self, n: int, mean: np.ndarray, m2: np.ndarray):
+        self.n = n
+        self.mean = mean
+        self.m2 = m2
 
-    def add(self, *rows) -> None:
-        """Fold in one chunk: ``rows`` are the ``k`` series' samples, all of
-        one length. They are read, not changed."""
+    @classmethod
+    def of(cls, *rows) -> "Comoments":
+        """The moments of one chunk: ``rows`` are the ``k`` series' samples,
+        all of one length. Each row is centred in place: it holds its
+        deviations from its mean afterwards."""
         size = rows[0].size
-        if self._dev.shape[1] < size:
-            self._dev = np.empty((len(rows), size))
-        dev = self._dev[:, :size]
         mean = np.empty(len(rows))
         for i, x in enumerate(rows):
             mean[i] = np.add.reduce(x) / size
-            np.subtract(x, mean[i], out=dev[i])
-        # One dot per pair of series, so an entry does not depend on k.
+            x -= mean[i]
+        # One product and one sum per pair of series, so an entry depends
+        # neither on k nor on a BLAS library's thread count.
+        product = np.empty(size)
         m2 = np.empty((len(rows), len(rows)))
-        for i, d in enumerate(dev):
-            m2[i, i] = np.add.reduce(d * d)
-            for j in range(i):
-                m2[i, j] = m2[j, i] = d @ dev[j]
-        if self.n == 0:
-            self.n, self.mean, self.m2 = size, mean, m2
-            return
-        n = self.n + size
-        delta = mean - self.mean
-        self.mean = self.mean + delta * (size / n)
-        self.m2 = self.m2 + m2 + np.outer(delta, delta) * (self.n * size / n)
-        self.n = n
+        for i, d in enumerate(rows):
+            for j in range(i + 1):
+                np.multiply(d, rows[j], out=product)
+                m2[i, j] = m2[j, i] = np.add.reduce(product)
+        return cls(size, mean, m2)
+
+    def merge(self, other: "Comoments") -> "Comoments":
+        """The moments of this part's samples together with ``other``'s."""
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        mean = self.mean + delta * (other.n / n)
+        m2 = self.m2 + other.m2 + np.outer(delta, delta) * (self.n * other.n / n)
+        return Comoments(n, mean, m2)
 
     def var(self) -> np.ndarray:
         """Each series' sample variance (ddof 0, as ``np.var``)."""
@@ -455,17 +536,20 @@ def _bright_pair_checks(m, n, seed):
     expected = apply_loss(m, ch)
     g = detection.optimal_gain(m, ch)
     s_analytic = detection.difference_noise(m, ch, g)
-    # Per chunk: the thinned probe and conjugate, and their difference.
-    acc = Comoments(3)
-    block = np.empty((3, min(n, CHUNK)))
-    for _, lo, size in _chunks(n):
+
+    def thinned(chunk, block):
+        # The thinned probe and conjugate, and their difference.
+        _, lo, size = chunk
         pt, ct, diff = block[:, :size]
         sample_pair(m, size, seed, start=lo, out=(pt, ct))
         thinning_loss(pt, ch.eta_p, seed ^ 0x7A11, start=lo, out=pt)
         thinning_loss(ct, ch.eta_c, seed ^ 0x7A22, start=lo, out=ct)
         np.multiply(ct, g, out=diff)
         np.subtract(pt, diff, out=diff)
-        acc.add(pt, ct, diff)
+        return Comoments.of(pt, ct, diff)
+
+    parts = _map_chunks(thinned, n, partial(np.empty, (3, min(n, CHUNK))))
+    acc = reduce(Comoments.merge, parts)
     mean_p, mean_c, _ = acc.mean
     var_p, var_c, var_diff = acc.var()
     z_diff = _z_var(var_diff, n, s_analytic)
@@ -499,18 +583,27 @@ def _snl_check(bright, n, seed):
     """Coherent-state (shot-noise) linearity: sampled noise vs power must
     sit on a line through the origin and match var = power pointwise."""
     powers = bright * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-    worst_db = 0.0
-    svv = spp = 0.0
-    buf = np.empty(min(n, CHUNK))
-    for k, power in enumerate(powers):
+
+    def variance(k, buf):
+        # One power's samples are one stream, drawn chunk after chunk.
         rng = _generator(seed, 13, k)
-        acc = Comoments(1)
-        for _, _, size in _chunks(n):
+        power = powers[k]
+
+        def chunk(size):
             x = rng.standard_normal(out=buf[:size])
             x *= math.sqrt(power)
             x += power
-            acc.add(x)
-        v = float(acc.var()[0])
+            return Comoments.of(x)
+
+        parts = (chunk(size) for _, _, size in _chunks(n))
+        return float(reduce(Comoments.merge, parts).var()[0])
+
+    worst_db = 0.0
+    svv = spp = 0.0
+    variances = _map_in_order(
+        variance, range(len(powers)), len(powers), partial(np.empty, min(n, CHUNK))
+    )
+    for power, v in zip(powers, variances):
         worst_db = max(worst_db, abs(10.0 * math.log10(v / power)))
         svv += power * v
         spp += power * power
@@ -528,14 +621,19 @@ def _partition_checks(grid, m, n, seed):
     """Sampled quadrants against the analytic quadrant cut, and
     cross-quadrant independence, on one batch."""
     exp = quadrant_cut(m, grid)
-    # Series 2i and 2i + 1 are the probe and conjugate of the i-th quadrant
-    # in QUADRANT_SIGNS order, as sample_photocurrents lays out its block.
-    acc = Comoments(2 * len(QUADRANT_SIGNS))
-    block = np.empty((len(QUADRANT_SIGNS), 2, min(n, CHUNK)))
-    for _, lo, size in _chunks(n):
-        chunk = block[:, :, :size]
-        sample_photocurrents(grid, m, size, seed, start=lo, out=chunk)
-        acc.add(*(x for pair in chunk for x in pair))
+
+    def photocurrents(chunk, block):
+        # Series 2i and 2i + 1 are the probe and conjugate of the i-th
+        # quadrant in QUADRANT_SIGNS order, as sample_photocurrents lays
+        # out its block.
+        _, lo, size = chunk
+        block = block[:, :, :size]
+        sample_photocurrents(grid, m, size, seed, start=lo, out=block)
+        return Comoments.of(*(x for pair in block for x in pair))
+
+    shape = (len(QUADRANT_SIGNS), 2, min(n, CHUNK))
+    parts = _map_chunks(photocurrents, n, partial(np.empty, shape))
+    acc = reduce(Comoments.merge, parts)
     var, cov = acc.var(), acc.cov(ddof=1)
     worst = 0.0
     for p in range(0, len(var), 2):
@@ -590,10 +688,11 @@ def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
     The sampled checks operate in the bright regime, where the
     Gaussian-equivalent thinning model is exact; tolerances are 5 standard
     errors, so a passing suite is overwhelmingly likely to pass again
-    under a different seed. Each sampled check draws its samples one chunk
-    at a time into buffers of one chunk and folds each chunk into running
-    moments, so the suite holds at most a chunk of samples per series,
-    whatever ``n_samples``.
+    under a different seed. Each sampled check reduces its samples one
+    chunk per task on every CPU and merges the chunks' moments in chunk
+    order (the Fock check runs alone first), so its statistics do not
+    depend on the worker count, and the suite holds at most a chunk of
+    samples per series and worker, whatever ``n_samples``.
     """
     n = int(n_samples)
     # Bright reference state: the gain-2 ideal moments scaled up so the

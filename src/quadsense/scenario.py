@@ -29,6 +29,7 @@ a scenario does not import it.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -388,10 +389,12 @@ class SensingChain:
         per point. All pairs share one draw of the ``(seed, 0, chunk)``
         substreams (:func:`montecarlo.sample_pairs`) and one ``(seed, 9, 9)``
         tone, so a pair's curve does not depend on the other pairs swept.
-        The draw goes one chunk at a time into reused buffers, and each
-        pair folds its chunk of ``(d, t)`` into running moments
-        (:class:`montecarlo.Comoments`), so the sweep holds one chunk of
-        samples whatever ``n_samples``.
+        Each chunk is one task on a thread pool: it draws its slice of
+        both streams into one worker's buffers and reduces each pair's
+        ``(d, t)`` to :class:`montecarlo.Comoments`, which are merged in
+        chunk order, so the curves do not depend on the worker count and
+        the sweep holds one chunk of samples per worker whatever
+        ``n_samples``.
         """
         from . import montecarlo
 
@@ -401,23 +404,36 @@ class SensingChain:
             for i, j in pairs
         ]
         gains = [self.reports[i].gain for i, _ in pairs]
-        stats = [montecarlo.Comoments(2) for _ in pairs]
-        rng = montecarlo._generator(seed, 9, 9)
-        width = min(n_samples, montecarlo.CHUNK)
-        tone, draw = np.empty(width), np.empty((4, width))
-        for _, lo, size in montecarlo._chunks(n_samples):
-            # The phases of uniform(0, 2*pi), drawn in place.
-            t = rng.random(out=tone[:size])
+
+        def reduce_chunk(chunk, block):
+            _, lo, size = chunk
+            # The phases of uniform(0, 2*pi), drawn in place: this chunk's
+            # slice of the one tone stream.
+            t = montecarlo._uniforms(seed, 9, 9, start=lo, out=block[0, :size])
             t *= 2.0 * math.pi
             np.sin(t, out=t)
-            chunk = montecarlo.sample_pairs(
-                moments, size, seed, start=lo, out=draw[:, :size]
+            draw = montecarlo.sample_pairs(
+                moments, size, seed, start=lo, out=block[1:, :size]
             )
-            for acc, gain, (p, c) in zip(stats, gains, chunk):
-                # The difference photocurrent p - g*c, formed in p's own buffer.
+            parts = []
+            for gain, (p, c) in zip(gains, draw):
+                # The difference photocurrent p - g*c, formed in p's own
+                # buffer, and a copy of the tone in c's, since both are
+                # centred in place.
                 c *= gain
                 p -= c
-                acc.add(p, t)
+                np.copyto(c, t)
+                parts.append(montecarlo.Comoments.of(p, c))
+            return parts
+
+        stats = functools.reduce(
+            lambda a, b: [x.merge(y) for x, y in zip(a, b)],
+            montecarlo._map_chunks(
+                reduce_chunk,
+                n_samples,
+                functools.partial(np.empty, (5, min(n_samples, montecarlo.CHUNK))),
+            ),
+        )
         curves = []
         for (i, j), acc in zip(pairs, stats):
             (s_off, tone_cov), (_, tone_var) = acc.cov()

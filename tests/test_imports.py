@@ -1,5 +1,6 @@
 """No subcommand imports scipy: the runtime needs only numpy and PyYAML.
-And the benchmark's tracer still finds every quadsense function it hooks.
+The analytic paths load no thread pool. And the benchmark's tracer still
+finds every quadsense function it hooks.
 
 Every case runs in a fresh interpreter, since ``sys.modules`` of the test
 process already holds whatever earlier tests imported.
@@ -76,6 +77,18 @@ def test_subcommand_imports_only_the_scipy_it_runs(tmp_path, module, argv, rcs):
     assert result["rc"] in rcs
     loaded = [m for m in result["modules"] if m == "scipy" or m.startswith("scipy.")]
     assert loaded == []
+
+
+@pytest.mark.parametrize("argv", [[], ["snr-sweep"]], ids=["import", "snr-sweep"])
+def test_analytic_paths_load_no_thread_pool(tmp_path, argv):
+    # Only the sampled oracles run chunks on a thread pool; loading the CLI
+    # and running an analytic subcommand import neither it nor them.
+    if argv:
+        argv = argv + ["--out", str(tmp_path)]
+    result = loaded_after(argv, tmp_path)
+    assert result["rc"] in (None, 0)
+    assert "concurrent.futures" not in result["modules"]
+    assert "quadsense.montecarlo" not in result["modules"]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -1,5 +1,10 @@
+import functools
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from quadsense.montecarlo import (
 from quadsense.source import FwmSourceParams, TwinBeamMoments, build_coherence_grid
 from quadsense.source import fwm_moments
 
+SRC = str(Path(montecarlo.__file__).resolve().parents[1])
 G2_IDEAL = TwinBeamMoments(2.0, 1.0, 6.0, 3.0, 4.0)
 
 
@@ -257,7 +263,117 @@ def test_sampled_snr_sweep_is_pinned(chain):
     assert _digest(curve.voltages, curve.snr) == SAMPLED_SWEEP_SHA
 
 
+SWEEP_DIGEST = """
+import hashlib
+import numpy as np
+from quadsense import scenario
+chain = scenario.build_chain(scenario.load_scenario())
+(curve,) = chain.sampled_snr_sweep([(1, 1)], 20_000, 42)
+h = hashlib.sha256()
+for a in (curve.voltages, curve.snr):
+    h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_sampled_sweep_pin_ignores_blas_threads(tmp_path):
+    # A co-moment taken as a BLAS dot is summed in an order that depends on
+    # the library's thread count, so the pin would hold at one count only.
+    # The variable only sets up the case; the program reads none.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_DIGEST],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == SAMPLED_SWEEP_SHA
+
+
+@pytest.mark.parametrize("lo", [montecarlo.CHUNK, 5 * montecarlo.CHUNK])
+def test_tone_slice_is_the_sequential_draw(lo):
+    # Each chunk task of the sampled sweep jumps to its slice of the one
+    # (seed, 9, 9) tone stream; the slice must be what drawing the stream
+    # from its start gives there.
+    size = montecarlo.CHUNK
+    whole = montecarlo._generator(42, 9, 9).random(lo + size)
+    part = montecarlo._uniforms(42, 9, 9, start=lo, out=np.empty(size))
+    assert np.array_equal(part, whole[lo:])
+
+
 QUADRANT_PAIRS = [(1, 1), (2, 2), (3, 3), (4, 4)]
+
+
+def test_sampled_outputs_do_not_depend_on_the_worker_count(
+    chain, tmp_path, monkeypatch
+):
+    # Chunks are reduced on several threads but merged in chunk order, so
+    # every statistic, curve and artifact has the same bits for any number
+    # of workers. The short last chunk finishes first when it runs beside
+    # the others, so a merge in completion order would show here.
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_workers", lambda tasks: min(workers, tasks))
+        checks = run_verification(2 * montecarlo.CHUNK + 5, seed=77)
+        curves = chain.sampled_snr_sweep(QUADRANT_PAIRS, 3 * montecarlo.CHUNK + 7, 42)
+        out = tmp_path / str(workers)
+        argv = ["fig4", "--seed", "42", "--samples", "200000", "--out", str(out)]
+        assert cli.main(argv) == 0
+        artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((checks, [c.snr.tobytes() for c in curves], artifacts))
+    assert runs[0][2], "fig4 wrote no artifact"
+    for run in runs[1:]:
+        assert run[0] == runs[0][0]
+        assert run[1] == runs[0][1]
+        assert run[2] == runs[0][2]
+
+
+def test_chunk_buffers_stay_private_under_thread_switching(chain, monkeypatch):
+    # More workers than cores, switching threads every microsecond: a
+    # buffer handed to two running tasks at once would mix their chunks.
+    n = 9 * montecarlo.CHUNK + 7
+    monkeypatch.setattr(montecarlo, "_workers", lambda tasks: 1)
+    serial = chain.sampled_snr_sweep(QUADRANT_PAIRS, n, 42)
+    monkeypatch.setattr(montecarlo, "_workers", lambda tasks: min(8, tasks))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = chain.sampled_snr_sweep(QUADRANT_PAIRS, n, 42)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a.snr, b.snr)
+
+
+def test_chunk_tasks_pending_stay_bounded(chain, monkeypatch):
+    # Tasks are submitted at most two per worker ahead of the result
+    # merged next, not all at once: a run of 10^12 samples has 15M chunks.
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    workers = 3
+    monkeypatch.setattr(montecarlo, "_workers", lambda tasks: min(workers, tasks))
+    counts = {"submitted": 0, "read": 0, "most_pending": 0}
+    submit, result = ThreadPoolExecutor.submit, Future.result
+
+    def counting_submit(self, *args, **kwargs):
+        counts["submitted"] += 1
+        pending = counts["submitted"] - counts["read"]
+        counts["most_pending"] = max(counts["most_pending"], pending)
+        return submit(self, *args, **kwargs)
+
+    def counting_result(self, *args, **kwargs):
+        counts["read"] += 1
+        return result(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+    monkeypatch.setattr(Future, "result", counting_result)
+    chain.sampled_snr_sweep(QUADRANT_PAIRS, 64 * montecarlo.CHUNK, 42)
+    assert counts["submitted"] == counts["read"] == 64
+    assert counts["most_pending"] <= 2 * workers, counts
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -328,9 +444,10 @@ def test_covariance_z_score_matches_np_cov():
         var_x, var_y = np.var(x), np.var(y)
         se = math.sqrt((var_x * var_y + cov**2) / n)
         reference = abs(np.cov(x, y)[0, 1] - cov) / se
-        acc = montecarlo.Comoments(2)
-        for _, lo, size in montecarlo._chunks(n):
-            acc.add(x[lo : lo + size], y[lo : lo + size])
+        # Comoments.of centres its rows in place, so it gets copies.
+        chunks = [slice(lo, lo + size) for _, lo, size in montecarlo._chunks(n)]
+        parts = (montecarlo.Comoments.of(x[c].copy(), y[c].copy()) for c in chunks)
+        acc = functools.reduce(montecarlo.Comoments.merge, parts)
         z = montecarlo._z_cov(acc.cov(ddof=1)[0, 1], n, var_x, var_y, cov)
         assert abs(z - reference) <= 1e-12 * reference
 
@@ -345,9 +462,13 @@ def test_comoments_match_two_pass_numpy():
     n = 3 * montecarlo.CHUNK + 5
     p, c = sample_pair(BRIGHT, n, seed=21)
     x = np.stack([p, c, p - 0.6 * c])
-    acc = montecarlo.Comoments(3)
-    for _, lo, size in montecarlo._chunks(n):
-        acc.add(*x[:, lo : lo + size])
+    acc = functools.reduce(
+        montecarlo.Comoments.merge,
+        (
+            montecarlo.Comoments.of(*x[:, lo : lo + size].copy())
+            for _, lo, size in montecarlo._chunks(n)
+        ),
+    )
     assert acc.n == n
     np.testing.assert_allclose(acc.mean, np.mean(x, axis=1), rtol=1e-12, atol=0.0)
     var = np.var(x, axis=1)
