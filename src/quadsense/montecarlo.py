@@ -33,8 +33,8 @@ pool with one worker per CPU this process may use (:func:`_map_in_order`),
 and their results are merged in task order, so every statistic is the same
 to the bit for any worker count, and no reduction goes through a BLAS call
 whose result could depend on its library's thread count. The oracles hold
-one chunk of samples per worker, about 4.5 MB for the widest block,
-whatever their sample count. Where :func:`run_verification` calls one
+one chunk of buffers per worker, about 5 MB for the widest block and its
+temporaries, whatever their sample count. Where :func:`run_verification` calls one
 sampler more than once, it XORs the seed with a constant, so no two checks
 share a stream.
 """

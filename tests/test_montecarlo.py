@@ -513,14 +513,24 @@ def _peak_traced_bytes(run):
         tracemalloc.stop()
 
 
-def test_sampled_paths_hold_one_chunk_whatever_n(chain):
-    # Sixteen chunks of samples need no more memory than two: within one
-    # chunk of the widest block, the partition check's eight series.
+def test_sampled_paths_hold_one_chunk_whatever_n(chain, monkeypatch):
+    # At one worker, sixteen chunks of samples need no more memory than
+    # two: within one chunk of the widest block, the partition check's
+    # eight series. Each added worker holds one more buffer set, at most
+    # those eight rows and a row of temporaries, with a row to spare:
+    # never one set per task.
     small, large = 2 * montecarlo.CHUNK + 1, 16 * montecarlo.CHUNK + 1
-    one_chunk = 8 * montecarlo.CHUNK * 8
+    row = montecarlo.CHUNK * 8
+    one_chunk, per_worker = 8 * row, 10 * row
     for run in (
         lambda n: run_verification(n, seed=77),
         lambda n: chain.sampled_snr_sweep(QUADRANT_PAIRS, n, 42),
     ):
-        peaks = [_peak_traced_bytes(lambda: run(n)) for n in (small, large)]
-        assert peaks[1] - peaks[0] <= one_chunk, peaks
+        peaks = {}
+        for workers, n in ((1, small), (1, large), (4, large)):
+            monkeypatch.setattr(
+                montecarlo, "_workers", lambda tasks: min(workers, tasks)
+            )
+            peaks[workers, n] = _peak_traced_bytes(lambda: run(n))
+        assert peaks[1, large] - peaks[1, small] <= one_chunk, peaks
+        assert peaks[4, large] - peaks[1, large] <= 3 * per_worker, peaks
