@@ -298,8 +298,11 @@ def main(argv=None) -> int:
             args.seed = scenario.seed
         if args.seed < 0:
             raise ValidationError("--seed must be >= 0")
-        if args.samples <= 0:
-            raise ValidationError("--samples must be positive")
+        if args.samples < 2:
+            raise ValidationError(
+                f"--samples {args.samples} is below 2; a sample variance needs "
+                f"two samples"
+            )
         if args.samples > MAX_SAMPLES:
             raise ValidationError(
                 f"--samples {args.samples} is above the cap of {MAX_SAMPLES:.0e}"

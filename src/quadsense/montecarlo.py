@@ -7,36 +7,29 @@ use), binomial-equivalent thinning for the loss map, and a truncated-Fock
 construction of the seeded two-mode squeezer, exponentiated one
 photon-difference block at a time.
 
-Randomness is counter-based: every draw owns an independent Philox
-substream, keyed by a seed and a spawn key whose first word names the
-sampler:
+Randomness is counter-based (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC '11): each chunk of :data:`CHUNK` = 2^16 samples of a
+draw owns an independent Philox substream, keyed by a seed and a spawn key
+``(sampler, ..., chunk)``:
 
 - ``(seed, 0, chunk)``: :func:`sample_pairs` and :func:`sample_pair`. The
   four quadrant pairs of :meth:`scenario.SensingChain.sampled_snr_sweep`
   are transformed from one draw of these streams;
 - ``(seed, 1, chunk)``: :func:`thinning_loss`;
 - ``(seed, 2, quadrant, chunk)``: :func:`sample_photocurrents`;
-- ``(seed, 9, 9)``: the drive-tone phases of
-  :meth:`scenario.SensingChain.sampled_snr_sweep`, drawn once and shared by
-  its four quadrant sweeps. It is one stream, not one per chunk: a chunk
-  jumps to its slice (:func:`_uniforms`);
-- ``(seed, 13, k)``: the ``k``-th swept power of the ``snl_linearity`` check.
+- ``(seed, 9, chunk)``: :func:`sample_tone`, that sweep's drive tone;
+- ``(seed, 13, k, chunk)``: the ``k``-th power of the ``snl_linearity`` check.
 
-Each chunk of :data:`CHUNK` = 2^16 samples has its own substream. A
-sampler's ``start`` is the first sample of the window it draws, a multiple
-of :data:`CHUNK`, so a run drawn one chunk at a time gets the samples of
-one call over the whole run. The oracles draw that way, one task per chunk
-(per swept power for the ``snl_linearity`` check, whose powers are single
-streams): a task draws its chunk into one worker's buffers and reduces it
-to means and co-moments (:class:`Comoments`). The tasks run on a thread
-pool with one worker per CPU this process may use (:func:`_map_in_order`),
-and their results are merged in task order, so every statistic is the same
-to the bit for any worker count, and no reduction goes through a BLAS call
-whose result could depend on its library's thread count. The oracles hold
-one chunk of buffers per worker, about 5 MB for the widest block and its
-temporaries, whatever their sample count. Where :func:`run_verification` calls one
-sampler more than once, it XORs the seed with a constant, so no two checks
-share a stream.
+A sampler's ``start`` is the first sample of the window it draws, a
+multiple of :data:`CHUNK`, so a run drawn one chunk at a time gets the
+samples of one call over the whole run. Every oracle draws that way, in
+:func:`fold_chunks`: it reduces each chunk to means and co-moments
+(:class:`Comoments`) on one thread per CPU this process may use, and
+merges them in chunk order, so every statistic has the same bits for any
+worker count, and none goes through a BLAS call. The oracles hold one
+chunk of buffers per worker, about 5 MB, whatever their sample count.
+Where :func:`run_verification` calls one sampler more than once, it XORs
+the seed with a constant, so no two checks share a stream.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import partial, reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -63,7 +56,9 @@ __all__ = [
     "sample_photocurrents",
     "sample_pairs",
     "sample_pair",
+    "sample_tone",
     "thinning_loss",
+    "fold_chunks",
     "Comoments",
     "fock_two_mode_squeezer_moments",
     "stimulated_fock_moments",
@@ -116,57 +111,82 @@ def _chunks(n: int, start: int = 0):
     )
 
 
+# cgroup files that may cap this process's CPU time: v2's "quota period"
+# line, and v1's quota and period, in microseconds. They are only read.
+CPU_MAX = "/sys/fs/cgroup/cpu.max"
+CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
+CFS_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
+
+
 def _workers(tasks: int) -> int:
-    """Threads for ``tasks`` tasks: one per CPU this process may run on, at
-    most one per task."""
+    """Threads for ``tasks`` tasks: one per CPU this process may run on,
+    no more than its cgroup CPU quota grants, rounded up, and at most one
+    per task. A quota of ``max`` or ``-1``, or no quota file, caps
+    nothing."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
+    try:
+        try:
+            quota, period = map(int, Path(CPU_MAX).read_text().split())
+        except OSError:
+            quota, period = (int(Path(f).read_text()) for f in (CFS_QUOTA, CFS_PERIOD))
+        if quota > 0 and period > 0:
+            cpus = min(cpus, -(-quota // period))
+    except (OSError, ValueError):  # no quota file, or v2's "max"
+        pass
     return max(1, min(cpus, tasks))
 
 
-def _map_in_order(task, items, count: int, scratch):
-    """``task(item, buffers)`` of each of the ``count`` ``items``, yielded
-    in item order.
+def fold_chunks(task, n: int, rows: int) -> list:
+    """The :class:`Comoments` of ``n`` samples, folded chunk by chunk.
 
-    The tasks run on :func:`_workers` threads. Each thread's ``buffers``
-    are one ``scratch()``, all of them allocated before the first task
-    starts, and a task may overwrite them. At most two tasks per thread are
-    submitted ahead of the result yielded next, so the results pending stay
-    few however many items there are. NumPy's random fills and ufuncs
-    release the interpreter lock, so the threads draw in parallel.
+    ``task(chunk, block)`` draws one chunk, a ``(substream, lo, size)`` of
+    :func:`_chunks`, into the first ``size`` columns of ``block``, a
+    ``(rows, min(n, CHUNK))`` array it may overwrite, and returns a list of
+    :class:`Comoments`. The lists of all chunks are merged item by item in
+    chunk order and returned, so the result has the same bits whichever
+    thread reduced each chunk.
+
+    The tasks run on :func:`_workers` threads, each with one block
+    allocated before the first task starts. At most two tasks per thread
+    are submitted ahead of the chunk merged next, however many chunks
+    there are. NumPy's random fills and ufuncs release the interpreter
+    lock, so the threads draw in parallel.
     """
     import queue
     from concurrent.futures import ThreadPoolExecutor  # local: cli starts no pool
 
-    workers = _workers(count)
+    workers = _workers(_n_chunks(n))
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put(scratch())
+        free.put(np.empty((rows, min(n, CHUNK))))
 
-    def run(item):
-        # At most ``workers`` tasks run at once, so a set is always free.
-        buffers = free.get()
+    def run(chunk):
+        # At most ``workers`` tasks run at once, so a block is always free.
+        block = free.get()
         try:
-            return task(item, buffers)
+            return task(chunk, block)
         finally:
-            free.put(buffers)
+            free.put(block)
 
+    acc = None
     pending = deque()
+
+    def merge_next():
+        nonlocal acc
+        parts = pending.popleft().result()
+        acc = parts if acc is None else [a.merge(b) for a, b in zip(acc, parts)]
+
     with ThreadPoolExecutor(workers) as pool:
-        for item in items:
+        for chunk in _chunks(n):
             if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(run, item))
+                merge_next()
+            pending.append(pool.submit(run, chunk))
         while pending:
-            yield pending.popleft().result()
-
-
-def _map_chunks(task, n: int, scratch):
-    """:func:`_map_in_order` over the chunks of ``n`` samples, each item a
-    ``(substream, lo, size)`` of :func:`_chunks`."""
-    return _map_in_order(task, _chunks(n), _n_chunks(n), scratch)
+            merge_next()
+    return acc
 
 
 def _normals(n: int, seed: int, *key, start: int = 0, out=None):
@@ -183,17 +203,6 @@ def _normals(n: int, seed: int, *key, start: int = 0, out=None):
         rng.standard_normal(out=z0[lo : lo + size])
         rng.standard_normal(out=z1[lo : lo + size])
     return z0, z1
-
-
-def _uniforms(seed: int, *key, start: int, out: np.ndarray) -> np.ndarray:
-    """Draws ``start`` to ``start + out.size`` of the uniform [0, 1) doubles
-    of the ``(seed, *key)`` stream, written into ``out``; ``start`` is a
-    multiple of 4, as every chunk boundary is."""
-    rng = _generator(seed, *key)
-    # A Philox counter step gives 4 words, and ``random`` takes one word
-    # per double.
-    rng.bit_generator.advance(start // 4)
-    return rng.random(out=out)
 
 
 def _correlate(factors, z0, z1, probe, conj):
@@ -273,6 +282,17 @@ def sample_pair(
     written into the pair of arrays ``out`` if it is given."""
     z0, z1 = _normals(n, seed, 0, start=start, out=out)
     return _correlate(_factors(m), z0, z1, z0, z1)
+
+
+def sample_tone(n: int, seed: int, start: int = 0, out=None) -> np.ndarray:
+    """``sin(2*pi*u)`` of samples ``start`` to ``start + n`` of the uniform
+    [0, 1) doubles ``u`` of the ``(seed, 9, chunk)`` substreams: a unit
+    sinusoid at uniform random phases, written into ``out`` if given."""
+    t = np.empty(n) if out is None else out
+    for k, lo, size in _chunks(n, start):
+        _generator(seed, 9, k).random(out=t[lo : lo + size])
+    t *= 2.0 * math.pi
+    return np.sin(t, out=t)
 
 
 def thinning_loss(
@@ -546,10 +566,9 @@ def _bright_pair_checks(m, n, seed):
         thinning_loss(ct, ch.eta_c, seed ^ 0x7A22, start=lo, out=ct)
         np.multiply(ct, g, out=diff)
         np.subtract(pt, diff, out=diff)
-        return Comoments.of(pt, ct, diff)
+        return [Comoments.of(pt, ct, diff)]
 
-    parts = _map_chunks(thinned, n, partial(np.empty, (3, min(n, CHUNK))))
-    acc = reduce(Comoments.merge, parts)
+    (acc,) = fold_chunks(thinned, n, 3)
     mean_p, mean_c, _ = acc.mean
     var_p, var_c, var_diff = acc.var()
     z_diff = _z_var(var_diff, n, s_analytic)
@@ -584,26 +603,21 @@ def _snl_check(bright, n, seed):
     sit on a line through the origin and match var = power pointwise."""
     powers = bright * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 
-    def variance(k, buf):
-        # One power's samples are one stream, drawn chunk after chunk.
-        rng = _generator(seed, 13, k)
-        power = powers[k]
-
-        def chunk(size):
-            x = rng.standard_normal(out=buf[:size])
+    def shot_noise(chunk, block):
+        # Row k holds this chunk of the k-th power's samples.
+        substream, _, size = chunk
+        parts = []
+        for k, (power, x) in enumerate(zip(powers, block[:, :size])):
+            _generator(seed, 13, k, substream).standard_normal(out=x)
             x *= math.sqrt(power)
             x += power
-            return Comoments.of(x)
-
-        parts = (chunk(size) for _, _, size in _chunks(n))
-        return float(reduce(Comoments.merge, parts).var()[0])
+            parts.append(Comoments.of(x))
+        return parts
 
     worst_db = 0.0
     svv = spp = 0.0
-    variances = _map_in_order(
-        variance, range(len(powers)), len(powers), partial(np.empty, min(n, CHUNK))
-    )
-    for power, v in zip(powers, variances):
+    for power, acc in zip(powers, fold_chunks(shot_noise, n, len(powers))):
+        v = float(acc.var()[0])
         worst_db = max(worst_db, abs(10.0 * math.log10(v / power)))
         svv += power * v
         spp += power * power
@@ -627,13 +641,11 @@ def _partition_checks(grid, m, n, seed):
         # quadrant in QUADRANT_SIGNS order, as sample_photocurrents lays
         # out its block.
         _, lo, size = chunk
-        block = block[:, :, :size]
-        sample_photocurrents(grid, m, size, seed, start=lo, out=block)
-        return Comoments.of(*(x for pair in block for x in pair))
+        out = block.reshape(len(QUADRANT_SIGNS), 2, -1)[:, :, :size]
+        sample_photocurrents(grid, m, size, seed, start=lo, out=out)
+        return [Comoments.of(*block[:, :size])]
 
-    shape = (len(QUADRANT_SIGNS), 2, min(n, CHUNK))
-    parts = _map_chunks(photocurrents, n, partial(np.empty, shape))
-    acc = reduce(Comoments.merge, parts)
+    (acc,) = fold_chunks(photocurrents, n, 2 * len(QUADRANT_SIGNS))
     var, cov = acc.var(), acc.cov(ddof=1)
     worst = 0.0
     for p in range(0, len(var), 2):
@@ -688,11 +700,10 @@ def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
     The sampled checks operate in the bright regime, where the
     Gaussian-equivalent thinning model is exact; tolerances are 5 standard
     errors, so a passing suite is overwhelmingly likely to pass again
-    under a different seed. Each sampled check reduces its samples one
-    chunk per task on every CPU and merges the chunks' moments in chunk
-    order (the Fock check runs alone first), so its statistics do not
-    depend on the worker count, and the suite holds at most a chunk of
-    samples per series and worker, whatever ``n_samples``.
+    under a different seed. Each sampled check is one
+    :func:`fold_chunks`, so its statistics do not depend on the worker
+    count, and it holds one chunk of samples per series and worker,
+    whatever ``n_samples``.
     """
     n = int(n_samples)
     # Bright reference state: the gain-2 ideal moments scaled up so the

@@ -29,7 +29,6 @@ a scenario does not import it.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -136,7 +135,7 @@ SCHEMA = {
         "residual_db": (FINITE, 4),
         "threshold_targets_mv": (POSITIVE, 4),
         # Still written by perfbench's scenario generator; it goes with the
-        # harness refresh of ROADMAP item 4.
+        # harness refresh of ROADMAP item 1.
         "gain_bound": None,
     },
     "sweep": {"voltages_mv": (_Number("[0, inf)"), None)},
@@ -387,14 +386,13 @@ class SensingChain:
         ``var(d + amp*t) = var(d) + 2*amp*cov(d, t) + amp**2 * var(t)``
         (all with ddof 0), so each pair reduces its samples once, not once
         per point. All pairs share one draw of the ``(seed, 0, chunk)``
-        substreams (:func:`montecarlo.sample_pairs`) and one ``(seed, 9, 9)``
-        tone, so a pair's curve does not depend on the other pairs swept.
-        Each chunk is one task on a thread pool: it draws its slice of
-        both streams into one worker's buffers and reduces each pair's
-        ``(d, t)`` to :class:`montecarlo.Comoments`, which are merged in
-        chunk order, so the curves do not depend on the worker count and
-        the sweep holds one chunk of samples per worker whatever
-        ``n_samples``.
+        substreams (:func:`montecarlo.sample_pairs`) and of the
+        ``(seed, 9, chunk)`` tone (:func:`montecarlo.sample_tone`), so a
+        pair's curve does not depend on the other pairs swept. The draws
+        are reduced chunk by chunk to :class:`montecarlo.Comoments` by
+        :func:`montecarlo.fold_chunks`, so the curves do not depend on the
+        worker count and the sweep holds one chunk of samples per worker
+        whatever ``n_samples``.
         """
         from . import montecarlo
 
@@ -407,11 +405,7 @@ class SensingChain:
 
         def reduce_chunk(chunk, block):
             _, lo, size = chunk
-            # The phases of uniform(0, 2*pi), drawn in place: this chunk's
-            # slice of the one tone stream.
-            t = montecarlo._uniforms(seed, 9, 9, start=lo, out=block[0, :size])
-            t *= 2.0 * math.pi
-            np.sin(t, out=t)
+            t = montecarlo.sample_tone(size, seed, start=lo, out=block[0, :size])
             draw = montecarlo.sample_pairs(
                 moments, size, seed, start=lo, out=block[1:, :size]
             )
@@ -426,14 +420,7 @@ class SensingChain:
                 parts.append(montecarlo.Comoments.of(p, c))
             return parts
 
-        stats = functools.reduce(
-            lambda a, b: [x.merge(y) for x, y in zip(a, b)],
-            montecarlo._map_chunks(
-                reduce_chunk,
-                n_samples,
-                functools.partial(np.empty, (5, min(n_samples, montecarlo.CHUNK))),
-            ),
-        )
+        stats = montecarlo.fold_chunks(reduce_chunk, n_samples, 5)
         curves = []
         for (i, j), acc in zip(pairs, stats):
             (s_off, tone_cov), (_, tone_var) = acc.cov()

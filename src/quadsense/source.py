@@ -255,12 +255,11 @@ def _ndtr(a):
 def _interval_weights(edges_lo, edges_hi, sigma):
     """Gaussian power in [lo, hi] per axis for a centered beam.
 
-    This is the one evaluator of Gaussian interval power. The bounds
-    broadcast against ``sigma``, and both ends go through :func:`_ndtr`, the
-    numpy port of the Cephes normal CDF, in one call. On [-40, 40] it agrees
-    with ``scipy.special.ndtr`` to 6e-16 relative wherever scipy's value
-    is at least 1e-300, and to the bit except where numpy's ``exp`` and
-    the C library's round an ``exp(-x^2)`` differently.
+    The bounds broadcast against ``sigma``, and both ends go through
+    :func:`_ndtr`, the numpy port of the Cephes normal CDF, in one call. On
+    [-40, 40] it agrees with ``scipy.special.ndtr`` to 6e-16 relative
+    wherever scipy's value is at least 1e-300, and to the bit except where
+    numpy's ``exp`` and the C library's round an ``exp(-x^2)`` differently.
     """
     hi, lo = np.broadcast_arrays(edges_hi / sigma, edges_lo / sigma)
     cdf = _ndtr(np.stack((hi, lo)))

@@ -244,7 +244,7 @@ def _digest(*arrays):
 # cut moments or channel changes that pin too.
 PHOTOCURRENTS_SHA = "1edc3a4b251967907b37003764aa1b0ed1bb50d2de6cc3f49ae21b5accc32631"
 PAIR_SHA = "40b81ed18cdd1c08edeb0feccae0174b50ad57ccb489d23494f6b9b0964d4136"
-SAMPLED_SWEEP_SHA = "ffccac2dc9ec8ebdab913539d1a37049dd3b179efd49d5f971927023b65e7388"
+SAMPLED_SWEEP_SHA = "1b37d4ff9b81f5687e8a7ccc8ab9effd66ebdc1f9b78ae5d85addd6fbc8eb7aa"
 
 
 def test_photocurrent_stream_is_pinned():
@@ -292,17 +292,6 @@ def test_sampled_sweep_pin_ignores_blas_threads(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-1] == SAMPLED_SWEEP_SHA
-
-
-@pytest.mark.parametrize("lo", [montecarlo.CHUNK, 5 * montecarlo.CHUNK])
-def test_tone_slice_is_the_sequential_draw(lo):
-    # Each chunk task of the sampled sweep jumps to its slice of the one
-    # (seed, 9, 9) tone stream; the slice must be what drawing the stream
-    # from its start gives there.
-    size = montecarlo.CHUNK
-    whole = montecarlo._generator(42, 9, 9).random(lo + size)
-    part = montecarlo._uniforms(42, 9, 9, start=lo, out=np.empty(size))
-    assert np.array_equal(part, whole[lo:])
 
 
 QUADRANT_PAIRS = [(1, 1), (2, 2), (3, 3), (4, 4)]
@@ -394,7 +383,14 @@ def test_sampled_sweep_noise_is_the_sample_variance(chain, monkeypatch, seed):
     voltages = chain.scenario.sweep_voltages_mv
     assert len(recorded) == len(QUADRANT_PAIRS) * len(voltages)
 
-    tone = np.sin(montecarlo._generator(seed, 9, 9).uniform(0.0, 2.0 * math.pi, n))
+    tone = np.sin(
+        np.concatenate(
+            [
+                montecarlo._generator(seed, 9, k).uniform(0.0, 2.0 * math.pi, size)
+                for k, _, size in montecarlo._chunks(n)
+            ]
+        )
+    )
     points = iter(recorded)
     for q, _ in QUADRANT_PAIRS:
         m = apply_loss(chain.pair_moments(q, q), chain.pair_channel(q))
@@ -406,6 +402,42 @@ def test_sampled_sweep_noise_is_the_sample_variance(chain, monkeypatch, seed):
             assert s_off == np.var(diff)
             reference = np.var(diff + amp * tone)
             assert abs(s_on - reference) <= 1e-12 * reference, (q, v)
+
+
+def test_snl_linearity_is_the_sample_variance_of_its_draws():
+    # The statistic from numpy's variance of each power's samples, drawn
+    # chunk by chunk from the (seed, 13, k, chunk) substreams.
+    n, seed, bright = 2 * montecarlo.CHUNK + 5, 31, 1e4
+    powers = bright * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+    variances = []
+    for k, power in enumerate(powers):
+        z = np.concatenate(
+            [
+                montecarlo._generator(seed, 13, k, chunk).standard_normal(size)
+                for chunk, _, size in montecarlo._chunks(n)
+            ]
+        )
+        variances.append(np.var(z * math.sqrt(power) + power))
+    variances = np.array(variances)
+    worst_db = np.max(np.abs(10.0 * np.log10(variances / powers)))
+    slope_db = abs(10.0 * math.log10(np.sum(powers * variances) / np.sum(powers**2)))
+    reference = max(worst_db, slope_db)
+    statistic = montecarlo._snl_check(bright, n, seed).statistic
+    assert abs(statistic - reference) <= 1e-9 * reference
+
+
+def test_tone_draws_each_chunk_from_its_own_substream():
+    # Chunk k of the tone is sin of the uniform phases of (seed, 9, k), so
+    # a chunk task draws its slice without reading the chunks before it.
+    n = 2 * montecarlo.CHUNK + 7
+    phases = [
+        montecarlo._generator(5, 9, k).uniform(0.0, 2.0 * math.pi, size)
+        for k, _, size in montecarlo._chunks(n)
+    ]
+    tone = montecarlo.sample_tone(n, seed=5)
+    assert np.array_equal(tone, np.sin(np.concatenate(phases)))
+    part = montecarlo.sample_tone(7, seed=5, start=2 * montecarlo.CHUNK)
+    assert np.array_equal(part, np.sin(phases[-1]))
 
 
 def test_sampled_sweep_pairs_share_no_state(chain):
@@ -429,7 +461,7 @@ def test_fig4_draws_each_sweep_stream_once(tmp_path, monkeypatch):
     monkeypatch.setattr(montecarlo, "_generator", recording_generator)
     argv = ["fig4", "--seed", "42", "--samples", "2000", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert sorted(opened) == [(42, 0, 0), (42, 9, 9)]
+    assert sorted(opened) == [(42, 0, 0), (42, 9, 0)]
 
 
 def test_covariance_z_score_matches_np_cov():
@@ -534,3 +566,30 @@ def test_sampled_paths_hold_one_chunk_whatever_n(chain, monkeypatch):
             peaks[workers, n] = _peak_traced_bytes(lambda: run(n))
         assert peaks[1, large] - peaks[1, small] <= one_chunk, peaks
         assert peaks[4, large] - peaks[1, large] <= 3 * per_worker, peaks
+
+
+@pytest.mark.parametrize(
+    "files, expected",
+    [
+        ({"cpu.max": "200000 100000\n"}, 2),
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "max 100000\n"}, 8),
+        ({"cfs_quota_us": "200000\n", "cfs_period_us": "100000\n"}, 2),
+        ({"cfs_quota_us": "-1\n", "cfs_period_us": "100000\n"}, 8),
+        ({}, 8),
+    ],
+)
+def test_workers_follow_the_cgroup_cpu_quota(tmp_path, monkeypatch, files, expected):
+    # An 8-CPU affinity mask, capped by a cgroup v2 or v1 quota rounded up
+    # to whole CPUs; no quota, or no quota file, leaves the mask's count.
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    eight = set(range(8))
+    monkeypatch.setattr(
+        montecarlo.os, "sched_getaffinity", lambda pid: eight, raising=False
+    )
+    monkeypatch.setattr(montecarlo, "CPU_MAX", str(tmp_path / "cpu.max"))
+    monkeypatch.setattr(montecarlo, "CFS_QUOTA", str(tmp_path / "cfs_quota_us"))
+    monkeypatch.setattr(montecarlo, "CFS_PERIOD", str(tmp_path / "cfs_period_us"))
+    assert montecarlo._workers(100) == expected
+    assert montecarlo._workers(1) == 1

@@ -489,6 +489,18 @@ def test_cli_too_many_samples_is_validation_error(tmp_path, capsys, cmd, samples
 
 
 @pytest.mark.parametrize("cmd", ["fig4", "verify"])
+@pytest.mark.parametrize("samples", [1, 0, -5])
+def test_cli_too_few_samples_is_validation_error(tmp_path, capsys, cmd, samples):
+    # A sample variance needs two samples: one would score NaN or fail.
+    out = tmp_path / "out"
+    assert run_cli(cmd, "--samples", str(samples), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1, err
+    assert f"--samples {samples} " in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["fig4", "verify"])
 def test_cli_samples_out_of_memory_is_validation_error(tmp_path, capsys, monkeypatch, cmd):
     from quadsense import montecarlo
 
@@ -635,7 +647,7 @@ ARTIFACT_SHA = {
     "beam_curve.csv": "c34bddd58bc88048542c0fd2b3325ef1d5eda2671d25306c2bac8c7bbf6cd83c",
     "enhancement.json": "13eafc8d4ba06335c8d0001402c6d03daebc7e1ad533027df14c0b5054a2d208",
     "fig3.csv": "ceaa5e348b1c04baebed2ea5ccc9e1d94fdb5b5b9483a42a841abc7d23c03f20",
-    "fig4_enhancement.json": "40e0e89f7726d7ef966ad31996c4683b4416b14282b43f0b3a8c77afe976b707",
+    "fig4_enhancement.json": "c96781b0491a8f9f8faa8fd4315da5ada8b2023f5b3c14dcce4de89fd14e05af",
     "fig4_sweep.csv": "e22383b9fe106087efb689aebfb715e9deb964f52645c1406a23ff4abde4a503",
     "resonance_scan.csv": "98b9f4082f5f68fcfaecc911591bfbdfd403736f477319dd6fbeb6dc571846ac",
     "snr_sweep.csv": "6d5a73871f70d5fb794a42c2e32698d4f9dba67dd602d3a770f580c661f33353",
