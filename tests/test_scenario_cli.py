@@ -665,6 +665,16 @@ def test_default_scenario_artifacts_are_pinned(tmp_path):
     assert digests == ARTIFACT_SHA
 
 
+# sha256 of `verify --samples 20000` at the packaged scenario's seed.
+VERIFY_SHA = "29bbea0311d16f904ef803996eedefd26bc112f05365d6d09a245acc3be1091d"
+
+
+def test_verify_report_is_pinned(tmp_path):
+    assert run_cli("verify", "--samples", "20000", "--out", str(tmp_path)) == 0
+    digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
+    assert digest == VERIFY_SHA
+
+
 def test_artifacts_do_not_depend_on_the_operating_point(tmp_path):
     # Each signal is the floor times (V / threshold target)^2, so neither
     # the operating wavelength nor the resonance shapes reach a calibrated
