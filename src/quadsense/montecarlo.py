@@ -712,7 +712,7 @@ def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
     bright = 1e4
     m = TwinBeamMoments(2 * bright, bright, 6 * bright, 3 * bright, 4 * bright)
     # Coarse verification grid for the sampled and analytic partition checks.
-    grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
+    grid = build_coherence_grid(16.0, 16.0, 8.0)
     return [
         _fock_check(),
         *_bright_pair_checks(m, n, seed),

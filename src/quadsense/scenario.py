@@ -9,10 +9,10 @@ chain, every step in closed form:
 1. the source gain, its uncorrelated excess noise and the imaging-path
    transmission, solved stage by stage from the three staged squeezing
    targets. The post-cut stage reads the covariance share a quadrant keeps
-   from the quadrant cut of the declared grid; the grid is centered on
-   both beams, so one cut gives every quadrant's moments. The expected
-   post-sensor squeezing and attenuation are predictions, reported as
-   residuals, not fitted;
+   from the quadrant cut of the coherence grid of the declared cell size;
+   the grid is centered on both beams, so one cut gives every quadrant's
+   moments. The expected post-sensor squeezing and attenuation are
+   predictions, reported as residuals, not fitted;
 2. per-quadrant probe transmission solved from the measured residual
    squeezing levels;
 3. a transduction gate: every sensor must transmit light and have a
@@ -120,7 +120,7 @@ SCHEMA = {
         "tilt_deg": _Number("[0, 90)"),
         "mask_transmission": _Number("[0, 1]", 0.90),
     },
-    "coherence": {"extent_um": POSITIVE, "cell_um": POSITIVE},
+    "coherence": {"extent_um": None, "cell_um": POSITIVE},
     "detector": {"quantum_efficiency": _Number("[0, 1]", 0.95)},
     "resonances": (RESONANCE, 4),
     "modulation": {"frequency_hz": POSITIVE},
@@ -134,8 +134,9 @@ SCHEMA = {
         },
         "residual_db": (FINITE, 4),
         "threshold_targets_mv": (POSITIVE, 4),
-        # Still written by perfbench's scenario generator; it goes with the
-        # harness refresh of ROADMAP item 1.
+        # Still written by perfbench's scenario generator, as is
+        # coherence.extent_um (the grid's reach follows from the waists);
+        # both go with the harness refresh of ROADMAP item 1.
         "gain_bound": None,
     },
     "sweep": {"voltages_mv": (_Number("[0, inf)"), None)},
@@ -198,7 +199,6 @@ class Scenario:
     waist_c_um: float
     layout: QuadrantLayout
     mask_transmission: float
-    extent_um: float
     cell_um: float
     quantum_efficiency: float
     resonances: tuple[EOTResonance, ...]
@@ -221,17 +221,8 @@ class Scenario:
                 f"scenario key coherence.cell_um {coh['cell_um']:g} must be smaller "
                 f"than the beam waists ({waist_p:g}, {waist_c:g} um)"
             )
-        if coh["extent_um"] < 4.0 * max(waist_p, waist_c) - 1e-9:
-            raise ValidationError(
-                f"scenario key coherence.extent_um {coh['extent_um']:g} must cover "
-                f"at least 4 waists ({waist_p:g}, {waist_c:g} um)"
-            )
-        try:
-            _half_cells(waist_p, waist_c, coh["cell_um"], coh["extent_um"])
-        except ValidationError as exc:
-            raise ValidationError(
-                f"scenario keys coherence.cell_um and coherence.extent_um: {exc}"
-            ) from None
+        # A grid too fine to build fails at load, not in calibration.
+        _half_cells(waist_p, waist_c, coh["cell_um"])
         for i, r in enumerate(v["resonances"]):
             if not plasmonic.linewidth_evaluable(r["fwhm_nm"]):
                 raise ValidationError(
@@ -260,7 +251,6 @@ class Scenario:
             waist_c_um=waist_c,
             layout=QuadrantLayout(lay["window_um"], lay["gap_um"], lay["tilt_deg"]),
             mask_transmission=lay["mask_transmission"],
-            extent_um=coh["extent_um"],
             cell_um=coh["cell_um"],
             quantum_efficiency=v["detector"]["quantum_efficiency"],
             resonances=resonances,
@@ -279,8 +269,13 @@ def load_scenario(path=None) -> Scenario:
         ref = resources.files("quadsense").joinpath("data/default_scenario.yaml")
         text = ref.read_text(encoding="utf-8")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"malformed scenario YAML: not UTF-8 text ({exc.reason})"
+            ) from None
     try:
         cfg = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -288,6 +283,8 @@ def load_scenario(path=None) -> Scenario:
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
         raise ValidationError(f"malformed scenario YAML{where}: {problem}") from None
+    except RecursionError:
+        raise ValidationError("malformed scenario YAML: nested too deeply to parse") from None
     return Scenario.from_dict(cfg)
 
 
@@ -533,9 +530,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
         for label in STAGES
     ]
 
-    grid = build_coherence_grid(
-        scenario.waist_p_um, scenario.waist_c_um, scenario.cell_um, scenario.extent_um
-    )
+    grid = build_coherence_grid(scenario.waist_p_um, scenario.waist_c_um, scenario.cell_um)
     # The covariance share a quadrant keeps: the cut of unit moments.
     k = quadrant_cut(TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0), grid).cov
     gain, eta_optics, feasible = _solve_stages(*ratios, k)

@@ -1,6 +1,7 @@
 """Seeded twin-beam source model: photon-statistics moments and the grid of
 independently correlated coherence cells they are partitioned over, stored
-as one half axis because the grid is centered on both beams.
+as one half axis because the grid is centered on both beams. The cell size
+is the grid's one input; the beams' waists set how far it reaches.
 
 Intensities are expressed as mean photon number per analysis interval, so a
 coherent beam has variance equal to its mean. The `gain` parameter is the
@@ -79,7 +80,9 @@ class CoherenceGrid:
     half axis per beam: the power of the whole cells
     ``[(k - 1/2) d, (k + 1/2) d]`` for ``k = 1..half``, and of the on-axis
     half cell ``[0, d/2]``. A cell's power weight is the product of its x
-    and y weights; a full axis carries twice the half axis.
+    and y weights; a full axis carries twice the half axis. The cells
+    reach past :data:`REACH_WAISTS` waists of the wider beam, so the
+    weights miss under 1e-32 of either beam's power.
     """
 
     cell_size: float
@@ -269,42 +272,38 @@ def _interval_weights(edges_lo, edges_hi, sigma):
 # Cells per half axis a grid may have, checked before anything is
 # allocated: a half axis of 2**22 cells takes 32 MiB per float array.
 MAX_HALF_CELLS = 2**22
+# Waists a grid reaches on each side of the axis: 12 sigma of the wider
+# beam, beyond which a Gaussian carries under 1e-32 of its power, so no
+# covariance share, and no artifact, changes if the grid reaches further.
+REACH_WAISTS = 3.0
 
 
-def _half_cells(waist_p: float, waist_c: float, d_c: float, extent: float) -> int:
+def _half_cells(waist_p: float, waist_c: float, d_c: float) -> int:
     """Number of whole cells on each side of the on-axis cell of a grid.
 
-    Validates the grid geometry for :func:`build_coherence_grid`.
+    Validates the cell size for :func:`build_coherence_grid`.
     """
-    if d_c <= 0:
+    if not d_c > 0:
         raise ValidationError("coherence cell size must be > 0")
-    if d_c > extent:
-        raise ValidationError(
-            f"cell size {d_c} exceeds grid extent {extent}"
-        )
-    if extent < 4.0 * max(waist_p, waist_c) - 1e-9 and d_c < extent:
-        raise ValidationError("extent must cover at least 4 waists")
-    half = (0.5 * extent - 0.5 * d_c) / d_c
+    reach = REACH_WAISTS * max(waist_p, waist_c)
+    half = (reach - 0.5 * d_c) / d_c
     if half > MAX_HALF_CELLS:
         raise ValidationError(
-            f"coherence grid too fine: cell size {d_c:g} um over extent "
-            f"{extent:g} um needs more than {MAX_HALF_CELLS} cells per half axis"
+            f"scenario key coherence.cell_um {d_c:g} is too fine: a coherence grid "
+            f"out to {reach:g} um from the axis needs more than {MAX_HALF_CELLS} "
+            f"cells per half axis"
         )
     return math.ceil(half)
 
 
-def build_coherence_grid(
-    waist_p: float,
-    waist_c: float,
-    d_c: float,
-    extent: float,
-) -> CoherenceGrid:
-    """Tile ``[-extent/2, extent/2]^2`` with square cells of side ``d_c``.
+def build_coherence_grid(waist_p: float, waist_c: float, d_c: float) -> CoherenceGrid:
+    """Tile the beams' plane with square cells of side ``d_c``, out to
+    :data:`REACH_WAISTS` waists of the wider beam from the axis.
 
     One cell is centered on the beam axis (coherence cells have no reason
     to align with razor blades). Waists are 1/e^2 diameters: sigma = D / 4.
     """
-    half = _half_cells(waist_p, waist_c, d_c, extent)
+    half = _half_cells(waist_p, waist_c, d_c)
     # The half-axis cell edges 0, -d/2, -3d/2, ...: whole cells are weighed
     # at their mirror images below the axis, where the CDF is small; above
     # it a far cell's power would be the difference of two values near 1

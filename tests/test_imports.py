@@ -101,7 +101,7 @@ from quadsense import montecarlo, scenario, source
 tracer = tracing.Tracer()
 tracing.install(tracer)
 chain = scenario.build_chain(scenario.load_scenario())
-grid = source.build_coherence_grid(16.0, 16.0, 8.0, 64.0)
+grid = source.build_coherence_grid(16.0, 16.0, 8.0)
 montecarlo.sample_photocurrents(grid, chain.cut, 10, 1)
 print(json.dumps(tracing.aggregate([{"spans": tracer.spans, "extra": tracer.extra}])))
 """
@@ -148,7 +148,7 @@ def test_perfbench_hooks_stay_on_the_verification_path(tmp_path):
     from quadsense import montecarlo, source
 
     n = 2 * montecarlo.CHUNK + 1
-    cells = source.build_coherence_grid(16.0, 16.0, 8.0, 64.0).n_cells
+    cells = source.build_coherence_grid(16.0, 16.0, 8.0).n_cells
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -28,7 +28,7 @@ G2_IDEAL = TwinBeamMoments(2.0, 1.0, 6.0, 3.0, 4.0)
 
 
 def test_zero_variance_cells_give_constant_samples():
-    grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
+    grid = build_coherence_grid(16.0, 16.0, 8.0)
     m = TwinBeamMoments(5.0, 3.0, 0.0, 0.0, 0.0)
     probe, conj = sample_photocurrents(grid, m, 100, seed=1)
     # The sampler draws from the quadrant cut itself, so a noiseless beam
@@ -43,7 +43,7 @@ def test_sampled_quadrants_carry_the_cut_power():
     # The on-axis cells are clipped into halves, so a centered beam puts a
     # quarter of its power in every quadrant; sampling whole cells by
     # their centers would give Q1 most of it.
-    grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
+    grid = build_coherence_grid(16.0, 16.0, 8.0)
     n = 50_000
     probe, _ = sample_photocurrents(grid, G2_IDEAL, n, seed=3)
     for q in (1, 2, 3, 4):
@@ -73,8 +73,8 @@ def test_different_seeds_differ():
 
 
 def test_fine_grid_samples_the_quadrant_cut():
-    # About 10M cells: the sampler's cost does not grow with the grid.
-    grid = build_coherence_grid(360.0, 360.0, 0.5, 1600.0)
+    # About 19M cells: the sampler's cost does not grow with the grid.
+    grid = build_coherence_grid(360.0, 360.0, 0.5)
     assert grid.n_cells > 10_000_000
     n = 20_000
     probe, conj = sample_photocurrents(grid, G2_IDEAL, n, seed=1)
@@ -248,7 +248,7 @@ SAMPLED_SWEEP_SHA = "1b37d4ff9b81f5687e8a7ccc8ab9effd66ebdc1f9b78ae5d85addd6fbc8
 
 
 def test_photocurrent_stream_is_pinned():
-    grid = build_coherence_grid(16.0, 16.0, 32.0, 64.0)
+    grid = build_coherence_grid(16.0, 16.0, 32.0)
     probe, conj = sample_photocurrents(grid, G2_IDEAL, montecarlo.CHUNK + 3, seed=9)
     arrays = [x for q in (1, 2, 3, 4) for x in (probe[q], conj[q])]
     assert _digest(*arrays) == PHOTOCURRENTS_SHA
@@ -465,7 +465,7 @@ def test_fig4_draws_each_sweep_stream_once(tmp_path, monkeypatch):
 
 
 def test_covariance_z_score_matches_np_cov():
-    grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
+    grid = build_coherence_grid(16.0, 16.0, 8.0)
     n = 20_000
     probe, conj = sample_photocurrents(grid, G2_IDEAL, n, seed=11)
     exp = quadrant_cut(G2_IDEAL, grid)
@@ -516,7 +516,7 @@ def test_sampler_windows_compose():
     # Drawing a run one chunk at a time, each call given its window's first
     # sample, gives the samples of one call over the whole run.
     n = 2 * montecarlo.CHUNK + 7
-    grid = build_coherence_grid(16.0, 16.0, 8.0, 64.0)
+    grid = build_coherence_grid(16.0, 16.0, 8.0)
     pair = sample_pair(BRIGHT, n, seed=3)
     thinned = thinning_loss(pair[0], 0.5, seed=4)
     probe, conj = sample_photocurrents(grid, BRIGHT, n, seed=5)

@@ -198,7 +198,7 @@ def test_loss_never_improves_squeezing(gain, ep, ec):
 def test_quadrant_cut_small_cells_preserve_squeezing():
     from quadsense.source import source_squeezing
 
-    grid = build_coherence_grid(360.0, 360.0, 0.25, 1600.0)
+    grid = build_coherence_grid(360.0, 360.0, 0.25)
     cut = quadrant_cut(G2_IDEAL, grid)
     # Tiny cells: the cut is a pure partition, so the quadrant keeps nearly
     # a quarter of the covariance and the balanced squeezing ratio of the
@@ -214,7 +214,7 @@ def test_quadrant_cut_monotone_degradation_with_cell_size():
 
     ratios = []
     for d_c in (5.0, 20.0, 80.0, 160.0):
-        grid = build_coherence_grid(360.0, 360.0, d_c, 1600.0)
+        grid = build_coherence_grid(360.0, 360.0, d_c)
         cut = quadrant_cut(G2_IDEAL, grid)
         ratios.append(source_squeezing(cut)[0])
     assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
@@ -237,24 +237,32 @@ def test_quadrant_cut_single_interior_cell_is_pure_loss():
 
 
 def test_quadrant_cut_zero_power_quadrant_raises():
-    # One cell, far narrower than the beams: its ndtr power rounds to 0.
-    grid = build_coherence_grid(1e300, 1e300, 1.0, 1.0)
+    # Cells that carry no power, as those of a grid far narrower than the
+    # beams would once their ndtr powers round to 0.
+    grid = CoherenceGrid(
+        cell_size=1.0,
+        whole_p=np.zeros(1),
+        whole_c=np.zeros(1),
+        half_p=0.0,
+        half_c=0.0,
+    )
     with pytest.raises(UndefinedMomentsError):
         quadrant_cut(G2_IDEAL, grid)
 
 
 def test_quadrant_cut_symmetric_beam_splits_evenly():
-    grid = build_coherence_grid(360.0, 300.0, 40.0, 1600.0)
+    grid = build_coherence_grid(360.0, 300.0, 40.0)
     cut = quadrant_cut(G2_IDEAL, grid)
     assert cut.mean_p == 0.25 * G2_IDEAL.mean_p
     assert cut.mean_c == 0.25 * G2_IDEAL.mean_c
     assert cut.var_c == 0.25 * G2_IDEAL.var_c
 
 
-def _brute_force_cut(m, waist_p, waist_c, d_c, extent, q):
+def _brute_force_cut(m, waist_p, waist_c, d_c, q):
     """Sum the moments of every cell-quadrant rectangle, one cell at a time.
 
-    Builds its own full-axis cell centers from the cell size and extent.
+    Builds its own full-axis cell centers from the cell size, out to the
+    first cell whose outer edge reaches three waists of the wider beam.
     Each rectangle's power is a product of ndtr differences over its own
     bounds, an interval above the axis taken at its mirror image so that no
     difference of two values near 1 loses a far cell's power; it keeps its
@@ -263,7 +271,7 @@ def _brute_force_cut(m, waist_p, waist_c, d_c, extent, q):
     """
     sx, sy = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}[q]
     sigma_p, sigma_c = waist_p / 4.0, waist_c / 4.0
-    half = math.ceil((0.5 * extent - 0.5 * d_c) / d_c)
+    half = math.ceil(3.0 * max(waist_p, waist_c) / d_c - 0.5)
     coords = [k * d_c for k in range(-half, half + 1)]
     h = 0.5 * d_c
 
@@ -304,19 +312,19 @@ def _brute_force_cut(m, waist_p, waist_c, d_c, extent, q):
 
 
 @pytest.mark.parametrize(
-    "waist_p, waist_c, d_c, extent",
+    "waist_p, waist_c, d_c",
     [
-        (16.0, 16.0, 8.0, 64.0),
-        (16.0, 15.0, 8.0, 64.0),
-        (16.0, 16.0, 64.0, 64.0),
-        (100.0, 330.0, 60.0, 1320.0),
+        (16.0, 16.0, 8.0),
+        (16.0, 15.0, 8.0),
+        (16.0, 16.0, 64.0),
+        (100.0, 330.0, 60.0),
     ],
 )
-def test_quadrant_cut_matches_brute_force_cell_enumeration(waist_p, waist_c, d_c, extent):
+def test_quadrant_cut_matches_brute_force_cell_enumeration(waist_p, waist_c, d_c):
     # Every quadrant of the enumerated cells matches the one half-axis cut.
-    cut = quadrant_cut(G2_IDEAL, build_coherence_grid(waist_p, waist_c, d_c, extent))
+    cut = quadrant_cut(G2_IDEAL, build_coherence_grid(waist_p, waist_c, d_c))
     for q in (1, 2, 3, 4):
-        exact = _brute_force_cut(G2_IDEAL, waist_p, waist_c, d_c, extent, q)
+        exact = _brute_force_cut(G2_IDEAL, waist_p, waist_c, d_c, q)
         for name in ("mean_p", "mean_c", "var_p", "var_c", "cov"):
             assert getattr(cut, name) == pytest.approx(
                 getattr(exact, name), rel=1e-12, abs=0.0

@@ -210,11 +210,14 @@ def test_cli_infeasible_stage_targets_print_residuals(tmp_path, capsys):
 
 def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("seed: [1, 2\n")
-    assert run_cli("squeezing-budget", "--scenario", str(bad)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("validation error: malformed scenario YAML")
-    assert err.count("\n") == 1
+    # Unclosed, not UTF-8 text, and nested deeper than the parser recurses.
+    deep = b"seed: " + b"[" * 5000 + b"]" * 5000 + b"\n"
+    for text in (b"seed: [1, 2\n", b"seed: 1\n\xff\xfe bad\n", deep):
+        bad.write_bytes(text)
+        assert run_cli("squeezing-budget", "--scenario", str(bad)) == 2, text[:12]
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: malformed scenario YAML"), err
+        assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -227,7 +230,6 @@ def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
         ("coherence", "cell_um", 1e-300),
         ("coherence", "cell_um", None),
         ("coherence", "cell_um", 360.0),
-        ("coherence", "extent_um", 1e300),
         ("beam", "waist_p_um", 1e-300),
         (None, "wavelength_nm", 1e300),
     ],
@@ -264,7 +266,6 @@ def _key_path(keys) -> str:
             ("calibration", "stage_targets_db", "source"), float("nan"), True,
             id="stage_target",
         ),
-        pytest.param(("coherence", "extent_um"), float("nan"), True, id="extent_um"),
         pytest.param(("resonances",), [1, 2, 3, 4], True, id="resonance_entry"),
         pytest.param(
             ("sweep", "voltages_mv"), [-50] + list(range(25, 501, 25)), True,
@@ -310,13 +311,9 @@ def _key_path(keys) -> str:
         pytest.param(("layout", "gap_um"), -5.0, True, id="negative_gap"),
         pytest.param(("layout", "tilt_deg"), 90.0, True, id="tilt_at_90_degrees"),
         pytest.param(("resonances", 0, "t_max"), 1.5, True, id="t_max_above_1"),
-        pytest.param(("coherence", "extent_um"), 100.0, True, id="extent_below_4_waists"),
         # A grid too fine to build, and a wavelength at which a resonance's
         # Lorentzian overflows, are seen at load too.
         pytest.param(("coherence", "cell_um"), 1e-300, True, id="cell_um_grid_too_fine"),
-        pytest.param(
-            ("coherence", "extent_um"), 1e300, True, id="extent_um_grid_too_fine"
-        ),
         pytest.param(
             ("wavelength_nm",), 1e300, True, id="wavelength_overflows_lorentzian"
         ),
@@ -380,11 +377,33 @@ def _schema_paths(spec, keys=()):
 
 
 def test_only_gain_bound_is_accepted_and_ignored():
+    # With coherence.extent_um: the two keys perfbench's generator still writes.
     ignored = [_key_path(keys) for keys, spec in _schema_paths(SCHEMA) if spec is None]
-    assert ignored == ["calibration.gain_bound"]
+    assert ignored == ["coherence.extent_um", "calibration.gain_bound"]
     cfg = default_scenario_dict()
+    cfg["coherence"]["extent_um"] = "anything"
     cfg["calibration"]["gain_bound"] = [True, "anything"]
-    assert Scenario.from_dict(cfg).raw["calibration"]["gain_bound"] == [True, "anything"]
+    raw = Scenario.from_dict(cfg).raw
+    assert raw["coherence"]["extent_um"] == "anything"
+    assert raw["calibration"]["gain_bound"] == [True, "anything"]
+
+
+@pytest.mark.parametrize("extent", [1440.0, 2160.0, 4000.0, math.nan])
+def test_ignored_grid_extent_moves_no_artifact(tmp_path, extent):
+    # The grid reaches three waists of the wider beam whatever the
+    # scenario once declared as its extent.
+    cfg = default_scenario_dict()
+    assert "extent_um" not in cfg["coherence"]
+    cfg["coherence"]["extent_um"] = extent
+    path = tmp_path / "extent.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    runs = {"default": (), "extent": ("--scenario", str(path))}
+    for name, scenario in runs.items():
+        for cmd in ("squeezing-budget", "snr-sweep", "fig3"):
+            assert run_cli(cmd, *scenario, "--out", str(tmp_path / name)) == 0
+    for name in ("squeezing_budget.csv", "snr_sweep.csv", "enhancement.json", "fig3.csv"):
+        default = (tmp_path / "default" / name).read_bytes()
+        assert (tmp_path / "extent" / name).read_bytes() == default, name
 
 
 DEFAULT_CFG = default_scenario_dict()

@@ -9,6 +9,7 @@ from quadsense.errors import UndefinedSNLError, ValidationError
 from quadsense.optics import QuadrantLayout
 from quadsense.optics import quadrant_cut, quadrant_transmission
 from quadsense.source import (
+    CoherenceGrid,
     FwmSourceParams,
     TwinBeamMoments,
     _half_cells,
@@ -122,36 +123,66 @@ def test_seed_flux_homogeneity(gain, seed_flux, k, zu):
 
 
 def test_single_cell_grid_holds_all_power():
-    grid = build_coherence_grid(100.0, 100.0, 400.0, 400.0)
+    # A cell of six waists spans the grid's reach on its own.
+    grid = build_coherence_grid(100.0, 100.0, 600.0)
     assert grid.n_cells == 1
     assert grid.axis_total_p**2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_grid_covers_truncated_gaussian_power():
-    grid = build_coherence_grid(300.0, 300.0, 25.0, 1800.0)
+    grid = build_coherence_grid(300.0, 300.0, 25.0)
     assert grid.axis_total_p**2 >= 0.999
     assert grid.axis_total_c**2 >= 0.999
 
 
-def test_grid_rejects_cell_larger_than_extent():
-    with pytest.raises(ValidationError):
-        build_coherence_grid(100.0, 100.0, 500.0, 400.0)
-    with pytest.raises(ValidationError):
-        build_coherence_grid(100.0, 100.0, 0.0, 400.0)
+def test_grid_rejects_a_cell_size_that_is_not_positive():
+    for d_c in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="cell size must be > 0"):
+            build_coherence_grid(100.0, 100.0, d_c)
 
 
 def test_grid_size_guard_raises_before_allocating():
     # 1.08e9 cells per half axis: enumerating them would take 16 GiB.
-    with pytest.raises(ValidationError, match="too fine"):
-        _half_cells(360.0, 360.0, 1e-6, 2160.0)
-    # A 0.005 um cell at a 2520 um extent stays allowed.
-    assert _half_cells(420.0, 441.0, 0.005, 2520.0) == 252_000
+    with pytest.raises(ValidationError, match="coherence.cell_um 1e-06 is too fine"):
+        _half_cells(360.0, 360.0, 1e-6)
+    # A 0.005 um cell out to three 441 um waists stays allowed.
+    assert _half_cells(420.0, 441.0, 0.005) == 264_600
+
+
+@pytest.mark.parametrize(
+    "waist_p, waist_c, d_c",
+    [
+        (360.0, 360.0, 1.0),
+        (360.0, 360.0, 0.5),
+        (300.0, 285.0, 2.2),
+        (420.0, 441.0, 0.01),
+        (16.0, 16.0, 8.0),
+    ],
+)
+def test_grid_reach_keeps_every_bit_of_the_covariance_share(waist_p, waist_c, d_c):
+    # Beyond three waists a beam carries under 1e-32 of its power, so a
+    # grid built here out to six keeps the same covariance share, k.
+    half = math.ceil((6.0 * max(waist_p, waist_c) - 0.5 * d_c) / d_c)
+    edges = 0.5 * d_c - np.arange(half + 2) * d_c
+    edges[0] = 0.0
+    cdf_p, cdf_c = (_ndtr(edges / (waist / 4.0)) for waist in (waist_p, waist_c))
+    wide = CoherenceGrid(
+        cell_size=d_c,
+        whole_p=cdf_p[1:-1] - cdf_p[2:],
+        whole_c=cdf_c[1:-1] - cdf_c[2:],
+        half_p=float(cdf_p[0] - cdf_p[1]),
+        half_c=float(cdf_c[0] - cdf_c[1]),
+    )
+    grid = build_coherence_grid(waist_p, waist_c, d_c)
+    assert wide.n_axis >= 2 * grid.n_axis - 3
+    unit = TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0)
+    assert quadrant_cut(unit, grid).cov == quadrant_cut(unit, wide).cov
 
 
 def test_quadrant_weights_match_gapless_transmission():
     # The quadrant share of the grid must agree with direct integration of
     # the same Gaussian over a gapless, untilted quadrant window.
-    grid = build_coherence_grid(360.0, 360.0, 20.0, 2880.0)
+    grid = build_coherence_grid(360.0, 360.0, 20.0)
     cut = quadrant_cut(TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0), grid)
     layout = QuadrantLayout(window_size=1440.0, gap=0.0, tilt_deg=0.0)
     qt = quadrant_transmission(360.0, layout)
