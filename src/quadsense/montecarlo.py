@@ -554,8 +554,8 @@ def _bright_pair_checks(m, n, seed):
 
     ch = LossChannel(0.5, 0.9)
     expected = apply_loss(m, ch)
-    g = detection.optimal_gain(m, ch)
-    s_analytic = detection.difference_noise(m, ch, g)
+    g = detection.optimal_gain(expected)
+    s_analytic = detection.difference_noise(expected, g)
 
     def thinned(chunk, block):
         # The thinned probe and conjugate, and their difference.

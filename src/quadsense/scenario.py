@@ -290,7 +290,10 @@ def load_scenario(path=None) -> Scenario:
 
 def dump_scenario(scenario: Scenario) -> str:
     buf = io.StringIO()
-    yaml.safe_dump(scenario.raw, buf, sort_keys=True, default_flow_style=False)
+    try:
+        yaml.safe_dump(scenario.raw, buf, sort_keys=True, default_flow_style=False)
+    except RecursionError:
+        raise ValidationError("malformed scenario YAML: nested too deeply to dump") from None
     return buf.getvalue()
 
 
@@ -304,7 +307,9 @@ class StageBudget:
 
 @dataclass
 class SensingChain:
-    """Scenario after calibration: everything the sweeps need."""
+    """Scenario after calibration: everything the sweeps need. The analytic
+    noises and the sampled oracle both read a pair's :meth:`detected`
+    moments, so the loss map is :func:`optics.apply_loss` alone."""
 
     scenario: Scenario
     source_params: FwmSourceParams
@@ -330,18 +335,17 @@ class SensingChain:
             return m
         return TwinBeamMoments(m.mean_p, m.mean_c, m.var_p, m.var_c, 0.0)
 
+    def detected(self, i: int, j: int) -> TwinBeamMoments:
+        """Moments of the quadrant pair (p_i, c_j) after its loss channel."""
+        return apply_loss(self.pair_moments(i, j), self.pair_channel(i))
+
     def noise_off(self, i: int, j: int) -> float:
         """Modulation-off difference noise, using the correlated pair's g."""
-        m = self.pair_moments(i, j)
-        return detection.difference_noise(m, self.pair_channel(i), self.reports[i].gain)
+        return detection.difference_noise(self.detected(i, j), self.reports[i].gain)
 
     def snl(self, i: int) -> float:
         """Shot-noise level of any pair probed at quadrant i."""
-        m, g = self.cut, self.reports[i].gain
-        return detection.snl_noise(m.mean_p, m.mean_c, self.pair_channel(i), g)
-
-    def probe_only_noise(self, i: int) -> float:
-        return detection.snl_noise(self.cut.mean_p, 0.0, self.pair_channel(i), 0.0)
+        return detection.snl_noise(self.detected(i, i), self.reports[i].gain)
 
     def signal(self, i: int, voltage_mv):
         """Signal power of sensor i at one drive voltage or an array of
@@ -360,13 +364,14 @@ class SensingChain:
         i, j = pair
         v = np.asarray(self.scenario.sweep_voltages_mv, float)
         s = self.signal(i, v)
-        s_off = self.noise_off(i, j)
-        snl = self.snl(i)
-        p_only = self.probe_only_noise(i)
+        d, g = self.detected(i, j), self.reports[i].gain
+        s_off = detection.difference_noise(d, g)
+        snl = detection.snl_noise(d, g)
         return {
             "twin": analysis.SNRCurve(pair, "twin", v, np.sqrt(s / s_off)),
             "coherent": analysis.SNRCurve(pair, "coherent", v, np.sqrt(s / snl)),
-            "optimal": analysis.SNRCurve(pair, "optimal", v, np.sqrt(s / p_only)),
+            # The probe alone at its shot noise.
+            "optimal": analysis.SNRCurve(pair, "optimal", v, np.sqrt(s / d.mean_p)),
         }
 
     def sampled_snr_sweep(self, pairs, n_samples: int, seed: int) -> list:
@@ -394,10 +399,7 @@ class SensingChain:
         from . import montecarlo
 
         v = np.asarray(self.scenario.sweep_voltages_mv, float)
-        moments = [
-            apply_loss(self.pair_moments(i, j), self.pair_channel(i))
-            for i, j in pairs
-        ]
+        moments = [self.detected(i, j) for i, j in pairs]
         gains = [self.reports[i].gain for i, _ in pairs]
 
         def reduce_chunk(chunk, block):
@@ -516,7 +518,8 @@ def _stages(scenario: Scenario, grid: CoherenceGrid, gain, eta_optics, r_source)
         for label, m in zip(STAGES, (m0, m1, cut))
     }
     final = scenario.final_target
-    rep = detection.squeezing_report(cut, LossChannel(final["eta_p"], final["eta_c"]))
+    channel = LossChannel(final["eta_p"], final["eta_c"])
+    rep = detection.squeezing_report(apply_loss(cut, channel))
     residuals["final"] = rep.ratio_db - final["squeezing_db"]
     residuals["attenuation"] = rep.gain_db - final["attenuation_db"]
     return params, m0, m1, cut, residuals
@@ -567,7 +570,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
                 f"residual squeezing {target_db} dB unreachable for quadrant {q}"
             )
         channels_p[q] = eta_p
-        rep = detection.squeezing_report(cut, LossChannel(eta_p, eta_c))
+        rep = detection.squeezing_report(apply_loss(cut, LossChannel(eta_p, eta_c)))
         reports[q] = rep
         residuals_db[f"residual_q{q}"] = rep.ratio_db - target_db
 

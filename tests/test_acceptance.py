@@ -45,16 +45,16 @@ def test_criterion_1_gain_optimum_and_covariance_round_trip():
         m = TwinBeamMoments(mp, mc, vp, vc, cov)
         ch = LossChannel(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
 
-        g = optimal_gain(m, ch)
-        n_min = min_difference_noise(m, ch)
-        n_at_g = difference_noise(m, ch, g)
+        det = apply_loss(m, ch)
+        g = optimal_gain(det)
+        n_min = min_difference_noise(det)
+        n_at_g = difference_noise(det, g)
         ok &= abs(n_at_g - n_min) <= 1e-12 * n_min
         # A scan around the stationary point must not find anything lower.
         for dg in (-1e-3, 1e-3):
-            ok &= difference_noise(m, ch, g * (1.0 + dg)) >= n_min * (1 - 1e-12)
+            ok &= difference_noise(det, g * (1.0 + dg)) >= n_min * (1 - 1e-12)
 
-        det = apply_loss(m, ch)
-        v_diff = difference_noise(m, ch, 1.0)
+        v_diff = difference_noise(det, 1.0)
         cov_back = covariance_from_noise(det.var_p, det.var_c, v_diff)
         ok &= abs(cov_back - det.cov) <= 1e-12 * max(abs(det.cov), 1.0)
         if not ok:

@@ -19,11 +19,10 @@ from quadsense.detection import (
     squeezing_report,
 )
 from quadsense.errors import UndefinedMomentsError, UndefinedSNLError, ValidationError
-from quadsense.optics import LossChannel
+from quadsense.optics import LossChannel, apply_loss
 from quadsense.source import FwmSourceParams, TwinBeamMoments, fwm_moments
 
 G2_IDEAL = TwinBeamMoments(2.0, 1.0, 6.0, 3.0, 4.0)
-UNIT = LossChannel(1.0, 1.0)
 
 
 def moments_and_channel():
@@ -44,77 +43,80 @@ def moments_and_channel():
 
 def test_difference_noise_coherent_pair_is_snl():
     coherent = TwinBeamMoments(2.0, 1.0, 2.0, 1.0, 0.0)
-    assert difference_noise(coherent, UNIT, 1.0) == pytest.approx(3.0)
+    assert difference_noise(coherent, 1.0) == pytest.approx(3.0)
 
 
 def test_difference_noise_gain_zero_is_probe_only():
-    ch = LossChannel(0.7, 0.9)
+    d = apply_loss(G2_IDEAL, LossChannel(0.7, 0.9))
     expected = 0.49 * (6.0 - 2.0) + 0.7 * 2.0
-    assert difference_noise(G2_IDEAL, ch, 0.0) == pytest.approx(expected)
+    assert difference_noise(d, 0.0) == pytest.approx(expected)
 
 
 def test_difference_noise_gain_two_balanced():
-    assert difference_noise(G2_IDEAL, UNIT, 1.0) == pytest.approx(1.0)
+    assert difference_noise(G2_IDEAL, 1.0) == pytest.approx(1.0)
 
 
 def test_difference_noise_rejects_negative_gain():
     with pytest.raises(ValidationError):
-        difference_noise(G2_IDEAL, UNIT, -0.5)
+        difference_noise(G2_IDEAL, -0.5)
 
 
 def test_optimal_gain_uncorrelated_is_zero():
     m = TwinBeamMoments(2.0, 1.0, 6.0, 3.0, 0.0)
-    assert optimal_gain(m, UNIT) == 0.0
+    assert optimal_gain(m) == 0.0
 
 
 def test_optimal_gain_gain_two_is_four_thirds():
-    g = optimal_gain(G2_IDEAL, UNIT)
+    g = optimal_gain(G2_IDEAL)
     assert g == pytest.approx(4.0 / 3.0, rel=1e-12)
     # Confirm by scanning the parabola.
     gs = np.arange(0.0, 3.0, 1e-4)
-    noises = [difference_noise(G2_IDEAL, UNIT, x) for x in gs]
+    noises = [difference_noise(G2_IDEAL, x) for x in gs]
     assert gs[int(np.argmin(noises))] == pytest.approx(g, abs=1e-4)
 
 
 def test_optimal_gain_noiseless_conjugate_raises():
     m = TwinBeamMoments(2.0, 0.0, 6.0, 0.0, 0.0)
     with pytest.raises(UndefinedMomentsError):
-        optimal_gain(m, UNIT)
+        optimal_gain(m)
     with pytest.raises(UndefinedMomentsError):
-        min_difference_noise(m, UNIT)
+        min_difference_noise(m)
 
 
 def test_min_difference_noise_examples():
     m = TwinBeamMoments(2.0, 1.0, 6.0, 3.0, 0.0)
-    assert min_difference_noise(m, UNIT) == pytest.approx(6.0)
-    assert min_difference_noise(G2_IDEAL, UNIT) == pytest.approx(6.0 - 16.0 / 3.0)
+    assert min_difference_noise(m) == pytest.approx(6.0)
+    assert min_difference_noise(G2_IDEAL) == pytest.approx(6.0 - 16.0 / 3.0)
 
 
 def test_covariance_round_trip():
     assert covariance_from_noise(6.0, 3.0, 9.0) == 0.0
-    var_diff = difference_noise(G2_IDEAL, UNIT, 1.0)
+    var_diff = difference_noise(G2_IDEAL, 1.0)
     assert covariance_from_noise(6.0, 3.0, var_diff) == pytest.approx(4.0)
 
 
 def test_snl_noise_basics():
-    assert snl_noise(2.0, 1.0, UNIT, 1.0) == pytest.approx(3.0)
-    assert snl_noise(4.0, 2.0, UNIT, 1.0) == pytest.approx(6.0)  # linear in power
+    def coherent(mean_p, mean_c):
+        return TwinBeamMoments(mean_p, mean_c, mean_p, mean_c, 0.0)
+
+    assert snl_noise(coherent(2.0, 1.0), 1.0) == pytest.approx(3.0)
+    assert snl_noise(coherent(4.0, 2.0), 1.0) == pytest.approx(6.0)  # linear in power
     with pytest.raises(UndefinedSNLError):
-        snl_noise(0.0, 0.0, UNIT, 1.0)
+        snl_noise(coherent(0.0, 0.0), 1.0)
 
 
 def test_squeezing_report_coherent_is_unity():
     coherent = TwinBeamMoments(2.0, 1.0, 2.0, 1.0, 1e-12)
     # Balanced (g = 1) and at the optimal g alike, coherent beams sit at the SNL.
-    balanced = difference_noise(coherent, UNIT, 1.0) / snl_noise(2.0, 1.0, UNIT, 1.0)
+    balanced = difference_noise(coherent, 1.0) / snl_noise(coherent, 1.0)
     assert balanced == pytest.approx(1.0, rel=1e-9)
-    rep = squeezing_report(coherent, UNIT)
+    rep = squeezing_report(coherent)
     assert rep.ratio_linear == pytest.approx(1.0, rel=1e-9)
     assert rep.ratio_db == pytest.approx(0.0, abs=1e-8)
 
 
 def test_squeezing_report_gain_two_optimal():
-    rep = squeezing_report(G2_IDEAL, UNIT)
+    rep = squeezing_report(G2_IDEAL)
     assert rep.gain == pytest.approx(4.0 / 3.0)
     assert rep.diff_variance == pytest.approx(2.0 / 3.0)
     # SNL at g = 4/3: 2 + (16/9) * 1.
@@ -134,23 +136,23 @@ def test_attenuation_conventions():
 @given(mc=moments_and_channel())
 @settings(max_examples=300)
 def test_min_noise_identity(mc):
-    m, ch = mc
-    g = optimal_gain(m, ch)
-    direct = difference_noise(m, ch, g)
-    closed = min_difference_noise(m, ch)
+    d = apply_loss(*mc)
+    g = optimal_gain(d)
+    direct = difference_noise(d, g)
+    closed = min_difference_noise(d)
     assert closed == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 @given(mc=moments_and_channel(), g=st.floats(0.0, 5.0))
 @settings(max_examples=300)
 def test_parabola_is_convex_with_vertex_at_optimum(mc, g):
-    m, ch = mc
+    d = apply_loss(*mc)
     h = 1e-3
-    f = lambda x: difference_noise(m, ch, x)
+    f = lambda x: difference_noise(d, x)
     second = f(g + h) - 2.0 * f(g) + f(g - h) if g >= h else None
     if second is not None:
         assert second >= -1e-9
-    g_opt = optimal_gain(m, ch)
+    g_opt = optimal_gain(d)
     assert f(g_opt) <= f(g) + 1e-12
 
 
@@ -161,7 +163,7 @@ def test_uncorrelated_noise_is_quadrature_sum(mc, g):
     m0 = TwinBeamMoments(m.mean_p, m.mean_c, m.var_p, m.var_c, 0.0)
     probe = ch.eta_p**2 * (m.var_p - m.mean_p) + ch.eta_p * m.mean_p
     conj = ch.eta_c**2 * (m.var_c - m.mean_c) + ch.eta_c * m.mean_c
-    assert difference_noise(m0, ch, g) == pytest.approx(
+    assert difference_noise(apply_loss(m0, ch), g) == pytest.approx(
         probe + g * g * conj, rel=1e-12, abs=1e-12
     )
 
@@ -176,8 +178,8 @@ def test_squeezing_ratio_monotone_in_loss(gain, eta1, eta2):
     if eta2 > eta1:
         eta1, eta2 = eta2, eta1
     m = fwm_moments(FwmSourceParams(gain=gain, seed_flux=1.0))
-    better = squeezing_report(m, LossChannel(eta1, eta1))
-    worse = squeezing_report(m, LossChannel(eta2, eta2))
+    better = squeezing_report(apply_loss(m, LossChannel(eta1, eta1)))
+    worse = squeezing_report(apply_loss(m, LossChannel(eta2, eta2)))
     assert worse.ratio_linear >= better.ratio_linear - 1e-12
 
 
@@ -212,7 +214,7 @@ def test_probe_transmission_inverts_the_squeezing_report(gain, zu, eta_p, eta_c)
     m = fwm_moments(FwmSourceParams(gain, 1.0, zu))
     target = exact_ratio(m, eta_p, eta_c)
     # The exact ratio is the report's, without its round-off.
-    report = squeezing_report(m, LossChannel(eta_p, eta_c)).ratio_linear
+    report = squeezing_report(apply_loss(m, LossChannel(eta_p, eta_c))).ratio_linear
     assert float(target) == pytest.approx(report, rel=1e-10, abs=0.0)
     closed = probe_transmission_for_ratio(m, eta_c, float(target))
 

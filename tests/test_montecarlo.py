@@ -11,7 +11,7 @@ import pytest
 
 from quadsense import analysis, cli, montecarlo
 from quadsense.errors import TailMassError, ValidationError
-from quadsense.optics import apply_loss, quadrant_cut
+from quadsense.optics import quadrant_cut
 from quadsense.montecarlo import (
     fock_two_mode_squeezer_moments,
     run_verification,
@@ -365,6 +365,22 @@ def test_chunk_tasks_pending_stay_bounded(chain, monkeypatch):
     assert counts["most_pending"] <= 2 * workers, counts
 
 
+def test_sampled_sweep_draws_the_chains_detected_moments(chain, monkeypatch):
+    # The oracle samples what the analytic sweep computes with: the moments
+    # handed to the sampler are the chain's detected moments, to the bit.
+    handed = []
+    sample_pairs = montecarlo.sample_pairs
+
+    def recording_sample_pairs(moments, *args, **kwargs):
+        handed.append(list(moments))
+        return sample_pairs(moments, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_pairs", recording_sample_pairs)
+    pairs = QUADRANT_PAIRS + [(1, 2), (3, 4)]
+    chain.sampled_snr_sweep(pairs, 1000, 5)
+    assert handed == [[chain.detected(i, j) for i, j in pairs]]
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 def test_sampled_sweep_noise_is_the_sample_variance(chain, monkeypatch, seed):
     # Every swept point's noise power must be the sample variance of the
@@ -393,8 +409,7 @@ def test_sampled_sweep_noise_is_the_sample_variance(chain, monkeypatch, seed):
     )
     points = iter(recorded)
     for q, _ in QUADRANT_PAIRS:
-        m = apply_loss(chain.pair_moments(q, q), chain.pair_channel(q))
-        p, c = sample_pair(m, n, seed)
+        p, c = sample_pair(chain.detected(q, q), n, seed)
         diff = p - chain.reports[q].gain * c
         for v in voltages:
             amp = math.sqrt(2.0 * chain.signal(q, float(v)))

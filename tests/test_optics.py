@@ -187,8 +187,8 @@ def test_loss_never_improves_squeezing(gain, ep, ec):
     from quadsense.source import FwmSourceParams, fwm_moments
 
     m = fwm_moments(FwmSourceParams(gain=gain, seed_flux=1.0))
-    before = detection.squeezing_report(m, LossChannel(1.0, 1.0))
-    after = detection.squeezing_report(m, LossChannel(ep, ec))
+    before = detection.squeezing_report(m)
+    after = detection.squeezing_report(apply_loss(m, LossChannel(ep, ec)))
     assert after.ratio_linear >= before.ratio_linear - 1e-12
 
 

@@ -218,6 +218,14 @@ def test_cli_malformed_yaml_is_validation_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("validation error: malformed scenario YAML"), err
         assert err.count("\n") == 1, err
+    # An ignored key that parses, yet nests deeper than the YAML emitter
+    # recurses: dumping it is invalid input too.
+    deep = "[" * 400 + "]" * 400
+    text = yaml.safe_dump(default_scenario_dict())
+    bad.write_text(text.replace("calibration:\n", f"calibration:\n  gain_bound: {deep}\n"))
+    assert run_cli("squeezing-budget", "--scenario", str(bad), "--dump-config") == 2
+    err = capsys.readouterr().err
+    assert err == "validation error: malformed scenario YAML: nested too deeply to dump\n"
 
 
 @pytest.mark.parametrize(
