@@ -693,7 +693,7 @@ def test_default_scenario_artifacts_are_pinned(tmp_path):
 
 
 # sha256 of `verify --samples 20000` at the packaged scenario's seed.
-VERIFY_SHA = "29bbea0311d16f904ef803996eedefd26bc112f05365d6d09a245acc3be1091d"
+VERIFY_SHA = "453c71e82009fc9a7741fbf442747d235f3eec109b3b6de39e1b1eb00118e31f"
 
 
 def test_verify_report_is_pinned(tmp_path):
