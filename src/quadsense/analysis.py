@@ -1,10 +1,10 @@
 """SNR estimation, detection thresholds, and quantum-enhancement figures.
 
 The signal is the noise power in excess of the modulation-off floor; the
-SNR is the square root of signal over floor. Because the modeled signal is
-exactly quadratic in drive voltage, the analytic SNR is linear in voltage
-and the SNR = 1 threshold follows from a single swept point; sampled curves
-are fitted by a least-squares line through the origin instead.
+SNR is the square root of signal over floor. The modeled signal is exactly
+quadratic in drive voltage, so the SNR is linear in voltage: the SNR = 1
+threshold of every curve, analytic or sampled, is that of the least-squares
+line through the origin.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FitInfeasibleError, ValidationError
 
 __all__ = [
     "SNRCurve",
@@ -60,29 +60,27 @@ def signal_estimate(s_on: float, s_off: float) -> float:
     return s_on - s_off
 
 
-def threshold_voltage(curve: SNRCurve, fit: bool = False) -> tuple[float, bool]:
+def threshold_voltage(curve: SNRCurve) -> tuple[float, bool]:
     """Drive voltage at which the SNR crosses 1.
 
-    For analytic curves the SNR is exactly linear in voltage, so the
-    highest swept point fixes the slope. For sampled curves (``fit=True``)
-    a least-squares line through the origin is used. Returns
-    ``(voltage, extrapolated)`` where the flag marks a threshold beyond the
-    swept range.
+    The slope is that of the least-squares line through the origin.
+    Returns ``(voltage, extrapolated)`` where the flag marks a threshold
+    beyond the swept range.
     """
     v = np.asarray(curve.voltages, float)
     s = np.asarray(curve.snr, float)
-    if fit:
-        denom = float(v @ v)
-        if denom <= 0:
-            raise ValidationError("sweep voltages are all zero")
-        slope = float(v @ s) / denom
-    else:
-        k = int(np.argmax(v))
-        if v[k] <= 0 or s[k] <= 0:
-            raise ValidationError("curve has no positive swept point")
-        slope = s[k] / v[k]
+    denom = float(v @ v)
+    if denom <= 0:
+        raise ValidationError(
+            "the squares of sweep.voltages_mv sum to 0: no swept voltage is "
+            "large enough to fit a threshold"
+        )
+    slope = float(v @ s) / denom
     if slope <= 0:
-        raise ValidationError("SNR does not grow with drive voltage")
+        raise FitInfeasibleError(
+            "SNR does not grow with drive voltage: the swept curve has no "
+            "SNR = 1 threshold"
+        )
     v_th = 1.0 / slope
     extrapolated = bool(s.max() < 1.0)
     return v_th, extrapolated

@@ -212,7 +212,7 @@ def _cmd_fig4(scenario: Scenario, args, out: Path) -> int:
     )
     sampled = {}
     for q, curve in zip(QUADRANTS, curves):
-        sampled[q], _ = threshold_voltage(curve, fit=True)
+        sampled[q], _ = threshold_voltage(curve)
     reports = {q: chain.enhancement_report(q) for q in QUADRANTS}
     _write_json(out / "fig4_enhancement.json", _enhancement_payload(reports, sampled))
     for q, rep in reports.items():

@@ -2,7 +2,8 @@
 the tilted quadrant windows, beam-splitter loss propagation of intensity
 moments, and the correlation penalty of cutting a finite coherence area.
 The coherence grid is centered on both beams, so that penalty is one
-quadrant cut, the same for all four quadrants.
+quadrant cut, the same for all four quadrants: a quarter of every mean and
+variance, and the grid's covariance share of the covariance.
 
 Quadrant labels follow the sign convention
 ``1: (+x, +y), 2: (-x, +y), 3: (-x, -y), 4: (+x, -y)``.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SearchError, UndefinedMomentsError, ValidationError
+from .errors import SearchError, ValidationError
 from .source import CoherenceGrid, TwinBeamMoments, _interval_weights
 
 __all__ = [
@@ -216,27 +217,16 @@ def apply_loss(m: TwinBeamMoments, ch: LossChannel) -> TwinBeamMoments:
 def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid) -> TwinBeamMoments:
     """Select one spatial quadrant of a multi-mode twin beam.
 
-    The beam is a sum of independent coherence cells carrying proportional
-    shares of the full-beam moments. The grid is centered on both beams, so
-    the central cut lines split it into four mirror-image quadrants and one
-    cut serves all four. A quadrant's pieces are the products of an x piece
-    and a y piece of the grid's half axis: the whole cells, and the on-axis
-    half cell that straddles a cut line. A piece carries its power share of
-    every mean and variance, a quarter of the grid's power in all; only a
-    piece whole on both axes carries its geometric-mean share of the
-    covariance (all-or-nothing). As the cell size shrinks the straddle
-    weight vanishes and the cut becomes a pure spatial partition.
+    The grid is centered on both beams, so the central cut lines split it
+    into four mirror-image quadrants and one cut serves all four. A
+    quadrant carries :data:`QUADRANT_SHARE` of every mean and variance and
+    the grid's covariance share (:func:`source.build_coherence_grid`) of
+    the covariance.
     """
-    tot_p, tot_c = grid.axis_total_p, grid.axis_total_c
-    if tot_p <= 0 or tot_c <= 0:
-        raise UndefinedMomentsError("grid carries no power")
-    # Geometric-mean weight of the whole cells of one axis, as a fraction of
-    # the grid's per-axis powers; a whole-cell piece takes a product of two.
-    keep = float(np.sqrt(grid.whole_p * grid.whole_c).sum()) / math.sqrt(tot_p * tot_c)
     return TwinBeamMoments(
         mean_p=QUADRANT_SHARE * m.mean_p,
         mean_c=QUADRANT_SHARE * m.mean_c,
         var_p=QUADRANT_SHARE * m.var_p,
         var_c=QUADRANT_SHARE * m.var_c,
-        cov=keep * keep * m.cov,
+        cov=grid.cov_share * m.cov,
     )

@@ -9,10 +9,10 @@ chain, every step in closed form:
 1. the source gain, its uncorrelated excess noise and the imaging-path
    transmission, solved stage by stage from the three staged squeezing
    targets. The post-cut stage reads the covariance share a quadrant keeps
-   from the quadrant cut of the coherence grid of the declared cell size;
-   the grid is centered on both beams, so one cut gives every quadrant's
-   moments. The expected post-sensor squeezing and attenuation are
-   predictions, reported as residuals, not fitted;
+   from the coherence grid of the declared cell size; the grid is centered
+   on both beams, so one quadrant cut gives every quadrant's moments. The
+   expected post-sensor squeezing and attenuation are predictions,
+   reported as residuals, not fitted;
 2. per-quadrant probe transmission solved from the measured residual
    squeezing levels;
 3. a transduction gate: every sensor must transmit light and have a
@@ -165,9 +165,7 @@ def _read(spec, value, path):
     out = {}
     for key, sub in spec.items():
         if key in value:
-            if type(sub) is _Number:
-                out[key] = sub.read(value[key], prefix + key)
-            elif sub is not None:
+            if sub is not None:
                 out[key] = _read(sub, value[key], prefix + key)
         elif type(sub) is dict:
             out[key] = _read(sub, {}, prefix + key)
@@ -534,9 +532,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
     ]
 
     grid = build_coherence_grid(scenario.waist_p_um, scenario.waist_c_um, scenario.cell_um)
-    # The covariance share a quadrant keeps: the cut of unit moments.
-    k = quadrant_cut(TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0), grid).cov
-    gain, eta_optics, feasible = _solve_stages(*ratios, k)
+    gain, eta_optics, feasible = _solve_stages(*ratios, grid.cov_share)
     params, m0, m1, cut, residuals_db = _stages(
         scenario, grid, gain, eta_optics, ratios[0]
     )

@@ -1,6 +1,7 @@
 """Seeded twin-beam source model: photon-statistics moments and the grid of
-independently correlated coherence cells they are partitioned over, stored
-as one half axis because the grid is centered on both beams. The cell size
+independently correlated coherence cells they are partitioned over. The
+grid is centered on both beams, so every quadrant keeps the same share of
+their covariance, and the grid is stored as that one share. The cell size
 is the grid's one input; the beams' waists set how far it reaches.
 
 Intensities are expressed as mean photon number per analysis interval, so a
@@ -72,43 +73,27 @@ class TwinBeamMoments:
 
 @dataclass(frozen=True)
 class CoherenceGrid:
-    """Square tiling of the transverse plane into independent cells.
+    """Square tiling of the transverse plane into independent cells, kept
+    as the one number its quadrant cut reads: ``cov_share``, the share of
+    the beams' covariance that a quadrant keeps.
 
     One cell is centered on the axis of both beams, so the central cut
     lines halve it and the four quadrants are mirror images of one another.
-    The Gaussian envelopes factorize over x and y, so the grid stores one
-    half axis per beam: the power of the whole cells
-    ``[(k - 1/2) d, (k + 1/2) d]`` for ``k = 1..half``, and of the on-axis
-    half cell ``[0, d/2]``. A cell's power weight is the product of its x
-    and y weights; a full axis carries twice the half axis. The cells
-    reach past :data:`REACH_WAISTS` waists of the wider beam, so the
-    weights miss under 1e-32 of either beam's power.
+    ``half_cells`` counts the whole cells on each side of that on-axis cell.
     """
 
-    cell_size: float
-    whole_p: np.ndarray
-    whole_c: np.ndarray
-    half_p: float
-    half_c: float
+    cov_share: float
+    half_cells: int
 
     def __post_init__(self):
-        weights = (self.whole_p, self.whole_c, self.half_p, self.half_c)
-        if any(np.any(w < 0) for w in weights):
-            raise ValidationError("cell weights must be >= 0")
-        if self.axis_total_p**2 > 1.0 + 1e-9 or self.axis_total_c**2 > 1.0 + 1e-9:
-            raise ValidationError("total cell weight exceeds beam power")
-
-    @property
-    def axis_total_p(self) -> float:
-        return 2.0 * (float(self.whole_p.sum()) + self.half_p)
-
-    @property
-    def axis_total_c(self) -> float:
-        return 2.0 * (float(self.whole_c.sum()) + self.half_c)
+        if not 0.0 <= self.cov_share <= 0.25:
+            raise ValidationError(
+                f"covariance share must lie in [0, 1/4], got {self.cov_share}"
+            )
 
     @property
     def n_axis(self) -> int:
-        return 2 * len(self.whole_p) + 1
+        return 2 * self.half_cells + 1
 
     @property
     def n_cells(self) -> int:
@@ -298,10 +283,26 @@ def _half_cells(waist_p: float, waist_c: float, d_c: float) -> int:
 
 def build_coherence_grid(waist_p: float, waist_c: float, d_c: float) -> CoherenceGrid:
     """Tile the beams' plane with square cells of side ``d_c``, out to
-    :data:`REACH_WAISTS` waists of the wider beam from the axis.
+    :data:`REACH_WAISTS` waists of the wider beam from the axis, and return
+    the covariance share a quadrant of it keeps.
 
     One cell is centered on the beam axis (coherence cells have no reason
     to align with razor blades). Waists are 1/e^2 diameters: sigma = D / 4.
+    The beam is a sum of independent cells carrying proportional shares of
+    the full-beam moments. The Gaussian envelopes factorize over x and y,
+    so a quadrant's pieces are the products of an x piece and a y piece of
+    one half axis: the whole cells ``[(k - 1/2) d, (k + 1/2) d]`` for
+    ``k = 1..half``, and the on-axis half cell ``[0, d/2]`` that straddles
+    a cut line. A piece carries its power share of every mean and variance,
+    a quarter of the grid's power in all; only a piece whole on both axes
+    carries its geometric-mean share of the covariance (all-or-nothing).
+    So the share is ``keep**2``, where ``keep`` is the summed geometric-mean
+    weight of one half axis's whole cells over the geometric mean of the
+    two beams' full-axis powers. As the cell size shrinks the straddle
+    weight vanishes and the cut becomes a pure spatial partition. The
+    on-axis half cell always carries power, so the share is defined:
+    :data:`MAX_HALF_CELLS` keeps ``d_c`` above ``12 / (2**22 + 1/2)``,
+    about 2.9e-6, sigma of either beam.
     """
     half = _half_cells(waist_p, waist_c, d_c)
     # The half-axis cell edges 0, -d/2, -3d/2, ...: whole cells are weighed
@@ -321,10 +322,8 @@ def build_coherence_grid(waist_p: float, waist_c: float, d_c: float) -> Coherenc
         whole_c, half_c = whole_p, half_p
     else:
         whole_c, half_c = weights(waist_c / 4.0)
-    return CoherenceGrid(
-        cell_size=float(d_c),
-        whole_p=whole_p,
-        whole_c=whole_c,
-        half_p=half_p,
-        half_c=half_c,
-    )
+    # Per-axis power of the grid: a full axis carries twice the half axis.
+    tot_p = 2.0 * (float(whole_p.sum()) + half_p)
+    tot_c = 2.0 * (float(whole_c.sum()) + half_c)
+    keep = float(np.sqrt(whole_p * whole_c).sum()) / math.sqrt(tot_p * tot_c)
+    return CoherenceGrid(cov_share=keep * keep, half_cells=half)

@@ -1,9 +1,12 @@
+import math
 from importlib import resources
 
+import numpy as np
 import pytest
 import yaml
 
 from quadsense.scenario import Scenario, build_chain
+from quadsense.source import _ndtr
 
 
 def default_scenario_dict() -> dict:
@@ -20,3 +23,36 @@ def scenario() -> Scenario:
 def chain(scenario):
     # Calibration is deterministic, so one chain serves every test.
     return build_chain(scenario)
+
+
+def reference_cell_weights(waist_p, waist_c, d_c, half):
+    """Power weights of one half axis of a coherence grid centered on both
+    beams, with ``half`` whole cells beside the on-axis one: per beam, the
+    whole cells ``[(k - 1/2) d, (k + 1/2) d]`` for ``k = 1..half`` and the
+    half cell ``[0, d/2]``. Each is weighed at its mirror image below the
+    axis. Returns ``(whole_p, whole_c, half_p, half_c)``.
+    """
+    edges = 0.5 * d_c - np.arange(half + 2) * d_c
+    edges[0] = 0.0
+    cdf_p, cdf_c = (_ndtr(edges / (waist / 4.0)) for waist in (waist_p, waist_c))
+    return (
+        cdf_p[1:-1] - cdf_p[2:],
+        cdf_c[1:-1] - cdf_c[2:],
+        float(cdf_p[0] - cdf_p[1]),
+        float(cdf_c[0] - cdf_c[1]),
+    )
+
+
+def reference_cov_share(whole_p, whole_c, half_p, half_c):
+    """Covariance share a quadrant keeps of a grid with these half-axis
+    weights, in the float operations of the grid builder.
+
+    Only a piece whole on both axes keeps its geometric-mean share of the
+    covariance, so the share is the square of one axis's whole-cell
+    geometric-mean weight over the geometric mean of the full axes' powers;
+    a full axis carries twice the half axis.
+    """
+    tot_p = 2.0 * (float(whole_p.sum()) + half_p)
+    tot_c = 2.0 * (float(whole_c.sum()) + half_c)
+    keep = float(np.sqrt(whole_p * whole_c).sum()) / math.sqrt(tot_p * tot_c)
+    return keep * keep

@@ -168,7 +168,7 @@ def test_criterion_8_threshold_voltages(chain):
     for q, target, curve in zip((1, 2, 3, 4), MEASURED_V_TB_MV, curves):
         rep = chain.enhancement_report(q)
         ok &= abs(rep.v_tb - target) <= 1.0
-        v_sampled, extrapolated = analysis.threshold_voltage(curve, fit=True)
+        v_sampled, extrapolated = analysis.threshold_voltage(curve)
         ok &= not extrapolated
         rel = abs(v_sampled - rep.v_tb) / rep.v_tb
         worst_rel = max(worst_rel, rel)

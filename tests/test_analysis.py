@@ -9,7 +9,7 @@ from quadsense.analysis import (
     signal_estimate,
     threshold_voltage,
 )
-from quadsense.errors import ValidationError
+from quadsense.errors import FitInfeasibleError, ValidationError
 from quadsense.plasmonic import modulation_signal
 
 
@@ -41,13 +41,21 @@ def test_threshold_voltage_fit_path():
     v = np.arange(25.0, 525.0, 25.0)
     noisy = v / 250.0 + rng.normal(0.0, 0.01, v.size)
     curve = SNRCurve((1, 1), "twin", v, noisy)
-    v_th, _ = threshold_voltage(curve, fit=True)
+    v_th, _ = threshold_voltage(curve)
     assert v_th == pytest.approx(250.0, rel=0.02)
 
 
 def test_threshold_voltage_degenerate_curves():
-    with pytest.raises(ValidationError):
-        threshold_voltage(SNRCurve((1, 1), "twin", np.array([10.0]), np.array([0.0])))
+    # Voltages whose squares sum to 0, even by underflow, are invalid input.
+    for v in ([0.0], [0.0, 1e-300]):
+        curve = SNRCurve((1, 1), "twin", np.array(v), np.ones(len(v)))
+        with pytest.raises(ValidationError, match="sweep.voltages_mv"):
+            threshold_voltage(curve)
+    # A curve that does not grow with voltage has no threshold to fit.
+    for snr in ([0.0], [-1.0]):
+        curve = SNRCurve((1, 1), "twin", np.array([10.0]), np.array(snr))
+        with pytest.raises(FitInfeasibleError, match="does not grow"):
+            threshold_voltage(curve)
     with pytest.raises(ValidationError):
         SNRCurve((1, 1), "twin", np.array([]), np.array([]))
 

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
 
+from conftest import reference_cov_share
 from quadsense import detection
-from quadsense.errors import SearchError, UndefinedMomentsError, ValidationError
+from quadsense.errors import SearchError, ValidationError
 from quadsense.optics import (
     WAIST_GRID_POINTS,
     LossChannel,
@@ -224,30 +225,10 @@ def test_quadrant_cut_single_interior_cell_is_pure_loss():
     # All the power sits in whole cells off the axis, one per quadrant: no
     # cell straddles a cut line, so the cut keeps the covariance share of
     # its power.
-    grid = CoherenceGrid(
-        cell_size=10.0,
-        whole_p=np.array([0.5]),
-        whole_c=np.array([0.5]),
-        half_p=0.0,
-        half_c=0.0,
-    )
-    cut = quadrant_cut(G2_IDEAL, grid)
+    share = reference_cov_share(np.array([0.5]), np.array([0.5]), 0.0, 0.0)
+    cut = quadrant_cut(G2_IDEAL, CoherenceGrid(cov_share=share, half_cells=1))
     assert cut.mean_p == 0.25 * G2_IDEAL.mean_p
     assert cut.cov == pytest.approx(0.25 * G2_IDEAL.cov, rel=1e-12)
-
-
-def test_quadrant_cut_zero_power_quadrant_raises():
-    # Cells that carry no power, as those of a grid far narrower than the
-    # beams would once their ndtr powers round to 0.
-    grid = CoherenceGrid(
-        cell_size=1.0,
-        whole_p=np.zeros(1),
-        whole_c=np.zeros(1),
-        half_p=0.0,
-        half_c=0.0,
-    )
-    with pytest.raises(UndefinedMomentsError):
-        quadrant_cut(G2_IDEAL, grid)
 
 
 def test_quadrant_cut_symmetric_beam_splits_evenly():

@@ -23,6 +23,7 @@ from quadsense.scenario import (
     build_chain,
     dump_scenario,
 )
+from quadsense.source import build_coherence_grid
 
 
 def test_scenario_reports_missing_key_with_path():
@@ -89,11 +90,15 @@ def test_declared_cell_size_sets_the_grid(scenario):
     # the cut for the staged squeezing targets to remain reachable.
     cfg["coherence"]["cell_um"] = 0.1
     chain = build_chain(Scenario.from_dict(cfg))
-    assert chain.grid.cell_size == 0.1
+    waists = chain.scenario.waist_p_um, chain.scenario.waist_c_um
+    assert chain.grid == build_coherence_grid(*waists, 0.1)
+    # Finer cells straddle the cut lines less and keep more covariance.
+    assert chain.grid.cov_share > build_coherence_grid(*waists, 1.0).cov_share
 
 
 def test_default_chain_cell_size(chain):
-    assert chain.grid.cell_size == 1.0
+    assert chain.scenario.cell_um == 1.0
+    assert chain.grid == build_coherence_grid(360.0, 360.0, 1.0)
 
 
 def test_default_calibration_is_identified(chain):
@@ -103,7 +108,7 @@ def test_default_calibration_is_identified(chain):
     assert params.excess_uncorrelated > 0.0
     assert 0.0 < chain.eta_optics < 1.0
     # The declared cell is no smaller than the wavelength.
-    assert chain.grid.cell_size >= chain.scenario.wavelength_nm / 1000.0
+    assert chain.scenario.cell_um >= chain.scenario.wavelength_nm / 1000.0
     # The staged targets are solved, not fitted.
     for stage in ("source", "post_optics", "post_cut"):
         assert abs(chain.residuals_db[stage]) <= 1e-9, stage
@@ -560,6 +565,31 @@ def test_cli_sensor_without_transduction_is_numeric_error(tmp_path, capsys, case
     assert not (tmp_path / "snr_sweep.csv").exists()
     assert not (tmp_path / "fig3.csv").exists()
     assert run_cli("resonance-scan", "--scenario", str(path), "--out", str(tmp_path)) == 0
+
+
+@pytest.mark.parametrize("samples, seed", [(2, 4), (3, 1)])
+def test_cli_sampled_fit_without_slope_is_numeric_error(tmp_path, capsys, samples, seed):
+    # A valid sample count so small that the sampled SNR curve fits no
+    # positive slope is a numeric failure, not invalid input.
+    argv = ["--samples", str(samples), "--seed", str(seed), "--out", str(tmp_path)]
+    assert run_cli("fig4", *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("consistency error: SNR does not grow"), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "fig4_enhancement.json").exists()
+
+
+def test_cli_underflowing_analytic_snr_is_numeric_error(tmp_path, capsys):
+    # A threshold target so large that every swept signal underflows to 0.
+    cfg = default_scenario_dict()
+    cfg["calibration"]["threshold_targets_mv"][0] = 1e300
+    path = tmp_path / "underflow.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run_cli("snr-sweep", "--scenario", str(path), "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("consistency error: SNR does not grow"), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "enhancement.json").exists()
 
 
 @pytest.mark.parametrize("cmd", ["fig4", "verify"])

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_cell_weights, reference_cov_share
 from quadsense.errors import UndefinedSNLError, ValidationError
 from quadsense.optics import QuadrantLayout
 from quadsense.optics import quadrant_cut, quadrant_transmission
 from quadsense.source import (
+    MAX_HALF_CELLS,
     CoherenceGrid,
     FwmSourceParams,
     TwinBeamMoments,
@@ -123,16 +125,28 @@ def test_seed_flux_homogeneity(gain, seed_flux, k, zu):
 
 
 def test_single_cell_grid_holds_all_power():
-    # A cell of six waists spans the grid's reach on its own.
+    # A cell of six waists spans the grid's reach on its own. It straddles
+    # every cut line, so a quadrant keeps none of the covariance.
     grid = build_coherence_grid(100.0, 100.0, 600.0)
     assert grid.n_cells == 1
-    assert grid.axis_total_p**2 == pytest.approx(1.0, abs=1e-9)
+    weights = reference_cell_weights(100.0, 100.0, 600.0, grid.half_cells)
+    assert (2.0 * (weights[0].sum() + weights[2])) ** 2 == pytest.approx(1.0, abs=1e-9)
+    assert grid.cov_share == reference_cov_share(*weights) == 0.0
 
 
 def test_grid_covers_truncated_gaussian_power():
     grid = build_coherence_grid(300.0, 300.0, 25.0)
-    assert grid.axis_total_p**2 >= 0.999
-    assert grid.axis_total_c**2 >= 0.999
+    whole_p, whole_c, half_p, half_c = weights = reference_cell_weights(
+        300.0, 300.0, 25.0, grid.half_cells
+    )
+    assert (2.0 * (whole_p.sum() + half_p)) ** 2 >= 0.999
+    assert (2.0 * (whole_c.sum() + half_c)) ** 2 >= 0.999
+    assert grid.cov_share == reference_cov_share(*weights)
+
+
+def test_default_grid_covariance_share_is_pinned():
+    # The packaged scenario's 360 um beams and 1 um cells.
+    assert build_coherence_grid(360.0, 360.0, 1.0).cov_share == 0.2477885775377389
 
 
 def test_grid_rejects_a_cell_size_that_is_not_positive():
@@ -141,12 +155,29 @@ def test_grid_rejects_a_cell_size_that_is_not_positive():
             build_coherence_grid(100.0, 100.0, d_c)
 
 
+def test_grid_rejects_a_covariance_share_outside_a_quarter():
+    for share in (-1e-300, 0.25 + 1e-16, math.nan):
+        with pytest.raises(ValidationError, match="covariance share"):
+            CoherenceGrid(cov_share=share, half_cells=1)
+    assert CoherenceGrid(cov_share=0.25, half_cells=0).n_cells == 1
+
+
 def test_grid_size_guard_raises_before_allocating():
     # 1.08e9 cells per half axis: enumerating them would take 16 GiB.
     with pytest.raises(ValidationError, match="coherence.cell_um 1e-06 is too fine"):
         _half_cells(360.0, 360.0, 1e-6)
     # A 0.005 um cell out to three 441 um waists stays allowed.
     assert _half_cells(420.0, 441.0, 0.005) == 264_600
+
+
+def test_finest_grid_has_power_on_axis():
+    # The finest cell the size guard accepts leaves the on-axis half cell,
+    # and so every built grid, with power: its covariance share is defined.
+    waist = 360.0
+    d_c = 3.0 * waist / (MAX_HALF_CELLS + 0.5) * (1.0 + 1e-12)
+    assert _half_cells(waist, waist, d_c) == MAX_HALF_CELLS
+    half_p = reference_cell_weights(waist, waist, d_c, 0)[2]
+    assert half_p > 5e-7
 
 
 @pytest.mark.parametrize(
@@ -160,23 +191,15 @@ def test_grid_size_guard_raises_before_allocating():
     ],
 )
 def test_grid_reach_keeps_every_bit_of_the_covariance_share(waist_p, waist_c, d_c):
-    # Beyond three waists a beam carries under 1e-32 of its power, so a
-    # grid built here out to six keeps the same covariance share, k.
-    half = math.ceil((6.0 * max(waist_p, waist_c) - 0.5 * d_c) / d_c)
-    edges = 0.5 * d_c - np.arange(half + 2) * d_c
-    edges[0] = 0.0
-    cdf_p, cdf_c = (_ndtr(edges / (waist / 4.0)) for waist in (waist_p, waist_c))
-    wide = CoherenceGrid(
-        cell_size=d_c,
-        whole_p=cdf_p[1:-1] - cdf_p[2:],
-        whole_c=cdf_c[1:-1] - cdf_c[2:],
-        half_p=float(cdf_p[0] - cdf_p[1]),
-        half_c=float(cdf_c[0] - cdf_c[1]),
-    )
+    # Beyond three waists a beam carries under 1e-32 of its power, so
+    # weights out to six keep the same covariance share, k.
     grid = build_coherence_grid(waist_p, waist_c, d_c)
-    assert wide.n_axis >= 2 * grid.n_axis - 3
-    unit = TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0)
-    assert quadrant_cut(unit, grid).cov == quadrant_cut(unit, wide).cov
+    own = reference_cell_weights(waist_p, waist_c, d_c, grid.half_cells)
+    assert grid.cov_share == reference_cov_share(*own)
+    half = math.ceil((6.0 * max(waist_p, waist_c) - 0.5 * d_c) / d_c)
+    assert half >= 2 * grid.half_cells - 1
+    wide = reference_cell_weights(waist_p, waist_c, d_c, half)
+    assert grid.cov_share == reference_cov_share(*wide)
 
 
 def test_quadrant_weights_match_gapless_transmission():
