@@ -2,9 +2,10 @@
 
 The signal is the noise power in excess of the modulation-off floor; the
 SNR is the square root of signal over floor. The modeled signal is exactly
-quadratic in drive voltage, so the SNR is linear in voltage: the SNR = 1
-threshold of every curve, analytic or sampled, is that of the least-squares
-line through the origin.
+quadratic in drive voltage, so the SNR is linear in voltage. The analytic
+SNR = 1 thresholds are then closed forms of the calibrated noise report
+(:meth:`scenario.SensingChain.enhancement_report`); only a sampled curve's
+threshold is fitted, as that of the least-squares line through the origin.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "EnhancementReport",
     "signal_estimate",
     "threshold_voltage",
-    "enhancement",
 ]
 
 
@@ -84,10 +84,3 @@ def threshold_voltage(curve: SNRCurve) -> tuple[float, bool]:
     v_th = 1.0 / slope
     extrapolated = bool(s.max() < 1.0)
     return v_th, extrapolated
-
-
-def enhancement(v_cs: float, v_tb: float) -> float:
-    """Quantum enhancement of the minimum detectable modulation, percent."""
-    if v_cs <= 0 or v_tb <= 0:
-        raise ValidationError("thresholds must be > 0")
-    return (v_cs / v_tb - 1.0) * 100.0

@@ -67,12 +67,15 @@ def probe_transmission_for_ratio(
     outside [0, 1] is no transmission either, which the caller checks.
     """
     conj = _conjugate_noise(apply_loss(m, LossChannel(0.0, eta_c)))
-    cov2 = max(m.cov, 0.0) ** 2
-    a = m.var_p - m.mean_p - eta_c**2 * cov2 / conj
+    # Squares by multiplication, which rounds correctly; libm's pow need not.
+    cov = max(m.cov, 0.0)
+    cov2 = cov * cov
+    eta_c2 = eta_c * eta_c
+    a = m.var_p - m.mean_p - eta_c2 * cov2 / conj
     # mean_c / C first: cov^2 mean_c grows as the seed flux cubed and
     # overflows for a bright seed, while no product here outgrows the
     # cov^2 that ``a`` forms too.
-    b = eta_c**3 * cov2 * (m.mean_c / conj) / conj
+    b = eta_c2 * eta_c * cov2 * (m.mean_c / conj) / conj
     den = a - ratio * b
     return float(m.mean_p * (ratio - 1.0) / den) if den else math.inf
 

@@ -21,7 +21,8 @@ chain, every step in closed form:
 Each sensor's signal then follows from its threshold target alone: its
 drive coefficient is the one that puts the twin-beam SNR = 1 threshold on
 the target, so the signal is the modulation-off floor times
-(V / threshold)^2 (:func:`plasmonic.modulation_signal`).
+(V / threshold)^2 (:func:`plasmonic.modulation_signal`), and every
+analytic SNR = 1 threshold is a closed form; only sampled ones are fitted.
 
 The Monte Carlo layer is imported by the methods that use it, so loading
 a scenario does not import it.
@@ -437,17 +438,27 @@ class SensingChain:
         return curves
 
     def enhancement_report(self, i: int) -> analysis.EnhancementReport:
-        curves = self.snr_sweep((i, i))
-        v_tb, ex_tb = analysis.threshold_voltage(curves["twin"])
-        v_cs, ex_cs = analysis.threshold_voltage(curves["coherent"])
-        v_opt, ex_opt = analysis.threshold_voltage(curves["optimal"])
+        """SNR = 1 thresholds of the pair (i, i) in closed form: an analytic
+        SNR ``sqrt(s / n)``, with ``s = s_off * (V / V_target)**2``, crosses
+        1 at ``V_target * sqrt(n / s_off)``."""
+        rep = self.reports[i]
+        v_max = self.scenario.sweep_voltages_mv[-1]
+        # The signal grows with V, so the twin curve's largest swept point
+        # has no threshold exactly when a fit of the whole curve has none.
+        snr = np.sqrt(self.signal(i, v_max) / rep.diff_variance)
+        analysis.threshold_voltage(
+            analysis.SNRCurve((i, i), "twin", np.array([v_max]), np.array([snr]))
+        )
+        v_tb = self.scenario.threshold_targets_mv[i - 1]
+        v_cs = v_tb * math.sqrt(rep.snl / rep.diff_variance)
+        v_opt = v_tb * math.sqrt(self.detected(i, i).mean_p / rep.diff_variance)
         return analysis.EnhancementReport(
             pair=(i, i),
             v_tb=v_tb,
             v_cs=v_cs,
             v_opt=v_opt,
-            enhancement_pct=analysis.enhancement(v_cs, v_tb),
-            extrapolated=ex_tb or ex_cs or ex_opt,
+            enhancement_pct=(v_cs / v_tb - 1.0) * 100.0,
+            extrapolated=max(v_tb, v_cs, v_opt) > v_max,
         )
 
 

@@ -1,16 +1,19 @@
+import copy
+
 import numpy as np
 import pytest
 
+from conftest import default_scenario_dict
 from quadsense import analysis
 from quadsense.analysis import (
     EnhancementReport,
     SNRCurve,
-    enhancement,
     signal_estimate,
     threshold_voltage,
 )
 from quadsense.errors import FitInfeasibleError, ValidationError
 from quadsense.plasmonic import modulation_signal
+from quadsense.scenario import Scenario, build_chain
 
 
 def test_signal_estimate():
@@ -60,14 +63,6 @@ def test_threshold_voltage_degenerate_curves():
         SNRCurve((1, 1), "twin", np.array([]), np.array([]))
 
 
-def test_enhancement_values():
-    assert enhancement(100.0, 100.0) == 0.0
-    assert enhancement(307.0, 252.0) == pytest.approx(21.8, abs=0.05)
-    assert enhancement(394.0, 319.0) == pytest.approx(23.5, abs=0.05)
-    with pytest.raises(ValidationError):
-        enhancement(-1.0, 100.0)
-
-
 # -- chain-level sweep behavior --------------------------------------------
 
 
@@ -111,6 +106,53 @@ def test_threshold_squeezing_law(chain):
         rep = chain.enhancement_report(q)
         expected = 10.0 ** (abs(chain.reports[q].ratio_db) / 20.0)
         assert rep.v_cs / rep.v_tb == pytest.approx(expected, rel=1e-9)
+
+
+def _perturbed(**sections):
+    cfg = copy.deepcopy(default_scenario_dict())
+    for name, keys in sections.items():
+        cfg[name].update(keys)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg, extrapolated",
+    [
+        (_perturbed(), [False] * 4),
+        # Pair 3's v_cs and every threshold of pair 4 lie beyond 500 mV.
+        (
+            _perturbed(calibration={"threshold_targets_mv": [40.0, 180.0, 470.0, 1300.0]}),
+            [False, False, True, True],
+        ),
+        (_perturbed(calibration={"residual_db": [-1.2, -1.5, -2.1, -2.4]}), [False] * 4),
+        (_perturbed(coherence={"cell_um": 0.8}, beam={"waist_c_um": 380.0}), [False] * 4),
+        # Stops above every v_tb but below pair 3's and 4's v_cs.
+        (
+            _perturbed(sweep={"voltages_mv": [60.0, 120.0, 180.0, 240.0, 320.0, 360.0]}),
+            [False, False, True, True],
+        ),
+        # Stops below every threshold.
+        (_perturbed(sweep={"voltages_mv": [1.0, 2.0, 3.0]}), [True] * 4),
+    ],
+)
+def test_closed_form_thresholds_match_the_fitted_sweep(cfg, extrapolated):
+    # The reference is the least-squares fit of the three analytic SNR
+    # curves. The SNR is linear in voltage to rounding, so the fitted slope
+    # differs from the closed form only by the rounding of a dot product
+    # over the sweep: rel 1e-12 is ~4,500 ulp, and 1e-10 percentage points
+    # on the enhancement.
+    chain = build_chain(Scenario.from_dict(cfg))
+    for q in (1, 2, 3, 4):
+        rep = chain.enhancement_report(q)
+        fits = {k: threshold_voltage(c) for k, c in chain.snr_sweep((q, q)).items()}
+        v_tb, v_cs, v_opt = (fits[k][0] for k in ("twin", "coherent", "optimal"))
+        assert rep.v_tb == pytest.approx(v_tb, rel=1e-12, abs=0.0)
+        assert rep.v_cs == pytest.approx(v_cs, rel=1e-12, abs=0.0)
+        assert rep.v_opt == pytest.approx(v_opt, rel=1e-12, abs=0.0)
+        fitted_pct = (v_cs / v_tb - 1.0) * 100.0
+        assert rep.enhancement_pct == pytest.approx(fitted_pct, rel=0.0, abs=1e-10)
+        assert rep.extrapolated == any(ex for _, ex in fits.values())
+        assert rep.extrapolated == extrapolated[q - 1]
 
 
 def test_enhancement_report_fields(chain):

@@ -234,3 +234,20 @@ def test_probe_transmission_needs_a_noisy_conjugate():
     dark = TwinBeamMoments(2.0, 0.0, 6.0, 0.0, 0.0)
     with pytest.raises(UndefinedMomentsError):
         probe_transmission_for_ratio(dark, 0.9, 0.5)
+
+
+def test_probe_transmission_squares_round_correctly():
+    # At this eta_c the C library's pow may round the square one ulp low
+    # (0.4418590655521448; the exact square rounds to ...449). The closed
+    # form takes correctly rounded squares, so its bits do not depend on
+    # the host's libm.
+    eta_c = 0.6647248043755738
+    m = fwm_moments(FwmSourceParams(5.0, 1.0, 0.0))
+    ratio = 0.5
+    eta_c2 = float(Fraction(eta_c) ** 2)
+    cov2 = float(Fraction(m.cov) ** 2)
+    conj = apply_loss(m, LossChannel(0.0, eta_c)).var_c
+    a = m.var_p - m.mean_p - eta_c2 * cov2 / conj
+    b = eta_c2 * eta_c * cov2 * (m.mean_c / conj) / conj
+    expected = m.mean_p * (ratio - 1.0) / (a - ratio * b)
+    assert probe_transmission_for_ratio(m, eta_c, ratio) == expected

@@ -579,6 +579,21 @@ def test_cli_sampled_fit_without_slope_is_numeric_error(tmp_path, capsys, sample
     assert not (tmp_path / "fig4_enhancement.json").exists()
 
 
+@pytest.mark.parametrize("voltages", [[0.0], [1e-200]])
+def test_cli_sweep_of_vanishing_squares_is_validation_error(tmp_path, capsys, voltages):
+    # A sweep whose squared voltages are all 0, even by underflow, reaches
+    # no SNR: invalid input, whether the thresholds are fitted or closed.
+    cfg = default_scenario_dict()
+    cfg["sweep"]["voltages_mv"] = voltages
+    path = tmp_path / "zero_sweep.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run_cli("snr-sweep", "--scenario", str(path), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: "), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "enhancement.json").exists()
+
+
 def test_cli_underflowing_analytic_snr_is_numeric_error(tmp_path, capsys):
     # A threshold target so large that every swept signal underflows to 0.
     cfg = default_scenario_dict()
