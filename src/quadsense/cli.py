@@ -20,12 +20,7 @@ import numpy as np
 
 from .analysis import threshold_voltage
 from .errors import QuadsenseError, ValidationError
-from .optics import (
-    WAIST_GRID_POINTS,
-    optimize_waist,
-    quadrant_transmission,
-    transmission_curve,
-)
+from .optics import optimize_waist, quadrant_transmission, waist_scan
 from .plasmonic import transmission_at
 from .scenario import QUADRANTS, Scenario, build_chain, dump_scenario, load_scenario
 
@@ -93,10 +88,9 @@ def _cmd_squeezing_budget(scenario: Scenario, args, out: Path) -> int:
 
 def _cmd_optimize_beam(scenario: Scenario, args, out: Path) -> int:
     d_range = (100.0, 1000.0)
-    best_d, best_t = optimize_waist(scenario.layout, d_range)
+    ds, totals = waist_scan(scenario.layout, d_range)
+    best_d, best_t = optimize_waist(scenario.layout, d_range, (ds, totals))
     header = ["diameter_um", "total_transmission"]
-    ds = np.linspace(*d_range, WAIST_GRID_POINTS)
-    totals = transmission_curve(scenario.layout, ds)
     rows = [[_fmt(float(d)), _fmt(float(t))] for d, t in zip(ds, totals)]
     _write_csv(out / "beam_curve.csv", header, rows)
     qt = quadrant_transmission(best_d, scenario.layout)
@@ -227,7 +221,7 @@ def _cmd_fig4(scenario: Scenario, args, out: Path) -> int:
 def _cmd_verify(scenario: Scenario, args, out: Path) -> int:
     from . import montecarlo
 
-    checks = montecarlo.run_verification(n_samples=args.samples, seed=args.seed)
+    checks = montecarlo.run_verification(build_chain(scenario), args.samples, args.seed)
     payload = {
         "n_samples": args.samples,
         "seed": args.seed,

@@ -5,7 +5,8 @@ Gaussian photocurrent sampling of each quadrant from the moments of the
 optics cut (exact for first and second moments, which is all the formulas
 use), binomial-equivalent thinning for the loss map, and a truncated-Fock
 construction of the seeded two-mode squeezer, exponentiated one
-photon-difference block at a time.
+photon-difference block at a time. :func:`run_verification` runs the
+sampled checks on a calibrated chain's own cut, grid and pair channel.
 
 Randomness is counter-based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC '11): each chunk of :data:`CHUNK` = 2^16 samples of a
@@ -37,20 +38,14 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import TailMassError, ValidationError
-from .optics import QUADRANT_SIGNS, LossChannel, apply_loss, quadrant_cut
-from .source import (
-    CoherenceGrid,
-    FwmSourceParams,
-    TwinBeamMoments,
-    build_coherence_grid,
-    fwm_moments,
-)
+from .optics import QUADRANT_SIGNS, apply_loss, quadrant_cut
+from .source import CoherenceGrid, FwmSourceParams, TwinBeamMoments, fwm_moments
 
 __all__ = [
     "sample_photocurrents",
@@ -547,12 +542,11 @@ def _fock_check():
     )
 
 
-def _bright_pair_checks(m, n, seed):
-    """Thinning vs the loss map, then the difference noise of the same
-    thinned pair vs the analytic noise."""
+def _bright_pair_checks(m, ch, n, seed):
+    """Thinning through the channel ``ch`` vs the loss map, then the
+    difference noise of the same thinned pair vs the analytic noise."""
     from . import detection  # local: importing montecarlo loads no detection code
 
-    ch = LossChannel(0.5, 0.9)
     expected = apply_loss(m, ch)
     g = detection.optimal_gain(expected)
     s_analytic = detection.difference_noise(expected, g)
@@ -680,43 +674,44 @@ def _partition_checks(grid, m, n, seed):
     return sums, independence
 
 
-def _partition_balance_check(grid):
+def _partition_balance_check(grid, beam):
     """The four quadrants of an on-axis beam carry at most its power. The
     quadrants split it evenly by construction: they are one cut."""
-    src = TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0)
-    total = 4.0 * quadrant_cut(src, grid).mean_p
+    total = 4.0 * quadrant_cut(beam, grid).mean_p
     return _check(
         "quadrant_partition_balance",
-        0.0 if total <= 1.0 + 1e-12 else 1.0,
+        0.0 if total <= beam.mean_p * (1.0 + 1e-12) else 1.0,
         1e-12,
         "centered beam splits evenly across quadrants and keeps total "
         "transmission <= 1",
     )
 
 
-def run_verification(n_samples: int = 10_000_000, seed: int = 20260826) -> list:
-    """Run every oracle check and return the list of results.
+def run_verification(chain, n_samples: int, seed: int) -> list:
+    """Run every oracle check on the calibrated ``chain`` (a
+    :class:`scenario.SensingChain`) and return the list of results.
 
-    The sampled checks operate in the bright regime, where the
-    Gaussian-equivalent thinning model is exact; tolerances are 5 standard
-    errors, so a passing suite is overwhelmingly likely to pass again
-    under a different seed. Each sampled check is one
+    The sampled checks read only the chain, in the bright regime, where
+    the Gaussian-equivalent thinning model is exact: the bright pair is
+    ``chain.cut`` thinned through ``chain.pair_channel(1)``, and the
+    partition checks cut ``chain.beam`` on ``chain.grid``. Tolerances are
+    5 standard errors, so a passing suite is overwhelmingly likely to pass
+    again under a different seed. Each sampled check is one
     :func:`fold_chunks`, so its statistics do not depend on the worker
     count, and it holds one chunk of samples per series and worker,
     whatever ``n_samples``.
     """
     n = int(n_samples)
-    # Bright reference state: the gain-2 ideal moments scaled up so the
-    # Gaussian intensity model holds (negative-intensity clipping in the
-    # thinning map is negligible when mean >> sqrt(var)).
+    # Each state is summed over ``bright`` independent copies, so every
+    # moment scales by it and the thinning map's clip of negative
+    # intensities is negligible (mean >> sqrt(var)).
     bright = 1e4
-    m = TwinBeamMoments(2 * bright, bright, 6 * bright, 3 * bright, 4 * bright)
-    # Coarse verification grid for the sampled and analytic partition checks.
-    grid = build_coherence_grid(16.0, 16.0, 8.0)
+    beam = TwinBeamMoments(*(bright * x for x in astuple(chain.beam)))
+    cut = TwinBeamMoments(*(bright * x for x in astuple(chain.cut)))
     return [
         _fock_check(),
-        *_bright_pair_checks(m, n, seed),
+        *_bright_pair_checks(cut, chain.pair_channel(1), n, seed),
         _snl_check(bright, min(n, 1_000_000), seed),
-        *_partition_checks(grid, m, min(n, 1_000_000), seed),
-        _partition_balance_check(grid),
+        *_partition_checks(chain.grid, beam, min(n, 1_000_000), seed),
+        _partition_balance_check(chain.grid, beam),
     ]

@@ -26,6 +26,7 @@ __all__ = [
     "QuadrantTransmission",
     "quadrant_transmission",
     "transmission_curve",
+    "waist_scan",
     "optimize_waist",
     "apply_loss",
     "quadrant_cut",
@@ -152,14 +153,20 @@ def transmission_curve(layout: QuadrantLayout, diameters) -> np.ndarray:
     return _window_total(_window_powers(layout, sigma))
 
 
-def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float]):
+def waist_scan(layout: QuadrantLayout, d_range: tuple[float, float]):
+    """``(diameters, totals)``: :data:`WAIST_GRID_POINTS` diameters over
+    ``d_range`` and their :func:`transmission_curve`."""
+    ds = np.linspace(*d_range, WAIST_GRID_POINTS)
+    return ds, transmission_curve(layout, ds)
+
+
+def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float], scan=None):
     """Beam waist diameter maximizing the total quadrant transmission.
 
-    Coarse grid of :data:`WAIST_GRID_POINTS` diameters over ``d_range``,
-    scanned in one :func:`transmission_curve`, then golden-section
-    refinement to a bracket narrower than :data:`WAIST_TOL_UM`. Ties on a
-    flat objective break toward the smallest diameter. Returns
-    ``(best_diameter, best_total)``.
+    Coarse :func:`waist_scan` over ``d_range``, or ``scan`` if the caller
+    already holds it, then golden-section refinement to a bracket narrower
+    than :data:`WAIST_TOL_UM`. Ties on a flat objective break toward the
+    smallest diameter. Returns ``(best_diameter, best_total)``.
     """
     d_lo, d_hi = d_range
     if not 0 < d_lo < d_hi:
@@ -168,8 +175,7 @@ def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float]):
     def total(d):
         return quadrant_transmission(d, layout).total
 
-    ds = np.linspace(d_lo, d_hi, WAIST_GRID_POINTS)
-    vals = transmission_curve(layout, ds)
+    ds, vals = waist_scan(layout, d_range) if scan is None else scan
     if vals.max() - vals.min() < 1e-12:
         # Flat objective: every diameter is optimal; return the smallest.
         return float(ds[0]), float(vals[0])

@@ -306,13 +306,15 @@ class StageBudget:
 
 @dataclass
 class SensingChain:
-    """Scenario after calibration: everything the sweeps need. The analytic
-    noises and the sampled oracle both read a pair's :meth:`detected`
-    moments, so the loss map is :func:`optics.apply_loss` alone."""
+    """Scenario after calibration: everything the sweeps and oracles need,
+    ``beam`` being the moments after the imaging optics, before the cut.
+    The analytic noises and the sampled oracle both read a pair's
+    :meth:`detected` moments, so the loss map is :func:`optics.apply_loss`."""
 
     scenario: Scenario
     source_params: FwmSourceParams
     eta_optics: float
+    beam: TwinBeamMoments
     grid: CoherenceGrid
     cut: TwinBeamMoments
     channels_p: dict
@@ -604,6 +606,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
         scenario=scenario,
         source_params=params,
         eta_optics=eta_optics,
+        beam=m1,
         grid=grid,
         cut=cut,
         channels_p=channels_p,

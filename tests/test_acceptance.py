@@ -30,8 +30,8 @@ def _report(num, desc, ok):
 
 
 @pytest.fixture(scope="module")
-def verification():
-    return montecarlo.run_verification(n_samples=10_000_000, seed=20260826)
+def verification(chain):
+    return montecarlo.run_verification(chain, n_samples=10_000_000, seed=20260826)
 
 
 def test_criterion_1_gain_optimum_and_covariance_round_trip():

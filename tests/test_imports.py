@@ -132,23 +132,24 @@ TRACED_VERIFY = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import tracing
-from quadsense import montecarlo
+from quadsense import montecarlo, scenario
+chain = scenario.build_chain(scenario.load_scenario())
 tracer = tracing.Tracer()
 tracing.install(tracer)
-montecarlo.run_verification(int(sys.argv[2]), 5)
+montecarlo.run_verification(chain, int(sys.argv[2]), 5)
 print(json.dumps(tracing.aggregate([{"spans": tracer.spans, "extra": tracer.extra}])))
 """
 
 
-def test_perfbench_hooks_stay_on_the_verification_path(tmp_path):
+def test_perfbench_hooks_stay_on_the_verification_path(chain, tmp_path):
     # The verification suite draws through the hooked samplers once per
     # chunk, so the traced normal count is that of whole-run draws: two per
     # sample for the bright pair, one per thinned value, and two per cell
-    # and sample for the partition batch.
-    from quadsense import montecarlo, source
+    # of the chain's grid and sample for the partition batch.
+    from quadsense import montecarlo
 
     n = 2 * montecarlo.CHUNK + 1
-    cells = source.build_coherence_grid(16.0, 16.0, 8.0).n_cells
+    cells = chain.grid.n_cells
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -189,8 +189,8 @@ def test_fock_rejects_invalid_inputs():
         fock_two_mode_squeezer_moments(1.2, -1.0)
 
 
-def test_verification_suite_passes_quickly():
-    checks = run_verification(n_samples=200_000, seed=77)
+def test_verification_suite_passes_quickly(chain):
+    checks = run_verification(chain, n_samples=200_000, seed=77)
     names = {c.name for c in checks}
     assert {
         "fock_vs_closed_form",
@@ -205,7 +205,7 @@ def test_verification_suite_passes_quickly():
     assert not failed, f"verification checks failed: {failed}"
 
 
-def test_verification_checks_draw_disjoint_streams(monkeypatch):
+def test_verification_checks_draw_disjoint_streams(chain, monkeypatch):
     # Every check draws its samples before it is scored by _check, so the
     # substreams opened since the previous score belong to the check scored
     # next. A stream shared by two checks would correlate their statistics.
@@ -224,7 +224,7 @@ def test_verification_checks_draw_disjoint_streams(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_generator", recording_generator)
     monkeypatch.setattr(montecarlo, "_check", recording_check)
-    run_verification(n_samples=200_000, seed=77)
+    run_verification(chain, n_samples=200_000, seed=77)
     assert owners
     shared = {stream: names for stream, names in owners.items() if len(names) > 1}
     assert not shared, shared
@@ -307,7 +307,7 @@ def test_sampled_outputs_do_not_depend_on_the_worker_count(
     runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "_workers", lambda tasks: min(workers, tasks))
-        checks = run_verification(2 * montecarlo.CHUNK + 5, seed=77)
+        checks = run_verification(chain, 2 * montecarlo.CHUNK + 5, seed=77)
         curves = chain.sampled_snr_sweep(QUADRANT_PAIRS, 3 * montecarlo.CHUNK + 7, 42)
         out = tmp_path / str(workers)
         argv = ["fig4", "--seed", "42", "--samples", "200000", "--out", str(out)]
@@ -570,7 +570,7 @@ def test_sampled_paths_hold_one_chunk_whatever_n(chain, monkeypatch):
     row = montecarlo.CHUNK * 8
     one_chunk, per_worker = 8 * row, 10 * row
     for run in (
-        lambda n: run_verification(n, seed=77),
+        lambda n: run_verification(chain, n, seed=77),
         lambda n: chain.sampled_snr_sweep(QUADRANT_PAIRS, n, 42),
     ):
         peaks = {}

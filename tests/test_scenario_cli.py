@@ -747,6 +747,61 @@ def test_verify_report_is_pinned(tmp_path):
     assert digest == VERIFY_SHA
 
 
+def _verify_checks(*argv) -> dict:
+    """The statistic of each check in the ``verify`` report of ``argv``."""
+    assert run_cli("verify", "--samples", "20000", *argv) == 0
+    out = Path(argv[argv.index("--out") + 1])
+    report = json.loads((out / "verify.json").read_text())
+    return {c["name"]: c["statistic"] for c in report["checks"]}
+
+
+def test_verify_reads_the_scenario_chain(tmp_path):
+    # verify checks the chain that --scenario calibrates: a coarser
+    # coherence cell moves every statistic drawn from that chain, and
+    # leaves those of the Fock and shot-noise oracles, which read none of
+    # it.
+    cfg = default_scenario_dict()
+    cfg["coherence"]["cell_um"] = 2.0
+    path = tmp_path / "coarse.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    default = _verify_checks("--out", str(tmp_path / "default"))
+    coarse = _verify_checks("--scenario", str(path), "--out", str(tmp_path / "coarse"))
+    assert set(coarse) == set(default)
+    moved = {name for name in default if coarse[name] != default[name]}
+    assert moved == {
+        "thinning_vs_loss_map",
+        "sampled_difference_noise",
+        "quadrant_cell_sums",
+        "cross_quadrant_independence",
+    }
+
+
+def test_verify_report_survives_the_dump_round_trip(tmp_path, capsys):
+    assert run_cli("verify", "--dump-config") == 0
+    path = tmp_path / "scenario.yaml"
+    path.write_text(capsys.readouterr().out)
+    reports = []
+    for name, argv in (("packaged", ()), ("dumped", ("--scenario", str(path)))):
+        out = tmp_path / name
+        assert run_cli("verify", *argv, "--samples", "20000", "--out", str(out)) == 0
+        reports.append((out / "verify.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_cli_verify_on_infeasible_stage_targets_prints_residuals(tmp_path, capsys):
+    # verify calibrates the chain it checks, so it fails as snr-sweep does.
+    cfg = default_scenario_dict()
+    cfg["calibration"]["stage_targets_db"].update({"source": -12.0, "post_optics": -1.0})
+    path = tmp_path / "infeasible.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert run_cli("verify", "--scenario", str(path), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("consistency error: ") and err.count("\n") == 1, err
+    assert "residuals_db: " in err
+    assert not (out / "verify.json").exists()
+
+
 def test_artifacts_do_not_depend_on_the_operating_point(tmp_path):
     # Each signal is the floor times (V / threshold target)^2, so neither
     # the operating wavelength nor the resonance shapes reach a calibrated
