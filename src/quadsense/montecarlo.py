@@ -579,15 +579,16 @@ def _bright_pair_checks(m, ch, n, seed):
         "thinning_vs_loss_map",
         worst,
         5.0,
-        f"worst z-score of sampled moments after thinning vs the "
-        f"analytic loss map at n={n}",
+        f"worst z-score of the bright chain.cut's sampled moments after "
+        f"thinning vs optics.apply_loss through chain.pair_channel(1) at n={n}",
     )
 
     difference = _check(
         "sampled_difference_noise",
         z_diff,
         5.0,
-        f"z-score of sampled minimum difference noise at n={n}, g={g:.4f}",
+        f"z-score of that thinned pair's sampled difference noise vs "
+        f"detection.difference_noise at its optimal gain g={g:.4f}, n={n}",
     )
     return thinning, difference
 
@@ -655,8 +656,8 @@ def _partition_checks(grid, m, n, seed):
         "quadrant_cell_sums",
         worst,
         5.0,
-        f"worst z-score of sampled per-quadrant moments vs the analytic "
-        f"quadrant cut at n={n}",
+        f"worst z-score of sampled per-quadrant moments of the bright "
+        f"chain.beam vs optics.quadrant_cut on chain.grid at n={n}",
     )
 
     worst = 0.0
@@ -668,8 +669,8 @@ def _partition_checks(grid, m, n, seed):
         "cross_quadrant_independence",
         worst,
         5.0,
-        "worst z-score of the 24 cross-quadrant covariances that the "
-        "independent-cell model predicts to vanish",
+        "worst z-score of the 24 cross-quadrant covariances of those "
+        "samples, which the independent-cell model predicts to vanish",
     )
     return sums, independence
 

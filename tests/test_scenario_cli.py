@@ -738,7 +738,7 @@ def test_default_scenario_artifacts_are_pinned(tmp_path):
 
 
 # sha256 of `verify --samples 20000` at the packaged scenario's seed.
-VERIFY_SHA = "453c71e82009fc9a7741fbf442747d235f3eec109b3b6de39e1b1eb00118e31f"
+VERIFY_SHA = "00eecfd3629c2f4a34e2b302b5c40868740943be6346344eba35992a212b0af5"
 
 
 def test_verify_report_is_pinned(tmp_path):
