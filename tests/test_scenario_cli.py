@@ -747,10 +747,9 @@ def test_verify_report_is_pinned(tmp_path):
     assert digest == VERIFY_SHA
 
 
-def _verify_checks(*argv) -> dict:
+def _verify_checks(out, *argv) -> dict:
     """The statistic of each check in the ``verify`` report of ``argv``."""
-    assert run_cli("verify", "--samples", "20000", *argv) == 0
-    out = Path(argv[argv.index("--out") + 1])
+    assert run_cli("verify", "--samples", "20000", "--out", str(out), *argv) == 0
     report = json.loads((out / "verify.json").read_text())
     return {c["name"]: c["statistic"] for c in report["checks"]}
 
@@ -764,8 +763,8 @@ def test_verify_reads_the_scenario_chain(tmp_path):
     cfg["coherence"]["cell_um"] = 2.0
     path = tmp_path / "coarse.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    default = _verify_checks("--out", str(tmp_path / "default"))
-    coarse = _verify_checks("--scenario", str(path), "--out", str(tmp_path / "coarse"))
+    default = _verify_checks(tmp_path / "default")
+    coarse = _verify_checks(tmp_path / "coarse", "--scenario", str(path))
     assert set(coarse) == set(default)
     moved = {name for name in default if coarse[name] != default[name]}
     assert moved == {
