@@ -108,13 +108,14 @@ def _window_powers(layout: QuadrantLayout, sigma):
     round beam of standard deviation ``sigma`` centered on the layout.
 
     The Gaussian factorizes, so each is the product of the exact power of
-    its x and y intervals, one :func:`_interval_weights` call per axis for
-    all five. An array sigma of shape ``(n, 1)`` gives shape ``(n, 5)``.
+    its x and y intervals, one :func:`_interval_weights` call for both axes
+    of all five. An array sigma of shape ``(n, 1)`` gives shape ``(n, 5)``.
     """
     hx, hy = layout.half_extent
     bounds = [layout.window_bounds(q) for q in (1, 2, 3, 4)] + [(-hx, hx, -hy, hy)]
     xlo, xhi, ylo, yhi = np.array(bounds).T
-    return _interval_weights(xlo, xhi, sigma) * _interval_weights(ylo, yhi, sigma)
+    w = _interval_weights(np.concatenate((xlo, ylo)), np.concatenate((xhi, yhi)), sigma)
+    return w[..., : len(bounds)] * w[..., len(bounds) :]
 
 
 def _window_total(powers):

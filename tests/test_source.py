@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from quadsense.optics import QuadrantLayout
 from quadsense.optics import quadrant_cut, quadrant_transmission
 from quadsense.source import (
     MAX_HALF_CELLS,
+    NDTR_BLOCK,
     CoherenceGrid,
     FwmSourceParams,
     TwinBeamMoments,
@@ -202,6 +204,21 @@ def test_grid_reach_keeps_every_bit_of_the_covariance_share(waist_p, waist_c, d_
     assert grid.cov_share == reference_cov_share(*wide)
 
 
+@pytest.mark.parametrize("waist_c", [441.0, 420.0])
+def test_fine_grid_holds_at_most_six_half_axis_arrays(waist_c):
+    # A 0.01 um cell out to three waists: 126,000-132,300 cells per half
+    # axis, so the CDF spans several blocks and its temporaries stay
+    # block-sized next to the edges, the CDFs and the weights.
+    tracemalloc.start()
+    try:
+        grid = build_coherence_grid(420.0, waist_c, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.half_cells > 7 * NDTR_BLOCK
+    assert peak <= 6 * 8 * grid.half_cells
+
+
 def test_quadrant_weights_match_gapless_transmission():
     # The quadrant share of the grid must agree with direct integration of
     # the same Gaussian over a gapless, untilted quadrant window.
@@ -241,3 +258,32 @@ def test_ndtr_is_elementwise():
     assert np.array_equal(_ndtr(a.reshape(3, 267)).ravel(), whole)
     assert np.array_equal(_ndtr(a[::-1]), whole[::-1])
     assert all(_ndtr(np.array([x]))[0] == y for x, y in zip(a, whole))
+
+
+def _ndtr_by_pieces(a, size):
+    """:func:`_ndtr` of ``a`` flattened, called on pieces of ``size``."""
+    flat = a.ravel()
+    pieces = np.array_split(flat, np.arange(size, flat.size, size))
+    return np.concatenate([_ndtr(piece) for piece in pieces])
+
+
+# Magnitudes of the arguments that reach one Cephes branch each: erf,
+# 1 - erf, the P/Q erfc and the R/S erfc, the erfc reflected for a > 0.
+NDTR_ONE_BRANCH = ((0.0, 0.9), (1.0, 1.4), (1.5, 11.0), (11.4, 40.0))
+
+
+def test_ndtr_keeps_every_bit_across_blocks():
+    # Each element's bits must not depend on where a block boundary, or a
+    # SIMD loop's body and tail within a block, puts it.
+    b = NDTR_BLOCK
+    rng = np.random.default_rng(2024)
+    sizes = (0, 1, b - 1, b, b + 1, 3 * b + 5)
+    inputs = [rng.permutation(np.linspace(-40.0, 40.0, n)) for n in sizes]
+    for lo, hi in NDTR_ONE_BRANCH:
+        inputs += [sign * rng.uniform(lo, hi, b + 1) for sign in (-1, 1)]
+    square = rng.uniform(-40.0, 40.0, (3, b // 2 + 7))
+    for a in inputs + [square]:
+        whole = _ndtr(a)
+        assert whole.shape == a.shape
+        for size in (1000, b - 1, b + 3):
+            assert np.array_equal(_ndtr_by_pieces(a, size), whole.ravel())
