@@ -1,9 +1,10 @@
 """Beam geometry and loss: transmission of a centered Gaussian beam through
 the tilted quadrant windows, beam-splitter loss propagation of intensity
 moments, and the correlation penalty of cutting a finite coherence area.
-The coherence grid is centered on both beams, so that penalty is one
+The coherence cells are centered on both beams, so that penalty is one
 quadrant cut, the same for all four quadrants: a quarter of every mean and
-variance, and the grid's covariance share of the covariance.
+variance, and the closed-form covariance share
+(:func:`source.build_coherence_grid`) of the covariance.
 
 Quadrant labels follow the sign convention
 ``1: (+x, +y), 2: (-x, +y), 3: (-x, -y), 4: (+x, -y)``.
@@ -109,7 +110,8 @@ def _window_powers(layout: QuadrantLayout, sigma):
 
     The Gaussian factorizes, so each is the product of the exact power of
     its x and y intervals, one :func:`_interval_weights` call for both axes
-    of all five. An array sigma of shape ``(n, 1)`` gives shape ``(n, 5)``.
+    of all five: 20 normal CDFs through the C library's ``erfc``. An array
+    sigma of shape ``(n, 1)`` gives shape ``(n, 5)``.
     """
     hx, hy = layout.half_extent
     bounds = [layout.window_bounds(q) for q in (1, 2, 3, 4)] + [(-hx, hx, -hy, hy)]
@@ -224,11 +226,12 @@ def apply_loss(m: TwinBeamMoments, ch: LossChannel) -> TwinBeamMoments:
 def quadrant_cut(m: TwinBeamMoments, grid: CoherenceGrid) -> TwinBeamMoments:
     """Select one spatial quadrant of a multi-mode twin beam.
 
-    The grid is centered on both beams, so the central cut lines split it
-    into four mirror-image quadrants and one cut serves all four. A
-    quadrant carries :data:`QUADRANT_SHARE` of every mean and variance and
-    the grid's covariance share (:func:`source.build_coherence_grid`) of
-    the covariance.
+    The coherence cells are centered on both beams, so the central cut
+    lines split them into four mirror-image quadrants and one cut serves
+    all four. A quadrant carries :data:`QUADRANT_SHARE` of every mean and
+    variance and ``grid.cov_share`` of the covariance: the share of
+    ``sqrt(I_p I_c)`` that lies in the cells whole inside the quadrant, in
+    closed form (:func:`source.build_coherence_grid`).
     """
     return TwinBeamMoments(
         mean_p=QUADRANT_SHARE * m.mean_p,

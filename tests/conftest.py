@@ -4,9 +4,9 @@ from importlib import resources
 import numpy as np
 import pytest
 import yaml
+from scipy.special import ndtr
 
 from quadsense.scenario import Scenario, build_chain
-from quadsense.source import _ndtr
 
 
 def default_scenario_dict() -> dict:
@@ -34,7 +34,7 @@ def reference_cell_weights(waist_p, waist_c, d_c, half):
     """
     edges = 0.5 * d_c - np.arange(half + 2) * d_c
     edges[0] = 0.0
-    cdf_p, cdf_c = (_ndtr(edges / (waist / 4.0)) for waist in (waist_p, waist_c))
+    cdf_p, cdf_c = (ndtr(edges / (waist / 4.0)) for waist in (waist_p, waist_c))
     return (
         cdf_p[1:-1] - cdf_p[2:],
         cdf_c[1:-1] - cdf_c[2:],

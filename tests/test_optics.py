@@ -246,12 +246,16 @@ def _brute_force_cut(m, waist_p, waist_c, d_c, q):
     first cell whose outer edge reaches three waists of the wider beam.
     Each rectangle's power is a product of ndtr differences over its own
     bounds, an interval above the axis taken at its mirror image so that no
-    difference of two values near 1 loses a far cell's power; it keeps its
-    covariance share only when it is the whole cell. Returns the quadrant's
-    moments.
+    difference of two values near 1 loses a far cell's power. A rectangle
+    keeps a covariance share only when it is the whole cell: the integral of
+    sqrt(I_p I_c) over it, which is B^2 times its power under a Gaussian of
+    width sigma_e. Returns the quadrant's moments.
     """
     sx, sy = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}[q]
     sigma_p, sigma_c = waist_p / 4.0, waist_c / 4.0
+    spread = sigma_p**2 + sigma_c**2
+    overlap_sq = 2.0 * sigma_p * sigma_c / spread
+    sigma_e = sigma_p * sigma_c * math.sqrt(2.0 / spread)
     half = math.ceil(3.0 * max(waist_p, waist_c) / d_c - 0.5)
     coords = [k * d_c for k in range(-half, half + 1)]
     h = 0.5 * d_c
@@ -267,7 +271,7 @@ def _brute_force_cut(m, waist_p, waist_c, d_c, q):
     def side(lo, hi, s):
         return (max(lo, 0.0), hi) if s > 0 else (lo, min(hi, 0.0))
 
-    tot_p = tot_c = 0.0
+    tot_p = tot_c = cov = 0.0
     pieces = []
     for cx in coords:
         for cy in coords:
@@ -279,14 +283,13 @@ def _brute_force_cut(m, waist_p, waist_c, d_c, q):
             if xhi <= xlo or yhi <= ylo:
                 continue
             rect = (xlo, xhi, ylo, yhi)
-            pieces.append((power(*rect, sigma_p), power(*rect, sigma_c), rect == cell))
-    mp = mc = cov = 0.0
-    for wp, wc, whole in pieces:
-        wp, wc = wp / tot_p, wc / tot_c
-        mp += wp
-        mc += wc
-        if whole:
-            cov += math.sqrt(wp * wc)
+            pieces.append((power(*rect, sigma_p), power(*rect, sigma_c)))
+            if rect == cell:
+                cov += overlap_sq * power(*cell, sigma_e)
+    mp = mc = 0.0
+    for wp, wc in pieces:
+        mp += wp / tot_p
+        mc += wc / tot_c
     return TwinBeamMoments(
         mp * m.mean_p, mc * m.mean_c, mp * m.var_p, mc * m.var_c, cov * m.cov
     )
