@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import FitInfeasibleError, ValidationError
 
 __all__ = [
@@ -26,12 +24,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SNRCurve:
-    """SNR versus drive voltage for one quadrant pair and probe kind."""
+    """SNR versus drive voltage for one quadrant pair and probe kind, as
+    tuples of floats."""
 
     pair: tuple[int, int]
     kind: str  # "twin", "coherent", or "optimal"
-    voltages: np.ndarray
-    snr: np.ndarray
+    voltages: tuple
+    snr: tuple
     clamped: bool = False
 
     def __post_init__(self):
@@ -63,24 +62,26 @@ def signal_estimate(s_on: float, s_off: float) -> float:
 def threshold_voltage(curve: SNRCurve) -> tuple[float, bool]:
     """Drive voltage at which the SNR crosses 1.
 
-    The slope is that of the least-squares line through the origin.
-    Returns ``(voltage, extrapolated)`` where the flag marks a threshold
-    beyond the swept range.
+    The slope is that of the least-squares line through the origin, its
+    two dot products summed in voltage order. Returns
+    ``(voltage, extrapolated)`` where the flag marks a threshold beyond
+    the swept range.
     """
-    v = np.asarray(curve.voltages, float)
-    s = np.asarray(curve.snr, float)
-    denom = float(v @ v)
+    denom = cross = 0.0
+    for v, s in zip(curve.voltages, curve.snr):
+        denom += v * v
+        cross += v * s
     if denom <= 0:
         raise ValidationError(
             "the squares of sweep.voltages_mv sum to 0: no swept voltage is "
             "large enough to fit a threshold"
         )
-    slope = float(v @ s) / denom
+    slope = cross / denom
     if slope <= 0:
         raise FitInfeasibleError(
             "SNR does not grow with drive voltage: the swept curve has no "
             "SNR = 1 threshold"
         )
     v_th = 1.0 / slope
-    extrapolated = bool(s.max() < 1.0)
+    extrapolated = all(s < 1.0 for s in curve.snr)
     return v_th, extrapolated

@@ -16,8 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import threshold_voltage
 from .errors import QuadsenseError, ValidationError
 from .optics import optimize_waist, quadrant_transmission, waist_scan
@@ -91,7 +89,7 @@ def _cmd_optimize_beam(scenario: Scenario, args, out: Path) -> int:
     ds, totals = waist_scan(scenario.layout, d_range)
     best_d, best_t = optimize_waist(scenario.layout, d_range, (ds, totals))
     header = ["diameter_um", "total_transmission"]
-    rows = [[_fmt(float(d)), _fmt(float(t))] for d, t in zip(ds, totals)]
+    rows = [[_fmt(d), _fmt(t)] for d, t in zip(ds, totals)]
     _write_csv(out / "beam_curve.csv", header, rows)
     qt = quadrant_transmission(best_d, scenario.layout)
     print(f"best diameter {best_d:.1f} um, total transmission {best_t:.4f}")
@@ -101,13 +99,13 @@ def _cmd_optimize_beam(scenario: Scenario, args, out: Path) -> int:
 
 
 def _cmd_resonance_scan(scenario: Scenario, args, out: Path) -> int:
-    lambdas = np.arange(770.0, 815.0 + 1e-9, 0.25)
     header = ["wavelength_nm"] + [f"transmission_q{q}" for q in QUADRANTS]
     rows = []
-    for lam in lambdas:
-        row = [_fmt(float(lam))]
+    for k in range(181):  # 770 to 815 nm in 0.25 nm steps
+        lam = 770.0 + 0.25 * k
+        row = [_fmt(lam)]
         for q in QUADRANTS:
-            row.append(_fmt(transmission_at(scenario.resonances[q - 1], float(lam))))
+            row.append(_fmt(transmission_at(scenario.resonances[q - 1], lam)))
         rows.append(row)
     _write_csv(out / "resonance_scan.csv", header, rows)
     return EXIT_OK
@@ -120,11 +118,11 @@ def _sweep_rows(chain, pairs) -> list:
         for k, v in enumerate(curves["twin"].voltages):
             rows.append(
                 [
-                    _fmt(float(v)),
+                    _fmt(v),
                     f"{pair[0]}-{pair[1]}",
-                    _fmt(float(curves["twin"].snr[k])),
-                    _fmt(float(curves["coherent"].snr[k])),
-                    _fmt(float(curves["optimal"].snr[k])),
+                    _fmt(curves["twin"].snr[k]),
+                    _fmt(curves["coherent"].snr[k]),
+                    _fmt(curves["optimal"].snr[k]),
                 ]
             )
     return rows
@@ -168,7 +166,7 @@ def _cmd_fig3(scenario: Scenario, args, out: Path) -> int:
     """
     chain = build_chain(scenario)
     bin_hz = 250.0
-    bins = np.arange(-10, 11)
+    bins = range(-10, 11)
     drives = (120.0, 60.0)
     header = [
         "quadrant",
@@ -188,7 +186,7 @@ def _cmd_fig3(scenario: Scenario, args, out: Path) -> int:
             freq = scenario.modulation_frequency_hz + k * bin_hz
             row = [str(q), _fmt(freq), _fmt(0.0, db=True), _fmt(floor_db, db=True)]
             for sig in signals:
-                level = s_off + (float(sig) if k == 0 else 0.0)
+                level = s_off + (sig if k == 0 else 0.0)
                 row.append(_fmt(10.0 * math.log10(level / snl), db=True))
             rows.append(row)
     _write_csv(out / "fig3.csv", header, rows)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SearchError, ValidationError
 from .source import CoherenceGrid, TwinBeamMoments, _interval_weights
 
@@ -104,27 +102,27 @@ class QuadrantTransmission:
     tail_fraction: float
 
 
-def _window_powers(layout: QuadrantLayout, sigma):
+def _window_powers(layout: QuadrantLayout, sigma: float) -> list:
     """Power fractions of windows 1-4 and of the whole layout square for a
     round beam of standard deviation ``sigma`` centered on the layout.
 
     The Gaussian factorizes, so each is the product of the exact power of
-    its x and y intervals, one :func:`_interval_weights` call for both axes
-    of all five: 20 normal CDFs through the C library's ``erfc``. An array
-    sigma of shape ``(n, 1)`` gives shape ``(n, 5)``.
+    its x and y intervals (:func:`_interval_weights`): 20 normal CDFs
+    through the C library's ``erfc``.
     """
     hx, hy = layout.half_extent
     bounds = [layout.window_bounds(q) for q in (1, 2, 3, 4)] + [(-hx, hx, -hy, hy)]
-    xlo, xhi, ylo, yhi = np.array(bounds).T
-    w = _interval_weights(np.concatenate((xlo, ylo)), np.concatenate((xhi, yhi)), sigma)
-    return w[..., : len(bounds)] * w[..., len(bounds) :]
+    return [
+        _interval_weights(xlo, xhi, sigma) * _interval_weights(ylo, yhi, sigma)
+        for xlo, xhi, ylo, yhi in bounds
+    ]
 
 
-def _window_total(powers):
+def _window_total(powers) -> float:
     """Summed power of windows 1-4, added in window order."""
     total = 0.0
     for k in range(4):
-        total = total + powers[..., k]
+        total = total + powers[k]
     return total
 
 
@@ -136,30 +134,34 @@ def quadrant_transmission(
     if not diameter > 0:
         raise ValidationError(f"beam diameter must be > 0, got {diameter}")
     powers = _window_powers(layout, diameter / 4.0)
-    total = float(_window_total(powers))
-    in_square = float(powers[4])
+    total = _window_total(powers)
+    in_square = powers[4]
     return QuadrantTransmission(
-        window_fractions={q: float(powers[q - 1]) for q in (1, 2, 3, 4)},
+        window_fractions={q: powers[q - 1] for q in (1, 2, 3, 4)},
         total=total,
         gap_fraction=max(in_square - total, 0.0),
         tail_fraction=1.0 - in_square,
     )
 
 
-def transmission_curve(layout: QuadrantLayout, diameters) -> np.ndarray:
-    """Total transmission of centered beams of the given 1/e^2 diameters.
-
-    One evaluation for all diameters; each entry equals the
-    :func:`quadrant_transmission` total of that beam to the bit.
-    """
-    sigma = np.asarray(diameters, float)[:, None] / 4.0
-    return _window_total(_window_powers(layout, sigma))
+def transmission_curve(layout: QuadrantLayout, diameters) -> list:
+    """Total transmission of centered beams of the given 1/e^2 diameters,
+    as a list; each entry is the :func:`quadrant_transmission` total of
+    that beam."""
+    return [_window_total(_window_powers(layout, d / 4.0)) for d in diameters]
 
 
 def waist_scan(layout: QuadrantLayout, d_range: tuple[float, float]):
-    """``(diameters, totals)``: :data:`WAIST_GRID_POINTS` diameters over
-    ``d_range`` and their :func:`transmission_curve`."""
-    ds = np.linspace(*d_range, WAIST_GRID_POINTS)
+    """``(diameters, totals)``: :data:`WAIST_GRID_POINTS` evenly spaced
+    diameters over ``d_range``, as lists, and their
+    :func:`transmission_curve`.
+
+    The diameters are those of ``numpy.linspace``, to the bit: ``k * step
+    + lo``, with the last one set to ``hi``.
+    """
+    lo, hi = d_range
+    step = (hi - lo) / (WAIST_GRID_POINTS - 1)
+    ds = [k * step + lo for k in range(WAIST_GRID_POINTS - 1)] + [hi]
     return ds, transmission_curve(layout, ds)
 
 
@@ -179,10 +181,11 @@ def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float], scan=No
         return quadrant_transmission(d, layout).total
 
     ds, vals = waist_scan(layout, d_range) if scan is None else scan
-    if vals.max() - vals.min() < 1e-12:
+    best_val = max(vals)
+    if best_val - min(vals) < 1e-12:
         # Flat objective: every diameter is optimal; return the smallest.
-        return float(ds[0]), float(vals[0])
-    k = int(np.argmax(vals))
+        return ds[0], vals[0]
+    k = vals.index(best_val)
     if k == 0 or k == WAIST_GRID_POINTS - 1:
         raise SearchError(
             f"range {d_range} does not bracket an interior transmission maximum"
@@ -190,7 +193,7 @@ def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float], scan=No
 
     # Golden-section search in the bracketing interval.
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(ds[k - 1]), float(ds[k + 1])
+    a, b = ds[k - 1], ds[k + 1]
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = total(c), total(d)
@@ -204,7 +207,7 @@ def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float], scan=No
             d = a + invphi * (b - a)
             fd = total(d)
     best = 0.5 * (a + b)
-    return float(best), float(total(best))
+    return best, total(best)
 
 
 def apply_loss(m: TwinBeamMoments, ch: LossChannel) -> TwinBeamMoments:

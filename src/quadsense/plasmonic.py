@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 __all__ = [
@@ -118,19 +116,20 @@ def modulation_signal(floor: float, drive_voltage, threshold: float):
     coefficient puts the twin-beam SNR, sqrt(power / floor), at 1 on the
     threshold voltage, so the power is ``floor * (V / threshold)**2`` in
     the units of the modulation-off difference-noise variance ``floor``;
-    the probe mean, the transmission and its slope cancel. An array of
-    drive voltages gives the array of their powers, each with the bits of
-    its own scalar evaluation.
+    the probe mean, the transmission and its slope cancel. A sequence of
+    drive voltages gives the list of their powers.
     """
-    volts = np.asarray(drive_voltage, float)
-    with np.errstate(all="ignore"):
-        ratio = volts / threshold
+    scalar = isinstance(drive_voltage, (int, float))
+    powers = []
+    for volts in (drive_voltage,) if scalar else drive_voltage:
+        # A zero threshold divides by zero; it gets the error a tiny one gets.
+        ratio = float(volts) / threshold if threshold else math.nan
         power = floor * (ratio * ratio)
-    bad = np.flatnonzero(~np.isfinite(power))
-    if bad.size:
-        raise ValidationError(
-            f"modulation signal at {volts.flat[bad[0]]:g} mV is not finite: its "
-            f"threshold {threshold:g} mV in calibration.threshold_targets_mv "
-            f"is too small"
-        )
-    return power
+        if not math.isfinite(power):
+            raise ValidationError(
+                f"modulation signal at {volts:g} mV is not finite: its "
+                f"threshold {threshold:g} mV in calibration.threshold_targets_mv "
+                f"is too small"
+            )
+        powers.append(power)
+    return powers[0] if scalar else powers

@@ -24,8 +24,8 @@ the target, so the signal is the modulation-off floor times
 (V / threshold)^2 (:func:`plasmonic.modulation_signal`), and every
 analytic SNR = 1 threshold is a closed form; only sampled ones are fitted.
 
-The Monte Carlo layer is imported by the methods that use it, so loading
-a scenario does not import it.
+The Monte Carlo layer, and with it numpy, is imported by the methods that
+use it, so loading a scenario imports neither.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
 import yaml
 
 from . import analysis, detection, plasmonic
@@ -349,8 +348,9 @@ class SensingChain:
         return detection.snl_noise(self.detected(i, i), self.reports[i].gain)
 
     def signal(self, i: int, voltage_mv):
-        """Signal power of sensor i at one drive voltage or an array of
-        them: its modulation-off floor times (V / threshold target)^2."""
+        """Signal power of sensor i at a drive voltage, or the list of
+        powers at a sequence of them: its modulation-off floor times
+        (V / threshold target)^2."""
         return plasmonic.modulation_signal(
             self.reports[i].diff_variance,
             voltage_mv,
@@ -363,16 +363,18 @@ class SensingChain:
         """Analytic SNR curves (twin, coherent, optimal) for one pair over
         the scenario's sweep voltages."""
         i, j = pair
-        v = np.asarray(self.scenario.sweep_voltages_mv, float)
+        v = self.scenario.sweep_voltages_mv
         s = self.signal(i, v)
         d, g = self.detected(i, j), self.reports[i].gain
-        s_off = detection.difference_noise(d, g)
-        snl = detection.snl_noise(d, g)
-        return {
-            "twin": analysis.SNRCurve(pair, "twin", v, np.sqrt(s / s_off)),
-            "coherent": analysis.SNRCurve(pair, "coherent", v, np.sqrt(s / snl)),
+        noises = {
+            "twin": detection.difference_noise(d, g),
+            "coherent": detection.snl_noise(d, g),
             # The probe alone at its shot noise.
-            "optimal": analysis.SNRCurve(pair, "optimal", v, np.sqrt(s / d.mean_p)),
+            "optimal": d.mean_p,
+        }
+        return {
+            kind: analysis.SNRCurve(pair, kind, v, tuple(math.sqrt(x / n) for x in s))
+            for kind, n in noises.items()
         }
 
     def sampled_snr_sweep(self, pairs, n_samples: int, seed: int) -> list:
@@ -399,7 +401,7 @@ class SensingChain:
         """
         from . import montecarlo
 
-        v = np.asarray(self.scenario.sweep_voltages_mv, float)
+        v = self.scenario.sweep_voltages_mv
         moments = [self.detected(i, j) for i, j in pairs]
         gains = [self.reports[i].gain for i, _ in pairs]
 
@@ -416,7 +418,7 @@ class SensingChain:
                 # centred in place.
                 c *= gain
                 p -= c
-                np.copyto(c, t)
+                c[...] = t
                 parts.append(montecarlo.Comoments.of(p, c))
             return parts
 
@@ -426,7 +428,7 @@ class SensingChain:
             (s_off, tone_cov), (_, tone_var) = acc.cov()
             snrs = []
             clamped = False
-            for amp in np.sqrt(2.0 * self.signal(i, v)):
+            for amp in (math.sqrt(2.0 * s) for s in self.signal(i, v)):
                 s_on = s_off + 2.0 * amp * tone_cov + amp * amp * tone_var
                 sig = analysis.signal_estimate(s_on, s_off)
                 if sig < 0:
@@ -435,7 +437,7 @@ class SensingChain:
                 else:
                     snrs.append(math.sqrt(sig / s_off))
             curves.append(
-                analysis.SNRCurve((i, j), "twin", v, np.array(snrs), clamped=clamped)
+                analysis.SNRCurve((i, j), "twin", v, tuple(snrs), clamped=clamped)
             )
         return curves
 
@@ -447,10 +449,8 @@ class SensingChain:
         v_max = self.scenario.sweep_voltages_mv[-1]
         # The signal grows with V, so the twin curve's largest swept point
         # has no threshold exactly when a fit of the whole curve has none.
-        snr = np.sqrt(self.signal(i, v_max) / rep.diff_variance)
-        analysis.threshold_voltage(
-            analysis.SNRCurve((i, i), "twin", np.array([v_max]), np.array([snr]))
-        )
+        snr = math.sqrt(self.signal(i, v_max) / rep.diff_variance)
+        analysis.threshold_voltage(analysis.SNRCurve((i, i), "twin", (v_max,), (snr,)))
         v_tb = self.scenario.threshold_targets_mv[i - 1]
         v_cs = v_tb * math.sqrt(rep.snl / rep.diff_variance)
         v_opt = v_tb * math.sqrt(self.detected(i, i).mean_p / rep.diff_variance)
@@ -562,8 +562,14 @@ def build_chain(scenario: Scenario) -> SensingChain:
         min(qt_c.window_fractions[q] / QUADRANT_SHARE, 1.0) for q in QUADRANTS
     ]
 
+    # Their mean, summed in window order as numpy's mean sums four values;
+    # from Python 3.12 on, sum() of floats compensates and may round
+    # differently.
+    clip_sum = 0.0
+    for clip in clip_c:
+        clip_sum += clip
     qe = scenario.quantum_efficiency
-    eta_c = float(np.mean(clip_c)) * scenario.mask_transmission * qe
+    eta_c = clip_sum / len(clip_c) * scenario.mask_transmission * qe
 
     # Per-quadrant probe transmission fitted to the measured residual
     # squeezing; the EOT transmission and window clipping set its scale and

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import UndefinedSNLError, ValidationError
 
 __all__ = [
@@ -133,29 +131,26 @@ def source_squeezing(m: TwinBeamMoments) -> tuple[float, float]:
     return ratio, 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
 
 
-_erfc = np.vectorize(math.erfc, otypes=[float])
-
-
-def _normal_cdf(a):
-    """Standard normal CDF of every element of ``a``, as a float array:
-    ``erfc(-a/sqrt 2)/2`` from the C library's ``erfc``, element by element.
+def _normal_cdf(a: float) -> float:
+    """Standard normal CDF of ``a``: ``erfc(-a/sqrt 2)/2`` from the C
+    library's ``erfc``.
 
     The argument is multiplied by ``-sqrt(1/2)``, as Cephes and
     scipy.special do; dividing by ``-sqrt 2`` instead would round the tail
     too coarsely to stay within 1e-13 of ``scipy.special.ndtr``.
     """
-    return 0.5 * _erfc(np.multiply(a, -math.sqrt(0.5)))
+    return 0.5 * math.erfc(a * -math.sqrt(0.5))
 
 
-def _interval_weights(edges_lo, edges_hi, sigma):
-    """Gaussian power in [lo, hi] per axis for a centered beam.
+def _interval_weights(lo: float, hi: float, sigma: float) -> float:
+    """Gaussian power in [lo, hi] on one axis of a centered beam of
+    standard deviation ``sigma``.
 
-    The bounds broadcast against ``sigma``, and both ends go through
-    :func:`_normal_cdf`. On [-40, 40] it agrees with
+    Both ends go through :func:`_normal_cdf`. On [-40, 40] it agrees with
     ``scipy.special.ndtr`` to 1e-13 relative wherever scipy's value is at
     least 1e-300, and its bits rest on the C library's ``erfc`` alone.
     """
-    return _normal_cdf(edges_hi / sigma) - _normal_cdf(edges_lo / sigma)
+    return _normal_cdf(hi / sigma) - _normal_cdf(lo / sigma)
 
 
 # Cells per half axis the nominal grid may have. A finer cell is refused
@@ -221,5 +216,5 @@ def build_coherence_grid(waist_p: float, waist_c: float, d_c: float) -> Coherenc
     mean_sq = 0.5 * (1.0 + ratio * ratio)
     sigma_e = sigma_p * (ratio / math.sqrt(mean_sq))
     overlap = math.sqrt(ratio / mean_sq)
-    keep = overlap * float(_normal_cdf(-0.5 * d_c / sigma_e))
+    keep = overlap * _normal_cdf(-0.5 * d_c / sigma_e)
     return CoherenceGrid(cov_share=keep * keep, half_cells=half)

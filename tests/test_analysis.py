@@ -69,14 +69,14 @@ def test_threshold_voltage_degenerate_curves():
 def test_sweep_curves_are_linear_in_voltage(chain):
     curves = chain.snr_sweep((1, 1))
     for curve in curves.values():
-        slopes = curve.snr / curve.voltages
+        slopes = np.asarray(curve.snr) / np.asarray(curve.voltages)
         assert np.allclose(slopes, slopes[0], rtol=1e-9)
 
 
 def test_sweep_ordering_correlated_beats_snl_beats_uncorrelated(chain):
-    correlated = chain.snr_sweep((1, 1))["twin"].snr
-    matched = chain.snr_sweep((1, 1))["coherent"].snr
-    uncorrelated = chain.snr_sweep((1, 2))["twin"].snr
+    correlated = np.asarray(chain.snr_sweep((1, 1))["twin"].snr)
+    matched = np.asarray(chain.snr_sweep((1, 1))["coherent"].snr)
+    uncorrelated = np.asarray(chain.snr_sweep((1, 2))["twin"].snr)
     assert np.all(correlated >= matched)
     assert np.all(matched >= uncorrelated)
 
@@ -166,7 +166,7 @@ def test_enhancement_report_fields(chain):
 
 
 def test_signal_sweep_is_the_per_voltage_signal_to_the_bit(chain):
-    # One array expression per sweep; every point keeps the bits of the
+    # One call per sweep; every point keeps the bits of the
     # per-voltage modulation_signal, and of its documented law
     # floor * (V / threshold)**2, evaluated as r = V / threshold, then
     # floor * (r * r), in Python floats.

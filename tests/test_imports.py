@@ -1,6 +1,8 @@
-"""No subcommand imports scipy: the runtime needs only numpy and PyYAML.
-The analytic paths load no thread pool. And the benchmark's tracer still
-finds every quadsense function it hooks.
+"""No subcommand imports scipy. Loading the CLI or a scenario, dumping the
+scenario and the five analytic subcommands need only PyYAML: numpy loads
+with the Monte Carlo layer, for fig4 and verify alone. The analytic paths
+load no thread pool. And the benchmark's tracer still finds every
+quadsense function it hooks.
 
 Every case runs in a fresh interpreter, since ``sys.modules`` of the test
 process already holds whatever earlier tests imported.
@@ -43,24 +45,28 @@ def loaded_after(argv, cwd, module="quadsense.cli"):
 
 
 @pytest.mark.parametrize(
-    "module, argv, rcs",
+    "module, argv, rcs, numpy",
     [
-        ("quadsense.cli", [], (None,)),
-        ("quadsense.montecarlo", [], (None,)),
-        ("quadsense.cli", ["resonance-scan"], (0,)),
-        ("quadsense.cli", ["optimize-beam"], (0,)),
-        ("quadsense.cli", ["squeezing-budget"], (0,)),
-        ("quadsense.cli", ["snr-sweep"], (0,)),
-        ("quadsense.cli", ["fig3"], (0,)),
-        ("quadsense.cli", ["fig4", "--samples", "1000"], (0,)),
+        ("quadsense.cli", [], (None,), False),
+        ("quadsense.scenario", [], (None,), False),
+        ("quadsense.montecarlo", [], (None,), True),
+        ("quadsense.cli", ["squeezing-budget", "--dump-config"], (0,), False),
+        ("quadsense.cli", ["resonance-scan"], (0,), False),
+        ("quadsense.cli", ["optimize-beam"], (0,), False),
+        ("quadsense.cli", ["squeezing-budget"], (0,), False),
+        ("quadsense.cli", ["snr-sweep"], (0,), False),
+        ("quadsense.cli", ["fig3"], (0,), False),
+        ("quadsense.cli", ["fig4", "--samples", "1000"], (0,), True),
         # 1000 samples are too few for the 0.2 dB snl_linearity bound, so
         # the run may exit 3; it still runs every check, the Fock oracle
         # included.
-        ("quadsense.cli", ["verify", "--samples", "1000"], (0, 3)),
+        ("quadsense.cli", ["verify", "--samples", "1000"], (0, 3), True),
     ],
     ids=[
         "import",
+        "import-scenario",
         "import-montecarlo",
+        "dump-config",
         "resonance-scan",
         "optimize-beam",
         "squeezing-budget",
@@ -70,13 +76,14 @@ def loaded_after(argv, cwd, module="quadsense.cli"):
         "verify",
     ],
 )
-def test_subcommand_imports_only_the_scipy_it_runs(tmp_path, module, argv, rcs):
+def test_subcommand_imports_only_the_scipy_it_runs(tmp_path, module, argv, rcs, numpy):
     if argv:
         argv = argv + ["--out", str(tmp_path)]
     result = loaded_after(argv, tmp_path, module)
     assert result["rc"] in rcs
     loaded = [m for m in result["modules"] if m == "scipy" or m.startswith("scipy.")]
     assert loaded == []
+    assert ("numpy" in result["modules"]) is numpy
 
 
 @pytest.mark.parametrize("argv", [[], ["snr-sweep"]], ids=["import", "snr-sweep"])

@@ -313,7 +313,7 @@ def test_sampled_outputs_do_not_depend_on_the_worker_count(
         argv = ["fig4", "--seed", "42", "--samples", "200000", "--out", str(out)]
         assert cli.main(argv) == 0
         artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        runs.append((checks, [c.snr.tobytes() for c in curves], artifacts))
+        runs.append((checks, [np.asarray(c.snr).tobytes() for c in curves], artifacts))
     assert runs[0][2], "fig4 wrote no artifact"
     for run in runs[1:]:
         assert run[0] == runs[0][0]

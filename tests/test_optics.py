@@ -19,6 +19,7 @@ from quadsense.optics import (
     quadrant_cut,
     quadrant_transmission,
     transmission_curve,
+    waist_scan,
 )
 from quadsense.source import CoherenceGrid, TwinBeamMoments, build_coherence_grid
 
@@ -115,12 +116,23 @@ def test_optimize_waist_scale_invariance():
         assert t2 == pytest.approx(t1, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "d_range", [(100.0, 1000.0), (0.1, 0.7), (123.456, 987.654), (3e-3, 7e5)]
+)
+def test_waist_scan_diameters_are_numpy_linspace_to_the_bit(d_range):
+    # beam_curve.csv and optimize_waist's bracket read these diameters; the
+    # first range is the CLI's.
+    ds, totals = waist_scan(REFERENCE_LAYOUT, d_range)
+    assert np.asarray(ds).tobytes() == np.linspace(*d_range, WAIST_GRID_POINTS).tobytes()
+    assert totals == transmission_curve(REFERENCE_LAYOUT, ds)
+
+
 def test_transmission_curve_is_the_per_beam_total_to_the_bit():
-    # optimize_waist's coarse scan and beam_curve.csv are each one batched
-    # evaluation; every entry must be the single-beam total, bit for bit.
+    # optimize_waist's coarse scan and beam_curve.csv read this curve;
+    # every entry must be the single-beam total, bit for bit.
     for layout in (REFERENCE_LAYOUT, QuadrantLayout(200.0, 0.0, 0.0)):
         ds = np.linspace(100.0, 1000.0, WAIST_GRID_POINTS)
-        curve = transmission_curve(layout, ds)
+        curve = np.asarray(transmission_curve(layout, ds))
         assert curve.shape == ds.shape
         for d, total in zip(ds, curve):
             assert total == quadrant_transmission(float(d), layout).total, d

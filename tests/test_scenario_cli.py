@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import default_scenario_dict
 from quadsense import cli
 from quadsense.errors import FitInfeasibleError, ValidationError
+from quadsense.optics import quadrant_transmission
 from quadsense.scenario import (
     SCHEMA,
     Scenario,
@@ -136,6 +139,24 @@ def test_infeasible_stage_targets_raise_on_every_call(scenario):
     # source and post-optics targets and misses the post-cut one.
     assert abs(raised[0]["source"]) < 1e-9 and abs(raised[0]["post_optics"]) < 1e-9
     assert max(abs(raised[0][k]) for k in ("source", "post_optics", "post_cut")) > 0.1
+
+
+def test_conjugate_transmission_takes_numpy_mean_of_the_window_clips(scenario):
+    # Layouts whose four window fractions differ in their last bits, so
+    # that the order the mean sums them in shows.
+    rng = random.Random(5)
+    for _ in range(40):
+        layout = {
+            "window_um": rng.uniform(150.0, 250.0),
+            "gap_um": rng.uniform(0.0, 40.0),
+            "tilt_deg": rng.uniform(0.0, 45.0),
+        }
+        chain = build_chain(_with(scenario.raw, ("layout",), layout))
+        sc = chain.scenario
+        qt = quadrant_transmission(sc.waist_c_um, sc.layout)
+        clip_c = [min(qt.window_fractions[q] / 0.25, 1.0) for q in (1, 2, 3, 4)]
+        mean = float(np.mean(clip_c))
+        assert chain.eta_c == mean * sc.mask_transmission * sc.quantum_efficiency
 
 
 def test_coarse_cell_size_is_infeasible(scenario):
@@ -642,7 +663,9 @@ def test_cli_resonance_scan(tmp_path):
         "transmission_q3",
         "transmission_q4",
     ]
-    assert len(lines) > 100
+    column = [float(line.split(",")[0]) for line in lines[1:]]
+    expected = np.arange(770.0, 815.0 + 1e-9, 0.25)
+    assert np.asarray(column).tobytes() == expected.tobytes()
 
 
 def test_cli_snr_sweep_and_enhancement(tmp_path):
