@@ -29,10 +29,10 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-# Most samples a stochastic subcommand accepts. The samplers hold one chunk
-# of samples whatever the count, so the cap bounds run time (days at this
-# count), not memory; a run that still finds no memory for its chunk
-# buffers exits through the MemoryError branch of main.
+# Most samples a stochastic subcommand accepts. verify holds one chunk of
+# samples whatever the count, so the cap bounds its run time (days at this
+# count), not memory, and fig4 draws no samples; a run that still finds no
+# memory for its chunk buffers exits through the MemoryError branch of main.
 MAX_SAMPLES = 10**12
 
 

@@ -13,22 +13,20 @@ easy as 1, 2, 3", SC '11): each chunk of :data:`CHUNK` = 2^16 samples of a
 draw owns an independent Philox substream, keyed by a seed and a spawn key
 ``(sampler, ..., chunk)``:
 
-- ``(seed, 0, chunk)``: :func:`sample_pairs` and :func:`sample_pair`. The
-  four quadrant pairs of :meth:`scenario.SensingChain.sampled_snr_sweep`
-  are transformed from one draw of these streams;
+- ``(seed, 0, chunk)``: :func:`sample_pair`;
 - ``(seed, 1, chunk)``: :func:`thinning_loss`;
 - ``(seed, 2, quadrant, chunk)``: :func:`sample_photocurrents`;
-- ``(seed, 9, chunk)``: :func:`sample_tone`, that sweep's drive tone;
+- ``(seed, 4)``, one stream, not chunked: :func:`sweep_statistics`;
 - ``(seed, 13, k, chunk)``: the ``k``-th power of the ``snl_linearity`` check.
 
 A sampler's ``start`` is the first sample of the window it draws, a
 multiple of :data:`CHUNK`, so a run drawn one chunk at a time gets the
-samples of one call over the whole run. Every oracle draws that way, in
-:func:`fold_chunks`: it reduces each chunk to means and co-moments
-(:class:`Comoments`) on one thread per CPU this process may use, and
-merges them in chunk order, so every statistic has the same bits for any
-worker count, and none goes through a BLAS call. The oracles hold one
-chunk of buffers per worker, about 5 MB, whatever their sample count.
+samples of one call over the whole run. Every sampled check draws that
+way, in :func:`fold_chunks`: it reduces each chunk to means and
+co-moments (:class:`Comoments`) on one thread per CPU this process may
+use, and merges them in chunk order, so every statistic has the same bits
+for any worker count, and none goes through a BLAS call. The checks hold
+one chunk of buffers per worker, about 5 MB, whatever their sample count.
 Where :func:`run_verification` calls one sampler more than once, it XORs
 the seed with a constant, so no two checks share a stream.
 """
@@ -49,9 +47,8 @@ from .source import CoherenceGrid, FwmSourceParams, TwinBeamMoments, fwm_moments
 
 __all__ = [
     "sample_photocurrents",
-    "sample_pairs",
     "sample_pair",
-    "sample_tone",
+    "sweep_statistics",
     "thinning_loss",
     "fold_chunks",
     "Comoments",
@@ -251,24 +248,6 @@ def sample_photocurrents(
     return probe, conj
 
 
-def sample_pairs(moments, n: int, seed: int, start: int = 0, out=None):
-    """Whole-beam probe/conjugate samples of each moment set in ``moments``.
-
-    One draw of samples ``start`` to ``start + n`` of the
-    ``(seed, 0, chunk)`` substreams serves every set: each yielded
-    ``(probe, conj)`` pair is that draw transformed by the set's means and
-    Cholesky factors, so the pairs are correlated with each other, and a
-    set gets the same samples whichever list it is in. The draw is held in
-    rows 0 and 1 of ``out``, a ``(4, n)`` array, and each pair in rows 2
-    and 3, so a pair is overwritten by the next.
-    """
-    if out is None:
-        out = np.empty((4, n))
-    z0, z1 = _normals(n, seed, 0, start=start, out=out[:2])
-    for m in moments:
-        yield _correlate(_factors(m), z0, z1, out[2], out[3])
-
-
 def sample_pair(
     m: TwinBeamMoments, n: int, seed: int, start: int = 0, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -279,15 +258,40 @@ def sample_pair(
     return _correlate(_factors(m), z0, z1, z0, z1)
 
 
-def sample_tone(n: int, seed: int, start: int = 0, out=None) -> np.ndarray:
-    """``sin(2*pi*u)`` of samples ``start`` to ``start + n`` of the uniform
-    [0, 1) doubles ``u`` of the ``(seed, 9, chunk)`` substreams: a unit
-    sinusoid at uniform random phases, written into ``out`` if given."""
-    t = np.empty(n) if out is None else out
-    for k, lo, size in _chunks(n, start):
-        _generator(seed, 9, k).random(out=t[lo : lo + size])
-    t *= 2.0 * math.pi
-    return np.sin(t, out=t)
+def sweep_statistics(moments, gains, n: int, seed: int) -> list:
+    """``(s_off, tone_cov, tone_var)`` of ``n`` samples of each pair, of
+    moments ``m`` in ``moments`` and gain ``g`` in ``gains``: the variance
+    (ddof 0) of ``d = p - g*c``, its covariance with the tone
+    ``t_k = cos(2*pi*k/n)``, and ``var(t)``, drawn from their exact
+    distribution, not sampled.
+
+    ``d`` is a constant plus ``w . z``, ``w = (a - g*b, -g*c)`` from the
+    Cholesky factors of ``m`` (see :func:`_correlate`) and ``z`` two
+    standard normals. The tone spans whole periods, so ``sum(t) = 0`` and
+    ``t't = n/2`` (``n`` at ``n = 2``). Then ``y = Z't/sqrt(t't)``, ``Z``
+    the ``n`` draws of ``z``, is N(0, I), and the rest of their centred
+    scatter, ``R``, is Wishart_2(n - 2, I), independent of ``y``:
+    ``s_off = ((w.y)^2 + w'Rw)/n``, ``tone_cov = (w.y) sqrt(t't)/n`` and
+    ``tone_var = t't/n``. ``y``, then ``R`` by Bartlett's decomposition
+    (Odell & Feiveson, *JASA* 61, 199 (1966)), come from the ``(seed, 4)``
+    stream, one draw for all pairs; ``R = 0`` at ``n = 2``.
+    """
+    rng = _generator(seed, 4)
+    y0, y1 = rng.standard_normal(2).tolist()
+    l11 = l21 = l22 = 0.0
+    if n > 2:
+        l11 = math.sqrt(2.0 * rng.gamma((n - 2) / 2))
+        l22 = math.sqrt(2.0 * rng.gamma((n - 3) / 2))
+        l21 = rng.standard_normal()
+    tt = n / 2 if n > 2 else float(n)
+    stats = []
+    for m, g in zip(moments, gains):
+        _, _, a, b, c = _factors(m)
+        w0, w1 = a - g * b, -g * c
+        wy = w0 * y0 + w1 * y1
+        wrw = (w0 * l11 + w1 * l21) ** 2 + (w1 * l22) ** 2
+        stats.append(((wy * wy + wrw) / n, wy * math.sqrt(tt) / n, tt / n))
+    return stats
 
 
 def thinning_loss(

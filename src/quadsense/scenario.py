@@ -378,54 +378,31 @@ class SensingChain:
         }
 
     def sampled_snr_sweep(self, pairs, n_samples: int, seed: int) -> list:
-        """Twin-beam SNR curves of ``pairs`` estimated from simulated
-        photocurrents, one :class:`analysis.SNRCurve` per pair, in order.
+        """Twin-beam SNR curves of ``pairs`` estimated from ``n_samples``
+        simulated photocurrents, one :class:`analysis.SNRCurve` per pair,
+        in order.
 
-        Each pair's detected-state moments are formed analytically and
-        sampled; stochastic thinning is validated separately, in the
-        bright regime where its Gaussian-equivalent form is unbiased. The
-        modulation-off floor is the sample variance of the difference
-        photocurrent. Each swept point adds a sampled sinusoid of the
-        modeled amplitude ``amp``; its noise power is the sample variance
-        of that sum, taken from the exact identity
+        Each swept point adds a drive tone ``t`` of the modeled amplitude
+        ``amp`` to the difference photocurrent ``d``; its noise power is
+        the sample variance of that sum, taken from the exact identity
         ``var(d + amp*t) = var(d) + 2*amp*cov(d, t) + amp**2 * var(t)``
-        (all with ddof 0), so each pair reduces its samples once, not once
-        per point. All pairs share one draw of the ``(seed, 0, chunk)``
-        substreams (:func:`montecarlo.sample_pairs`) and of the
-        ``(seed, 9, chunk)`` tone (:func:`montecarlo.sample_tone`), so a
-        pair's curve does not depend on the other pairs swept. The draws
-        are reduced chunk by chunk to :class:`montecarlo.Comoments` by
-        :func:`montecarlo.fold_chunks`, so the curves do not depend on the
-        worker count and the sweep holds one chunk of samples per worker
-        whatever ``n_samples``.
+        (all with ddof 0). :func:`montecarlo.sweep_statistics` draws those
+        three statistics of the pairs' detected moments and gains from
+        their exact distribution, one draw for all pairs, so a pair's
+        curve does not depend on the other pairs swept and the cost does
+        not depend on ``n_samples``.
         """
         from . import montecarlo
 
         v = self.scenario.sweep_voltages_mv
-        moments = [self.detected(i, j) for i, j in pairs]
-        gains = [self.reports[i].gain for i, _ in pairs]
-
-        def reduce_chunk(chunk, block):
-            _, lo, size = chunk
-            t = montecarlo.sample_tone(size, seed, start=lo, out=block[0, :size])
-            draw = montecarlo.sample_pairs(
-                moments, size, seed, start=lo, out=block[1:, :size]
-            )
-            parts = []
-            for gain, (p, c) in zip(gains, draw):
-                # The difference photocurrent p - g*c, formed in p's own
-                # buffer, and a copy of the tone in c's, since both are
-                # centred in place.
-                c *= gain
-                p -= c
-                c[...] = t
-                parts.append(montecarlo.Comoments.of(p, c))
-            return parts
-
-        stats = montecarlo.fold_chunks(reduce_chunk, n_samples, 5)
+        stats = montecarlo.sweep_statistics(
+            [self.detected(i, j) for i, j in pairs],
+            [self.reports[i].gain for i, _ in pairs],
+            n_samples,
+            seed,
+        )
         curves = []
-        for (i, j), acc in zip(pairs, stats):
-            (s_off, tone_cov), (_, tone_var) = acc.cov()
+        for (i, j), (s_off, tone_cov, tone_var) in zip(pairs, stats):
             snrs = []
             clamped = False
             for amp in (math.sqrt(2.0 * s) for s in self.signal(i, v)):

@@ -1,8 +1,8 @@
 """No subcommand imports scipy. Loading the CLI or a scenario, dumping the
 scenario and the five analytic subcommands need only PyYAML: numpy loads
-with the Monte Carlo layer, for fig4 and verify alone. The analytic paths
-load no thread pool. And the benchmark's tracer still finds every
-quadsense function it hooks.
+with the Monte Carlo layer, for fig4 and verify alone. Only verify loads a
+thread pool. And the benchmark's tracer still finds every quadsense
+function it hooks.
 
 Every case runs in a fresh interpreter, since ``sys.modules`` of the test
 process already holds whatever earlier tests imported.
@@ -86,16 +86,21 @@ def test_subcommand_imports_only_the_scipy_it_runs(tmp_path, module, argv, rcs, 
     assert ("numpy" in result["modules"]) is numpy
 
 
-@pytest.mark.parametrize("argv", [[], ["snr-sweep"]], ids=["import", "snr-sweep"])
-def test_analytic_paths_load_no_thread_pool(tmp_path, argv):
-    # Only the sampled oracles run chunks on a thread pool; loading the CLI
-    # and running an analytic subcommand import neither it nor them.
+@pytest.mark.parametrize(
+    "argv, montecarlo",
+    [([], False), (["snr-sweep"], False), (["fig4", "--samples", "1000"], True)],
+    ids=["import", "snr-sweep", "fig4"],
+)
+def test_analytic_paths_load_no_thread_pool(tmp_path, argv, montecarlo):
+    # Only verify's sampled checks run chunks on a thread pool. Loading the
+    # CLI and running an analytic subcommand import neither it nor them;
+    # fig4 draws its sweep's statistics whole, on no pool.
     if argv:
         argv = argv + ["--out", str(tmp_path)]
     result = loaded_after(argv, tmp_path)
     assert result["rc"] in (None, 0)
     assert "concurrent.futures" not in result["modules"]
-    assert "quadsense.montecarlo" not in result["modules"]
+    assert ("quadsense.montecarlo" in result["modules"]) is montecarlo
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

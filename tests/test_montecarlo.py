@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -277,9 +278,10 @@ print(h.hexdigest())
 
 
 def test_sampled_sweep_pin_ignores_blas_threads(tmp_path):
-    # A co-moment taken as a BLAS dot is summed in an order that depends on
-    # the library's thread count, so the pin would hold at one count only.
-    # The variable only sets up the case; the program reads none.
+    # A statistic taken as a BLAS dot would be summed in an order that
+    # depends on the library's thread count, so the pin would hold at one
+    # count only. The sweep's statistics are a few float products, with no
+    # BLAS call. The variable only sets up the case; the program reads none.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -321,24 +323,39 @@ def test_sampled_outputs_do_not_depend_on_the_worker_count(
         assert run[2] == runs[0][2]
 
 
-def test_chunk_buffers_stay_private_under_thread_switching(chain, monkeypatch):
+def _pair_fold(m, n, seed):
+    """:func:`montecarlo.fold_chunks` of ``n`` draws of :func:`sample_pair`
+    of ``m``: the bright-pair check's fold, without its thinning."""
+
+    def task(chunk, block):
+        _, lo, size = chunk
+        p, c = block[:, :size]
+        sample_pair(m, size, seed, start=lo, out=(p, c))
+        return [montecarlo.Comoments.of(p, c)]
+
+    (acc,) = montecarlo.fold_chunks(task, n, 2)
+    return acc
+
+
+def test_chunk_buffers_stay_private_under_thread_switching(monkeypatch):
     # More workers than cores, switching threads every microsecond: a
     # buffer handed to two running tasks at once would mix their chunks.
     n = 9 * montecarlo.CHUNK + 7
     monkeypatch.setattr(montecarlo, "_workers", lambda tasks: 1)
-    serial = chain.sampled_snr_sweep(QUADRANT_PAIRS, n, 42)
+    serial = _pair_fold(BRIGHT, n, 42)
     monkeypatch.setattr(montecarlo, "_workers", lambda tasks: min(8, tasks))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = chain.sampled_snr_sweep(QUADRANT_PAIRS, n, 42)
+        threaded = _pair_fold(BRIGHT, n, 42)
     finally:
         sys.setswitchinterval(interval)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.snr, b.snr)
+    assert threaded.n == serial.n == n
+    assert np.array_equal(threaded.mean, serial.mean)
+    assert np.array_equal(threaded.m2, serial.m2)
 
 
-def test_chunk_tasks_pending_stay_bounded(chain, monkeypatch):
+def test_chunk_tasks_pending_stay_bounded(monkeypatch):
     # Tasks are submitted at most two per worker ahead of the result
     # merged next, not all at once: a run of 10^12 samples has 15M chunks.
     from concurrent.futures import Future, ThreadPoolExecutor
@@ -360,63 +377,130 @@ def test_chunk_tasks_pending_stay_bounded(chain, monkeypatch):
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
     monkeypatch.setattr(Future, "result", counting_result)
-    chain.sampled_snr_sweep(QUADRANT_PAIRS, 64 * montecarlo.CHUNK, 42)
+    _pair_fold(BRIGHT, 64 * montecarlo.CHUNK, 42)
     assert counts["submitted"] == counts["read"] == 64
     assert counts["most_pending"] <= 2 * workers, counts
 
 
 def test_sampled_sweep_draws_the_chains_detected_moments(chain, monkeypatch):
-    # The oracle samples what the analytic sweep computes with: the moments
-    # handed to the sampler are the chain's detected moments, to the bit.
+    # The oracle draws what the analytic sweep computes with: the moments
+    # and gains handed to the draw are the chain's detected moments and
+    # its sensors' gains, to the bit.
     handed = []
-    sample_pairs = montecarlo.sample_pairs
+    sweep_statistics = montecarlo.sweep_statistics
 
-    def recording_sample_pairs(moments, *args, **kwargs):
-        handed.append(list(moments))
-        return sample_pairs(moments, *args, **kwargs)
+    def recording_sweep_statistics(moments, gains, *args):
+        handed.append((list(moments), list(gains), *args))
+        return sweep_statistics(moments, gains, *args)
 
-    monkeypatch.setattr(montecarlo, "sample_pairs", recording_sample_pairs)
+    monkeypatch.setattr(montecarlo, "sweep_statistics", recording_sweep_statistics)
     pairs = QUADRANT_PAIRS + [(1, 2), (3, 4)]
     chain.sampled_snr_sweep(pairs, 1000, 5)
-    assert handed == [[chain.detected(i, j) for i, j in pairs]]
+    detected = [chain.detected(i, j) for i, j in pairs]
+    gains = [chain.reports[i].gain for i, _ in pairs]
+    assert handed == [(detected, gains, 1000, 5)]
 
 
-@pytest.mark.parametrize("seed", [42, 7])
-def test_sampled_sweep_noise_is_the_sample_variance(chain, monkeypatch, seed):
-    # Every swept point's noise power must be the sample variance of the
-    # difference photocurrent plus the sampled tone, as np.var computes it
-    # from the same draws.
-    n = 20_000
-    recorded = []
-    estimate = analysis.signal_estimate
+def _sampled_statistics(moments, gains, z):
+    """``(s_off, tone_cov, tone_var)`` of each pair, from simulated samples:
+    ``z`` holds ``n`` pairs of standard normals per row, made into each
+    pair's probe and conjugate by the Cholesky factor of its covariance,
+    with the tone ``cos(2*pi*k/n)``. ``np.cov`` with ``bias=True`` gives
+    every statistic with ddof 0, as ``np.var``. Returns an array of shape
+    ``(rows, pairs, 3)``."""
+    n = z.shape[1]
+    tone = np.cos(2.0 * math.pi * np.arange(n) / n)
+    out = np.empty((len(z), len(moments), 3))
+    for row, zk in zip(out, z):
+        diffs = []
+        for m, g in zip(moments, gains):
+            factor = np.linalg.cholesky([[m.var_p, m.cov], [m.cov, m.var_c]])
+            p, c = factor @ zk.T + [[m.mean_p], [m.mean_c]]
+            diffs.append(p - g * c)
+        cov = np.cov(np.vstack([*diffs, tone]), bias=True)
+        row[:, 0] = np.diag(cov)[:-1]
+        row[:, 1] = cov[-1, :-1]
+        row[:, 2] = cov[-1, -1]
+    return out
 
-    def recording_estimate(s_on, s_off):
-        recorded.append((s_on, s_off))
-        return estimate(s_on, s_off)
 
-    monkeypatch.setattr(analysis, "signal_estimate", recording_estimate)
-    chain.sampled_snr_sweep(QUADRANT_PAIRS, n, seed)
-    voltages = chain.scenario.sweep_voltages_mv
-    assert len(recorded) == len(QUADRANT_PAIRS) * len(voltages)
-
-    tone = np.sin(
-        np.concatenate(
-            [
-                montecarlo._generator(seed, 9, k).uniform(0.0, 2.0 * math.pi, size)
-                for k, _, size in montecarlo._chunks(n)
-            ]
-        )
+@pytest.mark.parametrize("n", [3, 8, 64])
+def test_sweep_statistics_follow_the_sampled_distribution(chain, n):
+    # Drawn whole, each pair's floor and tone covariance must have the mean
+    # and variance, within 5 standard errors, of the same statistics of
+    # simulated samples with the same tone; the tone's variance is exact.
+    draws = 4000
+    pairs = QUADRANT_PAIRS + [(1, 2)]
+    moments = [chain.detected(i, j) for i, j in pairs]
+    gains = [chain.reports[i].gain for i, _ in pairs]
+    drawn = np.array(
+        [montecarlo.sweep_statistics(moments, gains, n, seed) for seed in range(draws)]
     )
-    points = iter(recorded)
-    for q, _ in QUADRANT_PAIRS:
-        p, c = sample_pair(chain.detected(q, q), n, seed)
-        diff = p - chain.reports[q].gain * c
-        for v in voltages:
-            amp = math.sqrt(2.0 * chain.signal(q, float(v)))
-            s_on, s_off = next(points)
-            assert s_off == np.var(diff)
-            reference = np.var(diff + amp * tone)
-            assert abs(s_on - reference) <= 1e-12 * reference, (q, v)
+    z = np.random.default_rng(20261019 + n).standard_normal((draws, n, 2))
+    sampled = _sampled_statistics(moments, gains, z)
+    np.testing.assert_allclose(drawn[:, :, 2], sampled[:, :, 2], rtol=1e-12)
+    for a, b in ((drawn[:, :, k], sampled[:, :, k]) for k in (0, 1)):
+        z_mean = np.abs(a.mean(0) - b.mean(0)) / np.sqrt((a.var(0) + b.var(0)) / draws)
+        # The standard error of a sample variance, from its fourth moment.
+        se2 = [(((x - x.mean(0)) ** 4).mean(0) - x.var(0) ** 2) / draws for x in (a, b)]
+        z_var = np.abs(a.var(0) - b.var(0)) / np.sqrt(se2[0] + se2[1])
+        assert np.all(z_mean <= 5.0), z_mean
+        assert np.all(z_var <= 5.0), z_var
+
+
+def test_sweep_statistics_of_two_samples_are_degenerate(chain):
+    # Two samples span one direction after centring, the tone's: the
+    # difference current is all tone, so its correlation with it is +-1.
+    moments = [chain.detected(i, j) for i, j in QUADRANT_PAIRS + [(1, 2)]]
+    gains = [chain.reports[i].gain for i, _ in QUADRANT_PAIRS + [(1, 2)]]
+    for seed in range(20):
+        for s_off, tone_cov, tone_var in montecarlo.sweep_statistics(
+            moments, gains, 2, seed
+        ):
+            assert tone_var == 1.0
+            assert abs(s_off * tone_var - tone_cov**2) <= 1e-12 * s_off * tone_var
+
+
+def test_sampled_sweep_takes_the_same_time_and_memory_at_any_count(tmp_path):
+    # The cap of the CLI's --samples gives finite curves, with the traced
+    # memory of three samples, within a few kB of interpreter caches: one
+    # chunk of one row of samples is 512 kB. It runs in a fresh process
+    # with a time limit, so a sweep that simulated its samples fails, not
+    # hangs.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_AT_ANY_COUNT],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["finite"] == [True, True], result
+    small, large = result["peaks"]
+    assert large - small <= 8 * 1024, result
+
+
+SWEEP_AT_ANY_COUNT = """
+import json, math, tracemalloc
+from quadsense import cli, scenario
+chain = scenario.build_chain(scenario.load_scenario())
+pairs = [(q, q) for q in (1, 2, 3, 4)]
+counts = (3, cli.MAX_SAMPLES)
+for n in counts:
+    chain.sampled_snr_sweep(pairs, n, 42)
+peaks, finite = [], []
+for n in counts:
+    tracemalloc.start()
+    curves = chain.sampled_snr_sweep(pairs, n, 42)
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+    finite.append(all(math.isfinite(x) for c in curves for x in c.snr))
+print(json.dumps({"peaks": peaks, "finite": finite}))
+"""
 
 
 def test_snl_linearity_is_the_sample_variance_of_its_draws():
@@ -441,20 +525,6 @@ def test_snl_linearity_is_the_sample_variance_of_its_draws():
     assert abs(statistic - reference) <= 1e-9 * reference
 
 
-def test_tone_draws_each_chunk_from_its_own_substream():
-    # Chunk k of the tone is sin of the uniform phases of (seed, 9, k), so
-    # a chunk task draws its slice without reading the chunks before it.
-    n = 2 * montecarlo.CHUNK + 7
-    phases = [
-        montecarlo._generator(5, 9, k).uniform(0.0, 2.0 * math.pi, size)
-        for k, _, size in montecarlo._chunks(n)
-    ]
-    tone = montecarlo.sample_tone(n, seed=5)
-    assert np.array_equal(tone, np.sin(np.concatenate(phases)))
-    part = montecarlo.sample_tone(7, seed=5, start=2 * montecarlo.CHUNK)
-    assert np.array_equal(part, np.sin(phases[-1]))
-
-
 def test_sampled_sweep_pairs_share_no_state(chain):
     # A pair swept alone gets, bit for bit, the curve it gets among four.
     together = chain.sampled_snr_sweep(QUADRANT_PAIRS, 20_000, 42)
@@ -476,7 +546,7 @@ def test_fig4_draws_each_sweep_stream_once(tmp_path, monkeypatch):
     monkeypatch.setattr(montecarlo, "_generator", recording_generator)
     argv = ["fig4", "--seed", "42", "--samples", "2000", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert sorted(opened) == [(42, 0, 0), (42, 9, 0)]
+    assert opened == [(42, 4)]
 
 
 def test_covariance_z_score_matches_np_cov():
@@ -571,7 +641,7 @@ def test_sampled_paths_hold_one_chunk_whatever_n(chain, monkeypatch):
     one_chunk, per_worker = 8 * row, 10 * row
     for run in (
         lambda n: run_verification(chain, n, seed=77),
-        lambda n: chain.sampled_snr_sweep(QUADRANT_PAIRS, n, 42),
+        lambda n: _pair_fold(chain.cut, n, 42),
     ):
         peaks = {}
         for workers, n in ((1, small), (1, large), (4, large)):

@@ -553,11 +553,12 @@ def test_cli_too_few_samples_is_validation_error(tmp_path, capsys, cmd, samples)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cmd", ["fig4", "verify"])
+@pytest.mark.parametrize("cmd", ["verify"])
 def test_cli_samples_out_of_memory_is_validation_error(tmp_path, capsys, monkeypatch, cmd):
     from quadsense import montecarlo
 
-    # Both subcommands draw every chunk of normals through _normals.
+    # verify draws every chunk of normals through _normals. fig4 draws no
+    # samples, only their statistics, so it allocates nothing per sample.
     def out_of_memory(n, seed, *key, start=0, out=None):
         raise MemoryError
 
@@ -588,10 +589,11 @@ def test_cli_sensor_without_transduction_is_numeric_error(tmp_path, capsys, case
     assert run_cli("resonance-scan", "--scenario", str(path), "--out", str(tmp_path)) == 0
 
 
-@pytest.mark.parametrize("samples, seed", [(2, 4), (3, 1)])
+@pytest.mark.parametrize("samples, seed", [(2, 5), (3, 5)])
 def test_cli_sampled_fit_without_slope_is_numeric_error(tmp_path, capsys, samples, seed):
     # A valid sample count so small that the sampled SNR curve fits no
-    # positive slope is a numeric failure, not invalid input.
+    # positive slope is a numeric failure, not invalid input. Seed 5 is the
+    # smallest that draws such a curve at either count.
     argv = ["--samples", str(samples), "--seed", str(seed), "--out", str(tmp_path)]
     assert run_cli("fig4", *argv) == 3
     err = capsys.readouterr().err
