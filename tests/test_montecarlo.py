@@ -245,7 +245,7 @@ def _digest(*arrays):
 # cut moments or channel changes that pin too.
 PHOTOCURRENTS_SHA = "1edc3a4b251967907b37003764aa1b0ed1bb50d2de6cc3f49ae21b5accc32631"
 PAIR_SHA = "40b81ed18cdd1c08edeb0feccae0174b50ad57ccb489d23494f6b9b0964d4136"
-SAMPLED_SWEEP_SHA = "1b37d4ff9b81f5687e8a7ccc8ab9effd66ebdc1f9b78ae5d85addd6fbc8eb7aa"
+SAMPLED_SWEEP_SHA = "f12604ec037b82638782ba09a7f9e33ade0538a296b9bb4576017c4c9087aaa0"
 
 
 def test_photocurrent_stream_is_pinned():

@@ -744,7 +744,7 @@ ARTIFACT_SHA = {
     "beam_curve.csv": "c34bddd58bc88048542c0fd2b3325ef1d5eda2671d25306c2bac8c7bbf6cd83c",
     "enhancement.json": "13eafc8d4ba06335c8d0001402c6d03daebc7e1ad533027df14c0b5054a2d208",
     "fig3.csv": "ceaa5e348b1c04baebed2ea5ccc9e1d94fdb5b5b9483a42a841abc7d23c03f20",
-    "fig4_enhancement.json": "c96781b0491a8f9f8faa8fd4315da5ada8b2023f5b3c14dcce4de89fd14e05af",
+    "fig4_enhancement.json": "2634f6af2700d4325ec663d9d894be2deaa372781a9e38c28cc818c86ce0006c",
     "fig4_sweep.csv": "e22383b9fe106087efb689aebfb715e9deb964f52645c1406a23ff4abde4a503",
     "resonance_scan.csv": "98b9f4082f5f68fcfaecc911591bfbdfd403736f477319dd6fbeb6dc571846ac",
     "snr_sweep.csv": "6d5a73871f70d5fb794a42c2e32698d4f9dba67dd602d3a770f580c661f33353",
