@@ -289,7 +289,10 @@ def sweep_statistics(moments, gains, n: int, seed: int) -> list:
         _, _, a, b, c = _factors(m)
         w0, w1 = a - g * b, -g * c
         wy = w0 * y0 + w1 * y1
-        wrw = (w0 * l11 + w1 * l21) ** 2 + (w1 * l22) ** 2
+        # w'Rw = |L'w|^2, squared by multiplying: libm's pow is not always
+        # correctly rounded, and the pinned curves must not rest on it.
+        u, v = w0 * l11 + w1 * l21, w1 * l22
+        wrw = u * u + v * v
         stats.append(((wy * wy + wrw) / n, wy * math.sqrt(tt) / n, tt / n))
     return stats
 

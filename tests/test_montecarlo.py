@@ -401,27 +401,73 @@ def test_sampled_sweep_draws_the_chains_detected_moments(chain, monkeypatch):
     assert handed == [(detected, gains, 1000, 5)]
 
 
+def _tone(n):
+    return np.cos(2.0 * math.pi * np.arange(n) / n)
+
+
+def _differences(moments, gains, z):
+    """Each pair's difference photocurrent ``p - g*c`` from ``z``, ``n``
+    pairs of standard normals made into the pair's probe and conjugate by
+    the Cholesky factor of its covariance."""
+    diffs = []
+    for m, g in zip(moments, gains):
+        factor = np.linalg.cholesky([[m.var_p, m.cov], [m.cov, m.var_c]])
+        p, c = factor @ z.T + [[m.mean_p], [m.mean_c]]
+        diffs.append(p - g * c)
+    return diffs
+
+
 def _sampled_statistics(moments, gains, z):
-    """``(s_off, tone_cov, tone_var)`` of each pair, from simulated samples:
-    ``z`` holds ``n`` pairs of standard normals per row, made into each
-    pair's probe and conjugate by the Cholesky factor of its covariance,
-    with the tone ``cos(2*pi*k/n)``. ``np.cov`` with ``bias=True`` gives
-    every statistic with ddof 0, as ``np.var``. Returns an array of shape
+    """``(s_off, tone_cov, tone_var)`` of each pair, from the simulated
+    samples of each row of ``z`` (see :func:`_differences`) and the tone
+    ``cos(2*pi*k/n)``. ``np.cov`` with ``bias=True`` gives every statistic
+    with ddof 0, as ``np.var``. Returns an array of shape
     ``(rows, pairs, 3)``."""
-    n = z.shape[1]
-    tone = np.cos(2.0 * math.pi * np.arange(n) / n)
+    tone = _tone(z.shape[1])
     out = np.empty((len(z), len(moments), 3))
     for row, zk in zip(out, z):
-        diffs = []
-        for m, g in zip(moments, gains):
-            factor = np.linalg.cholesky([[m.var_p, m.cov], [m.cov, m.var_c]])
-            p, c = factor @ zk.T + [[m.mean_p], [m.mean_c]]
-            diffs.append(p - g * c)
-        cov = np.cov(np.vstack([*diffs, tone]), bias=True)
+        cov = np.cov(np.vstack([*_differences(moments, gains, zk), tone]), bias=True)
         row[:, 0] = np.diag(cov)[:-1]
         row[:, 1] = cov[-1, :-1]
         row[:, 2] = cov[-1, -1]
     return out
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_sampled_sweep_noise_is_the_sample_variance(chain, monkeypatch, seed):
+    # Handed the statistics of simulated samples, the sweep must give every
+    # swept point the sample variance of the difference photocurrent plus
+    # the tone, as np.var computes it from those samples.
+    n = 20_000
+    z = np.random.default_rng(seed).standard_normal((n, 2))
+    monkeypatch.setattr(
+        montecarlo,
+        "sweep_statistics",
+        lambda moments, gains, *_: _sampled_statistics(moments, gains, z[None])[0],
+    )
+    recorded = []
+    estimate = analysis.signal_estimate
+
+    def recording_estimate(s_on, s_off):
+        recorded.append((s_on, s_off))
+        return estimate(s_on, s_off)
+
+    monkeypatch.setattr(analysis, "signal_estimate", recording_estimate)
+    chain.sampled_snr_sweep(QUADRANT_PAIRS, n, seed)
+    voltages = chain.scenario.sweep_voltages_mv
+    assert len(recorded) == len(QUADRANT_PAIRS) * len(voltages)
+
+    moments = [chain.detected(i, j) for i, j in QUADRANT_PAIRS]
+    gains = [chain.reports[i].gain for i, _ in QUADRANT_PAIRS]
+    tone = _tone(n)
+    points = iter(recorded)
+    for (q, _), diff in zip(QUADRANT_PAIRS, _differences(moments, gains, z)):
+        for v in voltages:
+            amp = math.sqrt(2.0 * chain.signal(q, float(v)))
+            s_on, s_off = next(points)
+            assert abs(s_off - np.var(diff)) <= 1e-12 * np.var(diff)
+            reference = np.var(diff + amp * tone)
+            assert abs(s_on - reference) <= 1e-12 * reference, (q, v)
 
 
 @pytest.mark.parametrize("n", [3, 8, 64])
