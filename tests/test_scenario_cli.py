@@ -762,14 +762,23 @@ def test_default_scenario_artifacts_are_pinned(tmp_path):
     assert digests == ARTIFACT_SHA
 
 
-# sha256 of `verify --samples 20000` at the packaged scenario's seed.
+# sha256 of `verify --samples 20000` at the packaged scenario's seed: one
+# chunk of every sampled check.
 VERIFY_SHA = "00eecfd3629c2f4a34e2b302b5c40868740943be6346344eba35992a212b0af5"
+# The same at 131077 = 2 * CHUNK + 5 samples: two full chunks and a short
+# one, so the pin crosses every check's chunk boundaries.
+VERIFY_CHUNKS_SHA = "057ebcbc7894986318f9910765cc18951f93bf50efd85aeb7a9688dcffd05743"
 
 
-def test_verify_report_is_pinned(tmp_path):
-    assert run_cli("verify", "--samples", "20000", "--out", str(tmp_path)) == 0
+@pytest.mark.parametrize(
+    "samples, expected",
+    [(20_000, VERIFY_SHA), (131_077, VERIFY_CHUNKS_SHA)],
+    ids=["20000", "131077"],
+)
+def test_verify_report_is_pinned(tmp_path, samples, expected):
+    assert run_cli("verify", "--samples", str(samples), "--out", str(tmp_path)) == 0
     digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
-    assert digest == VERIFY_SHA
+    assert digest == expected
 
 
 def _verify_checks(out, *argv) -> dict:
