@@ -9,24 +9,24 @@ photon-difference block at a time. :func:`run_verification` runs the
 sampled checks on a calibrated chain's own cut, grid and pair channel.
 
 Randomness is counter-based (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC '11): each chunk of :data:`CHUNK` = 2^16 samples of a
-draw owns an independent Philox substream, keyed by a seed and a spawn key
-``(sampler, ..., chunk)``:
+easy as 1, 2, 3", SC '11): each chunk ``k`` of :data:`CHUNK` = 2^16
+samples of a draw owns an independent Philox substream, keyed by a seed
+and a spawn key ``(sampler, ..., k)``:
 
-- ``(seed, 0, chunk)``: :func:`sample_pair`;
-- ``(seed, 1, chunk)``: :func:`thinning_loss`;
-- ``(seed, 2, quadrant, chunk)``: :func:`sample_photocurrents`;
+- ``(seed, 0, k)``: :func:`sample_pair`;
+- ``(seed, 1, k)``: :func:`thinning_loss`;
+- ``(seed, 2, quadrant, k)``: :func:`sample_photocurrents`;
 - ``(seed, 4)``, one stream, not chunked: :func:`sweep_statistics`;
-- ``(seed, 13, k, chunk)``: the ``k``-th power of the ``snl_linearity`` check.
+- ``(seed, 13, j, k)``: the ``j``-th power of the ``snl_linearity`` check.
 
-A sampler's ``start`` is the first sample of the window it draws, a
-multiple of :data:`CHUNK`, so a run drawn one chunk at a time gets the
-samples of one call over the whole run. Every sampled check draws that
-way, in :func:`fold_chunks`: it reduces each chunk to means and
-co-moments (:class:`Comoments`) on one thread per CPU this process may
-use, and merges them in chunk order, so every statistic has the same bits
-for any worker count, and none goes through a BLAS call. The checks hold
-one chunk of buffers per worker, about 5 MB, whatever their sample count.
+:func:`fold_chunks` is the one place that splits a run into chunks: it
+hands each task its chunk index ``k``, and each sampler the task calls
+draws its ``n`` samples from the one substream that ``k`` names. The fold
+reduces each chunk to means and co-moments (:class:`Comoments`) on one
+thread per CPU this process may use, and merges them in chunk order, so
+every statistic has the same bits for any worker count, and none goes
+through a BLAS call. The checks hold one chunk of buffers per worker,
+about 5 MB, whatever their sample count.
 Where :func:`run_verification` calls one sampler more than once, it XORs
 the seed with a constant, so no two checks share a stream.
 """
@@ -90,17 +90,10 @@ def _n_chunks(n: int) -> int:
     return -(-n // CHUNK)
 
 
-def _chunks(n: int, start: int = 0):
-    """``(substream, lo, size)`` of each chunk of samples ``start`` to
-    ``start + n`` of a stream, ``lo`` counted from ``start``, generated one
-    at a time."""
-    if start < 0 or start % CHUNK:
-        raise ValidationError(f"start must be a non-negative multiple of {CHUNK}")
-    first = start // CHUNK
-    return (
-        (first + k, k * CHUNK, min(CHUNK, n - k * CHUNK))
-        for k in range(_n_chunks(n))
-    )
+def _chunks(n: int):
+    """``(k, lo, size)`` of each chunk of ``n`` samples: its index, its
+    first sample and its sample count, generated one at a time."""
+    return ((k, k * CHUNK, min(CHUNK, n - k * CHUNK)) for k in range(_n_chunks(n)))
 
 
 # cgroup files that may cap this process's CPU time: v2's "quota period"
@@ -134,12 +127,12 @@ def _workers(tasks: int) -> int:
 def fold_chunks(task, n: int, rows: int) -> list:
     """The :class:`Comoments` of ``n`` samples, folded chunk by chunk.
 
-    ``task(chunk, block)`` draws one chunk, a ``(substream, lo, size)`` of
-    :func:`_chunks`, into the first ``size`` columns of ``block``, a
-    ``(rows, min(n, CHUNK))`` array it may overwrite, and returns a list of
-    :class:`Comoments`. The lists of all chunks are merged item by item in
-    chunk order and returned, so the result has the same bits whichever
-    thread reduced each chunk.
+    ``task(k, block)`` draws chunk ``k`` (see :func:`_chunks`) into
+    ``block``, a ``(rows, size)`` array it may overwrite, ``size`` the
+    chunk's sample count, and returns a list of :class:`Comoments`. The
+    lists of all chunks are merged item by item in chunk order and
+    returned, so the result has the same bits whichever thread reduced
+    each chunk.
 
     The tasks run on :func:`_workers` threads, each with one block
     allocated before the first task starts. At most two tasks per thread
@@ -155,11 +148,11 @@ def fold_chunks(task, n: int, rows: int) -> list:
     for _ in range(workers):
         free.put(np.empty((rows, min(n, CHUNK))))
 
-    def run(chunk):
+    def run(k, size):
         # At most ``workers`` tasks run at once, so a block is always free.
         block = free.get()
         try:
-            return task(chunk, block)
+            return task(k, block[:, :size])
         finally:
             free.put(block)
 
@@ -172,51 +165,42 @@ def fold_chunks(task, n: int, rows: int) -> list:
         acc = parts if acc is None else [a.merge(b) for a, b in zip(acc, parts)]
 
     with ThreadPoolExecutor(workers) as pool:
-        for chunk in _chunks(n):
+        for k, _, size in _chunks(n):
             if len(pending) == 2 * workers:
                 merge_next()
-            pending.append(pool.submit(run, chunk))
+            pending.append(pool.submit(run, k, size))
         while pending:
             merge_next()
     return acc
 
 
-def _normals(n: int, seed: int, *key, start: int = 0, out=None):
-    """Two arrays of ``n`` standard normals, ``z0`` and ``z1``: samples
-    ``start`` to ``start + n`` of the stream, written into the pair of
-    arrays ``out`` if it is given.
-
-    Chunk ``k`` of the stream draws from the ``(seed, *key, k)`` substream:
-    first its slice of ``z0``, then its slice of ``z1``.
-    """
+def _normals(n: int, seed: int, *key, out=None):
+    """Two arrays of ``n`` standard normals, ``z0`` then ``z1``, both from
+    the one ``(seed, *key)`` substream, written into the pair of arrays
+    ``out`` if it is given."""
     z0, z1 = (np.empty(n), np.empty(n)) if out is None else out
-    for k, lo, size in _chunks(n, start):
-        rng = _generator(seed, *key, k)
-        rng.standard_normal(out=z0[lo : lo + size])
-        rng.standard_normal(out=z1[lo : lo + size])
+    rng = _generator(seed, *key)
+    rng.standard_normal(out=z0)
+    rng.standard_normal(out=z1)
     return z0, z1
 
 
-def _correlate(factors, z0, z1, probe, conj):
-    """Bivariate Gaussian samples from the standard normals ``z0``, ``z1``.
+def _correlate(factors, z0, z1):
+    """Bivariate Gaussian samples from the standard normals ``z0``, ``z1``,
+    in place.
 
-    With ``factors`` = ``(mp, mc, a, b, c)`` (see :func:`_factors`), writes
-    probe = mp + a*z0 and conj = mc + b*z0 + c*z1, rounded in that order,
-    into ``probe`` and ``conj`` and returns them. They may be ``z0`` and
-    ``z1`` themselves. The work goes chunk by chunk, so its one temporary
-    holds at most a chunk.
+    With ``factors`` = ``(mp, mc, a, b, c)`` (see :func:`_factors`), turns
+    ``z0`` into probe = mp + a*z0 and ``z1`` into conj = mc + b*z0 + c*z1,
+    rounded in that order, and returns them.
     """
     mp, mc, a, b, c = factors
-    for _, lo, size in _chunks(z0.size):
-        part = slice(lo, lo + size)
-        z0k, pk, ck = z0[part], probe[part], conj[part]
-        t = z0k * b
-        t += mc
-        np.multiply(z1[part], c, out=ck)
-        ck += t
-        np.multiply(z0k, a, out=pk)
-        pk += mp
-    return probe, conj
+    t = z0 * b
+    t += mc
+    z1 *= c
+    z1 += t
+    z0 *= a
+    z0 += mp
+    return z0, z1
 
 
 def sample_photocurrents(
@@ -224,7 +208,7 @@ def sample_photocurrents(
     m: TwinBeamMoments,
     n: int,
     seed: int,
-    start: int = 0,
+    chunk: int = 0,
     out=None,
 ) -> tuple[dict, dict]:
     """Sample per-quadrant intensities of the partitioned twin beam.
@@ -232,30 +216,30 @@ def sample_photocurrents(
     Each quadrant's intensity is drawn as one bivariate Gaussian with the
     moments of ``quadrant_cut(m, grid)``, the cut that the analytic chain
     uses. The quadrants share those moments but not their draws: quadrant
-    ``q`` draws samples ``start`` to ``start + n`` of the
-    ``(seed, 2, q, chunk)`` substreams. Returns ``(probe, conjugate)``, two
-    dicts of ``n`` samples per quadrant. ``out``, if given, is a
-    ``(4, 2, n)`` array that holds them: quadrant by quadrant in
-    :data:`optics.QUADRANT_SIGNS` order, probe before conjugate.
+    ``q`` draws its ``n`` samples from the ``(seed, 2, q, chunk)``
+    substream. Returns ``(probe, conjugate)``, two dicts of ``n`` samples
+    per quadrant. ``out``, if given, is a ``(4, 2, n)`` array that holds
+    them: quadrant by quadrant in :data:`optics.QUADRANT_SIGNS` order,
+    probe before conjugate.
     """
     factors = _factors(quadrant_cut(m, grid))
     if out is None:
         out = np.empty((len(QUADRANT_SIGNS), 2, n))
     probe, conj = {}, {}
-    for q, (z0, z1) in zip(QUADRANT_SIGNS, out):
-        _normals(n, seed, 2, q, start=start, out=(z0, z1))
-        probe[q], conj[q] = _correlate(factors, z0, z1, z0, z1)
+    for q, z in zip(QUADRANT_SIGNS, out):
+        z0, z1 = _normals(n, seed, 2, q, chunk, out=z)
+        probe[q], conj[q] = _correlate(factors, z0, z1)
     return probe, conj
 
 
 def sample_pair(
-    m: TwinBeamMoments, n: int, seed: int, start: int = 0, out=None
+    m: TwinBeamMoments, n: int, seed: int, chunk: int = 0, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-beam probe/conjugate samples (single-cell shortcut): samples
-    ``start`` to ``start + n`` of the ``(seed, 0, chunk)`` substreams,
-    written into the pair of arrays ``out`` if it is given."""
-    z0, z1 = _normals(n, seed, 0, start=start, out=out)
-    return _correlate(_factors(m), z0, z1, z0, z1)
+    """Whole-beam probe/conjugate samples (single-cell shortcut): ``n``
+    samples from the ``(seed, 0, chunk)`` substream, written into the pair
+    of arrays ``out`` if it is given."""
+    z0, z1 = _normals(n, seed, 0, chunk, out=out)
+    return _correlate(_factors(m), z0, z1)
 
 
 def sweep_statistics(moments, gains, n: int, seed: int) -> list:
@@ -298,44 +282,28 @@ def sweep_statistics(moments, gains, n: int, seed: int) -> list:
 
 
 def thinning_loss(
-    samples: np.ndarray, eta: float, seed: int, start: int = 0, out=None
+    samples: np.ndarray, eta: float, seed: int, chunk: int = 0, out=None
 ) -> np.ndarray:
     """Gaussian-equivalent binomial thinning of intensity samples.
 
     Each input x maps to eta*x plus zero-mean noise of variance
     eta*(1-eta)*x, reproducing the mean and variance of binomial thinning
-    of a photon stream of mean x. The ``k``-th sample in C order takes
-    sample ``start + k`` of the ``(seed, 1, chunk)`` substreams. ``out``,
-    if given, is a C-ordered array that receives the result; it may be
-    ``samples`` itself.
+    of a photon stream of mean x. The noise is drawn from the
+    ``(seed, 1, chunk)`` substream in C order, so any memory layout of
+    ``samples`` gets the draws of its C-ordered copy. ``out``, if given,
+    receives the result; it may be ``samples`` itself.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("transmission must lie in [0, 1]")
     samples = np.asarray(samples, float)
-    # C order for both, so that ``out.ravel()`` is a view, not a copy that
-    # would drop the writes, and a sample's draw does not depend on layout.
-    if out is None:
-        out = np.empty(samples.shape)
-    if eta == 1.0:
-        np.copyto(out, samples)
-        return out
-    if eta == 0.0:
-        out.fill(0.0)
-        return out
-    n = samples.size
-    flat, dest = samples.ravel(), out.ravel()
-    z = np.empty(min(n, CHUNK))
-    noise = np.empty_like(z)
-    for k, lo, size in _chunks(n, start):
-        x, zk, wk = flat[lo : lo + size], z[:size], noise[:size]
-        _generator(seed, 1, k).standard_normal(out=zk)
-        # eta*x + sqrt(eta*(1-eta)*max(x, 0))*z, rounded in that order.
-        np.maximum(x, 0.0, out=wk)
-        wk *= eta * (1.0 - eta)
-        np.sqrt(wk, out=wk)
-        wk *= zk
-        np.multiply(x, eta, out=dest[lo : lo + size])
-        dest[lo : lo + size] += wk
+    z = _generator(seed, 1, chunk).standard_normal(samples.shape)
+    # eta*x + sqrt(eta*(1-eta)*max(x, 0))*z, rounded in that order.
+    noise = np.maximum(samples, 0.0)
+    noise *= eta * (1.0 - eta)
+    np.sqrt(noise, out=noise)
+    noise *= z
+    out = np.multiply(samples, eta, out=out)
+    out += noise
     return out
 
 
@@ -389,9 +357,9 @@ class Comoments:
         """Each series' sample variance (ddof 0, as ``np.var``)."""
         return np.diag(self.m2) / self.n
 
-    def cov(self, ddof: int = 0) -> np.ndarray:
-        """The sample covariance matrix, ``m2 / (n - ddof)``."""
-        return self.m2 / (self.n - ddof)
+    def cov(self) -> np.ndarray:
+        """The unbiased (ddof 1) sample covariance matrix, ``m2 / (n - 1)``."""
+        return self.m2 / (self.n - 1)
 
 
 def _coherent_vector(alpha: float, n_max: int) -> np.ndarray:
@@ -558,13 +526,12 @@ def _bright_pair_checks(m, ch, n, seed):
     g = detection.optimal_gain(expected)
     s_analytic = detection.difference_noise(expected, g)
 
-    def thinned(chunk, block):
+    def thinned(k, block):
         # The thinned probe and conjugate, and their difference.
-        _, lo, size = chunk
-        pt, ct, diff = block[:, :size]
-        sample_pair(m, size, seed, start=lo, out=(pt, ct))
-        thinning_loss(pt, ch.eta_p, seed ^ 0x7A11, start=lo, out=pt)
-        thinning_loss(ct, ch.eta_c, seed ^ 0x7A22, start=lo, out=ct)
+        pt, ct, diff = block
+        sample_pair(m, pt.size, seed, chunk=k, out=(pt, ct))
+        thinning_loss(pt, ch.eta_p, seed ^ 0x7A11, chunk=k, out=pt)
+        thinning_loss(ct, ch.eta_c, seed ^ 0x7A22, chunk=k, out=ct)
         np.multiply(ct, g, out=diff)
         np.subtract(pt, diff, out=diff)
         return [Comoments.of(pt, ct, diff)]
@@ -578,9 +545,7 @@ def _bright_pair_checks(m, ch, n, seed):
         _z_mean(mean_c, n, expected.mean_c, expected.var_c),
         _z_var(var_p, n, expected.var_p),
         _z_var(var_c, n, expected.var_c),
-        _z_cov(
-            acc.cov(ddof=1)[0, 1], n, expected.var_p, expected.var_c, expected.cov
-        ),
+        _z_cov(acc.cov()[0, 1], n, expected.var_p, expected.var_c, expected.cov),
     )
     thinning = _check(
         "thinning_vs_loss_map",
@@ -605,12 +570,11 @@ def _snl_check(bright, n, seed):
     sit on a line through the origin and match var = power pointwise."""
     powers = bright * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 
-    def shot_noise(chunk, block):
-        # Row k holds this chunk of the k-th power's samples.
-        substream, _, size = chunk
+    def shot_noise(k, block):
+        # Row j holds this chunk of the j-th power's samples.
         parts = []
-        for k, (power, x) in enumerate(zip(powers, block[:, :size])):
-            _generator(seed, 13, k, substream).standard_normal(out=x)
+        for j, (power, x) in enumerate(zip(powers, block)):
+            _generator(seed, 13, j, k).standard_normal(out=x)
             x *= math.sqrt(power)
             x += power
             parts.append(Comoments.of(x))
@@ -638,17 +602,17 @@ def _partition_checks(grid, m, n, seed):
     cross-quadrant independence, on one batch."""
     exp = quadrant_cut(m, grid)
 
-    def photocurrents(chunk, block):
+    def photocurrents(k, block):
         # Series 2i and 2i + 1 are the probe and conjugate of the i-th
         # quadrant in QUADRANT_SIGNS order, as sample_photocurrents lays
         # out its block.
-        _, lo, size = chunk
-        out = block.reshape(len(QUADRANT_SIGNS), 2, -1)[:, :, :size]
-        sample_photocurrents(grid, m, size, seed, start=lo, out=out)
-        return [Comoments.of(*block[:, :size])]
+        size = block.shape[1]
+        out = block.reshape(len(QUADRANT_SIGNS), 2, size)
+        sample_photocurrents(grid, m, size, seed, chunk=k, out=out)
+        return [Comoments.of(*block)]
 
     (acc,) = fold_chunks(photocurrents, n, 2 * len(QUADRANT_SIGNS))
-    var, cov = acc.var(), acc.cov(ddof=1)
+    var, cov = acc.var(), acc.cov()
     worst = 0.0
     for p in range(0, len(var), 2):
         c = p + 1

@@ -559,7 +559,7 @@ def test_cli_samples_out_of_memory_is_validation_error(tmp_path, capsys, monkeyp
 
     # verify draws every chunk of normals through _normals. fig4 draws no
     # samples, only their statistics, so it allocates nothing per sample.
-    def out_of_memory(n, seed, *key, start=0, out=None):
+    def out_of_memory(n, seed, *key, out=None):
         raise MemoryError
 
     monkeypatch.setattr(montecarlo, "_normals", out_of_memory)
