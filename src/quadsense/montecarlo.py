@@ -296,13 +296,16 @@ def thinning_loss(
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("transmission must lie in [0, 1]")
     samples = np.asarray(samples, float)
+    if out is None:
+        out = np.empty(samples.shape)
     z = _generator(seed, 1, chunk).standard_normal(samples.shape)
-    # eta*x + sqrt(eta*(1-eta)*max(x, 0))*z, rounded in that order.
-    noise = np.maximum(samples, 0.0)
+    # eta*x + sqrt(eta*(1-eta)*max(x, 0))*z, rounded in that order, in one
+    # temporary besides z (an array, not a scalar, for a 0-d input too).
+    noise = np.maximum(samples, 0.0, out=np.empty(samples.shape))
     noise *= eta * (1.0 - eta)
     np.sqrt(noise, out=noise)
     noise *= z
-    out = np.multiply(samples, eta, out=out)
+    np.multiply(samples, eta, out=out)
     out += noise
     return out
 

@@ -251,14 +251,14 @@ SAMPLED_SWEEP_SHA = "f12604ec037b82638782ba09a7f9e33ade0538a296b9bb4576017c4c908
 def test_photocurrent_stream_is_pinned():
     # A full chunk 0 and a 3-sample chunk 1, joined as a fold lays them out.
     grid = build_coherence_grid(16.0, 16.0, 32.0)
-    chunks = [
+    (p0, c0), (p1, c1) = (
         sample_photocurrents(grid, G2_IDEAL, size, seed=9, chunk=k)
         for k, size in ((0, montecarlo.CHUNK), (1, 3))
-    ]
+    )
     arrays = [
-        np.concatenate([part[q] for part in side])
+        np.concatenate(x)
         for q in (1, 2, 3, 4)
-        for side in ([p for p, _ in chunks], [c for _, c in chunks])
+        for x in ((p0[q], p1[q]), (c0[q], c1[q]))
     ]
     assert _digest(*arrays) == PHOTOCURRENTS_SHA
 
