@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import threshold_voltage
@@ -224,16 +225,7 @@ def _cmd_verify(scenario: Scenario, args, out: Path) -> int:
         "n_samples": args.samples,
         "seed": args.seed,
         "passed": all(c.passed for c in checks),
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "statistic": c.statistic,
-                "threshold": c.threshold,
-                "detail": c.detail,
-            }
-            for c in checks
-        ],
+        "checks": [asdict(c) for c in checks],
     }
     _write_json(out / "verify.json", payload)
     for c in checks:

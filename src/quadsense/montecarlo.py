@@ -22,20 +22,22 @@ and a spawn key ``(sampler, ..., k)``:
 :func:`fold_chunks` is the one place that splits a run into chunks: it
 hands each task its chunk index ``k``, and each sampler the task calls
 draws its ``n`` samples from the one substream that ``k`` names. The fold
-reduces each chunk to means and co-moments (:class:`Comoments`) on one
-thread per CPU this process may use, and merges them in chunk order, so
-every statistic has the same bits for any worker count, and none goes
-through a BLAS call. The checks hold one chunk of buffers per worker,
-about 5 MB, whatever their sample count.
+deals the chunks to :data:`LANES` fixed lanes, reduces each chunk to
+means and co-moments (:class:`Comoments`) on one thread per CPU this
+process may use, merges each lane's chunks in chunk order and the lanes
+in lane order, so every statistic has the same bits for any worker
+count, and none goes through a BLAS call. The checks hold one buffer per
+running thread, about 5 MB, whatever their sample count.
 Where :func:`run_verification` calls one sampler more than once, it XORs
 the seed with a constant, so no two checks share a stream.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from collections import deque
+import threading
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -59,6 +61,8 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
+# Lanes of a fold: chunk k belongs to lane k % LANES (see fold_chunks).
+LANES = 64
 # Number-basis cutoffs tried in turn by the Fock oracle, and the largest
 # probability mass it accepts on the cutoff boundary.
 FOCK_TRUNCATIONS = (24, 36, 48, 64, 80)
@@ -83,17 +87,6 @@ def _cholesky(vp, vc, cov):
 def _factors(m: TwinBeamMoments):
     """``(mean_p, mean_c, a, b, c)``: the means and Cholesky factors of ``m``."""
     return (m.mean_p, m.mean_c, *_cholesky(m.var_p, m.var_c, m.cov))
-
-
-def _n_chunks(n: int) -> int:
-    """Number of chunks in ``n`` samples."""
-    return -(-n // CHUNK)
-
-
-def _chunks(n: int):
-    """``(k, lo, size)`` of each chunk of ``n`` samples: its index, its
-    first sample and its sample count, generated one at a time."""
-    return ((k, k * CHUNK, min(CHUNK, n - k * CHUNK)) for k in range(_n_chunks(n)))
 
 
 # cgroup files that may cap this process's CPU time: v2's "quota period"
@@ -124,54 +117,49 @@ def _workers(tasks: int) -> int:
     return max(1, min(cpus, tasks))
 
 
+def _merge(acc: list, parts: list) -> list:
+    """Two lists of :class:`Comoments` merged item by item."""
+    return [a.merge(b) for a, b in zip(acc, parts)]
+
+
 def fold_chunks(task, n: int, rows: int) -> list:
     """The :class:`Comoments` of ``n`` samples, folded chunk by chunk.
 
-    ``task(k, block)`` draws chunk ``k`` (see :func:`_chunks`) into
-    ``block``, a ``(rows, size)`` array it may overwrite, ``size`` the
-    chunk's sample count, and returns a list of :class:`Comoments`. The
-    lists of all chunks are merged item by item in chunk order and
-    returned, so the result has the same bits whichever thread reduced
-    each chunk.
+    Chunk ``k`` holds samples ``k * CHUNK`` to ``(k + 1) * CHUNK``, the
+    last chunk fewer. ``task(k, block)`` draws it into ``block``, a
+    ``(rows, size)`` array it may overwrite, ``size`` the chunk's sample
+    count, and returns a list of :class:`Comoments`.
 
-    The tasks run on :func:`_workers` threads, each with one block
-    allocated before the first task starts. At most two tasks per thread
-    are submitted ahead of the chunk merged next, however many chunks
-    there are. NumPy's random fills and ufuncs release the interpreter
-    lock, so the threads draw in parallel.
+    Chunk ``k`` belongs to lane ``k % LANES``. Each lane draws its chunks
+    in chunk order and merges their lists item by item; the lanes run on
+    :func:`_workers` threads, and their results are merged in lane order.
+    The lanes, not the threads, fix the merge order, so the result has the
+    same bits for any worker count; up to ``LANES`` chunks it is chunk
+    order. A lane draws into its thread's buffer, which the thread
+    allocates for its first lane and keeps for the rest, so the fold holds
+    one buffer per running thread, and it submits at most ``LANES`` tasks
+    however many chunks there are. NumPy's random fills and ufuncs release
+    the interpreter lock, so the threads draw in parallel.
     """
-    import queue
     from concurrent.futures import ThreadPoolExecutor  # local: cli starts no pool
 
-    workers = _workers(_n_chunks(n))
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put(np.empty((rows, min(n, CHUNK))))
+    chunks = -(-n // CHUNK)
+    lanes = min(LANES, chunks)
+    thread = threading.local()
 
-    def run(k, size):
-        # At most ``workers`` tasks run at once, so a block is always free.
-        block = free.get()
-        try:
-            return task(k, block[:, :size])
-        finally:
-            free.put(block)
+    def lane(first):
+        # Allocated here, not in the pool's initializer, whose errors
+        # reach the caller as BrokenThreadPool, not MemoryError.
+        if not hasattr(thread, "block"):
+            thread.block = np.empty((rows, min(n, CHUNK)))
+        parts = (
+            task(k, thread.block[:, : min(CHUNK, n - k * CHUNK)])
+            for k in range(first, chunks, LANES)
+        )
+        return functools.reduce(_merge, parts)
 
-    acc = None
-    pending = deque()
-
-    def merge_next():
-        nonlocal acc
-        parts = pending.popleft().result()
-        acc = parts if acc is None else [a.merge(b) for a, b in zip(acc, parts)]
-
-    with ThreadPoolExecutor(workers) as pool:
-        for k, _, size in _chunks(n):
-            if len(pending) == 2 * workers:
-                merge_next()
-            pending.append(pool.submit(run, k, size))
-        while pending:
-            merge_next()
-    return acc
+    with ThreadPoolExecutor(_workers(lanes)) as pool:
+        return functools.reduce(_merge, pool.map(lane, range(lanes)))
 
 
 def _normals(n: int, seed: int, *key, out=None):
@@ -673,8 +661,8 @@ def run_verification(chain, n_samples: int, seed: int) -> list:
     5 standard errors, so a passing suite is overwhelmingly likely to pass
     again under a different seed. Each sampled check is one
     :func:`fold_chunks`, so its statistics do not depend on the worker
-    count, and it holds one chunk of samples per series and worker,
-    whatever ``n_samples``.
+    count, and it holds one buffer of one chunk per series and running
+    thread, whatever ``n_samples``.
     """
     n = int(n_samples)
     # Each state is summed over ``bright`` independent copies, so every

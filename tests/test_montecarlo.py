@@ -308,7 +308,7 @@ QUADRANT_PAIRS = [(1, 1), (2, 2), (3, 3), (4, 4)]
 
 
 def test_sampled_outputs_do_not_depend_on_the_worker_count(chain, monkeypatch):
-    # Chunks are reduced on several threads but merged in chunk order, so
+    # Chunks are reduced on several threads but merged in a fixed order, so
     # every statistic has the same bits for any number of workers. The
     # short last chunk finishes first when it runs beside the others, so a
     # merge in completion order would show here.
@@ -352,30 +352,73 @@ def test_chunk_buffers_stay_private_under_thread_switching(monkeypatch):
 
 
 def test_chunk_tasks_pending_stay_bounded(monkeypatch):
-    # Tasks are submitted at most two per worker ahead of the result
-    # merged next, not all at once: a run of 10^12 samples has 15M chunks.
-    from concurrent.futures import Future, ThreadPoolExecutor
+    # A run of 10^12 samples has 15M chunks: the fold submits one task per
+    # lane, never one per chunk, and each lane draws each of its chunks
+    # exactly once.
+    from concurrent.futures import ThreadPoolExecutor
 
-    workers = 3
-    monkeypatch.setattr(montecarlo, "_workers", lambda tasks: min(workers, tasks))
-    counts = {"submitted": 0, "read": 0, "most_pending": 0}
-    submit, result = ThreadPoolExecutor.submit, Future.result
+    monkeypatch.setattr(montecarlo, "_workers", lambda tasks: min(3, tasks))
+    submitted = []
+    submit = ThreadPoolExecutor.submit
 
     def counting_submit(self, *args, **kwargs):
-        counts["submitted"] += 1
-        pending = counts["submitted"] - counts["read"]
-        counts["most_pending"] = max(counts["most_pending"], pending)
+        submitted.append(args)
         return submit(self, *args, **kwargs)
 
-    def counting_result(self, *args, **kwargs):
-        counts["read"] += 1
-        return result(self, *args, **kwargs)
-
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
-    monkeypatch.setattr(Future, "result", counting_result)
-    _pair_fold(BRIGHT, 64 * montecarlo.CHUNK, 42)
-    assert counts["submitted"] == counts["read"] == 64
-    assert counts["most_pending"] <= 2 * workers, counts
+    chunks = montecarlo.LANES + 7
+    n = (chunks - 1) * montecarlo.CHUNK + 5
+    drawn = []
+
+    def task(k, block):
+        drawn.append((k, block.shape[1]))
+        block.fill(k)
+        return [montecarlo.Comoments.of(*block)]
+
+    (acc,) = montecarlo.fold_chunks(task, n, 2)
+    assert len(submitted) <= montecarlo.LANES
+    full = [(k, montecarlo.CHUNK) for k in range(chunks - 1)]
+    assert sorted(drawn) == full + [(chunks - 1, 5)]
+    assert acc.n == n
+
+
+def test_fold_buffers_out_of_memory_raise_memory_error():
+    # The cli turns a MemoryError into exit 2, so a buffer that cannot be
+    # allocated must reach the caller as one, not as a broken pool. 10^9
+    # rows of a chunk exceed any address space: nothing is allocated.
+    with pytest.raises(MemoryError):
+        montecarlo.fold_chunks(lambda k, block: [], 3 * montecarlo.CHUNK, 10**9)
+
+
+def test_lanes_fix_the_merge_order(chain, monkeypatch):
+    # Three lanes of eight chunks: lane 0 folds chunks 0, 3 and 6, lane 1
+    # chunks 1, 4 and the short chunk 7, lane 2 chunks 2 and 5, each in
+    # chunk order, and the lanes merge in lane order, at any worker count.
+    monkeypatch.setattr(montecarlo, "LANES", 3)
+    n, seed = 7 * montecarlo.CHUNK + 5, 42
+
+    def moments(lo):
+        k, size = lo // montecarlo.CHUNK, min(montecarlo.CHUNK, n - lo)
+        return montecarlo.Comoments.of(*sample_pair(BRIGHT, size, seed, chunk=k))
+
+    lanes = [
+        functools.reduce(
+            montecarlo.Comoments.merge,
+            map(moments, range(lane * montecarlo.CHUNK, n, 3 * montecarlo.CHUNK)),
+        )
+        for lane in range(3)
+    ]
+    reference = functools.reduce(montecarlo.Comoments.merge, lanes)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_workers", lambda tasks: min(workers, tasks))
+        acc = _pair_fold(BRIGHT, n, seed)
+        assert acc.n == reference.n == n
+        assert np.array_equal(acc.mean, reference.mean)
+        assert np.array_equal(acc.m2, reference.m2)
+        runs.append(run_verification(chain, n, seed=77))
+    for run in runs[1:]:
+        assert run == runs[0]
 
 
 def test_sampled_sweep_draws_the_chains_detected_moments(chain, monkeypatch):
@@ -554,8 +597,10 @@ def test_snl_linearity_is_the_sample_variance_of_its_draws():
     for k, power in enumerate(powers):
         z = np.concatenate(
             [
-                montecarlo._generator(seed, 13, k, chunk).standard_normal(size)
-                for chunk, _, size in montecarlo._chunks(n)
+                montecarlo._generator(seed, 13, k, chunk).standard_normal(
+                    min(montecarlo.CHUNK, n - lo)
+                )
+                for chunk, lo in enumerate(range(0, n, montecarlo.CHUNK))
             ]
         )
         variances.append(np.var(z * math.sqrt(power) + power))
@@ -604,7 +649,9 @@ def test_covariance_z_score_matches_np_cov():
         se = math.sqrt((var_x * var_y + cov**2) / n)
         reference = abs(np.cov(x, y)[0, 1] - cov) / se
         # Comoments.of centres its rows in place, so it gets copies.
-        chunks = [slice(lo, lo + size) for _, lo, size in montecarlo._chunks(n)]
+        chunks = [
+            slice(lo, lo + montecarlo.CHUNK) for lo in range(0, n, montecarlo.CHUNK)
+        ]
         parts = (montecarlo.Comoments.of(x[c].copy(), y[c].copy()) for c in chunks)
         acc = functools.reduce(montecarlo.Comoments.merge, parts)
         z = montecarlo._z_cov(acc.cov()[0, 1], n, var_x, var_y, cov)
@@ -624,8 +671,8 @@ def test_comoments_match_two_pass_numpy():
     acc = functools.reduce(
         montecarlo.Comoments.merge,
         (
-            montecarlo.Comoments.of(*x[:, lo : lo + size].copy())
-            for _, lo, size in montecarlo._chunks(n)
+            montecarlo.Comoments.of(*x[:, lo : lo + montecarlo.CHUNK].copy())
+            for lo in range(0, n, montecarlo.CHUNK)
         ),
     )
     assert acc.n == n
