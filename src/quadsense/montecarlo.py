@@ -27,7 +27,8 @@ means and co-moments (:class:`Comoments`) on one thread per CPU this
 process may use, merges each lane's chunks in chunk order and the lanes
 in lane order, so every statistic has the same bits for any worker
 count, and none goes through a BLAS call. The checks hold one buffer per
-running thread, about 5 MB, whatever their sample count.
+running thread, about 5 MB, and about 2 KB per lane, whatever their
+sample count.
 Where :func:`run_verification` calls one sampler more than once, it XORs
 the seed with a constant, so no two checks share a stream.
 """
@@ -62,7 +63,12 @@ __all__ = [
 
 CHUNK = 1 << 16
 # Lanes of a fold: chunk k belongs to lane k % LANES (see fold_chunks).
-LANES = 64
+# Up to LANES chunks (2^28 samples) each lane holds one chunk. Above
+# that, lanes differ by at most one chunk and the threads take them in
+# lane order, so a fold ends at most one lane after an even split: a
+# workers/LANES share of its time, under 5 % up to 204 threads. Each
+# lane's task holds about 2 KB until it is merged.
+LANES = 4096
 # Number-basis cutoffs tried in turn by the Fock oracle, and the largest
 # probability mass it accepts on the cutoff boundary.
 FOCK_TRUNCATIONS = (24, 36, 48, 64, 80)

@@ -311,13 +311,21 @@ def test_sampled_outputs_do_not_depend_on_the_worker_count(chain, monkeypatch):
     # Chunks are reduced on several threads but merged in a fixed order, so
     # every statistic has the same bits for any number of workers. The
     # short last chunk finishes first when it runs beside the others, so a
-    # merge in completion order would show here.
-    runs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(montecarlo, "_workers", lambda tasks: min(workers, tasks))
-        runs.append(run_verification(chain, 2 * montecarlo.CHUNK + 5, seed=77))
-    for run in runs[1:]:
-        assert run == runs[0]
+    # merge in completion order would show here. With three lanes, each
+    # lane folds two or three chunks.
+    for lanes, n in (
+        (montecarlo.LANES, 2 * montecarlo.CHUNK + 5),
+        (3, 7 * montecarlo.CHUNK + 5),
+    ):
+        monkeypatch.setattr(montecarlo, "LANES", lanes)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(
+                montecarlo, "_workers", lambda tasks: min(workers, tasks)
+            )
+            runs.append(run_verification(chain, n, seed=77))
+        for run in runs[1:]:
+            assert run == runs[0], lanes
 
 
 def _pair_fold(m, n, seed):
@@ -366,6 +374,8 @@ def test_chunk_tasks_pending_stay_bounded(monkeypatch):
         return submit(self, *args, **kwargs)
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+    # Chunks of eight samples keep the LANES + 7 chunks cheap.
+    monkeypatch.setattr(montecarlo, "CHUNK", 8)
     chunks = montecarlo.LANES + 7
     n = (chunks - 1) * montecarlo.CHUNK + 5
     drawn = []
@@ -390,7 +400,7 @@ def test_fold_buffers_out_of_memory_raise_memory_error():
         montecarlo.fold_chunks(lambda k, block: [], 3 * montecarlo.CHUNK, 10**9)
 
 
-def test_lanes_fix_the_merge_order(chain, monkeypatch):
+def test_lanes_fix_the_merge_order(monkeypatch):
     # Three lanes of eight chunks: lane 0 folds chunks 0, 3 and 6, lane 1
     # chunks 1, 4 and the short chunk 7, lane 2 chunks 2 and 5, each in
     # chunk order, and the lanes merge in lane order, at any worker count.
@@ -409,16 +419,12 @@ def test_lanes_fix_the_merge_order(chain, monkeypatch):
         for lane in range(3)
     ]
     reference = functools.reduce(montecarlo.Comoments.merge, lanes)
-    runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "_workers", lambda tasks: min(workers, tasks))
         acc = _pair_fold(BRIGHT, n, seed)
         assert acc.n == reference.n == n
         assert np.array_equal(acc.mean, reference.mean)
         assert np.array_equal(acc.m2, reference.m2)
-        runs.append(run_verification(chain, n, seed=77))
-    for run in runs[1:]:
-        assert run == runs[0]
 
 
 def test_sampled_sweep_draws_the_chains_detected_moments(chain, monkeypatch):
