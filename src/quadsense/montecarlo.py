@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TailMassError, ValidationError
-from .optics import QUADRANT_SIGNS, apply_loss, quadrant_cut
+from .optics import QUADRANTS, apply_loss, quadrant_cut
 from .source import CoherenceGrid, FwmSourceParams, TwinBeamMoments, fwm_moments
 
 __all__ = [
@@ -213,14 +213,14 @@ def sample_photocurrents(
     ``q`` draws its ``n`` samples from the ``(seed, 2, q, chunk)``
     substream. Returns ``(probe, conjugate)``, two dicts of ``n`` samples
     per quadrant. ``out``, if given, is a ``(4, 2, n)`` array that holds
-    them: quadrant by quadrant in :data:`optics.QUADRANT_SIGNS` order,
+    them: quadrant by quadrant in :data:`optics.QUADRANTS` order,
     probe before conjugate.
     """
     factors = _factors(quadrant_cut(m, grid))
     if out is None:
-        out = np.empty((len(QUADRANT_SIGNS), 2, n))
+        out = np.empty((len(QUADRANTS), 2, n))
     probe, conj = {}, {}
-    for q, z in zip(QUADRANT_SIGNS, out):
+    for q, z in zip(QUADRANTS, out):
         z0, z1 = _normals(n, seed, 2, q, chunk, out=z)
         probe[q], conj[q] = _correlate(factors, z0, z1)
     return probe, conj
@@ -601,14 +601,14 @@ def _partition_checks(grid, m, n, seed):
 
     def photocurrents(k, block):
         # Series 2i and 2i + 1 are the probe and conjugate of the i-th
-        # quadrant in QUADRANT_SIGNS order, as sample_photocurrents lays
+        # quadrant in QUADRANTS order, as sample_photocurrents lays
         # out its block.
         size = block.shape[1]
-        out = block.reshape(len(QUADRANT_SIGNS), 2, size)
+        out = block.reshape(len(QUADRANTS), 2, size)
         sample_photocurrents(grid, m, size, seed, chunk=k, out=out)
         return [Comoments.of(*block)]
 
-    (acc,) = fold_chunks(photocurrents, n, 2 * len(QUADRANT_SIGNS))
+    (acc,) = fold_chunks(photocurrents, n, 2 * len(QUADRANTS))
     var, cov = acc.var(), acc.cov()
     worst = 0.0
     for p in range(0, len(var), 2):

@@ -1,8 +1,9 @@
 """Beam geometry and loss: transmission of a centered Gaussian beam through
 the tilted quadrant windows, beam-splitter loss propagation of intensity
 moments, and the correlation penalty of cutting a finite coherence area.
-The coherence cells are centered on both beams, so that penalty is one
-quadrant cut, the same for all four quadrants: a quarter of every mean and
+The beams and the coherence cells are centered on the layout, so the four
+quadrants are mirror images of one another: one window's transmission and
+one quadrant cut serve all four. The cut keeps a quarter of every mean and
 variance, and the closed-form covariance share
 (:func:`source.build_coherence_grid`) of the covariance.
 
@@ -19,19 +20,18 @@ from .errors import SearchError, ValidationError
 from .source import CoherenceGrid, TwinBeamMoments, _interval_weights
 
 __all__ = [
-    "QUADRANT_SIGNS",
+    "QUADRANTS",
     "QuadrantLayout",
     "LossChannel",
     "QuadrantTransmission",
     "quadrant_transmission",
-    "transmission_curve",
     "waist_scan",
     "optimize_waist",
     "apply_loss",
     "quadrant_cut",
 ]
 
-QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
+QUADRANTS = (1, 2, 3, 4)
 # Power share of each quadrant of a coherence grid centered on the beams.
 QUADRANT_SHARE = 0.25
 # Coarse diameters that :func:`optimize_waist` scans, and the bracket width
@@ -64,21 +64,6 @@ class QuadrantLayout:
     def cos_tilt(self) -> float:
         return math.cos(math.radians(self.tilt_deg))
 
-    def window_bounds(self, q: int) -> tuple[float, float, float, float]:
-        """(xlo, xhi, ylo, yhi) of window q in the beam plane (tilt applied)."""
-        sx, sy = QUADRANT_SIGNS[q]
-        g = 0.5 * self.gap
-        w = self.window_size
-        xlo, xhi = sorted((sx * g * self.cos_tilt, sx * (g + w) * self.cos_tilt))
-        ylo, yhi = sorted((sy * g, sy * (g + w)))
-        return xlo, xhi, ylo, yhi
-
-    @property
-    def half_extent(self) -> tuple[float, float]:
-        """Half side of the overall layout square (x projected, y true)."""
-        h = 0.5 * self.gap + self.window_size
-        return h * self.cos_tilt, h
-
 
 @dataclass(frozen=True)
 class LossChannel:
@@ -94,67 +79,39 @@ class LossChannel:
 
 @dataclass(frozen=True)
 class QuadrantTransmission:
-    """Power bookkeeping of a beam incident on a quadrant layout."""
+    """Power fractions of a beam incident on a quadrant layout."""
 
     window_fractions: dict
     total: float
-    gap_fraction: float
-    tail_fraction: float
-
-
-def _window_powers(layout: QuadrantLayout, sigma: float) -> list:
-    """Power fractions of windows 1-4 and of the whole layout square for a
-    round beam of standard deviation ``sigma`` centered on the layout.
-
-    The Gaussian factorizes, so each is the product of the exact power of
-    its x and y intervals (:func:`_interval_weights`): 20 normal CDFs
-    through the C library's ``erfc``.
-    """
-    hx, hy = layout.half_extent
-    bounds = [layout.window_bounds(q) for q in (1, 2, 3, 4)] + [(-hx, hx, -hy, hy)]
-    return [
-        _interval_weights(xlo, xhi, sigma) * _interval_weights(ylo, yhi, sigma)
-        for xlo, xhi, ylo, yhi in bounds
-    ]
-
-
-def _window_total(powers) -> float:
-    """Summed power of windows 1-4, added in window order."""
-    total = 0.0
-    for k in range(4):
-        total = total + powers[k]
-    return total
 
 
 def quadrant_transmission(
     diameter: float, layout: QuadrantLayout
 ) -> QuadrantTransmission:
     """Per-window power fractions and total transmission of a round beam of
-    1/e^2 diameter ``diameter`` (sigma = D / 4) centered on the layout."""
+    1/e^2 diameter ``diameter`` (sigma = D / 4) centered on the layout.
+
+    The Gaussian factorizes, so window 1 carries the exact power of its x
+    and y intervals (:func:`_interval_weights`): 4 normal CDFs through the
+    C library's ``erfc``. The beam is centered, so the other three windows
+    are its mirror images and carry the same power.
+    """
     if not diameter > 0:
         raise ValidationError(f"beam diameter must be > 0, got {diameter}")
-    powers = _window_powers(layout, diameter / 4.0)
-    total = _window_total(powers)
-    in_square = powers[4]
-    return QuadrantTransmission(
-        window_fractions={q: powers[q - 1] for q in (1, 2, 3, 4)},
-        total=total,
-        gap_fraction=max(in_square - total, 0.0),
-        tail_fraction=1.0 - in_square,
+    sigma = diameter / 4.0
+    g, w, c = 0.5 * layout.gap, layout.window_size, layout.cos_tilt
+    window = _interval_weights(g * c, (g + w) * c, sigma) * _interval_weights(
+        g, g + w, sigma
     )
-
-
-def transmission_curve(layout: QuadrantLayout, diameters) -> list:
-    """Total transmission of centered beams of the given 1/e^2 diameters,
-    as a list; each entry is the :func:`quadrant_transmission` total of
-    that beam."""
-    return [_window_total(_window_powers(layout, d / 4.0)) for d in diameters]
+    return QuadrantTransmission(
+        window_fractions=dict.fromkeys(QUADRANTS, window), total=4.0 * window
+    )
 
 
 def waist_scan(layout: QuadrantLayout, d_range: tuple[float, float]):
     """``(diameters, totals)``: :data:`WAIST_GRID_POINTS` evenly spaced
-    diameters over ``d_range``, as lists, and their
-    :func:`transmission_curve`.
+    diameters over ``d_range``, as lists, and the
+    :func:`quadrant_transmission` total of each.
 
     The diameters are those of ``numpy.linspace``, to the bit: ``k * step
     + lo``, with the last one set to ``hi``.
@@ -162,7 +119,7 @@ def waist_scan(layout: QuadrantLayout, d_range: tuple[float, float]):
     lo, hi = d_range
     step = (hi - lo) / (WAIST_GRID_POINTS - 1)
     ds = [k * step + lo for k in range(WAIST_GRID_POINTS - 1)] + [hi]
-    return ds, transmission_curve(layout, ds)
+    return ds, [quadrant_transmission(d, layout).total for d in ds]
 
 
 def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float], scan=None):

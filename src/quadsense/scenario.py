@@ -41,6 +41,7 @@ from . import analysis, detection, plasmonic
 from .errors import FitInfeasibleError, ValidationError
 from .optics import (
     QUADRANT_SHARE,
+    QUADRANTS,
     LossChannel,
     QuadrantLayout,
     apply_loss,
@@ -60,7 +61,6 @@ from .source import (
 
 __all__ = ["Scenario", "SensingChain", "build_chain", "load_scenario", "dump_scenario"]
 
-QUADRANTS = (1, 2, 3, 4)
 STAGES = ("source", "post_optics", "post_cut")
 # Least transmission a calibrated path may have.
 MIN_TRANSMISSION = 1e-4
@@ -533,20 +533,11 @@ def build_chain(scenario: Scenario) -> SensingChain:
             residuals_db=residuals_db,
         )
 
-    # Geometric clipping of a conjugate quadrant beam by its layout window.
-    qt_c = quadrant_transmission(scenario.waist_c_um, scenario.layout)
-    clip_c = [
-        min(qt_c.window_fractions[q] / QUADRANT_SHARE, 1.0) for q in QUADRANTS
-    ]
-
-    # Their mean, summed in window order as numpy's mean sums four values;
-    # from Python 3.12 on, sum() of floats compensates and may round
-    # differently.
-    clip_sum = 0.0
-    for clip in clip_c:
-        clip_sum += clip
-    qe = scenario.quantum_efficiency
-    eta_c = clip_sum / len(clip_c) * scenario.mask_transmission * qe
+    # Geometric clipping of a conjugate quadrant beam by its layout window:
+    # the window's share of its quadrant's power. The windows are mirror
+    # images, so that share is the layout's total transmission.
+    clip = quadrant_transmission(scenario.waist_c_um, scenario.layout).total
+    eta_c = clip * scenario.mask_transmission * scenario.quantum_efficiency
 
     # Per-quadrant probe transmission fitted to the measured residual
     # squeezing; the EOT transmission and window clipping set its scale and

