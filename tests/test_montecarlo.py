@@ -724,6 +724,52 @@ def test_sampled_paths_hold_one_chunk_whatever_n(chain, monkeypatch):
         assert peaks[4, large] - peaks[1, large] <= 3 * per_worker, peaks
 
 
+# Growth bound of verify's own peak resident set from 2 to 64 chunks. On a
+# 2-vCPU x86-64 host (Python 3.11.7, numpy 2.4.6), 20 runs read 48.2-49.0
+# MB at either count, a growth of -0.7 to +0.7 MB; a fold that allocated a
+# buffer per lane grew by 3.4-6.6 MB over 22 runs.
+VERIFY_RSS_GROWTH_KB = 3 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_verify_resident_set_holds_one_buffer_per_thread_whatever_n(tmp_path):
+    # tracemalloc sees only Python's allocations, not the memory the C
+    # allocator keeps after a buffer is freed. Each child reads its own peak
+    # resident set, VmHWM: getrusage's ru_maxrss would carry this process's
+    # larger peak across exec. Two threads hold at most two buffers,
+    # whatever the host's CPU count: 64 chunks may then use no more memory
+    # than 2.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    peaks = []
+    for chunks in (2, 64):
+        out = tmp_path / str(chunks)
+        proc = subprocess.run(
+            [sys.executable, "-c", VERIFY_RSS, str(chunks * montecarlo.CHUNK), str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kb = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == 0, proc.stdout
+        peaks.append(peak_kb)
+    assert peaks[1] - peaks[0] <= VERIFY_RSS_GROWTH_KB, peaks
+
+
+VERIFY_RSS = """
+import sys
+from quadsense import cli, montecarlo
+workers = montecarlo._workers
+montecarlo._workers = lambda tasks: min(2, workers(tasks))
+code = cli.main(["verify", "--samples", sys.argv[1], "--out", sys.argv[2]])
+with open("/proc/self/status") as status:
+    (peak_kb,) = (line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak_kb)
+"""
+
+
 @pytest.mark.parametrize(
     "files, expected",
     [
