@@ -376,10 +376,13 @@ def _fock_probabilities(r: float, alpha: float, n_max: int) -> np.ndarray:
     sqrt((d + k) k) joining k - 1 to k; the phases diag(i^k) turn it into
     -iT, T the real symmetric tridiagonal matrix with those off-diagonals.
     So the ladder's amplitudes are exp(-irT) e_0 from T's eigenvectors,
-    times phases that leave the probabilities alone.
+    times phases that leave the probabilities alone. A ladder whose weight
+    c_d is 0.0 (every d > 0 of a vacuum seed) keeps its zeros unsolved.
     """
     prob = np.zeros((n_max + 1, n_max + 1))
     for d, c in enumerate(_coherent_vector(alpha, n_max)):
+        if c == 0.0:
+            continue
         k = np.arange(n_max - d + 1)
         off = np.sqrt((d + k[1:]) * k[1:])
         w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import yaml
@@ -136,7 +136,7 @@ SCHEMA = {
         "threshold_targets_mv": (POSITIVE, 4),
         # Still written by perfbench's scenario generator, as is
         # coherence.extent_um (the grid's reach follows from the waists);
-        # both go with the harness refresh of ROADMAP item 1.
+        # both go with the harness refresh of ROADMAP item 2 (Step A).
         "gain_bound": None,
     },
     "sweep": {"voltages_mv": (_Number("[0, inf)"), None)},
@@ -308,7 +308,15 @@ class SensingChain:
     """Scenario after calibration: everything the sweeps and oracles need,
     ``beam`` being the moments after the imaging optics, before the cut.
     The analytic noises and the sampled oracle both read a pair's
-    :meth:`detected` moments, so the loss map is :func:`optics.apply_loss`."""
+    :meth:`detected` moments, so the loss map is :func:`optics.apply_loss`.
+
+    ``_memo`` keeps what the sweeps read, each value computed once, on
+    first use, by the expression that computes it alone: a quadrant's
+    detected matched and cross pair (its three cross pairs are one), its
+    signals at the sweep voltages, and each SNR tuple keyed by quadrant
+    and noise. A quadrant's pairs have the same detected means, so its
+    matched and cross pairs share their coherent and optimal curves. A key
+    filled twice gets the same value, so threads may share a chain."""
 
     scenario: Scenario
     source_params: FwmSourceParams
@@ -321,6 +329,7 @@ class SensingChain:
     reports: dict
     residuals_db: dict
     stage_budget: list
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- per-pair measurement quantities -------------------------------
 
@@ -337,7 +346,10 @@ class SensingChain:
 
     def detected(self, i: int, j: int) -> TwinBeamMoments:
         """Moments of the quadrant pair (p_i, c_j) after its loss channel."""
-        return apply_loss(self.pair_moments(i, j), self.pair_channel(i))
+        key = ("detected", i, i == j)
+        if key not in self._memo:
+            self._memo[key] = apply_loss(self.pair_moments(i, j), self.pair_channel(i))
+        return self._memo[key]
 
     def noise_off(self, i: int, j: int) -> float:
         """Modulation-off difference noise, using the correlated pair's g."""
@@ -364,7 +376,7 @@ class SensingChain:
         the scenario's sweep voltages."""
         i, j = pair
         v = self.scenario.sweep_voltages_mv
-        s = self.signal(i, v)
+        s = self._sweep_signal(i)
         d, g = self.detected(i, j), self.reports[i].gain
         noises = {
             "twin": detection.difference_noise(d, g),
@@ -372,10 +384,20 @@ class SensingChain:
             # The probe alone at its shot noise.
             "optimal": d.mean_p,
         }
-        return {
-            kind: analysis.SNRCurve(pair, kind, v, tuple(math.sqrt(x / n) for x in s))
-            for kind, n in noises.items()
-        }
+        curves = {}
+        for kind, n in noises.items():
+            key = ("snr", i, n)
+            if key not in self._memo:
+                self._memo[key] = tuple(math.sqrt(x / n) for x in s)
+            curves[kind] = analysis.SNRCurve(pair, kind, v, self._memo[key])
+        return curves
+
+    def _sweep_signal(self, i: int) -> list:
+        """Sensor i's signal powers at the sweep voltages."""
+        key = ("signal", i)
+        if key not in self._memo:
+            self._memo[key] = self.signal(i, self.scenario.sweep_voltages_mv)
+        return self._memo[key]
 
     def sampled_snr_sweep(self, pairs, n_samples: int, seed: int) -> list:
         """Twin-beam SNR curves of ``pairs`` estimated from ``n_samples``
@@ -405,7 +427,7 @@ class SensingChain:
         for (i, j), (s_off, tone_cov, tone_var) in zip(pairs, stats):
             snrs = []
             clamped = False
-            for amp in (math.sqrt(2.0 * s) for s in self.signal(i, v)):
+            for amp in (math.sqrt(2.0 * s) for s in self._sweep_signal(i)):
                 s_on = s_off + 2.0 * amp * tone_cov + amp * amp * tone_var
                 sig = analysis.signal_estimate(s_on, s_off)
                 if sig < 0:
@@ -543,6 +565,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
     # squeezing; the EOT transmission and window clipping set its scale and
     # the fit absorbs unmodeled path losses.
     channels_p = {}
+    detected = {}
     reports = {}
     for q in QUADRANTS:
         target_db = scenario.residual_db[q - 1]
@@ -553,7 +576,8 @@ def build_chain(scenario: Scenario) -> SensingChain:
                 f"residual squeezing {target_db} dB unreachable for quadrant {q}"
             )
         channels_p[q] = eta_p
-        rep = detection.squeezing_report(apply_loss(cut, LossChannel(eta_p, eta_c)))
+        detected[q] = apply_loss(cut, LossChannel(eta_p, eta_c))
+        rep = detection.squeezing_report(detected[q])
         reports[q] = rep
         residuals_db[f"residual_q{q}"] = rep.ratio_db - target_db
 
@@ -576,7 +600,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
     for q, rep in reports.items():
         budget.append(StageBudget(f"sensor_q{q}", rep.ratio_db, rep.gain, rep.gain_db))
 
-    return SensingChain(
+    chain = SensingChain(
         scenario=scenario,
         source_params=params,
         eta_optics=eta_optics,
@@ -589,3 +613,6 @@ def build_chain(scenario: Scenario) -> SensingChain:
         residuals_db=residuals_db,
         stage_budget=budget,
     )
+    # The matched pairs' detected moments, as the reports read them.
+    chain._memo.update((("detected", q, True), d) for q, d in detected.items())
+    return chain

@@ -1,10 +1,11 @@
 import copy
+import math
 
 import numpy as np
 import pytest
 
 from conftest import default_scenario_dict
-from quadsense import analysis
+from quadsense import analysis, detection
 from quadsense.analysis import (
     EnhancementReport,
     SNRCurve,
@@ -12,6 +13,7 @@ from quadsense.analysis import (
     threshold_voltage,
 )
 from quadsense.errors import FitInfeasibleError, ValidationError
+from quadsense.optics import apply_loss
 from quadsense.plasmonic import modulation_signal
 from quadsense.scenario import Scenario, build_chain
 
@@ -179,3 +181,66 @@ def test_signal_sweep_is_the_per_voltage_signal_to_the_bit(chain):
             assert s == modulation_signal(floor, float(vk), v_th), (q, vk)
             r = float(vk) / v_th
             assert s == floor * (r * r), (q, vk)
+
+
+def _from_scratch_curves(chain, i, j):
+    """A pair's three analytic SNR curves, each point computed alone:
+    sqrt(signal / noise), with the signal of the per-voltage law and the
+    noise of the pair's moments after its loss channel."""
+    sc = chain.scenario
+    d = apply_loss(chain.pair_moments(i, j), chain.pair_channel(i))
+    g = chain.reports[i].gain
+    noises = {
+        "twin": detection.difference_noise(d, g),
+        "coherent": detection.snl_noise(d, g),
+        "optimal": d.mean_p,
+    }
+    floor, v_th = chain.reports[i].diff_variance, sc.threshold_targets_mv[i - 1]
+    return {
+        kind: tuple(
+            math.sqrt(modulation_signal(floor, v, v_th) / n) for v in sc.sweep_voltages_mv
+        )
+        for kind, n in noises.items()
+    }
+
+
+SWEEP_SCENARIOS = {
+    "default": _perturbed(),
+    "waist_mismatch": _perturbed(beam={"waist_p_um": 330.0, "waist_c_um": 352.0}),
+    "threshold_targets": _perturbed(
+        calibration={"threshold_targets_mv": [40.0, 180.0, 470.0, 1300.0]}
+    ),
+    "sweep_voltages": _perturbed(sweep={"voltages_mv": [0.0, 3.5, 60.0, 121.0, 777.0]}),
+}
+PAIRS = [(i, j) for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+def test_every_pair_sweep_is_its_from_scratch_value_to_the_bit(name):
+    # A chain computes each quadrant's swept signals, detected pairs and
+    # SNR tuples once and shares them between pairs; every curve must
+    # still be the value computed alone, whatever order the pairs are
+    # swept in and however often.
+    chain = build_chain(Scenario.from_dict(SWEEP_SCENARIOS[name]))
+    for order in (PAIRS, PAIRS[::-1], PAIRS):
+        for i, j in order:
+            expected = _from_scratch_curves(chain, i, j)
+            curves = chain.snr_sweep((i, j))
+            assert sorted(curves) == sorted(expected)
+            for kind, curve in curves.items():
+                assert curve.pair == (i, j) and curve.kind == kind
+                assert curve.voltages == chain.scenario.sweep_voltages_mv
+                assert curve.snr == expected[kind], (name, i, j, kind)
+
+
+def test_chains_from_different_scenarios_keep_their_own_sweeps():
+    first = build_chain(Scenario.from_dict(SWEEP_SCENARIOS["default"]))
+    other = build_chain(Scenario.from_dict(SWEEP_SCENARIOS["threshold_targets"]))
+    for i, j in PAIRS:
+        a, b = first.snr_sweep((i, j)), other.snr_sweep((i, j))
+        assert {k: c.snr for k, c in a.items()} == _from_scratch_curves(first, i, j)
+        assert {k: c.snr for k, c in b.items()} == _from_scratch_curves(other, i, j)
+        assert a["twin"].snr != b["twin"].snr
+    # What a chain keeps is no part of its value or its repr.
+    fresh = build_chain(Scenario.from_dict(SWEEP_SCENARIOS["default"]))
+    assert first == fresh and repr(first) == repr(fresh)

@@ -141,9 +141,9 @@ def test_infeasible_stage_targets_raise_on_every_call(scenario):
     assert max(abs(raised[0][k]) for k in ("source", "post_optics", "post_cut")) > 0.1
 
 
-def test_conjugate_transmission_takes_numpy_mean_of_the_window_clips(scenario):
-    # Layouts whose four window fractions differ in their last bits, so
-    # that the order the mean sums them in shows.
+def test_conjugate_transmission_is_one_window_mirrored(scenario):
+    # The four windows are mirror images of one window, so each carries a
+    # quarter of the total to the bit, and eta_c reads the total alone.
     rng = random.Random(5)
     for _ in range(40):
         layout = {
@@ -154,9 +154,8 @@ def test_conjugate_transmission_takes_numpy_mean_of_the_window_clips(scenario):
         chain = build_chain(_with(scenario.raw, ("layout",), layout))
         sc = chain.scenario
         qt = quadrant_transmission(sc.waist_c_um, sc.layout)
-        clip_c = [min(qt.window_fractions[q] / 0.25, 1.0) for q in (1, 2, 3, 4)]
-        mean = float(np.mean(clip_c))
-        assert chain.eta_c == mean * sc.mask_transmission * sc.quantum_efficiency
+        assert chain.eta_c == qt.total * sc.mask_transmission * sc.quantum_efficiency
+        assert all(qt.window_fractions[q] == qt.total / 4 for q in (1, 2, 3, 4))
 
 
 def test_coarse_cell_size_is_infeasible(scenario):
@@ -396,6 +395,26 @@ def test_cli_malformed_scalar_is_validation_error(tmp_path, capsys, keys, value,
         assert _key_path(keys) in err, err
     if not at_load:
         assert run_cli("resonance-scan", "--out", str(tmp_path)) == 0
+
+
+def test_tiny_threshold_fails_only_the_subcommands_that_sweep(tmp_path, capsys):
+    # The chain computes a sensor's swept signals when a sweep first needs
+    # them, not at calibration: a threshold so small that they overflow
+    # fails snr-sweep and fig3, and no subcommand that never sweeps.
+    cfg = default_scenario_dict()
+    cfg["calibration"]["threshold_targets_mv"][0] = 1e-300
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    scenario = ("--scenario", str(path), "--out", str(tmp_path))
+    for cmd in ("squeezing-budget", "optimize-beam"):
+        assert run_cli(cmd, *scenario) == 0, cmd
+    assert run_cli("verify", *scenario, "--samples", "20000") == 0
+    capsys.readouterr()
+    for cmd in ("snr-sweep", "fig3"):
+        assert run_cli(cmd, *scenario) == 2, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: modulation signal at "), err
+        assert err.count("\n") == 1 and "calibration.threshold_targets_mv" in err, err
 
 
 def _schema_paths(spec, keys=()):
