@@ -4,10 +4,13 @@ The measurement subtracts the conjugate photocurrent, scaled by an
 electronic attenuation factor g, from the probe photocurrent. Losses enter
 once, through :func:`optics.apply_loss`: every function here but
 :func:`probe_transmission_for_ratio` takes the detected moments it gives.
-The attenuation can be chosen to minimize the difference noise, which
-saturates the quantum Cramer-Rao bound for transmission estimation. The
-shot-noise level is defined by coherent states of the same detected power
-measured with the same g.
+The attenuation can be chosen to minimize the difference noise. On
+truncated-Fock twin beams (G = 1.3 and 5.673, seed amplitude 1 and 3) that
+estimator of the probe transmission keeps 97.1-99.6 % of the Fisher
+information of joint photon counting, more as the beams brighten; it meets
+the quantum Cramer-Rao bound in the bright limit (Woodworth et al., PRA
+102, 052603 (2020)). The shot-noise level is defined by coherent states
+of the same detected power measured with the same g.
 """
 
 from __future__ import annotations

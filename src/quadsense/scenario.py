@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import yaml
@@ -303,20 +303,27 @@ class StageBudget:
     gain_db: float
 
 
+def _pair_moments(cut: TwinBeamMoments, matched: bool) -> TwinBeamMoments:
+    """A quadrant pair's moments at the cut; a cross pair shares no covariance."""
+    if matched:
+        return cut
+    return TwinBeamMoments(cut.mean_p, cut.mean_c, cut.var_p, cut.var_c, 0.0)
+
+
+def _detected(cut: TwinBeamMoments, channel: LossChannel, matched: bool):
+    """A quadrant pair's moments after its loss channel."""
+    return apply_loss(_pair_moments(cut, matched), channel)
+
+
 @dataclass
 class SensingChain:
     """Scenario after calibration: everything the sweeps and oracles need,
     ``beam`` being the moments after the imaging optics, before the cut.
     The analytic noises and the sampled oracle both read a pair's
     :meth:`detected` moments, so the loss map is :func:`optics.apply_loss`.
-
-    ``_memo`` keeps what the sweeps read, each value computed once, on
-    first use, by the expression that computes it alone: a quadrant's
-    detected matched and cross pair (its three cross pairs are one), its
-    signals at the sweep voltages, and each SNR tuple keyed by quadrant
-    and noise. A quadrant's pairs have the same detected means, so its
-    matched and cross pairs share their coherent and optimal curves. A key
-    filled twice gets the same value, so threads may share a chain."""
+    ``thresholds_mv`` holds each quadrant's closed-form SNR = 1 thresholds
+    (twin-beam for its matched and its cross pairs, coherent, optimal); each
+    analytic SNR curve is the line through its threshold."""
 
     scenario: Scenario
     source_params: FwmSourceParams
@@ -329,7 +336,7 @@ class SensingChain:
     reports: dict
     residuals_db: dict
     stage_budget: list
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    thresholds_mv: dict
 
     # -- per-pair measurement quantities -------------------------------
 
@@ -339,17 +346,11 @@ class SensingChain:
 
     def pair_moments(self, i: int, j: int) -> TwinBeamMoments:
         """Quadrant pair (p_i, c_j); uncorrelated quadrants share no covariance."""
-        m = self.cut
-        if i == j:
-            return m
-        return TwinBeamMoments(m.mean_p, m.mean_c, m.var_p, m.var_c, 0.0)
+        return _pair_moments(self.cut, i == j)
 
     def detected(self, i: int, j: int) -> TwinBeamMoments:
         """Moments of the quadrant pair (p_i, c_j) after its loss channel."""
-        key = ("detected", i, i == j)
-        if key not in self._memo:
-            self._memo[key] = apply_loss(self.pair_moments(i, j), self.pair_channel(i))
-        return self._memo[key]
+        return _detected(self.cut, self.pair_channel(i), i == j)
 
     def noise_off(self, i: int, j: int) -> float:
         """Modulation-off difference noise, using the correlated pair's g."""
@@ -373,31 +374,23 @@ class SensingChain:
 
     def snr_sweep(self, pair) -> dict:
         """Analytic SNR curves (twin, coherent, optimal) for one pair over
-        the scenario's sweep voltages."""
+        the scenario's sweep voltages, each ``V / V_th``."""
         i, j = pair
         v = self.scenario.sweep_voltages_mv
-        s = self._sweep_signal(i)
-        d, g = self.detected(i, j), self.reports[i].gain
-        noises = {
-            "twin": detection.difference_noise(d, g),
-            "coherent": detection.snl_noise(d, g),
-            # The probe alone at its shot noise.
-            "optimal": d.mean_p,
+        # The largest swept signal is finite exactly when every one is.
+        self.signal(i, v[-1])
+        matched, cross, *others = self.thresholds_mv[i]
+        v_th = (matched if i == j else cross, *others)
+        # A threshold that underflows to 0 draws no line.
+        if 0.0 in v_th:
+            raise ValidationError(
+                f"an SNR = 1 threshold of sensor {i} underflows to 0: its threshold "
+                f"{matched:g} mV in calibration.threshold_targets_mv is too small"
+            )
+        return {
+            kind: analysis.SNRCurve(pair, kind, v, tuple(x / t for x in v))
+            for kind, t in zip(("twin", "coherent", "optimal"), v_th)
         }
-        curves = {}
-        for kind, n in noises.items():
-            key = ("snr", i, n)
-            if key not in self._memo:
-                self._memo[key] = tuple(math.sqrt(x / n) for x in s)
-            curves[kind] = analysis.SNRCurve(pair, kind, v, self._memo[key])
-        return curves
-
-    def _sweep_signal(self, i: int) -> list:
-        """Sensor i's signal powers at the sweep voltages."""
-        key = ("signal", i)
-        if key not in self._memo:
-            self._memo[key] = self.signal(i, self.scenario.sweep_voltages_mv)
-        return self._memo[key]
 
     def sampled_snr_sweep(self, pairs, n_samples: int, seed: int) -> list:
         """Twin-beam SNR curves of ``pairs`` estimated from ``n_samples``
@@ -427,7 +420,7 @@ class SensingChain:
         for (i, j), (s_off, tone_cov, tone_var) in zip(pairs, stats):
             snrs = []
             clamped = False
-            for amp in (math.sqrt(2.0 * s) for s in self._sweep_signal(i)):
+            for amp in (math.sqrt(2.0 * s) for s in self.signal(i, v)):
                 s_on = s_off + 2.0 * amp * tone_cov + amp * amp * tone_var
                 sig = analysis.signal_estimate(s_on, s_off)
                 if sig < 0:
@@ -441,18 +434,14 @@ class SensingChain:
         return curves
 
     def enhancement_report(self, i: int) -> analysis.EnhancementReport:
-        """SNR = 1 thresholds of the pair (i, i) in closed form: an analytic
-        SNR ``sqrt(s / n)``, with ``s = s_off * (V / V_target)**2``, crosses
-        1 at ``V_target * sqrt(n / s_off)``."""
+        """SNR = 1 thresholds of the pair (i, i), in closed form."""
         rep = self.reports[i]
         v_max = self.scenario.sweep_voltages_mv[-1]
         # The signal grows with V, so the twin curve's largest swept point
         # has no threshold exactly when a fit of the whole curve has none.
         snr = math.sqrt(self.signal(i, v_max) / rep.diff_variance)
         analysis.threshold_voltage(analysis.SNRCurve((i, i), "twin", (v_max,), (snr,)))
-        v_tb = self.scenario.threshold_targets_mv[i - 1]
-        v_cs = v_tb * math.sqrt(rep.snl / rep.diff_variance)
-        v_opt = v_tb * math.sqrt(self.detected(i, i).mean_p / rep.diff_variance)
+        v_tb, _, v_cs, v_opt = self.thresholds_mv[i]
         return analysis.EnhancementReport(
             pair=(i, i),
             v_tb=v_tb,
@@ -565,8 +554,8 @@ def build_chain(scenario: Scenario) -> SensingChain:
     # squeezing; the EOT transmission and window clipping set its scale and
     # the fit absorbs unmodeled path losses.
     channels_p = {}
-    detected = {}
     reports = {}
+    thresholds = {}
     for q in QUADRANTS:
         target_db = scenario.residual_db[q - 1]
         ratio = _db_ratio(target_db, f"calibration.residual_db[{q - 1}]")
@@ -576,10 +565,19 @@ def build_chain(scenario: Scenario) -> SensingChain:
                 f"residual squeezing {target_db} dB unreachable for quadrant {q}"
             )
         channels_p[q] = eta_p
-        detected[q] = apply_loss(cut, LossChannel(eta_p, eta_c))
-        rep = detection.squeezing_report(detected[q])
+        channel = LossChannel(eta_p, eta_c)
+        matched = _detected(cut, channel, True)
+        rep = detection.squeezing_report(matched)
         reports[q] = rep
         residuals_db[f"residual_q{q}"] = rep.ratio_db - target_db
+        # An analytic SNR sqrt(s / n), with s = floor * (V / V_t)**2, crosses
+        # 1 at V_t * sqrt(n / floor): V_t itself for the matched twin-beam
+        # noise, the floor. The coherent and optimal (probe-only) noises read
+        # only the detected means, which all the quadrant's pairs share.
+        cross = detection.difference_noise(_detected(cut, channel, False), rep.gain)
+        v_t = scenario.threshold_targets_mv[q - 1]
+        noises = (rep.diff_variance, cross, rep.snl, matched.mean_p)
+        thresholds[q] = tuple(v_t * math.sqrt(n / rep.diff_variance) for n in noises)
 
     # Transduction gate: a sensor that transmits no light, or whose
     # resonance has no slope at the operating wavelength, has no signal
@@ -600,7 +598,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
     for q, rep in reports.items():
         budget.append(StageBudget(f"sensor_q{q}", rep.ratio_db, rep.gain, rep.gain_db))
 
-    chain = SensingChain(
+    return SensingChain(
         scenario=scenario,
         source_params=params,
         eta_optics=eta_optics,
@@ -612,7 +610,5 @@ def build_chain(scenario: Scenario) -> SensingChain:
         reports=reports,
         residuals_db=residuals_db,
         stage_budget=budget,
+        thresholds_mv=thresholds,
     )
-    # The matched pairs' detected moments, as the reports read them.
-    chain._memo.update((("detected", q, True), d) for q, d in detected.items())
-    return chain

@@ -183,25 +183,40 @@ def test_signal_sweep_is_the_per_voltage_signal_to_the_bit(chain):
             assert s == floor * (r * r), (q, vk)
 
 
-def _from_scratch_curves(chain, i, j):
-    """A pair's three analytic SNR curves, each point computed alone:
-    sqrt(signal / noise), with the signal of the per-voltage law and the
-    noise of the pair's moments after its loss channel."""
-    sc = chain.scenario
+def _pair_noises(chain, i, j):
+    """A pair's three analytic noises, read from its moments after its
+    loss channel."""
     d = apply_loss(chain.pair_moments(i, j), chain.pair_channel(i))
     g = chain.reports[i].gain
-    noises = {
+    return {
         "twin": detection.difference_noise(d, g),
         "coherent": detection.snl_noise(d, g),
         "optimal": d.mean_p,
     }
-    floor, v_th = chain.reports[i].diff_variance, sc.threshold_targets_mv[i - 1]
+
+
+def _from_scratch_curves(chain, i, j):
+    """A pair's three analytic SNR curves, each point computed alone as
+    V / V_th: the line through the closed-form SNR = 1 threshold
+    V_th = V_t * sqrt(noise / floor)."""
+    sc = chain.scenario
+    floor, v_t = chain.reports[i].diff_variance, sc.threshold_targets_mv[i - 1]
     return {
-        kind: tuple(
-            math.sqrt(modulation_signal(floor, v, v_th) / n) for v in sc.sweep_voltages_mv
-        )
-        for kind, n in noises.items()
+        kind: tuple(v / (v_t * math.sqrt(n / floor)) for v in sc.sweep_voltages_mv)
+        for kind, n in _pair_noises(chain, i, j).items()
     }
+
+
+def _assert_signal_law_agrees(chain, i, j, curves):
+    """Each point lies within 4 ulp of sqrt(signal / noise) with the signal
+    of the per-voltage law, and prints the same at the artifacts' %.9g."""
+    sc = chain.scenario
+    floor, v_t = chain.reports[i].diff_variance, sc.threshold_targets_mv[i - 1]
+    for kind, n in _pair_noises(chain, i, j).items():
+        for v, snr in zip(sc.sweep_voltages_mv, curves[kind]):
+            law = math.sqrt(modulation_signal(floor, v, v_t) / n)
+            assert abs(snr - law) <= 4 * math.ulp(law), (i, j, kind, v)
+            assert f"{snr:.9g}" == f"{law:.9g}", (i, j, kind, v)
 
 
 SWEEP_SCENARIOS = {
@@ -217,11 +232,12 @@ PAIRS = [(i, j) for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)]
 
 @pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
 def test_every_pair_sweep_is_its_from_scratch_value_to_the_bit(name):
-    # A chain computes each quadrant's swept signals, detected pairs and
-    # SNR tuples once and shares them between pairs; every curve must
-    # still be the value computed alone, whatever order the pairs are
-    # swept in and however often.
+    # A chain computes each quadrant's thresholds once and draws every
+    # analytic curve as the line through one; every curve must be the
+    # line computed alone, whatever order the pairs are swept in and
+    # however often, and agree with the signal law it stands for.
     chain = build_chain(Scenario.from_dict(SWEEP_SCENARIOS[name]))
+    v = chain.scenario.sweep_voltages_mv
     for order in (PAIRS, PAIRS[::-1], PAIRS):
         for i, j in order:
             expected = _from_scratch_curves(chain, i, j)
@@ -229,8 +245,13 @@ def test_every_pair_sweep_is_its_from_scratch_value_to_the_bit(name):
             assert sorted(curves) == sorted(expected)
             for kind, curve in curves.items():
                 assert curve.pair == (i, j) and curve.kind == kind
-                assert curve.voltages == chain.scenario.sweep_voltages_mv
+                assert curve.voltages == v
                 assert curve.snr == expected[kind], (name, i, j, kind)
+            _assert_signal_law_agrees(chain, i, j, {k: c.snr for k, c in curves.items()})
+        # A matched pair's twin-beam threshold is its target itself.
+        for q in (1, 2, 3, 4):
+            v_t = chain.scenario.threshold_targets_mv[q - 1]
+            assert chain.snr_sweep((q, q))["twin"].snr == tuple(x / v_t for x in v)
 
 
 def test_chains_from_different_scenarios_keep_their_own_sweeps():
@@ -238,9 +259,11 @@ def test_chains_from_different_scenarios_keep_their_own_sweeps():
     other = build_chain(Scenario.from_dict(SWEEP_SCENARIOS["threshold_targets"]))
     for i, j in PAIRS:
         a, b = first.snr_sweep((i, j)), other.snr_sweep((i, j))
-        assert {k: c.snr for k, c in a.items()} == _from_scratch_curves(first, i, j)
-        assert {k: c.snr for k, c in b.items()} == _from_scratch_curves(other, i, j)
+        for chain, curves in ((first, a), (other, b)):
+            snrs = {k: c.snr for k, c in curves.items()}
+            assert snrs == _from_scratch_curves(chain, i, j)
+            _assert_signal_law_agrees(chain, i, j, snrs)
         assert a["twin"].snr != b["twin"].snr
-    # What a chain keeps is no part of its value or its repr.
+    # A chain of the same scenario has the same value and repr.
     fresh = build_chain(Scenario.from_dict(SWEEP_SCENARIOS["default"]))
     assert first == fresh and repr(first) == repr(fresh)

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from conftest import default_scenario_dict
 from quadsense import cli
+from quadsense.detection import squeezing_report
 from quadsense.errors import FitInfeasibleError, ValidationError
-from quadsense.optics import quadrant_transmission
+from quadsense.optics import LossChannel, apply_loss, quadrant_transmission
 from quadsense.scenario import (
     SCHEMA,
     Scenario,
@@ -410,11 +411,43 @@ def test_tiny_threshold_fails_only_the_subcommands_that_sweep(tmp_path, capsys):
         assert run_cli(cmd, *scenario) == 0, cmd
     assert run_cli("verify", *scenario, "--samples", "20000") == 0
     capsys.readouterr()
-    for cmd in ("snr-sweep", "fig3"):
-        assert run_cli(cmd, *scenario) == 2, cmd
+    for cmd, extra in (("snr-sweep", ()), ("fig3", ()), ("fig4", ("--samples", "20000"))):
+        assert run_cli(cmd, *scenario, *extra) == 2, cmd
         err = capsys.readouterr().err
         assert err.startswith("validation error: modulation signal at "), err
         assert err.count("\n") == 1 and "calibration.threshold_targets_mv" in err, err
+    # A sweep that overflows fails before it writes its artifact.
+    for name in ("snr_sweep.csv", "fig4_sweep.csv"):
+        assert not (tmp_path / name).exists(), name
+
+
+def test_threshold_that_underflows_to_zero_fails_the_sweep(tmp_path, capsys, chain):
+    # A lossy conjugate arm leaves the probe's own shot noise under a
+    # quarter of the floor, so at the least positive threshold target the
+    # optimal curve's threshold, under half the target, rounds to 0. That
+    # curve has no line: the sweeps are invalid input, and fail before
+    # they write.
+    qe = 0.1
+    eta_c = chain.eta_c / chain.scenario.quantum_efficiency * qe
+    detected = apply_loss(chain.cut, LossChannel(0.9, eta_c))
+    cfg = default_scenario_dict()
+    cfg["detector"] = {"quantum_efficiency": qe}
+    cfg["calibration"]["residual_db"] = [squeezing_report(detected).ratio_db] * 4
+    cfg["calibration"]["threshold_targets_mv"][0] = 5e-324
+    cfg["sweep"]["voltages_mv"] = [0.0]
+    assert build_chain(Scenario.from_dict(cfg)).thresholds_mv[1][-1] == 0.0
+    path = tmp_path / "underflow.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    scenario = ("--scenario", str(path), "--out", str(tmp_path))
+    assert run_cli("squeezing-budget", *scenario) == 0
+    capsys.readouterr()
+    for cmd, extra in (("snr-sweep", ()), ("fig4", ("--samples", "20000"))):
+        assert run_cli(cmd, *scenario, *extra) == 2, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: an SNR = 1 threshold of sensor 1 "), err
+        assert err.count("\n") == 1, err
+    for name in ("snr_sweep.csv", "fig4_sweep.csv"):
+        assert not (tmp_path / name).exists(), name
 
 
 def _schema_paths(spec, keys=()):
@@ -429,7 +462,7 @@ def _schema_paths(spec, keys=()):
         yield from _schema_paths(spec[0], keys + (0,))
 
 
-def test_only_gain_bound_is_accepted_and_ignored():
+def test_only_grid_extent_and_gain_bound_are_accepted_and_ignored():
     # With coherence.extent_um: the two keys perfbench's generator still writes.
     ignored = [_key_path(keys) for keys, spec in _schema_paths(SCHEMA) if spec is None]
     assert ignored == ["coherence.extent_um", "calibration.gain_bound"]
