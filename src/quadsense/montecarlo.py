@@ -8,15 +8,14 @@ construction of the seeded two-mode squeezer, exponentiated one
 photon-difference block at a time. :func:`run_verification` runs the
 sampled checks on a calibrated chain's own cut, grid and pair channel.
 
-Randomness is counter-based (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC '11): each chunk ``k`` of :data:`CHUNK` = 2^16
-samples of a draw owns an independent Philox substream, keyed by a seed
-and a spawn key ``(sampler, ..., k)``:
+Each chunk ``k`` of :data:`CHUNK` = 2^16 samples of a draw owns an
+independent SFC64 substream, seeded by ``numpy.random.SeedSequence`` from
+a seed and a spawn key ``(sampler, ..., k)``, as ``SeedSequence.spawn``
+keys its children:
 
 - ``(seed, 0, k)``: :func:`sample_pair`;
 - ``(seed, 1, k)``: :func:`thinning_loss`;
 - ``(seed, 2, quadrant, k)``: :func:`sample_photocurrents`;
-- ``(seed, 4)``, one stream, not chunked: :func:`sweep_statistics`;
 - ``(seed, 13, j, k)``: the ``j``-th power of the ``snl_linearity`` check.
 
 :func:`fold_chunks` is the one place that splits a run into chunks: it
@@ -51,7 +50,6 @@ from .source import CoherenceGrid, FwmSourceParams, TwinBeamMoments, fwm_moments
 __all__ = [
     "sample_photocurrents",
     "sample_pair",
-    "sweep_statistics",
     "thinning_loss",
     "fold_chunks",
     "Comoments",
@@ -77,22 +75,13 @@ FOCK_TAIL_TOL = 1e-10
 
 def _generator(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=tuple(key)))
     )
-
-
-def _cholesky(vp, vc, cov):
-    """``(a, b, c)`` with [[a, 0], [b, c]] the Cholesky factor of
-    [[vp, cov], [cov, vc]]."""
-    a = math.sqrt(vp)
-    b = cov / a if a > 0 else 0.0
-    c = math.sqrt(max(vc - b * b, 0.0))
-    return a, b, c
 
 
 def _factors(m: TwinBeamMoments):
     """``(mean_p, mean_c, a, b, c)``: the means and Cholesky factors of ``m``."""
-    return (m.mean_p, m.mean_c, *_cholesky(m.var_p, m.var_c, m.cov))
+    return (m.mean_p, m.mean_c, *m.cholesky())
 
 
 # cgroup files that may cap this process's CPU time: v2's "quota period"
@@ -234,45 +223,6 @@ def sample_pair(
     of arrays ``out`` if it is given."""
     z0, z1 = _normals(n, seed, 0, chunk, out=out)
     return _correlate(_factors(m), z0, z1)
-
-
-def sweep_statistics(moments, gains, n: int, seed: int) -> list:
-    """``(s_off, tone_cov, tone_var)`` of ``n`` samples of each pair, of
-    moments ``m`` in ``moments`` and gain ``g`` in ``gains``: the variance
-    (ddof 0) of ``d = p - g*c``, its covariance with the tone
-    ``t_k = cos(2*pi*k/n)``, and ``var(t)``, drawn from their exact
-    distribution, not sampled.
-
-    ``d`` is a constant plus ``w . z``, ``w = (a - g*b, -g*c)`` from the
-    Cholesky factors of ``m`` (see :func:`_correlate`) and ``z`` two
-    standard normals. The tone spans whole periods, so ``sum(t) = 0`` and
-    ``t't = n/2`` (``n`` at ``n = 2``). Then ``y = Z't/sqrt(t't)``, ``Z``
-    the ``n`` draws of ``z``, is N(0, I), and the rest of their centred
-    scatter, ``R``, is Wishart_2(n - 2, I), independent of ``y``:
-    ``s_off = ((w.y)^2 + w'Rw)/n``, ``tone_cov = (w.y) sqrt(t't)/n`` and
-    ``tone_var = t't/n``. ``y``, then ``R`` by Bartlett's decomposition
-    (Odell & Feiveson, *JASA* 61, 199 (1966)), come from the ``(seed, 4)``
-    stream, one draw for all pairs; ``R = 0`` at ``n = 2``.
-    """
-    rng = _generator(seed, 4)
-    y0, y1 = rng.standard_normal(2).tolist()
-    l11 = l21 = l22 = 0.0
-    if n > 2:
-        l11 = math.sqrt(2.0 * rng.gamma((n - 2) / 2))
-        l22 = math.sqrt(2.0 * rng.gamma((n - 3) / 2))
-        l21 = rng.standard_normal()
-    tt = n / 2 if n > 2 else float(n)
-    stats = []
-    for m, g in zip(moments, gains):
-        _, _, a, b, c = _factors(m)
-        w0, w1 = a - g * b, -g * c
-        wy = w0 * y0 + w1 * y1
-        # w'Rw = |L'w|^2, squared by multiplying: libm's pow is not always
-        # correctly rounded, and the pinned curves must not rest on it.
-        u, v = w0 * l11 + w1 * l21, w1 * l22
-        wrw = u * u + v * v
-        stats.append(((wy * wy + wrw) / n, wy * math.sqrt(tt) / n, tt / n))
-    return stats
 
 
 def thinning_loss(

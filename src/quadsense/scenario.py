@@ -24,14 +24,15 @@ the target, so the signal is the modulation-off floor times
 (V / threshold)^2 (:func:`plasmonic.modulation_signal`), and every
 analytic SNR = 1 threshold is a closed form; only sampled ones are fitted.
 
-The Monte Carlo layer, and with it numpy, is imported by the methods that
-use it, so loading a scenario imports neither.
+The sampled sweep draws its statistics with the standard library's
+``random``; nothing here imports numpy or the Monte Carlo layer.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import random
 from dataclasses import dataclass
 from importlib import resources
 
@@ -315,6 +316,50 @@ def _detected(cut: TwinBeamMoments, channel: LossChannel, matched: bool):
     return apply_loss(_pair_moments(cut, matched), channel)
 
 
+def sweep_statistics(moments, gains, n: int, seed: int) -> list:
+    """``(s_off, tone_cov, tone_var)`` of ``n`` samples of each pair, of
+    moments ``m`` in ``moments`` and gain ``g`` in ``gains``: the variance
+    (ddof 0) of ``d = p - g*c``, its covariance with the tone
+    ``t_k = cos(2*pi*k/n)``, and ``var(t)``, drawn from their exact
+    distribution, not sampled.
+
+    ``d`` is a constant plus ``w . z``, ``w = (a - g*b, -g*c)`` from the
+    Cholesky factors of ``m`` (:meth:`TwinBeamMoments.cholesky`) and ``z``
+    two standard normals. The tone spans whole periods, so ``sum(t) = 0``
+    and ``t't = n/2`` (``n`` at ``n = 2``). Then ``y = Z't/sqrt(t't)``,
+    ``Z`` the ``n`` draws of ``z``, is N(0, I), and the rest of their
+    centred scatter, ``R``, is Wishart_2(n - 2, I), independent of ``y``:
+    ``s_off = ((w.y)^2 + w'Rw)/n``, ``tone_cov = (w.y) sqrt(t't)/n`` and
+    ``tone_var = t't/n``. ``y``, then ``R = LL'`` by Bartlett's
+    decomposition (Odell & Feiveson, *JASA* 61, 199 (1966)), come from one
+    ``random.Random(seed)``, one draw for all pairs: ``l11^2`` and
+    ``l22^2`` are chi-square with ``n - 2`` and ``n - 3`` degrees of
+    freedom, twice gammas of half those shapes, and ``l21`` is a standard
+    normal. ``R = 0`` at ``n = 2``, and ``l22 = 0`` at ``n = 3``.
+    """
+    rng = random.Random(seed)
+    y0 = rng.normalvariate(0.0, 1.0)
+    y1 = rng.normalvariate(0.0, 1.0)
+    l11 = l21 = l22 = 0.0
+    if n > 2:
+        l11 = math.sqrt(2.0 * rng.gammavariate((n - 2) / 2, 1.0))
+        if n > 3:
+            l22 = math.sqrt(2.0 * rng.gammavariate((n - 3) / 2, 1.0))
+        l21 = rng.normalvariate(0.0, 1.0)
+    tt = n / 2 if n > 2 else float(n)
+    stats = []
+    for m, g in zip(moments, gains):
+        a, b, c = m.cholesky()
+        w0, w1 = a - g * b, -g * c
+        wy = w0 * y0 + w1 * y1
+        # w'Rw = |L'w|^2, squared by multiplying: libm's pow is not always
+        # correctly rounded, and the pinned curves must not rest on it.
+        u, v = w0 * l11 + w1 * l21, w1 * l22
+        wrw = u * u + v * v
+        stats.append(((wy * wy + wrw) / n, wy * math.sqrt(tt) / n, tt / n))
+    return stats
+
+
 @dataclass
 class SensingChain:
     """Scenario after calibration: everything the sweeps and oracles need,
@@ -401,16 +446,14 @@ class SensingChain:
         ``amp`` to the difference photocurrent ``d``; its noise power is
         the sample variance of that sum, taken from the exact identity
         ``var(d + amp*t) = var(d) + 2*amp*cov(d, t) + amp**2 * var(t)``
-        (all with ddof 0). :func:`montecarlo.sweep_statistics` draws those
-        three statistics of the pairs' detected moments and gains from
-        their exact distribution, one draw for all pairs, so a pair's
-        curve does not depend on the other pairs swept and the cost does
-        not depend on ``n_samples``.
+        (all with ddof 0). :func:`sweep_statistics` draws those three
+        statistics of the pairs' detected moments and gains from their
+        exact distribution, one draw for all pairs, so a pair's curve does
+        not depend on the other pairs swept and the cost does not depend
+        on ``n_samples``.
         """
-        from . import montecarlo
-
         v = self.scenario.sweep_voltages_mv
-        stats = montecarlo.sweep_statistics(
+        stats = sweep_statistics(
             [self.detected(i, j) for i, j in pairs],
             [self.reports[i].gain for i, _ in pairs],
             n_samples,

@@ -69,6 +69,14 @@ class TwinBeamMoments:
                 f"cov^2={self.cov**2} exceeds var_p*var_c={bound}"
             )
 
+    def cholesky(self):
+        """``(a, b, c)`` with [[a, 0], [b, c]] the Cholesky factor of the
+        covariance [[var_p, cov], [cov, var_c]]."""
+        a = math.sqrt(self.var_p)
+        b = self.cov / a if a > 0 else 0.0
+        c = math.sqrt(max(self.var_c - b * b, 0.0))
+        return a, b, c
+
 
 @dataclass(frozen=True)
 class CoherenceGrid:

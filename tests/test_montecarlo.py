@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadsense import analysis, cli, montecarlo
+from quadsense import analysis, cli, montecarlo, scenario
+from quadsense.detection import difference_noise
 from quadsense.errors import TailMassError, ValidationError
 from quadsense.optics import quadrant_cut
 from quadsense.montecarlo import (
@@ -432,13 +434,13 @@ def test_sampled_sweep_draws_the_chains_detected_moments(chain, monkeypatch):
     # and gains handed to the draw are the chain's detected moments and
     # its sensors' gains, to the bit.
     handed = []
-    sweep_statistics = montecarlo.sweep_statistics
+    sweep_statistics = scenario.sweep_statistics
 
     def recording_sweep_statistics(moments, gains, *args):
         handed.append((list(moments), list(gains), *args))
         return sweep_statistics(moments, gains, *args)
 
-    monkeypatch.setattr(montecarlo, "sweep_statistics", recording_sweep_statistics)
+    monkeypatch.setattr(scenario, "sweep_statistics", recording_sweep_statistics)
     pairs = QUADRANT_PAIRS + [(1, 2), (3, 4)]
     chain.sampled_snr_sweep(pairs, 1000, 5)
     detected = [chain.detected(i, j) for i, j in pairs]
@@ -486,7 +488,7 @@ def test_sampled_sweep_noise_is_the_sample_variance(chain, monkeypatch, seed):
     n = 20_000
     z = np.random.default_rng(seed).standard_normal((n, 2))
     monkeypatch.setattr(
-        montecarlo,
+        scenario,
         "sweep_statistics",
         lambda moments, gains, *_: _sampled_statistics(moments, gains, z[None])[0],
     )
@@ -525,7 +527,7 @@ def test_sweep_statistics_follow_the_sampled_distribution(chain, n):
     moments = [chain.detected(i, j) for i, j in pairs]
     gains = [chain.reports[i].gain for i, _ in pairs]
     drawn = np.array(
-        [montecarlo.sweep_statistics(moments, gains, n, seed) for seed in range(draws)]
+        [scenario.sweep_statistics(moments, gains, n, seed) for seed in range(draws)]
     )
     z = np.random.default_rng(20261019 + n).standard_normal((draws, n, 2))
     sampled = _sampled_statistics(moments, gains, z)
@@ -539,13 +541,44 @@ def test_sweep_statistics_follow_the_sampled_distribution(chain, n):
         assert np.all(z_var <= 5.0), z_var
 
 
+def test_sweep_statistics_at_the_sample_cap_follow_their_distribution(chain):
+    # At n = 10^12 the Bartlett factors are gammas of shape ~5e11, drawn by
+    # Cheng's algorithm through large cancelling terms. Each pair's
+    # n * s_off / |w|^2 is chi-square with n - 1 degrees of freedom, |w|^2
+    # its difference noise, and n * tone_cov / (|w| sqrt(t't)) = w.y / |w|
+    # is a standard normal: their means and variances must hold within 5
+    # standard errors over the seeds, and the tone's variance is exact.
+    n, draws = cli.MAX_SAMPLES, 4000
+    pairs = QUADRANT_PAIRS + [(1, 2)]
+    moments = [chain.detected(i, j) for i, j in pairs]
+    gains = [chain.reports[i].gain for i, _ in pairs]
+    w2 = np.array([difference_noise(m, g) for m, g in zip(moments, gains)])
+    drawn = np.array(
+        [scenario.sweep_statistics(moments, gains, n, seed) for seed in range(draws)]
+    )
+    assert np.all(drawn[:, :, 2] == 0.5)
+    dof = n - 1
+    chi2 = drawn[:, :, 0] * n / w2
+    normal = drawn[:, :, 1] * n / np.sqrt(w2 * n / 2)
+    # A chi-square of k degrees of freedom has variance 2k and fourth
+    # central moment 12k(k + 4); a standard normal 1 and 3.
+    for x, mean, var, m4 in (
+        (chi2, dof, 2.0 * dof, 12.0 * dof * (dof + 4.0)),
+        (normal, 0.0, 1.0, 3.0),
+    ):
+        z_mean = np.abs(x.mean(0) - mean) / math.sqrt(var / draws)
+        z_var = np.abs(x.var(0) - var) / math.sqrt((m4 - var * var) / draws)
+        assert np.all(z_mean <= 5.0), z_mean
+        assert np.all(z_var <= 5.0), z_var
+
+
 def test_sweep_statistics_of_two_samples_are_degenerate(chain):
     # Two samples span one direction after centring, the tone's: the
     # difference current is all tone, so its correlation with it is +-1.
     moments = [chain.detected(i, j) for i, j in QUADRANT_PAIRS + [(1, 2)]]
     gains = [chain.reports[i].gain for i, _ in QUADRANT_PAIRS + [(1, 2)]]
     for seed in range(20):
-        for s_off, tone_cov, tone_var in montecarlo.sweep_statistics(
+        for s_off, tone_cov, tone_var in scenario.sweep_statistics(
             moments, gains, 2, seed
         ):
             assert tone_var == 1.0
@@ -629,17 +662,26 @@ def test_sampled_sweep_pairs_share_no_state(chain):
 
 
 def test_fig4_draws_each_sweep_stream_once(tmp_path, monkeypatch):
-    opened = []
+    # One standard-library generator, seeded with --seed, draws the sweep
+    # statistics of all four pairs; no Monte Carlo substream is opened.
+    opened, seeded = [], []
     generator = montecarlo._generator
 
     def recording_generator(seed, *key):
         opened.append((seed, *key))
         return generator(seed, *key)
 
+    class RecordingRandom(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
     monkeypatch.setattr(montecarlo, "_generator", recording_generator)
+    monkeypatch.setattr(scenario.random, "Random", RecordingRandom)
     argv = ["fig4", "--seed", "42", "--samples", "2000", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert opened == [(42, 4)]
+    assert opened == []
+    assert seeded == [42]
 
 
 def test_covariance_z_score_matches_np_cov():
