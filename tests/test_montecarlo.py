@@ -245,9 +245,9 @@ def _digest(*arrays):
 # order of the per-sample arithmetic changes these. The sampled sweep draws
 # from the default chain's pair (1, 1), so a calibration that moves its
 # cut moments or channel changes that pin too.
-PHOTOCURRENTS_SHA = "1edc3a4b251967907b37003764aa1b0ed1bb50d2de6cc3f49ae21b5accc32631"
-PAIR_SHA = "40b81ed18cdd1c08edeb0feccae0174b50ad57ccb489d23494f6b9b0964d4136"
-SAMPLED_SWEEP_SHA = "f12604ec037b82638782ba09a7f9e33ade0538a296b9bb4576017c4c9087aaa0"
+PHOTOCURRENTS_SHA = "27d31dfc9bd0cbeb7aa19b4d3d0c3e4ecb6c18c8a310837234e44467468f6b03"
+PAIR_SHA = "647378085b8640417a47d6de8c33fa53248870a77bdebed28fa40e58f22d5446"
+SAMPLED_SWEEP_SHA = "879cc3570ef4f3c34664d73e6e777bdc5131e61d37bc609637e4c208e810d14b"
 
 
 def test_photocurrent_stream_is_pinned():

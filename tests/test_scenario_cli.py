@@ -826,7 +826,7 @@ ARTIFACT_SHA = {
     "beam_curve.csv": "c34bddd58bc88048542c0fd2b3325ef1d5eda2671d25306c2bac8c7bbf6cd83c",
     "enhancement.json": "13eafc8d4ba06335c8d0001402c6d03daebc7e1ad533027df14c0b5054a2d208",
     "fig3.csv": "ceaa5e348b1c04baebed2ea5ccc9e1d94fdb5b5b9483a42a841abc7d23c03f20",
-    "fig4_enhancement.json": "2634f6af2700d4325ec663d9d894be2deaa372781a9e38c28cc818c86ce0006c",
+    "fig4_enhancement.json": "4683349c254dff1df878ac60c468bcddf3bafc7534252a3a3c812b68ae739ca4",
     "fig4_sweep.csv": "e22383b9fe106087efb689aebfb715e9deb964f52645c1406a23ff4abde4a503",
     "resonance_scan.csv": "98b9f4082f5f68fcfaecc911591bfbdfd403736f477319dd6fbeb6dc571846ac",
     "snr_sweep.csv": "6d5a73871f70d5fb794a42c2e32698d4f9dba67dd602d3a770f580c661f33353",
@@ -846,10 +846,10 @@ def test_default_scenario_artifacts_are_pinned(tmp_path):
 
 # sha256 of `verify --samples 20000` at the packaged scenario's seed: one
 # chunk of every sampled check.
-VERIFY_SHA = "00eecfd3629c2f4a34e2b302b5c40868740943be6346344eba35992a212b0af5"
+VERIFY_SHA = "13784dee74c62fc19d6ef0012fcef0fcca995946c99a4cb3b5ca884824b2943e"
 # The same at 131077 = 2 * CHUNK + 5 samples: two full chunks and a short
 # one, so the pin crosses every check's chunk boundaries.
-VERIFY_CHUNKS_SHA = "057ebcbc7894986318f9910765cc18951f93bf50efd85aeb7a9688dcffd05743"
+VERIFY_CHUNKS_SHA = "0156e17398dfd7720e12655b03f4fc8c6c13c81989a05e471bb62e5ec12133f7"
 
 
 @pytest.mark.parametrize(
