@@ -107,7 +107,7 @@ def probe_transmission_for_ratio(
     if not den:
         return math.inf
     eta = float(m.mean_p * (ratio - 1.0) / den)
-    if eta > 1.0 and ratio != 1.0:
+    if eta > 1.0:
         kappa = ratio / abs(ratio - 1.0)
         kappa += (m.var_p + m.mean_p + t + ratio * abs(b)) / abs(den)
         if eta - 1.0 <= ROOT_ROUNDINGS * 2.0**-53 * kappa:
