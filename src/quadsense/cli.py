@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .analysis import threshold_voltage
 from .errors import QuadsenseError, ValidationError
-from .optics import optimize_waist, quadrant_transmission, waist_scan
+from .optics import optimize_waist, waist_scan
 from .plasmonic import transmission_at
 from .scenario import QUADRANTS, Scenario, build_chain, dump_scenario, load_scenario
 
@@ -92,10 +92,8 @@ def _cmd_optimize_beam(scenario: Scenario, args, out: Path) -> int:
     header = ["diameter_um", "total_transmission"]
     rows = [[_fmt(d), _fmt(t)] for d, t in zip(ds, totals)]
     _write_csv(out / "beam_curve.csv", header, rows)
-    qt = quadrant_transmission(best_d, scenario.layout)
     print(f"best diameter {best_d:.1f} um, total transmission {best_t:.4f}")
-    for q in QUADRANTS:
-        print(f"  window {q}: {qt.window_fractions[q]:.4f}")
+    print(f"  each window: {best_t / 4:.4f}")
     return EXIT_OK
 
 
@@ -179,13 +177,12 @@ def _cmd_fig3(scenario: Scenario, args, out: Path) -> int:
     ]
     rows = []
     for q in QUADRANTS:
-        snl = chain.snl(q)
-        s_off = chain.noise_off(q, q)
-        floor_db = 10.0 * math.log10(s_off / snl)
+        rep = chain.reports[q]
+        snl, s_off = rep.snl, rep.diff_variance
         signals = chain.signal(q, drives)
         for k in bins:
             freq = scenario.modulation_frequency_hz + k * bin_hz
-            row = [str(q), _fmt(freq), _fmt(0.0, db=True), _fmt(floor_db, db=True)]
+            row = [str(q), _fmt(freq), _fmt(0.0, db=True), _fmt(rep.ratio_db, db=True)]
             for sig in signals:
                 level = s_off + (sig if k == 0 else 0.0)
                 row.append(_fmt(10.0 * math.log10(level / snl), db=True))

@@ -169,12 +169,12 @@ class NoiseReport:
     gain_db: float
 
 
-def squeezing_report(d: TwinBeamMoments) -> NoiseReport:
-    """Noise budget of the intensity-difference measurement at the optimal
-    attenuation g. The shot-noise reference uses coherent beams with the
-    detected mean powers and the same g.
+def squeezing_report(d: TwinBeamMoments, g: float) -> NoiseReport:
+    """Noise budget of the intensity-difference measurement at the
+    attenuation g: :func:`optimal_gain` for a sensor, 1 for a balanced
+    stage of the source budget. The shot-noise reference uses coherent
+    beams with the detected mean powers and the same g.
     """
-    g = optimal_gain(d)
     diff = difference_noise(d, g)
     snl = snl_noise(d, g)
     ratio = diff / snl

@@ -23,7 +23,6 @@ __all__ = [
     "QUADRANTS",
     "QuadrantLayout",
     "LossChannel",
-    "QuadrantTransmission",
     "quadrant_transmission",
     "waist_scan",
     "optimize_waist",
@@ -77,24 +76,14 @@ class LossChannel:
             raise ValidationError("transmissions must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class QuadrantTransmission:
-    """Power fractions of a beam incident on a quadrant layout."""
-
-    window_fractions: dict
-    total: float
-
-
-def quadrant_transmission(
-    diameter: float, layout: QuadrantLayout
-) -> QuadrantTransmission:
-    """Per-window power fractions and total transmission of a round beam of
-    1/e^2 diameter ``diameter`` (sigma = D / 4) centered on the layout.
+def quadrant_transmission(diameter: float, layout: QuadrantLayout) -> float:
+    """Total transmission of a round beam of 1/e^2 diameter ``diameter``
+    (sigma = D / 4) centered on the layout.
 
     The Gaussian factorizes, so window 1 carries the exact power of its x
     and y intervals (:func:`_interval_weights`): 4 normal CDFs through the
     C library's ``erfc``. The beam is centered, so the other three windows
-    are its mirror images and carry the same power.
+    are its mirror images and the total is 4 times window 1.
     """
     if not diameter > 0:
         raise ValidationError(f"beam diameter must be > 0, got {diameter}")
@@ -103,15 +92,13 @@ def quadrant_transmission(
     window = _interval_weights(g * c, (g + w) * c, sigma) * _interval_weights(
         g, g + w, sigma
     )
-    return QuadrantTransmission(
-        window_fractions=dict.fromkeys(QUADRANTS, window), total=4.0 * window
-    )
+    return 4.0 * window
 
 
 def waist_scan(layout: QuadrantLayout, d_range: tuple[float, float]):
     """``(diameters, totals)``: :data:`WAIST_GRID_POINTS` evenly spaced
     diameters over ``d_range``, as lists, and the
-    :func:`quadrant_transmission` total of each.
+    :func:`quadrant_transmission` of each.
 
     The diameters are those of ``numpy.linspace``, to the bit: ``k * step
     + lo``, with the last one set to ``hi``.
@@ -119,7 +106,7 @@ def waist_scan(layout: QuadrantLayout, d_range: tuple[float, float]):
     lo, hi = d_range
     step = (hi - lo) / (WAIST_GRID_POINTS - 1)
     ds = [k * step + lo for k in range(WAIST_GRID_POINTS - 1)] + [hi]
-    return ds, [quadrant_transmission(d, layout).total for d in ds]
+    return ds, [quadrant_transmission(d, layout) for d in ds]
 
 
 def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float], scan=None):
@@ -135,7 +122,7 @@ def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float], scan=No
         raise ValidationError("search range must satisfy 0 < lo < hi")
 
     def total(d):
-        return quadrant_transmission(d, layout).total
+        return quadrant_transmission(d, layout)
 
     ds, vals = waist_scan(layout, d_range) if scan is None else scan
     best_val = max(vals)

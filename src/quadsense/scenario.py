@@ -57,7 +57,6 @@ from .source import (
     _half_cells,
     build_coherence_grid,
     fwm_moments,
-    source_squeezing,
 )
 
 __all__ = ["Scenario", "SensingChain", "build_chain", "load_scenario", "dump_scenario"]
@@ -137,7 +136,7 @@ SCHEMA = {
         "threshold_targets_mv": (POSITIVE, 4),
         # Still written by perfbench's scenario generator, as is
         # coherence.extent_um (the grid's reach follows from the waists);
-        # both go with the harness refresh of ROADMAP item 2 (Step A).
+        # both go with the harness refresh of ROADMAP item 4 (Step A).
         "gain_bound": None,
     },
     "sweep": {"voltages_mv": (_Number("[0, inf)"), None)},
@@ -534,8 +533,8 @@ def _solve_stages(r_source: float, r_optics: float, r_cut: float, k: float):
 
 
 def _stages(scenario: Scenario, grid: CoherenceGrid, gain, eta_optics, r_source):
-    """Source parameters, the source, post-optics and cut moments, and the
-    residual of each staged target and of the predicted final point.
+    """Source parameters, post-optics and cut moments, the balanced (g = 1)
+    report of each stage, and the residuals of the staged and final targets.
 
     The source's excess noise is the one that meets the source target at
     ``gain``, or 0 where that would be negative. The seed flux is 1; no
@@ -554,17 +553,18 @@ def _stages(scenario: Scenario, grid: CoherenceGrid, gain, eta_optics, r_source)
         ) from None
     m1 = apply_loss(m0, LossChannel(eta_optics, eta_optics))
     cut = quadrant_cut(m1, grid)
-    targets = scenario.stage_targets_db
-    residuals = {
-        label: source_squeezing(m)[1] - targets[label]
+    staged = {
+        label: detection.squeezing_report(m, 1.0)
         for label, m in zip(STAGES, (m0, m1, cut))
     }
+    targets = scenario.stage_targets_db
+    residuals = {label: staged[label].ratio_db - targets[label] for label in STAGES}
     final = scenario.final_target
-    channel = LossChannel(final["eta_p"], final["eta_c"])
-    rep = detection.squeezing_report(apply_loss(cut, channel))
+    d = apply_loss(cut, LossChannel(final["eta_p"], final["eta_c"]))
+    rep = detection.squeezing_report(d, detection.optimal_gain(d))
     residuals["final"] = rep.ratio_db - final["squeezing_db"]
     residuals["attenuation"] = rep.gain_db - final["attenuation_db"]
-    return params, m0, m1, cut, residuals
+    return params, m1, cut, staged, residuals
 
 
 def build_chain(scenario: Scenario) -> SensingChain:
@@ -577,7 +577,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
 
     grid = build_coherence_grid(scenario.waist_p_um, scenario.waist_c_um, scenario.cell_um)
     gain, eta_optics, feasible = _solve_stages(*ratios, grid.cov_share)
-    params, m0, m1, cut, residuals_db = _stages(
+    params, m1, cut, staged, residuals_db = _stages(
         scenario, grid, gain, eta_optics, ratios[0]
     )
     if not feasible:
@@ -590,7 +590,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
     # Geometric clipping of a conjugate quadrant beam by its layout window:
     # the window's share of its quadrant's power. The windows are mirror
     # images, so that share is the layout's total transmission.
-    clip = quadrant_transmission(scenario.waist_c_um, scenario.layout).total
+    clip = quadrant_transmission(scenario.waist_c_um, scenario.layout)
     eta_c = clip * scenario.mask_transmission * scenario.quantum_efficiency
 
     # Per-quadrant probe transmission fitted to the measured residual
@@ -610,7 +610,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
         channels_p[q] = eta_p
         channel = LossChannel(eta_p, eta_c)
         matched = _detected(cut, channel, True)
-        rep = detection.squeezing_report(matched)
+        rep = detection.squeezing_report(matched, detection.optimal_gain(matched))
         reports[q] = rep
         residuals_db[f"residual_q{q}"] = rep.ratio_db - target_db
         # An analytic SNR sqrt(s / n), with s = floor * (V / V_t)**2, crosses
@@ -633,13 +633,11 @@ def build_chain(scenario: Scenario) -> SensingChain:
                 f"sensor {q} has no transduction at the operating wavelength"
             )
 
+    sensors = ((f"sensor_q{q}", rep) for q, rep in reports.items())
     budget = [
-        StageBudget("source", source_squeezing(m0)[1], 1.0, 0.0),
-        StageBudget("post_optics", source_squeezing(m1)[1], 1.0, 0.0),
-        StageBudget("post_cut", source_squeezing(cut)[1], 1.0, 0.0),
+        StageBudget(label, rep.ratio_db, rep.gain, rep.gain_db)
+        for label, rep in (*staged.items(), *sensors)
     ]
-    for q, rep in reports.items():
-        budget.append(StageBudget(f"sensor_q{q}", rep.ratio_db, rep.gain, rep.gain_db))
 
     return SensingChain(
         scenario=scenario,

@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UndefinedSNLError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "FwmSourceParams",
     "TwinBeamMoments",
     "CoherenceGrid",
     "fwm_moments",
-    "source_squeezing",
     "build_coherence_grid",
 ]
 
@@ -125,18 +124,6 @@ def fwm_moments(params: FwmSourceParams) -> TwinBeamMoments:
     var_c = (g - 1.0) * (2.0 * g - 1.0) * ns + zu * mean_c**2
     cov = 2.0 * g * (g - 1.0) * ns
     return TwinBeamMoments(mean_p, mean_c, var_p, var_c, cov)
-
-
-def source_squeezing(m: TwinBeamMoments) -> tuple[float, float]:
-    """Balanced intensity-difference noise over the shot-noise level.
-
-    Returns ``(ratio, ratio_db)`` for a lossless, unit-gain subtraction.
-    """
-    total = m.mean_p + m.mean_c
-    if total <= 0.0:
-        raise UndefinedSNLError("zero total mean intensity has no shot-noise level")
-    ratio = (m.var_p + m.var_c - 2.0 * m.cov) / total
-    return ratio, 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
 
 
 def _normal_cdf(a: float) -> float:

@@ -115,9 +115,7 @@ def test_criterion_5_beam_size_optimum():
     ok = abs(best_d - 330.0) <= 10.0 and abs(best_t - 0.80) <= 0.02
 
     diameters = np.linspace(100.0, 1000.0, 181)
-    totals = np.array(
-        [optics.quadrant_transmission(d, layout).total for d in diameters]
-    )
+    totals = np.array([optics.quadrant_transmission(d, layout) for d in diameters])
     rising = np.diff(totals) > 1e-12
     # Unimodal: once the curve starts falling it never rises again.
     first_fall = int(np.argmin(rising)) if not rising.all() else len(rising)

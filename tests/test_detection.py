@@ -110,18 +110,35 @@ def test_squeezing_report_coherent_is_unity():
     # Balanced (g = 1) and at the optimal g alike, coherent beams sit at the SNL.
     balanced = difference_noise(coherent, 1.0) / snl_noise(coherent, 1.0)
     assert balanced == pytest.approx(1.0, rel=1e-9)
-    rep = squeezing_report(coherent)
+    rep = squeezing_report(coherent, optimal_gain(coherent))
     assert rep.ratio_linear == pytest.approx(1.0, rel=1e-9)
     assert rep.ratio_db == pytest.approx(0.0, abs=1e-8)
 
 
 def test_squeezing_report_gain_two_optimal():
-    rep = squeezing_report(G2_IDEAL)
+    rep = squeezing_report(G2_IDEAL, optimal_gain(G2_IDEAL))
     assert rep.gain == pytest.approx(4.0 / 3.0)
     assert rep.diff_variance == pytest.approx(2.0 / 3.0)
     # SNL at g = 4/3: 2 + (16/9) * 1.
     assert rep.snl == pytest.approx(2.0 + 16.0 / 9.0)
     assert rep.ratio_linear == pytest.approx((2.0 / 3.0) / (34.0 / 9.0))
+
+
+def test_balanced_report_coherent_pair_is_shot_noise():
+    rep = squeezing_report(TwinBeamMoments(3.0, 2.0, 3.0, 2.0, 0.0), 1.0)
+    assert rep.ratio_linear == pytest.approx(1.0)
+    assert rep.ratio_db == pytest.approx(0.0)
+
+
+def test_balanced_report_gain_two_is_one_third():
+    rep = squeezing_report(fwm_moments(FwmSourceParams(gain=2.0, seed_flux=1.0)), 1.0)
+    assert rep.ratio_linear == pytest.approx(1.0 / 3.0)
+    assert rep.ratio_db == pytest.approx(-4.77, abs=5e-3)
+
+
+def test_balanced_report_zero_power_is_undefined():
+    with pytest.raises(UndefinedSNLError):
+        squeezing_report(TwinBeamMoments(0.0, 0.0, 0.0, 0.0, 0.0), 1.0)
 
 
 def test_attenuation_conventions():
@@ -178,8 +195,10 @@ def test_squeezing_ratio_monotone_in_loss(gain, eta1, eta2):
     if eta2 > eta1:
         eta1, eta2 = eta2, eta1
     m = fwm_moments(FwmSourceParams(gain=gain, seed_flux=1.0))
-    better = squeezing_report(apply_loss(m, LossChannel(eta1, eta1)))
-    worse = squeezing_report(apply_loss(m, LossChannel(eta2, eta2)))
+    d1 = apply_loss(m, LossChannel(eta1, eta1))
+    d2 = apply_loss(m, LossChannel(eta2, eta2))
+    better = squeezing_report(d1, optimal_gain(d1))
+    worse = squeezing_report(d2, optimal_gain(d2))
     assert worse.ratio_linear >= better.ratio_linear - 1e-12
 
 
@@ -214,7 +233,8 @@ def test_probe_transmission_inverts_the_squeezing_report(gain, zu, eta_p, eta_c)
     m = fwm_moments(FwmSourceParams(gain, 1.0, zu))
     target = exact_ratio(m, eta_p, eta_c)
     # The exact ratio is the report's, without its round-off.
-    report = squeezing_report(apply_loss(m, LossChannel(eta_p, eta_c))).ratio_linear
+    d = apply_loss(m, LossChannel(eta_p, eta_c))
+    report = squeezing_report(d, optimal_gain(d)).ratio_linear
     assert float(target) == pytest.approx(report, rel=1e-10, abs=0.0)
     closed = probe_transmission_for_ratio(m, eta_c, float(target))
 

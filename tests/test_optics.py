@@ -42,26 +42,27 @@ def moments_strategy():
 
 
 def test_point_beam_on_gap_cross_transmits_nothing():
-    qt = quadrant_transmission(1.0, REFERENCE_LAYOUT)
-    assert qt.total < 1e-6
+    assert quadrant_transmission(1.0, REFERENCE_LAYOUT) < 1e-6
 
 
 def test_unobstructed_beam_transmits_everything():
     layout = QuadrantLayout(window_size=20000.0, gap=0.0, tilt_deg=0.0)
-    qt = quadrant_transmission(330.0, layout)
-    assert qt.total == pytest.approx(1.0, abs=1e-6)
+    assert quadrant_transmission(330.0, layout) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_reference_layout_at_330um_transmits_eighty_percent():
-    qt = quadrant_transmission(330.0, REFERENCE_LAYOUT)
-    assert qt.total == pytest.approx(0.80, abs=0.02)
+    total = quadrant_transmission(330.0, REFERENCE_LAYOUT)
+    assert total == pytest.approx(0.80, abs=0.02)
 
 
 def test_transmission_symmetric_for_centered_beam_without_tilt():
+    # Untilted, a window spans [gap / 2, gap / 2 + window] on both axes, so
+    # its power is the square of one axis's.
     layout = QuadrantLayout(window_size=200.0, gap=20.0, tilt_deg=0.0)
-    qt = quadrant_transmission(330.0, layout)
-    fractions = list(qt.window_fractions.values())
-    assert max(fractions) - min(fractions) < 1e-12
+    sigma = 330.0 / 4.0
+    axis = ndtr(210.0 / sigma) - ndtr(10.0 / sigma)
+    total = quadrant_transmission(330.0, layout)
+    assert total == pytest.approx(4.0 * axis * axis, rel=1e-12)
 
 
 # The beam is centered on the layout, the only placement the model has.
@@ -86,7 +87,7 @@ MIRROR_LAYOUTS = {
     ],
 )
 def test_window_fractions_match_adaptive_quadrature(diameter, layout, center):
-    qt = quadrant_transmission(diameter, layout)
+    window = quadrant_transmission(diameter, layout) / 4
     sigma = diameter / 4.0
 
     def axis_power(lo, hi, mu, sigma):
@@ -103,7 +104,7 @@ def test_window_fractions_match_adaptive_quadrature(diameter, layout, center):
         expected = axis_power(xlo, xhi, center[0], sigma) * axis_power(
             ylo, yhi, center[1], sigma
         )
-        assert qt.window_fractions[q] == pytest.approx(expected, abs=1e-14)
+        assert window == pytest.approx(expected, abs=1e-14)
 
 
 # -- waist optimization ------------------------------------------------------
@@ -125,8 +126,8 @@ def test_optimize_waist_flat_objective_returns_smallest_diameter():
 def test_optimize_waist_scale_invariance():
     doubled = QuadrantLayout(window_size=400.0, gap=40.0, tilt_deg=26.0)
     for d in (200.0, 330.0, 500.0):
-        t1 = quadrant_transmission(d, REFERENCE_LAYOUT).total
-        t2 = quadrant_transmission(2 * d, doubled).total
+        t1 = quadrant_transmission(d, REFERENCE_LAYOUT)
+        t2 = quadrant_transmission(2 * d, doubled)
         assert t2 == pytest.approx(t1, abs=1e-9)
 
 
@@ -138,7 +139,7 @@ def test_waist_scan_diameters_are_numpy_linspace_to_the_bit(d_range):
     # first range is the CLI's.
     ds, totals = waist_scan(REFERENCE_LAYOUT, d_range)
     assert np.asarray(ds).tobytes() == np.linspace(*d_range, WAIST_GRID_POINTS).tobytes()
-    assert totals == [quadrant_transmission(d, REFERENCE_LAYOUT).total for d in ds]
+    assert totals == [quadrant_transmission(d, REFERENCE_LAYOUT) for d in ds]
 
 
 def test_optimize_waist_rejects_non_bracketing_range():
@@ -203,8 +204,9 @@ def test_loss_never_improves_squeezing(gain, ep, ec):
     from quadsense.source import FwmSourceParams, fwm_moments
 
     m = fwm_moments(FwmSourceParams(gain=gain, seed_flux=1.0))
-    before = detection.squeezing_report(m)
-    after = detection.squeezing_report(apply_loss(m, LossChannel(ep, ec)))
+    d = apply_loss(m, LossChannel(ep, ec))
+    before = detection.squeezing_report(m, detection.optimal_gain(m))
+    after = detection.squeezing_report(d, detection.optimal_gain(d))
     assert after.ratio_linear >= before.ratio_linear - 1e-12
 
 
@@ -212,27 +214,23 @@ def test_loss_never_improves_squeezing(gain, ep, ec):
 
 
 def test_quadrant_cut_small_cells_preserve_squeezing():
-    from quadsense.source import source_squeezing
-
     grid = build_coherence_grid(360.0, 360.0, 0.25)
     cut = quadrant_cut(G2_IDEAL, grid)
     # Tiny cells: the cut is a pure partition, so the quadrant keeps nearly
     # a quarter of the covariance and the balanced squeezing ratio of the
     # full beam.
     assert 1.0 - cut.cov / (0.25 * G2_IDEAL.cov) < 0.003
-    before = source_squeezing(G2_IDEAL)[0]
-    after = source_squeezing(cut)[0]
+    before = detection.squeezing_report(G2_IDEAL, 1.0).ratio_linear
+    after = detection.squeezing_report(cut, 1.0).ratio_linear
     assert after == pytest.approx(before, rel=0.02)
 
 
 def test_quadrant_cut_monotone_degradation_with_cell_size():
-    from quadsense.source import source_squeezing
-
     ratios = []
     for d_c in (5.0, 20.0, 80.0, 160.0):
         grid = build_coherence_grid(360.0, 360.0, d_c)
         cut = quadrant_cut(G2_IDEAL, grid)
-        ratios.append(source_squeezing(cut)[0])
+        ratios.append(detection.squeezing_report(cut, 1.0).ratio_linear)
     assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 

@@ -17,17 +17,22 @@ from hypothesis import strategies as st
 
 from conftest import default_scenario_dict
 from quadsense import cli
-from quadsense.detection import probe_transmission_for_ratio, squeezing_report
+from quadsense.detection import (
+    optimal_gain,
+    probe_transmission_for_ratio,
+    squeezing_report,
+)
 from quadsense.errors import FitInfeasibleError, ValidationError
 from quadsense.optics import LossChannel, apply_loss, quadrant_transmission
 from quadsense.scenario import (
     SCHEMA,
     Scenario,
     SensingChain,
+    StageBudget,
     build_chain,
     dump_scenario,
 )
-from quadsense.source import build_coherence_grid
+from quadsense.source import build_coherence_grid, fwm_moments
 
 
 def test_scenario_reports_missing_key_with_path():
@@ -88,6 +93,27 @@ def test_chain_reproduces_threshold_targets(chain):
         assert rep.v_tb == pytest.approx(target, abs=1e-6)
 
 
+def test_every_budget_row_is_a_noise_report(chain):
+    # The staged rows are balanced (g = 1) reports of the source, of the
+    # beam after the imaging optics and of one quadrant of it; the sensor
+    # rows are the chain's optimal-gain reports.
+    staged = [
+        (label, squeezing_report(m, 1.0))
+        for label, m in zip(
+            ("source", "post_optics", "post_cut"),
+            (fwm_moments(chain.source_params), chain.beam, chain.cut),
+        )
+    ]
+    sensors = [(f"sensor_q{q}", chain.reports[q]) for q in (1, 2, 3, 4)]
+    assert chain.stage_budget == [
+        StageBudget(label, rep.ratio_db, rep.gain, rep.gain_db)
+        for label, rep in staged + sensors
+    ]
+    # squeezing_budget.csv writes the staged gains as 1 and 0.000.
+    for row in chain.stage_budget[:3]:
+        assert row.gain == 1.0 and row.gain_db == 0.0
+
+
 def test_declared_cell_size_sets_the_grid(scenario):
     cfg = copy.deepcopy(scenario.raw)
     # Must stay small: large coherence cells lose too much covariance at
@@ -143,8 +169,8 @@ def test_infeasible_stage_targets_raise_on_every_call(scenario):
 
 
 def test_conjugate_transmission_is_one_window_mirrored(scenario):
-    # The four windows are mirror images of one window, so each carries a
-    # quarter of the total to the bit, and eta_c reads the total alone.
+    # The four windows are mirror images of one window, so eta_c reads the
+    # layout's total transmission alone.
     rng = random.Random(5)
     for _ in range(40):
         layout = {
@@ -154,9 +180,8 @@ def test_conjugate_transmission_is_one_window_mirrored(scenario):
         }
         chain = build_chain(_with(scenario.raw, ("layout",), layout))
         sc = chain.scenario
-        qt = quadrant_transmission(sc.waist_c_um, sc.layout)
-        assert chain.eta_c == qt.total * sc.mask_transmission * sc.quantum_efficiency
-        assert all(qt.window_fractions[q] == qt.total / 4 for q in (1, 2, 3, 4))
+        total = quadrant_transmission(sc.waist_c_um, sc.layout)
+        assert chain.eta_c == total * sc.mask_transmission * sc.quantum_efficiency
 
 
 def test_coarse_cell_size_is_infeasible(scenario):
@@ -176,9 +201,10 @@ def test_residual_met_at_full_probe_transmission_calibrates(chain, quantum_effic
     cfg = default_scenario_dict()
     cfg["detector"]["quantum_efficiency"] = quantum_efficiency
     sc = Scenario.from_dict(cfg)
-    clip = quadrant_transmission(sc.waist_c_um, sc.layout).total
+    clip = quadrant_transmission(sc.waist_c_um, sc.layout)
     eta_c = clip * sc.mask_transmission * sc.quantum_efficiency
-    db = squeezing_report(apply_loss(chain.cut, LossChannel(1.0, eta_c))).ratio_db
+    d = apply_loss(chain.cut, LossChannel(1.0, eta_c))
+    db = squeezing_report(d, optimal_gain(d)).ratio_db
     cfg["calibration"]["residual_db"] = [db] * 4
     assert build_chain(Scenario.from_dict(cfg)).channels_p == dict.fromkeys(
         (1, 2, 3, 4), 1.0
@@ -462,7 +488,8 @@ def test_threshold_that_underflows_to_zero_fails_the_sweep(tmp_path, capsys, cha
     detected = apply_loss(chain.cut, LossChannel(0.9, eta_c))
     cfg = default_scenario_dict()
     cfg["detector"] = {"quantum_efficiency": qe}
-    cfg["calibration"]["residual_db"] = [squeezing_report(detected).ratio_db] * 4
+    rep = squeezing_report(detected, optimal_gain(detected))
+    cfg["calibration"]["residual_db"] = [rep.ratio_db] * 4
     cfg["calibration"]["threshold_targets_mv"][0] = 5e-324
     cfg["sweep"]["voltages_mv"] = [0.0]
     assert build_chain(Scenario.from_dict(cfg)).thresholds_mv[1][-1] == 0.0

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from conftest import reference_cell_weights, reference_cov_share
-from quadsense.errors import UndefinedSNLError, ValidationError
+from quadsense.detection import squeezing_report
+from quadsense.errors import ValidationError
 from quadsense.optics import QuadrantLayout
 from quadsense.optics import quadrant_cut, quadrant_transmission
 from quadsense.source import (
@@ -20,7 +21,6 @@ from quadsense.source import (
     _normal_cdf,
     build_coherence_grid,
     fwm_moments,
-    source_squeezing,
 )
 
 
@@ -39,7 +39,7 @@ def test_gain_for_five_point_one_six_db():
     gain = 0.5 * (10.0**0.516 + 1.0)
     assert gain == pytest.approx(2.14, abs=5e-3)
     m = fwm_moments(FwmSourceParams(gain=gain, seed_flux=1.0))
-    assert source_squeezing(m)[1] == pytest.approx(-5.16, abs=1e-12)
+    assert squeezing_report(m, 1.0).ratio_db == pytest.approx(-5.16, abs=1e-12)
 
 
 def test_fwm_moments_rejects_invalid_params():
@@ -49,25 +49,6 @@ def test_fwm_moments_rejects_invalid_params():
         FwmSourceParams(gain=2.0, seed_flux=0.0)
     with pytest.raises(ValidationError):
         FwmSourceParams(gain=2.0, seed_flux=1.0, excess_uncorrelated=-0.1)
-
-
-def test_source_squeezing_coherent_pair_is_shot_noise():
-    m = TwinBeamMoments(3.0, 2.0, 3.0, 2.0, 0.0)
-    ratio, db = source_squeezing(m)
-    assert ratio == pytest.approx(1.0)
-    assert db == pytest.approx(0.0)
-
-
-def test_source_squeezing_gain_two_is_one_third():
-    m = fwm_moments(FwmSourceParams(gain=2.0, seed_flux=1.0))
-    ratio, db = source_squeezing(m)
-    assert ratio == pytest.approx(1.0 / 3.0)
-    assert db == pytest.approx(-4.77, abs=5e-3)
-
-
-def test_source_squeezing_zero_power_is_undefined():
-    with pytest.raises(UndefinedSNLError):
-        source_squeezing(TwinBeamMoments(0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def test_moments_reject_cauchy_schwarz_violation():
@@ -94,7 +75,7 @@ def test_moment_invariants_hold_across_domain(gain, seed_flux, zu):
 @settings(max_examples=200)
 def test_ideal_squeezing_is_exactly_inverse_odd_gain(gain, seed_flux):
     m = fwm_moments(FwmSourceParams(gain=gain, seed_flux=seed_flux))
-    ratio, _ = source_squeezing(m)
+    ratio = squeezing_report(m, 1.0).ratio_linear
     assert ratio == pytest.approx(1.0 / (2.0 * gain - 1.0), rel=1e-12)
 
 
@@ -113,8 +94,8 @@ def test_seed_flux_homogeneity(gain, seed_flux, k, zu):
     # Ideal second moments scale linearly; the excess terms scale with the
     # squared means, so with zu > 0 only the ratio at zu = 0 is invariant.
     assert scaled.var_p == pytest.approx(k * base.var_p, rel=1e-12)
-    assert source_squeezing(scaled)[0] == pytest.approx(
-        source_squeezing(base)[0], rel=1e-12
+    assert squeezing_report(scaled, 1.0).ratio_linear == pytest.approx(
+        squeezing_report(base, 1.0).ratio_linear, rel=1e-12
     )
     with_excess = fwm_moments(
         FwmSourceParams(gain=gain, seed_flux=seed_flux, excess_uncorrelated=zu)
@@ -252,8 +233,8 @@ def test_quadrant_weights_match_gapless_transmission():
     grid = build_coherence_grid(360.0, 360.0, 20.0)
     cut = quadrant_cut(TwinBeamMoments(1.0, 1.0, 1.0, 1.0, 1.0), grid)
     layout = QuadrantLayout(window_size=1440.0, gap=0.0, tilt_deg=0.0)
-    qt = quadrant_transmission(360.0, layout)
-    assert cut.mean_p == pytest.approx(qt.window_fractions[1], abs=1e-12)
+    window = quadrant_transmission(360.0, layout) / 4
+    assert cut.mean_p == pytest.approx(window, abs=1e-12)
 
 
 def test_normal_cdf_matches_scipy_on_both_signs():
