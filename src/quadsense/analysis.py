@@ -10,9 +10,9 @@ threshold is fitted, as that of the least-squares line through the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import FitInfeasibleError, ValidationError
+from .errors import FitInfeasibleError, ValidationError, validated
 
 __all__ = [
     "SNRCurve",
@@ -22,8 +22,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SNRCurve:
+@validated
+class SNRCurve(NamedTuple):
     """SNR versus drive voltage for one quadrant pair and probe kind, as
     tuples of floats."""
 
@@ -40,8 +40,7 @@ class SNRCurve:
             raise ValidationError("sweep requires at least one voltage")
 
 
-@dataclass(frozen=True)
-class EnhancementReport:
+class EnhancementReport(NamedTuple):
     """SNR = 1 thresholds and the derived quantum enhancement."""
 
     pair: tuple[int, int]

@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import threshold_voltage
@@ -215,6 +215,12 @@ def _cmd_fig4(scenario: Scenario, args, out: Path) -> int:
 
 
 def _cmd_verify(scenario: Scenario, args, out: Path) -> int:
+    # The fold makes no BLAS call, and an idle OpenBLAS worker thread would
+    # spin on the CPUs its threads use. OpenBLAS reads the count when numpy
+    # loads; a count the user set wins, and a caller that has already
+    # loaded numpy keeps its environment.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import montecarlo
 
     checks = montecarlo.run_verification(build_chain(scenario), args.samples, args.seed)
@@ -222,7 +228,7 @@ def _cmd_verify(scenario: Scenario, args, out: Path) -> int:
         "n_samples": args.samples,
         "seed": args.seed,
         "passed": all(c.passed for c in checks),
-        "checks": [asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
     }
     _write_json(out / "verify.json", payload)
     for c in checks:

@@ -16,7 +16,7 @@ of the same detected power measured with the same g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ConsistencyError,
@@ -157,8 +157,7 @@ def snl_noise(d: TwinBeamMoments, g: float) -> float:
     return snl
 
 
-@dataclass(frozen=True)
-class NoiseReport:
+class NoiseReport(NamedTuple):
     """Difference noise against its shot-noise reference."""
 
     diff_variance: float

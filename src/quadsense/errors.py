@@ -1,4 +1,7 @@
-"""Exception hierarchy for the quadsense simulator."""
+"""Exception hierarchy for the quadsense simulator, and :func:`validated`,
+which makes a record type check its fields."""
+
+import functools
 
 
 class QuadsenseError(Exception):
@@ -39,3 +42,18 @@ class SearchError(QuadsenseError):
 class TailMassError(QuadsenseError):
     """A truncated Fock computation left too much probability in the tail."""
 
+
+def validated(cls):
+    """Class decorator: each new instance of ``cls``, a ``typing.NamedTuple``,
+    is passed to its ``__post_init__``, which raises on an invalid field.
+    ``_make`` and ``_replace`` build tuples directly and skip the check."""
+    new, check = cls.__new__, cls.__post_init__
+
+    @functools.wraps(new)
+    def __new__(cls_, *args, **kwargs):
+        self = new(cls_, *args, **kwargs)
+        check(self)
+        return self
+
+    cls.__new__ = __new__
+    return cls

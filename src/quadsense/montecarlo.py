@@ -25,9 +25,11 @@ deals the chunks to :data:`LANES` fixed lanes, reduces each chunk to
 means and co-moments (:class:`Comoments`) on one thread per CPU this
 process may use, merges each lane's chunks in chunk order and the lanes
 in lane order, so every statistic has the same bits for any worker
-count, and none goes through a BLAS call. The checks hold one buffer per
-running thread, about 5 MB, and about 2 KB per lane, whatever their
-sample count.
+count, and none goes through a BLAS call. So ``quadsense verify`` runs
+OpenBLAS single-threaded unless ``OPENBLAS_NUM_THREADS`` is set: an idle
+OpenBLAS worker thread would spin on the CPUs the fold's threads use.
+The checks hold one buffer per running thread, about 5 MB, and about
+2 KB per lane, whatever their sample count.
 Where :func:`run_verification` calls one sampler more than once, it XORs
 the seed with a constant, so no two checks share a stream.
 """
@@ -38,8 +40,8 @@ import functools
 import math
 import os
 import threading
-from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -402,8 +404,7 @@ def stimulated_fock_moments(gain: float, seed_flux: float) -> TwinBeamMoments:
 # -- oracle verification suite ------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
+class VerificationCheck(NamedTuple):
     """One oracle check: a named statistic against its tolerance."""
 
     name: str
@@ -628,8 +629,8 @@ def run_verification(chain, n_samples: int, seed: int) -> list:
     # moment scales by it and the thinning map's clip of negative
     # intensities is negligible (mean >> sqrt(var)).
     bright = 1e4
-    beam = TwinBeamMoments(*(bright * x for x in astuple(chain.beam)))
-    cut = TwinBeamMoments(*(bright * x for x in astuple(chain.cut)))
+    beam = TwinBeamMoments(*(bright * x for x in chain.beam))
+    cut = TwinBeamMoments(*(bright * x for x in chain.cut))
     return [
         _fock_check(),
         *_bright_pair_checks(cut, chain.pair_channel(1), n, seed),

@@ -14,9 +14,9 @@ Quadrant labels follow the sign convention
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import SearchError, ValidationError
+from .errors import SearchError, ValidationError, validated
 from .source import CoherenceGrid, TwinBeamMoments, _interval_weights
 
 __all__ = [
@@ -39,8 +39,8 @@ WAIST_GRID_POINTS = 181
 WAIST_TOL_UM = 0.2
 
 
-@dataclass(frozen=True)
-class QuadrantLayout:
+@validated
+class QuadrantLayout(NamedTuple):
     """Four square windows separated by an opaque gap cross.
 
     The tilt about the y-axis is modeled as a projection: every x extent of
@@ -64,8 +64,8 @@ class QuadrantLayout:
         return math.cos(math.radians(self.tilt_deg))
 
 
-@dataclass(frozen=True)
-class LossChannel:
+@validated
+class LossChannel(NamedTuple):
     """Independent power transmissions for the probe and conjugate paths."""
 
     eta_p: float

@@ -10,9 +10,9 @@ functions serve ``resonance-scan`` and the chain's transduction gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, validated
 
 __all__ = [
     "DLAMBDA_DN",
@@ -43,8 +43,8 @@ def linewidth_evaluable(linewidth: float) -> bool:
 DLAMBDA_DN = 300.0
 
 
-@dataclass(frozen=True)
-class EOTResonance:
+@validated
+class EOTResonance(NamedTuple):
     """Lorentzian transmission resonance of one nanohole-array sensor; of
     the calibrated chain, only the transduction gate reads it."""
 

@@ -33,8 +33,8 @@ from __future__ import annotations
 import io
 import math
 import random
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import yaml
 
@@ -185,8 +185,7 @@ def _copy(value):
     return value
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """Validated scenario configuration."""
 
     raw: dict
@@ -295,8 +294,7 @@ def dump_scenario(scenario: Scenario) -> str:
     return buf.getvalue()
 
 
-@dataclass
-class StageBudget:
+class StageBudget(NamedTuple):
     label: str
     squeezing_db: float
     gain: float
@@ -359,8 +357,7 @@ def sweep_statistics(moments, gains, n: int, seed: int) -> list:
     return stats
 
 
-@dataclass
-class SensingChain:
+class SensingChain(NamedTuple):
     """Scenario after calibration: everything the sweeps and oracles need,
     ``beam`` being the moments after the imaging optics, before the cut.
     The analytic noises and the sampled oracle both read a pair's

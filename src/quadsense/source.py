@@ -16,9 +16,9 @@ independently to each beam (uncorrelated), so it adds no covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, validated
 
 __all__ = [
     "FwmSourceParams",
@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FwmSourceParams:
+@validated
+class FwmSourceParams(NamedTuple):
     """Parameters of the seeded amplifier producing the twin beams."""
 
     gain: float
@@ -46,8 +46,8 @@ class FwmSourceParams:
             raise ValidationError("excess-noise coefficient must be >= 0")
 
 
-@dataclass(frozen=True)
-class TwinBeamMoments:
+@validated
+class TwinBeamMoments(NamedTuple):
     """First and second moments of the probe/conjugate intensity pair."""
 
     mean_p: float
@@ -77,8 +77,8 @@ class TwinBeamMoments:
         return a, b, c
 
 
-@dataclass(frozen=True)
-class CoherenceGrid:
+@validated
+class CoherenceGrid(NamedTuple):
     """Square tiling of the transverse plane into independent cells, kept
     as the one number its quadrant cut reads: ``cov_share``, the share of
     the beams' covariance that a quadrant keeps.

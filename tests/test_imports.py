@@ -1,6 +1,7 @@
 """No subcommand imports scipy. Loading the CLI or a scenario, dumping the
 scenario, the five analytic subcommands and fig4 need only PyYAML: numpy
-loads with the Monte Carlo layer, for verify alone. Only verify loads a
+loads with the Monte Carlo layer, for verify alone. No case loads
+dataclasses, and none without numpy loads inspect. Only verify loads a
 thread pool. And the benchmark's tracer still finds every quadsense
 function it hooks.
 
@@ -84,6 +85,11 @@ def test_subcommand_imports_only_the_scipy_it_runs(tmp_path, module, argv, rcs, 
     loaded = [m for m in result["modules"] if m == "scipy" or m.startswith("scipy.")]
     assert loaded == []
     assert ("numpy" in result["modules"]) is numpy
+    # Record types are named tuples: no case loads dataclasses, and only
+    # numpy's own imports load inspect.
+    assert "dataclasses" not in result["modules"]
+    if not numpy:
+        assert "inspect" not in result["modules"]
 
 
 @pytest.mark.parametrize(

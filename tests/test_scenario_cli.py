@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -888,6 +891,53 @@ def test_verify_report_is_pinned(tmp_path, samples, expected):
     assert run_cli("verify", "--samples", str(samples), "--out", str(tmp_path)) == 0
     digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
     assert digest == expected
+
+
+VERIFY_BLAS = """
+import os, sys
+from quadsense import cli
+rc = cli.main(sys.argv[1:])
+print(rc, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize(
+    "blas, expected", [(None, "1"), ("2", "2")], ids=["default", "user"]
+)
+def test_verify_blas_threads_default_to_one_and_yield_to_the_user(
+    tmp_path, blas, expected
+):
+    # A cold verify runs OpenBLAS single-threaded, since its fold makes no
+    # BLAS call and an idle OpenBLAS thread spins on the fold's CPUs. A
+    # thread count the user sets wins and writes the same bytes.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_BLAS, "verify", "--samples", "20000"]
+        + ["--out", str(tmp_path)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {expected}"
+    digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
+    assert digest == VERIFY_SHA
+
+
+def test_verify_in_process_leaves_the_environment_alone(tmp_path, monkeypatch):
+    # numpy has already loaded here, with whatever BLAS pool it started, so
+    # verify sets no thread count for its caller.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert "numpy" in sys.modules
+    before = dict(os.environ)
+    assert run_cli("verify", "--samples", "20000", "--out", str(tmp_path)) == 0
+    assert dict(os.environ) == before
 
 
 def _verify_checks(out, *argv) -> dict:
