@@ -301,18 +301,6 @@ class StageBudget(NamedTuple):
     gain_db: float
 
 
-def _pair_moments(cut: TwinBeamMoments, matched: bool) -> TwinBeamMoments:
-    """A quadrant pair's moments at the cut; a cross pair shares no covariance."""
-    if matched:
-        return cut
-    return TwinBeamMoments(cut.mean_p, cut.mean_c, cut.var_p, cut.var_c, 0.0)
-
-
-def _detected(cut: TwinBeamMoments, channel: LossChannel, matched: bool):
-    """A quadrant pair's moments after its loss channel."""
-    return apply_loss(_pair_moments(cut, matched), channel)
-
-
 def sweep_statistics(moments, gains, n: int, seed: int) -> list:
     """``(s_off, tone_cov, tone_var)`` of ``n`` samples of each pair, of
     moments ``m`` in ``moments`` and gain ``g`` in ``gains``: the variance
@@ -360,8 +348,10 @@ def sweep_statistics(moments, gains, n: int, seed: int) -> list:
 class SensingChain(NamedTuple):
     """Scenario after calibration: everything the sweeps and oracles need,
     ``beam`` being the moments after the imaging optics, before the cut.
-    The analytic noises and the sampled oracle both read a pair's
-    :meth:`detected` moments, so the loss map is :func:`optics.apply_loss`.
+    Calibration, the analytic noises and the sampled oracle all read a
+    pair's :meth:`detected` moments, so :meth:`pair_moments` is the one
+    statement of the cross-pair rule and :func:`optics.apply_loss` the one
+    loss map.
     ``thresholds_mv`` holds each quadrant's closed-form SNR = 1 thresholds
     (twin-beam for its matched and its cross pairs, coherent, optimal); each
     analytic SNR curve is the line through its threshold."""
@@ -387,11 +377,14 @@ class SensingChain(NamedTuple):
 
     def pair_moments(self, i: int, j: int) -> TwinBeamMoments:
         """Quadrant pair (p_i, c_j); uncorrelated quadrants share no covariance."""
-        return _pair_moments(self.cut, i == j)
+        cut = self.cut
+        if i == j:
+            return cut
+        return TwinBeamMoments(cut.mean_p, cut.mean_c, cut.var_p, cut.var_c, 0.0)
 
     def detected(self, i: int, j: int) -> TwinBeamMoments:
         """Moments of the quadrant pair (p_i, c_j) after its loss channel."""
-        return _detected(self.cut, self.pair_channel(i), i == j)
+        return apply_loss(self.pair_moments(i, j), self.pair_channel(i))
 
     def noise_off(self, i: int, j: int) -> float:
         """Modulation-off difference noise, using the correlated pair's g."""
@@ -399,7 +392,7 @@ class SensingChain(NamedTuple):
 
     def snl(self, i: int) -> float:
         """Shot-noise level of any pair probed at quadrant i."""
-        return detection.snl_noise(self.detected(i, i), self.reports[i].gain)
+        return self.reports[i].snl
 
     def signal(self, i: int, voltage_mv):
         """Signal power of sensor i at a drive voltage, or the list of
@@ -590,12 +583,24 @@ def build_chain(scenario: Scenario) -> SensingChain:
     clip = quadrant_transmission(scenario.waist_c_um, scenario.layout)
     eta_c = clip * scenario.mask_transmission * scenario.quantum_efficiency
 
+    chain = SensingChain(
+        scenario=scenario,
+        source_params=params,
+        eta_optics=eta_optics,
+        beam=m1,
+        grid=grid,
+        cut=cut,
+        channels_p={},
+        eta_c=eta_c,
+        reports={},
+        residuals_db=residuals_db,
+        stage_budget=[],
+        thresholds_mv={},
+    )
+
     # Per-quadrant probe transmission fitted to the measured residual
     # squeezing; the EOT transmission and window clipping set its scale and
     # the fit absorbs unmodeled path losses.
-    channels_p = {}
-    reports = {}
-    thresholds = {}
     for q in QUADRANTS:
         target_db = scenario.residual_db[q - 1]
         ratio = _db_ratio(target_db, f"calibration.residual_db[{q - 1}]")
@@ -604,20 +609,22 @@ def build_chain(scenario: Scenario) -> SensingChain:
             raise FitInfeasibleError(
                 f"residual squeezing {target_db} dB unreachable for quadrant {q}"
             )
-        channels_p[q] = eta_p
-        channel = LossChannel(eta_p, eta_c)
-        matched = _detected(cut, channel, True)
+        chain.channels_p[q] = eta_p
+        matched = chain.detected(q, q)
         rep = detection.squeezing_report(matched, detection.optimal_gain(matched))
-        reports[q] = rep
+        chain.reports[q] = rep
         residuals_db[f"residual_q{q}"] = rep.ratio_db - target_db
         # An analytic SNR sqrt(s / n), with s = floor * (V / V_t)**2, crosses
         # 1 at V_t * sqrt(n / floor): V_t itself for the matched twin-beam
-        # noise, the floor. The coherent and optimal (probe-only) noises read
-        # only the detected means, which all the quadrant's pairs share.
-        cross = detection.difference_noise(_detected(cut, channel, False), rep.gain)
+        # noise, the floor. Every cross pair probed at q has the same noise.
+        # The coherent and optimal (probe-only) noises read only the
+        # detected means, which all the quadrant's pairs share.
+        cross = chain.noise_off(q, q % len(QUADRANTS) + 1)
         v_t = scenario.threshold_targets_mv[q - 1]
         noises = (rep.diff_variance, cross, rep.snl, matched.mean_p)
-        thresholds[q] = tuple(v_t * math.sqrt(n / rep.diff_variance) for n in noises)
+        chain.thresholds_mv[q] = tuple(
+            v_t * math.sqrt(n / rep.diff_variance) for n in noises
+        )
 
     # Transduction gate: a sensor that transmits no light, or whose
     # resonance has no slope at the operating wavelength, has no signal
@@ -630,23 +637,9 @@ def build_chain(scenario: Scenario) -> SensingChain:
                 f"sensor {q} has no transduction at the operating wavelength"
             )
 
-    sensors = ((f"sensor_q{q}", rep) for q, rep in reports.items())
-    budget = [
+    sensors = ((f"sensor_q{q}", rep) for q, rep in chain.reports.items())
+    chain.stage_budget.extend(
         StageBudget(label, rep.ratio_db, rep.gain, rep.gain_db)
         for label, rep in (*staged.items(), *sensors)
-    ]
-
-    return SensingChain(
-        scenario=scenario,
-        source_params=params,
-        eta_optics=eta_optics,
-        beam=m1,
-        grid=grid,
-        cut=cut,
-        channels_p=channels_p,
-        eta_c=eta_c,
-        reports=reports,
-        residuals_db=residuals_db,
-        stage_budget=budget,
-        thresholds_mv=thresholds,
     )
+    return chain

@@ -77,7 +77,7 @@ def loaded_after(argv, cwd, module="quadsense.cli"):
         "verify",
     ],
 )
-def test_subcommand_imports_only_the_scipy_it_runs(tmp_path, module, argv, rcs, numpy):
+def test_subcommand_imports_only_what_it_runs(tmp_path, module, argv, rcs, numpy):
     if argv:
         argv = argv + ["--out", str(tmp_path)]
     result = loaded_after(argv, tmp_path, module)

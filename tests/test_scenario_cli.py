@@ -34,6 +34,7 @@ from quadsense.scenario import (
     StageBudget,
     build_chain,
     dump_scenario,
+    load_scenario,
 )
 from quadsense.source import build_coherence_grid, fwm_moments
 
@@ -94,6 +95,30 @@ def test_chain_reproduces_threshold_targets(chain):
     for q, target in zip((1, 2, 3, 4), chain.scenario.threshold_targets_mv):
         rep = chain.enhancement_report(q)
         assert rep.v_tb == pytest.approx(target, abs=1e-6)
+
+
+def test_calibration_reads_every_pair_through_the_chain(monkeypatch):
+    # Calibration forms each quadrant's matched pair and a cross pair with
+    # the chain's own methods, so the cross-pair rule has one statement.
+    formed = []
+    detected = SensingChain.detected
+
+    def recording(chain, i, j):
+        formed.append((i, j))
+        return detected(chain, i, j)
+
+    monkeypatch.setattr(SensingChain, "detected", recording)
+    chain = build_chain(load_scenario())
+    for q in (1, 2, 3, 4):
+        assert (q, q) in formed
+        assert any(i == q and j != q for i, j in formed)
+    for q in (1, 2, 3, 4):
+        v_t = chain.scenario.threshold_targets_mv[q - 1]
+        floor = chain.reports[q].diff_variance
+        for j in (1, 2, 3, 4):
+            if j != q:
+                cross = v_t * math.sqrt(chain.noise_off(q, j) / floor)
+                assert chain.thresholds_mv[q][1] == cross
 
 
 def test_every_budget_row_is_a_noise_report(chain):
