@@ -1,8 +1,6 @@
 """Exception hierarchy for the quadsense simulator, and :func:`validated`,
 which makes a record type check its fields."""
 
-import functools
-
 
 class QuadsenseError(Exception):
     """Base class for all package errors."""
@@ -46,14 +44,25 @@ class TailMassError(QuadsenseError):
 def validated(cls):
     """Class decorator: each new instance of ``cls``, a ``typing.NamedTuple``,
     is passed to its ``__post_init__``, which raises on an invalid field.
-    ``_make`` and ``_replace`` build tuples directly and skip the check."""
-    new, check = cls.__new__, cls.__post_init__
 
-    @functools.wraps(new)
-    def __new__(cls_, *args, **kwargs):
-        self = new(cls_, *args, **kwargs)
-        check(self)
-        return self
-
-    cls.__new__ = __new__
+    The check rides on one ``__new__`` made once per class, with the
+    record's own parameter list and defaults, as ``namedtuple`` makes its
+    own: it builds the tuple with ``tuple.__new__`` and checks it, so a
+    missing or unknown argument is a ``TypeError`` as before, and pickling
+    and copying check the fields too. ``_make`` and ``_replace`` build
+    tuples directly and skip the check."""
+    args = ", ".join(cls._fields)
+    namespace = {"_tuple_new": tuple.__new__, "_check": cls.__post_init__}
+    exec(
+        f"def __new__(_cls, {args}):\n"
+        f"    _self = _tuple_new(_cls, ({args},))\n"
+        f"    _check(_self)\n"
+        f"    return _self\n",
+        namespace,
+    )
+    new = namespace["__new__"]
+    new.__defaults__ = cls.__new__.__defaults__
+    new.__doc__ = cls.__new__.__doc__
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    cls.__new__ = new
     return cls

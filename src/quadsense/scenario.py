@@ -354,7 +354,10 @@ class SensingChain(NamedTuple):
     loss map.
     ``thresholds_mv`` holds each quadrant's closed-form SNR = 1 thresholds
     (twin-beam for its matched and its cross pairs, coherent, optimal); each
-    analytic SNR curve is the line through its threshold."""
+    analytic SNR curve is the line through its threshold. ``snr_lines``
+    holds those four lines, ``V / V_th`` over the sweep voltages (None
+    where a threshold is 0), formed once per sensor and kind;
+    :meth:`snr_sweep` reads them."""
 
     scenario: Scenario
     source_params: FwmSourceParams
@@ -368,6 +371,7 @@ class SensingChain(NamedTuple):
     residuals_db: dict
     stage_budget: list
     thresholds_mv: dict
+    snr_lines: dict
 
     # -- per-pair measurement quantities -------------------------------
 
@@ -408,7 +412,10 @@ class SensingChain(NamedTuple):
 
     def snr_sweep(self, pair) -> dict:
         """Analytic SNR curves (twin, coherent, optimal) for one pair over
-        the scenario's sweep voltages, each ``V / V_th``."""
+        the scenario's sweep voltages, each ``V / V_th``: the sensor's lines
+        in :attr:`snr_lines`, formed once by :func:`build_chain`, so every
+        pair probed at one quadrant shares its coherent and optimal lines,
+        and every cross pair its twin line."""
         i, j = pair
         v = self.scenario.sweep_voltages_mv
         # The largest swept signal is finite exactly when every one is.
@@ -421,9 +428,11 @@ class SensingChain(NamedTuple):
                 f"an SNR = 1 threshold of sensor {i} underflows to 0: its threshold "
                 f"{matched:g} mV in calibration.threshold_targets_mv is too small"
             )
+        twin, cross_twin, coherent, optimal = self.snr_lines[i]
         return {
-            kind: analysis.SNRCurve(pair, kind, v, tuple(x / t for x in v))
-            for kind, t in zip(("twin", "coherent", "optimal"), v_th)
+            "twin": analysis.SNRCurve(pair, "twin", v, twin if i == j else cross_twin),
+            "coherent": analysis.SNRCurve(pair, "coherent", v, coherent),
+            "optimal": analysis.SNRCurve(pair, "optimal", v, optimal),
         }
 
     def sampled_snr_sweep(self, pairs, n_samples: int, seed: int) -> list:
@@ -596,6 +605,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
         residuals_db=residuals_db,
         stage_budget=[],
         thresholds_mv={},
+        snr_lines={},
     )
 
     # Per-quadrant probe transmission fitted to the measured residual
@@ -622,9 +632,15 @@ def build_chain(scenario: Scenario) -> SensingChain:
         cross = chain.noise_off(q, q % len(QUADRANTS) + 1)
         v_t = scenario.threshold_targets_mv[q - 1]
         noises = (rep.diff_variance, cross, rep.snl, matched.mean_p)
-        chain.thresholds_mv[q] = tuple(
-            v_t * math.sqrt(n / rep.diff_variance) for n in noises
-        )
+        thresholds = tuple(v_t * math.sqrt(n / rep.diff_variance) for n in noises)
+        chain.thresholds_mv[q] = thresholds
+        # Each kind's analytic SNR curve is the line V / V_th, the same for
+        # every pair that reads it; a threshold that underflows to 0 has none.
+        lines = [
+            tuple([v / t for v in scenario.sweep_voltages_mv]) if t != 0.0 else None
+            for t in thresholds
+        ]
+        chain.snr_lines[q] = tuple(lines)
 
     # Transduction gate: a sensor that transmits no light, or whose
     # resonance has no slope at the operating wavelength, has no signal

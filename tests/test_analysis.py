@@ -254,6 +254,22 @@ def test_every_pair_sweep_is_its_from_scratch_value_to_the_bit(name):
             assert chain.snr_sweep((q, q))["twin"].snr == tuple(x / v_t for x in v)
 
 
+@pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+def test_pairs_probed_at_one_quadrant_share_their_lines(name):
+    # Each sensor's lines are formed once: every pair probed at quadrant i
+    # reads the same coherent and optimal line, and every cross pair the
+    # same twin-beam line, object for object.
+    chain = build_chain(Scenario.from_dict(SWEEP_SCENARIOS[name]))
+    for i in (1, 2, 3, 4):
+        sweeps = {j: chain.snr_sweep((i, j)) for j in (1, 2, 3, 4)}
+        for kind in ("coherent", "optimal"):
+            first = sweeps[1][kind].snr
+            assert all(sweeps[j][kind].snr is first for j in sweeps), (i, kind)
+        cross = [sweeps[j]["twin"].snr for j in sweeps if j != i]
+        assert all(snr is cross[0] for snr in cross), i
+        assert chain.snr_sweep((i, i))["twin"].snr is sweeps[i]["twin"].snr
+
+
 def test_chains_from_different_scenarios_keep_their_own_sweeps():
     first = build_chain(Scenario.from_dict(SWEEP_SCENARIOS["default"]))
     other = build_chain(Scenario.from_dict(SWEEP_SCENARIOS["threshold_targets"]))

@@ -780,6 +780,16 @@ def test_cli_dump_config_round_trips(tmp_path, capsys):
     dumped = capsys.readouterr().out
     again = Scenario.from_dict(yaml.safe_load(dumped))
     assert again.seed == default_scenario_dict()["seed"]
+    # The dumped scenario loads back and sweeps to the packaged bytes.
+    path = tmp_path / "scenario.yaml"
+    path.write_text(dumped)
+    for name, source in (("packaged", ()), ("dumped", ("--scenario", str(path)))):
+        out = ("--out", str(tmp_path / name))
+        assert run_cli("snr-sweep", *source, *out) == 0
+        assert run_cli("fig4", *source, "--samples", "20000", *out) == 0
+    for name in ("snr_sweep.csv", "enhancement.json", "fig4_sweep.csv"):
+        packaged = (tmp_path / "packaged" / name).read_bytes()
+        assert (tmp_path / "dumped" / name).read_bytes() == packaged, name
 
 
 def test_cli_squeezing_budget(tmp_path):
