@@ -177,7 +177,7 @@ def _cmd_fig3(scenario: Scenario, args, out: Path) -> int:
     ]
     rows = []
     for q in QUADRANTS:
-        rep = chain.reports[q]
+        rep = chain.sensors[q - 1].report
         snl, s_off = rep.snl, rep.diff_variance
         signals = chain.signal(q, drives)
         for k in bins:

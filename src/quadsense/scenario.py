@@ -18,6 +18,10 @@ chain, every step in closed form:
 3. a transduction gate: every sensor must transmit light and have a
    non-zero resonance slope at the operating wavelength.
 
+The chain is built once, an immutable :class:`SensingChain` holding one
+:class:`Sensor` record per quadrant; :func:`_detected` is the one
+statement of the cross-pair rule.
+
 Each sensor's signal then follows from its threshold target alone: its
 drive coefficient is the one that puts the twin-beam SNR = 1 threshold on
 the target, so the signal is the modulation-off floor times
@@ -345,19 +349,35 @@ def sweep_statistics(moments, gains, n: int, seed: int) -> list:
     return stats
 
 
+class Sensor(NamedTuple):
+    """One calibrated sensor, built once by :func:`build_chain`: its probe
+    transmission ``eta_p``, the optimal-gain noise ``report`` of its
+    matched pair, its closed-form SNR = 1 ``thresholds_mv`` (twin-beam for
+    its matched and its cross pairs, coherent, optimal) and the four
+    analytic SNR ``lines`` through them, ``V / V_th`` over the sweep
+    voltages (None where a threshold is 0)."""
+
+    eta_p: float
+    report: detection.NoiseReport
+    thresholds_mv: tuple
+    lines: tuple
+
+
+def _detected(cut: TwinBeamMoments, channel: LossChannel, i: int, j: int):
+    """Moments of the quadrant pair (p_i, c_j) of ``cut`` after ``channel``:
+    uncorrelated quadrants share no covariance."""
+    if i != j:
+        cut = TwinBeamMoments(cut.mean_p, cut.mean_c, cut.var_p, cut.var_c, 0.0)
+    return apply_loss(cut, channel)
+
+
 class SensingChain(NamedTuple):
-    """Scenario after calibration: everything the sweeps and oracles need,
-    ``beam`` being the moments after the imaging optics, before the cut.
-    Calibration, the analytic noises and the sampled oracle all read a
-    pair's :meth:`detected` moments, so :meth:`pair_moments` is the one
-    statement of the cross-pair rule and :func:`optics.apply_loss` the one
-    loss map.
-    ``thresholds_mv`` holds each quadrant's closed-form SNR = 1 thresholds
-    (twin-beam for its matched and its cross pairs, coherent, optimal); each
-    analytic SNR curve is the line through its threshold. ``snr_lines``
-    holds those four lines, ``V / V_th`` over the sweep voltages (None
-    where a threshold is 0), formed once per sensor and kind;
-    :meth:`snr_sweep` reads them."""
+    """Scenario after calibration, built once by :func:`build_chain`, with
+    ``beam`` the moments after the imaging optics, before the cut, and
+    ``sensors`` one :class:`Sensor` per quadrant in :data:`QUADRANTS` order.
+    Calibration, the analytic noises and the sampled oracle read every pair
+    through :func:`_detected`, the one statement of the cross-pair rule, and
+    :func:`optics.apply_loss` is the one loss map."""
 
     scenario: Scenario
     source_params: FwmSourceParams
@@ -365,45 +385,27 @@ class SensingChain(NamedTuple):
     beam: TwinBeamMoments
     grid: CoherenceGrid
     cut: TwinBeamMoments
-    channels_p: dict
     eta_c: float
-    reports: dict
+    sensors: tuple[Sensor, ...]
     residuals_db: dict
     stage_budget: list
-    thresholds_mv: dict
-    snr_lines: dict
 
     # -- per-pair measurement quantities -------------------------------
 
     def pair_channel(self, i: int) -> LossChannel:
         """Channel of any pair probed at quadrant i."""
-        return LossChannel(self.channels_p[i], self.eta_c)
-
-    def pair_moments(self, i: int, j: int) -> TwinBeamMoments:
-        """Quadrant pair (p_i, c_j); uncorrelated quadrants share no covariance."""
-        cut = self.cut
-        if i == j:
-            return cut
-        return TwinBeamMoments(cut.mean_p, cut.mean_c, cut.var_p, cut.var_c, 0.0)
+        return LossChannel(self.sensors[i - 1].eta_p, self.eta_c)
 
     def detected(self, i: int, j: int) -> TwinBeamMoments:
         """Moments of the quadrant pair (p_i, c_j) after its loss channel."""
-        return apply_loss(self.pair_moments(i, j), self.pair_channel(i))
-
-    def noise_off(self, i: int, j: int) -> float:
-        """Modulation-off difference noise, using the correlated pair's g."""
-        return detection.difference_noise(self.detected(i, j), self.reports[i].gain)
-
-    def snl(self, i: int) -> float:
-        """Shot-noise level of any pair probed at quadrant i."""
-        return self.reports[i].snl
+        return _detected(self.cut, self.pair_channel(i), i, j)
 
     def signal(self, i: int, voltage_mv):
         """Signal power of sensor i at a drive voltage, or the list of
         powers at a sequence of them: its modulation-off floor times
         (V / threshold target)^2."""
         return plasmonic.modulation_signal(
-            self.reports[i].diff_variance,
+            self.sensors[i - 1].report.diff_variance,
             voltage_mv,
             self.scenario.threshold_targets_mv[i - 1],
         )
@@ -412,15 +414,16 @@ class SensingChain(NamedTuple):
 
     def snr_sweep(self, pair) -> dict:
         """Analytic SNR curves (twin, coherent, optimal) for one pair over
-        the scenario's sweep voltages, each ``V / V_th``: the sensor's lines
-        in :attr:`snr_lines`, formed once by :func:`build_chain`, so every
+        the scenario's sweep voltages, each ``V / V_th``: the sensor's
+        :attr:`Sensor.lines`, formed once by :func:`build_chain`, so every
         pair probed at one quadrant shares its coherent and optimal lines,
         and every cross pair its twin line."""
         i, j = pair
         v = self.scenario.sweep_voltages_mv
         # The largest swept signal is finite exactly when every one is.
         self.signal(i, v[-1])
-        matched, cross, *others = self.thresholds_mv[i]
+        sensor = self.sensors[i - 1]
+        matched, cross, *others = sensor.thresholds_mv
         v_th = (matched if i == j else cross, *others)
         # A threshold that underflows to 0 draws no line.
         if 0.0 in v_th:
@@ -428,7 +431,7 @@ class SensingChain(NamedTuple):
                 f"an SNR = 1 threshold of sensor {i} underflows to 0: its threshold "
                 f"{matched:g} mV in calibration.threshold_targets_mv is too small"
             )
-        twin, cross_twin, coherent, optimal = self.snr_lines[i]
+        twin, cross_twin, coherent, optimal = sensor.lines
         return {
             "twin": analysis.SNRCurve(pair, "twin", v, twin if i == j else cross_twin),
             "coherent": analysis.SNRCurve(pair, "coherent", v, coherent),
@@ -453,7 +456,7 @@ class SensingChain(NamedTuple):
         v = self.scenario.sweep_voltages_mv
         stats = sweep_statistics(
             [self.detected(i, j) for i, j in pairs],
-            [self.reports[i].gain for i, _ in pairs],
+            [self.sensors[i - 1].report.gain for i, _ in pairs],
             n_samples,
             seed,
         )
@@ -476,13 +479,13 @@ class SensingChain(NamedTuple):
 
     def enhancement_report(self, i: int) -> analysis.EnhancementReport:
         """SNR = 1 thresholds of the pair (i, i), in closed form."""
-        rep = self.reports[i]
+        sensor = self.sensors[i - 1]
         v_max = self.scenario.sweep_voltages_mv[-1]
         # The signal grows with V, so the twin curve's largest swept point
         # has no threshold exactly when a fit of the whole curve has none.
-        snr = math.sqrt(self.signal(i, v_max) / rep.diff_variance)
+        snr = math.sqrt(self.signal(i, v_max) / sensor.report.diff_variance)
         analysis.threshold_voltage(analysis.SNRCurve((i, i), "twin", (v_max,), (snr,)))
-        v_tb, _, v_cs, v_opt = self.thresholds_mv[i]
+        v_tb, _, v_cs, v_opt = sensor.thresholds_mv
         return analysis.EnhancementReport(
             pair=(i, i),
             v_tb=v_tb,
@@ -592,25 +595,10 @@ def build_chain(scenario: Scenario) -> SensingChain:
     clip = quadrant_transmission(scenario.waist_c_um, scenario.layout)
     eta_c = clip * scenario.mask_transmission * scenario.quantum_efficiency
 
-    chain = SensingChain(
-        scenario=scenario,
-        source_params=params,
-        eta_optics=eta_optics,
-        beam=m1,
-        grid=grid,
-        cut=cut,
-        channels_p={},
-        eta_c=eta_c,
-        reports={},
-        residuals_db=residuals_db,
-        stage_budget=[],
-        thresholds_mv={},
-        snr_lines={},
-    )
-
     # Per-quadrant probe transmission fitted to the measured residual
     # squeezing; the EOT transmission and window clipping set its scale and
     # the fit absorbs unmodeled path losses.
+    sensors = []
     for q in QUADRANTS:
         target_db = scenario.residual_db[q - 1]
         ratio = _db_ratio(target_db, f"calibration.residual_db[{q - 1}]")
@@ -619,28 +607,28 @@ def build_chain(scenario: Scenario) -> SensingChain:
             raise FitInfeasibleError(
                 f"residual squeezing {target_db} dB unreachable for quadrant {q}"
             )
-        chain.channels_p[q] = eta_p
-        matched = chain.detected(q, q)
+        channel = LossChannel(eta_p, eta_c)
+        matched = _detected(cut, channel, q, q)
         rep = detection.squeezing_report(matched, detection.optimal_gain(matched))
-        chain.reports[q] = rep
         residuals_db[f"residual_q{q}"] = rep.ratio_db - target_db
+        staged[f"sensor_q{q}"] = rep  # the stage budget's sensor row
         # An analytic SNR sqrt(s / n), with s = floor * (V / V_t)**2, crosses
         # 1 at V_t * sqrt(n / floor): V_t itself for the matched twin-beam
         # noise, the floor. Every cross pair probed at q has the same noise.
         # The coherent and optimal (probe-only) noises read only the
         # detected means, which all the quadrant's pairs share.
-        cross = chain.noise_off(q, q % len(QUADRANTS) + 1)
+        other = _detected(cut, channel, q, q % len(QUADRANTS) + 1)
+        cross = detection.difference_noise(other, rep.gain)
         v_t = scenario.threshold_targets_mv[q - 1]
         noises = (rep.diff_variance, cross, rep.snl, matched.mean_p)
         thresholds = tuple(v_t * math.sqrt(n / rep.diff_variance) for n in noises)
-        chain.thresholds_mv[q] = thresholds
         # Each kind's analytic SNR curve is the line V / V_th, the same for
         # every pair that reads it; a threshold that underflows to 0 has none.
-        lines = [
+        lines = tuple(
             tuple([v / t for v in scenario.sweep_voltages_mv]) if t != 0.0 else None
             for t in thresholds
-        ]
-        chain.snr_lines[q] = tuple(lines)
+        )
+        sensors.append(Sensor(eta_p, rep, thresholds, lines))
 
     # Transduction gate: a sensor that transmits no light, or whose
     # resonance has no slope at the operating wavelength, has no signal
@@ -653,9 +641,18 @@ def build_chain(scenario: Scenario) -> SensingChain:
                 f"sensor {q} has no transduction at the operating wavelength"
             )
 
-    sensors = ((f"sensor_q{q}", rep) for q, rep in chain.reports.items())
-    chain.stage_budget.extend(
-        StageBudget(label, rep.ratio_db, rep.gain, rep.gain_db)
-        for label, rep in (*staged.items(), *sensors)
+    return SensingChain(
+        scenario=scenario,
+        source_params=params,
+        eta_optics=eta_optics,
+        beam=m1,
+        grid=grid,
+        cut=cut,
+        eta_c=eta_c,
+        sensors=tuple(sensors),
+        residuals_db=residuals_db,
+        stage_budget=[
+            StageBudget(label, rep.ratio_db, rep.gain, rep.gain_db)
+            for label, rep in staged.items()
+        ],
     )
-    return chain

@@ -89,7 +89,7 @@ def test_criterion_4_threshold_squeezing_law(chain):
     predicted = []
     for q in (1, 2, 3, 4):
         rep = chain.enhancement_report(q)
-        expected = 10.0 ** (abs(chain.reports[q].ratio_db) / 20.0)
+        expected = 10.0 ** (abs(chain.sensors[q - 1].report.ratio_db) / 20.0)
         ratio = rep.v_cs / rep.v_tb
         ok &= abs(ratio - expected) <= 1e-9 * expected
         ok &= 21.45 <= rep.enhancement_pct <= 23.65
@@ -134,16 +134,19 @@ def test_criterion_6_uncorrelated_pairs_add_in_quadrature(chain):
         for j in (1, 2, 3, 4):
             if i == j:
                 continue
-            m = chain.pair_moments(i, j)
+            # A cross pair keeps the cut's means and variances.
+            m, d = chain.cut, chain.detected(i, j)
             ch = chain.pair_channel(i)
-            g = chain.reports[i].gain
-            ok &= m.cov == 0.0
+            rep = chain.sensors[i - 1].report
+            g = rep.gain
+            ok &= d.cov == 0.0
             var_p = ch.eta_p**2 * (m.var_p - m.mean_p) + ch.eta_p * m.mean_p
             var_c = ch.eta_c**2 * (m.var_c - m.mean_c) + ch.eta_c * m.mean_c
             total = var_p + g**2 * var_c
-            ok &= abs(chain.noise_off(i, j) - total) <= 1e-12 * total
+            noise_off = difference_noise(d, g)
+            ok &= abs(noise_off - total) <= 1e-12 * total
             # Excess thermal noise keeps every cross pair above the SNL.
-            ok &= chain.noise_off(i, j) > chain.snl(i)
+            ok &= noise_off > rep.snl
     _report(6, "12 cross pairs add in quadrature and sit above the SNL", ok)
 
 

@@ -13,9 +13,8 @@ from quadsense.analysis import (
     threshold_voltage,
 )
 from quadsense.errors import FitInfeasibleError, ValidationError
-from quadsense.optics import apply_loss
 from quadsense.plasmonic import modulation_signal
-from quadsense.scenario import Scenario, build_chain
+from quadsense.scenario import Scenario, SensingChain, Sensor, build_chain
 
 
 def test_signal_estimate():
@@ -88,7 +87,7 @@ def test_sixteen_pairs_split_into_correlated_and_uncorrelated(chain):
     uncorrelated = 0
     for i in (1, 2, 3, 4):
         for j in (1, 2, 3, 4):
-            if chain.pair_moments(i, j).cov > 0:
+            if chain.detected(i, j).cov > 0:
                 correlated += 1
             else:
                 uncorrelated += 1
@@ -106,7 +105,7 @@ def test_threshold_squeezing_law(chain):
     # v_cs / v_tb = 10^(|squeezing dB| / 20) exactly in the analytic model.
     for q in (1, 2, 3, 4):
         rep = chain.enhancement_report(q)
-        expected = 10.0 ** (abs(chain.reports[q].ratio_db) / 20.0)
+        expected = 10.0 ** (abs(chain.sensors[q - 1].report.ratio_db) / 20.0)
         assert rep.v_cs / rep.v_tb == pytest.approx(expected, rel=1e-9)
 
 
@@ -175,7 +174,7 @@ def test_signal_sweep_is_the_per_voltage_signal_to_the_bit(chain):
     sc = chain.scenario
     v = np.asarray(sc.sweep_voltages_mv + (0.0, 1e-3, 7.77, 1e4), float)
     for q in (1, 2, 3, 4):
-        floor, v_th = chain.reports[q].diff_variance, sc.threshold_targets_mv[q - 1]
+        floor, v_th = chain.sensors[q - 1].report.diff_variance, sc.threshold_targets_mv[q - 1]
         swept = chain.signal(q, v)
         for vk, s in zip(v, swept):
             assert s == modulation_signal(floor, float(vk), v_th), (q, vk)
@@ -186,8 +185,8 @@ def test_signal_sweep_is_the_per_voltage_signal_to_the_bit(chain):
 def _pair_noises(chain, i, j):
     """A pair's three analytic noises, read from its moments after its
     loss channel."""
-    d = apply_loss(chain.pair_moments(i, j), chain.pair_channel(i))
-    g = chain.reports[i].gain
+    d = chain.detected(i, j)
+    g = chain.sensors[i - 1].report.gain
     return {
         "twin": detection.difference_noise(d, g),
         "coherent": detection.snl_noise(d, g),
@@ -200,7 +199,7 @@ def _from_scratch_curves(chain, i, j):
     V / V_th: the line through the closed-form SNR = 1 threshold
     V_th = V_t * sqrt(noise / floor)."""
     sc = chain.scenario
-    floor, v_t = chain.reports[i].diff_variance, sc.threshold_targets_mv[i - 1]
+    floor, v_t = chain.sensors[i - 1].report.diff_variance, sc.threshold_targets_mv[i - 1]
     return {
         kind: tuple(v / (v_t * math.sqrt(n / floor)) for v in sc.sweep_voltages_mv)
         for kind, n in _pair_noises(chain, i, j).items()
@@ -211,7 +210,7 @@ def _assert_signal_law_agrees(chain, i, j, curves):
     """Each point lies within 4 ulp of sqrt(signal / noise) with the signal
     of the per-voltage law, and prints the same at the artifacts' %.9g."""
     sc = chain.scenario
-    floor, v_t = chain.reports[i].diff_variance, sc.threshold_targets_mv[i - 1]
+    floor, v_t = chain.sensors[i - 1].report.diff_variance, sc.threshold_targets_mv[i - 1]
     for kind, n in _pair_noises(chain, i, j).items():
         for v, snr in zip(sc.sweep_voltages_mv, curves[kind]):
             law = math.sqrt(modulation_signal(floor, v, v_t) / n)
@@ -283,3 +282,33 @@ def test_chains_from_different_scenarios_keep_their_own_sweeps():
     # A chain of the same scenario has the same value and repr.
     fresh = build_chain(Scenario.from_dict(SWEEP_SCENARIOS["default"]))
     assert first == fresh and repr(first) == repr(fresh)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+def test_chain_holds_one_sensor_record_per_quadrant(name):
+    # The chain is built once: each quadrant's calibration is one Sensor,
+    # read as chain.sensors[q - 1], and the chain has no per-quadrant table.
+    chain = build_chain(Scenario.from_dict(SWEEP_SCENARIOS[name]))
+    assert SensingChain._fields == (
+        "scenario",
+        "source_params",
+        "eta_optics",
+        "beam",
+        "grid",
+        "cut",
+        "eta_c",
+        "sensors",
+        "residuals_db",
+        "stage_budget",
+    )
+    assert Sensor._fields == ("eta_p", "report", "thresholds_mv", "lines")
+    assert len(chain.sensors) == 4
+    for q in (1, 2, 3, 4):
+        sensor = chain.sensors[q - 1]
+        assert isinstance(sensor, Sensor)
+        ratio = 10 ** (chain.scenario.residual_db[q - 1] / 10)
+        eta_p = detection.probe_transmission_for_ratio(chain.cut, chain.eta_c, ratio)
+        assert sensor.eta_p == eta_p
+        assert chain.pair_channel(q).eta_p == eta_p
+        d = chain.detected(q, q)
+        assert sensor.report == detection.squeezing_report(d, detection.optimal_gain(d))

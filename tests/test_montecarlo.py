@@ -473,7 +473,7 @@ def test_sampled_sweep_draws_the_chains_detected_moments(chain, monkeypatch):
     pairs = QUADRANT_PAIRS + [(1, 2), (3, 4)]
     chain.sampled_snr_sweep(pairs, 1000, 5)
     detected = [chain.detected(i, j) for i, j in pairs]
-    gains = [chain.reports[i].gain for i, _ in pairs]
+    gains = [chain.sensors[i - 1].report.gain for i, _ in pairs]
     assert handed == [(detected, gains, 1000, 5)]
 
 
@@ -534,7 +534,7 @@ def test_sampled_sweep_noise_is_the_sample_variance(chain, monkeypatch, seed):
     assert len(recorded) == len(QUADRANT_PAIRS) * len(voltages)
 
     moments = [chain.detected(i, j) for i, j in QUADRANT_PAIRS]
-    gains = [chain.reports[i].gain for i, _ in QUADRANT_PAIRS]
+    gains = [chain.sensors[i - 1].report.gain for i, _ in QUADRANT_PAIRS]
     tone = _tone(n)
     points = iter(recorded)
     for (q, _), diff in zip(QUADRANT_PAIRS, _differences(moments, gains, z)):
@@ -554,7 +554,7 @@ def test_sweep_statistics_follow_the_sampled_distribution(chain, n):
     draws = 4000
     pairs = QUADRANT_PAIRS + [(1, 2)]
     moments = [chain.detected(i, j) for i, j in pairs]
-    gains = [chain.reports[i].gain for i, _ in pairs]
+    gains = [chain.sensors[i - 1].report.gain for i, _ in pairs]
     drawn = np.array(
         [scenario.sweep_statistics(moments, gains, n, seed) for seed in range(draws)]
     )
@@ -580,7 +580,7 @@ def test_sweep_statistics_at_the_sample_cap_follow_their_distribution(chain):
     n, draws = cli.MAX_SAMPLES, 4000
     pairs = QUADRANT_PAIRS + [(1, 2)]
     moments = [chain.detected(i, j) for i, j in pairs]
-    gains = [chain.reports[i].gain for i, _ in pairs]
+    gains = [chain.sensors[i - 1].report.gain for i, _ in pairs]
     w2 = np.array([difference_noise(m, g) for m, g in zip(moments, gains)])
     drawn = np.array(
         [scenario.sweep_statistics(moments, gains, n, seed) for seed in range(draws)]
@@ -605,7 +605,7 @@ def test_sweep_statistics_of_two_samples_are_degenerate(chain):
     # Two samples span one direction after centring, the tone's: the
     # difference current is all tone, so its correlation with it is +-1.
     moments = [chain.detected(i, j) for i, j in QUADRANT_PAIRS + [(1, 2)]]
-    gains = [chain.reports[i].gain for i, _ in QUADRANT_PAIRS + [(1, 2)]]
+    gains = [chain.sensors[i - 1].report.gain for i, _ in QUADRANT_PAIRS + [(1, 2)]]
     for seed in range(20):
         for s_off, tone_cov, tone_var in scenario.sweep_statistics(
             moments, gains, 2, seed

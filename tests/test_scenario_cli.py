@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import csv
@@ -10,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,9 @@ from hypothesis import strategies as st
 
 from conftest import default_scenario_dict
 from quadsense import cli
+from quadsense import scenario as scenario_module
 from quadsense.detection import (
+    difference_noise,
     optimal_gain,
     probe_transmission_for_ratio,
     squeezing_report,
@@ -99,32 +103,35 @@ def test_chain_reproduces_threshold_targets(chain):
 
 def test_calibration_reads_every_pair_through_the_chain(monkeypatch):
     # Calibration forms each quadrant's matched pair and a cross pair with
-    # the chain's own methods, so the cross-pair rule has one statement.
+    # scenario._detected, which SensingChain.detected also calls, so the
+    # cross-pair rule has one statement.
     formed = []
-    detected = SensingChain.detected
+    detected = scenario_module._detected
 
-    def recording(chain, i, j):
+    def recording(cut, channel, i, j):
         formed.append((i, j))
-        return detected(chain, i, j)
+        return detected(cut, channel, i, j)
 
-    monkeypatch.setattr(SensingChain, "detected", recording)
+    monkeypatch.setattr(scenario_module, "_detected", recording)
     chain = build_chain(load_scenario())
     for q in (1, 2, 3, 4):
         assert (q, q) in formed
         assert any(i == q and j != q for i, j in formed)
     for q in (1, 2, 3, 4):
         v_t = chain.scenario.threshold_targets_mv[q - 1]
-        floor = chain.reports[q].diff_variance
+        rep = chain.sensors[q - 1].report
+        floor = rep.diff_variance
         for j in (1, 2, 3, 4):
             if j != q:
-                cross = v_t * math.sqrt(chain.noise_off(q, j) / floor)
-                assert chain.thresholds_mv[q][1] == cross
+                noise = difference_noise(chain.detected(q, j), rep.gain)
+                cross = v_t * math.sqrt(noise / floor)
+                assert chain.sensors[q - 1].thresholds_mv[1] == cross
 
 
 def test_every_budget_row_is_a_noise_report(chain):
     # The staged rows are balanced (g = 1) reports of the source, of the
     # beam after the imaging optics and of one quadrant of it; the sensor
-    # rows are the chain's optimal-gain reports.
+    # rows are the optimal-gain reports of the chain's sensors.
     staged = [
         (label, squeezing_report(m, 1.0))
         for label, m in zip(
@@ -132,7 +139,7 @@ def test_every_budget_row_is_a_noise_report(chain):
             (fwm_moments(chain.source_params), chain.beam, chain.cut),
         )
     ]
-    sensors = [(f"sensor_q{q}", chain.reports[q]) for q in (1, 2, 3, 4)]
+    sensors = [(f"sensor_q{q}", chain.sensors[q - 1].report) for q in (1, 2, 3, 4)]
     assert chain.stage_budget == [
         StageBudget(label, rep.ratio_db, rep.gain, rep.gain_db)
         for label, rep in staged + sensors
@@ -234,9 +241,8 @@ def test_residual_met_at_full_probe_transmission_calibrates(chain, quantum_effic
     d = apply_loss(chain.cut, LossChannel(1.0, eta_c))
     db = squeezing_report(d, optimal_gain(d)).ratio_db
     cfg["calibration"]["residual_db"] = [db] * 4
-    assert build_chain(Scenario.from_dict(cfg)).channels_p == dict.fromkeys(
-        (1, 2, 3, 4), 1.0
-    )
+    sensors = build_chain(Scenario.from_dict(cfg)).sensors
+    assert [sensor.eta_p for sensor in sensors] == [1.0] * 4
     above = []
     for target in (db + 1e-12, db - 1e-12):
         cfg["calibration"]["residual_db"] = [target] * 4
@@ -246,7 +252,7 @@ def test_residual_met_at_full_probe_transmission_calibrates(chain, quantum_effic
             with pytest.raises(FitInfeasibleError, match="unreachable for quadrant 1"):
                 build_chain(Scenario.from_dict(cfg))
         else:
-            assert build_chain(Scenario.from_dict(cfg)).channels_p[1] == root
+            assert build_chain(Scenario.from_dict(cfg)).sensors[0].eta_p == root
     assert sorted(above) == [False, True]
 
 
@@ -520,7 +526,7 @@ def test_threshold_that_underflows_to_zero_fails_the_sweep(tmp_path, capsys, cha
     cfg["calibration"]["residual_db"] = [rep.ratio_db] * 4
     cfg["calibration"]["threshold_targets_mv"][0] = 5e-324
     cfg["sweep"]["voltages_mv"] = [0.0]
-    assert build_chain(Scenario.from_dict(cfg)).thresholds_mv[1][-1] == 0.0
+    assert build_chain(Scenario.from_dict(cfg)).sensors[0].thresholds_mv[-1] == 0.0
     path = tmp_path / "underflow.yaml"
     path.write_text(yaml.safe_dump(cfg))
     scenario = ("--scenario", str(path), "--out", str(tmp_path))
@@ -775,6 +781,30 @@ def test_cli_negative_seed_is_validation_error(tmp_path, capsys, cmd):
     assert not list(tmp_path.iterdir())
 
 
+# Every subcommand, the sampled ones at a small sample count, and the nine
+# artifacts they write.
+SUBCOMMANDS = [
+    ("squeezing-budget", ()),
+    ("optimize-beam", ()),
+    ("resonance-scan", ()),
+    ("snr-sweep", ()),
+    ("fig3", ()),
+    ("fig4", ("--samples", "20000")),
+    ("verify", ("--samples", "20000")),
+]
+ARTIFACTS = [
+    "beam_curve.csv",
+    "enhancement.json",
+    "fig3.csv",
+    "fig4_enhancement.json",
+    "fig4_sweep.csv",
+    "resonance_scan.csv",
+    "snr_sweep.csv",
+    "squeezing_budget.csv",
+    "verify.json",
+]
+
+
 def test_cli_dump_config_round_trips(tmp_path, capsys):
     assert run_cli("snr-sweep", "--dump-config") == 0
     dumped = capsys.readouterr().out
@@ -785,11 +815,51 @@ def test_cli_dump_config_round_trips(tmp_path, capsys):
     path.write_text(dumped)
     for name, source in (("packaged", ()), ("dumped", ("--scenario", str(path)))):
         out = ("--out", str(tmp_path / name))
-        assert run_cli("snr-sweep", *source, *out) == 0
-        assert run_cli("fig4", *source, "--samples", "20000", *out) == 0
-    for name in ("snr_sweep.csv", "enhancement.json", "fig4_sweep.csv"):
+        for cmd, extra in SUBCOMMANDS:
+            assert run_cli(cmd, *source, *extra, *out) == 0, cmd
+    assert sorted(p.name for p in (tmp_path / "packaged").iterdir()) == ARTIFACTS
+    for name in ARTIFACTS:
         packaged = (tmp_path / "packaged" / name).read_bytes()
         assert (tmp_path / "dumped" / name).read_bytes() == packaged, name
+
+
+def test_every_scenario_function_is_reached(tmp_path, capsys):
+    # Every subcommand and --dump-config, run in process, reach every def
+    # in scenario.py but those listed with their reason: the module keeps
+    # no code that only tests read.
+    path = scenario_module.__file__
+    unreached_by_design = {"_Number.__init__": "runs at import"}
+    defs = {}
+
+    def collect(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                collect(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.FunctionDef):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                defs[first] = prefix + node.name
+                collect(node.body, f"{prefix}{node.name}.")
+
+    with open(path, encoding="utf-8") as fh:
+        collect(ast.parse(fh.read()).body, "")
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == path:
+            reached.add(frame.f_code.co_firstlineno)
+
+    runs = [(cmd, *extra) for cmd, extra in SUBCOMMANDS] + [("snr-sweep", "--dump-config")]
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        for argv in runs:
+            assert run_cli(*argv, "--out", str(tmp_path)) == 0, argv
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    capsys.readouterr()
+    unreached = {name for first, name in defs.items() if first not in reached}
+    assert unreached == set(unreached_by_design)
 
 
 def test_cli_squeezing_budget(tmp_path):
