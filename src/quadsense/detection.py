@@ -33,8 +33,6 @@ __all__ = [
     "difference_noise",
     "optimal_gain",
     "probe_transmission_for_ratio",
-    "min_difference_noise",
-    "covariance_from_noise",
     "snl_noise",
     "squeezing_report",
 ]
@@ -130,21 +128,6 @@ def difference_noise(d: TwinBeamMoments, g: float) -> float:
 def optimal_gain(d: TwinBeamMoments) -> float:
     """Attenuation factor minimizing the difference noise."""
     return max(d.cov / _conjugate_noise(d), 0.0)
-
-
-def min_difference_noise(d: TwinBeamMoments) -> float:
-    """Difference noise at the optimal attenuation (closed form)."""
-    var_c = _conjugate_noise(d)
-    if d.cov < 0:
-        # g is constrained to be non-negative; a negative covariance pins
-        # the optimum at g = 0.
-        return d.var_p
-    return d.var_p - d.cov * d.cov / var_c
-
-
-def covariance_from_noise(var_p: float, var_c: float, var_diff: float) -> float:
-    """Covariance recovered from a balanced (g = 1, lossless) measurement."""
-    return 0.5 * (var_p + var_c - var_diff)
 
 
 def snl_noise(d: TwinBeamMoments, g: float) -> float:

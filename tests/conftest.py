@@ -56,3 +56,21 @@ def reference_cov_share(whole_p, whole_c, half_p, half_c):
     tot_c = 2.0 * (float(whole_c.sum()) + half_c)
     keep = float(np.sqrt(whole_p * whole_c).sum()) / math.sqrt(tot_p * tot_c)
     return keep * keep
+
+
+def min_difference_noise(d) -> float:
+    """Difference noise of the detected moments ``d`` at the optimal
+    attenuation, in closed form: ``var_p - cov^2 / var_c``. The attenuation
+    is non-negative, so a negative covariance pins it at 0 and leaves
+    ``var_p``. Criterion 1's reference for ``difference_noise`` at
+    ``optimal_gain``.
+    """
+    if d.cov < 0:
+        return d.var_p
+    return d.var_p - d.cov * d.cov / d.var_c
+
+
+def covariance_from_noise(var_p, var_c, var_diff) -> float:
+    """Covariance recovered from a balanced (g = 1, lossless) measurement
+    of the difference variance ``var_diff``."""
+    return 0.5 * (var_p + var_c - var_diff)

@@ -7,13 +7,12 @@ pass/fail lines on a passing run (pytest hides captured stdout otherwise).
 import numpy as np
 import pytest
 
+from conftest import covariance_from_noise, min_difference_noise
 from quadsense import analysis, montecarlo, optics, cli
 from quadsense.detection import (
     LossChannel,
     TwinBeamMoments,
-    covariance_from_noise,
     difference_noise,
-    min_difference_noise,
     optimal_gain,
 )
 from quadsense.optics import QuadrantLayout, apply_loss

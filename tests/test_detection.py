@@ -7,12 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from conftest import covariance_from_noise, min_difference_noise
 from quadsense import detection
 from quadsense.detection import (
     attenuation_db,
-    covariance_from_noise,
     difference_noise,
-    min_difference_noise,
     optimal_gain,
     probe_transmission_for_ratio,
     snl_noise,
@@ -79,18 +78,18 @@ def test_optimal_gain_noiseless_conjugate_raises():
     m = TwinBeamMoments(2.0, 0.0, 6.0, 0.0, 0.0)
     with pytest.raises(UndefinedMomentsError):
         optimal_gain(m)
-    with pytest.raises(UndefinedMomentsError):
-        min_difference_noise(m)
 
 
 def test_min_difference_noise_examples():
     m = TwinBeamMoments(2.0, 1.0, 6.0, 3.0, 0.0)
-    assert min_difference_noise(m) == pytest.approx(6.0)
-    assert min_difference_noise(G2_IDEAL) == pytest.approx(6.0 - 16.0 / 3.0)
+    assert difference_noise(m, optimal_gain(m)) == pytest.approx(6.0)
+    noise = difference_noise(G2_IDEAL, optimal_gain(G2_IDEAL))
+    assert noise == pytest.approx(6.0 - 16.0 / 3.0)
 
 
 def test_covariance_round_trip():
-    assert covariance_from_noise(6.0, 3.0, 9.0) == 0.0
+    uncorrelated = TwinBeamMoments(2.0, 1.0, 6.0, 3.0, 0.0)
+    assert covariance_from_noise(6.0, 3.0, difference_noise(uncorrelated, 1.0)) == 0.0
     var_diff = difference_noise(G2_IDEAL, 1.0)
     assert covariance_from_noise(6.0, 3.0, var_diff) == pytest.approx(4.0)
 
