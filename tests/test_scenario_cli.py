@@ -1094,6 +1094,18 @@ def test_verify_reads_the_scenario_chain(tmp_path):
     }
 
 
+def test_verify_report_survives_the_dump_round_trip(tmp_path, capsys):
+    assert run_cli("verify", "--dump-config") == 0
+    path = tmp_path / "scenario.yaml"
+    path.write_text(capsys.readouterr().out)
+    reports = []
+    for name, argv in (("packaged", ()), ("dumped", ("--scenario", str(path)))):
+        out = tmp_path / name
+        assert run_cli("verify", *argv, "--samples", "20000", "--out", str(out)) == 0
+        reports.append((out / "verify.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_cli_verify_on_infeasible_stage_targets_prints_residuals(tmp_path, capsys):
     # verify calibrates the chain it checks, so it fails as snr-sweep does.
     cfg = default_scenario_dict()
