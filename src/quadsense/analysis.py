@@ -48,7 +48,7 @@ class EnhancementReport(NamedTuple):
     v_cs: float
     v_opt: float
     enhancement_pct: float
-    extrapolated: bool = False
+    extrapolated: bool
 
 
 def signal_estimate(s_on: float, s_off: float) -> float:

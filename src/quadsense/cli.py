@@ -86,9 +86,8 @@ def _cmd_squeezing_budget(scenario: Scenario, args, out: Path) -> int:
 
 
 def _cmd_optimize_beam(scenario: Scenario, args, out: Path) -> int:
-    d_range = (100.0, 1000.0)
-    ds, totals = waist_scan(scenario.layout, d_range)
-    best_d, best_t = optimize_waist(scenario.layout, d_range, (ds, totals))
+    ds, totals = waist_scan(scenario.layout, (100.0, 1000.0))
+    best_d, best_t = optimize_waist(scenario.layout, (ds, totals))
     header = ["diameter_um", "total_transmission"]
     rows = [[_fmt(d), _fmt(t)] for d, t in zip(ds, totals)]
     _write_csv(out / "beam_curve.csv", header, rows)
@@ -179,7 +178,7 @@ def _cmd_fig3(scenario: Scenario, args, out: Path) -> int:
     for q in QUADRANTS:
         rep = chain.sensors[q - 1].report
         snl, s_off = rep.snl, rep.diff_variance
-        signals = chain.signal(q, drives)
+        signals = [chain.signal(q, v) for v in drives]
         for k in bins:
             freq = scenario.modulation_frequency_hz + k * bin_hz
             row = [str(q), _fmt(freq), _fmt(0.0, db=True), _fmt(rep.ratio_db, db=True)]

@@ -159,11 +159,10 @@ def fold_chunks(task, n: int, rows: int) -> list:
         return functools.reduce(_merge, pool.map(lane, range(lanes)))
 
 
-def _normals(n: int, seed: int, *key, out=None):
-    """Two arrays of ``n`` standard normals, ``z0`` then ``z1``, both from
-    the one ``(seed, *key)`` substream, written into the pair of arrays
-    ``out`` if it is given."""
-    z0, z1 = (np.empty(n), np.empty(n)) if out is None else out
+def _normals(out, seed: int, *key):
+    """The pair of arrays ``out``, ``z0`` then ``z1``, filled with standard
+    normals from the one ``(seed, *key)`` substream."""
+    z0, z1 = out
     rng = _generator(seed, *key)
     rng.standard_normal(out=z0)
     rng.standard_normal(out=z1)
@@ -189,61 +188,44 @@ def _correlate(factors, z0, z1):
 
 
 def sample_photocurrents(
-    grid: CoherenceGrid,
-    m: TwinBeamMoments,
-    n: int,
-    seed: int,
-    chunk: int = 0,
-    out=None,
-) -> tuple[dict, dict]:
+    grid: CoherenceGrid, m: TwinBeamMoments, n: int, seed: int, chunk: int, out
+) -> np.ndarray:
     """Sample per-quadrant intensities of the partitioned twin beam.
 
     Each quadrant's intensity is drawn as one bivariate Gaussian with the
     moments of ``quadrant_cut(m, grid)``, the cut that the analytic chain
     uses. The quadrants share those moments but not their draws: quadrant
     ``q`` draws its ``n`` samples from the ``(seed, 2, q, chunk)``
-    substream. Returns ``(probe, conjugate)``, two dicts of ``n`` samples
-    per quadrant. ``out``, if given, is a ``(4, 2, n)`` array that holds
-    them: quadrant by quadrant in :data:`optics.QUADRANTS` order,
-    probe before conjugate.
+    substream. Returns ``out``, the ``(4, 2, n)`` array it fills: quadrant
+    by quadrant in :data:`optics.QUADRANTS` order, probe before conjugate.
     """
     factors = _factors(quadrant_cut(m, grid))
-    if out is None:
-        out = np.empty((len(QUADRANTS), 2, n))
-    probe, conj = {}, {}
     for q, z in zip(QUADRANTS, out):
-        z0, z1 = _normals(n, seed, 2, q, chunk, out=z)
-        probe[q], conj[q] = _correlate(factors, z0, z1)
-    return probe, conj
+        _correlate(factors, *_normals(z, seed, 2, q, chunk))
+    return out
 
 
 def sample_pair(
-    m: TwinBeamMoments, n: int, seed: int, chunk: int = 0, out=None
+    m: TwinBeamMoments, n: int, seed: int, chunk: int, out
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whole-beam probe/conjugate samples (single-cell shortcut): ``n``
     samples from the ``(seed, 0, chunk)`` substream, written into the pair
-    of arrays ``out`` if it is given."""
-    z0, z1 = _normals(n, seed, 0, chunk, out=out)
-    return _correlate(_factors(m), z0, z1)
+    of arrays ``out`` of ``n`` samples each, which it returns."""
+    return _correlate(_factors(m), *_normals(out, seed, 0, chunk))
 
 
-def thinning_loss(
-    samples: np.ndarray, eta: float, seed: int, chunk: int = 0, out=None
-) -> np.ndarray:
-    """Gaussian-equivalent binomial thinning of intensity samples.
+def thinning_loss(samples: np.ndarray, eta: float, seed: int, chunk: int) -> np.ndarray:
+    """Gaussian-equivalent binomial thinning of intensity samples, in place.
 
-    Each input x maps to eta*x plus zero-mean noise of variance
-    eta*(1-eta)*x, reproducing the mean and variance of binomial thinning
-    of a photon stream of mean x. The noise is drawn from the
-    ``(seed, 1, chunk)`` substream in C order, so any memory layout of
-    ``samples`` gets the draws of its C-ordered copy. ``out``, if given,
-    receives the result; it may be ``samples`` itself.
+    Each value x of the float array ``samples`` becomes eta*x plus
+    zero-mean noise of variance eta*(1-eta)*x, reproducing the mean and
+    variance of binomial thinning of a photon stream of mean x. The noise
+    is drawn from the ``(seed, 1, chunk)`` substream in C order, so any
+    memory layout of ``samples`` gets the draws of its C-ordered copy.
+    Returns ``samples``.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("transmission must lie in [0, 1]")
-    samples = np.asarray(samples, float)
-    if out is None:
-        out = np.empty(samples.shape)
     z = _generator(seed, 1, chunk).standard_normal(samples.shape)
     # eta*x + sqrt(eta*(1-eta)*max(x, 0))*z, rounded in that order, in one
     # temporary besides z (an array, not a scalar, for a 0-d input too).
@@ -251,9 +233,9 @@ def thinning_loss(
     noise *= eta * (1.0 - eta)
     np.sqrt(noise, out=noise)
     noise *= z
-    np.multiply(samples, eta, out=out)
-    out += noise
-    return out
+    samples *= eta
+    samples += noise
+    return samples
 
 
 class Comoments:
@@ -480,9 +462,9 @@ def _bright_pair_checks(m, ch, n, seed):
     def thinned(k, block):
         # The thinned probe and conjugate, and their difference.
         pt, ct, diff = block
-        sample_pair(m, pt.size, seed, chunk=k, out=(pt, ct))
-        thinning_loss(pt, ch.eta_p, seed ^ 0x7A11, chunk=k, out=pt)
-        thinning_loss(ct, ch.eta_c, seed ^ 0x7A22, chunk=k, out=ct)
+        sample_pair(m, pt.size, seed, k, (pt, ct))
+        thinning_loss(pt, ch.eta_p, seed ^ 0x7A11, k)
+        thinning_loss(ct, ch.eta_c, seed ^ 0x7A22, k)
         np.multiply(ct, g, out=diff)
         np.subtract(pt, diff, out=diff)
         return [Comoments.of(pt, ct, diff)]
@@ -559,7 +541,7 @@ def _partition_checks(grid, m, n, seed):
         # out its block.
         size = block.shape[1]
         out = block.reshape(len(QUADRANTS), 2, size)
-        sample_photocurrents(grid, m, size, seed, chunk=k, out=out)
+        sample_photocurrents(grid, m, size, seed, k, out)
         return [Comoments.of(*block)]
 
     (acc,) = fold_chunks(photocurrents, n, 2 * len(QUADRANTS))

@@ -47,9 +47,9 @@ class QuadrantLayout(NamedTuple):
     the layout is multiplied by cos(tilt).
     """
 
-    window_size: float = 200.0
-    gap: float = 20.0
-    tilt_deg: float = 26.0
+    window_size: float
+    gap: float
+    tilt_deg: float
 
     def __post_init__(self):
         if self.window_size <= 0:
@@ -104,27 +104,26 @@ def waist_scan(layout: QuadrantLayout, d_range: tuple[float, float]):
     + lo``, with the last one set to ``hi``.
     """
     lo, hi = d_range
+    if not 0 < lo < hi:
+        raise ValidationError("search range must satisfy 0 < lo < hi")
     step = (hi - lo) / (WAIST_GRID_POINTS - 1)
     ds = [k * step + lo for k in range(WAIST_GRID_POINTS - 1)] + [hi]
     return ds, [quadrant_transmission(d, layout) for d in ds]
 
 
-def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float], scan=None):
+def optimize_waist(layout: QuadrantLayout, scan):
     """Beam waist diameter maximizing the total quadrant transmission.
 
-    Coarse :func:`waist_scan` over ``d_range``, or ``scan`` if the caller
-    already holds it, then golden-section refinement to a bracket narrower
-    than :data:`WAIST_TOL_UM`. Ties on a flat objective break toward the
+    The best point of ``scan``, the :func:`waist_scan` of ``layout``, then
+    golden-section refinement to a bracket narrower than
+    :data:`WAIST_TOL_UM`. Ties on a flat objective break toward the
     smallest diameter. Returns ``(best_diameter, best_total)``.
     """
-    d_lo, d_hi = d_range
-    if not 0 < d_lo < d_hi:
-        raise ValidationError("search range must satisfy 0 < lo < hi")
 
     def total(d):
         return quadrant_transmission(d, layout)
 
-    ds, vals = waist_scan(layout, d_range) if scan is None else scan
+    ds, vals = scan
     best_val = max(vals)
     if best_val - min(vals) < 1e-12:
         # Flat objective: every diameter is optimal; return the smallest.
@@ -132,7 +131,7 @@ def optimize_waist(layout: QuadrantLayout, d_range: tuple[float, float], scan=No
     k = vals.index(best_val)
     if k == 0 or k == WAIST_GRID_POINTS - 1:
         raise SearchError(
-            f"range {d_range} does not bracket an interior transmission maximum"
+            f"range {(ds[0], ds[-1])} does not bracket an interior transmission maximum"
         )
 
     # Golden-section search in the bracketing interval.

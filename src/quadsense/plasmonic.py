@@ -108,7 +108,7 @@ def detuning_evaluable(r: EOTResonance, wavelength: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-def modulation_signal(floor: float, drive_voltage, threshold: float):
+def modulation_signal(floor: float, drive_voltage: float, threshold: float) -> float:
     """Mean-square signal power of one sensor at a drive voltage (mV).
 
     The index swing, and with it the intensity swing, is proportional to
@@ -116,20 +116,15 @@ def modulation_signal(floor: float, drive_voltage, threshold: float):
     coefficient puts the twin-beam SNR, sqrt(power / floor), at 1 on the
     threshold voltage, so the power is ``floor * (V / threshold)**2`` in
     the units of the modulation-off difference-noise variance ``floor``;
-    the probe mean, the transmission and its slope cancel. A sequence of
-    drive voltages gives the list of their powers.
+    the probe mean, the transmission and its slope cancel.
     """
-    scalar = isinstance(drive_voltage, (int, float))
-    powers = []
-    for volts in (drive_voltage,) if scalar else drive_voltage:
-        # A zero threshold divides by zero; it gets the error a tiny one gets.
-        ratio = float(volts) / threshold if threshold else math.nan
-        power = floor * (ratio * ratio)
-        if not math.isfinite(power):
-            raise ValidationError(
-                f"modulation signal at {volts:g} mV is not finite: its "
-                f"threshold {threshold:g} mV in calibration.threshold_targets_mv "
-                f"is too small"
-            )
-        powers.append(power)
-    return powers[0] if scalar else powers
+    # A zero threshold divides by zero; it gets the error a tiny one gets.
+    ratio = float(drive_voltage) / threshold if threshold else math.nan
+    power = floor * (ratio * ratio)
+    if not math.isfinite(power):
+        raise ValidationError(
+            f"modulation signal at {drive_voltage:g} mV is not finite: its "
+            f"threshold {threshold:g} mV in calibration.threshold_targets_mv "
+            f"is too small"
+        )
+    return power

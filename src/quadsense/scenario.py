@@ -400,10 +400,9 @@ class SensingChain(NamedTuple):
         """Moments of the quadrant pair (p_i, c_j) after its loss channel."""
         return _detected(self.cut, self.pair_channel(i), i, j)
 
-    def signal(self, i: int, voltage_mv):
-        """Signal power of sensor i at a drive voltage, or the list of
-        powers at a sequence of them: its modulation-off floor times
-        (V / threshold target)^2."""
+    def signal(self, i: int, voltage_mv: float) -> float:
+        """Signal power of sensor i at a drive voltage: its modulation-off
+        floor times (V / threshold target)^2."""
         return plasmonic.modulation_signal(
             self.sensors[i - 1].report.diff_variance,
             voltage_mv,
@@ -462,9 +461,11 @@ class SensingChain(NamedTuple):
         )
         curves = []
         for (i, j), (s_off, tone_cov, tone_var) in zip(pairs, stats):
+            # Every signal is formed, and so checked finite, before any is used.
+            signals = [self.signal(i, vk) for vk in v]
             snrs = []
             clamped = False
-            for amp in (math.sqrt(2.0 * s) for s in self.signal(i, v)):
+            for amp in (math.sqrt(2.0 * s) for s in signals):
                 s_on = s_off + 2.0 * amp * tone_cov + amp * amp * tone_var
                 sig = analysis.signal_estimate(s_on, s_off)
                 if sig < 0:

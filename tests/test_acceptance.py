@@ -110,7 +110,9 @@ def test_criterion_4_threshold_squeezing_law(chain):
 
 def test_criterion_5_beam_size_optimum():
     layout = QuadrantLayout(window_size=200.0, gap=20.0, tilt_deg=26.0)
-    best_d, best_t = optics.optimize_waist(layout, (100.0, 1000.0))
+    best_d, best_t = optics.optimize_waist(
+        layout, optics.waist_scan(layout, (100.0, 1000.0))
+    )
     ok = abs(best_d - 330.0) <= 10.0 and abs(best_t - 0.80) <= 0.02
 
     diameters = np.linspace(100.0, 1000.0, 181)

@@ -166,17 +166,16 @@ def test_enhancement_report_fields(chain):
     )
 
 
-def test_signal_sweep_is_the_per_voltage_signal_to_the_bit(chain):
-    # One call per sweep; every point keeps the bits of the
-    # per-voltage modulation_signal, and of its documented law
-    # floor * (V / threshold)**2, evaluated as r = V / threshold, then
-    # floor * (r * r), in Python floats.
+def test_signal_is_its_law_to_the_bit(chain):
+    # At every drive the chain's signal keeps the bits of modulation_signal,
+    # and of its documented law floor * (V / threshold)**2, evaluated as
+    # r = V / threshold, then floor * (r * r), in Python floats.
     sc = chain.scenario
     v = np.asarray(sc.sweep_voltages_mv + (0.0, 1e-3, 7.77, 1e4), float)
     for q in (1, 2, 3, 4):
         floor, v_th = chain.sensors[q - 1].report.diff_variance, sc.threshold_targets_mv[q - 1]
-        swept = chain.signal(q, v)
-        for vk, s in zip(v, swept):
+        for vk in v:
+            s = chain.signal(q, float(vk))
             assert s == modulation_signal(floor, float(vk), v_th), (q, vk)
             r = float(vk) / v_th
             assert s == floor * (r * r), (q, vk)

@@ -115,13 +115,14 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACED_RUN = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
+import numpy as np
 import tracing
 from quadsense import montecarlo, scenario, source
 tracer = tracing.Tracer()
 tracing.install(tracer)
 chain = scenario.build_chain(scenario.load_scenario())
 grid = source.build_coherence_grid(16.0, 16.0, 8.0)
-montecarlo.sample_photocurrents(grid, chain.cut, 10, 1)
+montecarlo.sample_photocurrents(grid, chain.cut, 10, 1, 0, np.empty((4, 2, 10)))
 print(json.dumps(tracing.aggregate([{"spans": tracer.spans, "extra": tracer.extra}])))
 """
 

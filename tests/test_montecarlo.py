@@ -14,7 +14,7 @@ import pytest
 from quadsense import analysis, cli, montecarlo, scenario
 from quadsense.detection import difference_noise
 from quadsense.errors import TailMassError, ValidationError
-from quadsense.optics import quadrant_cut
+from quadsense.optics import QUADRANTS, QuadrantLayout, quadrant_cut
 from quadsense.montecarlo import (
     fock_two_mode_squeezer_moments,
     run_verification,
@@ -30,10 +30,17 @@ SRC = str(Path(montecarlo.__file__).resolve().parents[1])
 G2_IDEAL = TwinBeamMoments(2.0, 1.0, 6.0, 3.0, 4.0)
 
 
+def _photocurrents(grid, m, n, seed, chunk):
+    """:func:`sample_photocurrents` into a new block, as dicts of each
+    quadrant's probe and conjugate samples."""
+    out = sample_photocurrents(grid, m, n, seed, chunk, np.empty((4, 2, n)))
+    return dict(zip(QUADRANTS, out[:, 0])), dict(zip(QUADRANTS, out[:, 1]))
+
+
 def test_zero_variance_cells_give_constant_samples():
     grid = build_coherence_grid(16.0, 16.0, 8.0)
     m = TwinBeamMoments(5.0, 3.0, 0.0, 0.0, 0.0)
-    probe, conj = sample_photocurrents(grid, m, 100, seed=1)
+    probe, conj = _photocurrents(grid, m, 100, 1, 0)
     # The sampler draws from the quadrant cut itself, so a noiseless beam
     # gives its cut means to the bit.
     cut = quadrant_cut(m, grid)
@@ -48,7 +55,7 @@ def test_sampled_quadrants_carry_the_cut_power():
     # their centers would give Q1 most of it.
     grid = build_coherence_grid(16.0, 16.0, 8.0)
     n = 50_000
-    probe, _ = sample_photocurrents(grid, G2_IDEAL, n, seed=3)
+    probe, _ = _photocurrents(grid, G2_IDEAL, n, 3, 0)
     for q in (1, 2, 3, 4):
         cut = quadrant_cut(G2_IDEAL, grid)
         assert cut.mean_p == pytest.approx(0.25 * G2_IDEAL.mean_p, rel=1e-12)
@@ -60,7 +67,7 @@ def test_single_cell_moments_converge():
     # One cell holding the whole beam: empirical moments must match the
     # gain-two ideal moments within 5 standard errors.
     n = 1_000_000
-    p, c = sample_pair(G2_IDEAL, n, seed=42)
+    p, c = sample_pair(G2_IDEAL, n, 42, 0, np.empty((2, n)))
     se_var_p = 6.0 * math.sqrt(2.0 / n)
     se_var_c = 3.0 * math.sqrt(2.0 / n)
     se_cov = math.sqrt((6.0 * 3.0 + 16.0) / n)
@@ -70,8 +77,8 @@ def test_single_cell_moments_converge():
 
 
 def test_different_seeds_differ():
-    p1, _ = sample_pair(G2_IDEAL, 1000, seed=1)
-    p2, _ = sample_pair(G2_IDEAL, 1000, seed=2)
+    p1, _ = sample_pair(G2_IDEAL, 1000, 1, 0, np.empty((2, 1000)))
+    p2, _ = sample_pair(G2_IDEAL, 1000, 2, 0, np.empty((2, 1000)))
     assert not np.array_equal(p1, p2)
 
 
@@ -80,7 +87,7 @@ def test_fine_grid_samples_the_quadrant_cut():
     grid = build_coherence_grid(360.0, 360.0, 0.5)
     assert grid.n_cells > 10_000_000
     n = 20_000
-    probe, conj = sample_photocurrents(grid, G2_IDEAL, n, seed=1)
+    probe, conj = _photocurrents(grid, G2_IDEAL, n, 1, 0)
     cut = quadrant_cut(G2_IDEAL, grid)
     for q in (1, 2, 3, 4):
         assert abs(np.mean(probe[q]) - cut.mean_p) < 5 * math.sqrt(cut.var_p / n)
@@ -89,20 +96,46 @@ def test_fine_grid_samples_the_quadrant_cut():
 
 def test_thinning_edge_cases():
     x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(thinning_loss(x, 1.0, seed=1), x)
-    assert np.array_equal(thinning_loss(x, 0.0, seed=1), np.zeros(3))
+    assert np.array_equal(thinning_loss(x.copy(), 1.0, 1, 0), x)
+    assert np.array_equal(thinning_loss(x.copy(), 0.0, 1, 0), np.zeros(3))
     with pytest.raises(ValidationError):
-        thinning_loss(x, 1.5, seed=1)
+        thinning_loss(x.copy(), 1.5, 1, 0)
 
 
 def test_thinning_ignores_memory_layout():
     # A transposed or Fortran-ordered input gets the draws of its C-ordered
     # copy, element by element.
     base = 100.0 + np.arange(12.0).reshape(3, 4)
-    expected = thinning_loss(np.ascontiguousarray(base.T), 0.5, seed=4)
+    expected = thinning_loss(np.ascontiguousarray(base.T), 0.5, 4, 0)
     for x in (base.T, np.asfortranarray(base.T)):
-        assert np.array_equal(thinning_loss(x, 0.5, seed=4), expected)
+        assert np.array_equal(thinning_loss(x.copy(order="K"), 0.5, 4, 0), expected)
     assert abs(expected.mean() - 0.5 * base.mean()) < 5.0
+
+
+# The first values of 100 + arange(6) thinned at eta = 0.5 from the
+# (4, 1, 0) substream, as the out-of-place thinning wrote them to a new array.
+THINNED_HEX = (
+    "0x1.c9c2c7a12c919p+5",
+    "0x1.95c20ece0dea6p+5",
+    "0x1.8aac0429f30f1p+5",
+    "0x1.9a067a8f24df7p+5",
+)
+
+
+def test_samplers_take_their_substream_and_block_from_the_caller():
+    # A sampler left without a chunk index would draw every chunk from
+    # substream 0, so none has a default; the layout has no default
+    # geometry either. Thinning overwrites the block it is given.
+    grid = build_coherence_grid(16.0, 16.0, 8.0)
+    with pytest.raises(TypeError):
+        sample_pair(G2_IDEAL, 10, 1)
+    with pytest.raises(TypeError):
+        sample_photocurrents(grid, G2_IDEAL, 10, 1)
+    with pytest.raises(TypeError):
+        QuadrantLayout()
+    x = 100.0 + np.arange(6.0)
+    assert thinning_loss(x, 0.5, 4, 0) is x
+    assert tuple(float(v).hex() for v in x[:4]) == THINNED_HEX
 
 
 def test_thinning_matches_loss_map_in_bright_regime():
@@ -114,8 +147,8 @@ def test_thinning_matches_loss_map_in_bright_regime():
     bright = 1e4
     m = TwinBeamMoments(2 * bright, bright, 6 * bright, 3 * bright, 4 * bright)
     n = 1_000_000
-    p, _ = sample_pair(m, n, seed=3)
-    thinned = thinning_loss(p, 0.5, seed=4)
+    p, _ = sample_pair(m, n, 3, 0, np.empty((2, n)))
+    thinned = thinning_loss(p, 0.5, 4, 0)
     expected = apply_loss(m, LossChannel(0.5, 0.5))
     assert expected.var_p / bright == pytest.approx(2.0)
     se = expected.var_p * math.sqrt(2.0 / n)
@@ -254,7 +287,7 @@ def test_photocurrent_stream_is_pinned():
     # A full chunk 0 and a 3-sample chunk 1, joined as a fold lays them out.
     grid = build_coherence_grid(16.0, 16.0, 32.0)
     (p0, c0), (p1, c1) = (
-        sample_photocurrents(grid, G2_IDEAL, size, seed=9, chunk=k)
+        _photocurrents(grid, G2_IDEAL, size, 9, k)
         for k, size in ((0, montecarlo.CHUNK), (1, 3))
     )
     arrays = [
@@ -295,7 +328,7 @@ def test_standard_normal_stream_canary():
 
 
 def test_pair_stream_is_pinned():
-    assert _digest(*sample_pair(G2_IDEAL, 1000, seed=5)) == PAIR_SHA
+    assert _digest(*sample_pair(G2_IDEAL, 1000, 5, 0, np.empty((2, 1000)))) == PAIR_SHA
 
 
 def test_sampled_snr_sweep_is_pinned(chain):
@@ -365,7 +398,7 @@ def _pair_fold(m, n, seed):
 
     def task(k, block):
         p, c = block
-        sample_pair(m, p.size, seed, chunk=k, out=(p, c))
+        sample_pair(m, p.size, seed, k, (p, c))
         return [montecarlo.Comoments.of(p, c)]
 
     (acc,) = montecarlo.fold_chunks(task, n, 2)
@@ -440,7 +473,8 @@ def test_lanes_fix_the_merge_order(monkeypatch):
 
     def moments(lo):
         k, size = lo // montecarlo.CHUNK, min(montecarlo.CHUNK, n - lo)
-        return montecarlo.Comoments.of(*sample_pair(BRIGHT, size, seed, chunk=k))
+        block = np.empty((2, size))
+        return montecarlo.Comoments.of(*sample_pair(BRIGHT, size, seed, k, block))
 
     lanes = [
         functools.reduce(
@@ -716,7 +750,7 @@ def test_fig4_draws_each_sweep_stream_once(tmp_path, monkeypatch):
 def test_covariance_z_score_matches_np_cov():
     grid = build_coherence_grid(16.0, 16.0, 8.0)
     n = 20_000
-    probe, conj = sample_photocurrents(grid, G2_IDEAL, n, seed=11)
+    probe, conj = _photocurrents(grid, G2_IDEAL, n, 11, 0)
     exp = quadrant_cut(G2_IDEAL, grid)
     for x, y, cov in [
         (probe[1], conj[1], exp.cov),
@@ -743,7 +777,7 @@ def test_comoments_match_two_pass_numpy():
     # suite's bright state (mean / std about 80): the merged moments must
     # agree with numpy's two passes over the concatenated samples.
     n = 3 * montecarlo.CHUNK + 5
-    p, c = sample_pair(BRIGHT, n, seed=21)
+    p, c = sample_pair(BRIGHT, n, 21, 0, np.empty((2, n)))
     x = np.stack([p, c, p - 0.6 * c])
     acc = functools.reduce(
         montecarlo.Comoments.merge,

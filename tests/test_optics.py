@@ -111,14 +111,16 @@ def test_window_fractions_match_adaptive_quadrature(diameter, layout, center):
 
 
 def test_optimize_waist_reproduces_optimum():
-    best_d, best_t = optimize_waist(REFERENCE_LAYOUT, (100.0, 1000.0))
+    best_d, best_t = optimize_waist(
+        REFERENCE_LAYOUT, waist_scan(REFERENCE_LAYOUT, (100.0, 1000.0))
+    )
     assert best_d == pytest.approx(330.0, abs=10.0)
     assert best_t == pytest.approx(0.80, abs=0.02)
 
 
 def test_optimize_waist_flat_objective_returns_smallest_diameter():
     layout = QuadrantLayout(window_size=1e7, gap=0.0, tilt_deg=0.0)
-    best_d, best_t = optimize_waist(layout, (100.0, 1000.0))
+    best_d, best_t = optimize_waist(layout, waist_scan(layout, (100.0, 1000.0)))
     assert best_d == pytest.approx(100.0)
     assert best_t == pytest.approx(1.0, abs=1e-6)
 
@@ -146,9 +148,9 @@ def test_optimize_waist_rejects_non_bracketing_range():
     # Transmission decreases monotonically past the optimum, so this range
     # has its maximum on the boundary.
     with pytest.raises(SearchError):
-        optimize_waist(REFERENCE_LAYOUT, (500.0, 1000.0))
+        optimize_waist(REFERENCE_LAYOUT, waist_scan(REFERENCE_LAYOUT, (500.0, 1000.0)))
     with pytest.raises(ValidationError):
-        optimize_waist(REFERENCE_LAYOUT, (500.0, 100.0))
+        optimize_waist(REFERENCE_LAYOUT, waist_scan(REFERENCE_LAYOUT, (500.0, 100.0)))
 
 
 # -- loss map ---------------------------------------------------------------
@@ -330,11 +332,11 @@ def test_quadrant_cut_matches_brute_force_cell_enumeration(waist_p, waist_c, d_c
 
 def test_layout_validation():
     with pytest.raises(ValidationError):
-        QuadrantLayout(window_size=0.0)
+        QuadrantLayout(window_size=0.0, gap=20.0, tilt_deg=26.0)
     with pytest.raises(ValidationError):
-        QuadrantLayout(gap=-1.0)
+        QuadrantLayout(window_size=200.0, gap=-1.0, tilt_deg=26.0)
     with pytest.raises(ValidationError):
-        QuadrantLayout(tilt_deg=90.0)
+        QuadrantLayout(window_size=200.0, gap=20.0, tilt_deg=90.0)
     with pytest.raises(ValidationError):
         LossChannel(1.2, 0.5)
     for diameter in (0.0, -1.0, float("nan")):

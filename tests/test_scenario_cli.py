@@ -700,7 +700,7 @@ def test_cli_too_few_samples_is_validation_error(tmp_path, capsys, cmd, samples)
 def test_cli_samples_out_of_memory_is_validation_error(tmp_path, capsys, monkeypatch, cmd):
     # verify draws every chunk of normals through _normals. fig4 draws no
     # samples, only their statistics, so it allocates nothing per sample.
-    def out_of_memory(n, seed, *key, out=None):
+    def out_of_memory(out, seed, *key):
         raise MemoryError
 
     monkeypatch.setattr(montecarlo, "_normals", out_of_memory)
