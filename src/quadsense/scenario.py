@@ -81,13 +81,17 @@ class _Number:
         self.lo, self.hi = float(lo), float(hi)
         self.lo_closed, self.hi_closed = bounds[0] == "[", bounds[-1] == "]"
 
-    def read(self, value, path):
+    def read(self, value, parent, key):
+        """``value``, the entry ``key`` of the section or list at the key
+        path ``parent``, checked; its own key path is formed only to
+        raise."""
         if type(value) is float:
             x = value
         # A YAML boolean is an int to Python, and no number here.
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(
-                f"scenario key {path} must be a number, got {type(value).__name__}"
+                f"scenario key {_path(parent, key)} must be a number, "
+                f"got {type(value).__name__}"
             )
         else:
             try:
@@ -98,12 +102,24 @@ class _Number:
             (self.lo <= x if self.lo_closed else self.lo < x)
             and (x <= self.hi if self.hi_closed else x < self.hi)
         ):
-            raise ValidationError(f"scenario key {path} {x:g} is outside {self.bounds}")
+            raise ValidationError(
+                f"scenario key {_path(parent, key)} {x:g} is outside {self.bounds}"
+            )
         if not self.integer:
             return x
         if not x.is_integer():
-            raise ValidationError(f"scenario key {path} must be an integer, got {x:g}")
+            raise ValidationError(
+                f"scenario key {_path(parent, key)} must be an integer, got {x:g}"
+            )
         return value if isinstance(value, int) else int(x)
+
+
+def _path(parent: str, key) -> str:
+    """The key path of the entry ``key`` of the section or list at
+    ``parent``: a list index in brackets, a key after a dot."""
+    if type(key) is int:
+        return f"{parent}[{key}]"
+    return f"{parent}.{key}" if parent else key
 
 
 FINITE = _Number()
@@ -148,10 +164,12 @@ SCHEMA = {
 
 
 def _read(spec, value, path):
-    """``value`` checked against ``spec``: numbers as floats (or an exact
-    int), sections as dicts with defaults filled in, lists as tuples."""
-    if type(spec) is _Number:
-        return spec.read(value, path)
+    """``(checked, copy)`` of ``value``, the section or list ``spec`` at the
+    key path ``path``. ``checked`` holds numbers as floats (or an exact
+    int), sections as dicts with their defaults filled in and lists as
+    tuples; ``copy`` is ``value`` with new dicts and lists and the same
+    scalars, made in the same walk. One walk, and no key path formed for a
+    number unless it is raised: only sections and lists get theirs."""
     if type(spec) is tuple:
         entry, n = spec
         if not isinstance(value, list):
@@ -159,29 +177,38 @@ def _read(spec, value, path):
         if (len(value) != n) if n else not value:
             count = f"exactly {n}" if n else "at least 1"
             raise ValidationError(f"scenario key {path} must list {count} entries")
-        return tuple(_read(entry, v, f"{path}[{i}]") for i, v in enumerate(value))
+        if type(entry) is _Number:
+            read = entry.read
+            return tuple([read(v, path, i) for i, v in enumerate(value)]), list(value)
+        pairs = [_read(entry, v, _path(path, i)) for i, v in enumerate(value)]
+        return tuple([c for c, _ in pairs]), [r for _, r in pairs]
     if not isinstance(value, dict):
         raise ValidationError(f"scenario key {path or 'root'} must be a mapping")
-    prefix = f"{path}." if path else ""
     for key in value:
         if key not in spec:
-            raise ValidationError(f"unknown scenario key: {prefix}{key}")
-    out = {}
+            # A YAML int key is a key here, not a list index.
+            raise ValidationError(f"unknown scenario key: {_path(path, str(key))}")
+    checked, copy = {}, dict(value)
     for key, sub in spec.items():
         if key in value:
-            if sub is not None:
-                out[key] = _read(sub, value[key], prefix + key)
+            if type(sub) is _Number:
+                checked[key] = sub.read(value[key], path, key)
+            elif sub is None:
+                copy[key] = _copy(value[key])
+            else:
+                checked[key], copy[key] = _read(sub, value[key], _path(path, key))
         elif type(sub) is dict:
-            out[key] = _read(sub, {}, prefix + key)
+            checked[key] = _read(sub, {}, _path(path, key))[0]
         elif type(sub) is _Number and sub.default is not None:
-            out[key] = sub.default
+            checked[key] = sub.default
         elif sub is not None:
-            raise ValidationError(f"missing scenario key: {prefix}{key}")
-    return out
+            raise ValidationError(f"missing scenario key: {_path(path, key)}")
+    return checked, copy
 
 
 def _copy(value):
-    """A copy of parsed YAML: new mappings and lists, shared scalars."""
+    """A copy of a subtree the schema accepts and ignores: new mappings and
+    lists, shared scalars."""
     if isinstance(value, dict):
         return {k: _copy(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -212,7 +239,7 @@ class Scenario(NamedTuple):
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Scenario":
-        v = _read(SCHEMA, cfg, "")
+        v, raw = _read(SCHEMA, cfg, "")
         beam, lay, coh, cal = v["beam"], v["layout"], v["coherence"], v["calibration"]
         waist_p, waist_c = beam["waist_p_um"], beam["waist_c_um"]
         # Quadrants are independent only if a coherence cell is much
@@ -245,7 +272,7 @@ class Scenario(NamedTuple):
         if any(b <= a for a, b in zip(voltages, voltages[1:])):
             raise ValidationError("sweep.voltages_mv must be strictly increasing")
         return cls(
-            raw=_copy(cfg),
+            raw=raw,
             seed=v["seed"],
             wavelength_nm=wavelength,
             waist_p_um=waist_p,
@@ -353,14 +380,39 @@ class Sensor(NamedTuple):
     """One calibrated sensor, built once by :func:`build_chain`: its probe
     transmission ``eta_p``, the optimal-gain noise ``report`` of its
     matched pair, its closed-form SNR = 1 ``thresholds_mv`` (twin-beam for
-    its matched and its cross pairs, coherent, optimal) and the four
-    analytic SNR ``lines`` through them, ``V / V_th`` over the sweep
-    voltages (None where a threshold is 0)."""
+    its matched and its cross pairs, coherent, optimal), the four analytic
+    SNR ``lines`` through them, ``V / V_th`` over the sweep voltages (None
+    where a threshold is 0), whether its signal at the largest swept
+    voltage ``overflows``, and the ``enhancement`` report of its matched
+    pair (None where that has no threshold, or the signal overflows)."""
 
     eta_p: float
     report: detection.NoiseReport
     thresholds_mv: tuple
     lines: tuple
+    overflows: bool
+    enhancement: analysis.EnhancementReport | None
+
+
+def _enhancement(q: int, report, thresholds_mv, top: float, v_max: float):
+    """The :class:`analysis.EnhancementReport` of the pair (q, q), whose
+    signal at the largest swept voltage ``v_max`` is ``top``.
+
+    The signal grows with V, so the twin curve's largest swept point has no
+    threshold exactly when a fit of the whole curve has none; then this
+    raises the error that fit raises.
+    """
+    snr = math.sqrt(top / report.diff_variance)
+    analysis.threshold_voltage(analysis.SNRCurve((q, q), "twin", (v_max,), (snr,)))
+    v_tb, _, v_cs, v_opt = thresholds_mv
+    return analysis.EnhancementReport(
+        pair=(q, q),
+        v_tb=v_tb,
+        v_cs=v_cs,
+        v_opt=v_opt,
+        enhancement_pct=(v_cs / v_tb - 1.0) * 100.0,
+        extrapolated=max(v_tb, v_cs, v_opt) > v_max,
+    )
 
 
 def _detected(cut: TwinBeamMoments, channel: LossChannel, i: int, j: int):
@@ -419,20 +471,23 @@ class SensingChain(NamedTuple):
         and every cross pair its twin line."""
         i, j = pair
         v = self.scenario.sweep_voltages_mv
-        # The largest swept signal is finite exactly when every one is.
-        self.signal(i, v[-1])
         sensor = self.sensors[i - 1]
-        matched, cross, *others = sensor.thresholds_mv
-        v_th = (matched if i == j else cross, *others)
+        # The largest swept signal is finite exactly when every one is; an
+        # overflowing one raises the signal law's own error.
+        if sensor.overflows:
+            self.signal(i, v[-1])
+        twin, cross_twin, coherent, optimal = sensor.lines
+        if i != j:
+            twin = cross_twin
         # A threshold that underflows to 0 draws no line.
-        if 0.0 in v_th:
+        if twin is None or coherent is None or optimal is None:
             raise ValidationError(
                 f"an SNR = 1 threshold of sensor {i} underflows to 0: its threshold "
-                f"{matched:g} mV in calibration.threshold_targets_mv is too small"
+                f"{sensor.thresholds_mv[0]:g} mV in calibration.threshold_targets_mv "
+                f"is too small"
             )
-        twin, cross_twin, coherent, optimal = sensor.lines
         return {
-            "twin": analysis.SNRCurve(pair, "twin", v, twin if i == j else cross_twin),
+            "twin": analysis.SNRCurve(pair, "twin", v, twin),
             "coherent": analysis.SNRCurve(pair, "coherent", v, coherent),
             "optimal": analysis.SNRCurve(pair, "optimal", v, optimal),
         }
@@ -479,22 +534,16 @@ class SensingChain(NamedTuple):
         return curves
 
     def enhancement_report(self, i: int) -> analysis.EnhancementReport:
-        """SNR = 1 thresholds of the pair (i, i), in closed form."""
+        """SNR = 1 thresholds of the pair (i, i), in closed form: the
+        sensor's :attr:`Sensor.enhancement`, formed once by
+        :func:`build_chain`. Where it is None, forming it again raises the
+        error it met."""
         sensor = self.sensors[i - 1]
+        if sensor.enhancement is not None:
+            return sensor.enhancement
         v_max = self.scenario.sweep_voltages_mv[-1]
-        # The signal grows with V, so the twin curve's largest swept point
-        # has no threshold exactly when a fit of the whole curve has none.
-        snr = math.sqrt(self.signal(i, v_max) / sensor.report.diff_variance)
-        analysis.threshold_voltage(analysis.SNRCurve((i, i), "twin", (v_max,), (snr,)))
-        v_tb, _, v_cs, v_opt = sensor.thresholds_mv
-        return analysis.EnhancementReport(
-            pair=(i, i),
-            v_tb=v_tb,
-            v_cs=v_cs,
-            v_opt=v_opt,
-            enhancement_pct=(v_cs / v_tb - 1.0) * 100.0,
-            extrapolated=max(v_tb, v_cs, v_opt) > v_max,
-        )
+        top = self.signal(i, v_max)
+        return _enhancement(i, sensor.report, sensor.thresholds_mv, top, v_max)
 
 
 def _db_ratio(db: float, key: str) -> float:
@@ -599,6 +648,7 @@ def build_chain(scenario: Scenario) -> SensingChain:
     # Per-quadrant probe transmission fitted to the measured residual
     # squeezing; the EOT transmission and window clipping set its scale and
     # the fit absorbs unmodeled path losses.
+    voltages = scenario.sweep_voltages_mv
     sensors = []
     for q in QUADRANTS:
         target_db = scenario.residual_db[q - 1]
@@ -626,10 +676,21 @@ def build_chain(scenario: Scenario) -> SensingChain:
         # Each kind's analytic SNR curve is the line V / V_th, the same for
         # every pair that reads it; a threshold that underflows to 0 has none.
         lines = tuple(
-            tuple([v / t for v in scenario.sweep_voltages_mv]) if t != 0.0 else None
-            for t in thresholds
+            tuple([v / t for v in voltages]) if t != 0.0 else None for t in thresholds
         )
-        sensors.append(Sensor(eta_p, rep, thresholds, lines))
+        # The sweeps' facts, decided once: a signal that overflows, or a
+        # report with no threshold, fails only the subcommands that read it.
+        enhancement = None
+        try:
+            top = plasmonic.modulation_signal(rep.diff_variance, voltages[-1], v_t)
+        except ValidationError:
+            top = None
+        else:
+            try:
+                enhancement = _enhancement(q, rep, thresholds, top, voltages[-1])
+            except (ValidationError, FitInfeasibleError):
+                pass
+        sensors.append(Sensor(eta_p, rep, thresholds, lines, top is None, enhancement))
 
     # Transduction gate: a sensor that transmits no light, or whose
     # resonance has no slope at the operating wavelength, has no signal

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import default_scenario_dict
-from quadsense import analysis, detection
+from quadsense import analysis, detection, plasmonic
 from quadsense.analysis import (
     EnhancementReport,
     SNRCurve,
@@ -166,6 +166,28 @@ def test_enhancement_report_fields(chain):
     )
 
 
+def test_sweeps_read_the_signal_facts_calibration_decided(monkeypatch):
+    # build_chain forms each sensor's signal at the largest swept voltage
+    # once; the sweeps and reports then form no signal at all.
+    calls = []
+    law = plasmonic.modulation_signal
+
+    def spy(*args):
+        calls.append(args)
+        return law(*args)
+
+    monkeypatch.setattr(plasmonic, "modulation_signal", spy)
+    chain = build_chain(Scenario.from_dict(default_scenario_dict()))
+    v_max = chain.scenario.sweep_voltages_mv[-1]
+    assert [v for _, v, _ in calls] == [v_max] * 4
+    calls.clear()
+    for q in (1, 2, 3, 4):
+        chain.enhancement_report(q)
+    for pair in PAIRS:
+        chain.snr_sweep(pair)
+    assert calls == []
+
+
 def test_signal_is_its_law_to_the_bit(chain):
     # At every drive the chain's signal keeps the bits of modulation_signal,
     # and of its documented law floor * (V / threshold)**2, evaluated as
@@ -300,7 +322,14 @@ def test_chain_holds_one_sensor_record_per_quadrant(name):
         "residuals_db",
         "stage_budget",
     )
-    assert Sensor._fields == ("eta_p", "report", "thresholds_mv", "lines")
+    assert Sensor._fields == (
+        "eta_p",
+        "report",
+        "thresholds_mv",
+        "lines",
+        "overflows",
+        "enhancement",
+    )
     assert len(chain.sensors) == 4
     for q in (1, 2, 3, 4):
         sensor = chain.sensors[q - 1]
@@ -311,3 +340,6 @@ def test_chain_holds_one_sensor_record_per_quadrant(name):
         assert chain.pair_channel(q).eta_p == eta_p
         d = chain.detected(q, q)
         assert sensor.report == detection.squeezing_report(d, detection.optimal_gain(d))
+        assert sensor.overflows is False
+        assert sensor.enhancement.pair == (q, q)
+        assert sensor.enhancement.v_tb == sensor.thresholds_mv[0]

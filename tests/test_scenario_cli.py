@@ -553,6 +553,103 @@ def _schema_paths(spec, keys=()):
         yield from _schema_paths(spec[0], keys + (0,))
 
 
+def _set(keys, value):
+    """A scenario edit that sets the key at ``keys`` to ``value``."""
+
+    def edit(cfg):
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return cfg
+
+    return edit
+
+
+def _drop(keys):
+    """A scenario edit that deletes the key at ``keys``."""
+
+    def edit(cfg):
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return cfg
+
+    return edit
+
+
+# One malformed scenario per message that reading the key table raises,
+# and the exact line each prints.
+MALFORMED = {
+    "unknown_nested": (
+        _set(("layout", "extra"), 1.0),
+        "unknown scenario key: layout.extra",
+    ),
+    "unknown_int": (_set(("beam", 1), 2.0), "unknown scenario key: beam.1"),
+    "unknown_root": (_set(("extra",), 2.0), "unknown scenario key: extra"),
+    "missing": (_drop(("beam", "waist_p_um")), "missing scenario key: beam.waist_p_um"),
+    "missing_in_list": (
+        _drop(("resonances", 0, "lambda0_nm")),
+        "missing scenario key: resonances[0].lambda0_nm",
+    ),
+    "missing_section": (
+        _drop(("modulation",)),
+        "missing scenario key: modulation.frequency_hz",
+    ),
+    "bool": (
+        _set(("wavelength_nm",), True),
+        "scenario key wavelength_nm must be a number, got bool",
+    ),
+    "string_in_list": (
+        _set(("sweep", "voltages_mv", 3), "x"),
+        "scenario key sweep.voltages_mv[3] must be a number, got str",
+    ),
+    "out_of_bounds": (
+        _set(("resonances", 2, "fwhm_nm"), -1.0),
+        "scenario key resonances[2].fwhm_nm -1 is outside (0, inf)",
+    ),
+    "wrong_count": (
+        _set(("calibration", "residual_db"), [-1.7, -1.8, -1.7]),
+        "scenario key calibration.residual_db must list exactly 4 entries",
+    ),
+    "empty_list": (
+        _set(("sweep", "voltages_mv"), []),
+        "scenario key sweep.voltages_mv must list at least 1 entries",
+    ),
+    "not_a_list": (
+        _set(("calibration", "threshold_targets_mv"), 252.0),
+        "scenario key calibration.threshold_targets_mv must be a list",
+    ),
+    "section_not_a_mapping": (
+        _set(("detector",), [0.95]),
+        "scenario key detector must be a mapping",
+    ),
+    "entry_not_a_mapping": (
+        _set(("resonances", 1), 3.0),
+        "scenario key resonances[1] must be a mapping",
+    ),
+    "root_not_a_mapping": (lambda cfg: [1, 2], "scenario key root must be a mapping"),
+    "seed_not_an_integer": (
+        _set(("seed",), 1.5),
+        "scenario key seed must be an integer, got 1.5",
+    ),
+    "int_beyond_floats": (
+        _set(("beam", "waist_c_um"), 10**400),
+        "scenario key beam.waist_c_um inf is outside (0, inf)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_scenario_prints_its_exact_line(tmp_path, capsys, name):
+    edit, message = MALFORMED[name]
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(edit(default_scenario_dict())))
+    assert run_cli("snr-sweep", "--scenario", str(path), "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
 def test_only_grid_extent_and_gain_bound_are_accepted_and_ignored():
     # With coherence.extent_um: the two keys perfbench's generator still writes.
     ignored = [_key_path(keys) for keys, spec in _schema_paths(SCHEMA) if spec is None]
@@ -563,6 +660,33 @@ def test_only_grid_extent_and_gain_bound_are_accepted_and_ignored():
     raw = Scenario.from_dict(cfg).raw
     assert raw["coherence"]["extent_um"] == "anything"
     assert raw["calibration"]["gain_bound"] == [True, "anything"]
+
+
+def test_scenario_raw_is_a_copy_of_its_input():
+    # The walk that checks a scenario also copies it: raw equals the input,
+    # ignored keys included, and shares no dict or list with it.
+    cfg = default_scenario_dict()
+    cfg["coherence"]["extent_um"] = [2160.0, {"unit": ["um"]}]
+    cfg["calibration"]["gain_bound"] = 30.0
+    scenario = Scenario.from_dict(cfg)
+    assert scenario.raw == cfg
+    before, dumped = copy.deepcopy(cfg), dump_scenario(scenario)
+
+    def mutate(node):
+        if isinstance(node, dict):
+            for value in node.values():
+                mutate(value)
+            node["mutated"] = True
+        elif isinstance(node, list):
+            for value in node:
+                mutate(value)
+            node.append("mutated")
+
+    mutate(cfg)
+    assert scenario.raw == before
+    assert dump_scenario(scenario) == dumped
+    assert scenario.raw["coherence"]["extent_um"] == [2160.0, {"unit": ["um"]}]
+    assert scenario.raw["calibration"]["gain_bound"] == 30.0
 
 
 @pytest.mark.parametrize("extent", [1440.0, 2160.0, 4000.0, math.nan])
@@ -853,6 +977,8 @@ def test_every_src_function_is_reached(tmp_path, capsys):
     infeasible["calibration"]["stage_targets_db"].update(
         {"source": -12.0, "post_optics": -1.0}
     )
+    # A key the schema accepts and ignores is copied apart from the walk.
+    infeasible["calibration"]["gain_bound"] = 3.0
     far = default_scenario_dict()
     far["wavelength_nm"] = 1e200
     for name, cfg in (("infeasible", infeasible), ("far", far)):
