@@ -194,7 +194,12 @@ def _read(spec, value, path):
             if type(sub) is _Number:
                 checked[key] = sub.read(value[key], path, key)
             elif sub is None:
-                copy[key] = _copy(value[key])
+                try:
+                    copy[key] = _copy(value[key])
+                except RecursionError:  # a YAML alias that holds itself
+                    raise ValidationError(
+                        f"scenario key {_path(path, key)} is nested too deeply to copy"
+                    ) from None
             else:
                 checked[key], copy[key] = _read(sub, value[key], _path(path, key))
         elif type(sub) is dict:
@@ -382,37 +387,14 @@ class Sensor(NamedTuple):
     matched pair, its closed-form SNR = 1 ``thresholds_mv`` (twin-beam for
     its matched and its cross pairs, coherent, optimal), the four analytic
     SNR ``lines`` through them, ``V / V_th`` over the sweep voltages (None
-    where a threshold is 0), whether its signal at the largest swept
-    voltage ``overflows``, and the ``enhancement`` report of its matched
-    pair (None where that has no threshold, or the signal overflows)."""
+    where a threshold is 0), and its signal at the largest swept voltage,
+    ``top`` (None where that overflows)."""
 
     eta_p: float
     report: detection.NoiseReport
     thresholds_mv: tuple
     lines: tuple
-    overflows: bool
-    enhancement: analysis.EnhancementReport | None
-
-
-def _enhancement(q: int, report, thresholds_mv, top: float, v_max: float):
-    """The :class:`analysis.EnhancementReport` of the pair (q, q), whose
-    signal at the largest swept voltage ``v_max`` is ``top``.
-
-    The signal grows with V, so the twin curve's largest swept point has no
-    threshold exactly when a fit of the whole curve has none; then this
-    raises the error that fit raises.
-    """
-    snr = math.sqrt(top / report.diff_variance)
-    analysis.threshold_voltage(analysis.SNRCurve((q, q), "twin", (v_max,), (snr,)))
-    v_tb, _, v_cs, v_opt = thresholds_mv
-    return analysis.EnhancementReport(
-        pair=(q, q),
-        v_tb=v_tb,
-        v_cs=v_cs,
-        v_opt=v_opt,
-        enhancement_pct=(v_cs / v_tb - 1.0) * 100.0,
-        extrapolated=max(v_tb, v_cs, v_opt) > v_max,
-    )
+    top: float | None
 
 
 def _detected(cut: TwinBeamMoments, channel: LossChannel, i: int, j: int):
@@ -474,7 +456,7 @@ class SensingChain(NamedTuple):
         sensor = self.sensors[i - 1]
         # The largest swept signal is finite exactly when every one is; an
         # overflowing one raises the signal law's own error.
-        if sensor.overflows:
+        if sensor.top is None:
             self.signal(i, v[-1])
         twin, cross_twin, coherent, optimal = sensor.lines
         if i != j:
@@ -534,16 +516,23 @@ class SensingChain(NamedTuple):
         return curves
 
     def enhancement_report(self, i: int) -> analysis.EnhancementReport:
-        """SNR = 1 thresholds of the pair (i, i), in closed form: the
-        sensor's :attr:`Sensor.enhancement`, formed once by
-        :func:`build_chain`. Where it is None, forming it again raises the
-        error it met."""
+        """SNR = 1 thresholds of the pair (i, i), in closed form."""
         sensor = self.sensors[i - 1]
-        if sensor.enhancement is not None:
-            return sensor.enhancement
         v_max = self.scenario.sweep_voltages_mv[-1]
-        top = self.signal(i, v_max)
-        return _enhancement(i, sensor.report, sensor.thresholds_mv, top, v_max)
+        top = self.signal(i, v_max) if sensor.top is None else sensor.top
+        # The signal grows with V, so the twin curve's largest swept point
+        # has no threshold exactly when a fit of the whole curve has none.
+        snr = math.sqrt(top / sensor.report.diff_variance)
+        analysis.threshold_voltage(analysis.SNRCurve((i, i), "twin", (v_max,), (snr,)))
+        v_tb, _, v_cs, v_opt = sensor.thresholds_mv
+        return analysis.EnhancementReport(
+            pair=(i, i),
+            v_tb=v_tb,
+            v_cs=v_cs,
+            v_opt=v_opt,
+            enhancement_pct=(v_cs / v_tb - 1.0) * 100.0,
+            extrapolated=max(v_tb, v_cs, v_opt) > v_max,
+        )
 
 
 def _db_ratio(db: float, key: str) -> float:
@@ -678,19 +667,13 @@ def build_chain(scenario: Scenario) -> SensingChain:
         lines = tuple(
             tuple([v / t for v in voltages]) if t != 0.0 else None for t in thresholds
         )
-        # The sweeps' facts, decided once: a signal that overflows, or a
-        # report with no threshold, fails only the subcommands that read it.
-        enhancement = None
+        # The largest swept signal, formed once: one that overflows fails
+        # only the subcommands that sweep, which form it again to raise.
         try:
             top = plasmonic.modulation_signal(rep.diff_variance, voltages[-1], v_t)
         except ValidationError:
             top = None
-        else:
-            try:
-                enhancement = _enhancement(q, rep, thresholds, top, voltages[-1])
-            except (ValidationError, FitInfeasibleError):
-                pass
-        sensors.append(Sensor(eta_p, rep, thresholds, lines, top is None, enhancement))
+        sensors.append(Sensor(eta_p, rep, thresholds, lines, top))
 
     # Transduction gate: a sensor that transmits no light, or whose
     # resonance has no slope at the operating wavelength, has no signal

@@ -322,14 +322,7 @@ def test_chain_holds_one_sensor_record_per_quadrant(name):
         "residuals_db",
         "stage_budget",
     )
-    assert Sensor._fields == (
-        "eta_p",
-        "report",
-        "thresholds_mv",
-        "lines",
-        "overflows",
-        "enhancement",
-    )
+    assert Sensor._fields == ("eta_p", "report", "thresholds_mv", "lines", "top")
     assert len(chain.sensors) == 4
     for q in (1, 2, 3, 4):
         sensor = chain.sensors[q - 1]
@@ -340,6 +333,5 @@ def test_chain_holds_one_sensor_record_per_quadrant(name):
         assert chain.pair_channel(q).eta_p == eta_p
         d = chain.detected(q, q)
         assert sensor.report == detection.squeezing_report(d, detection.optimal_gain(d))
-        assert sensor.overflows is False
-        assert sensor.enhancement.pair == (q, q)
-        assert sensor.enhancement.v_tb == sensor.thresholds_mv[0]
+        v_max = chain.scenario.sweep_voltages_mv[-1]
+        assert sensor.top == chain.signal(q, v_max)

@@ -579,6 +579,13 @@ def _drop(keys):
     return edit
 
 
+def _holding_itself():
+    """A list whose one entry is itself."""
+    node = []
+    node.append(node)
+    return node
+
+
 # One malformed scenario per message that reading the key table raises,
 # and the exact line each prints.
 MALFORMED = {
@@ -637,6 +644,12 @@ MALFORMED = {
     "int_beyond_floats": (
         _set(("beam", "waist_c_um"), 10**400),
         "scenario key beam.waist_c_um inf is outside (0, inf)",
+    ),
+    # An ignored key is copied, not checked; a YAML alias that holds itself
+    # (extent_um: &x [*x]) cannot be.
+    "ignored_alias_holds_itself": (
+        _set(("coherence", "extent_um"), _holding_itself()),
+        "scenario key coherence.extent_um is nested too deeply to copy",
     ),
 }
 

@@ -2,16 +2,17 @@
 
 Usage, from the repository root::
 
-    python tools/ab.py REV_A REV_B [--seed N] [--rounds R] [--scenarios N]
+    python tools/ab.py REV_A REV_B [--seed N]
 
 Each rev's ``src/quadsense`` is exported with ``git archive`` into a package
 of its own name, and a second copy of ``REV_A`` into a third, so that one
 process imports all three. The op is the one perfbench's
 ``calibration-sweep`` workload times: ``Scenario.from_dict``,
 ``build_chain``, 4 ``enhancement_report`` and 16 ``snr_sweep`` calls, over
-perfbench's generated scenarios for ``--seed``. Every scenario runs once in
-each package back to back, in an order that cycles through all six from
-round to round, so the host's drift lands on both sides of a pair alike.
+perfbench's generated scenarios for ``--seed``. In each of 12 rounds every
+scenario runs once in each package back to back, in an order that cycles
+through all six from round to round, so the host's drift lands on both
+sides of a pair alike.
 
 Per pair the change is ``log(t_B / t_A)``. The tool prints each round's
 median op time per package, then, for B against A and for the A/A copy,
@@ -44,6 +45,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import scenarios  # noqa: E402  (perfbench's scenario generator)
 
 BOOTSTRAP = 2000
+ROUNDS = 12
 # The order of A, B and A' in each round: every package runs first, second
 # and third, and after each of the others, equally often over six rounds.
 ORDERS = tuple(itertools.permutations(range(3)))
@@ -112,11 +114,7 @@ def main(argv=None) -> int:
     parser.add_argument("rev_a")
     parser.add_argument("rev_b")
     parser.add_argument("--seed", type=int, default=1, help="perfbench scenario seed")
-    parser.add_argument("--rounds", type=int, default=12)
-    parser.add_argument("--scenarios", type=int, default=scenarios.N_SCENARIOS)
     args = parser.parse_args(argv)
-    if args.rounds < 2 or args.scenarios < 1:
-        parser.error("--rounds must be at least 2 and --scenarios at least 1")
 
     with tempfile.TemporaryDirectory() as tmp:
         into = Path(tmp)
@@ -126,13 +124,13 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(into))
         ops = [make_op(name) for name in names]
         text = (into / "qs_a" / "data" / "default_scenario.yaml").read_text("utf-8")
-        cfgs = scenarios.generate(yaml.safe_load(text), args.seed, args.scenarios)
+        cfgs = scenarios.generate(yaml.safe_load(text), args.seed)
 
         for cfg in cfgs:  # warm-up: first calls pay lazy imports
             for op in ops:
                 op(cfg)
         times = []  # times[r][k]: per-scenario op times of package k in round r
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             order = ORDERS[r % len(ORDERS)]
             row = [[0.0] * len(cfgs) for _ in ops]
             for n, cfg in enumerate(cfgs):
@@ -141,7 +139,7 @@ def main(argv=None) -> int:
             times.append(row)
 
     label = {0: f"A {commits[0]}", 1: f"B {commits[1]}", 2: f"A' {commits[2]}"}
-    print(f"{len(cfgs)} scenarios (seed {args.seed}) x {args.rounds} rounds")
+    print(f"{len(cfgs)} scenarios (seed {args.seed}) x {ROUNDS} rounds")
     heads = "  ".join(f"{label[k]:>14}" for k in range(3))
     print(f"round  first  {heads}  (median op, ms)")
     for r, row in enumerate(times):
