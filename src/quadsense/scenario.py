@@ -168,8 +168,9 @@ def _read(spec, value, path):
     key path ``path``. ``checked`` holds numbers as floats (or an exact
     int), sections as dicts with their defaults filled in and lists as
     tuples; ``copy`` is ``value`` with new dicts and lists and the same
-    scalars, made in the same walk. One walk, and no key path formed for a
-    number unless it is raised: only sections and lists get theirs."""
+    scalars, made in the same walk (an ignored subtree by :func:`_copy`).
+    One walk, and no key path formed for a number unless it is raised:
+    only sections and lists get theirs."""
     if type(spec) is tuple:
         entry, n = spec
         if not isinstance(value, list):
