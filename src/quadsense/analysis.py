@@ -12,32 +12,27 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import FitInfeasibleError, ValidationError, validated
+from .errors import FitInfeasibleError, ValidationError
 
 __all__ = [
     "SNRCurve",
     "EnhancementReport",
     "signal_estimate",
+    "slope_through_origin",
     "threshold_voltage",
 ]
 
 
-@validated
 class SNRCurve(NamedTuple):
     """SNR versus drive voltage for one quadrant pair and probe kind, as
-    tuples of floats."""
+    tuples of floats; unchecked, as the chain forms every curve over the
+    scenario's one or more sweep voltages."""
 
     pair: tuple[int, int]
     kind: str  # "twin", "coherent", or "optimal"
     voltages: tuple
     snr: tuple
     clamped: bool = False
-
-    def __post_init__(self):
-        if len(self.voltages) != len(self.snr):
-            raise ValidationError("voltage and SNR arrays must match")
-        if len(self.voltages) == 0:
-            raise ValidationError("sweep requires at least one voltage")
 
 
 class EnhancementReport(NamedTuple):
@@ -70,6 +65,16 @@ def threshold_voltage(curve: SNRCurve) -> tuple[float, bool]:
     for v, s in zip(curve.voltages, curve.snr):
         denom += v * v
         cross += v * s
+    v_th = 1.0 / slope_through_origin(denom, cross)
+    extrapolated = all(s < 1.0 for s in curve.snr)
+    return v_th, extrapolated
+
+
+def slope_through_origin(denom: float, cross: float) -> float:
+    """``cross / denom``, the slope of the least-squares line through the
+    origin of an SNR curve: ``denom`` sums its squared voltages, ``cross``
+    its voltage-SNR products. Raises where the line has no SNR = 1
+    threshold."""
     if denom <= 0:
         raise ValidationError(
             "the squares of sweep.voltages_mv sum to 0: no swept voltage is "
@@ -81,6 +86,4 @@ def threshold_voltage(curve: SNRCurve) -> tuple[float, bool]:
             "SNR does not grow with drive voltage: the swept curve has no "
             "SNR = 1 threshold"
         )
-    v_th = 1.0 / slope
-    extrapolated = all(s < 1.0 for s in curve.snr)
-    return v_th, extrapolated
+    return slope

@@ -18,12 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (
-    ConsistencyError,
-    UndefinedMomentsError,
-    UndefinedSNLError,
-    ValidationError,
-)
+from .errors import ConsistencyError, UndefinedMomentsError, UndefinedSNLError
 from .optics import LossChannel, apply_loss
 from .source import TwinBeamMoments
 
@@ -114,9 +109,8 @@ def probe_transmission_for_ratio(
 
 
 def difference_noise(d: TwinBeamMoments, g: float) -> float:
-    """Variance of the attenuated intensity-difference photocurrent."""
-    if g < 0:
-        raise ValidationError("attenuation factor must be >= 0")
+    """Variance of the attenuated intensity-difference photocurrent at the
+    attenuation factor g >= 0: 1, or :func:`optimal_gain`'s."""
     var = d.var_p + g * g * d.var_c - 2.0 * g * d.cov
     if var < -1e-9 * max(d.var_p, d.var_c, 1.0):
         raise ConsistencyError(

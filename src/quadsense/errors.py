@@ -45,6 +45,12 @@ def validated(cls):
     """Class decorator: each new instance of ``cls``, a ``typing.NamedTuple``,
     is passed to its ``__post_init__``, which raises on an invalid field.
 
+    It serves the records whose fields the numerics compute, the source
+    moments and the grid's covariance share, and the source parameters that
+    a library caller hands :func:`quadsense.source.fwm_moments`. A scenario
+    value is checked once, by ``scenario.SCHEMA`` at load; the records built
+    from it are not.
+
     The check rides on one ``__new__`` made once per class, with the
     record's own parameter list and defaults, as ``namedtuple`` makes its
     own: it builds the tuple with ``tuple.__new__`` and checks it, so a

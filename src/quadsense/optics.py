@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import SearchError, ValidationError, validated
+from .errors import SearchError, ValidationError
 from .source import CoherenceGrid, TwinBeamMoments, _interval_weights
 
 __all__ = [
@@ -39,41 +39,30 @@ WAIST_GRID_POINTS = 181
 WAIST_TOL_UM = 0.2
 
 
-@validated
 class QuadrantLayout(NamedTuple):
     """Four square windows separated by an opaque gap cross.
 
     The tilt about the y-axis is modeled as a projection: every x extent of
-    the layout is multiplied by cos(tilt).
+    the layout is multiplied by cos(tilt). Unchecked: the scenario's
+    ``layout`` bounds refuse any other layout at load.
     """
 
     window_size: float
     gap: float
     tilt_deg: float
 
-    def __post_init__(self):
-        if self.window_size <= 0:
-            raise ValidationError("window_size must be > 0")
-        if self.gap < 0:
-            raise ValidationError("gap must be >= 0")
-        if not 0.0 <= self.tilt_deg < 90.0:
-            raise ValidationError("tilt must be in [0, 90) degrees")
-
     @property
     def cos_tilt(self) -> float:
         return math.cos(math.radians(self.tilt_deg))
 
 
-@validated
 class LossChannel(NamedTuple):
-    """Independent power transmissions for the probe and conjugate paths."""
+    """Independent power transmissions for the probe and conjugate paths;
+    unchecked, as the chain forms each from scenario transmissions in
+    [0, 1], clamps into it, and their products."""
 
     eta_p: float
     eta_c: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.eta_p <= 1.0 and 0.0 <= self.eta_c <= 1.0):
-            raise ValidationError("transmissions must lie in [0, 1]")
 
 
 def quadrant_transmission(diameter: float, layout: QuadrantLayout) -> float:
@@ -83,10 +72,9 @@ def quadrant_transmission(diameter: float, layout: QuadrantLayout) -> float:
     The Gaussian factorizes, so window 1 carries the exact power of its x
     and y intervals (:func:`_interval_weights`): 4 normal CDFs through the
     C library's ``erfc``. The beam is centered, so the other three windows
-    are its mirror images and the total is 4 times window 1.
+    are its mirror images and the total is 4 times window 1. The diameter
+    is > 0: a scenario waist, or one of :func:`waist_scan`'s.
     """
-    if not diameter > 0:
-        raise ValidationError(f"beam diameter must be > 0, got {diameter}")
     sigma = diameter / 4.0
     g, w, c = 0.5 * layout.gap, layout.window_size, layout.cos_tilt
     window = _interval_weights(g * c, (g + w) * c, sigma) * _interval_weights(

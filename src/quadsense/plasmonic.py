@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ValidationError, validated
+from .errors import ValidationError
 
 __all__ = [
     "DLAMBDA_DN",
@@ -43,25 +43,15 @@ def linewidth_evaluable(linewidth: float) -> bool:
 DLAMBDA_DN = 300.0
 
 
-@validated
 class EOTResonance(NamedTuple):
     """Lorentzian transmission resonance of one nanohole-array sensor; of
-    the calibrated chain, only the transduction gate reads it."""
+    the calibrated chain, only the transduction gate reads it. Unchecked:
+    the scenario's ``resonances`` bounds and :func:`linewidth_evaluable`
+    refuse any other resonance at load."""
 
     lambda0: float
     linewidth: float
     t_max: float
-
-    def __post_init__(self):
-        if self.linewidth <= 0:
-            raise ValidationError("linewidth must be > 0")
-        if not linewidth_evaluable(self.linewidth):
-            raise ValidationError(
-                f"linewidth {self.linewidth:g} nm is outside the range where "
-                f"its Lorentzian can be evaluated"
-            )
-        if not 0.0 <= self.t_max <= 1.0:
-            raise ValidationError("peak transmission must be in [0, 1]")
 
 
 def _detuning_overflow(r: EOTResonance, wavelength: float) -> ValidationError:

@@ -524,7 +524,7 @@ class SensingChain(NamedTuple):
         # The signal grows with V, so the twin curve's largest swept point
         # has no threshold exactly when a fit of the whole curve has none.
         snr = math.sqrt(top / sensor.report.diff_variance)
-        analysis.threshold_voltage(analysis.SNRCurve((i, i), "twin", (v_max,), (snr,)))
+        analysis.slope_through_origin(v_max * v_max, v_max * snr)
         v_tb, _, v_cs, v_opt = sensor.thresholds_mv
         return analysis.EnhancementReport(
             pair=(i, i),

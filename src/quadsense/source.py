@@ -31,7 +31,10 @@ __all__ = [
 
 @validated
 class FwmSourceParams(NamedTuple):
-    """Parameters of the seeded amplifier producing the twin beams."""
+    """Parameters of the seeded amplifier producing the twin beams.
+
+    Checked, as :func:`fwm_moments` is a library entry point and a caller
+    builds these by hand; the chain's stage solve never trips the checks."""
 
     gain: float
     seed_flux: float
@@ -163,10 +166,9 @@ def _half_cells(waist_p: float, waist_c: float, d_c: float) -> int:
     """Number of whole cells on each side of the on-axis cell of the
     nominal grid, out to :data:`REACH_WAISTS` waists of the wider beam.
 
-    Validates the cell size for :func:`build_coherence_grid`.
+    Refuses a cell size > 0 too fine for :func:`build_coherence_grid`; the
+    scenario's ``coherence.cell_um`` bound refuses any other at load.
     """
-    if not d_c > 0:
-        raise ValidationError("coherence cell size must be > 0")
     reach = REACH_WAISTS * max(waist_p, waist_c)
     half = (reach - 0.5 * d_c) / d_c
     if half > MAX_HALF_CELLS:

@@ -60,8 +60,12 @@ def test_threshold_voltage_degenerate_curves():
         curve = SNRCurve((1, 1), "twin", np.array([10.0]), np.array(snr))
         with pytest.raises(FitInfeasibleError, match="does not grow"):
             threshold_voltage(curve)
-    with pytest.raises(ValidationError):
-        SNRCurve((1, 1), "twin", np.array([]), np.array([]))
+    # A sweep of no voltage is refused where the scenario is read; no
+    # curve is formed over it.
+    cfg = default_scenario_dict()
+    cfg["sweep"]["voltages_mv"] = []
+    with pytest.raises(ValidationError, match="voltages_mv must list at least 1"):
+        Scenario.from_dict(cfg)
 
 
 # -- chain-level sweep behavior --------------------------------------------
@@ -72,6 +76,24 @@ def test_sweep_curves_are_linear_in_voltage(chain):
     for curve in curves.values():
         slopes = np.asarray(curve.snr) / np.asarray(curve.voltages)
         assert np.allclose(slopes, slopes[0], rtol=1e-9)
+
+
+@pytest.mark.parametrize("voltages", [None, [100.0]], ids=["default", "one_voltage"])
+def test_every_sweep_curve_has_one_snr_per_voltage(chain, voltages):
+    # SNRCurve checks nothing: the chain forms every curve, analytic or
+    # sampled, over the scenario's sweep voltages, of which the scenario
+    # holds one or more.
+    if voltages is not None:
+        cfg = default_scenario_dict()
+        cfg["sweep"]["voltages_mv"] = voltages
+        chain = build_chain(Scenario.from_dict(cfg))
+    v = chain.scenario.sweep_voltages_mv
+    pairs = [(i, j) for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)]
+    curves = [c for pair in pairs for c in chain.snr_sweep(pair).values()]
+    curves += chain.sampled_snr_sweep(pairs, 1000, 7)
+    assert len(curves) == 64
+    for curve in curves:
+        assert curve.voltages == v and len(curve.snr) == len(v) >= 1
 
 
 def test_sweep_ordering_correlated_beats_snl_beats_uncorrelated(chain):

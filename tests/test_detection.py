@@ -17,7 +17,7 @@ from quadsense.detection import (
     snl_noise,
     squeezing_report,
 )
-from quadsense.errors import UndefinedMomentsError, UndefinedSNLError, ValidationError
+from quadsense.errors import UndefinedMomentsError, UndefinedSNLError
 from quadsense.optics import LossChannel, apply_loss
 from quadsense.source import FwmSourceParams, TwinBeamMoments, fwm_moments
 
@@ -55,9 +55,20 @@ def test_difference_noise_gain_two_balanced():
     assert difference_noise(G2_IDEAL, 1.0) == pytest.approx(1.0)
 
 
-def test_difference_noise_rejects_negative_gain():
-    with pytest.raises(ValidationError):
-        difference_noise(G2_IDEAL, -0.5)
+@given(
+    st.builds(
+        lambda mp, mc, vp, vc, t: TwinBeamMoments(mp, mc, vp, vc, t * math.sqrt(vp * vc)),
+        st.floats(0.0, 1e150),
+        st.floats(0.0, 1e150),
+        st.floats(1e-300, 1e150),
+        st.floats(1e-300, 1e150),
+        st.floats(-1.0, 1.0),
+    )
+)
+def test_optimal_gain_is_never_negative(m):
+    # difference_noise takes its attenuation factor unchecked: every caller
+    # passes 1 or optimal_gain's, which a negative covariance pins at 0.
+    assert optimal_gain(m) >= 0.0
 
 
 def test_optimal_gain_uncorrelated_is_zero():

@@ -2,39 +2,12 @@ import pickle
 
 import pytest
 
-from quadsense.analysis import SNRCurve
 from quadsense.errors import ValidationError
-from quadsense.optics import LossChannel, QuadrantLayout
-from quadsense.plasmonic import EOTResonance
 from quadsense.source import CoherenceGrid, FwmSourceParams, TwinBeamMoments
 
 # Every @validated record: one valid set of field values, one invalid set
 # and the message its check raises for it.
 RECORDS = {
-    "SNRCurve": (
-        SNRCurve,
-        ((1, 2), "twin", (10.0, 20.0), (0.1, 0.2), True),
-        ((1, 2), "twin", (10.0, 20.0), (0.1,), False),
-        "voltage and SNR arrays must match",
-    ),
-    "QuadrantLayout": (
-        QuadrantLayout,
-        (150.0, 10.0, 5.0),
-        (0.0, 10.0, 5.0),
-        "window_size must be > 0",
-    ),
-    "LossChannel": (
-        LossChannel,
-        (0.5, 0.9),
-        (1.5, 0.9),
-        "transmissions must lie in [0, 1]",
-    ),
-    "EOTResonance": (
-        EOTResonance,
-        (795.0, 10.0, 0.5),
-        (795.0, 10.0, 2.0),
-        "peak transmission must be in [0, 1]",
-    ),
     "FwmSourceParams": (
         FwmSourceParams,
         (2.0, 1.0, 0.01),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
 
-from conftest import reference_cov_share
+from conftest import default_scenario_dict, reference_cov_share
 from quadsense import detection
 from quadsense.errors import SearchError, ValidationError
 from quadsense.optics import (
@@ -20,6 +21,7 @@ from quadsense.optics import (
     quadrant_transmission,
     waist_scan,
 )
+from quadsense.scenario import Scenario
 from quadsense.source import CoherenceGrid, TwinBeamMoments, build_coherence_grid
 
 REFERENCE_LAYOUT = QuadrantLayout(window_size=200.0, gap=20.0, tilt_deg=26.0)
@@ -331,14 +333,35 @@ def test_quadrant_cut_matches_brute_force_cell_enumeration(waist_p, waist_c, d_c
 
 
 def test_layout_validation():
-    with pytest.raises(ValidationError):
-        QuadrantLayout(window_size=0.0, gap=20.0, tilt_deg=26.0)
-    with pytest.raises(ValidationError):
-        QuadrantLayout(window_size=200.0, gap=-1.0, tilt_deg=26.0)
-    with pytest.raises(ValidationError):
-        QuadrantLayout(window_size=200.0, gap=20.0, tilt_deg=90.0)
-    with pytest.raises(ValidationError):
-        LossChannel(1.2, 0.5)
-    for diameter in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValidationError):
-            quadrant_transmission(diameter, REFERENCE_LAYOUT)
+    # A layout, a loss channel or a beam diameter out of range is refused
+    # where the scenario is read, by its key path; the records and the
+    # transmission built from a scenario check nothing again.
+    for keys, value, message in [
+        (("layout", "window_um"), 0.0, "layout.window_um 0 is outside (0, inf)"),
+        (("layout", "gap_um"), -1.0, "layout.gap_um -1 is outside [0, inf)"),
+        (("layout", "tilt_deg"), 90.0, "layout.tilt_deg 90 is outside [0, 90)"),
+        (("calibration", "final", "eta_p"), 1.2, "final.eta_p 1.2 is outside [0, 1]"),
+        (("beam", "waist_c_um"), 0.0, "beam.waist_c_um 0 is outside (0, inf)"),
+        (("beam", "waist_c_um"), -1.0, "beam.waist_c_um -1 is outside (0, inf)"),
+        (("beam", "waist_c_um"), math.nan, "beam.waist_c_um nan is outside (0, inf)"),
+    ]:
+        cfg = default_scenario_dict()
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Scenario.from_dict(cfg)
+
+
+@given(
+    diameter=st.floats(1e-300, 1e300),
+    window=st.floats(1e-300, 1e300),
+    gap=st.floats(0.0, 1e300),
+    tilt=st.floats(0.0, 90.0, exclude_max=True),
+)
+def test_layout_transmission_lies_in_the_unit_interval(diameter, window, gap, tilt):
+    # The chain's conjugate transmission is this one times two scenario
+    # transmissions in [0, 1], so LossChannel needs no check of its own.
+    layout = QuadrantLayout(window, gap, tilt)
+    assert 0.0 <= quadrant_transmission(diameter, layout) <= 1.0

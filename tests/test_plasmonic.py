@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import default_scenario_dict
 from quadsense.errors import ValidationError
 from quadsense.plasmonic import (
     DLAMBDA_DN,
@@ -13,6 +15,7 @@ from quadsense.plasmonic import (
     transduction_slope,
     transmission_at,
 )
+from quadsense.scenario import Scenario
 
 RES = EOTResonance(lambda0=790.5, linewidth=28.0, t_max=0.57)
 # Modulation-off noise floor, and the threshold voltages (mV) of four sensors.
@@ -99,13 +102,18 @@ def test_evaluable_linewidth_gives_finite_optics(linewidth):
 
 
 def test_input_validation():
-    with pytest.raises(ValidationError):
-        EOTResonance(lambda0=790.0, linewidth=0.0, t_max=0.5)
+    # A resonance is refused where the scenario is read, by its key path;
+    # EOTResonance checks nothing again.
+    unevaluable = "is outside the range where its Lorentzian can be evaluated"
+    cases = [("fwhm_nm", 0.0, "resonances[0].fwhm_nm 0 is outside (0, inf)")]
     for linewidth in (1e-300, 1e-82, 3e77, 1e100, 1e200):
-        with pytest.raises(ValidationError, match="Lorentzian"):
-            EOTResonance(lambda0=790.0, linewidth=linewidth, t_max=0.5)
-    with pytest.raises(ValidationError):
-        EOTResonance(lambda0=790.0, linewidth=10.0, t_max=1.5)
+        cases.append(("fwhm_nm", linewidth, f"fwhm_nm {linewidth:g} {unevaluable}"))
+    cases.append(("t_max", 1.5, "resonances[0].t_max 1.5 is outside [0, 1]"))
+    for key, value, message in cases:
+        cfg = default_scenario_dict()
+        cfg["resonances"][0][key] = value
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Scenario.from_dict(cfg)
     for v_th in (1e-300, 0.0, math.nan):
         with pytest.raises(ValidationError, match="calibration.threshold_targets_mv"):
             modulation_signal(FLOOR, 1e300, v_th)

@@ -1,13 +1,12 @@
 import ast
-import contextlib
 import copy
-import csv
 import hashlib
-import io
+import importlib.util
 import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -29,8 +28,8 @@ from quadsense.detection import (
     probe_transmission_for_ratio,
     squeezing_report,
 )
-from quadsense.errors import FitInfeasibleError, ValidationError
-from quadsense.optics import LossChannel, apply_loss, quadrant_transmission
+from quadsense.errors import FitInfeasibleError, QuadsenseError, ValidationError
+from quadsense.optics import LossChannel, apply_loss, quadrant_transmission, waist_scan
 from quadsense.scenario import (
     SCHEMA,
     Scenario,
@@ -40,7 +39,14 @@ from quadsense.scenario import (
     dump_scenario,
     load_scenario,
 )
-from quadsense.source import build_coherence_grid, fwm_moments
+from quadsense.source import FwmSourceParams, build_coherence_grid, fwm_moments
+
+# The boundary grid's case list and contract check, shared with its script.
+_spec = importlib.util.spec_from_file_location(
+    "boundary_grid", Path(__file__).resolve().parents[1] / "tools" / "boundary_grid.py"
+)
+boundary_grid = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(boundary_grid)
 
 
 def test_scenario_reports_missing_key_with_path():
@@ -645,6 +651,13 @@ MALFORMED = {
         _set(("beam", "waist_c_um"), 10**400),
         "scenario key beam.waist_c_um inf is outside (0, inf)",
     ),
+    # Far enough that the squared Lorentzian of the slope overflows, but
+    # not the transmission.
+    "wavelength_beyond_slope": (
+        _set(("wavelength_nm",), 1e100),
+        "scenario key wavelength_nm 1e+100 is too far from resonances[0] at 790.5 nm "
+        "to evaluate its Lorentzian",
+    ),
     # An ignored key is copied, not checked; a YAML alias that holds itself
     # (extent_um: &x [*x]) cannot be.
     "ignored_alias_holds_itself": (
@@ -739,17 +752,6 @@ MUTATIONS = {
 }
 
 
-def _non_finite(path) -> list:
-    """The non-finite numbers of a CSV or JSON artifact."""
-    if path.suffix == ".json":
-        found = []
-        json.loads(path.read_text(), parse_constant=found.append)
-        return found
-    rows = list(csv.reader(io.StringIO(path.read_text())))
-    cells = [c for row in rows[1:] for k, c in enumerate(row) if rows[0][k] != "pair"]
-    return [c for c in cells if not math.isfinite(float(c))]
-
-
 @given(
     keys=st.sampled_from([keys for keys, _ in _schema_paths(SCHEMA)]),
     mutation=st.sampled_from(sorted(MUTATIONS)),
@@ -777,14 +779,38 @@ def test_mutated_scenario_keeps_the_exit_code_contract(keys, mutation):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "mutated.yaml", Path(tmp) / "out"
         path.write_text(yaml.safe_dump(cfg))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = run_cli("snr-sweep", "--scenario", str(path), "--out", str(out))
-        assert rc in (0, 2, 3), rc
-        if rc:
-            assert err.getvalue().count("\n") == 1, err.getvalue()
-        for artifact in out.iterdir() if out.exists() else ():
-            assert not _non_finite(artifact), artifact.name
+        rc, err = boundary_grid.run(("snr-sweep", "--scenario", str(path)), out)
+        breaks = boundary_grid.contract_breaks(rc, err, out)
+        assert not breaks, breaks
+
+
+def test_boundary_grid_keeps_the_exit_code_contract(tmp_path, monkeypatch):
+    # The same contract on the numeric part of the fixed boundary grid
+    # (tools/boundary_grid.py): each numeric leaf of the default scenario
+    # file at each boundary value runs squeezing-budget, which calibrates,
+    # and each of the other six subcommands meets every value once, at
+    # leaves spread over the file. The full grid runs every case on all
+    # seven. Every case is well-formed YAML, so libyaml's scanner, where
+    # PyYAML has it, reads it to the same objects through the same
+    # resolver and constructor, in a tenth of the time.
+    if yaml.__with_libyaml__:
+        monkeypatch.setattr(yaml, "safe_load", lambda text: yaml.load(text, yaml.CSafeLoader))
+    cases = boundary_grid.cases(part="numeric")
+    n = len(boundary_grid.VALUES)
+    assert len(cases) == 58 * n
+    extra = dict(boundary_grid.SUBCOMMANDS)
+    others = [cmd for cmd in extra if cmd != "squeezing-budget"]
+    runs = [(k, "squeezing-budget") for k in range(len(cases))]
+    runs += [((6 * v + s) % 58 * n + v, cmd) for s, cmd in enumerate(others) for v in range(n)]
+    path, out = tmp_path / "case.yaml", tmp_path / "out"
+    breaks = []
+    for k, cmd in runs:
+        name, text = cases[k]
+        path.write_text(text, encoding="utf-8")
+        rc, err = boundary_grid.run((cmd, "--scenario", str(path), *extra[cmd]), out)
+        breaks += [f"{name} {cmd}: {b}" for b in boundary_grid.contract_breaks(rc, err, out)]
+        shutil.rmtree(out, ignore_errors=True)
+    assert not breaks, breaks
 
 
 @pytest.mark.parametrize(
@@ -1019,6 +1045,179 @@ def test_every_src_function_is_reached(tmp_path, capsys):
         threading.setprofile(None)
     capsys.readouterr()
     unreached = {name for key, name in defs.items() if key not in reached}
+    assert unreached == set(unreached_by_design)
+
+
+def _raises(package):
+    """``(file, line)`` -> ``file:function: exception`` of every ``raise``
+    statement in the modules of ``package``."""
+    found = {}
+
+    def collect(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                collect(path, child, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, ast.Raise):
+                label = f"{path.name}:{prefix[:-1]}: {ast.unparse(child.exc)}"
+                found[str(path), child.lineno] = label
+            collect(path, child, prefix)
+
+    for path in package.glob("*.py"):
+        collect(path, ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_every_src_raise_is_reached(tmp_path, capsys, monkeypatch, chain):
+    # Every subcommand, one CLI run per error that a scenario, a file or an
+    # option can cause, and one direct call per error that only a library
+    # caller can cause execute every raise in src/quadsense but those listed
+    # with their reason: no guard stays that no input reaches, unless it
+    # checks the numerics. A line tracer sees only quadsense frames; it is
+    # installed before each run, as a RecursionError switches tracing off,
+    # and so it cannot see the handlers of one.
+    recursion = "a RecursionError handler: a trace call that recurses too deeply stops tracing"
+    numerics = "a numerics check that no input reaches"
+    unreached_by_design = {
+        "scenario.py:_read: ValidationError(f'scenario key {_path(path, key)} is "
+        "nested too deeply to copy')": recursion,
+        "scenario.py:load_scenario: ValidationError('malformed scenario YAML: nested "
+        "too deeply to parse')": recursion,
+        "scenario.py:dump_scenario: ValidationError('malformed scenario YAML: nested "
+        "too deeply to dump')": recursion,
+        "analysis.py:signal_estimate: ValidationError('noise powers must be >= 0')": numerics,
+        "detection.py:difference_noise: ConsistencyError(f'negative difference variance "
+        "{var}; upstream moments are unphysical')": numerics,
+        "source.py:TwinBeamMoments.__post_init__: ValidationError('mean intensities "
+        "must be >= 0')": numerics,
+        "source.py:TwinBeamMoments.__post_init__: ValidationError('variances must be "
+        ">= 0')": numerics,
+        "source.py:TwinBeamMoments.__post_init__: ValidationError(f'cov^2={self.cov ** 2} "
+        "exceeds var_p*var_c={bound}')": numerics,
+        "source.py:CoherenceGrid.__post_init__: ValidationError(f'covariance share must "
+        "lie in [0, 1/4], got {self.cov_share}')": numerics,
+    }
+    package = Path(cli.__file__).parent
+    raises = _raises(package)
+
+    def edited(name, *edits):
+        cfg = default_scenario_dict()
+        for edit in edits:
+            cfg = edit(cfg)
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        return "--scenario", str(path)
+
+    stage = ("calibration", "stage_targets_db")
+    threshold = ("calibration", "threshold_targets_mv", 0)
+    # A lossy conjugate arm and the least positive threshold target: the
+    # optimal curve's threshold underflows to 0.
+    qe = 0.1
+    detected = apply_loss(
+        chain.cut, LossChannel(0.9, chain.eta_c / chain.scenario.quantum_efficiency * qe)
+    )
+    residual = squeezing_report(detected, optimal_gain(detected)).ratio_db
+    (tmp_path / "not_utf8.yaml").write_bytes(b"seed: 1\n\xff\xfe bad\n")
+    (tmp_path / "unclosed.yaml").write_text("seed: [1, 2\n")
+    runs = [(0, (cmd, *extra)) for cmd, extra in SUBCOMMANDS]
+    runs += [
+        (0, ("snr-sweep", "--dump-config")),
+        (2, ("fig4", "--seed", "-1")),
+        (2, ("fig4", "--samples", "1")),
+        (2, ("fig4", "--samples", str(10**13))),
+        (2, ("fig3", "--scenario", str(tmp_path / "not_utf8.yaml"))),
+        (2, ("fig3", "--scenario", str(tmp_path / "unclosed.yaml"))),
+    ]
+    for code, cmd, name, edits in [
+        (2, "fig3", "bool", [_set(("wavelength_nm",), True)]),
+        (2, "fig3", "outside", [_set(("resonances", 2, "fwhm_nm"), -1.0)]),
+        (2, "fig3", "not_an_integer", [_set(("seed",), 1.5)]),
+        (2, "fig3", "not_a_list", [_set(threshold[:2], 252.0)]),
+        (2, "fig3", "wrong_count", [_set(("calibration", "residual_db"), [-1.7] * 3)]),
+        (2, "fig3", "not_a_mapping", [_set(("detector",), [0.95])]),
+        (2, "fig3", "unknown", [_set(("layout", "extra"), 1.0)]),
+        (2, "fig3", "missing", [_drop(("beam", "waist_p_um"))]),
+        (2, "fig3", "coarse_cells", [_set(("coherence", "cell_um"), 400.0)]),
+        (2, "fig3", "fine_cells", [_set(("coherence", "cell_um"), 1e-6)]),
+        (2, "fig3", "narrow", [_set(("resonances", 0, "fwhm_nm"), 1e-300)]),
+        (2, "fig3", "far", [_set(("wavelength_nm",), 1e200)]),
+        (2, "fig3", "beyond_slope", [_set(("wavelength_nm",), 1e100)]),
+        (2, "fig3", "decreasing", [_set(("sweep", "voltages_mv"), [50.0, 25.0])]),
+        (2, "squeezing-budget", "no_ratio", [_set(stage + ("post_cut",), 1e6)]),
+        (
+            2,
+            "squeezing-budget",
+            "overflow",
+            [_set(stage, {"source": 1539.0, "post_optics": 0.0, "post_cut": 1504.0})],
+        ),
+        (
+            3,
+            "squeezing-budget",
+            "infeasible",
+            [_set(stage, {"source": -12.0, "post_optics": -1.0, "post_cut": -3.75})],
+        ),
+        (3, "squeezing-budget", "dark", [_set(("detector", "quantum_efficiency"), 0.0)]),
+        (3, "squeezing-budget", "no_power", [_set(("calibration", "final", "eta_p"), 0.0)]),
+        (3, "squeezing-budget", "unsqueezed", [_set(("calibration", "residual_db"), [0.5] * 4)]),
+        (3, "fig3", "no_transduction", [_set(("resonances", 0, "t_max"), 0.0)]),
+        (3, "optimize-beam", "wide", [_set(("layout", "window_um"), 1e6)]),
+        (2, "snr-sweep", "tiny_threshold", [_set(threshold, 1e-300)]),
+        (2, "snr-sweep", "zero_sweep", [_set(("sweep", "voltages_mv"), [0.0])]),
+        (3, "snr-sweep", "underflow", [_set(threshold, 1e300)]),
+        (
+            2,
+            "snr-sweep",
+            "zero_threshold",
+            [
+                _set(("detector", "quantum_efficiency"), qe),
+                _set(("calibration", "residual_db"), [residual] * 4),
+                _set(threshold, 5e-324),
+                _set(("sweep", "voltages_mv"), [0.0]),
+            ],
+        ),
+    ]:
+        runs.append((code, (cmd, *edited(name, *edits))))
+
+    def truncated_fock():
+        monkeypatch.setattr(montecarlo, "FOCK_TRUNCATIONS", (5,))
+        montecarlo.fock_two_mode_squeezer_moments(1.3, 2.0)
+
+    library = [
+        lambda: waist_scan(chain.scenario.layout, (500.0, 100.0)),
+        lambda: montecarlo.thinning_loss(np.ones(1), 1.5, 0, 0),
+        lambda: montecarlo.fock_two_mode_squeezer_moments(0.9, 1.0),
+        lambda: montecarlo.fock_two_mode_squeezer_moments(1.2, -1.0),
+        truncated_fock,
+        lambda: FwmSourceParams(0.9, 1.0),
+        lambda: FwmSourceParams(2.0, 0.0),
+        lambda: FwmSourceParams(2.0, 1.0, -0.1),
+    ]
+    files = {str(path) for path in package.glob("*.py")}
+    executed = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            executed.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code.co_filename in files else None
+
+    previous = sys.gettrace(), threading.gettrace()
+    try:
+        for code, argv in runs:
+            sys.settrace(calls)
+            threading.settrace(calls)
+            assert run_cli(*argv, "--out", str(tmp_path / "out")) == code, argv
+        for call in library:
+            sys.settrace(calls)
+            with pytest.raises(QuadsenseError):
+                call()
+    finally:
+        sys.settrace(previous[0])
+        threading.settrace(previous[1])
+    capsys.readouterr()
+    unreached = {label for key, label in raises.items() if key not in executed}
     assert unreached == set(unreached_by_design)
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from conftest import reference_cell_weights, reference_cov_share
+from conftest import default_scenario_dict, reference_cell_weights, reference_cov_share
+from quadsense import scenario as scenario_module
 from quadsense.detection import squeezing_report
-from quadsense.errors import ValidationError
+from quadsense.errors import QuadsenseError, ValidationError
 from quadsense.optics import QuadrantLayout
 from quadsense.optics import quadrant_cut, quadrant_transmission
+from quadsense.scenario import (
+    MIN_TRANSMISSION,
+    Scenario,
+    _db_ratio,
+    _solve_stages,
+    _stages,
+)
 from quadsense.source import (
     MAX_HALF_CELLS,
     CoherenceGrid,
@@ -49,6 +58,41 @@ def test_fwm_moments_rejects_invalid_params():
         FwmSourceParams(gain=2.0, seed_flux=0.0)
     with pytest.raises(ValidationError):
         FwmSourceParams(gain=2.0, seed_flux=1.0, excess_uncorrelated=-0.1)
+
+
+@given(
+    targets_db=st.tuples(*[st.floats(-3000.0, 3000.0)] * 3),
+    share=st.floats(0.0, 0.25, exclude_max=True),
+)
+@settings(max_examples=300)
+def test_stage_solve_gives_physical_source_params(scenario, targets_db, share):
+    # The chain never trips FwmSourceParams' checks, as its stage solve
+    # gives a finite gain >= 1, the seed flux 1 and an excess that is not
+    # negative for any staged targets with finite noise ratios
+    # and any covariance share a grid keeps, or refuses the gain as
+    # overflowing. Its optics transmission is in the loss channels' [0, 1].
+    ratios = [_db_ratio(db, "target") for db in targets_db]
+    gain, eta_optics, _ = _solve_stages(*ratios, share)
+    assert 1.0 <= gain < math.inf
+    assert MIN_TRANSMISSION <= eta_optics <= 1.0
+    formed = []
+
+    def moments(params):
+        formed.append(params)
+        return fwm_moments(params)
+
+    grid = CoherenceGrid(cov_share=share, half_cells=1)
+    with mock.patch.object(scenario_module, "fwm_moments", moments):
+        try:
+            _stages(scenario, grid, gain, eta_optics, ratios[0])
+        except QuadsenseError as exc:
+            # Later stages may fail on their own, after the parameters.
+            assert formed or "source moments overflow" in str(exc), exc
+    for params in formed:
+        assert params.gain == gain and params.seed_flux == 1.0
+        # Near a gain of 1e154 the excess is inf / inf, NaN; it is refused
+        # downstream, as the probe transmission it leads to is NaN.
+        assert not params.excess_uncorrelated < 0.0
 
 
 def test_moments_reject_cauchy_schwarz_violation():
@@ -133,9 +177,12 @@ def test_default_grid_covariance_share_is_pinned():
 
 
 def test_grid_rejects_a_cell_size_that_is_not_positive():
+    # Refused where the scenario is read; the grid builder takes it unchecked.
     for d_c in (0.0, -1.0, math.nan):
-        with pytest.raises(ValidationError, match="cell size must be > 0"):
-            build_coherence_grid(100.0, 100.0, d_c)
+        cfg = default_scenario_dict()
+        cfg["coherence"]["cell_um"] = d_c
+        with pytest.raises(ValidationError, match=rf"coherence.cell_um {d_c:g} is outside"):
+            Scenario.from_dict(cfg)
 
 
 def test_grid_rejects_a_covariance_share_outside_a_quarter():
